@@ -1,0 +1,22 @@
+"""Byte-exact guard on the CLI reports: analyze on every fixture, the K_{4,4} embedding oracle.
+
+The expected bytes live in tests/golden/ and are regenerated by
+scripts/make_golden.py.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("make_golden", ROOT / "scripts" / "make_golden.py")
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
+
+
+@pytest.mark.parametrize("name,argv", make_golden.golden_cases(),
+                         ids=[name for name, _ in make_golden.golden_cases()])
+def test_report_bytes_match_golden(name, argv):
+    expected = (make_golden.GOLDEN / name).read_text()
+    assert make_golden.run(argv) == expected
