@@ -1,8 +1,10 @@
-"""Complete automorphism groups of vertex+edge-colored graphs.
+"""Automorphism groups of vertex+edge-colored graphs, held as generators.
 
-Deterministic individualization-refinement backtracking, sized for desk
-scale: every group element is materialized (downstream reconstruction
-needs each one), not just generators.
+Deterministic individualization-refinement search with automorphism
+pruning returns a generating set, not the elements.  A Schreier-Sims
+stabilizer chain then gives the order (the product of its basic orbit
+lengths) and a membership test; the sorted members are built only when
+first asked for.
 
 Permutation conventions live here.  A permutation is an image tuple p with
 p[i] = sigma(i).  Its matrix Pi has a 1 in row sigma(j), column j, so that
@@ -14,11 +16,11 @@ Pi_p @ Pi_q = Pi_{p*q}.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
-from .colorings import Coloring, LabeledGraph
+from .colorings import Coloring, LabeledGraph, orbit_coloring
 from .errors import LimitExceeded, NotAGroup
 from .geometry import EdgeGraph
 
@@ -35,10 +37,7 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 
 def invert(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
+    return tuple(np.argsort(p).tolist())
 
 
 def perm_matrix(p: Perm) -> np.ndarray:
@@ -49,63 +48,115 @@ def perm_matrix(p: Perm) -> np.ndarray:
 
 
 class PermutationSet:
-    """A sorted, explicitly verified permutation group."""
+    """A permutation group: generators plus a stabilizer chain.
 
-    def __init__(self, perms, verify: bool = True):
+    ``PermutationSet(perms)`` is the group whose members are exactly the
+    set ``perms``.  A set S is a group iff |<S>| = |S|, so any set that is
+    not closed raises NotAGroup, at the cost of one sift per element.
+    ``PermutationSet.generated(n, gens)`` is the group generated by
+    ``gens``.  ``perms``, the sorted members, is built on first use.
+    """
+
+    def __init__(self, perms):
         perms = sorted({tuple(int(x) for x in p) for p in perms})
         if not perms:
             raise NotAGroup("empty permutation set")
-        self.n = len(perms[0])
-        if any(len(p) != self.n or sorted(p) != list(range(self.n)) for p in perms):
+        n = len(perms[0])
+        if any(len(p) != n or sorted(p) != list(range(n)) for p in perms):
             raise NotAGroup("element is not a permutation of 0..n-1")
-        self.perms = tuple(perms)
-        if verify:
-            self._verify_group()
+        self._start(n, ())
+        for p in perms:
+            self._add(p)
+        if self.order != len(perms):
+            raise NotAGroup(f"{len(perms)} permutations generate a group of order "
+                            f"{self.order}: the set is not a group")
+        self._perms = tuple(perms)
+
+    @classmethod
+    def generated(cls, n: int, gens, base=()) -> "PermutationSet":
+        """The group generated by ``gens`` on 0..n-1; its chain fixes ``base`` first."""
+        group = cls.__new__(cls)
+        group._start(n, base)
+        for g in gens:
+            group._add(tuple(int(x) for x in g))
+        return group
+
+    def _start(self, n: int, base) -> None:
+        self.n = n
+        self.generators = []   # the given permutations that enlarged the group
+        self._id = identity_perm(n)
+        # level i: strong generators fixing base[:i], and the orbit of base[i]
+        # under them as point -> (u, u^-1) with u(base[i]) = point
+        self._base = list(base) + [x for x in range(n) if x not in base]
+        self._strong = [[] for _ in range(n)]
+        self._trans = [{b: (self._id, self._id)} for b in self._base]
+        self._perms = None
+
+    def _sift(self, g: Perm, level: int = 0) -> bool:
+        """True iff g strips to the identity through the chain from ``level`` down."""
+        for b, trans in zip(self._base[level:], self._trans[level:]):
+            if g[b] != b:
+                if g[b] not in trans:
+                    return False
+                inv = trans[g[b]][1]
+                g = tuple(inv[x] for x in g)
+        return True
+
+    def _add(self, g: Perm) -> None:
+        """Extend the group by g, which is kept as a generator unless already a member.
+
+        Schreier-Sims as in Knuth, "Efficient representation of perm
+        groups" (1991): each (strong generator, coset representative) pair
+        of a level is composed once; its image point either becomes a new
+        representative or its Schreier generator goes one level down.
+        """
+        if self._sift(g):
+            return
+        self.generators.append(g)
+        todo = [(0, g, True)]
+        while todo:
+            level, g, is_gen = todo.pop()
+            if is_gen:
+                if not self._sift(g, level):
+                    self._strong[level].append(g)
+                    todo += [(level, compose(g, u), False) for u, _ in self._trans[level].values()]
+                continue
+            trans = self._trans[level]
+            point = g[self._base[level]]
+            if point in trans:
+                todo.append((level + 1, compose(trans[point][1], g), True))
+            else:
+                trans[point] = (g, invert(g))
+                todo += [(level, compose(s, g), False) for s in self._strong[level]]
 
     @property
     def order(self) -> int:
-        return len(self.perms)
+        return prod(len(trans) for trans in self._trans)
+
+    @property
+    def perms(self) -> tuple:
+        """Every member, sorted; enumerated from the chain on first use."""
+        if self._perms is None:
+            members = np.arange(self.n)[None, :]
+            for trans in reversed(self._trans):
+                reps = np.array([u for u, _ in trans.values()])
+                members = reps[:, members].reshape(-1, self.n)
+            self._perms = tuple(sorted(map(tuple, members.tolist())))
+        return self._perms
 
     def __iter__(self):
         return iter(self.perms)
 
     def __contains__(self, p) -> bool:
-        return tuple(p) in self._key_set()
+        p = tuple(int(x) for x in p)
+        return sorted(p) == list(self._id) and self._sift(p)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PermutationSet) and self.perms == other.perms
+        return (isinstance(other, PermutationSet) and self.n == other.n
+                and self.order == other.order and all(g in self for g in other.generators))
 
     def __hash__(self):
-        return hash(self.perms)
-
-    def _key_set(self):
-        if not hasattr(self, "_keys"):
-            self._keys = set(self.perms)
-        return self._keys
-
-    def _verify_group(self):
-        n, keys = self.n, self._key_set()
-        if identity_perm(n) not in keys:
-            raise NotAGroup("identity missing")
-        arr = np.array(self.perms, dtype=np.int64)
-        inverses = np.argsort(arr, axis=1)
-        if n <= 15:
-            # pack each permutation into one int64 for vectorized membership
-            powers = (n ** np.arange(n)).astype(np.int64)
-            codes = np.sort(arr @ powers)
-            if not np.all(np.isin(inverses @ powers, codes)):
-                raise NotAGroup("inverse missing")
-            for row in arr:
-                if not np.all(np.isin(row[arr] @ powers, codes)):
-                    raise NotAGroup("set not closed under composition")
-        else:
-            for row in inverses:
-                if tuple(row.tolist()) not in keys:
-                    raise NotAGroup("inverse missing")
-            for p in self.perms:
-                for q in self.perms:
-                    if compose(p, q) not in keys:
-                        raise NotAGroup("set not closed under composition")
+        return hash((self.n, self.order))
 
 
 def _neighbor_table(lg: LabeledGraph):
@@ -134,6 +185,17 @@ def _refine(n, neighbors, colors: tuple) -> tuple:
         colors = new
 
 
+def _individualize(n, neighbors, colors: tuple, v: int) -> tuple:
+    """Give v a class of its own, then refine."""
+    split = list(colors)
+    split[v] = n
+    return _refine(n, neighbors, tuple(split))
+
+
+def _cert(colors: tuple) -> tuple:
+    return tuple(sorted(Counter(colors).items()))
+
+
 def color_refinement(lg: LabeledGraph) -> tuple:
     """Stable vertex partition of the colored graph (dense class ids)."""
     return _refine(lg.graph.n, _neighbor_table(lg), lg.coloring.vertex)
@@ -141,92 +203,68 @@ def color_refinement(lg: LabeledGraph) -> tuple:
 
 def _preserves(lg: LabeledGraph, sigma: Perm) -> bool:
     col = lg.coloring
-    for i in range(lg.graph.n):
-        if col.vertex[sigma[i]] != col.vertex[i]:
-            return False
-    edges = col.edge
-    for (i, j), c in edges.items():
-        img = (sigma[i], sigma[j]) if sigma[i] < sigma[j] else (sigma[j], sigma[i])
-        if edges.get(img) != c:
-            return False
-    return True
+    return (all(col.vertex[sigma[i]] == c for i, c in enumerate(col.vertex))
+            and all(col.edge.get(tuple(sorted((sigma[i], sigma[j])))) == c
+                    for (i, j), c in col.edge.items()))
 
 
 def automorphisms(lg: LabeledGraph, limit: int = 10 ** 6, max_n: int = 64) -> PermutationSet:
-    """All color-preserving automorphisms, verified member by member.
+    """The group of color-preserving automorphisms, found as generators.
 
-    Backtracking over (source, target) individualization pairs, pruned by
-    refinement certificates.  Target cell: the smallest non-singleton
-    class, lowest class id first; branches explored in ascending vertex
-    order, output sorted, so results are deterministic.
+    A first path of individualizations (lowest vertex of the smallest
+    non-singleton class, lowest class id first) fixes a base v_1..v_k.
+    From the deepest level up, each target w of v_i outside the orbit of
+    v_i under the automorphisms found so far is searched for one
+    automorphism sending v_i to w (automorphism pruning).  Certificates
+    cut branches, every leaf is checked by ``_preserves``, and targets go
+    in ascending order, so the group is deterministic.  ``limit`` caps
+    the group order, checked before any member is built.
     """
     n = lg.graph.n
     if n > max_n:
         raise LimitExceeded(f"graph has {n} > {max_n} vertices")
     neighbors = _neighbor_table(lg)
-    base = _refine(n, neighbors, lg.coloring.vertex)
-    found: list[Perm] = []
+    path = [_refine(n, neighbors, lg.coloring.vertex)]
+    base = []
+    while len(set(path[-1])) < n:
+        sizes = Counter(path[-1])
+        cls = min((s, c) for c, s in sizes.items() if s > 1)[1]
+        base.append(path[-1].index(cls))
+        path.append(_individualize(n, neighbors, path[-1], base[-1]))
+    certs = [_cert(p) for p in path]
 
-    def cert(colors):
-        return tuple(sorted(Counter(colors).items()))
-
-    def rec(src: tuple, tgt: tuple):
-        sizes = Counter(src)
-        splittable = [c for c, s in sizes.items() if s > 1]
-        if not splittable:
-            where = {c: v for v, c in enumerate(tgt)}
-            sigma = tuple(where[src[v]] for v in range(n))
+    def search(depth, tgt, skip=()):
+        """The first automorphism of each branch below target partition ``tgt``, lazily."""
+        if depth == len(base):
+            where = {c: w for w, c in enumerate(tgt)}
+            sigma = tuple(where[c] for c in path[-1])
             if _preserves(lg, sigma):
-                found.append(sigma)
-                if len(found) > limit:
-                    raise LimitExceeded(f"group larger than limit {limit}")
+                yield sigma
             return
-        cls = min(splittable, key=lambda c: (sizes[c], c))
-        v = min(i for i in range(n) if src[i] == cls)
         for w in range(n):
-            if tgt[w] != cls:
-                continue
-            s2 = list(src)
-            s2[v] = n
-            t2 = list(tgt)
-            t2[w] = n
-            s2 = _refine(n, neighbors, tuple(s2))
-            t2 = _refine(n, neighbors, tuple(t2))
-            if cert(s2) == cert(t2):
-                rec(s2, t2)
+            if tgt[w] == path[depth][base[depth]] and w not in skip:
+                t2 = _individualize(n, neighbors, tgt, w)
+                if _cert(t2) == certs[depth + 1]:
+                    sigma = next(search(depth + 1, t2), None)
+                    if sigma is not None:
+                        yield sigma
 
-    rec(base, base)
-    return PermutationSet(found, verify=True)
+    group = PermutationSet.generated(n, (), base)
+    for depth in reversed(range(len(base))):
+        # the automorphisms found so far fix base[:depth], so the chain's
+        # level-depth orbit, grown in place by _add, is the orbit to skip
+        for sigma in search(depth, path[depth], skip=group._trans[depth]):
+            group._add(sigma)
+            if group.order > limit:
+                raise LimitExceeded(f"group order exceeds limit {limit}")
+    return group
 
 
 def orbits(group, graph: EdgeGraph):
-    """Vertex orbits and edge orbits of a permutation action, by min element."""
-    perms = [tuple(int(x) for x in p) for p in group]
-    vorbits = _orbit_partition(list(range(graph.n)), lambda x, p: p[x], perms)
-    edges = sorted(graph.edge_set)
-    eorbits = _orbit_partition(
-        edges, lambda e, p: tuple(sorted((p[e[0]], p[e[1]]))), perms)
-    return vorbits, eorbits
-
-
-def _orbit_partition(items, act, perms):
-    out = []
-    seen = set()
-    for x in items:
-        if x in seen:
-            continue
-        orbit = {x}
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for p in perms:
-                z = act(y, p)
-                if z not in orbit:
-                    orbit.add(z)
-                    stack.append(z)
-        seen |= orbit
-        out.append(tuple(sorted(orbit)))
-    return tuple(out)
+    """Vertex orbits and edge orbits of a permutation group, by min element."""
+    col = orbit_coloring(graph, group)
+    return (tuple(map(tuple, col.vertex_classes())),
+            tuple(tuple(orbit) for orbit in col.edge_classes()))
 
 
 def uncolored(graph: EdgeGraph) -> LabeledGraph:

@@ -28,7 +28,7 @@ from .errors import (
     TooManyCandidates,
     ValidationError,
 )
-from .geometry import EdgeGraph, load_polytope
+from .geometry import EdgeGraph, edge_graph, enumerate_facets, load_polytope
 from .izmestiev import izmestiev_matrix_fd, load_matrix_dump, verify_properties
 from .oracle import Embedding, brute_force_group, embedding_group
 from .reconstruct import (
@@ -55,15 +55,14 @@ def _chatter(args, msg: str) -> None:
         sys.stderr.write(msg + "\n")
 
 
+# tolerance override flags and the Tolerances field each one sets
+EPS_FLAGS = {"eps-geom": "geom_rel", "eps-color": "color_rel", "eps-kern": "kernel",
+             "eps-eig": "eig_rel", "eps-match": "match", "eps-orth": "orth",
+             "fd-step": "fd_step"}
+
+
 def _tolerances(args):
-    overrides = {}
-    for flag, field in [("eps_geom", "geom_rel"), ("eps_color", "color_rel"),
-                        ("eps_kern", "kernel"), ("eps_eig", "eig_rel"),
-                        ("eps_match", "match"), ("eps_orth", "orth"),
-                        ("fd_step", "fd_step")]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
+    overrides = {f: getattr(args, f) for f in EPS_FLAGS.values() if getattr(args, f) is not None}
     return DEFAULT_TOLERANCES.replace(**overrides)
 
 
@@ -84,10 +83,8 @@ def _input_echo(args, path, poly) -> dict:
 
 
 def _group_report(group, graph, tol) -> dict:
-    doc = group.to_json_dict(tol)
-    oc = orbit_coloring(graph, group.permutations())
-    doc["orbit_coloring"] = oc.to_json_dict()
-    return doc
+    return {**group.to_json_dict(tol),
+            "orbit_coloring": orbit_coloring(graph, group.perm_group).to_json_dict()}
 
 
 def cmd_analyze(args) -> int:
@@ -147,7 +144,7 @@ def cmd_validate(args) -> int:
     try:
         fd = izmestiev_matrix_fd(poly, tol=tol, graph=art.graph)
         diff = float(np.max(np.abs(fd.entries - mat.entries)))
-        fd_doc.update({"max_abs_diff": diff, "ok": diff <= 1e-4})
+        fd_doc.update({"max_abs_diff": diff, "ok": diff <= tol.fd_check})
     except PolysymError as exc:
         fd_doc.update({"ok": False, "error": str(exc)})
     passed = bool(props.passed and eig_ok and fd_doc["ok"])
@@ -179,26 +176,19 @@ def _load_embedding(args):
 
 def cmd_oracle(args) -> int:
     tol = _tolerances(args)
+    graph_auts = args.candidates == "graph-auts"
     if args.embedding:
         emb, name = _load_embedding(args)
-        n = emb.graph.n
-        if args.candidates == "graph-auts":
-            if not emb.graph.edges:
-                sys.stderr.write("oracle: --candidates graph-auts needs an 'edges' key\n")
-                return 64
-            cands = automorphisms(uncolored(emb.graph), limit=args.limit).perms
-        else:
-            cands = None
+        if graph_auts and not emb.graph.edges:
+            sys.stderr.write("oracle: --candidates graph-auts needs an 'edges' key\n")
+            return 64
+        cands = automorphisms(uncolored(emb.graph), limit=args.limit).perms if graph_auts else None
         group = embedding_group(emb, candidates=cands, flavor=args.flavor, tol=tol)
-        echo = {"path": args.path, "name": name, "n_vertices": n, "embedding": True}
+        echo = {"path": args.path, "name": name, "n_vertices": emb.graph.n, "embedding": True}
     else:
         poly, tol = _load(args, args.path)
-        if args.candidates == "graph-auts":
-            from .geometry import edge_graph, enumerate_facets
-            graph = edge_graph(poly, enumerate_facets(poly, tol))
-            cands = automorphisms(uncolored(graph), limit=args.limit).perms
-        else:
-            cands = None
+        cands = (automorphisms(uncolored(edge_graph(poly, enumerate_facets(poly, tol))),
+                               limit=args.limit).perms if graph_auts else None)
         group = brute_force_group(poly.phi, candidates=cands, flavor=args.flavor, tol=tol)
         echo = {**_input_echo(args, args.path, poly), "embedding": False}
     _emit({
@@ -222,17 +212,13 @@ def cmd_export_dot(args) -> int:
         return 64
     poly, tol = _load(args, args.path)
     art = build_artifacts(poly, tol)
-    if args.coloring == "metric":
-        col = art.met_coloring
-    elif args.coloring == "izmestiev":
-        col = art.izm_coloring
-    elif args.coloring == "product":
-        col = art.prod_coloring
-    else:
+    col = {"metric": art.met_coloring, "izmestiev": art.izm_coloring,
+           "product": art.prod_coloring}.get(args.coloring)
+    if col is None:
         flavor = args.coloring.split("-")[1]
         grp = (linear_group if flavor == "linear" else orthogonal_group)(
             poly, tol, artifacts=art, limit=args.limit)
-        col = orbit_coloring(art.graph, grp.permutations())
+        col = orbit_coloring(art.graph, grp.perm_group)
     lines = [f"graph {poly.name or 'polytope'} {{", "  node [style=filled];"]
     for i in range(poly.n):
         lines.append(f'  v{i} [fillcolor="{PALETTE[col.vertex[i] % len(PALETTE)]}"];')
@@ -258,12 +244,8 @@ def cmd_experiment_metric(args) -> int:
     elif args.vertex_only:
         col = col.__class__(vertex=col.vertex, edge={e: 0 for e in col.edge})
     auts = automorphisms(LabeledGraph(art.graph, col), limit=args.limit)
-    if poly.n <= 9:
-        reference = brute_force_group(poly.phi, flavor="orthogonal", tol=tol)
-    else:
-        cands = automorphisms(uncolored(art.graph), limit=args.limit).perms
-        reference = brute_force_group(poly.phi, candidates=cands,
-                                      flavor="orthogonal", tol=tol)
+    cands = None if poly.n <= 9 else automorphisms(uncolored(art.graph), limit=args.limit).perms
+    reference = brute_force_group(poly.phi, candidates=cands, flavor="orthogonal", tol=tol)
     extra = sorted(set(auts.perms) - reference.perm_set)
     _emit({
         "input": _input_echo(args, args.path, poly),
@@ -284,11 +266,10 @@ def _add_common(sub) -> None:
     sub.add_argument("--verbose", action="store_true",
                      help="human summary (and timing) on stderr")
     sub.add_argument("--limit", type=int, default=10 ** 6,
-                     help="maximum group size for automorphism search")
-    for flag in ("eps-geom", "eps-color", "eps-kern", "eps-eig",
-                 "eps-match", "eps-orth", "fd-step"):
-        sub.add_argument(f"--{flag}", type=float, default=None,
-                         dest=flag.replace("-", "_"), help=f"override {flag} tolerance")
+                     help="maximum group order; checked before any member is built")
+    for flag, field in EPS_FLAGS.items():
+        sub.add_argument(f"--{flag}", type=float, default=None, dest=field,
+                         help=f"override the {field} tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:

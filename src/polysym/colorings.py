@@ -205,67 +205,46 @@ def complete_metric(poly: Polytope, variant: str,
     return LabeledGraph(complete_graph(n), quantize(vvals, evals, tol))
 
 
-def _perm_tuple(p) -> tuple[int, ...]:
-    return tuple(int(x) for x in p)
-
-
 def orbit_coloring(graph: EdgeGraph, group) -> Coloring:
     """Colors are the orbits of a permutation group acting on V and E.
 
-    ``group`` is any iterable of permutations (image arrays).  It must be
-    an actual subgroup of the graph's automorphism group; closure,
-    identity, inverses and edge preservation are verified.
+    ``group`` is a PermutationSet or an iterable of permutations (image
+    arrays) that PermutationSet accepts as a whole group.  Its generators
+    must preserve the edge set.
     """
-    perms = sorted({_perm_tuple(p) for p in group})
-    n = graph.n
-    ident = tuple(range(n))
-    if not perms:
-        raise NotAGroup("empty permutation set")
-    pset = set(perms)
-    if ident not in pset:
-        raise NotAGroup("identity missing")
+    from .autgroup import PermutationSet  # autgroup imports this module
+
+    if not isinstance(group, PermutationSet):
+        group = PermutationSet(group)
+    if group.n != graph.n:
+        raise NotAGroup(f"not a permutation group on 0..{graph.n - 1}")
     edge_set = graph.edge_set
-    for p in perms:
-        if sorted(p) != list(range(n)):
-            raise NotAGroup(f"not a permutation of 0..{n - 1}: {p}")
-        inv = tuple(np.argsort(np.asarray(p)).tolist())
-        if inv not in pset:
-            raise NotAGroup(f"inverse of {p} missing")
-        for (i, j) in edge_set:
-            if tuple(sorted((p[i], p[j]))) not in edge_set:
-                raise NotAGroup(f"{p} does not preserve the edge set")
-    for p in perms:
-        for q in perms:
-            if tuple(p[q[i]] for i in range(n)) not in pset:
-                raise NotAGroup("set not closed under composition")
-    vertex_ids = _orbit_ids(range(n), lambda x, p: p[x], perms)
+    for p in group.generators:
+        if any(tuple(sorted((p[i], p[j]))) not in edge_set for i, j in edge_set):
+            raise NotAGroup(f"{p} does not preserve the edge set")
     edges = sorted(edge_set)
-    edge_ids = _orbit_ids(edges, lambda e, p: tuple(sorted((p[e[0]], p[e[1]]))), perms)
-    return Coloring(vertex=tuple(vertex_ids[i] for i in range(n)),
-                    edge={e: edge_ids[e] for e in edges})
+    return Coloring(
+        vertex=tuple(_orbit_ids(range(graph.n), lambda x, g: g[x], group.generators)),
+        edge=dict(zip(edges, _orbit_ids(
+            edges, lambda e, g: tuple(sorted((g[e[0]], g[e[1]]))), group.generators))))
 
 
-def _orbit_ids(items, act, perms):
-    """Orbit index per item, orbits numbered by their smallest member."""
-    items = list(items)
-    ids = {}
-    next_id = 0
-    for x in items:
-        if x in ids:
-            continue
-        orbit = {x}
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for p in perms:
-                z = act(y, p)
-                if z not in orbit:
-                    orbit.add(z)
-                    stack.append(z)
-        for y in orbit:
-            ids[y] = next_id
-        next_id += 1
-    return ids
+def _orbit_ids(items, act, gens) -> list[int]:
+    """Orbit index of each item under <gens> by union-find, orbits numbered by first item."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for g in gens:
+        for x in items:
+            a, b = find(x), find(act(x, g))
+            if a != b:
+                parent[a] = b
+    roots = {}
+    return [roots.setdefault(find(x), len(roots)) for x in items]
 
 
 def is_finer(c1: Coloring, c2: Coloring) -> bool:

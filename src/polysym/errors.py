@@ -38,7 +38,7 @@ class DomainMismatch(PolysymError):
 
 
 class NotAGroup(PolysymError):
-    """A permutation set fails the closure/identity/inverse checks."""
+    """A permutation set is not a group, or does not act on the given graph."""
 
 
 class LimitExceeded(PolysymError):

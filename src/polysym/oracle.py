@@ -18,7 +18,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import TooManyCandidates
 from .geometry import EdgeGraph
-from .reconstruct import MatrixGroup, pseudo_inverse
+from .reconstruct import MatrixGroup, lift_and_check, pseudo_inverse
 
 SYM_LIMIT = 9  # full symmetric-group streams allowed up to 9! candidates
 
@@ -57,24 +57,12 @@ class ComparisonReport:
 
 def _accepted_stream(phi, candidates, flavor, tol, chunk=4096):
     """Yield (perm, map) for candidates realized by their unique linear map."""
-    d, n = phi.shape
     pinv = pseudo_inverse(phi, tol)
-    norms = np.linalg.norm(phi, axis=0)
     it = iter(candidates)
-    while True:
-        block = list(islice(it, chunk))
-        if not block:
-            return
-        perms = np.array(block, dtype=np.int64)           # (k, n)
-        targets = phi.T[perms].transpose(0, 2, 1)          # (k, d, n)
-        maps = targets @ pinv                              # (k, d, d)
-        err = np.linalg.norm(maps @ phi - targets, axis=1)  # (k, n)
-        ok = np.all(err <= tol.match * norms[None, :], axis=1)
-        if flavor == "orthogonal":
-            gram = maps.transpose(0, 2, 1) @ maps
-            ok &= np.max(np.abs(gram - np.eye(d)), axis=(1, 2)) <= tol.orth
+    while block := list(islice(it, chunk)):
+        maps, ok, _ = lift_and_check(phi, block, flavor, tol, pinv)
         for idx in np.flatnonzero(ok):
-            yield tuple(int(x) for x in perms[idx]), maps[idx]
+            yield tuple(int(x) for x in block[idx]), maps[idx]
 
 
 def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",

@@ -9,10 +9,11 @@ silent filtering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .autgroup import automorphisms, compose
+from .autgroup import PermutationSet, automorphisms, compose
 from .colorings import (
     Coloring,
     LabeledGraph,
@@ -21,7 +22,7 @@ from .colorings import (
     product_coloring,
 )
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import NotAGroup, RankDeficient, TheoremViolation
+from .errors import RankDeficient, TheoremViolation
 from .geometry import EdgeGraph, FacetSystem, Polytope, edge_graph, enumerate_facets
 from .izmestiev import IzmestievMatrix, izmestiev_matrix
 
@@ -32,6 +33,7 @@ class MatrixGroup:
 
     pairs: tuple          # ((perm, d x d ndarray), ...) sorted by perm
     flavor: str           # "linear" | "orthogonal"
+    perm_group: PermutationSet | None = None   # generators and chain, when the pipeline built it
 
     @property
     def order(self) -> int:
@@ -44,12 +46,13 @@ class MatrixGroup:
     def permutations(self) -> tuple:
         return tuple(p for p, _ in self.pairs)
 
+    @cached_property
+    def _lookup(self) -> dict:
+        return dict(self.pairs)
+
     def matrix_for(self, perm) -> np.ndarray:
-        perm = tuple(perm)
-        for p, t in self.pairs:
-            if p == perm:
-                return t
-        raise KeyError(f"permutation {perm} not in group")
+        """The map realizing ``perm``; KeyError if perm is not a member."""
+        return self._lookup[tuple(perm)]
 
     def to_json_dict(self, tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
         return {
@@ -82,10 +85,7 @@ def pseudo_inverse(phi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.
 
 def linear_map_from_perm(phi: np.ndarray, perm, pinv: np.ndarray | None = None) -> np.ndarray:
     """The candidate map sending vertex j to vertex perm[j] on the whole space."""
-    perm = [int(x) for x in perm]
-    if pinv is None:
-        pinv = pseudo_inverse(phi)
-    return phi[:, perm] @ pinv
+    return lift_and_check(phi, [perm], "linear", pinv=pinv)[0][0]
 
 
 def check_realizes(t: np.ndarray, perm, phi: np.ndarray, eps: float) -> bool:
@@ -95,6 +95,33 @@ def check_realizes(t: np.ndarray, perm, phi: np.ndarray, eps: float) -> bool:
     err = np.linalg.norm(t @ phi - target, axis=0)
     norms = np.linalg.norm(target, axis=0)
     return bool(np.all(err <= eps * norms))
+
+
+def lift_and_check(phi: np.ndarray, perms, flavor: str,
+                   tol: Tolerances = DEFAULT_TOLERANCES, pinv: np.ndarray | None = None):
+    """Lift permutations to their maps phi[:, perm] @ pinv(phi) in one batch, and check them.
+
+    Returns (maps, ok, residuals): maps is (k, d, d); ok[i] is check_realizes
+    at ``tol.match`` (and, for the orthogonal flavor, check_orthogonal at
+    ``tol.orth``) of map i; residuals["match"] (and ["orth"]) hold each
+    map's worst residual, relative like its tolerance.
+    """
+    phi = np.asarray(phi, dtype=float)
+    d, n = phi.shape
+    if pinv is None:
+        pinv = pseudo_inverse(phi, tol)
+    perms = np.asarray(perms, dtype=np.int64).reshape(-1, n)
+    targets = phi.T[perms].transpose(0, 2, 1)            # (k, d, n): column j is vertex perm[j]
+    maps = targets @ pinv
+    err = np.linalg.norm(maps @ phi - targets, axis=1)   # (k, n)
+    norms = np.linalg.norm(phi, axis=0)[perms]
+    ok = np.all(err <= tol.match * norms, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):   # an embedding may put a vertex at 0
+        residuals = {"match": np.max(err / norms, axis=1)}
+    if flavor == "orthogonal":
+        residuals["orth"] = np.max(np.abs(maps.transpose(0, 2, 1) @ maps - np.eye(d)), axis=(1, 2))
+        ok &= residuals["orth"] <= tol.orth
+    return maps, ok, residuals
 
 
 def check_orthogonal(t: np.ndarray, eps: float) -> bool:
@@ -145,29 +172,20 @@ def build_artifacts(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES) -> Pip
 
 def _realize_group(poly: Polytope, graph: EdgeGraph, coloring: Coloring, flavor: str,
                    tol: Tolerances, limit: int) -> MatrixGroup:
-    lg = LabeledGraph(graph, coloring)
-    try:
-        perms = automorphisms(lg, limit=limit)
-    except NotAGroup as exc:
-        raise TheoremViolation(f"automorphism search returned a non-group: {exc}") from exc
-    phi = poly.phi
-    pinv = pseudo_inverse(phi, tol)
-    pairs = []
-    for sigma in perms:
-        t = linear_map_from_perm(phi, sigma, pinv)
-        if not check_realizes(t, sigma, phi, tol.match):
-            raise TheoremViolation(
-                f"{flavor} reconstruction failed: automorphism {sigma} is not realized "
-                "by its reconstructed map",
-                diagnostic={"perm": sigma, "matrix": t.tolist(),
-                            "polytope": poly.name, "tolerance": tol.match})
-        if flavor == "orthogonal" and not check_orthogonal(t, tol.orth):
-            raise TheoremViolation(
-                f"orthogonal reconstruction failed: map for {sigma} is not orthogonal",
-                diagnostic={"perm": sigma, "matrix": t.tolist(),
-                            "polytope": poly.name, "tolerance": tol.orth})
-        pairs.append((sigma, t))
-    return MatrixGroup(pairs=tuple(pairs), flavor=flavor)
+    group = automorphisms(LabeledGraph(graph, coloring), limit=limit)
+    maps, ok, residuals = lift_and_check(poly.phi, group.perms, flavor, tol)
+    if not ok.all():
+        i = int(np.flatnonzero(~ok)[0])
+        sigma = group.perms[i]
+        not_orthogonal = "orth" in residuals and residuals["match"][i] <= tol.match
+        raise TheoremViolation(
+            f"{flavor} reconstruction failed: " + (
+                f"map for {sigma} is not orthogonal" if not_orthogonal else
+                f"automorphism {sigma} is not realized by its reconstructed map"),
+            diagnostic={"perm": sigma, "matrix": maps[i].tolist(), "polytope": poly.name,
+                        "tolerance": tol.orth if not_orthogonal else tol.match,
+                        "residuals": {k: float(v[i]) for k, v in residuals.items()}})
+    return MatrixGroup(pairs=tuple(zip(group.perms, maps)), flavor=flavor, perm_group=group)
 
 
 def linear_group(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES,
@@ -188,12 +206,6 @@ def orthogonal_group(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES,
 
 def verify_homomorphism(group: MatrixGroup, eps: float) -> bool:
     """Check t(p) @ t(q) == t(p*q) for all pairs; the perm map is injective."""
-    lookup = {p: t for p, t in group.pairs}
-    for p, tp in group.pairs:
-        for q, tq in group.pairs:
-            r = compose(p, q)
-            if r not in lookup:
-                return False
-            if np.max(np.abs(tp @ tq - lookup[r])) > eps:
-                return False
-    return True
+    lookup = group._lookup
+    return all((r := compose(p, q)) in lookup and np.max(np.abs(tp @ tq - lookup[r])) <= eps
+               for p, tp in group.pairs for q, tq in group.pairs)

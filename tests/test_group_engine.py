@@ -1,0 +1,205 @@
+"""The generator-based group engine: Schreier-Sims chains, the exact group test, ladder polytopes."""
+
+import itertools
+import warnings
+from math import factorial
+
+import numpy as np
+import pytest
+
+from polysym import complete_graph, make_polytope
+from polysym.autgroup import (
+    PermutationSet,
+    automorphisms,
+    compose,
+    identity_perm,
+    uncolored,
+)
+from polysym.colorings import orbit_coloring
+from polysym.errors import LimitExceeded, NotAGroup
+from polysym.oracle import brute_force_group
+from polysym.reconstruct import (
+    build_artifacts,
+    check_orthogonal,
+    check_realizes,
+    lift_and_check,
+    linear_group,
+    orthogonal_group,
+    pseudo_inverse,
+)
+
+
+def from_cycles(n, *cycles):
+    img = list(range(n))
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            img[a] = b
+    return tuple(img)
+
+
+def closure(n, gens):
+    """Every product of the generators, by breadth-first search: the reference enumeration."""
+    seen = {identity_perm(n)}
+    frontier = [identity_perm(n)]
+    for p in frontier:
+        for g in gens:
+            q = compose(g, p)
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return sorted(seen)
+
+
+def signed_perms(d):
+    """Hyperoctahedral group B_d on the 2d points i (= +e_i) and d + i (= -e_i)."""
+    swap = from_cycles(2 * d, (0, 1), (d, d + 1))
+    rotate = from_cycles(2 * d, tuple(range(d)), tuple(range(d, 2 * d)))
+    flip = from_cycles(2 * d, (0, d))
+    return [swap, rotate, flip]
+
+
+rng = np.random.default_rng(2108)
+GENERATOR_SETS = {
+    "cyclic16": (16, [from_cycles(16, tuple(range(16)))], 16),
+    "dihedral10": (10, [from_cycles(10, tuple(range(10))),
+                        from_cycles(10, *[(i, 9 - i) for i in range(5)])], 20),
+    "psl27": (7, [from_cycles(7, tuple(range(7))), from_cycles(7, (0, 1), (2, 4))], 168),
+    "frobenius21": (7, [from_cycles(7, tuple(range(7))), from_cycles(7, (1, 2, 4), (3, 6, 5))], 21),
+    "sym8": (8, [from_cycles(8, (0, 1)), from_cycles(8, tuple(range(8)))], factorial(8)),
+    "alt9": (9, [from_cycles(9, (0, 1, 2)), from_cycles(9, tuple(range(9)))], factorial(9) // 2),
+    "b5": (10, signed_perms(5), 3840),
+    "intransitive": (12, [from_cycles(12, (0, 1, 2)), from_cycles(12, (3, 4), (5, 6)),
+                          from_cycles(12, (7, 8, 9, 10, 11), (0, 2, 1))], 3 * 2 * 5),
+    "random12": (12, [tuple(int(x) for x in rng.permutation(12)) for _ in range(2)], None),
+    "random20": (20, [tuple(int(x) for x in rng.permutation(20)) for _ in range(3)], None),
+}
+
+
+class TestSchreierSims:
+    @pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
+    def test_order_matches_sympy(self, name):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        n, gens, known = GENERATOR_SETS[name]
+        group = PermutationSet.generated(n, gens)
+        reference = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g)) for g in gens]).order()
+        assert group.order == reference
+        if known is not None:
+            assert group.order == known
+
+    @pytest.mark.parametrize("name", ["dihedral10", "psl27", "b5", "intransitive"])
+    def test_members_match_closure(self, name):
+        n, gens, _ = GENERATOR_SETS[name]
+        group = PermutationSet.generated(n, gens)
+        assert list(group.perms) == closure(n, gens)
+        assert all(p in group for p in group.perms[::7])
+
+    def test_membership_rejects_outsiders(self):
+        n, gens, _ = GENERATOR_SETS["psl27"]
+        group = PermutationSet.generated(n, gens)
+        members = set(group.perms)
+        outsiders = [p for p in itertools.permutations(range(n)) if p not in members]
+        assert len(outsiders) == factorial(7) - 168
+        assert not any(p in group for p in outsiders[::50])
+        assert (0, 0, 1, 2, 3, 4, 5) not in group and (0, 1) not in group
+
+    def test_base_seed_does_not_change_group(self):
+        n, gens, _ = GENERATOR_SETS["b5"]
+        a = PermutationSet.generated(n, gens)
+        b = PermutationSet.generated(n, gens, base=(7, 3))
+        assert a == b and a.perms == b.perms
+
+
+class TestExactGroupTest:
+    def test_non_closed_set_rejected_at_n16(self):
+        shift = from_cycles(16, tuple(range(16)))
+        powers = [identity_perm(16)]
+        for _ in range(15):
+            powers.append(compose(shift, powers[-1]))
+        assert PermutationSet(powers).order == 16
+        for drop in (1, 8, 15):
+            with pytest.raises(NotAGroup):
+                PermutationSet(powers[:drop] + powers[drop + 1:])
+
+    def test_missing_inverse_rejected_at_n16(self):
+        three = from_cycles(16, (0, 1, 2), (5, 9, 13))
+        with pytest.raises(NotAGroup):
+            PermutationSet([identity_perm(16), three])
+        assert PermutationSet([identity_perm(16), three, compose(three, three)]).order == 3
+
+    def test_whole_group_from_elements(self):
+        n, gens, _ = GENERATOR_SETS["b5"]
+        members = closure(n, gens)
+        group = PermutationSet(members[::-1])
+        assert group.order == 3840 and list(group.perms) == members
+        # only a few members are kept as generators
+        assert len(group.generators) <= 12
+
+
+class TestSearchLimits:
+    def test_order_known_before_members(self):
+        # 16! members could never be listed; the order comes from the chain
+        group = automorphisms(uncolored(complete_graph(16)), limit=factorial(16))
+        assert group.order == factorial(16)
+        assert len(group.generators) < 16
+
+    def test_limit_is_on_the_order(self):
+        with pytest.raises(LimitExceeded):
+            automorphisms(uncolored(complete_graph(16)), limit=factorial(16) - 1)
+
+
+def cell24():
+    pts = set()
+    for i, j in itertools.combinations(range(4), 2):
+        for si, sj in itertools.product((1.0, -1.0), repeat=2):
+            v = [0.0] * 4
+            v[i], v[j] = si, sj
+            pts.add(tuple(v))
+    return np.array(sorted(pts))
+
+
+def cross_polytope(d):
+    return np.concatenate([np.eye(d), -np.eye(d)])
+
+
+@pytest.mark.parametrize("name,vertices,order", [
+    ("24-cell", cell24(), 1152),
+    ("24-cell-relabelled", cell24()[np.random.default_rng(5).permutation(24)], 1152),
+    ("5-cross-polytope", cross_polytope(5), 3840),
+])
+def test_ladder_orders(name, vertices, order):
+    poly = make_polytope(vertices.shape[1], vertices)
+    art = build_artifacts(poly)
+    lin = linear_group(poly, artifacts=art)
+    orth = orthogonal_group(poly, artifacts=art)
+    assert lin.order == orth.order == order
+    # independent check: filter the uncolored edge-graph automorphisms by definition
+    cands = automorphisms(uncolored(art.graph)).perms
+    for group in (lin, orth):
+        assert group.perm_set == brute_force_group(
+            poly.phi, candidates=cands, flavor=group.flavor).perm_set
+        col = orbit_coloring(art.graph, group.perm_group)
+        assert col.num_vertex_classes == 1 and col.num_edge_classes == 1
+
+
+class TestLiftAndCheck:
+    def test_batch_matches_per_member_lift(self, artifacts):
+        # reference: the one-map-at-a-time lift and checks
+        for name, art in artifacts.items():
+            phi = art.poly.phi
+            pinv = pseudo_inverse(phi)
+            cands = automorphisms(uncolored(art.graph)).perms
+            for flavor in ("linear", "orthogonal"):
+                maps, ok, _ = lift_and_check(phi, cands, flavor)
+                for perm, t, accepted in zip(cands, maps, ok):
+                    assert np.array_equal(t, phi[:, list(perm)] @ pinv), name
+                    expected = check_realizes(t, perm, phi, 1e-8) and (
+                        flavor == "linear" or check_orthogonal(t, 1e-8))
+                    assert accepted == expected, (name, perm)
+
+    def test_vertex_at_origin_lifts_without_warnings(self):
+        phi = np.array([[0.0, 1.0, 0.0, -1.0, 0.0], [0.0, 0.0, 1.0, 0.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, ok, _ = lift_and_check(phi, [(0, 2, 3, 4, 1), (1, 0, 2, 3, 4)], "orthogonal")
+        assert ok.tolist() == [True, False]
