@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
     TooManyCandidates,
     ValidationError,
 )
-from .geometry import EdgeGraph, edge_graph, enumerate_facets, load_polytope
+from .geometry import EdgeGraph, edge_graph, load_polytope
 from .izmestiev import izmestiev_matrix_fd, load_matrix_dump, verify_properties
 from .oracle import Embedding, brute_force_group, embedding_group
 from .reconstruct import (
@@ -130,7 +131,7 @@ def cmd_validate(args) -> int:
     art = build_artifacts(poly, tol)
     if args.matrix:
         try:
-            dump = json.loads(open(args.matrix).read())
+            dump = json.loads(Path(args.matrix).read_text())
             mat = load_matrix_dump(dump, art.graph)
         except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
             raise ParseError(f"bad matrix dump: {exc}") from exc
@@ -162,15 +163,21 @@ def cmd_validate(args) -> int:
 
 def _load_embedding(args):
     try:
-        doc = json.loads(open(args.path).read())
+        doc = json.loads(Path(args.path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read embedding: {exc}") from exc
     try:
         coords = np.asarray(doc["vertices"], dtype=float)
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad embedding document: {exc}") from exc
-    edges = tuple((int(i), int(j)) for i, j in doc.get("edges", []))
-    graph = EdgeGraph(len(coords), edges)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad embedding document: {exc!r}") from exc
+    if coords.ndim != 2 or coords.size == 0:
+        raise ParseError("'vertices' must be a non-empty list of equal-length numeric lists")
+    n, edges = len(coords), doc.get("edges", [])
+    if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and e[0] != e[1]
+            and all(type(x) is int and 0 <= x < n for x in e) for e in edges):
+        raise ParseError(f"'edges' must be pairs of distinct vertex indices in 0..{n - 1}")
+    graph = EdgeGraph(n, tuple(map(tuple, edges)))
     return Embedding(graph=graph, coordinates=coords), doc.get("name")
 
 
@@ -187,7 +194,7 @@ def cmd_oracle(args) -> int:
         echo = {"path": args.path, "name": name, "n_vertices": emb.graph.n, "embedding": True}
     else:
         poly, tol = _load(args, args.path)
-        cands = (automorphisms(uncolored(edge_graph(poly, enumerate_facets(poly, tol))),
+        cands = (automorphisms(uncolored(edge_graph(poly, poly.facets)),
                                limit=args.limit).perms if graph_auts else None)
         group = brute_force_group(poly.phi, candidates=cands, flavor=args.flavor, tol=tol)
         echo = {**_input_echo(args, args.path, poly), "embedding": False}

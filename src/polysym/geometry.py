@@ -3,6 +3,8 @@
 Vertices are the single source of truth.  Everything else (facets, dual
 faces, volumes) is derived by brute force over d-subsets, which at desk
 scale (n <= ~20, d <= 6) is exact by construction and dependency-free.
+Each hull is searched once: validation finds the facets a ``Polytope``
+carries, and the volume recursion reuses each facet plane's fitted frame.
 """
 
 from __future__ import annotations
@@ -30,11 +32,13 @@ class Polytope:
 
     ``vertices`` has shape (n, d); row i is vertex i.  Vertex order is
     contract-bearing: permutations and reconstructed linear maps refer to
-    these indices.
+    these indices.  ``facets`` are the ones validation found, under the
+    tolerances the polytope was built with.
     """
 
     dim: int
     vertices: np.ndarray
+    facets: FacetSystem
     name: str | None = None
 
     @property
@@ -74,26 +78,26 @@ class FacetSystem:
 
 @dataclass(frozen=True, eq=False)
 class EdgeGraph:
-    """Simple graph on vertex indices 0..n-1 with sorted edge pairs."""
+    """Simple graph on vertex indices 0..n-1 with sorted edge pairs and adjacency lists."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(sorted(tuple(sorted(e)) for e in self.edges)))
+        edges = tuple(sorted(tuple(sorted(e)) for e in self.edges))
+        adj = [[] for _ in range(self.n)]
+        for i, j in edges:  # lexicographic edge order leaves every list sorted
+            adj[i].append(j)
+            adj[j].append(i)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
 
     @property
     def edge_set(self) -> frozenset:
         return frozenset(self.edges)
 
     def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+        return list(self._adj[i])
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -102,20 +106,16 @@ class EdgeGraph:
         return a
 
     def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
+        return len(self._adj[i])
 
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
-        adj = {i: set() for i in range(self.n)}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
         seen = {0}
         stack = [0]
         while stack:
             v = stack.pop()
-            for u in adj[v]:
+            for u in self._adj[v]:
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
@@ -136,7 +136,7 @@ class DualFace:
 
 
 # ---------------------------------------------------------------------------
-# supporting hyperplanes (shared by validation, facet enumeration, volumes)
+# supporting hyperplanes (shared by validation, which finds the facets, and volumes)
 
 def _affine_basis(points: np.ndarray, eps: float):
     """Centred SVD of a point set: (centroid, singular values, V^T rows)."""
@@ -152,24 +152,20 @@ def affine_rank(points: np.ndarray, eps: float) -> int:
 
 
 def supporting_hyperplanes(points: np.ndarray, eps: float):
-    """All facet hyperplanes of conv(points), as (w, b, incident) triples.
+    """All facet hyperplanes of conv(points) in R^d (d >= 2), as (w, b, incident, frame).
 
     w is the unit outward normal, <w, x> <= b holds for every point, and
-    ``incident`` flags the points with <w, x> = b up to eps.  Found by
-    brute force over d-subsets (batched through numpy); each plane is
-    refit against its full incident set and deduplicated by that set, so
-    the result is complete and contains each facet exactly once.
+    ``incident`` flags the points with <w, x> = b up to eps.  ``frame`` is
+    (centroid, basis) of the incident points, the d-1 basis rows spanning
+    the plane.  Found by brute force over d-subsets (batched through
+    numpy); each plane is refit against its full incident set and
+    deduplicated by that set, so the result is complete and contains each
+    facet exactly once.
     """
     pts = np.asarray(points, dtype=float)
     m, d = pts.shape
     if m < d + 1:
         raise DegenerateGeometry(f"need at least {d + 1} points in R^{d}, got {m}")
-    if d == 1:
-        x = pts[:, 0]
-        return [
-            (np.array([-1.0]), -float(x.min()), x <= x.min() + eps),
-            (np.array([1.0]), float(x.max()), x >= x.max() - eps),
-        ]
     subsets = np.array(list(combinations(range(m), d)))
     sub = pts[subsets]                                # (S, d, d)
     diffs = sub[:, 1:, :] - sub[:, :1, :]             # (S, d-1, d)
@@ -190,7 +186,8 @@ def supporting_hyperplanes(points: np.ndarray, eps: float):
     planes: dict[bytes, tuple] = {}
     for idx in range(len(normals)):
         w, b, inc = normals[idx], offsets[idx], incident[idx]
-        if inc.tobytes() in planes:
+        fit_key = inc.tobytes()
+        if fit_key in planes:
             continue
         # refit on the full incident set for a better-conditioned plane
         centroid, rank, fvt = _affine_basis(pts[inc], eps)
@@ -205,7 +202,9 @@ def supporting_hyperplanes(points: np.ndarray, eps: float):
                 inc = v_fit >= b - eps
         key = inc.tobytes()
         if key not in planes:
-            planes[key] = (w, float(b), inc)
+            if key != fit_key:  # the refit moved the incident set: fit the frame again
+                centroid, _, fvt = _affine_basis(pts[inc], eps)
+            planes[key] = (w, float(b), inc, (centroid, fvt[: d - 1]))
     if not planes:
         raise DegenerateGeometry("no supporting hyperplanes found (rank-deficient input?)")
     # deterministic order: by sorted incident set
@@ -216,7 +215,9 @@ def supporting_hyperplanes(points: np.ndarray, eps: float):
 # validation and loading
 
 def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Raise ValidationError naming the first violated polytope invariant."""
+    """Raise ValidationError naming the first violated invariant; else return the facets."""
+    if dim < 2:
+        raise ValidationError(f"dimension {dim} < 2: the edge-graph needs d >= 2")
     n = vertices.shape[0]
     if n < dim + 1:
         raise ValidationError(f"not full-dimensional: {n} vertices in R^{dim} (need >= {dim + 1})")
@@ -233,14 +234,28 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
         raise ValidationError("not full-dimensional: vertices lie in a proper affine subspace")
     planes = supporting_hyperplanes(vertices, eps)
     # origin strictly interior: every facet plane at positive distance from 0
-    min_b = min(b for _, b, _ in planes)
+    min_b = min(b for _, b, _, _ in planes)
     if min_b <= eps:
         raise ValidationError("origin not interior")
     # every listed point must be extreme: its incident facet normals span R^d
     for i in range(n):
-        normals = np.array([w for w, _, inc in planes if inc[i]])
+        normals = np.array([w for w, _, inc, _ in planes if inc[i]])
         if len(normals) < dim or np.linalg.matrix_rank(normals, tol=1e-10) < dim:
             raise ValidationError(f"non-extreme point: vertex {i}")
+    normals, incidences = [], []
+    for w, b, _, _ in planes:
+        u = w / b
+        vals = vertices @ u
+        if np.any(vals > 1.0 + eps):
+            raise DegenerateGeometry("facet normalization failed feasibility")
+        inc = vals >= 1.0 - eps
+        if np.sum(inc) < dim:
+            raise DegenerateGeometry("facet incident to fewer than d vertices")
+        if affine_rank(vertices[inc], eps) != dim - 1:
+            raise DegenerateGeometry("facet vertices do not span a hyperplane")
+        normals.append(u)
+        incidences.append(inc)
+    return FacetSystem(normals=np.array(normals), incidence=np.array(incidences))
 
 
 def make_polytope(dim, vertices, name=None, tol: Tolerances = DEFAULT_TOLERANCES,
@@ -251,9 +266,9 @@ def make_polytope(dim, vertices, name=None, tol: Tolerances = DEFAULT_TOLERANCES
         raise ParseError(f"vertex array has shape {verts.shape}, expected (n, {dim})")
     if recenter:
         verts = verts - verts.mean(axis=0)
-    validate_vertices(dim, verts, tol)
+    facets = validate_vertices(dim, verts, tol)
     verts.setflags(write=False)
-    return Polytope(dim=int(dim), vertices=verts, name=name)
+    return Polytope(dim=int(dim), vertices=verts, facets=facets, name=name)
 
 
 def load_polytope(source, tol: Tolerances = DEFAULT_TOLERANCES, recenter: bool = False) -> Polytope:
@@ -296,27 +311,9 @@ def load_polytope(source, tol: Tolerances = DEFAULT_TOLERANCES, recenter: bool =
 # ---------------------------------------------------------------------------
 # facets, edge-graph, dual faces
 
-def enumerate_facets(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES) -> FacetSystem:
-    """Enumerate all facets as normals u with <u, x> = 1 and their incidences."""
-    eps = tol.geom(poly.scale)
-    planes = supporting_hyperplanes(poly.vertices, eps)
-    normals, incidences = [], []
-    for w, b, _ in planes:
-        if b <= eps:
-            raise DegenerateGeometry(
-                "supporting hyperplane through the origin (origin not interior?)")
-        u = w / b
-        vals = poly.vertices @ u
-        if np.any(vals > 1.0 + eps):
-            raise DegenerateGeometry("facet normalization failed feasibility")
-        inc = vals >= 1.0 - eps
-        if np.sum(inc) < poly.dim:
-            raise DegenerateGeometry("facet incident to fewer than d vertices")
-        if affine_rank(poly.vertices[inc], eps) != poly.dim - 1:
-            raise DegenerateGeometry("facet vertices do not span a hyperplane")
-        normals.append(u)
-        incidences.append(inc)
-    return FacetSystem(normals=np.array(normals), incidence=np.array(incidences))
+def enumerate_facets(poly: Polytope) -> FacetSystem:
+    """All facets as normals u with <u, x> = 1 and their incidences, found at validation."""
+    return poly.facets
 
 
 def edge_graph(poly: Polytope, facets: FacetSystem) -> EdgeGraph:
@@ -335,12 +332,11 @@ def edge_graph(poly: Polytope, facets: FacetSystem) -> EdgeGraph:
         if int(common.sum()) == 2:
             edges.append((i, j))
     graph = EdgeGraph(poly.n, tuple(edges))
-    if poly.dim >= 2:
-        if not graph.is_connected():
-            raise DegenerateGeometry("edge-graph not connected")
-        mindeg = min(graph.degree(i) for i in range(poly.n))
-        if mindeg < poly.dim:
-            raise DegenerateGeometry(f"edge-graph min degree {mindeg} < d = {poly.dim}")
+    if not graph.is_connected():
+        raise DegenerateGeometry("edge-graph not connected")
+    mindeg = min(graph.degree(i) for i in range(poly.n))
+    if mindeg < poly.dim:
+        raise DegenerateGeometry(f"edge-graph min degree {mindeg} < d = {poly.dim}")
     return graph
 
 
@@ -400,13 +396,10 @@ def _hull_volume(flat: np.ndarray, eps: float) -> float:
         x = flat[:, 0]
         return float(x.max() - x.min())
     total = 0.0
-    for w, b, inc in supporting_hyperplanes(flat, eps):
-        # centroid is the origin, so b is its distance to the facet plane
-        facet_pts = flat[inc]
-        fc, rank, fvt = _affine_basis(facet_pts, eps)
-        facet_flat = (facet_pts - fc) @ fvt[: k - 1].T
-        fvol = _hull_volume(facet_flat, eps) if k - 1 >= 1 else 1.0
-        total += b * fvol / k
+    for _, b, inc, (fc, basis) in supporting_hyperplanes(flat, eps):
+        # centroid is the origin, so b is its distance to the facet plane;
+        # the facet is projected in the frame its plane was fitted in
+        total += b * _hull_volume((flat[inc] - fc) @ basis.T, eps) / k
     return float(total)
 
 

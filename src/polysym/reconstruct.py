@@ -23,7 +23,7 @@ from .colorings import (
 )
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import RankDeficient, TheoremViolation
-from .geometry import EdgeGraph, FacetSystem, Polytope, edge_graph, enumerate_facets
+from .geometry import EdgeGraph, FacetSystem, Polytope, edge_graph
 from .izmestiev import IzmestievMatrix, izmestiev_matrix
 
 
@@ -158,7 +158,7 @@ class PipelineArtifacts:
 
 
 def build_artifacts(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES) -> PipelineArtifacts:
-    facets = enumerate_facets(poly, tol)
+    facets = poly.facets
     graph = edge_graph(poly, facets)
     matrix = izmestiev_matrix(poly, facets, graph, tol)
     izm = izmestiev_coloring(matrix, tol)

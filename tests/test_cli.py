@@ -48,6 +48,14 @@ def test_analyze_bad_input_exit_2(tmp_path):
     assert "origin not interior" in proc.stderr
 
 
+def test_analyze_dimension_one_exit_2(tmp_path):
+    segment = tmp_path / "segment.json"
+    segment.write_text(json.dumps({"dimension": 1, "vertices": [[1], [-2]]}))
+    proc = run_cli("analyze", str(segment))
+    assert proc.returncode == 2
+    assert "dimension 1 < 2" in proc.stderr
+
+
 def test_analyze_recenter_accepts_translated(tmp_path):
     shifted = tmp_path / "shifted.json"
     hexagon = json.loads((FIXTURES / "hexagon.json").read_text())
@@ -177,6 +185,31 @@ def test_oracle_embedding_k44():
     assert 0 < report["group"]["order"] < 1152
     perms = [tuple(m["perm"]) for m in report["group"]["members"]]
     assert (1, 0, 2, 3, 4, 5, 6, 7) not in perms
+
+
+SQUARE_COORDS = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
+
+
+@pytest.mark.parametrize("doc, candidates", [
+    ({"vertices": SQUARE_COORDS, "edges": [[0, 9]]}, "graph-auts"),
+    ({"vertices": SQUARE_COORDS, "edges": [[0]]}, "graph-auts"),
+    ({"vertices": SQUARE_COORDS, "edges": [[1, 1]]}, "graph-auts"),
+    ({"vertices": SQUARE_COORDS, "edges": [[0, -1]]}, "graph-auts"),
+    ({"vertices": SQUARE_COORDS, "edges": [[0, 1.5]]}, "graph-auts"),
+    ({"vertices": SQUARE_COORDS, "edges": "01"}, "graph-auts"),
+    ({"vertices": [1, 2, 3]}, "sym"),
+    ({"vertices": []}, "sym"),
+    ({"vertices": [[1, 2], [3]]}, "sym"),
+    ({"vertices": [["a", "b"]]}, "sym"),
+    ({"edges": [[0, 1]]}, "sym"),
+    ([SQUARE_COORDS], "sym"),
+])
+def test_oracle_bad_embedding_exit_2(tmp_path, doc, candidates):
+    path = tmp_path / "embedding.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("oracle", str(path), "--embedding", "--candidates", candidates)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_experiment_metric_runs():

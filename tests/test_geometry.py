@@ -1,20 +1,24 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
 from polysym import (
+    EdgeGraph,
     dual_edge_face,
     enumerate_facets,
+    geometry,
     load_polytope,
     make_polytope,
     relative_volume,
     volume_generalized_dual,
 )
 from polysym.errors import DimensionMismatch, ParseError, Unbounded, ValidationError
-from polysym.fixtures import cube, hexagon, octahedron, square, triangle
+from polysym.fixtures import FIXTURES, cube, hexagon, octahedron, square, triangle
+from polysym.reconstruct import build_artifacts
 
 SQUARE_DOC = {"name": "square", "dimension": 2,
               "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}
@@ -55,6 +59,13 @@ class TestLoading:
     def test_flat_point_set(self):
         with pytest.raises(ValidationError, match="full-dimensional"):
             make_polytope(3, [[1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0]])
+
+    def test_dimension_one_rejected(self):
+        # a segment's edge-graph has no edges, so no coloring can capture its symmetry
+        with pytest.raises(ValidationError, match="dimension 1 < 2"):
+            make_polytope(1, [[1], [-2]])
+        with pytest.raises(ValidationError, match="dimension 1 < 2"):
+            load_polytope({"dimension": 1, "vertices": [[1], [-2]]})
 
     def test_too_few_vertices(self):
         with pytest.raises(ValidationError, match="full-dimensional"):
@@ -107,6 +118,29 @@ class TestFacets:
         assert np.allclose(radii, 2.0, atol=1e-9)
         assert any(np.allclose(u, [-2, 0], atol=1e-9) for u in facets.normals)
 
+    @pytest.mark.parametrize("name", [n for n in FIXTURES if FIXTURES[n]().dim <= 3])
+    def test_hull_searched_once(self, name, monkeypatch):
+        # validation finds the facets the pipeline uses; the dual edge faces of
+        # 2-D and 3-D polytopes are points or segments, which need no search
+        calls = []
+        search = geometry.supporting_hyperplanes
+        monkeypatch.setattr(geometry, "supporting_hyperplanes",
+                            lambda *a, **k: calls.append(1) or search(*a, **k))
+        poly = FIXTURES[name]()
+        art = build_artifacts(poly)
+        assert len(calls) == 1
+        assert enumerate_facets(poly) is art.facets is poly.facets
+
+    def test_plane_frames_are_fits_of_incident_sets(self, polytopes):
+        rng = np.random.default_rng(5)
+        clouds = [p.vertices for p in polytopes.values()]
+        clouds += [rng.standard_normal((d + 5, d)) for d in (2, 3, 4)]
+        for pts in clouds:
+            d = pts.shape[1]
+            for _, _, inc, (centroid, basis) in geometry.supporting_hyperplanes(pts, 1e-9):
+                c, _, vt = geometry._affine_basis(pts[inc], 1e-9)
+                assert np.array_equal(c, centroid) and np.array_equal(vt[: d - 1], basis)
+
     def test_every_vertex_on_at_least_d_facets(self, polytopes):
         for poly in polytopes.values():
             inc = enumerate_facets(poly).incidence
@@ -134,6 +168,14 @@ class TestEdgeGraph:
     def test_cyclic_polytope_is_complete(self, artifacts):
         graph = artifacts["cyclic4_6"].graph
         assert len(graph.edges) == 15
+
+    def test_adjacency_lists(self):
+        graph = EdgeGraph(4, ((2, 1), (0, 1), (3, 1)))
+        assert graph.edges == ((0, 1), (1, 2), (1, 3))
+        assert graph.neighbors(1) == [0, 2, 3] and graph.neighbors(3) == [1]
+        assert [graph.degree(i) for i in range(4)] == [1, 3, 1, 1]
+        assert graph.is_connected()
+        assert not EdgeGraph(4, ((0, 1), (2, 3))).is_connected()
 
     def test_connected_min_degree(self, artifacts):
         for art in artifacts.values():
@@ -183,6 +225,19 @@ class TestRelativeVolume:
     def test_standard_simplex(self, d):
         pts = np.vstack([np.zeros(d), np.eye(d)])
         assert relative_volume(pts) == pytest.approx(1.0 / math.factorial(d), rel=1e-9)
+
+    def test_hull_volume_reuses_plane_frames(self, monkeypatch):
+        callers = []
+        fit = geometry._affine_basis
+
+        def traced(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return fit(*args)
+
+        monkeypatch.setattr(geometry, "_affine_basis", traced)
+        pts = np.random.default_rng(3).standard_normal((9, 4))
+        assert relative_volume(pts) == pytest.approx(ConvexHull(pts).volume, rel=1e-9)
+        assert "supporting_hyperplanes" in callers and "_hull_volume" not in callers
 
     def test_isometry_invariance(self):
         from conftest import random_orthogonal
