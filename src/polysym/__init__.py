@@ -14,7 +14,6 @@ from .geometry import (
     complete_graph,
     dual_edge_face,
     edge_graph,
-    enumerate_facets,
     load_polytope,
     make_polytope,
     relative_volume,
@@ -30,7 +29,6 @@ __all__ = [
     "DualFace",
     "load_polytope",
     "make_polytope",
-    "enumerate_facets",
     "edge_graph",
     "dual_edge_face",
     "relative_volume",

@@ -25,6 +25,7 @@ from .errors import LimitExceeded, NotAGroup
 from .geometry import EdgeGraph
 
 Perm = tuple[int, ...]
+MAX_VERTICES = 64  # automorphism search refuses larger graphs
 
 
 def identity_perm(n: int) -> Perm:
@@ -208,7 +209,7 @@ def _preserves(lg: LabeledGraph, sigma: Perm) -> bool:
                     for (i, j), c in col.edge.items()))
 
 
-def automorphisms(lg: LabeledGraph, limit: int = 10 ** 6, max_n: int = 64) -> PermutationSet:
+def automorphisms(lg: LabeledGraph, limit: int = 10 ** 6) -> PermutationSet:
     """The group of color-preserving automorphisms, found as generators.
 
     A first path of individualizations (lowest vertex of the smallest
@@ -221,8 +222,8 @@ def automorphisms(lg: LabeledGraph, limit: int = 10 ** 6, max_n: int = 64) -> Pe
     the group order, checked before any member is built.
     """
     n = lg.graph.n
-    if n > max_n:
-        raise LimitExceeded(f"graph has {n} > {max_n} vertices")
+    if n > MAX_VERTICES:
+        raise LimitExceeded(f"graph has {n} > {MAX_VERTICES} vertices")
     neighbors = _neighbor_table(lg)
     path = [_refine(n, neighbors, lg.coloring.vertex)]
     base = []

@@ -20,7 +20,7 @@ import numpy as np
 
 from .autgroup import automorphisms, uncolored
 from .colorings import LabeledGraph, orbit_coloring
-from .config import DEFAULT_TOLERANCES
+from .config import Tolerances
 from .errors import (
     LimitExceeded,
     ParseError,
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .geometry import EdgeGraph, edge_graph, load_polytope
 from .izmestiev import izmestiev_matrix_fd, load_matrix_dump, verify_properties
-from .oracle import Embedding, brute_force_group, embedding_group
+from .oracle import SYM_LIMIT, Embedding, brute_force_group, embedding_group
 from .reconstruct import (
     build_artifacts,
     eigenspace_criterion,
@@ -64,7 +64,7 @@ EPS_FLAGS = {"eps-geom": "geom_rel", "eps-color": "color_rel", "eps-kern": "kern
 
 def _tolerances(args):
     overrides = {f: getattr(args, f) for f in EPS_FLAGS.values() if getattr(args, f) is not None}
-    return DEFAULT_TOLERANCES.replace(**overrides)
+    return Tolerances(**overrides)
 
 
 def _load(args, path):
@@ -97,7 +97,7 @@ def cmd_analyze(args) -> int:
         props = verify_properties(art.matrix, poly, tol).to_json_dict()
         report = {
             "input": _input_echo(args, path, poly),
-            "facet_count": art.facets.m,
+            "facet_count": poly.facets.m,
             "edge_count": len(art.graph.edges),
             "matrix_summary": {
                 "spectrum": props["spectrum"],
@@ -133,14 +133,14 @@ def cmd_validate(args) -> int:
         try:
             dump = json.loads(Path(args.matrix).read_text())
             mat = load_matrix_dump(dump, art.graph)
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad matrix dump: {exc}") from exc
         source = "dump"
     else:
         mat = art.matrix
         source = "geometric"
     props = verify_properties(mat, poly, tol)
-    eig_ok, lam, residual = eigenspace_criterion(mat.entries, poly.phi, tol.eig_rel)
+    eig_ok, lam, residual = eigenspace_criterion(mat.entries, poly.phi, tol)
     fd_doc: dict = {"step": tol.fd_step}
     try:
         fd = izmestiev_matrix_fd(poly, tol=tol, graph=art.graph)
@@ -194,8 +194,8 @@ def cmd_oracle(args) -> int:
         echo = {"path": args.path, "name": name, "n_vertices": emb.graph.n, "embedding": True}
     else:
         poly, tol = _load(args, args.path)
-        cands = (automorphisms(uncolored(edge_graph(poly, poly.facets)),
-                               limit=args.limit).perms if graph_auts else None)
+        cands = (automorphisms(uncolored(edge_graph(poly)), limit=args.limit).perms
+                 if graph_auts else None)
         group = brute_force_group(poly.phi, candidates=cands, flavor=args.flavor, tol=tol)
         echo = {**_input_echo(args, args.path, poly), "embedding": False}
     _emit({
@@ -212,11 +212,6 @@ DOT_COLORINGS = ("metric", "izmestiev", "product", "orbit-linear", "orbit-orthog
 
 
 def cmd_export_dot(args) -> int:
-    if args.coloring not in DOT_COLORINGS:
-        sys.stderr.write(
-            f"export-dot: unknown coloring {args.coloring!r}; "
-            f"choose from {', '.join(DOT_COLORINGS)}\n")
-        return 64
     poly, tol = _load(args, args.path)
     art = build_artifacts(poly, tol)
     col = {"metric": art.met_coloring, "izmestiev": art.izm_coloring,
@@ -251,7 +246,8 @@ def cmd_experiment_metric(args) -> int:
     elif args.vertex_only:
         col = col.__class__(vertex=col.vertex, edge={e: 0 for e in col.edge})
     auts = automorphisms(LabeledGraph(art.graph, col), limit=args.limit)
-    cands = None if poly.n <= 9 else automorphisms(uncolored(art.graph), limit=args.limit).perms
+    cands = (None if poly.n <= SYM_LIMIT
+             else automorphisms(uncolored(art.graph), limit=args.limit).perms)
     reference = brute_force_group(poly.phi, candidates=cands, flavor="orthogonal", tol=tol)
     extra = sorted(set(auts.perms) - reference.perm_set)
     _emit({
@@ -279,8 +275,15 @@ def _add_common(sub) -> None:
                          help=f"override the {field} tolerance")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors exit 64; argparse's own 2 means bad input here."""
+        self.print_usage(sys.stderr)
+        self.exit(64, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polysym",
         description="Symmetry groups of convex polytopes from vertex coordinates.")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -310,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("export-dot", help="DOT drawing of a colored edge-graph")
     p.add_argument("path")
-    p.add_argument("--coloring", default="izmestiev",
-                   help=f"one of: {', '.join(DOT_COLORINGS)}")
+    p.add_argument("--coloring", choices=DOT_COLORINGS, default="izmestiev")
     _add_common(p)
     p.set_defaults(func=cmd_export_dot)
 

@@ -40,8 +40,5 @@ class Tolerances:
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def replace(self, **kw) -> "Tolerances":
-        return dataclasses.replace(self, **kw)
-
 
 DEFAULT_TOLERANCES = Tolerances()

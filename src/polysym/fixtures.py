@@ -119,7 +119,3 @@ FIXTURES = {
     "prism3": prism3,
     "cyclic4_6": cyclic4,
 }
-
-
-def all_fixture_polytopes() -> dict[str, Polytope]:
-    return {name: factory() for name, factory in FIXTURES.items()}

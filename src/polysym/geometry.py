@@ -309,20 +309,15 @@ def load_polytope(source, tol: Tolerances = DEFAULT_TOLERANCES, recenter: bool =
 
 
 # ---------------------------------------------------------------------------
-# facets, edge-graph, dual faces
+# edge-graph, dual faces (from the facets validation found)
 
-def enumerate_facets(poly: Polytope) -> FacetSystem:
-    """All facets as normals u with <u, x> = 1 and their incidences, found at validation."""
-    return poly.facets
-
-
-def edge_graph(poly: Polytope, facets: FacetSystem) -> EdgeGraph:
+def edge_graph(poly: Polytope) -> EdgeGraph:
     """Edges are pairs whose smallest common face is the segment itself.
 
     {i, j} is an edge iff some facet contains both endpoints and the
     vertices incident to every such facet are exactly {i, j}.
     """
-    inc = facets.incidence
+    inc = poly.facets.incidence
     edges = []
     for i, j in combinations(range(poly.n), 2):
         both = inc[:, i] & inc[:, j]
@@ -340,12 +335,11 @@ def edge_graph(poly: Polytope, facets: FacetSystem) -> EdgeGraph:
     return graph
 
 
-def dual_edge_face(poly: Polytope, facets: FacetSystem, edge,
-                   tol: Tolerances = DEFAULT_TOLERANCES) -> DualFace:
+def dual_edge_face(poly: Polytope, edge, tol: Tolerances = DEFAULT_TOLERANCES) -> DualFace:
     """Dual face of an edge: the dual vertices shared by both endpoints."""
     i, j = sorted(edge)
-    both = facets.incidence[:, i] & facets.incidence[:, j]
-    points = facets.normals[both]
+    both = poly.facets.incidence[:, i] & poly.facets.incidence[:, j]
+    points = poly.facets.normals[both]
     if len(points) == 0:
         raise DimensionMismatch(f"({i},{j}) is not an edge: no common facet")
     eps = tol.geom(float(np.max(np.linalg.norm(points, axis=1))))
@@ -403,20 +397,19 @@ def _hull_volume(flat: np.ndarray, eps: float) -> float:
     return float(total)
 
 
-def volume_generalized_dual(poly: Polytope, c, tol: Tolerances = DEFAULT_TOLERANCES,
-                            trust: float | None = None) -> float:
+def volume_generalized_dual(poly: Polytope, c, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Volume of {x : <x, v_i> <= c_i}, the dual with facets shifted by c.
 
     Vertex-enumerates the region by intersecting all d-subsets of the n
     constraint hyperplanes and keeping feasible intersection points.  The
-    offsets must stay in the componentwise trust region [1-delta, 1+delta]
+    offsets must stay in the trust region |c_i - 1| <= ``tol.dual_trust``
     so the region stays bounded and combinatorially tame.
     """
     c = np.asarray(c, dtype=float)
     n, d = poly.n, poly.dim
     if c.shape != (n,):
         raise ValueError(f"offset vector must have shape ({n},)")
-    delta = tol.dual_trust if trust is None else trust
+    delta = tol.dual_trust
     if np.any(c < 1.0 - delta - 1e-15) or np.any(c > 1.0 + delta + 1e-15):
         raise Unbounded(f"offsets outside trust region [1-{delta}, 1+{delta}]")
     verts = poly.vertices  # (n, d): rows are constraint normals

@@ -21,14 +21,8 @@ from itertools import combinations
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import KernelResidual, NumericalInstability, SingularAngle
-from .geometry import (
-    EdgeGraph,
-    FacetSystem,
-    Polytope,
-    dual_edge_face,
-    volume_generalized_dual,
-)
+from .errors import KernelResidual, NumericalInstability, ParseError, SingularAngle
+from .geometry import EdgeGraph, Polytope, dual_edge_face, volume_generalized_dual
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +86,7 @@ class IzmestievPropertyReport:
         }
 
 
-def izmestiev_matrix(poly: Polytope, facets: FacetSystem, graph: EdgeGraph,
+def izmestiev_matrix(poly: Polytope, graph: EdgeGraph,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> IzmestievMatrix:
     """Geometric-formula route.
 
@@ -110,7 +104,7 @@ def izmestiev_matrix(poly: Polytope, facets: FacetSystem, graph: EdgeGraph,
             - float(verts[i] @ verts[j]) ** 2
         if gram <= (tol.geom(scale) * scale) ** 2:
             raise SingularAngle(f"vertices {i} and {j} are collinear with the origin")
-        face = dual_edge_face(poly, facets, (i, j), tol)
+        face = dual_edge_face(poly, (i, j), tol)
         entries[i, j] = entries[j, i] = -face.relvol / np.sqrt(gram)
     for i in range(n):
         nbr = graph.neighbors(i)
@@ -124,21 +118,20 @@ def izmestiev_matrix(poly: Polytope, facets: FacetSystem, graph: EdgeGraph,
     return IzmestievMatrix(entries=entries, graph=graph)
 
 
-def izmestiev_matrix_fd(poly: Polytope, h: float | None = None,
-                        tol: Tolerances = DEFAULT_TOLERANCES,
+def izmestiev_matrix_fd(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES,
                         graph: EdgeGraph | None = None) -> IzmestievMatrix:
     """Finite-difference route: central second differences of the dual volume.
 
     Mixed entries use the 4-point stencil, diagonal ones the 3-point
     stencil, around the all-ones offset vector; the result is symmetrized
-    by averaging.  Raw stencils are evaluated at steps h, h/2 and h/4 and
-    Richardson-combined pairwise, which cancels the step-linear error a
-    merely C^2 volume produces at non-simple dual vertices; the two
-    combined estimates must agree within the configured check tolerance,
-    otherwise a combinatorial flip of the shifted dual is suspected.
+    by averaging.  Raw stencils are evaluated at steps h, h/2 and h/4 (h =
+    ``tol.fd_step``) and Richardson-combined pairwise, which cancels the
+    step-linear error a merely C^2 volume produces at non-simple dual
+    vertices; the two combined estimates must agree within the configured
+    check tolerance, otherwise a combinatorial flip of the shifted dual is
+    suspected.
     """
     n = poly.n
-    step = tol.fd_step if h is None else h
     vol = lambda c: volume_generalized_dual(poly, c, tol)
 
     def hessian(hh: float) -> np.ndarray:
@@ -158,7 +151,7 @@ def izmestiev_matrix_fd(poly: Polytope, h: float | None = None,
             out[i, j] = out[j, i] = mixed
         return -(out + out.T) / 2.0
 
-    raw = [hessian(step / 2 ** k) for k in range(3)]
+    raw = [hessian(tol.fd_step / 2 ** k) for k in range(3)]
     combined = [2.0 * raw[k + 1] - raw[k] for k in range(2)]
     drift = float(np.max(np.abs(combined[1] - combined[0])))
     if drift > tol.fd_check:
@@ -213,6 +206,8 @@ def verify_properties(mat: IzmestievMatrix, poly: Polytope,
 
 def load_matrix_dump(doc: dict, graph: EdgeGraph) -> IzmestievMatrix:
     """Rehydrate a matrix dump {"n": int, "entries": [[...], ...]}."""
+    if not isinstance(doc, dict):
+        raise ParseError("matrix dump root must be a JSON object")
     entries = np.asarray(doc["entries"], dtype=float)
     if entries.shape != (doc["n"], doc["n"]) or entries.shape[0] != graph.n:
         raise ValueError("matrix dump shape inconsistent with edge-graph")

@@ -23,7 +23,7 @@ from .colorings import (
 )
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import RankDeficient, TheoremViolation
-from .geometry import EdgeGraph, FacetSystem, Polytope, edge_graph
+from .geometry import EdgeGraph, Polytope, edge_graph
 from .izmestiev import IzmestievMatrix, izmestiev_matrix
 
 
@@ -83,9 +83,9 @@ def pseudo_inverse(phi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.
     return pinv
 
 
-def linear_map_from_perm(phi: np.ndarray, perm, pinv: np.ndarray | None = None) -> np.ndarray:
+def linear_map_from_perm(phi: np.ndarray, perm) -> np.ndarray:
     """The candidate map sending vertex j to vertex perm[j] on the whole space."""
-    return lift_and_check(phi, [perm], "linear", pinv=pinv)[0][0]
+    return lift_and_check(phi, [perm], "linear")[0][0]
 
 
 def check_realizes(t: np.ndarray, perm, phi: np.ndarray, eps: float) -> bool:
@@ -128,12 +128,12 @@ def check_orthogonal(t: np.ndarray, eps: float) -> bool:
     return bool(np.max(np.abs(t.T @ t - np.eye(t.shape[0]))) <= eps)
 
 
-def eigenspace_criterion(a: np.ndarray, phi: np.ndarray, eps: float = 1e-8):
+def eigenspace_criterion(a: np.ndarray, phi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
     """Is the row space of phi an eigenspace of the symmetric matrix a?
 
     Fits a single scalar lambda to a @ phi.T = lambda * phi.T by least
     squares and reports (ok, lambda, residual); ok means the residual is
-    below eps relative to the scale of a @ phi.T.
+    below ``tol.eig_rel`` relative to the scale of a @ phi.T.
     """
     a = np.asarray(a, dtype=float)
     b = a @ phi.T
@@ -141,7 +141,7 @@ def eigenspace_criterion(a: np.ndarray, phi: np.ndarray, eps: float = 1e-8):
     lam = float(np.sum(b * phi.T)) / denom
     residual = float(np.max(np.abs(b - lam * phi.T)))
     ref = max(1.0, float(np.max(np.abs(a))) * float(np.max(np.abs(phi))))
-    return residual <= eps * ref, lam, residual
+    return residual <= tol.eig_rel * ref, lam, residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +149,6 @@ class PipelineArtifacts:
     """Everything the symmetry pipelines derive from one polytope."""
 
     poly: Polytope
-    facets: FacetSystem
     graph: EdgeGraph
     matrix: IzmestievMatrix
     izm_coloring: Coloring
@@ -158,22 +157,21 @@ class PipelineArtifacts:
 
 
 def build_artifacts(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES) -> PipelineArtifacts:
-    facets = poly.facets
-    graph = edge_graph(poly, facets)
-    matrix = izmestiev_matrix(poly, facets, graph, tol)
+    graph = edge_graph(poly)
+    matrix = izmestiev_matrix(poly, graph, tol)
     izm = izmestiev_coloring(matrix, tol)
     met = metric_coloring(poly, graph, tol)
     return PipelineArtifacts(
-        poly=poly, facets=facets, graph=graph, matrix=matrix,
+        poly=poly, graph=graph, matrix=matrix,
         izm_coloring=izm, met_coloring=met,
         prod_coloring=product_coloring(izm, met),
     )
 
 
-def _realize_group(poly: Polytope, graph: EdgeGraph, coloring: Coloring, flavor: str,
+def _realize_group(art: PipelineArtifacts, coloring: Coloring, flavor: str,
                    tol: Tolerances, limit: int) -> MatrixGroup:
-    group = automorphisms(LabeledGraph(graph, coloring), limit=limit)
-    maps, ok, residuals = lift_and_check(poly.phi, group.perms, flavor, tol)
+    group = automorphisms(LabeledGraph(art.graph, coloring), limit=limit)
+    maps, ok, residuals = lift_and_check(art.poly.phi, group.perms, flavor, tol)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
         sigma = group.perms[i]
@@ -182,7 +180,7 @@ def _realize_group(poly: Polytope, graph: EdgeGraph, coloring: Coloring, flavor:
             f"{flavor} reconstruction failed: " + (
                 f"map for {sigma} is not orthogonal" if not_orthogonal else
                 f"automorphism {sigma} is not realized by its reconstructed map"),
-            diagnostic={"perm": sigma, "matrix": maps[i].tolist(), "polytope": poly.name,
+            diagnostic={"perm": sigma, "matrix": maps[i].tolist(), "polytope": art.poly.name,
                         "tolerance": tol.orth if not_orthogonal else tol.match,
                         "residuals": {k: float(v[i]) for k, v in residuals.items()}})
     return MatrixGroup(pairs=tuple(zip(group.perms, maps)), flavor=flavor, perm_group=group)
@@ -193,7 +191,7 @@ def linear_group(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES,
                  limit: int = 10 ** 6) -> MatrixGroup:
     """All invertible linear maps fixing the polytope, via the spectral coloring."""
     art = artifacts or build_artifacts(poly, tol)
-    return _realize_group(poly, art.graph, art.izm_coloring, "linear", tol, limit)
+    return _realize_group(art, art.izm_coloring, "linear", tol, limit)
 
 
 def orthogonal_group(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES,
@@ -201,7 +199,7 @@ def orthogonal_group(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES,
                      limit: int = 10 ** 6) -> MatrixGroup:
     """All orthogonal maps fixing the polytope, via the product coloring."""
     art = artifacts or build_artifacts(poly, tol)
-    return _realize_group(poly, art.graph, art.prod_coloring, "orthogonal", tol, limit)
+    return _realize_group(art, art.prod_coloring, "orthogonal", tol, limit)
 
 
 def verify_homomorphism(group: MatrixGroup, eps: float) -> bool:

@@ -167,7 +167,7 @@ class TestAutomorphisms:
     def test_vertex_bound(self):
         big = complete_graph(70)
         with pytest.raises(LimitExceeded):
-            automorphisms(uncolored(big), max_n=64)
+            automorphisms(uncolored(big))
 
 
 class TestOrbits:

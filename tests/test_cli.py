@@ -137,6 +137,15 @@ def test_validate_good_dump_passes(tmp_path):
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("dump", [[1, 2], "dump", None, 4, {"n": 4, "entries": {"a": 1}}])
+def test_validate_malformed_dump_exit_2(tmp_path, dump):
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(dump))
+    proc = run_cli("validate", str(FIXTURES / "square.json"), "--matrix", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_analyze_dump_feeds_validate(tmp_path):
     proc = run_cli("analyze", str(FIXTURES / "octahedron.json"), check=True)
     dump = json.loads(proc.stdout)["matrix_summary"]["dump"]
@@ -167,6 +176,24 @@ def test_export_dot_rectangle_product_two_edge_colors():
 def test_export_dot_unknown_coloring_exit_64():
     proc = run_cli("export-dot", str(FIXTURES / "square.json"), "--coloring", "rainbow")
     assert proc.returncode == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", str(FIXTURES / "cube.json"), "--coloring", "bogus"),
+    ("analyze",),
+    ("analyze", str(FIXTURES / "cube.json"), "--limit", "many"),
+    ("validate", str(FIXTURES / "cube.json"), "--no-such-flag"),
+    (),
+])
+def test_usage_error_exit_64(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 64, proc.stderr
+    assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_help_exit_0():
+    proc = run_cli("analyze", "--help")
+    assert proc.returncode == 0 and "usage:" in proc.stdout
 
 
 def test_oracle_polytope():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_invertible
-from polysym import EdgeGraph, edge_graph, enumerate_facets, make_polytope
+from polysym import EdgeGraph, edge_graph, make_polytope
 from polysym.autgroup import automorphisms, uncolored
 from polysym.colorings import (
     Coloring,
@@ -101,9 +101,7 @@ class TestIzmestievColoring:
             for _ in range(3):
                 t = random_invertible(rng, art.poly.dim)
                 moved = make_polytope(art.poly.dim, art.poly.vertices @ t.T)
-                f2 = enumerate_facets(moved)
-                g2 = edge_graph(moved, f2)
-                col2 = izmestiev_coloring(izmestiev_matrix(moved, f2, g2))
+                col2 = izmestiev_coloring(izmestiev_matrix(moved, edge_graph(moved)))
                 assert partition(col2) == base
 
 

@@ -9,7 +9,6 @@ from scipy.spatial import ConvexHull
 from polysym import (
     EdgeGraph,
     dual_edge_face,
-    enumerate_facets,
     geometry,
     load_polytope,
     make_polytope,
@@ -100,12 +99,12 @@ class TestLoading:
 
 class TestFacets:
     def test_square_normals(self):
-        facets = enumerate_facets(square())
+        facets = square().facets
         got = {tuple(np.round(u, 9)) for u in facets.normals}
         assert got == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
     def test_cube_normals(self):
-        facets = enumerate_facets(cube())
+        facets = cube().facets
         got = {tuple(np.round(u, 9)) for u in facets.normals}
         expected = {tuple(s * e) for s in (1, -1) for e in np.eye(3, dtype=int)}
         assert got == {tuple(float(x) for x in v) for v in expected}
@@ -113,7 +112,7 @@ class TestFacets:
     def test_triangle_normals_at_radius_two(self):
         # solve <u, v1> = <u, v2> = 1 by hand for the facet through v1, v2:
         # v1 = (-1/2, s), v2 = (-1/2, -s) gives u = (-2, 0); all at radius 2
-        facets = enumerate_facets(triangle())
+        facets = triangle().facets
         radii = np.linalg.norm(facets.normals, axis=1)
         assert np.allclose(radii, 2.0, atol=1e-9)
         assert any(np.allclose(u, [-2, 0], atol=1e-9) for u in facets.normals)
@@ -129,7 +128,7 @@ class TestFacets:
         poly = FIXTURES[name]()
         art = build_artifacts(poly)
         assert len(calls) == 1
-        assert enumerate_facets(poly) is art.facets is poly.facets
+        assert art.poly.facets is poly.facets
 
     def test_plane_frames_are_fits_of_incident_sets(self, polytopes):
         rng = np.random.default_rng(5)
@@ -143,13 +142,13 @@ class TestFacets:
 
     def test_every_vertex_on_at_least_d_facets(self, polytopes):
         for poly in polytopes.values():
-            inc = enumerate_facets(poly).incidence
+            inc = poly.facets.incidence
             assert inc.sum(axis=0).min() >= poly.dim
 
     def test_euler_formula_3d(self, polytopes, artifacts):
         for name in ("cube", "octahedron", "prism3", "simplex3"):
             art = artifacts[name]
-            v, e, f = art.poly.n, len(art.graph.edges), art.facets.m
+            v, e, f = art.poly.n, len(art.graph.edges), art.poly.facets.m
             assert v - e + f == 2
 
 
@@ -186,14 +185,14 @@ class TestEdgeGraph:
 class TestDualFaces:
     def test_square_edge_dual_is_point(self, artifacts):
         art = artifacts["square"]
-        face = dual_edge_face(art.poly, art.facets, (0, 1))
+        face = dual_edge_face(art.poly, (0, 1))
         assert face.points.shape[0] == 1
         assert face.relvol == 1.0
 
     def test_cube_edge_dual_segment(self, artifacts):
         art = artifacts["cube"]
         # edge (1,1,1)-(1,1,-1); shared facets x=1 and y=1, dual points e1, e2
-        face = dual_edge_face(art.poly, art.facets, (0, 1))
+        face = dual_edge_face(art.poly, (0, 1))
         got = {tuple(np.round(p, 9)) for p in face.points}
         assert got == {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)}
         assert face.relvol == pytest.approx(np.sqrt(2), abs=1e-12)
@@ -201,13 +200,13 @@ class TestDualFaces:
     def test_octahedron_edge_duals_positive(self, artifacts):
         art = artifacts["octahedron"]
         for e in art.graph.edges:
-            face = dual_edge_face(art.poly, art.facets, e)
+            face = dual_edge_face(art.poly, e)
             assert face.relvol == pytest.approx(2.0, abs=1e-9)
 
     def test_non_edge_raises(self, artifacts):
         art = artifacts["square"]
         with pytest.raises(DimensionMismatch):
-            dual_edge_face(art.poly, art.facets, (0, 2))
+            dual_edge_face(art.poly, (0, 2))
 
 
 class TestRelativeVolume:
@@ -274,7 +273,7 @@ class TestGeneralizedDualVolume:
         # two derivations of the dual's vertex set must give the same volume
         for art in artifacts.values():
             via_h_rep = volume_generalized_dual(art.poly, np.ones(art.poly.n))
-            via_normals = relative_volume(art.facets.normals)
+            via_normals = relative_volume(art.poly.facets.normals)
             assert via_h_rep == pytest.approx(via_normals, rel=1e-9)
 
     @pytest.mark.parametrize("t", [0.95, 0.98, 1.0, 1.02, 1.05])

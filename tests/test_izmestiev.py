@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_invertible
-from polysym import edge_graph, enumerate_facets, make_polytope
+from polysym import edge_graph, make_polytope
 from polysym.fixtures import cube, rectangle, square, triangle
 from polysym.izmestiev import (
     IzmestievMatrix,
@@ -111,8 +111,7 @@ def test_gl_covariance(artifacts):
         for _ in range(5):
             t = random_invertible(rng, art.poly.dim)
             moved = make_polytope(art.poly.dim, art.poly.vertices @ t.T)
-            f2 = enumerate_facets(moved)
-            m2 = izmestiev_matrix(moved, f2, edge_graph(moved, f2))
+            m2 = izmestiev_matrix(moved, edge_graph(moved))
             scale = 1.0 / abs(np.linalg.det(t))
             assert np.max(np.abs(m2.entries - scale * art.matrix.entries)) <= 1e-7 * max(
                 1.0, scale)
@@ -125,10 +124,8 @@ def test_permutation_equivariance(perm):
     from polysym.autgroup import perm_matrix
 
     base = rectangle()
-    f = enumerate_facets(base)
-    m = izmestiev_matrix(base, f, edge_graph(base, f)).entries
+    m = izmestiev_matrix(base, edge_graph(base)).entries
     relabeled = make_polytope(2, base.vertices[list(perm)])
-    f2 = enumerate_facets(relabeled)
-    m2 = izmestiev_matrix(relabeled, f2, edge_graph(relabeled, f2)).entries
+    m2 = izmestiev_matrix(relabeled, edge_graph(relabeled)).entries
     pi = perm_matrix(tuple(perm))
     assert np.max(np.abs(m2 - pi.T @ m @ pi)) <= 1e-10

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_invertible, random_orthogonal
-from polysym import make_polytope
+from polysym import Tolerances, make_polytope
 from polysym.autgroup import compose, uncolored
 from polysym.errors import RankDeficient, TheoremViolation
 from polysym.fixtures import k44_coordinates, rectangle, square, triangle
@@ -91,6 +91,19 @@ class TestEigenspaceCriterion:
         assert not ok
         assert residual > 1e-3
 
+    def test_threshold_is_the_ledger_eig_rel(self):
+        # a projector nudged by 1e-6: the fit misses by about 1e-6 relative,
+        # so only the ledger's eig_rel decides the verdict
+        rng = np.random.default_rng(4)
+        phi = square().phi
+        a = rng.standard_normal((4, 4))
+        a = pseudo_inverse(phi) @ phi + 1e-6 * (a + a.T) / 2
+        strict = eigenspace_criterion(a, phi, Tolerances(eig_rel=1e-8))
+        loose = eigenspace_criterion(a, phi, Tolerances(eig_rel=1e-4))
+        assert not strict[0] and loose[0]
+        assert strict[1:] == loose[1:]
+        assert eigenspace_criterion(a, phi) == strict
+
 
 class TestPipelineGroups:
     @pytest.mark.parametrize("name,lin,orth", [
@@ -164,7 +177,7 @@ def test_wrong_coloring_raises_theorem_violation(artifacts):
     from polysym.reconstruct import _realize_group
     art = artifacts["perturbed_hexagon"]
     with pytest.raises(TheoremViolation):
-        _realize_group(art.poly, art.graph, uncolored(art.graph).coloring,
+        _realize_group(art, uncolored(art.graph).coloring,
                        "linear", __import__("polysym.config", fromlist=["x"]).DEFAULT_TOLERANCES,
                        10 ** 6)
 
