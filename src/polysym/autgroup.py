@@ -20,8 +20,8 @@ from math import prod
 
 import numpy as np
 
-from .colorings import Coloring, LabeledGraph, orbit_coloring
-from .errors import LimitExceeded, NotAGroup
+from .colorings import Coloring, orbit_coloring
+from .errors import DomainMismatch, LimitExceeded, NotAGroup
 from .geometry import EdgeGraph
 
 Perm = tuple[int, ...]
@@ -156,13 +156,10 @@ class PermutationSet:
         return (isinstance(other, PermutationSet) and self.n == other.n
                 and self.order == other.order and all(g in self for g in other.generators))
 
-    def __hash__(self):
-        return hash((self.n, self.order))
 
-
-def _neighbor_table(lg: LabeledGraph):
-    nbr = [[] for _ in range(lg.graph.n)]
-    for (i, j), c in lg.coloring.edge.items():
+def _neighbor_table(col: Coloring):
+    nbr = [[] for _ in range(col.n)]
+    for (i, j), c in col.edge.items():
         nbr[i].append((j, c))
         nbr[j].append((i, c))
     return [tuple(sorted(x)) for x in nbr]
@@ -197,19 +194,18 @@ def _cert(colors: tuple) -> tuple:
     return tuple(sorted(Counter(colors).items()))
 
 
-def color_refinement(lg: LabeledGraph) -> tuple:
+def color_refinement(col: Coloring) -> tuple:
     """Stable vertex partition of the colored graph (dense class ids)."""
-    return _refine(lg.graph.n, _neighbor_table(lg), lg.coloring.vertex)
+    return _refine(col.n, _neighbor_table(col), col.vertex)
 
 
-def _preserves(lg: LabeledGraph, sigma: Perm) -> bool:
-    col = lg.coloring
+def _preserves(col: Coloring, sigma: Perm) -> bool:
     return (all(col.vertex[sigma[i]] == c for i, c in enumerate(col.vertex))
             and all(col.edge.get(tuple(sorted((sigma[i], sigma[j])))) == c
                     for (i, j), c in col.edge.items()))
 
 
-def automorphisms(lg: LabeledGraph, limit: int = 10 ** 6) -> PermutationSet:
+def automorphisms(col: Coloring, limit: int = 10 ** 6) -> PermutationSet:
     """The group of color-preserving automorphisms, found as generators.
 
     A first path of individualizations (lowest vertex of the smallest
@@ -221,11 +217,13 @@ def automorphisms(lg: LabeledGraph, limit: int = 10 ** 6) -> PermutationSet:
     in ascending order, so the group is deterministic.  ``limit`` caps
     the group order, checked before any member is built.
     """
-    n = lg.graph.n
+    n = col.n
     if n > MAX_VERTICES:
         raise LimitExceeded(f"graph has {n} > {MAX_VERTICES} vertices")
-    neighbors = _neighbor_table(lg)
-    path = [_refine(n, neighbors, lg.coloring.vertex)]
+    if not all(0 <= i < j < n for i, j in col.edge):
+        raise DomainMismatch(f"edge keys must be pairs (i, j) with 0 <= i < j < {n}")
+    neighbors = _neighbor_table(col)
+    path = [_refine(n, neighbors, col.vertex)]
     base = []
     while len(set(path[-1])) < n:
         sizes = Counter(path[-1])
@@ -239,7 +237,7 @@ def automorphisms(lg: LabeledGraph, limit: int = 10 ** 6) -> PermutationSet:
         if depth == len(base):
             where = {c: w for w, c in enumerate(tgt)}
             sigma = tuple(where[c] for c in path[-1])
-            if _preserves(lg, sigma):
+            if _preserves(col, sigma):
                 yield sigma
             return
         for w in range(n):
@@ -268,7 +266,6 @@ def orbits(group, graph: EdgeGraph):
             tuple(tuple(orbit) for orbit in col.edge_classes()))
 
 
-def uncolored(graph: EdgeGraph) -> LabeledGraph:
+def uncolored(graph: EdgeGraph) -> Coloring:
     """The graph with a single vertex color and a single edge color."""
-    col = Coloring(vertex=(0,) * graph.n, edge={e: 0 for e in graph.edges})
-    return LabeledGraph(graph, col)
+    return Coloring(vertex=(0,) * graph.n, edge={e: 0 for e in graph.edges})

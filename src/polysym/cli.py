@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .autgroup import automorphisms, uncolored
-from .colorings import LabeledGraph, orbit_coloring
+from .colorings import Coloring, orbit_coloring
 from .config import Tolerances
 from .errors import (
     LimitExceeded,
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .geometry import EdgeGraph, edge_graph, load_polytope
 from .izmestiev import izmestiev_matrix_fd, load_matrix_dump, verify_properties
-from .oracle import SYM_LIMIT, Embedding, brute_force_group, embedding_group
+from .oracle import SYM_LIMIT, brute_force_group, embedding_group
 from .reconstruct import (
     build_artifacts,
     eigenspace_criterion,
@@ -143,7 +143,7 @@ def cmd_validate(args) -> int:
     eig_ok, lam, residual = eigenspace_criterion(mat.entries, poly.phi, tol)
     fd_doc: dict = {"step": tol.fd_step}
     try:
-        fd = izmestiev_matrix_fd(poly, tol=tol, graph=art.graph)
+        fd = izmestiev_matrix_fd(poly, art.graph, tol)
         diff = float(np.max(np.abs(fd.entries - mat.entries)))
         fd_doc.update({"max_abs_diff": diff, "ok": diff <= tol.fd_check})
     except PolysymError as exc:
@@ -177,21 +177,20 @@ def _load_embedding(args):
             isinstance(e, list) and len(e) == 2 and e[0] != e[1]
             and all(type(x) is int and 0 <= x < n for x in e) for e in edges):
         raise ParseError(f"'edges' must be pairs of distinct vertex indices in 0..{n - 1}")
-    graph = EdgeGraph(n, tuple(map(tuple, edges)))
-    return Embedding(graph=graph, coordinates=coords), doc.get("name")
+    return EdgeGraph(n, tuple(map(tuple, edges))), coords, doc.get("name")
 
 
 def cmd_oracle(args) -> int:
     tol = _tolerances(args)
     graph_auts = args.candidates == "graph-auts"
     if args.embedding:
-        emb, name = _load_embedding(args)
-        if graph_auts and not emb.graph.edges:
+        graph, coords, name = _load_embedding(args)
+        if graph_auts and not graph.edges:
             sys.stderr.write("oracle: --candidates graph-auts needs an 'edges' key\n")
             return 64
-        cands = automorphisms(uncolored(emb.graph), limit=args.limit).perms if graph_auts else None
-        group = embedding_group(emb, candidates=cands, flavor=args.flavor, tol=tol)
-        echo = {"path": args.path, "name": name, "n_vertices": emb.graph.n, "embedding": True}
+        cands = automorphisms(uncolored(graph), limit=args.limit).perms if graph_auts else None
+        group = embedding_group(coords, candidates=cands, flavor=args.flavor, tol=tol)
+        echo = {"path": args.path, "name": name, "n_vertices": graph.n, "embedding": True}
     else:
         poly, tol = _load(args, args.path)
         cands = (automorphisms(uncolored(edge_graph(poly)), limit=args.limit).perms
@@ -242,10 +241,10 @@ def cmd_experiment_metric(args) -> int:
     art = build_artifacts(poly, tol)
     col = art.met_coloring
     if args.edge_only:
-        col = col.__class__(vertex=(0,) * poly.n, edge=dict(col.edge))
+        col = Coloring(vertex=(0,) * poly.n, edge=dict(col.edge))
     elif args.vertex_only:
-        col = col.__class__(vertex=col.vertex, edge={e: 0 for e in col.edge})
-    auts = automorphisms(LabeledGraph(art.graph, col), limit=args.limit)
+        col = Coloring(vertex=col.vertex, edge={e: 0 for e in col.edge})
+    auts = automorphisms(col, limit=args.limit)
     cands = (None if poly.n <= SYM_LIMIT
              else automorphisms(uncolored(art.graph), limit=args.limit).perms)
     reference = brute_force_group(poly.phi, candidates=cands, flavor="orthogonal", tol=tol)

@@ -15,17 +15,19 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainMismatch, NotAGroup
-from .geometry import EdgeGraph, Polytope, complete_graph
+from .geometry import EdgeGraph, Polytope
 from .izmestiev import IzmestievMatrix
 
 
 @dataclass(frozen=True, eq=False)
 class Coloring:
-    """Dense class ids on the vertices and edges of one graph.
+    """A colored graph: dense class ids on its vertices and edges.
 
-    ``vertex[i]`` is the class of vertex i; ``edge[(i, j)]`` (i < j) the
-    class of that edge.  ``vertex_reps``/``edge_reps`` optionally carry one
-    representative raw value per class, for reports.
+    The coloring is the colored graph itself: its vertices are 0..n-1 and
+    the keys of ``edge`` are its edges.  ``vertex[i]`` is the class of
+    vertex i; ``edge[(i, j)]`` (i < j) the class of that edge.
+    ``vertex_reps``/``edge_reps`` optionally carry one representative raw
+    value per class, for reports.
     """
 
     vertex: tuple[int, ...]
@@ -75,20 +77,6 @@ class Coloring:
             doc["min_class_gap"] = {"vertex": self.vertex_min_gap,
                                     "edge": self.edge_min_gap}
         return doc
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledGraph:
-    """A graph together with a coloring whose domain matches it."""
-
-    graph: EdgeGraph
-    coloring: Coloring
-
-    def __post_init__(self):
-        if self.coloring.n != self.graph.n:
-            raise DomainMismatch("coloring has wrong vertex count")
-        if set(self.coloring.edge) != set(self.graph.edges):
-            raise DomainMismatch("coloring edge domain differs from graph")
 
 
 def _gap_classes(values: np.ndarray, eps_rel: float):
@@ -184,7 +172,7 @@ def product_coloring(c1: Coloring, c2: Coloring) -> Coloring:
 
 
 def complete_metric(poly: Polytope, variant: str,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> LabeledGraph:
+                    tol: Tolerances = DEFAULT_TOLERANCES) -> Coloring:
     """Coloring of the complete graph K_n from a vertex Gram matrix.
 
     variant "orthogonal" uses phi.T @ phi (plain inner products); variant
@@ -202,7 +190,7 @@ def complete_metric(poly: Polytope, variant: str,
     n = poly.n
     vvals = [float(gram[i, i]) for i in range(n)]
     evals = {(i, j): float(gram[i, j]) for i, j in combinations(range(n), 2)}
-    return LabeledGraph(complete_graph(n), quantize(vvals, evals, tol))
+    return quantize(vvals, evals, tol)
 
 
 def orbit_coloring(graph: EdgeGraph, group) -> Coloring:
@@ -262,14 +250,13 @@ def is_finer(c1: Coloring, c2: Coloring) -> bool:
     return True
 
 
-def colored_adjacency(lg: LabeledGraph) -> np.ndarray:
+def colored_adjacency(col: Coloring) -> np.ndarray:
     """Integer matrix carrying quantized class ids, 0 on non-edges.
 
     Vertex ids go on the diagonal, edge ids (shifted into a disjoint
     range) off-diagonal, so equal matrix entries mean equal colors.
     """
-    col = lg.coloring
-    n = lg.graph.n
+    n = col.n
     a = np.zeros((n, n), dtype=int)
     for i in range(n):
         a[i, i] = col.vertex[i] + 1

@@ -272,7 +272,7 @@ def make_polytope(dim, vertices, name=None, tol: Tolerances = DEFAULT_TOLERANCES
 
 
 def load_polytope(source, tol: Tolerances = DEFAULT_TOLERANCES, recenter: bool = False) -> Polytope:
-    """Load a polytope from a JSON document, file path, or parsed dict.
+    """Load a polytope from a JSON file path or a parsed dict.
 
     Schema: {"name": str?, "dimension": int, "vertices": [[float,...],...]}.
     """
@@ -311,6 +311,12 @@ def load_polytope(source, tol: Tolerances = DEFAULT_TOLERANCES, recenter: bool =
 # ---------------------------------------------------------------------------
 # edge-graph, dual faces (from the facets validation found)
 
+def _is_edge(inc: np.ndarray, i: int, j: int) -> bool:
+    """{i, j} is an edge iff some facet holds both and those facets share no third vertex."""
+    both = inc[:, i] & inc[:, j]
+    return bool(both.any()) and int(inc[both].all(axis=0).sum()) == 2
+
+
 def edge_graph(poly: Polytope) -> EdgeGraph:
     """Edges are pairs whose smallest common face is the segment itself.
 
@@ -318,15 +324,8 @@ def edge_graph(poly: Polytope) -> EdgeGraph:
     vertices incident to every such facet are exactly {i, j}.
     """
     inc = poly.facets.incidence
-    edges = []
-    for i, j in combinations(range(poly.n), 2):
-        both = inc[:, i] & inc[:, j]
-        if not both.any():
-            continue
-        common = inc[both].all(axis=0)
-        if int(common.sum()) == 2:
-            edges.append((i, j))
-    graph = EdgeGraph(poly.n, tuple(edges))
+    edges = tuple((i, j) for i, j in combinations(range(poly.n), 2) if _is_edge(inc, i, j))
+    graph = EdgeGraph(poly.n, edges)
     if not graph.is_connected():
         raise DegenerateGeometry("edge-graph not connected")
     mindeg = min(graph.degree(i) for i in range(poly.n))
@@ -336,17 +335,17 @@ def edge_graph(poly: Polytope) -> EdgeGraph:
 
 
 def dual_edge_face(poly: Polytope, edge, tol: Tolerances = DEFAULT_TOLERANCES) -> DualFace:
-    """Dual face of an edge: the dual vertices shared by both endpoints."""
+    """Dual face of an edge: the dual vertices shared by both endpoints.
+
+    The dual face of {i, j} has dimension d - 2 exactly when {i, j} is an
+    edge; for any other pair it is empty or of dimension at most d - 3.
+    """
     i, j = sorted(edge)
-    both = poly.facets.incidence[:, i] & poly.facets.incidence[:, j]
-    points = poly.facets.normals[both]
-    if len(points) == 0:
-        raise DimensionMismatch(f"({i},{j}) is not an edge: no common facet")
-    eps = tol.geom(float(np.max(np.linalg.norm(points, axis=1))))
-    k = affine_rank(points, eps)
-    if k != poly.dim - 2:
+    inc = poly.facets.incidence
+    if not _is_edge(inc, i, j):
         raise DimensionMismatch(
-            f"dual face of edge ({i},{j}) has affine dimension {k}, expected {poly.dim - 2}")
+            f"({i},{j}) is not an edge: its dual face has dimension below {poly.dim - 2}")
+    points = poly.facets.normals[inc[:, i] & inc[:, j]]
     return DualFace(edge=(i, j), points=points, relvol=relative_volume(points, tol))
 
 

@@ -15,7 +15,7 @@ vol({x : <x, v_i> <= c_i}) at c = (1, ..., 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -70,20 +70,7 @@ class IzmestievPropertyReport:
                 and self.spectral_ok and self.kernel_ok and self.kernel_dim_ok)
 
     def to_json_dict(self) -> dict:
-        return {
-            "symmetric_ok": self.symmetric_ok,
-            "sign_ok": self.sign_ok,
-            "sparsity_ok": self.sparsity_ok,
-            "negative_eigenvalues": self.negative_eigenvalues,
-            "negative_multiplicity": self.negative_multiplicity,
-            "kernel_residual": self.kernel_residual,
-            "kernel_ok": self.kernel_ok,
-            "kernel_dim": self.kernel_dim,
-            "dim": self.dim,
-            "eig_threshold": self.eig_threshold,
-            "spectrum": list(self.spectrum),
-            "passed": self.passed,
-        }
+        return {**asdict(self), "spectrum": list(self.spectrum), "passed": self.passed}
 
 
 def izmestiev_matrix(poly: Polytope, graph: EdgeGraph,
@@ -118,25 +105,26 @@ def izmestiev_matrix(poly: Polytope, graph: EdgeGraph,
     return IzmestievMatrix(entries=entries, graph=graph)
 
 
-def izmestiev_matrix_fd(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES,
-                        graph: EdgeGraph | None = None) -> IzmestievMatrix:
+def izmestiev_matrix_fd(poly: Polytope, graph: EdgeGraph,
+                        tol: Tolerances = DEFAULT_TOLERANCES) -> IzmestievMatrix:
     """Finite-difference route: central second differences of the dual volume.
 
     Mixed entries use the 4-point stencil, diagonal ones the 3-point
-    stencil, around the all-ones offset vector; the result is symmetrized
-    by averaging.  Raw stencils are evaluated at steps h, h/2 and h/4 (h =
-    ``tol.fd_step``) and Richardson-combined pairwise, which cancels the
-    step-linear error a merely C^2 volume produces at non-simple dual
-    vertices; the two combined estimates must agree within the configured
-    check tolerance, otherwise a combinatorial flip of the shifted dual is
-    suspected.
+    stencil, around the all-ones offset vector; each mixed stencil fills
+    both (i, j) and (j, i), so the result is exactly symmetric.  ``graph``
+    labels the returned matrix.  Raw stencils are evaluated at steps h,
+    h/2 and h/4 (h = ``tol.fd_step``) and Richardson-combined pairwise,
+    which cancels the step-linear error a merely C^2 volume produces at
+    non-simple dual vertices; the two combined estimates must agree within
+    the configured check tolerance, otherwise a combinatorial flip of the
+    shifted dual is suspected.
     """
     n = poly.n
     vol = lambda c: volume_generalized_dual(poly, c, tol)
+    base = np.ones(n)
+    f0 = vol(base)
 
     def hessian(hh: float) -> np.ndarray:
-        base = np.ones(n)
-        f0 = vol(base)
         out = np.zeros((n, n))
         for i in range(n):
             ei = np.zeros(n)
@@ -149,7 +137,7 @@ def izmestiev_matrix_fd(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES,
             mixed = (vol(base + ei + ej) - vol(base + ei - ej)
                      - vol(base - ei + ej) + vol(base - ei - ej)) / (4.0 * hh ** 2)
             out[i, j] = out[j, i] = mixed
-        return -(out + out.T) / 2.0
+        return -out
 
     raw = [hessian(tol.fd_step / 2 ** k) for k in range(3)]
     combined = [2.0 * raw[k + 1] - raw[k] for k in range(2)]
@@ -158,13 +146,7 @@ def izmestiev_matrix_fd(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES,
         raise NumericalInstability(
             f"step-halving drift {drift:.3e} exceeds {tol.fd_check:.1e}; "
             "shifted dual changed combinatorics inside the stencil")
-    entries = combined[1]
-    if graph is None:
-        thresh = 10.0 * tol.fd_check
-        edges = [(i, j) for i, j in combinations(range(n), 2)
-                 if abs(entries[i, j]) > thresh]
-        graph = EdgeGraph(n, tuple(edges))
-    return IzmestievMatrix(entries=entries, graph=graph)
+    return IzmestievMatrix(entries=combined[1], graph=graph)
 
 
 def verify_properties(mat: IzmestievMatrix, poly: Polytope,

@@ -3,8 +3,8 @@
 Independent of the coloring pipeline: candidates (all of Sym(V), or a
 supplied set such as the uncolored graph automorphisms) are filtered by
 directly testing whether the unique linear candidate map permutes the
-point set.  Also evaluates arbitrary graph embeddings, which need not be
-polytopes at all.
+point set.  Also evaluates arbitrary point sets, such as graph
+embeddings, which need not be polytopes at all.
 """
 
 from __future__ import annotations
@@ -17,22 +17,9 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import TooManyCandidates
-from .geometry import EdgeGraph
 from .reconstruct import MatrixGroup, lift_and_check, pseudo_inverse
 
 SYM_LIMIT = 9  # full symmetric-group streams allowed up to 9! candidates
-
-
-@dataclass(frozen=True, eq=False)
-class Embedding:
-    """A simple graph drawn in R^d; no polytope validation applies."""
-
-    graph: EdgeGraph
-    coordinates: np.ndarray  # (n, d)
-
-    def __post_init__(self):
-        if self.coordinates.shape[0] != self.graph.n:
-            raise ValueError("coordinate count differs from vertex count")
 
 
 @dataclass(frozen=True)
@@ -43,16 +30,6 @@ class ComparisonReport:
     only_in_a: tuple
     only_in_b: tuple
     max_matrix_diff: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "equal": self.equal,
-            "order_a": self.order_a,
-            "order_b": self.order_b,
-            "only_in_a": [list(p) for p in self.only_in_a],
-            "only_in_b": [list(p) for p in self.only_in_b],
-            "max_matrix_diff": self.max_matrix_diff,
-        }
 
 
 def _accepted_stream(phi, candidates, flavor, tol, chunk=4096):
@@ -85,11 +62,10 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
     return MatrixGroup(pairs=pairs, flavor=flavor)
 
 
-def embedding_group(emb: Embedding, candidates=None, flavor: str = "linear",
+def embedding_group(coordinates, candidates=None, flavor: str = "linear",
                     tol: Tolerances = DEFAULT_TOLERANCES) -> MatrixGroup:
-    """Same filter for a graph embedding; restricts to the coordinate span first."""
-    coords = np.asarray(emb.coordinates, dtype=float)
-    phi = coords.T
+    """Same filter for any point set, one point per row; restricts to its span first."""
+    phi = np.asarray(coordinates, dtype=float).T
     d = phi.shape[0]
     u, s, _ = np.linalg.svd(phi, full_matrices=False)
     rank = int(np.sum(s > 1e-12 * max(s[0], 1.0)))

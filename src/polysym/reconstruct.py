@@ -16,7 +16,6 @@ import numpy as np
 from .autgroup import PermutationSet, automorphisms, compose
 from .colorings import (
     Coloring,
-    LabeledGraph,
     izmestiev_coloring,
     metric_coloring,
     product_coloring,
@@ -170,7 +169,7 @@ def build_artifacts(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES) -> Pip
 
 def _realize_group(art: PipelineArtifacts, coloring: Coloring, flavor: str,
                    tol: Tolerances, limit: int) -> MatrixGroup:
-    group = automorphisms(LabeledGraph(art.graph, coloring), limit=limit)
+    group = automorphisms(coloring, limit=limit)
     maps, ok, residuals = lift_and_check(art.poly.phi, group.perms, flavor, tol)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])

@@ -13,11 +13,11 @@ import pytest
 from conftest import random_invertible, random_orthogonal
 from polysym import make_polytope
 from polysym.autgroup import automorphisms, uncolored
-from polysym.colorings import LabeledGraph, complete_metric, orbit_coloring
+from polysym.colorings import complete_metric, orbit_coloring
 from polysym.errors import TheoremViolation
 from polysym.fixtures import FIXTURES, k44_coordinates, k44_graph
 from polysym.izmestiev import izmestiev_matrix_fd, verify_properties
-from polysym.oracle import Embedding, brute_force_group, compare_groups, embedding_group
+from polysym.oracle import brute_force_group, compare_groups, embedding_group
 from polysym.reconstruct import build_artifacts, linear_group, orthogonal_group
 
 GEOMETRIC_TOL = 1e-8
@@ -74,7 +74,7 @@ def test_criterion_1_closed_forms(artifacts):
             art = artifacts[name]
             geo = np.max(np.abs(art.matrix.entries - closed))
             assert geo <= GEOMETRIC_TOL, f"{name}: geometric path off by {geo:.2e}"
-            fd = izmestiev_matrix_fd(art.poly, graph=art.graph)
+            fd = izmestiev_matrix_fd(art.poly, art.graph)
             fd_err = np.max(np.abs(fd.entries - closed))
             assert fd_err <= FD_TOL, f"{name}: fd oracle off by {fd_err:.2e}"
 
@@ -128,8 +128,8 @@ def test_criterion_5_k44_embedding():
     with criterion(5, "K_{4,4} embedding: graph group not realizable"):
         graph_auts = automorphisms(uncolored(k44_graph()))
         assert graph_auts.order == 1152
-        emb = Embedding(k44_graph(), k44_coordinates())
-        realized = embedding_group(emb, candidates=graph_auts.perms, flavor="linear")
+        realized = embedding_group(k44_coordinates(), candidates=graph_auts.perms,
+                                   flavor="linear")
         assert realized.order < graph_auts.order
         assert (1, 0, 2, 3, 4, 5, 6, 7) not in realized.perm_set
 
@@ -146,8 +146,8 @@ def test_criterion_6_pipeline_oracle_consistency(artifacts, pipeline_groups, ora
             assert lin.perm_set == oracle_groups[name]["linear"].perm_set, name
             assert orth.perm_set == oracle_groups[name]["orthogonal"].perm_set, name
             # the graph automorphisms are exactly the realized permutations
-            izm_auts = automorphisms(LabeledGraph(art.graph, art.izm_coloring))
-            prod_auts = automorphisms(LabeledGraph(art.graph, art.prod_coloring))
+            izm_auts = automorphisms(art.izm_coloring)
+            prod_auts = automorphisms(art.prod_coloring)
             assert set(izm_auts.perms) == lin.perm_set, name
             assert set(prod_auts.perms) == orth.perm_set, name
 
@@ -158,7 +158,7 @@ def test_criterion_7_orbit_fixpoint(artifacts, pipeline_groups):
             art = artifacts[name]
             group = pipeline_groups[name]["linear"]
             recolored = orbit_coloring(art.graph, group.permutations())
-            again = automorphisms(LabeledGraph(art.graph, recolored))
+            again = automorphisms(recolored)
             assert set(again.perms) == group.perm_set, name
 
 

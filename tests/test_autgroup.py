@@ -15,18 +15,17 @@ from polysym.autgroup import (
     perm_matrix,
     uncolored,
 )
-from polysym.colorings import LabeledGraph, colored_adjacency
-from polysym.errors import LimitExceeded, NotAGroup
+from polysym.colorings import Coloring, colored_adjacency
+from polysym.errors import DomainMismatch, LimitExceeded, NotAGroup
 from polysym.fixtures import k44_graph
 
 C4 = EdgeGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
 
 
-def brute_force_auts(lg):
+def brute_force_auts(col):
     """Exhaustive n! filter straight from the definition."""
-    n = lg.graph.n
-    col = lg.coloring
-    edges = lg.graph.edge_set
+    n = col.n
+    edges = set(col.edge)
     out = []
     for sigma in permutations(range(n)):
         if any(col.vertex[sigma[i]] != col.vertex[i] for i in range(n)):
@@ -101,13 +100,11 @@ class TestRefinement:
 
     def test_rectangle_metric_stays_single_class(self, artifacts):
         art = artifacts["rectangle"]
-        lg = LabeledGraph(art.graph, art.met_coloring)
-        assert color_refinement(lg) == (0, 0, 0, 0)
+        assert color_refinement(art.met_coloring) == (0, 0, 0, 0)
 
     def test_refines_input_coloring(self, artifacts):
         art = artifacts["rectangle"]
-        lg = LabeledGraph(art.graph, art.prod_coloring)
-        stable = color_refinement(lg)
+        stable = color_refinement(art.prod_coloring)
         for i in range(4):
             for j in range(4):
                 if stable[i] == stable[j]:
@@ -115,9 +112,8 @@ class TestRefinement:
 
     def test_soundness_orbits_refine_stable_classes(self, artifacts):
         for art in artifacts.values():
-            lg = LabeledGraph(art.graph, art.izm_coloring)
-            stable = color_refinement(lg)
-            group = automorphisms(lg)
+            stable = color_refinement(art.izm_coloring)
+            group = automorphisms(art.izm_coloring)
             vorbits, _ = orbits(group, art.graph)
             for orbit in vorbits:
                 assert len({stable[i] for i in orbit}) == 1
@@ -129,8 +125,7 @@ class TestAutomorphisms:
 
     def test_rectangle_metric_exactly_four(self, artifacts):
         art = artifacts["rectangle"]
-        lg = LabeledGraph(art.graph, art.met_coloring)
-        group = automorphisms(lg)
+        group = automorphisms(art.met_coloring)
         assert group.perms == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 
     def test_k44_order(self):
@@ -144,21 +139,19 @@ class TestAutomorphisms:
                      "perturbed_hexagon", "octahedron", "prism3"):
             art = artifacts[name]
             for col in (art.izm_coloring, art.met_coloring, art.prod_coloring):
-                lg = LabeledGraph(art.graph, col)
-                assert list(automorphisms(lg).perms) == brute_force_auts(lg), name
+                assert list(automorphisms(col).perms) == brute_force_auts(col), name
 
     def test_commutes_with_colored_adjacency(self, artifacts):
         for art in artifacts.values():
-            lg = LabeledGraph(art.graph, art.prod_coloring)
-            a = colored_adjacency(lg)
-            for sigma in automorphisms(lg):
+            a = colored_adjacency(art.prod_coloring)
+            for sigma in automorphisms(art.prod_coloring):
                 pi = perm_matrix(sigma)
                 assert np.array_equal(pi @ a, a @ pi)
 
     def test_deterministic(self, artifacts):
         art = artifacts["cube"]
-        lg = LabeledGraph(art.graph, art.izm_coloring)
-        assert automorphisms(lg).perms == automorphisms(lg).perms
+        col = art.izm_coloring
+        assert automorphisms(col).perms == automorphisms(col).perms
 
     def test_limit_exceeded(self):
         with pytest.raises(LimitExceeded):
@@ -168,6 +161,12 @@ class TestAutomorphisms:
         big = complete_graph(70)
         with pytest.raises(LimitExceeded):
             automorphisms(uncolored(big))
+
+    @pytest.mark.parametrize("key", [(1, 0), (0, 5)])
+    def test_edge_key_outside_domain(self, key):
+        # an unsorted key would fail every edge lookup, an out-of-range one the neighbor table
+        with pytest.raises(DomainMismatch):
+            automorphisms(Coloring(vertex=(0, 0, 0), edge={key: 0}))
 
 
 class TestOrbits:

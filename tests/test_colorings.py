@@ -8,7 +8,6 @@ from polysym import EdgeGraph, edge_graph, make_polytope
 from polysym.autgroup import automorphisms, uncolored
 from polysym.colorings import (
     Coloring,
-    LabeledGraph,
     complete_metric,
     is_finer,
     izmestiev_coloring,
@@ -136,32 +135,32 @@ class TestProductColoring:
 
     def test_aut_is_intersection(self, artifacts):
         for art in artifacts.values():
-            a1 = set(automorphisms(LabeledGraph(art.graph, art.izm_coloring)).perms)
-            a2 = set(automorphisms(LabeledGraph(art.graph, art.met_coloring)).perms)
-            ap = set(automorphisms(LabeledGraph(art.graph, art.prod_coloring)).perms)
+            a1 = set(automorphisms(art.izm_coloring).perms)
+            a2 = set(automorphisms(art.met_coloring).perms)
+            ap = set(automorphisms(art.prod_coloring).perms)
             assert ap == a1 & a2
 
 
 class TestCompleteMetric:
     def test_square_orthogonal_variant(self):
         from polysym.fixtures import square
-        lg = complete_metric(square(), "orthogonal")
+        col = complete_metric(square(), "orthogonal")
         # Gram: diag 2, adjacent 0, opposite -2
-        assert lg.coloring.num_vertex_classes == 1
-        assert lg.coloring.num_edge_classes == 2
-        assert lg.coloring.edge_reps == (-2.0, 0.0)
+        assert col.num_vertex_classes == 1
+        assert col.num_edge_classes == 2
+        assert col.edge_reps == (-2.0, 0.0)
 
     def test_square_linear_variant_same_partition(self):
         from polysym.fixtures import square
         orth = complete_metric(square(), "orthogonal")
         lin = complete_metric(square(), "linear")
-        assert partition(lin.coloring) == partition(orth.coloring)
+        assert partition(lin) == partition(orth)
 
     def test_linear_variant_gl_invariant(self):
         # projector phi^+ phi is unchanged under phi -> T phi
         from polysym.fixtures import rectangle, square
-        assert partition(complete_metric(rectangle(), "linear").coloring) == \
-            partition(complete_metric(square(), "linear").coloring)
+        assert partition(complete_metric(rectangle(), "linear")) == \
+            partition(complete_metric(square(), "linear"))
 
     def test_unknown_variant(self):
         from polysym.fixtures import square
@@ -202,7 +201,7 @@ class TestOrbitColoring:
             for builder in (linear_group, orthogonal_group):
                 group = builder(art.poly, artifacts=art)
                 col = orbit_coloring(art.graph, group.permutations())
-                again = automorphisms(LabeledGraph(art.graph, col))
+                again = automorphisms(col)
                 assert set(again.perms) == set(group.permutations())
 
 
@@ -216,8 +215,8 @@ class TestFiner:
             fine = art.prod_coloring
             for coarse in (art.izm_coloring, art.met_coloring):
                 assert is_finer(fine, coarse)
-                a_fine = set(automorphisms(LabeledGraph(art.graph, fine)).perms)
-                a_coarse = set(automorphisms(LabeledGraph(art.graph, coarse)).perms)
+                a_fine = set(automorphisms(fine).perms)
+                a_coarse = set(automorphisms(coarse).perms)
                 assert a_fine <= a_coarse
 
     def test_domain_mismatch(self, artifacts):

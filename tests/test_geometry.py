@@ -130,15 +130,31 @@ class TestFacets:
         assert len(calls) == 1
         assert art.poly.facets is poly.facets
 
-    def test_plane_frames_are_fits_of_incident_sets(self, polytopes):
+    def test_plane_frames_are_fits_of_incident_sets(self, polytopes, monkeypatch):
         rng = np.random.default_rng(5)
         clouds = [p.vertices for p in polytopes.values()]
         clouds += [rng.standard_normal((d + 5, d)) for d in (2, 3, 4)]
+        # five points within 3e-9 of a line, where the refit moves the incident set
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, 5)
+        bent = np.column_stack([x, -rng.uniform(0.2, 3, 5) * 1e-9 * x ** 2])
+        clouds.append(np.vstack([bent, [[0, -1], [0.3, -0.8]]]))
+        fit_sites = set()
+        fit = geometry._affine_basis
+
+        def traced(*args):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "supporting_hyperplanes":
+                fit_sites.add(caller.f_lineno)
+            return fit(*args)
+
+        monkeypatch.setattr(geometry, "_affine_basis", traced)
         for pts in clouds:
             d = pts.shape[1]
             for _, _, inc, (centroid, basis) in geometry.supporting_hyperplanes(pts, 1e-9):
-                c, _, vt = geometry._affine_basis(pts[inc], 1e-9)
+                c, _, vt = fit(pts[inc], 1e-9)
                 assert np.array_equal(c, centroid) and np.array_equal(vt[: d - 1], basis)
+        assert len(fit_sites) == 2  # the refit and the frame fit after a moved incident set
 
     def test_every_vertex_on_at_least_d_facets(self, polytopes):
         for poly in polytopes.values():
@@ -204,9 +220,10 @@ class TestDualFaces:
             assert face.relvol == pytest.approx(2.0, abs=1e-9)
 
     def test_non_edge_raises(self, artifacts):
-        art = artifacts["square"]
-        with pytest.raises(DimensionMismatch):
-            dual_edge_face(art.poly, (0, 2))
+        # the square's diagonal shares no facet; the cube's face diagonal shares one
+        for name, pair in (("square", (0, 2)), ("cube", (0, 3))):
+            with pytest.raises(DimensionMismatch):
+                dual_edge_face(artifacts[name].poly, pair)
 
 
 class TestRelativeVolume:

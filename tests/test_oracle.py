@@ -3,16 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from polysym import EdgeGraph
 from polysym.autgroup import automorphisms, uncolored
 from polysym.errors import TooManyCandidates
 from polysym.fixtures import k44_coordinates, k44_graph, simplex, square
-from polysym.oracle import (
-    Embedding,
-    brute_force_group,
-    compare_groups,
-    embedding_group,
-)
+from polysym.oracle import brute_force_group, compare_groups, embedding_group
 from polysym.reconstruct import linear_group, orthogonal_group
 
 
@@ -57,34 +51,26 @@ class TestBruteForce:
 
 class TestEmbedding:
     def test_k44_strictly_fewer_than_graph_auts(self):
-        emb = Embedding(k44_graph(), k44_coordinates())
         cands = automorphisms(uncolored(k44_graph())).perms
-        group = embedding_group(emb, candidates=cands, flavor="linear")
+        group = embedding_group(k44_coordinates(), candidates=cands, flavor="linear")
         assert len(cands) == 1152
         assert 0 < group.order < 1152
 
     def test_k44_transposition_rejected(self):
-        emb = Embedding(k44_graph(), k44_coordinates())
         cands = automorphisms(uncolored(k44_graph())).perms
-        group = embedding_group(emb, candidates=cands, flavor="linear")
+        group = embedding_group(k44_coordinates(), candidates=cands, flavor="linear")
         assert (1, 0, 2, 3, 4, 5, 6, 7) not in group.perm_set
         assert tuple(range(8)) in group.perm_set
 
     def test_square_as_embedding_matches_pipeline(self, artifacts):
         art = artifacts["square"]
-        emb = Embedding(art.graph, art.poly.vertices)
-        group = embedding_group(emb, flavor="linear")
+        group = embedding_group(art.poly.vertices, flavor="linear")
         assert group.perm_set == linear_group(art.poly, artifacts=art).perm_set
 
     def test_low_rank_coordinates_restricted_to_span(self):
         # square drawn in the z = 0 plane of R^3
         coords = np.hstack([square().vertices, np.zeros((4, 1))])
-        emb = Embedding(EdgeGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3))), coords)
-        assert embedding_group(emb, flavor="orthogonal").order == 8
-
-    def test_vertex_count_mismatch(self):
-        with pytest.raises(ValueError):
-            Embedding(k44_graph(), np.eye(3))
+        assert embedding_group(coords, flavor="orthogonal").order == 8
 
 
 class TestCompareGroups:

@@ -177,7 +177,7 @@ def test_wrong_coloring_raises_theorem_violation(artifacts):
     from polysym.reconstruct import _realize_group
     art = artifacts["perturbed_hexagon"]
     with pytest.raises(TheoremViolation):
-        _realize_group(art, uncolored(art.graph).coloring,
+        _realize_group(art, uncolored(art.graph),
                        "linear", __import__("polysym.config", fromlist=["x"]).DEFAULT_TOLERANCES,
                        10 ** 6)
 
