@@ -11,7 +11,6 @@ from .geometry import (
     EdgeGraph,
     FacetSystem,
     Polytope,
-    complete_graph,
     dual_edge_face,
     edge_graph,
     load_polytope,
@@ -33,5 +32,4 @@ __all__ = [
     "dual_edge_face",
     "relative_volume",
     "volume_generalized_dual",
-    "complete_graph",
 ]

@@ -20,7 +20,7 @@ from math import prod
 
 import numpy as np
 
-from .colorings import Coloring, orbit_coloring
+from .colorings import Coloring
 from .errors import DomainMismatch, LimitExceeded, NotAGroup
 from .geometry import EdgeGraph
 
@@ -39,13 +39,6 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 def invert(p: Perm) -> Perm:
     return tuple(np.argsort(p).tolist())
-
-
-def perm_matrix(p: Perm) -> np.ndarray:
-    n = len(p)
-    mat = np.zeros((n, n))
-    mat[list(p), range(n)] = 1.0
-    return mat
 
 
 class PermutationSet:
@@ -194,11 +187,6 @@ def _cert(colors: tuple) -> tuple:
     return tuple(sorted(Counter(colors).items()))
 
 
-def color_refinement(col: Coloring) -> tuple:
-    """Stable vertex partition of the colored graph (dense class ids)."""
-    return _refine(col.n, _neighbor_table(col), col.vertex)
-
-
 def _preserves(col: Coloring, sigma: Perm) -> bool:
     return (all(col.vertex[sigma[i]] == c for i, c in enumerate(col.vertex))
             and all(col.edge.get(tuple(sorted((sigma[i], sigma[j])))) == c
@@ -257,13 +245,6 @@ def automorphisms(col: Coloring, limit: int = 10 ** 6) -> PermutationSet:
             if group.order > limit:
                 raise LimitExceeded(f"group order exceeds limit {limit}")
     return group
-
-
-def orbits(group, graph: EdgeGraph):
-    """Vertex orbits and edge orbits of a permutation group, by min element."""
-    col = orbit_coloring(graph, group)
-    return (tuple(map(tuple, col.vertex_classes())),
-            tuple(tuple(orbit) for orbit in col.edge_classes()))
 
 
 def uncolored(graph: EdgeGraph) -> Coloring:

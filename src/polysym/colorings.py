@@ -233,34 +233,3 @@ def _orbit_ids(items, act, gens) -> list[int]:
                 parent[a] = b
     roots = {}
     return [roots.setdefault(find(x), len(roots)) for x in items]
-
-
-def is_finer(c1: Coloring, c2: Coloring) -> bool:
-    """True iff c1's classes refine c2's, on vertices and on edges."""
-    if c1.n != c2.n or set(c1.edge) != set(c2.edge):
-        raise DomainMismatch("colorings on different graphs")
-    vmap = {}
-    for a, b in zip(c1.vertex, c2.vertex):
-        if vmap.setdefault(a, b) != b:
-            return False
-    emap = {}
-    for e, a in c1.edge.items():
-        if emap.setdefault(a, c2.edge[e]) != c2.edge[e]:
-            return False
-    return True
-
-
-def colored_adjacency(col: Coloring) -> np.ndarray:
-    """Integer matrix carrying quantized class ids, 0 on non-edges.
-
-    Vertex ids go on the diagonal, edge ids (shifted into a disjoint
-    range) off-diagonal, so equal matrix entries mean equal colors.
-    """
-    n = col.n
-    a = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        a[i, i] = col.vertex[i] + 1
-    shift = col.num_vertex_classes + 1
-    for (i, j), c in col.edge.items():
-        a[i, j] = a[j, i] = c + shift
-    return a

@@ -1,10 +1,10 @@
 """Polytope ingestion, facet enumeration, edge-graph and dual-face geometry.
 
-Vertices are the single source of truth.  Everything else (facets, dual
-faces, volumes) is derived by brute force over d-subsets, which at desk
-scale (n <= ~20, d <= 6) is exact by construction and dependency-free.
-Each hull is searched once: validation finds the facets a ``Polytope``
-carries, and the volume recursion reuses each facet plane's fitted frame.
+Vertices are the single source of truth.  Validation finds the facets
+once, by a search over d-subsets, and the ``Polytope`` carries them.
+Every later face is read off the vertex-facet incidence, and volumes are
+summed bottom-up over that face lattice by the pyramid formula, each face
+once.
 """
 
 from __future__ import annotations
@@ -99,12 +99,6 @@ class EdgeGraph:
     def neighbors(self, i: int) -> list[int]:
         return list(self._adj[i])
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1.0
-        return a
-
     def degree(self, i: int) -> int:
         return len(self._adj[i])
 
@@ -120,10 +114,6 @@ class EdgeGraph:
                     seen.add(u)
                     stack.append(u)
         return len(seen) == self.n
-
-
-def complete_graph(n: int) -> EdgeGraph:
-    return EdgeGraph(n, tuple(combinations(range(n), 2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,15 +142,13 @@ def affine_rank(points: np.ndarray, eps: float) -> int:
 
 
 def supporting_hyperplanes(points: np.ndarray, eps: float):
-    """All facet hyperplanes of conv(points) in R^d (d >= 2), as (w, b, incident, frame).
+    """All facet hyperplanes of conv(points) in R^d (d >= 2), as (w, b, incident).
 
     w is the unit outward normal, <w, x> <= b holds for every point, and
-    ``incident`` flags the points with <w, x> = b up to eps.  ``frame`` is
-    (centroid, basis) of the incident points, the d-1 basis rows spanning
-    the plane.  Found by brute force over d-subsets (batched through
-    numpy); each plane is refit against its full incident set and
-    deduplicated by that set, so the result is complete and contains each
-    facet exactly once.
+    ``incident`` flags the points with <w, x> = b up to eps.  Found by
+    brute force over d-subsets (batched through numpy); each plane is
+    refit against its full incident set and deduplicated by that set, so
+    the result is complete and contains each facet exactly once.
     """
     pts = np.asarray(points, dtype=float)
     m, d = pts.shape
@@ -200,11 +188,7 @@ def supporting_hyperplanes(points: np.ndarray, eps: float):
             if np.all(v_fit <= b_fit + eps):
                 w, b = w_fit, b_fit
                 inc = v_fit >= b - eps
-        key = inc.tobytes()
-        if key not in planes:
-            if key != fit_key:  # the refit moved the incident set: fit the frame again
-                centroid, _, fvt = _affine_basis(pts[inc], eps)
-            planes[key] = (w, float(b), inc, (centroid, fvt[: d - 1]))
+        planes.setdefault(inc.tobytes(), (w, float(b), inc))
     if not planes:
         raise DegenerateGeometry("no supporting hyperplanes found (rank-deficient input?)")
     # deterministic order: by sorted incident set
@@ -227,23 +211,24 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
     if scale == 0.0:
         raise ValidationError("all vertices at the origin")
     eps = tol.geom(scale)
-    for i, j in combinations(range(n), 2):
-        if np.linalg.norm(vertices[i] - vertices[j]) <= eps:
-            raise ValidationError(f"duplicate vertices: {i} and {j}")
+    close = np.linalg.norm(vertices[:, None] - vertices[None], axis=2) <= eps
+    dup = np.argwhere(np.triu(close, 1))  # row-major: the lexicographically first pair leads
+    if len(dup):
+        raise ValidationError(f"duplicate vertices: {dup[0][0]} and {dup[0][1]}")
     if affine_rank(vertices, eps) < dim:
         raise ValidationError("not full-dimensional: vertices lie in a proper affine subspace")
     planes = supporting_hyperplanes(vertices, eps)
     # origin strictly interior: every facet plane at positive distance from 0
-    min_b = min(b for _, b, _, _ in planes)
+    min_b = min(b for _, b, _ in planes)
     if min_b <= eps:
         raise ValidationError("origin not interior")
     # every listed point must be extreme: its incident facet normals span R^d
     for i in range(n):
-        normals = np.array([w for w, _, inc, _ in planes if inc[i]])
+        normals = np.array([w for w, _, inc in planes if inc[i]])
         if len(normals) < dim or np.linalg.matrix_rank(normals, tol=1e-10) < dim:
             raise ValidationError(f"non-extreme point: vertex {i}")
     normals, incidences = [], []
-    for w, b, _, _ in planes:
+    for w, b, _ in planes:
         u = w / b
         vals = vertices @ u
         if np.any(vals > 1.0 + eps):
@@ -334,39 +319,91 @@ def edge_graph(poly: Polytope) -> EdgeGraph:
     return graph
 
 
-def dual_edge_face(poly: Polytope, edge, tol: Tolerances = DEFAULT_TOLERANCES) -> DualFace:
-    """Dual face of an edge: the dual vertices shared by both endpoints.
+def dual_edge_volumes(poly: Polytope, edges) -> list[float]:
+    """Relative volumes of the dual faces of ``edges``, each dual face evaluated once.
 
-    The dual face of {i, j} has dimension d - 2 exactly when {i, j} is an
-    edge; for any other pair it is empty or of dimension at most d - 3.
+    The dual face of {i, j} is conv of the facet normals whose facets hold
+    both i and j, a face of the polar dual.  The dual's planes are the
+    vertices of P at offset 1, and its incidence is the facet incidence
+    transposed.  The dual face has dimension d - 2 exactly when {i, j} is
+    an edge; for any other pair it is empty or of dimension at most d - 3.
     """
+    inc = poly.facets.incidence
+    vol = _lattice_volume(poly.facets.normals, poly.vertices, np.ones(poly.n), inc.T)
+    out = []
+    for i, j in map(sorted, edges):
+        if not _is_edge(inc, i, j):
+            raise DimensionMismatch(
+                f"({i},{j}) is not an edge: its dual face has dimension below {poly.dim - 2}")
+        out.append(vol(inc[:, i] & inc[:, j], poly.dim - 2))
+    return out
+
+
+def dual_edge_face(poly: Polytope, edge) -> DualFace:
+    """Dual face of an edge: the dual vertices shared by both endpoints, and its volume."""
     i, j = sorted(edge)
     inc = poly.facets.incidence
-    if not _is_edge(inc, i, j):
-        raise DimensionMismatch(
-            f"({i},{j}) is not an edge: its dual face has dimension below {poly.dim - 2}")
-    points = poly.facets.normals[inc[:, i] & inc[:, j]]
-    return DualFace(edge=(i, j), points=points, relvol=relative_volume(points, tol))
+    return DualFace(edge=(i, j), points=poly.facets.normals[inc[:, i] & inc[:, j]],
+                    relvol=dual_edge_volumes(poly, [(i, j)])[0])
 
 
 # ---------------------------------------------------------------------------
-# volumes
+# volumes, bottom-up over the face lattice
 
-def _dedupe_points(pts: np.ndarray, eps: float) -> np.ndarray:
-    kept: list[np.ndarray] = []
-    for p in pts:
-        if all(np.max(np.abs(p - q)) > eps for q in kept):
-            kept.append(p)
-    return np.array(kept)
+def _lattice_volume(points, normals, offsets, incidence):
+    """Memoized relative volumes of the faces of a polytope, read off its incidence.
+
+    The polytope is conv(``points``) = {x : <normals[j], x> <= offsets[j]},
+    and ``incidence[j, p]`` flags point p on plane j.  The returned
+    ``vol(face, k)`` takes a face as a boolean mask over the points and its
+    dimension k.  A face's sub-faces are the inclusion-maximal non-empty
+    tight patterns of the planes not tight on the whole face, and
+    vol_k(Q) = (1/k) sum_R h_R vol_{k-1}(R) (Bueler, Enge & Fukuda 2000),
+    with h_R the distance from Q's vertex centroid c to R's plane inside
+    aff(Q): (b_j - <a_j, c>) over the length of a_j projected onto Q's
+    direction, the orthogonal complement of Q's tight normals.  Points,
+    segments and simplices are closed-form (Gram determinant).  Each face
+    is evaluated once per returned function, keyed by its point set.
+    """
+    d = points.shape[1]
+    memo: dict[bytes, float] = {}
+
+    def vol(face: np.ndarray, k: int) -> float:
+        key = face.tobytes()
+        if key in memo:
+            return memo[key]
+        pts = points[face]
+        if k == 0:
+            v = 1.0
+        elif len(pts) == k + 1:
+            rays = pts[1:] - pts[0]
+            v = float(np.sqrt(np.linalg.det(rays @ rays.T)) / np.prod(np.arange(1, k + 1)))
+        else:
+            tight = incidence[:, face].all(axis=1)
+            pats = incidence[~tight] & face
+            size = pats.sum(axis=1)
+            counts = pats.astype(float)
+            inside = counts @ counts.T == size[:, None]  # [r, s]: pattern r within pattern s
+            # non-empty, inclusion-maximal, and the first plane with its pattern
+            sub = (size > 0) & ~np.any(inside & (size > size[:, None]), axis=1) \
+                & ~np.any(np.tril(inside & inside.T, -1), axis=1)
+            a, b, pats = normals[~tight][sub], offsets[~tight][sub], pats[sub]
+            span = np.linalg.svd(normals[tight])[2][: d - k]  # orthonormal rows: the tight normals' span
+            h = (b - a @ pts.mean(axis=0)) / np.linalg.norm(a - (a @ span.T) @ span, axis=1)
+            v = sum(float(hr) * vol(r, k - 1) for hr, r in zip(h, pats)) / k
+        memo[key] = v
+        return v
+
+    return vol
 
 
 def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Volume of conv(points) measured inside its own affine hull.
 
     The set is mapped isometrically onto R^k (k = affine dimension) via an
-    orthonormal basis of the affine hull, then the full-dimensional volume
-    is computed by fan triangulation over the hull facets from the
-    centroid.  A single point has relative volume 1 by convention.
+    orthonormal basis of the affine hull.  One hyperplane search there
+    gives the facets, and the volume is summed over the face lattice they
+    cut out.  A single point has relative volume 1 by convention.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -376,33 +413,22 @@ def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     scale = float(np.max(np.abs(pts))) if pts.size else 1.0
     eps = tol.geom(max(scale, 1.0))
     centroid, k, vt = _affine_basis(pts, eps)
-    if k == 0:
-        return 1.0
     flat = (pts - centroid) @ vt[:k].T  # (m, k), isometric image, centred
-    return _hull_volume(flat, eps)
-
-
-def _hull_volume(flat: np.ndarray, eps: float) -> float:
-    """Full-dimensional hull volume of centred points in R^k."""
-    k = flat.shape[1]
-    if k == 1:
-        x = flat[:, 0]
-        return float(x.max() - x.min())
-    total = 0.0
-    for _, b, inc, (fc, basis) in supporting_hyperplanes(flat, eps):
-        # centroid is the origin, so b is its distance to the facet plane;
-        # the facet is projected in the frame its plane was fitted in
-        total += b * _hull_volume((flat[inc] - fc) @ basis.T, eps) / k
-    return float(total)
+    if k <= 1:
+        return 1.0 if k == 0 else float(np.ptp(flat))
+    w, b, inc = map(np.array, zip(*supporting_hyperplanes(flat, eps)))
+    return _lattice_volume(flat, w, b, inc)(np.ones(len(flat), dtype=bool), k)
 
 
 def volume_generalized_dual(poly: Polytope, c, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Volume of {x : <x, v_i> <= c_i}, the dual with facets shifted by c.
 
     Vertex-enumerates the region by intersecting all d-subsets of the n
-    constraint hyperplanes and keeping feasible intersection points.  The
-    offsets must stay in the trust region |c_i - 1| <= ``tol.dual_trust``
-    so the region stays bounded and combinatorially tame.
+    constraint hyperplanes and keeping feasible intersection points, each
+    tagged with the constraints tight at it; the volume is summed over the
+    face lattice those tags give.  The offsets must stay in the trust
+    region |c_i - 1| <= ``tol.dual_trust`` so the region stays bounded and
+    combinatorially tame.
     """
     c = np.asarray(c, dtype=float)
     n, d = poly.n, poly.dim
@@ -421,11 +447,13 @@ def volume_generalized_dual(poly: Polytope, c, tol: Tolerances = DEFAULT_TOLERAN
     if not ok.any():
         raise Unbounded("no non-degenerate constraint intersections")
     sols = np.linalg.solve(mats[ok], rhs[ok][..., None])[..., 0]  # (m', d)
-    feas = np.all(verts @ sols.T <= (c[:, None] + eps), axis=0)
-    candidates = sols[feas]
-    if len(candidates) == 0:
+    vals = verts @ sols.T                                         # (n, m')
+    feas = np.all(vals <= c[:, None] + eps, axis=0)
+    if not feas.any():
         raise Unbounded("no feasible vertices (offsets outside trust region?)")
-    points = _dedupe_points(candidates, eps)
+    # a vertex is known by its tight constraints: keep one solve per tight set
+    tight, first = np.unique(vals[:, feas] >= c[:, None] - eps, axis=1, return_index=True)
+    points = sols[feas][first]
     if affine_rank(points, eps) != d:
         raise Unbounded("dual vertex set is not full-dimensional")
-    return relative_volume(points, tol)
+    return _lattice_volume(points, verts, c, tight)(np.ones(len(points), dtype=bool), d)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import KernelResidual, NumericalInstability, ParseError, SingularAngle
-from .geometry import EdgeGraph, Polytope, dual_edge_face, volume_generalized_dual
+from .geometry import EdgeGraph, Polytope, dual_edge_volumes, volume_generalized_dual
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,20 +79,20 @@ def izmestiev_matrix(poly: Polytope, graph: EdgeGraph,
 
     For an edge ij the entry is -vol(f_ij) / sqrt(|v_i|^2 |v_j|^2 - <v_i,v_j>^2)
     with f_ij the dual face of the edge; the Gram root is |v_i||v_j| sin of
-    the angle at the origin.  Diagonal entries are solved row-wise from the
+    the angle at the origin.  All dual-face volumes come from one pass over
+    the dual's face lattice.  Diagonal entries are solved row-wise from the
     kernel condition and the full residual is checked afterwards.
     """
     n = poly.n
     verts = poly.vertices
     entries = np.zeros((n, n))
     scale = poly.scale
-    for i, j in graph.edges:
+    for (i, j), relvol in zip(graph.edges, dual_edge_volumes(poly, graph.edges)):
         gram = float(verts[i] @ verts[i]) * float(verts[j] @ verts[j]) \
             - float(verts[i] @ verts[j]) ** 2
         if gram <= (tol.geom(scale) * scale) ** 2:
             raise SingularAngle(f"vertices {i} and {j} are collinear with the origin")
-        face = dual_edge_face(poly, (i, j), tol)
-        entries[i, j] = entries[j, i] = -face.relvol / np.sqrt(gram)
+        entries[i, j] = entries[j, i] = -relvol / np.sqrt(gram)
     for i in range(n):
         nbr = graph.neighbors(i)
         entries[i, i] = -sum(entries[i, j] * float(verts[j] @ verts[i]) for j in nbr) \

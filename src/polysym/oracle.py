@@ -9,7 +9,6 @@ embeddings, which need not be polytopes at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, permutations
 from math import factorial
 
@@ -20,16 +19,6 @@ from .errors import TooManyCandidates
 from .reconstruct import MatrixGroup, lift_and_check, pseudo_inverse
 
 SYM_LIMIT = 9  # full symmetric-group streams allowed up to 9! candidates
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    equal: bool
-    order_a: int
-    order_b: int
-    only_in_a: tuple
-    only_in_b: tuple
-    max_matrix_diff: float
 
 
 def _accepted_stream(phi, candidates, flavor, tol, chunk=4096):
@@ -73,20 +62,3 @@ def embedding_group(coordinates, candidates=None, flavor: str = "linear",
         phi = u[:, :rank].T @ phi
     return brute_force_group(phi, candidates=candidates, flavor=flavor, tol=tol)
 
-
-def compare_groups(a: MatrixGroup, b: MatrixGroup,
-                   tol: Tolerances = DEFAULT_TOLERANCES) -> ComparisonReport:
-    """Set comparison of the permutation parts plus matrix agreement on overlap."""
-    pa, pb = a.perm_set, b.perm_set
-    shared = pa & pb
-    diff = 0.0
-    for p in shared:
-        diff = max(diff, float(np.max(np.abs(a.matrix_for(p) - b.matrix_for(p)))))
-    return ComparisonReport(
-        equal=(pa == pb),
-        order_a=a.order,
-        order_b=b.order,
-        only_in_a=tuple(sorted(pa - pb)),
-        only_in_b=tuple(sorted(pb - pa)),
-        max_matrix_diff=diff,
-    )

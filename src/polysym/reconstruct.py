@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .autgroup import PermutationSet, automorphisms, compose
+from .autgroup import PermutationSet, automorphisms
 from .colorings import (
     Coloring,
     izmestiev_coloring,
@@ -82,28 +82,15 @@ def pseudo_inverse(phi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.
     return pinv
 
 
-def linear_map_from_perm(phi: np.ndarray, perm) -> np.ndarray:
-    """The candidate map sending vertex j to vertex perm[j] on the whole space."""
-    return lift_and_check(phi, [perm], "linear")[0][0]
-
-
-def check_realizes(t: np.ndarray, perm, phi: np.ndarray, eps: float) -> bool:
-    """True iff t maps every vertex j onto vertex perm[j], relatively to its norm."""
-    perm = [int(x) for x in perm]
-    target = phi[:, perm]
-    err = np.linalg.norm(t @ phi - target, axis=0)
-    norms = np.linalg.norm(target, axis=0)
-    return bool(np.all(err <= eps * norms))
-
-
 def lift_and_check(phi: np.ndarray, perms, flavor: str,
                    tol: Tolerances = DEFAULT_TOLERANCES, pinv: np.ndarray | None = None):
     """Lift permutations to their maps phi[:, perm] @ pinv(phi) in one batch, and check them.
 
-    Returns (maps, ok, residuals): maps is (k, d, d); ok[i] is check_realizes
-    at ``tol.match`` (and, for the orthogonal flavor, check_orthogonal at
-    ``tol.orth``) of map i; residuals["match"] (and ["orth"]) hold each
-    map's worst residual, relative like its tolerance.
+    Returns (maps, ok, residuals): maps is (k, d, d); ok[i] says that map i
+    sends every vertex j to vertex perm[j] within ``tol.match`` of that
+    vertex's norm (and, for the orthogonal flavor, passes check_orthogonal
+    at ``tol.orth``); residuals["match"] (and ["orth"]) hold each map's
+    worst residual, relative like its tolerance.
     """
     phi = np.asarray(phi, dtype=float)
     d, n = phi.shape
@@ -200,9 +187,3 @@ def orthogonal_group(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES,
     art = artifacts or build_artifacts(poly, tol)
     return _realize_group(art, art.prod_coloring, "orthogonal", tol, limit)
 
-
-def verify_homomorphism(group: MatrixGroup, eps: float) -> bool:
-    """Check t(p) @ t(q) == t(p*q) for all pairs; the perm map is injective."""
-    lookup = group._lookup
-    return all((r := compose(p, q)) in lookup and np.max(np.abs(tp @ tq - lookup[r])) <= eps
-               for p, tp in group.pairs for q, tq in group.pairs)

@@ -1,0 +1,160 @@
+"""Test-only helpers: checks and views that no pipeline stage needs.
+
+Each one is a definition-level restatement of something the package does
+in bulk (lifting, group membership, orbits, refinement), kept here so the
+tests can compare the two.
+"""
+
+from __future__ import annotations
+
+import inspect
+from dataclasses import dataclass
+from itertools import combinations, product
+
+import numpy as np
+
+from polysym.autgroup import _neighbor_table, _refine, compose
+from polysym.colorings import Coloring, orbit_coloring
+from polysym.errors import DomainMismatch, ValidationError
+from polysym.geometry import EdgeGraph, Polytope, make_polytope
+from polysym.reconstruct import MatrixGroup, lift_and_check
+
+
+# ---------------------------------------------------------------------------
+# graphs and permutations
+
+def complete_graph(n: int) -> EdgeGraph:
+    return EdgeGraph(n, tuple(combinations(range(n), 2)))
+
+
+def adjacency(graph: EdgeGraph) -> np.ndarray:
+    a = np.zeros((graph.n, graph.n))
+    for i, j in graph.edges:
+        a[i, j] = a[j, i] = 1.0
+    return a
+
+
+def perm_matrix(p) -> np.ndarray:
+    """1 in row p[j], column j: column j of phi @ Pi is vertex p[j]."""
+    n = len(p)
+    mat = np.zeros((n, n))
+    mat[list(p), range(n)] = 1.0
+    return mat
+
+
+def orbits(group, graph: EdgeGraph):
+    """Vertex orbits and edge orbits of a permutation group, by min element."""
+    col = orbit_coloring(graph, group)
+    return (tuple(map(tuple, col.vertex_classes())),
+            tuple(tuple(orbit) for orbit in col.edge_classes()))
+
+
+# ---------------------------------------------------------------------------
+# colorings
+
+def color_refinement(col: Coloring) -> tuple:
+    """Stable vertex partition of the colored graph (dense class ids)."""
+    return _refine(col.n, _neighbor_table(col), col.vertex)
+
+
+def is_finer(c1: Coloring, c2: Coloring) -> bool:
+    """True iff c1's classes refine c2's, on vertices and on edges."""
+    if c1.n != c2.n or set(c1.edge) != set(c2.edge):
+        raise DomainMismatch("colorings on different graphs")
+    vmap = {}
+    for a, b in zip(c1.vertex, c2.vertex):
+        if vmap.setdefault(a, b) != b:
+            return False
+    emap = {}
+    for e, a in c1.edge.items():
+        if emap.setdefault(a, c2.edge[e]) != c2.edge[e]:
+            return False
+    return True
+
+
+def colored_adjacency(col: Coloring) -> np.ndarray:
+    """Integer matrix carrying class ids: vertex ids on the diagonal, edge ids shifted apart."""
+    n = col.n
+    a = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        a[i, i] = col.vertex[i] + 1
+    shift = col.num_vertex_classes + 1
+    for (i, j), c in col.edge.items():
+        a[i, j] = a[j, i] = c + shift
+    return a
+
+
+# ---------------------------------------------------------------------------
+# lifted maps and matrix groups
+
+def linear_map_from_perm(phi: np.ndarray, perm) -> np.ndarray:
+    """The candidate map sending vertex j to vertex perm[j] on the whole space."""
+    return lift_and_check(phi, [perm], "linear")[0][0]
+
+
+def check_realizes(t: np.ndarray, perm, phi: np.ndarray, eps: float) -> bool:
+    """True iff t maps every vertex j onto vertex perm[j], relatively to its norm."""
+    target = phi[:, [int(x) for x in perm]]
+    err = np.linalg.norm(t @ phi - target, axis=0)
+    return bool(np.all(err <= eps * np.linalg.norm(target, axis=0)))
+
+
+def verify_homomorphism(group: MatrixGroup, eps: float) -> bool:
+    """Check t(p) @ t(q) == t(p*q) for all pairs; the perm map is injective."""
+    members = group.perm_set
+    return all((r := compose(p, q)) in members
+               and np.max(np.abs(tp @ tq - group.matrix_for(r))) <= eps
+               for p, tp in group.pairs for q, tq in group.pairs)
+
+
+@dataclass(frozen=True)
+class ComparisonReport:
+    equal: bool
+    order_a: int
+    order_b: int
+    only_in_a: tuple
+    only_in_b: tuple
+    max_matrix_diff: float
+
+
+def compare_groups(a: MatrixGroup, b: MatrixGroup) -> ComparisonReport:
+    """Set comparison of the permutation parts plus matrix agreement on overlap."""
+    pa, pb = a.perm_set, b.perm_set
+    diff = max((float(np.max(np.abs(a.matrix_for(p) - b.matrix_for(p)))) for p in pa & pb),
+               default=0.0)
+    return ComparisonReport(
+        equal=(pa == pb),
+        order_a=a.order,
+        order_b=b.order,
+        only_in_a=tuple(sorted(pa - pb)),
+        only_in_b=tuple(sorted(pb - pa)),
+        max_matrix_diff=diff,
+    )
+
+
+# ---------------------------------------------------------------------------
+# polytopes beyond the fixtures, and the face lattice
+
+def cross_polytope(d: int) -> Polytope:
+    e = np.eye(d)
+    return make_polytope(d, np.vstack([e, -e]), name=f"cross{d}")
+
+
+def hypercube(d: int) -> Polytope:
+    return make_polytope(d, np.array(list(product((1.0, -1.0), repeat=d))), name=f"cube{d}")
+
+
+def sphere_polytope(n: int, d: int, seed: int) -> Polytope:
+    """n uniform points on the unit sphere in R^d, redrawn until they validate as a polytope."""
+    rng = np.random.default_rng(seed)
+    while True:
+        pts = rng.standard_normal((n, d))
+        try:
+            return make_polytope(d, pts / np.linalg.norm(pts, axis=1, keepdims=True))
+        except ValidationError:
+            continue
+
+
+def lattice_faces(vol) -> dict:
+    """The memo of a volume function returned by ``geometry._lattice_volume``: face -> volume."""
+    return inspect.getclosurevars(vol).nonlocals["memo"]

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import random_invertible, random_orthogonal
+from helpers import adjacency, compare_groups
 from polysym import make_polytope
 from polysym.autgroup import automorphisms, uncolored
 from polysym.colorings import complete_metric, orbit_coloring
 from polysym.errors import TheoremViolation
 from polysym.fixtures import FIXTURES, k44_coordinates, k44_graph
 from polysym.izmestiev import izmestiev_matrix_fd, verify_properties
-from polysym.oracle import brute_force_group, compare_groups, embedding_group
+from polysym.oracle import brute_force_group, embedding_group
 from polysym.reconstruct import build_artifacts, linear_group, orthogonal_group
 
 GEOMETRIC_TOL = 1e-8
@@ -67,8 +68,8 @@ def test_criterion_1_closed_forms(artifacts):
     with criterion(1, "matrix closed forms, geometric and finite-difference"):
         expected = {
             "triangle": -(2.0 / math.sqrt(3.0)) * np.ones((3, 3)),
-            "square": -0.5 * artifacts["square"].graph.adjacency(),
-            "cube": 0.5 * (np.eye(8) - artifacts["cube"].graph.adjacency()),
+            "square": -0.5 * adjacency(artifacts["square"].graph),
+            "cube": 0.5 * (np.eye(8) - adjacency(artifacts["cube"].graph)),
         }
         for name, closed in expected.items():
             art = artifacts[name]

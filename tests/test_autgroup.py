@@ -3,19 +3,17 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from polysym import EdgeGraph, complete_graph
+from helpers import color_refinement, colored_adjacency, complete_graph, orbits, perm_matrix
+from polysym import EdgeGraph
 from polysym.autgroup import (
     PermutationSet,
     automorphisms,
-    color_refinement,
     compose,
     identity_perm,
     invert,
-    orbits,
-    perm_matrix,
     uncolored,
 )
-from polysym.colorings import Coloring, colored_adjacency
+from polysym.colorings import Coloring
 from polysym.errors import DomainMismatch, LimitExceeded, NotAGroup
 from polysym.fixtures import k44_graph
 

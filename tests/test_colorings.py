@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_invertible
+from helpers import is_finer
 from polysym import EdgeGraph, edge_graph, make_polytope
 from polysym.autgroup import automorphisms, uncolored
 from polysym.colorings import (
     Coloring,
     complete_metric,
-    is_finer,
     izmestiev_coloring,
     metric_coloring,
     orbit_coloring,

@@ -1,14 +1,17 @@
 import json
 import math
-import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from helpers import cross_polytope, hypercube, lattice_faces, sphere_polytope
 from polysym import (
+    DEFAULT_TOLERANCES,
     EdgeGraph,
     dual_edge_face,
+    edge_graph,
     geometry,
     load_polytope,
     make_polytope,
@@ -17,7 +20,18 @@ from polysym import (
 )
 from polysym.errors import DimensionMismatch, ParseError, Unbounded, ValidationError
 from polysym.fixtures import FIXTURES, cube, hexagon, octahedron, square, triangle
+from polysym.izmestiev import izmestiev_matrix
 from polysym.reconstruct import build_artifacts
+
+# polytopes beyond the fixtures, up to d = 6, built on demand
+LADDER = {
+    "cube4": lambda: hypercube(4),
+    "cross4": lambda: cross_polytope(4),
+    "cross5": lambda: cross_polytope(5),
+    "cross6": lambda: cross_polytope(6),
+    "sphere16_5": lambda: sphere_polytope(16, 5, seed=0),
+    "sphere12_6": lambda: sphere_polytope(12, 6, seed=0),
+}
 
 SQUARE_DOC = {"name": "square", "dimension": 2,
               "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}
@@ -54,6 +68,11 @@ class TestLoading:
     def test_duplicate_vertices(self):
         with pytest.raises(ValidationError, match="duplicate"):
             make_polytope(2, [[1, 1], [1, 1], [-1, -1], [1, -1]])
+
+    def test_duplicate_vertices_names_first_pair(self):
+        # pairs (0, 4) and (1, 3) repeat; (0, 4) comes first lexicographically
+        with pytest.raises(ValidationError, match="duplicate vertices: 0 and 4$"):
+            make_polytope(2, [[1, 1], [-1, 1], [-1, -1], [-1, 1], [1, 1], [1, -1]])
 
     def test_flat_point_set(self):
         with pytest.raises(ValidationError, match="full-dimensional"):
@@ -117,44 +136,18 @@ class TestFacets:
         assert np.allclose(radii, 2.0, atol=1e-9)
         assert any(np.allclose(u, [-2, 0], atol=1e-9) for u in facets.normals)
 
-    @pytest.mark.parametrize("name", [n for n in FIXTURES if FIXTURES[n]().dim <= 3])
+    @pytest.mark.parametrize("name", [*FIXTURES, "cross6"])
     def test_hull_searched_once(self, name, monkeypatch):
-        # validation finds the facets the pipeline uses; the dual edge faces of
-        # 2-D and 3-D polytopes are points or segments, which need no search
+        # validation finds the facets the pipeline uses; every dual edge face
+        # and its sub-faces are read off their incidence, with no search
         calls = []
         search = geometry.supporting_hyperplanes
         monkeypatch.setattr(geometry, "supporting_hyperplanes",
                             lambda *a, **k: calls.append(1) or search(*a, **k))
-        poly = FIXTURES[name]()
+        poly = {**FIXTURES, **LADDER}[name]()
         art = build_artifacts(poly)
         assert len(calls) == 1
         assert art.poly.facets is poly.facets
-
-    def test_plane_frames_are_fits_of_incident_sets(self, polytopes, monkeypatch):
-        rng = np.random.default_rng(5)
-        clouds = [p.vertices for p in polytopes.values()]
-        clouds += [rng.standard_normal((d + 5, d)) for d in (2, 3, 4)]
-        # five points within 3e-9 of a line, where the refit moves the incident set
-        rng = np.random.default_rng(3)
-        x = rng.uniform(-1, 1, 5)
-        bent = np.column_stack([x, -rng.uniform(0.2, 3, 5) * 1e-9 * x ** 2])
-        clouds.append(np.vstack([bent, [[0, -1], [0.3, -0.8]]]))
-        fit_sites = set()
-        fit = geometry._affine_basis
-
-        def traced(*args):
-            caller = sys._getframe(1)
-            if caller.f_code.co_name == "supporting_hyperplanes":
-                fit_sites.add(caller.f_lineno)
-            return fit(*args)
-
-        monkeypatch.setattr(geometry, "_affine_basis", traced)
-        for pts in clouds:
-            d = pts.shape[1]
-            for _, _, inc, (centroid, basis) in geometry.supporting_hyperplanes(pts, 1e-9):
-                c, _, vt = fit(pts[inc], 1e-9)
-                assert np.array_equal(c, centroid) and np.array_equal(vt[: d - 1], basis)
-        assert len(fit_sites) == 2  # the refit and the frame fit after a moved incident set
 
     def test_every_vertex_on_at_least_d_facets(self, polytopes):
         for poly in polytopes.values():
@@ -225,6 +218,42 @@ class TestDualFaces:
             with pytest.raises(DimensionMismatch):
                 dual_edge_face(artifacts[name].poly, pair)
 
+    @pytest.mark.parametrize("name", ["sphere12_6", "sphere16_5", "cross5", "cross6"])
+    def test_edge_volumes_match_qhull(self, name):
+        poly = LADDER[name]()
+        edges = edge_graph(poly).edges
+        inc = poly.facets.incidence
+        for (i, j), relvol in zip(edges, geometry.dual_edge_volumes(poly, edges)):
+            pts = poly.facets.normals[inc[:, i] & inc[:, j]]
+            centred = pts - pts.mean(axis=0)
+            flat = centred @ np.linalg.svd(centred)[2][: poly.dim - 2].T
+            assert relvol == pytest.approx(ConvexHull(flat).volume, rel=1e-9), (i, j)
+
+
+class TestFaceLattice:
+    """One memo per matrix, and each face of the dual above an edge evaluated once."""
+
+    @staticmethod
+    def faces_evaluated(poly, monkeypatch) -> int:
+        made = []
+        lattice = geometry._lattice_volume
+        monkeypatch.setattr(geometry, "_lattice_volume", lambda *a: made.append(lattice(*a)) or made[-1])
+        izmestiev_matrix(poly, edge_graph(poly))
+        assert len(made) == 1
+        return len(lattice_faces(made[0]))
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_cross_polytope(self, d, monkeypatch):
+        # the dual is the d-cube; the faces above an edge are its k-faces for
+        # 1 <= k <= d - 2, and segments are closed-form, so no vertex is reached
+        faces = sum(math.comb(d, k) * 2 ** (d - k) for k in range(1, d - 1))
+        assert faces == {4: 56, 6: 652}[d]
+        assert self.faces_evaluated(LADDER[f"cross{d}"](), monkeypatch) == faces
+
+    def test_hypercube_4(self, monkeypatch):
+        # the dual faces of the 32 edges are triangles of the 16-cell, closed-form simplices
+        assert self.faces_evaluated(LADDER["cube4"](), monkeypatch) == 32
+
 
 class TestRelativeVolume:
     def test_point_convention(self):
@@ -242,18 +271,16 @@ class TestRelativeVolume:
         pts = np.vstack([np.zeros(d), np.eye(d)])
         assert relative_volume(pts) == pytest.approx(1.0 / math.factorial(d), rel=1e-9)
 
-    def test_hull_volume_reuses_plane_frames(self, monkeypatch):
-        callers = []
-        fit = geometry._affine_basis
-
-        def traced(*args):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return fit(*args)
-
-        monkeypatch.setattr(geometry, "_affine_basis", traced)
+    def test_one_hyperplane_search(self, monkeypatch):
+        # the facets of the flattened set are searched once; every lower face
+        # is read off their incidence
+        calls = []
+        search = geometry.supporting_hyperplanes
+        monkeypatch.setattr(geometry, "supporting_hyperplanes",
+                            lambda *a, **k: calls.append(1) or search(*a, **k))
         pts = np.random.default_rng(3).standard_normal((9, 4))
         assert relative_volume(pts) == pytest.approx(ConvexHull(pts).volume, rel=1e-9)
-        assert "supporting_hyperplanes" in callers and "_hull_volume" not in callers
+        assert len(calls) == 1
 
     def test_isometry_invariance(self):
         from conftest import random_orthogonal
@@ -267,7 +294,7 @@ class TestRelativeVolume:
                 moved = pts @ q.T + shift
                 assert relative_volume(moved) == pytest.approx(base, rel=1e-8)
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_matches_qhull(self, d):
         rng = np.random.default_rng(11 + d)
         pts = rng.standard_normal((d + 6, d))
@@ -299,6 +326,24 @@ class TestGeneralizedDualVolume:
         base = volume_generalized_dual(poly, np.ones(6))
         scaled = volume_generalized_dual(poly, t * np.ones(6))
         assert scaled == pytest.approx(t ** 3 * base, rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["octahedron", "cube", "prism3", "simplex4", "cyclic4_6"])
+    def test_matches_qhull_at_shifted_offsets(self, polytopes, name):
+        # the feasible vertices found independently, by solving every d-subset
+        poly = polytopes[name]
+        n, d = poly.n, poly.dim
+        rng = np.random.default_rng(17)
+        trust = DEFAULT_TOLERANCES.dual_trust
+        for _ in range(3):
+            c = 1.0 + rng.uniform(-trust, trust, n)
+            pts = []
+            for s in map(list, combinations(range(n), d)):
+                if abs(np.linalg.det(poly.vertices[s])) > 1e-9:
+                    x = np.linalg.solve(poly.vertices[s], c[s])
+                    if np.all(poly.vertices @ x <= c + 1e-9):
+                        pts.append(x)
+            assert volume_generalized_dual(poly, c) == pytest.approx(
+                ConvexHull(pts).volume, rel=1e-9)
 
     def test_trust_region_enforced(self):
         with pytest.raises(Unbounded):

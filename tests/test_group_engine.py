@@ -7,7 +7,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from polysym import complete_graph, make_polytope
+from helpers import check_realizes, complete_graph
+from polysym import make_polytope
 from polysym.autgroup import (
     PermutationSet,
     automorphisms,
@@ -21,7 +22,6 @@ from polysym.oracle import brute_force_group
 from polysym.reconstruct import (
     build_artifacts,
     check_orthogonal,
-    check_realizes,
     lift_and_check,
     linear_group,
     orthogonal_group,

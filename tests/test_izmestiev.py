@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_invertible
+from helpers import adjacency, perm_matrix
 from polysym import DEFAULT_TOLERANCES, edge_graph, make_polytope
 from polysym.fixtures import cube, rectangle, square, triangle
 from polysym.izmestiev import (
@@ -21,7 +22,7 @@ FD_TOL = 1e-4
 
 def closed_form(name, graph):
     """Hand-derived matrices: entry formula plus the kernel condition."""
-    a = graph.adjacency()
+    a = adjacency(graph)
     n = graph.n
     if name == "triangle":
         # dual faces are points (vol 1), |v| = 1, sin 120 deg = sqrt(3)/2;
@@ -126,8 +127,6 @@ def test_gl_covariance(artifacts):
 @given(perm=st.permutations(list(range(4))))
 def test_permutation_equivariance(perm):
     # relabeling vertices conjugates the matrix by the permutation matrix
-    from polysym.autgroup import perm_matrix
-
     base = rectangle()
     m = izmestiev_matrix(base, edge_graph(base)).entries
     relabeled = make_polytope(2, base.vertices[list(perm)])

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import compare_groups
 from polysym.autgroup import automorphisms, uncolored
 from polysym.errors import TooManyCandidates
 from polysym.fixtures import k44_coordinates, k44_graph, simplex, square
-from polysym.oracle import brute_force_group, compare_groups, embedding_group
+from polysym.oracle import brute_force_group, embedding_group
 from polysym.reconstruct import linear_group, orthogonal_group
 
 

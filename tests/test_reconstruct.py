@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_invertible, random_orthogonal
+from helpers import check_realizes, linear_map_from_perm, verify_homomorphism
 from polysym import Tolerances, make_polytope
 from polysym.autgroup import compose, uncolored
 from polysym.errors import RankDeficient, TheoremViolation
@@ -9,13 +10,10 @@ from polysym.fixtures import k44_coordinates, rectangle, square, triangle
 from polysym.reconstruct import (
     build_artifacts,
     check_orthogonal,
-    check_realizes,
     eigenspace_criterion,
     linear_group,
-    linear_map_from_perm,
     orthogonal_group,
     pseudo_inverse,
-    verify_homomorphism,
 )
 
 
