@@ -170,8 +170,8 @@ def _load_embedding(args):
         coords = np.asarray(doc["vertices"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad embedding document: {exc!r}") from exc
-    if coords.ndim != 2 or coords.size == 0:
-        raise ParseError("'vertices' must be a non-empty list of equal-length numeric lists")
+    if coords.ndim != 2 or coords.size == 0 or not np.isfinite(coords).all():
+        raise ParseError("'vertices' must be a non-empty list of equal-length finite number lists")
     n, edges = len(coords), doc.get("edges", [])
     if not isinstance(edges, list) or not all(
             isinstance(e, list) and len(e) == 2 and e[0] != e[1]
@@ -248,7 +248,7 @@ def cmd_experiment_metric(args) -> int:
     cands = (None if poly.n <= SYM_LIMIT
              else automorphisms(uncolored(art.graph), limit=args.limit).perms)
     reference = brute_force_group(poly.phi, candidates=cands, flavor="orthogonal", tol=tol)
-    extra = sorted(set(auts.perms) - reference.perm_set)
+    extra = [p for p in auts.perms if p not in reference.perm_group]
     _emit({
         "input": _input_echo(args, args.path, poly),
         "variant": ("edge-only" if args.edge_only

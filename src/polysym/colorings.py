@@ -194,16 +194,10 @@ def complete_metric(poly: Polytope, variant: str,
 
 
 def orbit_coloring(graph: EdgeGraph, group) -> Coloring:
-    """Colors are the orbits of a permutation group acting on V and E.
+    """Colors are the orbits of a PermutationSet acting on V and E.
 
-    ``group`` is a PermutationSet or an iterable of permutations (image
-    arrays) that PermutationSet accepts as a whole group.  Its generators
-    must preserve the edge set.
+    The group's generators must preserve the edge set.
     """
-    from .autgroup import PermutationSet  # autgroup imports this module
-
-    if not isinstance(group, PermutationSet):
-        group = PermutationSet(group)
     if group.n != graph.n:
         raise NotAGroup(f"not a permutation group on 0..{graph.n - 1}")
     edge_set = graph.edge_set

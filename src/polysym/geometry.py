@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +128,9 @@ class DualFace:
 # ---------------------------------------------------------------------------
 # supporting hyperplanes (shared by validation, which finds the facets, and volumes)
 
+SUBSET_BLOCK = 1 << 15  # d-subsets per batch of the facet search; bounds its memory
+
+
 def _affine_basis(points: np.ndarray, eps: float):
     """Centred SVD of a point set: (centroid, singular values, V^T rows)."""
     centroid = points.mean(axis=0)
@@ -154,41 +157,41 @@ def supporting_hyperplanes(points: np.ndarray, eps: float):
     m, d = pts.shape
     if m < d + 1:
         raise DegenerateGeometry(f"need at least {d + 1} points in R^{d}, got {m}")
-    subsets = np.array(list(combinations(range(m), d)))
-    sub = pts[subsets]                                # (S, d, d)
-    diffs = sub[:, 1:, :] - sub[:, :1, :]             # (S, d-1, d)
-    _, s, vt = np.linalg.svd(diffs)
-    indep = s[:, -1] > 1e-12 * np.maximum(s[:, 0], 1.0)
-    normals = vt[indep][:, -1, :]                     # (S', d) nullspace dirs
-    offsets = np.einsum("sd,sd->s", normals, sub[indep][:, 0, :])
-    vals = normals @ pts.T                            # (S', m)
-    below = np.all(vals <= offsets[:, None] + eps, axis=1)
-    above = np.all(vals >= offsets[:, None] - eps, axis=1)
-    keep = below | above
-    normals, offsets, vals = normals[keep], offsets[keep], vals[keep]
-    flip = ~below[keep]
-    normals[flip] *= -1.0
-    offsets[flip] *= -1.0
-    vals[flip] *= -1.0
-    incident = vals >= offsets[:, None] - eps
     planes: dict[bytes, tuple] = {}
-    for idx in range(len(normals)):
-        w, b, inc = normals[idx], offsets[idx], incident[idx]
-        fit_key = inc.tobytes()
-        if fit_key in planes:
-            continue
-        # refit on the full incident set for a better-conditioned plane
-        centroid, rank, fvt = _affine_basis(pts[inc], eps)
-        if rank == d - 1:
-            w_fit = fvt[-1]
-            if w_fit @ w < 0:
-                w_fit = -w_fit
-            b_fit = float(w_fit @ centroid)
-            v_fit = pts @ w_fit
-            if np.all(v_fit <= b_fit + eps):
-                w, b = w_fit, b_fit
-                inc = v_fit >= b - eps
-        planes.setdefault(inc.tobytes(), (w, float(b), inc))
+    subsets = combinations(range(m), d)
+    # lexicographic blocks: the first subset to find a plane wins; kept planes are copies
+    while block := list(islice(subsets, SUBSET_BLOCK)):
+        sub = pts[np.array(block)]                    # (S, d, d)
+        diffs = sub[:, 1:, :] - sub[:, :1, :]         # (S, d-1, d)
+        _, s, vt = np.linalg.svd(diffs)
+        indep = s[:, -1] > 1e-12 * np.maximum(s[:, 0], 1.0)
+        normals = vt[indep][:, -1, :]                 # (S', d) nullspace dirs
+        offsets = np.einsum("sd,sd->s", normals, sub[indep][:, 0, :])
+        vals = normals @ pts.T                        # (S', m)
+        below = np.all(vals <= offsets[:, None] + eps, axis=1)
+        above = np.all(vals >= offsets[:, None] - eps, axis=1)
+        keep = below | above
+        normals, offsets, vals = normals[keep], offsets[keep], vals[keep]
+        flip = ~below[keep]
+        normals[flip] *= -1.0
+        offsets[flip] *= -1.0
+        vals[flip] *= -1.0
+        for w, b, inc in zip(normals, offsets, vals >= offsets[:, None] - eps):
+            fit_key = inc.tobytes()
+            if fit_key in planes:
+                continue
+            # refit on the full incident set for a better-conditioned plane
+            centroid, rank, fvt = _affine_basis(pts[inc], eps)
+            if rank == d - 1:
+                w_fit = fvt[-1]
+                if w_fit @ w < 0:
+                    w_fit = -w_fit
+                b_fit = float(w_fit @ centroid)
+                v_fit = pts @ w_fit
+                if np.all(v_fit <= b_fit + eps):
+                    w, b = w_fit, b_fit
+                    inc = v_fit >= b - eps
+            planes.setdefault(inc.tobytes(), (w.copy(), float(b), inc.copy()))
     if not planes:
         raise DegenerateGeometry("no supporting hyperplanes found (rank-deficient input?)")
     # deterministic order: by sorted incident set

@@ -193,4 +193,6 @@ def load_matrix_dump(doc: dict, graph: EdgeGraph) -> IzmestievMatrix:
     entries = np.asarray(doc["entries"], dtype=float)
     if entries.shape != (doc["n"], doc["n"]) or entries.shape[0] != graph.n:
         raise ValueError("matrix dump shape inconsistent with edge-graph")
+    if not np.isfinite(entries).all():
+        raise ParseError("matrix dump entries must be finite")
     return IzmestievMatrix(entries=entries, graph=graph)

@@ -14,21 +14,12 @@ from math import factorial
 
 import numpy as np
 
+from .autgroup import PermutationSet
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import TooManyCandidates
+from .errors import RankDeficient, TooManyCandidates
 from .reconstruct import MatrixGroup, lift_and_check, pseudo_inverse
 
 SYM_LIMIT = 9  # full symmetric-group streams allowed up to 9! candidates
-
-
-def _accepted_stream(phi, candidates, flavor, tol, chunk=4096):
-    """Yield (perm, map) for candidates realized by their unique linear map."""
-    pinv = pseudo_inverse(phi, tol)
-    it = iter(candidates)
-    while block := list(islice(it, chunk)):
-        maps, ok, _ = lift_and_check(phi, block, flavor, tol, pinv)
-        for idx in np.flatnonzero(ok):
-            yield tuple(int(x) for x in block[idx]), maps[idx]
 
 
 def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
@@ -38,6 +29,7 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
     With candidates=None the full symmetric group is streamed in
     lexicographic order (n <= 9 only).  phi must have full row rank, so
     for each sigma the candidate map is unique: sound and complete.
+    NotAGroup if the realized permutations are not closed.
     """
     phi = np.asarray(phi, dtype=float)
     n = phi.shape[1]
@@ -46,9 +38,12 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
             raise TooManyCandidates(
                 f"Sym({n}) has {factorial(n)} elements; supply candidates explicitly")
         candidates = permutations(range(n))
-    pairs = tuple(sorted(_accepted_stream(phi, candidates, flavor, tol),
-                         key=lambda pt: pt[0]))
-    return MatrixGroup(pairs=pairs, flavor=flavor)
+    pinv, accepted, it = pseudo_inverse(phi, tol), {}, iter(candidates)
+    while block := list(islice(it, 4096)):  # lift in batches, in bounded memory
+        maps, ok, _ = lift_and_check(phi, block, flavor, tol, pinv)
+        accepted.update((tuple(int(x) for x in block[i]), maps[i]) for i in np.flatnonzero(ok))
+    group = PermutationSet(accepted)
+    return MatrixGroup(group, np.array([accepted[p] for p in group.perms]), flavor)
 
 
 def embedding_group(coordinates, candidates=None, flavor: str = "linear",
@@ -58,6 +53,8 @@ def embedding_group(coordinates, candidates=None, flavor: str = "linear",
     d = phi.shape[0]
     u, s, _ = np.linalg.svd(phi, full_matrices=False)
     rank = int(np.sum(s > 1e-12 * max(s[0], 1.0)))
+    if rank == 0:
+        raise RankDeficient("the points span no direction")
     if rank < d:
         phi = u[:, :rank].T @ phi
     return brute_force_group(phi, candidates=candidates, flavor=flavor, tol=tol)

@@ -9,7 +9,6 @@ silent filtering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,44 +27,24 @@ from .izmestiev import IzmestievMatrix, izmestiev_matrix
 
 @dataclass(frozen=True, eq=False)
 class MatrixGroup:
-    """Permutations of the vertex set paired with the linear maps realizing them."""
+    """A permutation group of the vertex set and the linear maps realizing its members."""
 
-    pairs: tuple          # ((perm, d x d ndarray), ...) sorted by perm
+    perm_group: PermutationSet
+    maps: np.ndarray      # (order, d, d): maps[k] realizes perm_group.perms[k]
     flavor: str           # "linear" | "orthogonal"
-    perm_group: PermutationSet | None = None   # generators and chain, when the pipeline built it
 
     @property
     def order(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def perm_set(self) -> frozenset:
-        return frozenset(p for p, _ in self.pairs)
-
-    def permutations(self) -> tuple:
-        return tuple(p for p, _ in self.pairs)
-
-    @cached_property
-    def _lookup(self) -> dict:
-        return dict(self.pairs)
-
-    def matrix_for(self, perm) -> np.ndarray:
-        """The map realizing ``perm``; KeyError if perm is not a member."""
-        return self._lookup[tuple(perm)]
+        return self.perm_group.order
 
     def to_json_dict(self, tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
+        orthogonal = _orth_residuals(self.maps) <= tol.orth
         return {
             "flavor": self.flavor,
             "order": self.order,
             "tolerances": {"match": tol.match, "orth": tol.orth},
-            "members": [
-                {
-                    "perm": list(p),
-                    "matrix": t.tolist(),
-                    "orthogonal": bool(check_orthogonal(t, tol.orth)),
-                }
-                for p, t in self.pairs
-            ],
+            "members": [{"perm": list(p), "matrix": t.tolist(), "orthogonal": bool(o)}
+                        for p, t, o in zip(self.perm_group.perms, self.maps, orthogonal)],
         }
 
 
@@ -88,12 +67,12 @@ def lift_and_check(phi: np.ndarray, perms, flavor: str,
 
     Returns (maps, ok, residuals): maps is (k, d, d); ok[i] says that map i
     sends every vertex j to vertex perm[j] within ``tol.match`` of that
-    vertex's norm (and, for the orthogonal flavor, passes check_orthogonal
-    at ``tol.orth``); residuals["match"] (and ["orth"]) hold each map's
-    worst residual, relative like its tolerance.
+    vertex's norm (and, for the orthogonal flavor, that max|T^T T - I| is
+    at most ``tol.orth``); residuals["match"] (and ["orth"]) hold each
+    map's worst residual, relative like its tolerance.
     """
     phi = np.asarray(phi, dtype=float)
-    d, n = phi.shape
+    n = phi.shape[1]
     if pinv is None:
         pinv = pseudo_inverse(phi, tol)
     perms = np.asarray(perms, dtype=np.int64).reshape(-1, n)
@@ -105,13 +84,14 @@ def lift_and_check(phi: np.ndarray, perms, flavor: str,
     with np.errstate(divide="ignore", invalid="ignore"):   # an embedding may put a vertex at 0
         residuals = {"match": np.max(err / norms, axis=1)}
     if flavor == "orthogonal":
-        residuals["orth"] = np.max(np.abs(maps.transpose(0, 2, 1) @ maps - np.eye(d)), axis=(1, 2))
+        residuals["orth"] = _orth_residuals(maps)
         ok &= residuals["orth"] <= tol.orth
     return maps, ok, residuals
 
 
-def check_orthogonal(t: np.ndarray, eps: float) -> bool:
-    return bool(np.max(np.abs(t.T @ t - np.eye(t.shape[0]))) <= eps)
+def _orth_residuals(maps: np.ndarray) -> np.ndarray:
+    """max|T^T T - I| of each map in a (k, d, d) stack."""
+    return np.max(np.abs(maps.transpose(0, 2, 1) @ maps - np.eye(maps.shape[-1])), axis=(1, 2))
 
 
 def eigenspace_criterion(a: np.ndarray, phi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -169,7 +149,7 @@ def _realize_group(art: PipelineArtifacts, coloring: Coloring, flavor: str,
             diagnostic={"perm": sigma, "matrix": maps[i].tolist(), "polytope": art.poly.name,
                         "tolerance": tol.orth if not_orthogonal else tol.match,
                         "residuals": {k: float(v[i]) for k, v in residuals.items()}})
-    return MatrixGroup(pairs=tuple(zip(group.perms, maps)), flavor=flavor, perm_group=group)
+    return MatrixGroup(perm_group=group, maps=maps, flavor=flavor)
 
 
 def linear_group(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES,

@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from polysym.autgroup import _neighbor_table, _refine, compose
+from polysym.autgroup import PermutationSet, _neighbor_table, _refine, compose
 from polysym.colorings import Coloring, orbit_coloring
 from polysym.errors import DomainMismatch, ValidationError
 from polysym.geometry import EdgeGraph, Polytope, make_polytope
@@ -42,7 +42,7 @@ def perm_matrix(p) -> np.ndarray:
     return mat
 
 
-def orbits(group, graph: EdgeGraph):
+def orbits(group: PermutationSet, graph: EdgeGraph):
     """Vertex orbits and edge orbits of a permutation group, by min element."""
     col = orbit_coloring(graph, group)
     return (tuple(map(tuple, col.vertex_classes())),
@@ -99,12 +99,22 @@ def check_realizes(t: np.ndarray, perm, phi: np.ndarray, eps: float) -> bool:
     return bool(np.all(err <= eps * np.linalg.norm(target, axis=0)))
 
 
+def is_orthogonal(t: np.ndarray, eps: float) -> bool:
+    """True iff max|t^T t - I| <= eps, for one map."""
+    return bool(np.max(np.abs(t.T @ t - np.eye(t.shape[0]))) <= eps)
+
+
+def member_maps(group: MatrixGroup) -> dict:
+    """perm -> the map realizing it, for every member."""
+    return dict(zip(group.perm_group, group.maps))
+
+
 def verify_homomorphism(group: MatrixGroup, eps: float) -> bool:
     """Check t(p) @ t(q) == t(p*q) for all pairs; the perm map is injective."""
-    members = group.perm_set
-    return all((r := compose(p, q)) in members
-               and np.max(np.abs(tp @ tq - group.matrix_for(r))) <= eps
-               for p, tp in group.pairs for q, tq in group.pairs)
+    maps = member_maps(group)
+    return all((r := compose(p, q)) in maps
+               and np.max(np.abs(tp @ tq - maps[r])) <= eps
+               for p, tp in maps.items() for q, tq in maps.items())
 
 
 @dataclass(frozen=True)
@@ -119,9 +129,9 @@ class ComparisonReport:
 
 def compare_groups(a: MatrixGroup, b: MatrixGroup) -> ComparisonReport:
     """Set comparison of the permutation parts plus matrix agreement on overlap."""
-    pa, pb = a.perm_set, b.perm_set
-    diff = max((float(np.max(np.abs(a.matrix_for(p) - b.matrix_for(p)))) for p in pa & pb),
-               default=0.0)
+    ma, mb = member_maps(a), member_maps(b)
+    pa, pb = set(ma), set(mb)
+    diff = max((float(np.max(np.abs(ma[p] - mb[p]))) for p in pa & pb), default=0.0)
     return ComparisonReport(
         equal=(pa == pb),
         order_a=a.order,

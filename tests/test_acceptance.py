@@ -121,7 +121,7 @@ def test_criterion_4_cyclic_polytope(artifacts, pipeline_groups, oracle_groups):
         assert len(art.graph.edges) == 15  # K6
         pipe = pipeline_groups["cyclic4_6"]["linear"]
         oracle = oracle_groups["cyclic4_6"]["linear"]  # filters all 720
-        assert pipe.perm_set == oracle.perm_set
+        assert set(pipe.perm_group) == set(oracle.perm_group)
         assert pipe.order < math.factorial(6)
 
 
@@ -132,7 +132,7 @@ def test_criterion_5_k44_embedding():
         realized = embedding_group(k44_coordinates(), candidates=graph_auts.perms,
                                    flavor="linear")
         assert realized.order < graph_auts.order
-        assert (1, 0, 2, 3, 4, 5, 6, 7) not in realized.perm_set
+        assert (1, 0, 2, 3, 4, 5, 6, 7) not in set(realized.perm_group)
 
 
 def test_criterion_6_pipeline_oracle_consistency(artifacts, pipeline_groups, oracle_groups):
@@ -144,13 +144,13 @@ def test_criterion_6_pipeline_oracle_consistency(artifacts, pipeline_groups, ora
                 orth = pipeline_groups[name]["orthogonal"]
             except TheoremViolation as exc:  # pragma: no cover
                 raise AssertionError(f"{name}: reconstruction violation {exc}")
-            assert lin.perm_set == oracle_groups[name]["linear"].perm_set, name
-            assert orth.perm_set == oracle_groups[name]["orthogonal"].perm_set, name
+            assert set(lin.perm_group) == set(oracle_groups[name]["linear"].perm_group), name
+            assert set(orth.perm_group) == set(oracle_groups[name]["orthogonal"].perm_group), name
             # the graph automorphisms are exactly the realized permutations
             izm_auts = automorphisms(art.izm_coloring)
             prod_auts = automorphisms(art.prod_coloring)
-            assert set(izm_auts.perms) == lin.perm_set, name
-            assert set(prod_auts.perms) == orth.perm_set, name
+            assert set(izm_auts.perms) == set(lin.perm_group), name
+            assert set(prod_auts.perms) == set(orth.perm_group), name
 
 
 def test_criterion_7_orbit_fixpoint(artifacts, pipeline_groups):
@@ -158,9 +158,9 @@ def test_criterion_7_orbit_fixpoint(artifacts, pipeline_groups):
         for name in FIXTURE_NAMES:
             art = artifacts[name]
             group = pipeline_groups[name]["linear"]
-            recolored = orbit_coloring(art.graph, group.permutations())
+            recolored = orbit_coloring(art.graph, group.perm_group)
             again = automorphisms(recolored)
-            assert set(again.perms) == group.perm_set, name
+            assert set(again.perms) == set(group.perm_group), name
 
 
 def test_criterion_8_complete_metric(artifacts, pipeline_groups):
@@ -171,8 +171,8 @@ def test_criterion_8_complete_metric(artifacts, pipeline_groups):
                 continue
             orth_auts = automorphisms(complete_metric(art.poly, "orthogonal"))
             lin_auts = automorphisms(complete_metric(art.poly, "linear"))
-            assert set(orth_auts.perms) == pipeline_groups[name]["orthogonal"].perm_set, name
-            assert set(lin_auts.perms) == pipeline_groups[name]["linear"].perm_set, name
+            assert set(orth_auts.perms) == set(pipeline_groups[name]["orthogonal"].perm_group), name
+            assert set(lin_auts.perms) == set(pipeline_groups[name]["linear"].perm_group), name
 
 
 def test_criterion_9_invariance_suite(artifacts, pipeline_groups):
@@ -183,15 +183,15 @@ def test_criterion_9_invariance_suite(artifacts, pipeline_groups):
             d = art.poly.dim
             base_partition = (art.izm_coloring.vertex_classes(),
                               art.izm_coloring.edge_classes())
-            base_lin = pipeline_groups[name]["linear"].perm_set
-            base_orth = pipeline_groups[name]["orthogonal"].perm_set
+            base_lin = set(pipeline_groups[name]["linear"].perm_group)
+            base_orth = set(pipeline_groups[name]["orthogonal"].perm_group)
             for _ in range(TRIALS):
                 t = random_invertible(rng, d, max_cond=10.0)
                 moved = make_polytope(d, art.poly.vertices @ t.T)
                 moved_art = build_artifacts(moved)
                 assert (moved_art.izm_coloring.vertex_classes(),
                         moved_art.izm_coloring.edge_classes()) == base_partition, name
-                assert linear_group(moved, artifacts=moved_art).perm_set == base_lin, name
+                assert set(linear_group(moved, artifacts=moved_art).perm_group) == base_lin, name
                 q = random_orthogonal(rng, d)
                 rotated = make_polytope(d, art.poly.vertices @ q.T)
-                assert orthogonal_group(rotated).perm_set == base_orth, name
+                assert set(orthogonal_group(rotated).perm_group) == base_orth, name

@@ -175,12 +175,12 @@ class TestOrbits:
         assert len(eorbits) == 1
 
     def test_trivial_group_singletons(self):
-        vorbits, eorbits = orbits([identity_perm(4)], C4)
+        vorbits, eorbits = orbits(PermutationSet([identity_perm(4)]), C4)
         assert vorbits == ((0,), (1,), (2,), (3,))
         assert len(eorbits) == 4
 
     def test_klein_orbits(self):
         klein = [(0, 1, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1)]
-        vorbits, eorbits = orbits(klein, C4)
+        vorbits, eorbits = orbits(PermutationSet(klein), C4)
         assert vorbits == ((0, 2), (1, 3))
         assert eorbits == (((0, 1), (0, 3), (1, 2), (2, 3)),)

@@ -126,18 +126,26 @@ def test_validate_corrupted_dump_exit_1(tmp_path):
     assert report["properties"]["sign_ok"] is False
 
 
+SQUARE_DUMP = [[0.0, -0.5, 0.0, -0.5],
+               [-0.5, 0.0, -0.5, 0.0],
+               [0.0, -0.5, 0.0, -0.5],
+               [-0.5, 0.0, -0.5, 0.0]]
+
+
 def test_validate_good_dump_passes(tmp_path):
-    dump = {"n": 4, "entries": [[0.0, -0.5, 0.0, -0.5],
-                                [-0.5, 0.0, -0.5, 0.0],
-                                [0.0, -0.5, 0.0, -0.5],
-                                [-0.5, 0.0, -0.5, 0.0]]}
+    dump = {"n": 4, "entries": SQUARE_DUMP}
     path = tmp_path / "dump.json"
     path.write_text(json.dumps(dump))
     proc = run_cli("validate", str(FIXTURES / "square.json"), "--matrix", str(path))
     assert proc.returncode == 0
 
 
-@pytest.mark.parametrize("dump", [[1, 2], "dump", None, 4, {"n": 4, "entries": {"a": 1}}])
+@pytest.mark.parametrize("dump", [
+    [1, 2], "dump", None, 4, {"n": 4, "entries": {"a": 1}},
+    # json.dumps writes these as the non-standard tokens NaN and Infinity
+    {"n": 4, "entries": [[float("nan")] + SQUARE_DUMP[0][1:]] + SQUARE_DUMP[1:]},
+    {"n": 4, "entries": [[float("inf")] + SQUARE_DUMP[0][1:]] + SQUARE_DUMP[1:]},
+])
 def test_validate_malformed_dump_exit_2(tmp_path, dump):
     path = tmp_path / "dump.json"
     path.write_text(json.dumps(dump))
@@ -230,6 +238,8 @@ SQUARE_COORDS = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
     ({"vertices": [["a", "b"]]}, "sym"),
     ({"edges": [[0, 1]]}, "sym"),
     ([SQUARE_COORDS], "sym"),
+    ({"vertices": [[1, float("nan")], [0, 1], [-1, 0]]}, "sym"),
+    ({"vertices": [[0, 0], [0, 0]]}, "sym"),
 ])
 def test_oracle_bad_embedding_exit_2(tmp_path, doc, candidates):
     path = tmp_path / "embedding.json"

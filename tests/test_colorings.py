@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_invertible
 from helpers import is_finer
 from polysym import EdgeGraph, edge_graph, make_polytope
-from polysym.autgroup import automorphisms, uncolored
+from polysym.autgroup import PermutationSet, automorphisms, uncolored
 from polysym.colorings import (
     Coloring,
     complete_metric,
@@ -170,29 +170,29 @@ class TestCompleteMetric:
 
 class TestOrbitColoring:
     def test_full_dihedral_is_transitive(self):
-        dihedral = automorphisms(uncolored(C4)).perms
+        dihedral = automorphisms(uncolored(C4))
         col = orbit_coloring(C4, dihedral)
         assert col.num_vertex_classes == 1 and col.num_edge_classes == 1
 
     def test_klein_subgroup(self):
         # diagonal reflections only: vertex orbits {0,2} and {1,3}, edges all one orbit
         klein = [(0, 1, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1)]
-        col = orbit_coloring(C4, klein)
+        col = orbit_coloring(C4, PermutationSet(klein))
         assert partition(col)[0] == [(0, 2), (1, 3)]
         assert col.num_edge_classes == 1
 
     def test_trivial_group(self):
-        col = orbit_coloring(C4, [(0, 1, 2, 3)])
+        col = orbit_coloring(C4, PermutationSet([(0, 1, 2, 3)]))
         assert col.num_vertex_classes == 4 and col.num_edge_classes == 4
 
     def test_not_closed_rejected(self):
         with pytest.raises(NotAGroup):
-            orbit_coloring(C4, [(0, 1, 2, 3), (1, 2, 3, 0), (0, 3, 2, 1)])
+            orbit_coloring(C4, PermutationSet([(0, 1, 2, 3), (1, 2, 3, 0), (0, 3, 2, 1)]))
 
     def test_non_automorphism_rejected(self):
         path_breaker = [(0, 1, 2, 3), (1, 0, 2, 3)]  # (01) breaks C4's edges
         with pytest.raises(NotAGroup):
-            orbit_coloring(C4, path_breaker)
+            orbit_coloring(C4, PermutationSet(path_breaker))
 
     def test_fixpoint_of_pipeline_groups(self, artifacts):
         from polysym.reconstruct import linear_group, orthogonal_group
@@ -200,9 +200,9 @@ class TestOrbitColoring:
             art = artifacts[name]
             for builder in (linear_group, orthogonal_group):
                 group = builder(art.poly, artifacts=art)
-                col = orbit_coloring(art.graph, group.permutations())
+                col = orbit_coloring(art.graph, group.perm_group)
                 again = automorphisms(col)
-                assert set(again.perms) == set(group.permutations())
+                assert set(again.perms) == set(group.perm_group)
 
 
 class TestFiner:
@@ -231,7 +231,7 @@ def test_metric_preserved_by_orthogonal_symmetries(artifacts):
         art = artifacts[name]
         group = brute_force_group(art.poly.phi, flavor="orthogonal")
         col = art.met_coloring
-        for sigma, _ in group.pairs:
+        for sigma in group.perm_group:
             assert all(col.vertex[sigma[i]] == col.vertex[i] for i in range(art.poly.n))
             for (i, j), c in col.edge.items():
                 image = tuple(sorted((sigma[i], sigma[j])))

@@ -155,6 +155,19 @@ class TestFacets:
         assert len(calls) == 1
         assert art.poly.facets is poly.facets
 
+    @pytest.mark.parametrize("name", [*FIXTURES, "cross6"])
+    def test_blocked_subset_scan_gives_identical_facets(self, name, monkeypatch):
+        # every input here fits one default block; blocks of 7 split most scans
+        # (the 6-cross-polytope's 924 subsets into 132), and first-wins
+        # deduplication must still keep the same planes, bit for bit
+        factory = {**FIXTURES, **LADDER}[name]
+        whole = factory().facets
+        monkeypatch.setattr(geometry, "SUBSET_BLOCK", 7)
+        blocked = factory().facets
+        assert whole.normals.shape == blocked.normals.shape
+        assert whole.normals.tobytes() == blocked.normals.tobytes()
+        assert whole.incidence.tobytes() == blocked.incidence.tobytes()
+
     def test_every_vertex_on_at_least_d_facets(self, polytopes):
         for poly in polytopes.values():
             inc = poly.facets.incidence

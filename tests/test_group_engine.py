@@ -7,7 +7,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from helpers import check_realizes, complete_graph
+from helpers import check_realizes, complete_graph, is_orthogonal
 from polysym import make_polytope
 from polysym.autgroup import (
     PermutationSet,
@@ -21,7 +21,6 @@ from polysym.errors import LimitExceeded, NotAGroup
 from polysym.oracle import brute_force_group
 from polysym.reconstruct import (
     build_artifacts,
-    check_orthogonal,
     lift_and_check,
     linear_group,
     orthogonal_group,
@@ -176,8 +175,8 @@ def test_ladder_orders(name, vertices, order):
     # independent check: filter the uncolored edge-graph automorphisms by definition
     cands = automorphisms(uncolored(art.graph)).perms
     for group in (lin, orth):
-        assert group.perm_set == brute_force_group(
-            poly.phi, candidates=cands, flavor=group.flavor).perm_set
+        assert set(group.perm_group) == set(brute_force_group(
+            poly.phi, candidates=cands, flavor=group.flavor).perm_group)
         col = orbit_coloring(art.graph, group.perm_group)
         assert col.num_vertex_classes == 1 and col.num_edge_classes == 1
 
@@ -194,7 +193,7 @@ class TestLiftAndCheck:
                 for perm, t, accepted in zip(cands, maps, ok):
                     assert np.array_equal(t, phi[:, list(perm)] @ pinv), name
                     expected = check_realizes(t, perm, phi, 1e-8) and (
-                        flavor == "linear" or check_orthogonal(t, 1e-8))
+                        flavor == "linear" or is_orthogonal(t, 1e-8))
                     assert accepted == expected, (name, perm)
 
     def test_vertex_at_origin_lifts_without_warnings(self):

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import compare_groups
 from polysym.autgroup import automorphisms, uncolored
-from polysym.errors import TooManyCandidates
+from polysym.errors import NotAGroup, TooManyCandidates
 from polysym.fixtures import k44_coordinates, k44_graph, simplex, square
 from polysym.oracle import brute_force_group, embedding_group
 from polysym.reconstruct import linear_group, orthogonal_group
@@ -26,12 +26,17 @@ class TestBruteForce:
     def test_identity_always_accepted(self, polytopes):
         for poly in polytopes.values():
             group = brute_force_group(poly.phi, flavor="orthogonal")
-            assert tuple(range(poly.n)) in group.perm_set
+            assert tuple(range(poly.n)) in set(group.perm_group)
 
     def test_sym_stream_guard(self):
         phi = np.eye(2) @ np.random.default_rng(0).standard_normal((2, 10))
         with pytest.raises(TooManyCandidates):
             brute_force_group(phi)
+
+    def test_realized_set_not_closed_raises(self):
+        # both candidates are realized, but without its powers the quarter-turn is no group
+        with pytest.raises(NotAGroup):
+            brute_force_group(square().phi, candidates=[(0, 1, 2, 3), (1, 2, 3, 0)])
 
     def test_pruned_candidates_equivalent(self, artifacts):
         # filtering Sym(V) and filtering the graph automorphisms agree:
@@ -41,13 +46,13 @@ class TestBruteForce:
             full = brute_force_group(art.poly.phi, flavor="linear")
             cands = automorphisms(uncolored(art.graph)).perms
             pruned = brute_force_group(art.poly.phi, candidates=cands, flavor="linear")
-            assert full.perm_set == pruned.perm_set
+            assert set(full.perm_group) == set(pruned.perm_group)
 
     def test_cyclic_polytope_strictly_smaller_than_sym(self, artifacts):
         art = artifacts["cyclic4_6"]
         group = brute_force_group(art.poly.phi, flavor="linear")
         assert group.order < math.factorial(6)
-        assert group.perm_set == linear_group(art.poly, artifacts=art).perm_set
+        assert set(group.perm_group) == set(linear_group(art.poly, artifacts=art).perm_group)
 
 
 class TestEmbedding:
@@ -60,13 +65,13 @@ class TestEmbedding:
     def test_k44_transposition_rejected(self):
         cands = automorphisms(uncolored(k44_graph())).perms
         group = embedding_group(k44_coordinates(), candidates=cands, flavor="linear")
-        assert (1, 0, 2, 3, 4, 5, 6, 7) not in group.perm_set
-        assert tuple(range(8)) in group.perm_set
+        assert (1, 0, 2, 3, 4, 5, 6, 7) not in set(group.perm_group)
+        assert tuple(range(8)) in set(group.perm_group)
 
     def test_square_as_embedding_matches_pipeline(self, artifacts):
         art = artifacts["square"]
         group = embedding_group(art.poly.vertices, flavor="linear")
-        assert group.perm_set == linear_group(art.poly, artifacts=art).perm_set
+        assert set(group.perm_group) == set(linear_group(art.poly, artifacts=art).perm_group)
 
     def test_low_rank_coordinates_restricted_to_span(self):
         # square drawn in the z = 0 plane of R^3

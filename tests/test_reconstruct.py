@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from conftest import random_invertible, random_orthogonal
-from helpers import check_realizes, linear_map_from_perm, verify_homomorphism
-from polysym import Tolerances, make_polytope
-from polysym.autgroup import compose, uncolored
+from helpers import (
+    check_realizes,
+    is_orthogonal,
+    linear_map_from_perm,
+    member_maps,
+    verify_homomorphism,
+)
+from polysym import DEFAULT_TOLERANCES, Tolerances, make_polytope
+from polysym.autgroup import automorphisms, compose, uncolored
 from polysym.errors import RankDeficient, TheoremViolation
 from polysym.fixtures import k44_coordinates, rectangle, square, triangle
+from polysym.oracle import brute_force_group
 from polysym.reconstruct import (
     build_artifacts,
-    check_orthogonal,
     eigenspace_criterion,
     linear_group,
     orthogonal_group,
@@ -46,7 +52,7 @@ class TestLinearMapFromPerm:
         t = linear_map_from_perm(rectangle().phi, (1, 2, 3, 0))
         assert np.allclose(t, [[0, -2], [0.5, 0]], atol=1e-12)
         assert check_realizes(t, (1, 2, 3, 0), rectangle().phi, 1e-8)
-        assert not check_orthogonal(t, 1e-8)
+        assert not is_orthogonal(t, 1e-8)
 
     def test_identity_perm_gives_identity(self, polytopes):
         for poly in polytopes.values():
@@ -62,9 +68,9 @@ class TestChecks:
         assert not check_realizes(t, sigma, phi, 1e-8)
 
     def test_orthogonality(self):
-        assert check_orthogonal(np.array([[0.0, -1.0], [1.0, 0.0]]), 1e-8)
-        assert not check_orthogonal(np.array([[0.0, -2.0], [0.5, 0.0]]), 1e-8)
-        assert check_orthogonal(np.eye(5), 1e-8)
+        assert is_orthogonal(np.array([[0.0, -1.0], [1.0, 0.0]]), 1e-8)
+        assert not is_orthogonal(np.array([[0.0, -2.0], [0.5, 0.0]]), 1e-8)
+        assert is_orthogonal(np.eye(5), 1e-8)
 
 
 class TestEigenspaceCriterion:
@@ -119,8 +125,8 @@ class TestPipelineGroups:
     def test_rectangle_contains_non_orthogonal_rotation(self, artifacts):
         art = artifacts["rectangle"]
         group = linear_group(art.poly, artifacts=art)
-        t = group.matrix_for((1, 2, 3, 0))
-        assert not check_orthogonal(t, 1e-8)
+        t = member_maps(group)[(1, 2, 3, 0)]
+        assert not is_orthogonal(t, 1e-8)
 
     def test_homomorphism(self, artifacts):
         for name in ("rectangle", "stretched_hexagon", "octahedron", "cyclic4_6"):
@@ -130,43 +136,79 @@ class TestPipelineGroups:
 
     def test_orthogonal_subset_of_linear(self, artifacts):
         for art in artifacts.values():
-            lin = linear_group(art.poly, artifacts=art).perm_set
-            orth = orthogonal_group(art.poly, artifacts=art).perm_set
+            lin = set(linear_group(art.poly, artifacts=art).perm_group)
+            orth = set(orthogonal_group(art.poly, artifacts=art).perm_group)
             assert orth <= lin
 
     def test_identity_maps_to_identity(self, artifacts):
         art = artifacts["octahedron"]
         group = linear_group(art.poly, artifacts=art)
-        assert np.allclose(group.matrix_for(tuple(range(6))), np.eye(3), atol=1e-10)
+        assert np.allclose(member_maps(group)[tuple(range(6))], np.eye(3), atol=1e-10)
 
     def test_composition_matches_permutations(self, artifacts):
         art = artifacts["stretched_hexagon"]
         group = linear_group(art.poly, artifacts=art)
-        perms = group.permutations()
+        perms, maps = group.perm_group.perms, member_maps(group)
         for p in perms[:6]:
             for q in perms[:6]:
-                tp, tq = group.matrix_for(p), group.matrix_for(q)
-                assert np.allclose(tp @ tq, group.matrix_for(compose(p, q)), atol=1e-9)
+                assert np.allclose(maps[p] @ maps[q], maps[compose(p, q)], atol=1e-9)
 
     def test_linear_invariance_under_gl(self, artifacts):
         rng = np.random.default_rng(17)
         for name in ("rectangle", "octahedron"):
             art = artifacts[name]
-            base = linear_group(art.poly, artifacts=art).perm_set
+            base = set(linear_group(art.poly, artifacts=art).perm_group)
             for _ in range(3):
                 t = random_invertible(rng, art.poly.dim)
                 moved = make_polytope(art.poly.dim, art.poly.vertices @ t.T)
-                assert linear_group(moved).perm_set == base
+                assert set(linear_group(moved).perm_group) == base
 
     def test_orthogonal_invariance_under_rotations(self, artifacts):
         rng = np.random.default_rng(23)
         for name in ("rectangle", "prism3"):
             art = artifacts[name]
-            base = orthogonal_group(art.poly, artifacts=art).perm_set
+            base = set(orthogonal_group(art.poly, artifacts=art).perm_group)
             for _ in range(3):
                 q = random_orthogonal(rng, art.poly.dim)
                 moved = make_polytope(art.poly.dim, art.poly.vertices @ q.T)
-                assert orthogonal_group(moved).perm_set == base
+                assert set(orthogonal_group(moved).perm_group) == base
+
+
+def both_builds(art, flavor):
+    """The pipeline group and the oracle group of one flavor."""
+    cands = automorphisms(uncolored(art.graph)).perms
+    pipeline = linear_group if flavor == "linear" else orthogonal_group
+    return (pipeline(art.poly, artifacts=art),
+            brute_force_group(art.poly.phi, candidates=cands, flavor=flavor))
+
+
+class TestMatrixGroup:
+    @pytest.mark.parametrize("flavor", ["linear", "orthogonal"])
+    def test_maps_realize_their_members(self, artifacts, flavor):
+        for name, art in artifacts.items():
+            phi = art.poly.phi
+            for group in both_builds(art, flavor):
+                perms = group.perm_group.perms
+                assert group.maps.shape == (len(perms), art.poly.dim, art.poly.dim), name
+                for k in range(len(perms)):
+                    assert check_realizes(group.maps[k], perms[k], phi, 1e-8), (name, perms[k])
+
+    @pytest.mark.parametrize("flavor", ["linear", "orthogonal"])
+    def test_report_flags_match_definition(self, artifacts, flavor):
+        tol = DEFAULT_TOLERANCES
+        for name, art in artifacts.items():
+            for group in both_builds(art, flavor):
+                members = group.to_json_dict(tol)["members"]
+                assert [tuple(m["perm"]) for m in members] == list(group.perm_group.perms)
+                assert [m["orthogonal"] for m in members] == [
+                    is_orthogonal(np.array(m["matrix"]), tol.orth) for m in members], name
+
+    def test_stretched_hexagon_linear_flags(self, artifacts):
+        # 12 linear symmetries, of which only the 4 orthogonal ones are flagged
+        art = artifacts["stretched_hexagon"]
+        for group in both_builds(art, "linear"):
+            flags = [m["orthogonal"] for m in group.to_json_dict()["members"]]
+            assert (flags.count(True), flags.count(False)) == (4, 8)
 
 
 def test_wrong_coloring_raises_theorem_violation(artifacts):
@@ -183,7 +225,7 @@ def test_wrong_coloring_raises_theorem_violation(artifacts):
 def test_artifacts_reuse_consistent(polytopes):
     poly = polytopes["rectangle"]
     art = build_artifacts(poly)
-    assert linear_group(poly).perm_set == linear_group(poly, artifacts=art).perm_set
+    assert set(linear_group(poly).perm_group) == set(linear_group(poly, artifacts=art).perm_group)
 
 
 @pytest.mark.parametrize("dim,seed", [(2, 0), (2, 1), (3, 2), (3, 3), (4, 4)])
@@ -203,7 +245,7 @@ def test_random_polytopes_match_oracle(dim, seed):
     lin = linear_group(poly, artifacts=art)
     orth = orthogonal_group(poly, artifacts=art)
     cands = automorphisms(uncolored(art.graph)).perms
-    assert lin.perm_set == brute_force_group(
-        poly.phi, candidates=cands, flavor="linear").perm_set
-    assert orth.perm_set == brute_force_group(
-        poly.phi, candidates=cands, flavor="orthogonal").perm_set
+    assert set(lin.perm_group) == set(brute_force_group(
+        poly.phi, candidates=cands, flavor="linear").perm_group)
+    assert set(orth.perm_group) == set(brute_force_group(
+        poly.phi, candidates=cands, flavor="orthogonal").perm_group)
