@@ -28,7 +28,7 @@ class Tolerances:
     pinv: float = 1e-10
     # finite-difference step for the volume Hessian
     fd_step: float = 1e-3
-    # step-halving agreement required of the finite-difference estimate
+    # step-halving agreement and symmetry required of the finite-difference estimate
     fd_check: float = 1e-4
     # componentwise trust region [1-delta, 1+delta] for shifted facet offsets
     dual_trust: float = 0.05

@@ -66,4 +66,4 @@ class TheoremViolation(PolysymError):
 
 
 class NumericalInstability(PolysymError):
-    """A step-halving consistency check failed (combinatorial flip suspected)."""
+    """A step-halving or symmetry check failed (combinatorial flip suspected)."""

@@ -423,15 +423,17 @@ def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     return _lattice_volume(flat, w, b, inc)(np.ones(len(flat), dtype=bool), k)
 
 
-def volume_generalized_dual(poly: Polytope, c, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Volume of {x : <x, v_i> <= c_i}, the dual with facets shifted by c.
+def _shifted_dual(poly: Polytope, c, tol: Tolerances):
+    """The vertices of {x : <x, v_i> <= c_i} as tight-constraint tags, and their lattice volume.
 
     Vertex-enumerates the region by intersecting all d-subsets of the n
     constraint hyperplanes and keeping feasible intersection points, each
-    tagged with the constraints tight at it; the volume is summed over the
-    face lattice those tags give.  The offsets must stay in the trust
-    region |c_i - 1| <= ``tol.dual_trust`` so the region stays bounded and
-    combinatorially tame.
+    tagged with the constraints tight at it.  Returns ``tight``, one row
+    per plane and one column per vertex, with ``tight[i, p]`` flagging
+    vertex p on plane i, and the memoized ``vol(face, k)`` of the face
+    lattice those tags give (``_lattice_volume``).  The offsets must
+    stay in the trust region |c_i - 1| <= ``tol.dual_trust`` so the region
+    stays bounded and combinatorially tame.
     """
     c = np.asarray(c, dtype=float)
     n, d = poly.n, poly.dim
@@ -459,4 +461,32 @@ def volume_generalized_dual(poly: Polytope, c, tol: Tolerances = DEFAULT_TOLERAN
     points = sols[feas][first]
     if affine_rank(points, eps) != d:
         raise Unbounded("dual vertex set is not full-dimensional")
-    return _lattice_volume(points, verts, c, tight)(np.ones(len(points), dtype=bool), d)
+    return tight, _lattice_volume(points, verts, c, tight)
+
+
+def volume_generalized_dual(poly: Polytope, c, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+    """Volume of {x : <x, v_i> <= c_i}, the dual with facets shifted by c.
+
+    The volume is summed over the face lattice of the region's vertices,
+    found as in ``_shifted_dual``; the offsets must stay in its trust region.
+    """
+    tight, vol = _shifted_dual(poly, c, tol)
+    return vol(np.ones(tight.shape[1], dtype=bool), poly.dim)
+
+
+def dual_facet_volumes(poly: Polytope, c, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """(n,) volumes of the facets F_i, on the planes <x, v_i> = c_i, of {x : <x, v_i> <= c_i}.
+
+    ``F_i`` is the face of the region's lattice on plane i, so its volume
+    comes from the same memoized recursion as the region's volume, with
+    the faces shared between facets evaluated once.  A plane that meets
+    the region in less than a facet contributes 0: its points, if any, all
+    lie on some other plane too, whereas no other plane holds a facet.
+    Divided by |v_i| these are the partial derivatives of
+    ``volume_generalized_dual`` in c.
+    """
+    tight, vol = _shifted_dual(poly, c, tol)
+    counts = tight.astype(float)
+    within = counts @ counts.T == tight.sum(axis=1)[:, None]  # [i, j]: plane i's points on plane j
+    facet = within.sum(axis=1) == 1
+    return np.array([vol(face, poly.dim - 1) if ok else 0.0 for face, ok in zip(tight, facet)])

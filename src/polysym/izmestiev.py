@@ -5,8 +5,10 @@ Two independent routes to the same matrix:
 * ``izmestiev_matrix`` uses the closed geometric form, entry by entry:
   off-diagonal edge entries from dual-face volumes, the diagonal solved
   from the kernel condition M @ phi.T = 0.
-* ``izmestiev_matrix_fd`` numerically differentiates the dual volume and
-  serves as the oracle for the first route.
+* ``izmestiev_matrix_fd`` numerically differentiates the dual volume's
+  gradient, the facet volumes of the shifted dual, and serves as the
+  oracle for the first route.  It shares only the face-lattice volume
+  routine with the first route, never the facets validation found.
 
 The sign convention is fixed by the matrix's defining properties (negative
 on edges, a single negative eigenvalue): it is minus the Hessian of
@@ -22,7 +24,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import KernelResidual, NumericalInstability, ParseError, SingularAngle
-from .geometry import EdgeGraph, Polytope, dual_edge_volumes, volume_generalized_dual
+from .geometry import EdgeGraph, Polytope, dual_edge_volumes, dual_facet_volumes
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,45 +109,38 @@ def izmestiev_matrix(poly: Polytope, graph: EdgeGraph,
 
 def izmestiev_matrix_fd(poly: Polytope, graph: EdgeGraph,
                         tol: Tolerances = DEFAULT_TOLERANCES) -> IzmestievMatrix:
-    """Finite-difference route: central second differences of the dual volume.
+    """Finite-difference route: central differences of the dual volume's gradient.
 
-    Mixed entries use the 4-point stencil, diagonal ones the 3-point
-    stencil, around the all-ones offset vector; each mixed stencil fills
-    both (i, j) and (j, i), so the result is exactly symmetric.  ``graph``
-    labels the returned matrix.  Raw stencils are evaluated at steps h,
-    h/2 and h/4 (h = ``tol.fd_step``) and Richardson-combined pairwise,
-    which cancels the step-linear error a merely C^2 volume produces at
-    non-simple dual vertices; the two combined estimates must agree within
-    the configured check tolerance, otherwise a combinatorial flip of the
-    shifted dual is suspected.
+    The gradient of vol({x : <x, v_i> <= c_i}) is g_i = vol_{d-1}(F_i) / |v_i|,
+    with F_i the facet on plane i, so column i of the Hessian is
+    (g(c + h e_i) - g(c - h e_i)) / 2h around the all-ones offset vector:
+    2n facet-volume evaluations per step.  ``graph`` labels the returned
+    matrix.  Raw Hessians are evaluated at steps h, h/2 and h/4
+    (h = ``tol.fd_step``), symmetrized as (H + H^T) / 2, and
+    Richardson-combined pairwise, which cancels the step-linear error a
+    merely C^2 volume produces at non-simple dual vertices.  The two
+    combined estimates must agree, and each raw Hessian must be symmetric,
+    within the configured check tolerance; otherwise a combinatorial flip
+    of the shifted dual is suspected.
     """
     n = poly.n
-    vol = lambda c: volume_generalized_dual(poly, c, tol)
+    norms = np.linalg.norm(poly.vertices, axis=1)
+    grad = lambda c: dual_facet_volumes(poly, c, tol) / norms
     base = np.ones(n)
-    f0 = vol(base)
 
     def hessian(hh: float) -> np.ndarray:
-        out = np.zeros((n, n))
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = hh
-            out[i, i] = (vol(base + ei) - 2.0 * f0 + vol(base - ei)) / hh ** 2
-        for i, j in combinations(range(n), 2):
-            ei, ej = np.zeros(n), np.zeros(n)
-            ei[i] = hh
-            ej[j] = hh
-            mixed = (vol(base + ei + ej) - vol(base + ei - ej)
-                     - vol(base - ei + ej) + vol(base - ei - ej)) / (4.0 * hh ** 2)
-            out[i, j] = out[j, i] = mixed
-        return -out
+        return np.column_stack([(grad(base + ei) - grad(base - ei)) / (2.0 * hh)
+                                for ei in hh * np.eye(n)])
 
     raw = [hessian(tol.fd_step / 2 ** k) for k in range(3)]
-    combined = [2.0 * raw[k + 1] - raw[k] for k in range(2)]
+    asym = max(float(np.max(np.abs(m - m.T))) for m in raw)
+    sym = [-(m + m.T) / 2.0 for m in raw]
+    combined = [2.0 * sym[k + 1] - sym[k] for k in range(2)]
     drift = float(np.max(np.abs(combined[1] - combined[0])))
-    if drift > tol.fd_check:
+    if max(drift, asym) > tol.fd_check:
         raise NumericalInstability(
-            f"step-halving drift {drift:.3e} exceeds {tol.fd_check:.1e}; "
-            "shifted dual changed combinatorics inside the stencil")
+            f"step-halving drift {drift:.3e} / asymmetry {asym:.3e} exceeds "
+            f"{tol.fd_check:.1e}; shifted dual changed combinatorics inside the stencil")
     return IzmestievMatrix(entries=combined[1], graph=graph)
 
 

@@ -109,6 +109,16 @@ def test_validate_passes():
     assert json.loads(proc.stdout)["properties"]["kernel_dim"] == 2
 
 
+def test_validate_fd_step_outside_trust_region_exit_1():
+    proc = run_cli("validate", str(FIXTURES / "cube.json"), "--fd-step", "0.2")
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert report["passed"] is False
+    assert report["properties"]["passed"] is True
+    assert report["fd_agreement"]["ok"] is False
+    assert "trust region" in report["fd_agreement"]["error"]
+
+
 def test_validate_corrupted_dump_exit_1(tmp_path):
     proc = run_cli("analyze", str(FIXTURES / "square.json"), check=True)
     spectrum = json.loads(proc.stdout)["matrix_summary"]["spectrum"]

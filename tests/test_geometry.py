@@ -330,6 +330,27 @@ class TestRelativeVolume:
         assert relative_volume(pts) == pytest.approx(ConvexHull(pts).volume, rel=1e-9)
 
 
+SHIFTED = ["octahedron", "cube", "prism3", "simplex4", "cyclic4_6"]
+
+
+def random_offsets(n, count, margin=0.0):
+    """Offset vectors drawn uniformly from the trust region, shrunk by ``margin``."""
+    rng = np.random.default_rng(17)
+    trust = DEFAULT_TOLERANCES.dual_trust - margin
+    return [1.0 + rng.uniform(-trust, trust, n) for _ in range(count)]
+
+
+def shifted_dual_vertices(poly, c):
+    """Vertices of {x : <x, v_i> <= c_i}, found independently by solving every d-subset."""
+    pts = []
+    for s in map(list, combinations(range(poly.n), poly.dim)):
+        if abs(np.linalg.det(poly.vertices[s])) > 1e-9:
+            x = np.linalg.solve(poly.vertices[s], c[s])
+            if np.all(poly.vertices @ x <= c + 1e-9):
+                pts.append(x)
+    return np.array(pts)
+
+
 class TestGeneralizedDualVolume:
     def test_cube_dual_is_cross_polytope(self):
         poly = cube()
@@ -356,24 +377,68 @@ class TestGeneralizedDualVolume:
         scaled = volume_generalized_dual(poly, t * np.ones(6))
         assert scaled == pytest.approx(t ** 3 * base, rel=1e-9)
 
-    @pytest.mark.parametrize("name", ["octahedron", "cube", "prism3", "simplex4", "cyclic4_6"])
+    @pytest.mark.parametrize("name", SHIFTED)
     def test_matches_qhull_at_shifted_offsets(self, polytopes, name):
-        # the feasible vertices found independently, by solving every d-subset
         poly = polytopes[name]
-        n, d = poly.n, poly.dim
-        rng = np.random.default_rng(17)
-        trust = DEFAULT_TOLERANCES.dual_trust
-        for _ in range(3):
-            c = 1.0 + rng.uniform(-trust, trust, n)
-            pts = []
-            for s in map(list, combinations(range(n), d)):
-                if abs(np.linalg.det(poly.vertices[s])) > 1e-9:
-                    x = np.linalg.solve(poly.vertices[s], c[s])
-                    if np.all(poly.vertices @ x <= c + 1e-9):
-                        pts.append(x)
+        for c in random_offsets(poly.n, 3):
             assert volume_generalized_dual(poly, c) == pytest.approx(
-                ConvexHull(pts).volume, rel=1e-9)
+                ConvexHull(shifted_dual_vertices(poly, c)).volume, rel=1e-9)
 
     def test_trust_region_enforced(self):
         with pytest.raises(Unbounded):
             volume_generalized_dual(square(), np.array([1.0, 1.0, 1.0, 0.5]))
+
+
+class TestDualFacetVolumes:
+    @pytest.mark.parametrize("name", SHIFTED)
+    def test_matches_qhull_at_shifted_offsets(self, polytopes, name):
+        poly = polytopes[name]
+        d = poly.dim
+        for c in random_offsets(poly.n, 3):
+            pts = shifted_dual_vertices(poly, c)
+            got = geometry.dual_facet_volumes(poly, c)
+            for i, v in enumerate(poly.vertices):
+                on = pts[np.abs(pts @ v - c[i]) <= 1e-9]
+                # orthonormal frame of the plane <x, v> = c_i: the complement of v
+                frame = np.linalg.svd(v[None, :])[2][1:]
+                flat = (on - on.mean(axis=0)) @ frame.T
+                want = np.ptp(flat) if d == 2 else ConvexHull(flat).volume
+                assert got[i] == pytest.approx(want, rel=1e-9), (name, i)
+
+    @pytest.mark.parametrize("name", SHIFTED + ["hexagon", "simplex3"])
+    def test_is_gradient_of_volume(self, polytopes, name):
+        # d vol / d c_i = vol_{d-1}(F_i) / |v_i|, against the volume route
+        poly = polytopes[name]
+        h = 1e-4
+        norms = np.linalg.norm(poly.vertices, axis=1)
+        for c in random_offsets(poly.n, 2, margin=h):
+            grad = geometry.dual_facet_volumes(poly, c) / norms
+            for i, step in enumerate(h * np.eye(poly.n)):
+                diff = (volume_generalized_dual(poly, c + step)
+                        - volume_generalized_dual(poly, c - step)) / (2.0 * h)
+                assert grad[i] == pytest.approx(diff, rel=1e-6), (name, i)
+
+    def test_cube_dual_facets_are_triangles(self):
+        # the dual of [-1, 1]^3 is the octahedron conv(+-e_i): 8 triangles of side sqrt 2
+        got = geometry.dual_facet_volumes(cube(), np.ones(8))
+        assert got == pytest.approx(np.full(8, np.sqrt(3.0) / 2.0), rel=1e-12)
+
+    # P plus one vertex w just beyond it: the dual plane <x, w> = c_w cuts a sliver off
+    # the dual, touches it in a lower face when c_w reaches the dual's support value in
+    # direction w, and misses it beyond
+    PENTAGON = [[1, 1], [1, -1], [-1, -1], [-1, 1], [1.01, 0]]  # dual: |x| + |y| <= 1
+    CROSS4 = [list(s * e) for e in np.eye(4) for s in (1, -1)] + [[0.525, 0.525, 0, 0]]
+
+    @pytest.mark.parametrize("verts, offset, want", [
+        (PENTAGON, 1.005, 2.0 * (1.0 - 1.005 / 1.01)),
+        (PENTAGON, 1.01, 0.0),   # touches the diamond's corner
+        (PENTAGON, 1.02, 0.0),   # misses the diamond
+        (CROSS4, 1.05, 0.0),     # touches the dual 4-cube in a square: 4 points, not a facet
+    ], ids=["cut", "corner", "miss", "square"])
+    def test_extra_plane_cuts_touches_or_misses(self, verts, offset, want):
+        poly = make_polytope(len(verts[0]), verts)
+        c = np.ones(poly.n)
+        c[-1] = offset
+        got = geometry.dual_facet_volumes(poly, c)
+        assert got[-1] == pytest.approx(want, abs=1e-12)
+        assert np.all(got[:-1] > 0.5)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_invertible
-from helpers import adjacency, perm_matrix
-from polysym import DEFAULT_TOLERANCES, edge_graph, make_polytope
+from helpers import adjacency, hypercube, perm_matrix
+from polysym import DEFAULT_TOLERANCES, Tolerances, edge_graph, izmestiev, make_polytope
+from polysym.errors import NumericalInstability
 from polysym.fixtures import cube, rectangle, square, triangle
 from polysym.izmestiev import (
     IzmestievMatrix,
@@ -15,6 +16,7 @@ from polysym.izmestiev import (
     izmestiev_matrix_fd,
     verify_properties,
 )
+from polysym.reconstruct import build_artifacts
 
 GEO_TOL = 1e-8
 FD_TOL = 1e-4
@@ -65,6 +67,36 @@ def test_fd_agrees_with_geometric_on_all_fixtures(artifacts):
         fd = izmestiev_matrix_fd(art.poly, art.graph)
         diff = np.max(np.abs(fd.entries - art.matrix.entries))
         assert diff <= FD_TOL, f"{name}: fd drift {diff:.2e}"
+
+
+def test_fd_agrees_with_geometric_on_4_cube():
+    art = build_artifacts(hypercube(4))
+    fd = izmestiev_matrix_fd(art.poly, art.graph)
+    assert (art.poly.n, art.poly.dim) == (16, 4)
+    assert np.max(np.abs(fd.entries - art.matrix.entries)) <= FD_TOL
+
+
+def test_fd_step_halving_drift_raises(artifacts):
+    # simplex4's Richardson estimates drift by about 9e-8: a check below that must fire
+    art = artifacts["simplex4"]
+    with pytest.raises(NumericalInstability, match="step-halving drift"):
+        izmestiev_matrix_fd(art.poly, art.graph, Tolerances(fd_check=1e-8))
+
+
+def test_fd_asymmetry_raises(artifacts, monkeypatch):
+    # g_0 skewed by k (c_1 - 1) adds k to H[0, 1] alone, at every step, so the
+    # Richardson estimates still agree and only the symmetry check can see it
+    art = artifacts["cube"]
+    exact = izmestiev.dual_facet_volumes
+
+    def skewed(poly, c, tol):
+        g = exact(poly, c, tol)
+        g[0] += 1e-3 * (c[1] - 1.0) * np.linalg.norm(poly.vertices[0])
+        return g
+
+    monkeypatch.setattr(izmestiev, "dual_facet_volumes", skewed)
+    with pytest.raises(NumericalInstability, match="asymmetry 1.000e-03"):
+        izmestiev_matrix_fd(art.poly, art.graph)
 
 
 def test_fd_recovers_edge_graph(artifacts):
