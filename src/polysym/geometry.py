@@ -1,10 +1,11 @@
 """Polytope ingestion, facet enumeration, edge-graph and dual-face geometry.
 
 Vertices are the single source of truth.  Validation finds the facets
-once, by a search over d-subsets, and the ``Polytope`` carries them.
-Every later face is read off the vertex-facet incidence, and volumes are
-summed bottom-up over that face lattice by the pyramid formula, each face
-once.
+once, as the vertices of the polar dual, and the ``Polytope`` carries
+them.  One vertex enumeration (``_vertices``) serves validation, relative
+volumes and the shifted dual.  Every later face is read off the
+vertex-facet incidence, and volumes are summed bottom-up over that face
+lattice by the pyramid formula, each face once.
 """
 
 from __future__ import annotations
@@ -126,9 +127,9 @@ class DualFace:
 
 
 # ---------------------------------------------------------------------------
-# supporting hyperplanes (shared by validation, which finds the facets, and volumes)
+# polar vertices: one enumeration for the facets, relative volumes and the shifted dual
 
-SUBSET_BLOCK = 1 << 15  # d-subsets per batch of the facet search; bounds its memory
+SUBSET_BLOCK = 1 << 15  # d-subsets per batch of the vertex enumeration; bounds its memory
 
 
 def _affine_basis(points: np.ndarray, eps: float):
@@ -144,65 +145,48 @@ def affine_rank(points: np.ndarray, eps: float) -> int:
     return _affine_basis(points, eps)[1]
 
 
-def supporting_hyperplanes(points: np.ndarray, eps: float):
-    """All facet hyperplanes of conv(points) in R^d (d >= 2), as (w, b, incident).
+def _vertices(normals: np.ndarray, offsets: np.ndarray, eps: float):
+    """Vertices of {x : normals @ x <= offsets}, each once, with the planes tight at each.
 
-    w is the unit outward normal, <w, x> <= b holds for every point, and
-    ``incident`` flags the points with <w, x> = b up to eps.  Found by
-    brute force over d-subsets (batched through numpy); each plane is
-    refit against its full incident set and deduplicated by that set, so
-    the result is complete and contains each facet exactly once.
+    Every d-subset of the planes is solved, in lexicographic blocks of
+    ``SUBSET_BLOCK``; a subset whose determinant is at most 1e-12 of
+    Hadamard's bound (the product of its row lengths) is skipped.  A
+    feasible solution is a vertex, known by its tight planes, and the first
+    solve of each tight set wins.  ``eps`` bounds <a_i, x> - b_i, so it is
+    relative for offsets near 1.  Returns ``(points, tight)``: points of
+    shape (k, d), and ``tight`` of shape (m, k) with ``tight[i, p]``
+    flagging point p on plane i, its columns sorted (False before True).
     """
-    pts = np.asarray(points, dtype=float)
-    m, d = pts.shape
-    if m < d + 1:
-        raise DegenerateGeometry(f"need at least {d + 1} points in R^{d}, got {m}")
-    planes: dict[bytes, tuple] = {}
-    subsets = combinations(range(m), d)
-    # lexicographic blocks: the first subset to find a plane wins; kept planes are copies
+    n, d = normals.shape
+    lengths = np.linalg.norm(normals, axis=1)
+    subsets = combinations(range(n), d)
+    points, tags = [], []
     while block := list(islice(subsets, SUBSET_BLOCK)):
-        sub = pts[np.array(block)]                    # (S, d, d)
-        diffs = sub[:, 1:, :] - sub[:, :1, :]         # (S, d-1, d)
-        _, s, vt = np.linalg.svd(diffs)
-        indep = s[:, -1] > 1e-12 * np.maximum(s[:, 0], 1.0)
-        normals = vt[indep][:, -1, :]                 # (S', d) nullspace dirs
-        offsets = np.einsum("sd,sd->s", normals, sub[indep][:, 0, :])
-        vals = normals @ pts.T                        # (S', m)
-        below = np.all(vals <= offsets[:, None] + eps, axis=1)
-        above = np.all(vals >= offsets[:, None] - eps, axis=1)
-        keep = below | above
-        normals, offsets, vals = normals[keep], offsets[keep], vals[keep]
-        flip = ~below[keep]
-        normals[flip] *= -1.0
-        offsets[flip] *= -1.0
-        vals[flip] *= -1.0
-        for w, b, inc in zip(normals, offsets, vals >= offsets[:, None] - eps):
-            fit_key = inc.tobytes()
-            if fit_key in planes:
-                continue
-            # refit on the full incident set for a better-conditioned plane
-            centroid, rank, fvt = _affine_basis(pts[inc], eps)
-            if rank == d - 1:
-                w_fit = fvt[-1]
-                if w_fit @ w < 0:
-                    w_fit = -w_fit
-                b_fit = float(w_fit @ centroid)
-                v_fit = pts @ w_fit
-                if np.all(v_fit <= b_fit + eps):
-                    w, b = w_fit, b_fit
-                    inc = v_fit >= b - eps
-            planes.setdefault(inc.tobytes(), (w.copy(), float(b), inc.copy()))
-    if not planes:
-        raise DegenerateGeometry("no supporting hyperplanes found (rank-deficient input?)")
-    # deterministic order: by sorted incident set
-    return sorted(planes.values(), key=lambda p: np.flatnonzero(p[2]).tolist())
+        block = np.array(block)
+        mats = normals[block]                                     # (S, d, d)
+        ok = np.abs(np.linalg.det(mats)) > 1e-12 * np.prod(lengths[block], axis=1)
+        sols = np.linalg.solve(mats[ok], offsets[block[ok]][..., None])[..., 0]  # (S', d)
+        vals = normals @ sols.T                                   # (n, S')
+        feas = np.all(vals <= offsets[:, None] + eps, axis=0)
+        tight, first = np.unique(vals[:, feas] >= offsets[:, None] - eps, axis=1,
+                                 return_index=True)
+        points.append(sols[feas][first])
+        tags.append(tight)
+    # a tight set appears at most once per block, so its first column is its first solve
+    tight, first = np.unique(np.hstack(tags), axis=1, return_index=True)
+    return np.vstack(points)[first], tight
 
 
 # ---------------------------------------------------------------------------
 # validation and loading
 
 def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Raise ValidationError naming the first violated invariant; else return the facets."""
+    """Raise ValidationError naming the first violated invariant; else return the facets.
+
+    The facets are the vertices of the polar of P - g, with g the vertex
+    centroid: each polar vertex's tight planes are one facet's vertices.
+    Each facet plane is then refit on its vertices.
+    """
     if dim < 2:
         raise ValidationError(f"dimension {dim} < 2: the edge-graph needs d >= 2")
     n = vertices.shape[0]
@@ -220,30 +204,28 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
         raise ValidationError(f"duplicate vertices: {dup[0][0]} and {dup[0][1]}")
     if affine_rank(vertices, eps) < dim:
         raise ValidationError("not full-dimensional: vertices lie in a proper affine subspace")
-    planes = supporting_hyperplanes(vertices, eps)
+    # g is interior, so the polar of P - g is bounded
+    polar, tight = _vertices(vertices - vertices.mean(axis=0), np.ones(n), tol.geom_rel)
+    # reversed columns: facets ordered by their sorted vertex index lists
+    incidence = np.ascontiguousarray(tight[:, ::-1].T)
+    planes = []
+    for x, inc in zip(polar[::-1], incidence):
+        centroid, rank, vt = _affine_basis(vertices[inc], eps)
+        w = -vt[-1] if vt[-1] @ x < 0 else vt[-1]  # outward, as the polar vertex points
+        b = float(w @ centroid)
+        if rank != dim - 1 or np.any(vertices @ w > b + eps):
+            raise DegenerateGeometry("facet vertices do not span a supporting hyperplane")
+        planes.append((w, b))
+    w, b = map(np.array, zip(*planes))
     # origin strictly interior: every facet plane at positive distance from 0
-    min_b = min(b for _, b, _ in planes)
-    if min_b <= eps:
+    if b.min() <= eps:
         raise ValidationError("origin not interior")
     # every listed point must be extreme: its incident facet normals span R^d
     for i in range(n):
-        normals = np.array([w for w, _, inc in planes if inc[i]])
+        normals = w[incidence[:, i]]
         if len(normals) < dim or np.linalg.matrix_rank(normals, tol=1e-10) < dim:
             raise ValidationError(f"non-extreme point: vertex {i}")
-    normals, incidences = [], []
-    for w, b, _ in planes:
-        u = w / b
-        vals = vertices @ u
-        if np.any(vals > 1.0 + eps):
-            raise DegenerateGeometry("facet normalization failed feasibility")
-        inc = vals >= 1.0 - eps
-        if np.sum(inc) < dim:
-            raise DegenerateGeometry("facet incident to fewer than d vertices")
-        if affine_rank(vertices[inc], eps) != dim - 1:
-            raise DegenerateGeometry("facet vertices do not span a hyperplane")
-        normals.append(u)
-        incidences.append(inc)
-    return FacetSystem(normals=np.array(normals), incidence=np.array(incidences))
+    return FacetSystem(normals=w / b[:, None], incidence=incidence)
 
 
 def make_polytope(dim, vertices, name=None, tol: Tolerances = DEFAULT_TOLERANCES,
@@ -404,9 +386,10 @@ def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Volume of conv(points) measured inside its own affine hull.
 
     The set is mapped isometrically onto R^k (k = affine dimension) via an
-    orthonormal basis of the affine hull.  One hyperplane search there
-    gives the facets, and the volume is summed over the face lattice they
-    cut out.  A single point has relative volume 1 by convention.
+    orthonormal basis of the affine hull, centred at its centroid.  The
+    vertices of the polar there are the facets, and the volume is summed
+    over the face lattice they cut out.  A single point has relative
+    volume 1 by convention.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -419,19 +402,18 @@ def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     flat = (pts - centroid) @ vt[:k].T  # (m, k), isometric image, centred
     if k <= 1:
         return 1.0 if k == 0 else float(np.ptp(flat))
-    w, b, inc = map(np.array, zip(*supporting_hyperplanes(flat, eps)))
-    return _lattice_volume(flat, w, b, inc)(np.ones(len(flat), dtype=bool), k)
+    polar, tight = _vertices(flat, np.ones(len(flat)), tol.geom_rel)
+    return _lattice_volume(flat, polar, np.ones(len(polar)), tight.T)(
+        np.ones(len(flat), dtype=bool), k)
 
 
 def _shifted_dual(poly: Polytope, c, tol: Tolerances):
     """The vertices of {x : <x, v_i> <= c_i} as tight-constraint tags, and their lattice volume.
 
-    Vertex-enumerates the region by intersecting all d-subsets of the n
-    constraint hyperplanes and keeping feasible intersection points, each
-    tagged with the constraints tight at it.  Returns ``tight``, one row
-    per plane and one column per vertex, with ``tight[i, p]`` flagging
-    vertex p on plane i, and the memoized ``vol(face, k)`` of the face
-    lattice those tags give (``_lattice_volume``).  The offsets must
+    Vertex-enumerates the region with ``_vertices``.  Returns ``tight``,
+    one row per plane and one column per vertex, with ``tight[i, p]``
+    flagging vertex p on plane i, and the memoized ``vol(face, k)`` of the
+    face lattice those tags give (``_lattice_volume``).  The offsets must
     stay in the trust region |c_i - 1| <= ``tol.dual_trust`` so the region
     stays bounded and combinatorially tame.
     """
@@ -442,26 +424,10 @@ def _shifted_dual(poly: Polytope, c, tol: Tolerances):
     delta = tol.dual_trust
     if np.any(c < 1.0 - delta - 1e-15) or np.any(c > 1.0 + delta + 1e-15):
         raise Unbounded(f"offsets outside trust region [1-{delta}, 1+{delta}]")
-    verts = poly.vertices  # (n, d): rows are constraint normals
-    eps = tol.geom(poly.scale)
-    subsets = np.array(list(combinations(range(n), d)))
-    mats = verts[subsets]                       # (m, d, d)
-    rhs = c[subsets]                            # (m, d)
-    dets = np.abs(np.linalg.det(mats))
-    ok = dets > 1e-12 * max(poly.scale, 1.0) ** d
-    if not ok.any():
-        raise Unbounded("no non-degenerate constraint intersections")
-    sols = np.linalg.solve(mats[ok], rhs[ok][..., None])[..., 0]  # (m', d)
-    vals = verts @ sols.T                                         # (n, m')
-    feas = np.all(vals <= c[:, None] + eps, axis=0)
-    if not feas.any():
-        raise Unbounded("no feasible vertices (offsets outside trust region?)")
-    # a vertex is known by its tight constraints: keep one solve per tight set
-    tight, first = np.unique(vals[:, feas] >= c[:, None] - eps, axis=1, return_index=True)
-    points = sols[feas][first]
-    if affine_rank(points, eps) != d:
+    points, tight = _vertices(poly.vertices, c, tol.geom_rel)
+    if len(points) <= d or affine_rank(points, tol.geom(poly.scale)) != d:
         raise Unbounded("dual vertex set is not full-dimensional")
-    return tight, _lattice_volume(points, verts, c, tight)
+    return tight, _lattice_volume(points, poly.vertices, c, tight)
 
 
 def volume_generalized_dual(poly: Polytope, c, tol: Tolerances = DEFAULT_TOLERANCES) -> float:

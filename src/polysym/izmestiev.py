@@ -7,8 +7,10 @@ Two independent routes to the same matrix:
   from the kernel condition M @ phi.T = 0.
 * ``izmestiev_matrix_fd`` numerically differentiates the dual volume's
   gradient, the facet volumes of the shifted dual, and serves as the
-  oracle for the first route.  It shares only the face-lattice volume
-  routine with the first route, never the facets validation found.
+  oracle for the first route.  It shares the vertex enumeration
+  (``geometry._vertices``, which also finds the facets at validation)
+  and the face-lattice volume routine (``geometry._lattice_volume``),
+  and still never reads ``poly.facets``.
 
 The sign convention is fixed by the matrix's defining properties (negative
 on edges, a single negative eigenvalue): it is minus the Hessian of

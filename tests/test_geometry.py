@@ -147,8 +147,8 @@ class TestFacets:
         # validation finds the facets the pipeline uses; every dual edge face
         # and its sub-faces are read off their incidence, with no search
         calls = []
-        search = geometry.supporting_hyperplanes
-        monkeypatch.setattr(geometry, "supporting_hyperplanes",
+        search = geometry._vertices
+        monkeypatch.setattr(geometry, "_vertices",
                             lambda *a, **k: calls.append(1) or search(*a, **k))
         poly = {**FIXTURES, **LADDER}[name]()
         art = build_artifacts(poly)
@@ -159,14 +159,46 @@ class TestFacets:
     def test_blocked_subset_scan_gives_identical_facets(self, name, monkeypatch):
         # every input here fits one default block; blocks of 7 split most scans
         # (the 6-cross-polytope's 924 subsets into 132), and first-wins
-        # deduplication must still keep the same planes, bit for bit
+        # deduplication must still keep the same vertices, bit for bit: the
+        # polar's (the facets) and the shifted dual's
         factory = {**FIXTURES, **LADDER}[name]
-        whole = factory().facets
+        whole = factory()
+        c = 1.0 + 0.03 * np.sin(np.arange(whole.n) + 1.0)  # inside the trust region
+        whole_volumes = geometry.dual_facet_volumes(whole, c)
         monkeypatch.setattr(geometry, "SUBSET_BLOCK", 7)
-        blocked = factory().facets
-        assert whole.normals.shape == blocked.normals.shape
-        assert whole.normals.tobytes() == blocked.normals.tobytes()
-        assert whole.incidence.tobytes() == blocked.incidence.tobytes()
+        blocked = factory()
+        assert whole.facets.normals.shape == blocked.facets.normals.shape
+        assert whole.facets.normals.tobytes() == blocked.facets.normals.tobytes()
+        assert whole.facets.incidence.tobytes() == blocked.facets.incidence.tobytes()
+        assert whole_volumes.tobytes() == geometry.dual_facet_volumes(blocked, c).tobytes()
+
+    @pytest.mark.parametrize("k", range(-6, 13))
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_scale_free(self, name, k, polytopes):
+        # validation compares dimensionless polar values and relative lengths,
+        # so scaling by 10^k leaves every facet's vertex set alone
+        poly = polytopes[name]
+        scaled = make_polytope(poly.dim, 10.0 ** k * poly.vertices)
+        assert np.array_equal(scaled.facets.incidence, poly.facets.incidence)
+
+    @pytest.mark.parametrize("name", [*FIXTURES, *LADDER, "cube5"])
+    def test_matches_qhull(self, name):
+        # qhull triangulates a non-simplicial facet; its simplices share one
+        # equation, <n, x> + e <= 0, so merging them gives the facet, u = n / -e
+        poly = {**FIXTURES, **LADDER, "cube5": lambda: hypercube(5)}[name]()
+        hull = ConvexHull(poly.vertices)
+        merged = []  # [equation, incidence] per facet
+        for eq, simplex in zip(hull.equations, hull.simplices):
+            facet = next((f for f in merged if np.allclose(f[0], eq, rtol=0, atol=1e-8)), None)
+            if facet is None:
+                facet = [eq, np.zeros(poly.n, dtype=bool)]
+                merged.append(facet)
+            facet[1][simplex] = True
+        want = {inc.tobytes(): eq[:-1] / -eq[-1] for eq, inc in merged}
+        got = dict(zip(map(np.ndarray.tobytes, poly.facets.incidence), poly.facets.normals))
+        assert poly.facets.m == len(merged) and got.keys() == want.keys()
+        for key, u in got.items():
+            assert np.linalg.norm(u - want[key]) <= 1e-9 * np.linalg.norm(want[key])
 
     def test_every_vertex_on_at_least_d_facets(self, polytopes):
         for poly in polytopes.values():
@@ -291,11 +323,11 @@ class TestRelativeVolume:
         assert relative_volume(pts) == pytest.approx(1.0 / math.factorial(d), rel=1e-9)
 
     def test_one_hyperplane_search(self, monkeypatch):
-        # the facets of the flattened set are searched once; every lower face
-        # is read off their incidence
+        # the facets of the flattened set, its polar's vertices, are searched
+        # once; every lower face is read off their incidence
         calls = []
-        search = geometry.supporting_hyperplanes
-        monkeypatch.setattr(geometry, "supporting_hyperplanes",
+        search = geometry._vertices
+        monkeypatch.setattr(geometry, "_vertices",
                             lambda *a, **k: calls.append(1) or search(*a, **k))
         pts = np.random.default_rng(3).standard_normal((9, 4))
         assert relative_volume(pts) == pytest.approx(ConvexHull(pts).volume, rel=1e-9)
