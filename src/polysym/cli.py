@@ -68,9 +68,7 @@ def _tolerances(args):
 
 
 def _load(args, path):
-    tol = _tolerances(args)
-    poly = load_polytope(path, tol=tol, recenter=args.recenter)
-    return poly, tol
+    return load_polytope(path, tol=_tolerances(args), recenter=args.recenter)
 
 
 def _input_echo(args, path, poly) -> dict:
@@ -83,8 +81,8 @@ def _input_echo(args, path, poly) -> dict:
     }
 
 
-def _group_report(group, graph, tol) -> dict:
-    return {**group.to_json_dict(tol),
+def _group_report(group, graph) -> dict:
+    return {**group.to_json_dict(),
             "orbit_coloring": orbit_coloring(graph, group.perm_group).to_json_dict()}
 
 
@@ -92,9 +90,9 @@ def cmd_analyze(args) -> int:
     reports = []
     for path in args.paths:
         t0 = time.perf_counter()
-        poly, tol = _load(args, path)
-        art = build_artifacts(poly, tol)
-        props = verify_properties(art.matrix, poly, tol).to_json_dict()
+        poly = _load(args, path)
+        art = build_artifacts(poly)
+        props = verify_properties(art.matrix, poly).to_json_dict()
         report = {
             "input": _input_echo(args, path, poly),
             "facet_count": poly.facets.m,
@@ -111,14 +109,14 @@ def cmd_analyze(args) -> int:
                 "product": art.prod_coloring.to_json_dict(),
             },
             "groups": {},
-            "tolerances": tol.as_dict(),
+            "tolerances": poly.tol.as_dict(),
         }
         if args.coloring in ("izmestiev", "both"):
-            lin = linear_group(poly, tol, artifacts=art, limit=args.limit)
-            report["groups"]["linear"] = _group_report(lin, art.graph, tol)
+            lin = linear_group(poly, artifacts=art, limit=args.limit)
+            report["groups"]["linear"] = _group_report(lin, art.graph)
         if args.coloring in ("product", "both"):
-            orth = orthogonal_group(poly, tol, artifacts=art, limit=args.limit)
-            report["groups"]["orthogonal"] = _group_report(orth, art.graph, tol)
+            orth = orthogonal_group(poly, artifacts=art, limit=args.limit)
+            report["groups"]["orthogonal"] = _group_report(orth, art.graph)
         reports.append(report)
         _chatter(args, f"{path}: analyzed in {time.perf_counter() - t0:.3f}s, "
                        f"orders { {k: v['order'] for k, v in report['groups'].items()} }")
@@ -127,8 +125,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    poly, tol = _load(args, args.path)
-    art = build_artifacts(poly, tol)
+    poly = _load(args, args.path)
+    art = build_artifacts(poly)
     if args.matrix:
         try:
             dump = json.loads(Path(args.matrix).read_text())
@@ -139,13 +137,14 @@ def cmd_validate(args) -> int:
     else:
         mat = art.matrix
         source = "geometric"
-    props = verify_properties(mat, poly, tol)
-    eig_ok, lam, residual = eigenspace_criterion(mat.entries, poly.phi, tol)
-    fd_doc: dict = {"step": tol.fd_step}
+    props = verify_properties(mat, poly)
+    eig_ok, lam, residual = eigenspace_criterion(mat.entries, poly.phi, poly.tol)
+    fd_doc: dict = {"step": poly.tol.fd_step}
     try:
-        fd = izmestiev_matrix_fd(poly, art.graph, tol)
+        fd = izmestiev_matrix_fd(poly, art.graph)
         diff = float(np.max(np.abs(fd.entries - mat.entries)))
-        fd_doc.update({"max_abs_diff": diff, "ok": diff <= tol.fd_check})
+        fd_doc.update({"max_abs_diff": diff,  # made dimensionless: M(sP) = s^-d M(P)
+                       "ok": diff * poly.scale ** poly.dim <= poly.tol.fd_check})
     except PolysymError as exc:
         fd_doc.update({"ok": False, "error": str(exc)})
     passed = bool(props.passed and eig_ok and fd_doc["ok"])
@@ -156,7 +155,7 @@ def cmd_validate(args) -> int:
         "eigenspace": {"ok": eig_ok, "eigenvalue": lam, "residual": residual},
         "fd_agreement": fd_doc,
         "passed": passed,
-        "tolerances": tol.as_dict(),
+        "tolerances": poly.tol.as_dict(),
     })
     return 0 if passed else 1
 
@@ -181,7 +180,6 @@ def _load_embedding(args):
 
 
 def cmd_oracle(args) -> int:
-    tol = _tolerances(args)
     graph_auts = args.candidates == "graph-auts"
     if args.embedding:
         graph, coords, name = _load_embedding(args)
@@ -189,20 +187,20 @@ def cmd_oracle(args) -> int:
             sys.stderr.write("oracle: --candidates graph-auts needs an 'edges' key\n")
             return 64
         cands = automorphisms(uncolored(graph), limit=args.limit).perms if graph_auts else None
-        group = embedding_group(coords, candidates=cands, flavor=args.flavor, tol=tol)
+        group = embedding_group(coords, candidates=cands, flavor=args.flavor, tol=_tolerances(args))
         echo = {"path": args.path, "name": name, "n_vertices": graph.n, "embedding": True}
     else:
-        poly, tol = _load(args, args.path)
+        poly = _load(args, args.path)
         cands = (automorphisms(uncolored(edge_graph(poly)), limit=args.limit).perms
                  if graph_auts else None)
-        group = brute_force_group(poly.phi, candidates=cands, flavor=args.flavor, tol=tol)
+        group = brute_force_group(poly.phi, candidates=cands, flavor=args.flavor, tol=poly.tol)
         echo = {**_input_echo(args, args.path, poly), "embedding": False}
     _emit({
         "input": echo,
         "flavor": args.flavor,
         "candidates": args.candidates,
-        "group": group.to_json_dict(tol),
-        "tolerances": tol.as_dict(),
+        "group": group.to_json_dict(),
+        "tolerances": group.tol.as_dict(),
     })
     return 0
 
@@ -211,14 +209,14 @@ DOT_COLORINGS = ("metric", "izmestiev", "product", "orbit-linear", "orbit-orthog
 
 
 def cmd_export_dot(args) -> int:
-    poly, tol = _load(args, args.path)
-    art = build_artifacts(poly, tol)
+    poly = _load(args, args.path)
+    art = build_artifacts(poly)
     col = {"metric": art.met_coloring, "izmestiev": art.izm_coloring,
            "product": art.prod_coloring}.get(args.coloring)
     if col is None:
         flavor = args.coloring.split("-")[1]
         grp = (linear_group if flavor == "linear" else orthogonal_group)(
-            poly, tol, artifacts=art, limit=args.limit)
+            poly, artifacts=art, limit=args.limit)
         col = orbit_coloring(art.graph, grp.perm_group)
     lines = [f"graph {poly.name or 'polytope'} {{", "  node [style=filled];"]
     for i in range(poly.n):
@@ -237,8 +235,8 @@ def cmd_experiment_metric(args) -> int:
     Compares the metric-colored edge-graph's automorphisms against the
     brute-force orthogonal group.  Records the outcome; asserts nothing.
     """
-    poly, tol = _load(args, args.path)
-    art = build_artifacts(poly, tol)
+    poly = _load(args, args.path)
+    art = build_artifacts(poly)
     col = art.met_coloring
     if args.edge_only:
         col = Coloring(vertex=(0,) * poly.n, edge=dict(col.edge))
@@ -247,7 +245,7 @@ def cmd_experiment_metric(args) -> int:
     auts = automorphisms(col, limit=args.limit)
     cands = (None if poly.n <= SYM_LIMIT
              else automorphisms(uncolored(art.graph), limit=args.limit).perms)
-    reference = brute_force_group(poly.phi, candidates=cands, flavor="orthogonal", tol=tol)
+    reference = brute_force_group(poly.phi, candidates=cands, flavor="orthogonal", tol=poly.tol)
     extra = [p for p in auts.perms if p not in reference.perm_group]
     _emit({
         "input": _input_echo(args, args.path, poly),
@@ -257,7 +255,7 @@ def cmd_experiment_metric(args) -> int:
         "orthogonal_order": reference.order,
         "matches_orthogonal_group": not extra and auts.order == reference.order,
         "extra_automorphisms": [list(p) for p in extra],
-        "tolerances": tol.as_dict(),
+        "tolerances": poly.tol.as_dict(),
     })
     return 0
 

@@ -130,13 +130,12 @@ def quantize(vertex_values, edge_values, tol: Tolerances = DEFAULT_TOLERANCES) -
     )
 
 
-def metric_coloring(poly: Polytope, graph: EdgeGraph,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> Coloring:
+def metric_coloring(poly: Polytope, graph: EdgeGraph) -> Coloring:
     """Vertex color |v_i|^2, edge color <v_i, v_j>: an isometry invariant."""
     verts = poly.vertices
     vvals = [float(verts[i] @ verts[i]) for i in range(poly.n)]
     evals = {(i, j): float(verts[i] @ verts[j]) for i, j in graph.edges}
-    return quantize(vvals, evals, tol)
+    return quantize(vvals, evals, poly.tol)
 
 
 def izmestiev_coloring(mat: IzmestievMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Coloring:
@@ -171,8 +170,7 @@ def product_coloring(c1: Coloring, c2: Coloring) -> Coloring:
     )
 
 
-def complete_metric(poly: Polytope, variant: str,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> Coloring:
+def complete_metric(poly: Polytope, variant: str) -> Coloring:
     """Coloring of the complete graph K_n from a vertex Gram matrix.
 
     variant "orthogonal" uses phi.T @ phi (plain inner products); variant
@@ -190,7 +188,7 @@ def complete_metric(poly: Polytope, variant: str,
     n = poly.n
     vvals = [float(gram[i, i]) for i in range(n)]
     evals = {(i, j): float(gram[i, j]) for i, j in combinations(range(n), 2)}
-    return quantize(vvals, evals, tol)
+    return quantize(vvals, evals, poly.tol)
 
 
 def orbit_coloring(graph: EdgeGraph, group) -> Coloring:

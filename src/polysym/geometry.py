@@ -33,13 +33,14 @@ class Polytope:
 
     ``vertices`` has shape (n, d); row i is vertex i.  Vertex order is
     contract-bearing: permutations and reconstructed linear maps refer to
-    these indices.  ``facets`` are the ones validation found, under the
-    tolerances the polytope was built with.
+    these indices.  ``facets`` are the ones validation found under ``tol``,
+    the polytope's one tolerance ledger: every later stage reads it here.
     """
 
     dim: int
     vertices: np.ndarray
     facets: FacetSystem
+    tol: Tolerances
     name: str | None = None
 
     @property
@@ -137,7 +138,7 @@ def _affine_basis(points: np.ndarray, eps: float):
     centroid = points.mean(axis=0)
     _, s, vt = np.linalg.svd(points - centroid, full_matrices=True)
     smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > max(eps, 1e-13 * max(smax, 1.0))))
+    rank = int(np.sum(s > max(eps, 1e-13 * smax)))
     return centroid, rank, vt
 
 
@@ -230,7 +231,7 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
 
 def make_polytope(dim, vertices, name=None, tol: Tolerances = DEFAULT_TOLERANCES,
                   recenter: bool = False) -> Polytope:
-    """Build and validate a Polytope from raw coordinates."""
+    """Build and validate a Polytope from raw coordinates; it keeps ``tol`` as its ledger."""
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != dim:
         raise ParseError(f"vertex array has shape {verts.shape}, expected (n, {dim})")
@@ -238,7 +239,7 @@ def make_polytope(dim, vertices, name=None, tol: Tolerances = DEFAULT_TOLERANCES
         verts = verts - verts.mean(axis=0)
     facets = validate_vertices(dim, verts, tol)
     verts.setflags(write=False)
-    return Polytope(dim=int(dim), vertices=verts, facets=facets, name=name)
+    return Polytope(dim=int(dim), vertices=verts, facets=facets, name=name, tol=tol)
 
 
 def load_polytope(source, tol: Tolerances = DEFAULT_TOLERANCES, recenter: bool = False) -> Polytope:
@@ -397,7 +398,7 @@ def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     if pts.shape[0] == 0:
         raise ValueError("empty point set")
     scale = float(np.max(np.abs(pts))) if pts.size else 1.0
-    eps = tol.geom(max(scale, 1.0))
+    eps = tol.geom(scale)
     centroid, k, vt = _affine_basis(pts, eps)
     flat = (pts - centroid) @ vt[:k].T  # (m, k), isometric image, centred
     if k <= 1:
@@ -407,40 +408,41 @@ def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
         np.ones(len(flat), dtype=bool), k)
 
 
-def _shifted_dual(poly: Polytope, c, tol: Tolerances):
+def _shifted_dual(poly: Polytope, c):
     """The vertices of {x : <x, v_i> <= c_i} as tight-constraint tags, and their lattice volume.
 
     Vertex-enumerates the region with ``_vertices``.  Returns ``tight``,
     one row per plane and one column per vertex, with ``tight[i, p]``
     flagging vertex p on plane i, and the memoized ``vol(face, k)`` of the
     face lattice those tags give (``_lattice_volume``).  The offsets must
-    stay in the trust region |c_i - 1| <= ``tol.dual_trust`` so the region
-    stays bounded and combinatorially tame.
+    stay in the trust region |c_i - 1| <= ``poly.tol.dual_trust`` so the
+    region stays bounded and combinatorially tame.
     """
     c = np.asarray(c, dtype=float)
-    n, d = poly.n, poly.dim
+    n, d, tol = poly.n, poly.dim, poly.tol
     if c.shape != (n,):
         raise ValueError(f"offset vector must have shape ({n},)")
     delta = tol.dual_trust
     if np.any(c < 1.0 - delta - 1e-15) or np.any(c > 1.0 + delta + 1e-15):
         raise Unbounded(f"offsets outside trust region [1-{delta}, 1+{delta}]")
     points, tight = _vertices(poly.vertices, c, tol.geom_rel)
-    if len(points) <= d or affine_rank(points, tol.geom(poly.scale)) != d:
+    size = np.linalg.norm(points, axis=1).max(initial=0.0)  # the region's size, about 1/scale
+    if len(points) <= d or affine_rank(points, tol.geom(size)) != d:
         raise Unbounded("dual vertex set is not full-dimensional")
     return tight, _lattice_volume(points, poly.vertices, c, tight)
 
 
-def volume_generalized_dual(poly: Polytope, c, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def volume_generalized_dual(poly: Polytope, c) -> float:
     """Volume of {x : <x, v_i> <= c_i}, the dual with facets shifted by c.
 
     The volume is summed over the face lattice of the region's vertices,
     found as in ``_shifted_dual``; the offsets must stay in its trust region.
     """
-    tight, vol = _shifted_dual(poly, c, tol)
+    tight, vol = _shifted_dual(poly, c)
     return vol(np.ones(tight.shape[1], dtype=bool), poly.dim)
 
 
-def dual_facet_volumes(poly: Polytope, c, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def dual_facet_volumes(poly: Polytope, c) -> np.ndarray:
     """(n,) volumes of the facets F_i, on the planes <x, v_i> = c_i, of {x : <x, v_i> <= c_i}.
 
     ``F_i`` is the face of the region's lattice on plane i, so its volume
@@ -451,7 +453,7 @@ def dual_facet_volumes(poly: Polytope, c, tol: Tolerances = DEFAULT_TOLERANCES) 
     Divided by |v_i| these are the partial derivatives of
     ``volume_generalized_dual`` in c.
     """
-    tight, vol = _shifted_dual(poly, c, tol)
+    tight, vol = _shifted_dual(poly, c)
     counts = tight.astype(float)
     within = counts @ counts.T == tight.sum(axis=1)[:, None]  # [i, j]: plane i's points on plane j
     facet = within.sum(axis=1) == 1

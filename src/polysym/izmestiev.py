@@ -24,7 +24,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import KernelResidual, NumericalInstability, ParseError, SingularAngle
 from .geometry import EdgeGraph, Polytope, dual_edge_volumes, dual_facet_volumes
 
@@ -77,8 +76,7 @@ class IzmestievPropertyReport:
         return {**asdict(self), "spectrum": list(self.spectrum), "passed": self.passed}
 
 
-def izmestiev_matrix(poly: Polytope, graph: EdgeGraph,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> IzmestievMatrix:
+def izmestiev_matrix(poly: Polytope, graph: EdgeGraph) -> IzmestievMatrix:
     """Geometric-formula route.
 
     For an edge ij the entry is -vol(f_ij) / sqrt(|v_i|^2 |v_j|^2 - <v_i,v_j>^2)
@@ -87,7 +85,7 @@ def izmestiev_matrix(poly: Polytope, graph: EdgeGraph,
     the dual's face lattice.  Diagonal entries are solved row-wise from the
     kernel condition and the full residual is checked afterwards.
     """
-    n = poly.n
+    n, tol = poly.n, poly.tol
     verts = poly.vertices
     entries = np.zeros((n, n))
     scale = poly.scale
@@ -109,8 +107,7 @@ def izmestiev_matrix(poly: Polytope, graph: EdgeGraph,
     return IzmestievMatrix(entries=entries, graph=graph)
 
 
-def izmestiev_matrix_fd(poly: Polytope, graph: EdgeGraph,
-                        tol: Tolerances = DEFAULT_TOLERANCES) -> IzmestievMatrix:
+def izmestiev_matrix_fd(poly: Polytope, graph: EdgeGraph) -> IzmestievMatrix:
     """Finite-difference route: central differences of the dual volume's gradient.
 
     The gradient of vol({x : <x, v_i> <= c_i}) is g_i = vol_{d-1}(F_i) / |v_i|,
@@ -122,12 +119,13 @@ def izmestiev_matrix_fd(poly: Polytope, graph: EdgeGraph,
     Richardson-combined pairwise, which cancels the step-linear error a
     merely C^2 volume produces at non-simple dual vertices.  The two
     combined estimates must agree, and each raw Hessian must be symmetric,
-    within the configured check tolerance; otherwise a combinatorial flip
-    of the shifted dual is suspected.
+    within ``tol.fd_check`` once made dimensionless (times scale^d, as
+    M(sP) = s^-d M(P)); otherwise a combinatorial flip of the shifted dual
+    is suspected.
     """
-    n = poly.n
+    n, tol = poly.n, poly.tol
     norms = np.linalg.norm(poly.vertices, axis=1)
-    grad = lambda c: dual_facet_volumes(poly, c, tol) / norms
+    grad = lambda c: dual_facet_volumes(poly, c) / norms
     base = np.ones(n)
 
     def hessian(hh: float) -> np.ndarray:
@@ -139,16 +137,17 @@ def izmestiev_matrix_fd(poly: Polytope, graph: EdgeGraph,
     sym = [-(m + m.T) / 2.0 for m in raw]
     combined = [2.0 * sym[k + 1] - sym[k] for k in range(2)]
     drift = float(np.max(np.abs(combined[1] - combined[0])))
-    if max(drift, asym) > tol.fd_check:
+    limit = tol.fd_check / poly.scale ** poly.dim
+    if max(drift, asym) > limit:
         raise NumericalInstability(
             f"step-halving drift {drift:.3e} / asymmetry {asym:.3e} exceeds "
-            f"{tol.fd_check:.1e}; shifted dual changed combinatorics inside the stencil")
+            f"{limit:.1e}; shifted dual changed combinatorics inside the stencil")
     return IzmestievMatrix(entries=combined[1], graph=graph)
 
 
-def verify_properties(mat: IzmestievMatrix, poly: Polytope,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> IzmestievPropertyReport:
+def verify_properties(mat: IzmestievMatrix, poly: Polytope) -> IzmestievPropertyReport:
     """Check the five defining properties and report witnesses."""
+    tol = poly.tol
     m = mat.entries
     n = mat.n
     edges = mat.graph.edge_set

@@ -43,7 +43,7 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
         maps, ok, _ = lift_and_check(phi, block, flavor, tol, pinv)
         accepted.update((tuple(int(x) for x in block[i]), maps[i]) for i in np.flatnonzero(ok))
     group = PermutationSet(accepted)
-    return MatrixGroup(group, np.array([accepted[p] for p in group.perms]), flavor)
+    return MatrixGroup(group, np.array([accepted[p] for p in group.perms]), flavor, tol)
 
 
 def embedding_group(coordinates, candidates=None, flavor: str = "linear",

@@ -32,17 +32,18 @@ class MatrixGroup:
     perm_group: PermutationSet
     maps: np.ndarray      # (order, d, d): maps[k] realizes perm_group.perms[k]
     flavor: str           # "linear" | "orthogonal"
+    tol: Tolerances       # the ledger the maps were checked under, echoed by the report
 
     @property
     def order(self) -> int:
         return self.perm_group.order
 
-    def to_json_dict(self, tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
-        orthogonal = _orth_residuals(self.maps) <= tol.orth
+    def to_json_dict(self) -> dict:
+        orthogonal = _orth_residuals(self.maps) <= self.tol.orth
         return {
             "flavor": self.flavor,
             "order": self.order,
-            "tolerances": {"match": tol.match, "orth": tol.orth},
+            "tolerances": {"match": self.tol.match, "orth": self.tol.orth},
             "members": [{"perm": list(p), "matrix": t.tolist(), "orthogonal": bool(o)}
                         for p, t, o in zip(self.perm_group.perms, self.maps, orthogonal)],
         }
@@ -122,11 +123,11 @@ class PipelineArtifacts:
     prod_coloring: Coloring
 
 
-def build_artifacts(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES) -> PipelineArtifacts:
+def build_artifacts(poly: Polytope) -> PipelineArtifacts:
     graph = edge_graph(poly)
-    matrix = izmestiev_matrix(poly, graph, tol)
-    izm = izmestiev_coloring(matrix, tol)
-    met = metric_coloring(poly, graph, tol)
+    matrix = izmestiev_matrix(poly, graph)
+    izm = izmestiev_coloring(matrix, poly.tol)
+    met = metric_coloring(poly, graph)
     return PipelineArtifacts(
         poly=poly, graph=graph, matrix=matrix,
         izm_coloring=izm, met_coloring=met,
@@ -135,7 +136,8 @@ def build_artifacts(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES) -> Pip
 
 
 def _realize_group(art: PipelineArtifacts, coloring: Coloring, flavor: str,
-                   tol: Tolerances, limit: int) -> MatrixGroup:
+                   limit: int) -> MatrixGroup:
+    tol = art.poly.tol
     group = automorphisms(coloring, limit=limit)
     maps, ok, residuals = lift_and_check(art.poly.phi, group.perms, flavor, tol)
     if not ok.all():
@@ -149,21 +151,19 @@ def _realize_group(art: PipelineArtifacts, coloring: Coloring, flavor: str,
             diagnostic={"perm": sigma, "matrix": maps[i].tolist(), "polytope": art.poly.name,
                         "tolerance": tol.orth if not_orthogonal else tol.match,
                         "residuals": {k: float(v[i]) for k, v in residuals.items()}})
-    return MatrixGroup(perm_group=group, maps=maps, flavor=flavor)
+    return MatrixGroup(perm_group=group, maps=maps, flavor=flavor, tol=tol)
 
 
-def linear_group(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES,
-                 artifacts: PipelineArtifacts | None = None,
+def linear_group(poly: Polytope, artifacts: PipelineArtifacts | None = None,
                  limit: int = 10 ** 6) -> MatrixGroup:
     """All invertible linear maps fixing the polytope, via the spectral coloring."""
-    art = artifacts or build_artifacts(poly, tol)
-    return _realize_group(art, art.izm_coloring, "linear", tol, limit)
+    art = artifacts or build_artifacts(poly)
+    return _realize_group(art, art.izm_coloring, "linear", limit)
 
 
-def orthogonal_group(poly: Polytope, tol: Tolerances = DEFAULT_TOLERANCES,
-                     artifacts: PipelineArtifacts | None = None,
+def orthogonal_group(poly: Polytope, artifacts: PipelineArtifacts | None = None,
                      limit: int = 10 ** 6) -> MatrixGroup:
     """All orthogonal maps fixing the polytope, via the product coloring."""
-    art = artifacts or build_artifacts(poly, tol)
-    return _realize_group(art, art.prod_coloring, "orthogonal", tol, limit)
+    art = artifacts or build_artifacts(poly)
+    return _realize_group(art, art.prod_coloring, "orthogonal", limit)
 

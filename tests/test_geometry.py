@@ -317,6 +317,16 @@ class TestRelativeVolume:
         pts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
         assert relative_volume(pts) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("k", range(-12, 13))
+    def test_scale_free(self, k):
+        # the rank decision is relative to the points' own size, with no floor:
+        # a small square or cube is not taken for a point
+        s = 10.0 ** k
+        square_pts = s * np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
+        cube_pts = s * np.array(list(product((0.0, 1.0), repeat=3)))
+        assert relative_volume(square_pts) == pytest.approx(s ** 2, rel=1e-9)
+        assert relative_volume(cube_pts) == pytest.approx(s ** 3, rel=1e-9)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_standard_simplex(self, d):
         pts = np.vstack([np.zeros(d), np.eye(d)])

@@ -9,7 +9,7 @@ from conftest import random_invertible
 from helpers import adjacency, hypercube, perm_matrix
 from polysym import DEFAULT_TOLERANCES, Tolerances, edge_graph, izmestiev, make_polytope
 from polysym.errors import NumericalInstability
-from polysym.fixtures import cube, rectangle, square, triangle
+from polysym.fixtures import FIXTURES, cube, rectangle, square, triangle
 from polysym.izmestiev import (
     IzmestievMatrix,
     izmestiev_matrix,
@@ -69,6 +69,18 @@ def test_fd_agrees_with_geometric_on_all_fixtures(artifacts):
         assert diff <= FD_TOL, f"{name}: fd drift {diff:.2e}"
 
 
+@pytest.mark.parametrize("k", [-6, -3, 3, 6, 9])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fd_scale_free(artifacts, name, k):
+    # M(sP) = s^-d M(P): the oracle on sP, made dimensionless by scale^d,
+    # meets the scaled geometric matrix of P at the unscaled check tolerance
+    art, s = artifacts[name], 10.0 ** k
+    poly = make_polytope(art.poly.dim, s * art.poly.vertices)
+    fd = izmestiev_matrix_fd(poly, art.graph)
+    diff = np.max(np.abs(fd.entries - s ** -poly.dim * art.matrix.entries))
+    assert diff * poly.scale ** poly.dim <= DEFAULT_TOLERANCES.fd_check, f"{name}: {diff:.2e}"
+
+
 def test_fd_agrees_with_geometric_on_4_cube():
     art = build_artifacts(hypercube(4))
     fd = izmestiev_matrix_fd(art.poly, art.graph)
@@ -79,8 +91,9 @@ def test_fd_agrees_with_geometric_on_4_cube():
 def test_fd_step_halving_drift_raises(artifacts):
     # simplex4's Richardson estimates drift by about 9e-8: a check below that must fire
     art = artifacts["simplex4"]
+    poly = make_polytope(art.poly.dim, art.poly.vertices, tol=Tolerances(fd_check=1e-8))
     with pytest.raises(NumericalInstability, match="step-halving drift"):
-        izmestiev_matrix_fd(art.poly, art.graph, Tolerances(fd_check=1e-8))
+        izmestiev_matrix_fd(poly, art.graph)
 
 
 def test_fd_asymmetry_raises(artifacts, monkeypatch):
@@ -89,8 +102,8 @@ def test_fd_asymmetry_raises(artifacts, monkeypatch):
     art = artifacts["cube"]
     exact = izmestiev.dual_facet_volumes
 
-    def skewed(poly, c, tol):
-        g = exact(poly, c, tol)
+    def skewed(poly, c):
+        g = exact(poly, c)
         g[0] += 1e-3 * (c[1] - 1.0) * np.linalg.norm(poly.vertices[0])
         return g
 

@@ -198,7 +198,7 @@ class TestMatrixGroup:
         tol = DEFAULT_TOLERANCES
         for name, art in artifacts.items():
             for group in both_builds(art, flavor):
-                members = group.to_json_dict(tol)["members"]
+                members = group.to_json_dict()["members"]
                 assert [tuple(m["perm"]) for m in members] == list(group.perm_group.perms)
                 assert [m["orthogonal"] for m in members] == [
                     is_orthogonal(np.array(m["matrix"]), tol.orth) for m in members], name
@@ -211,15 +211,37 @@ class TestMatrixGroup:
             assert (flags.count(True), flags.count(False)) == (4, 8)
 
 
+class TestOneLedger:
+    """Every stage reads the ledger its polytope was validated under."""
+
+    TOL = Tolerances(match=1e-7, orth=1e-6)
+
+    def test_pipeline_quantizes_under_the_polytope_ledger(self, polytopes):
+        # as `analyze --eps-color 1e6`: one color class keeps the generic
+        # hexagon's 12 cycle automorphisms, and only the identity lifts
+        base = polytopes["perturbed_hexagon"]
+        poly = make_polytope(base.dim, base.vertices, tol=Tolerances(color_rel=1e6))
+        with pytest.raises(TheoremViolation):
+            linear_group(poly)
+
+    def test_pipeline_report_echoes_the_polytope_ledger(self, polytopes):
+        poly = make_polytope(3, polytopes["cube"].vertices, tol=self.TOL)
+        for group in (linear_group(poly), orthogonal_group(poly)):
+            assert group.to_json_dict()["tolerances"] == {"match": 1e-7, "orth": 1e-6}
+
+    def test_oracle_report_echoes_its_ledger(self, polytopes):
+        group = brute_force_group(polytopes["square"].phi, flavor="orthogonal", tol=self.TOL)
+        assert group.order == 8
+        assert group.to_json_dict()["tolerances"] == {"match": 1e-7, "orth": 1e-6}
+
+
 def test_wrong_coloring_raises_theorem_violation(artifacts):
     # the uncolored edge-graph of a generic hexagon has 12 automorphisms,
     # none of which (except the identity) is geometric
     from polysym.reconstruct import _realize_group
     art = artifacts["perturbed_hexagon"]
     with pytest.raises(TheoremViolation):
-        _realize_group(art, uncolored(art.graph),
-                       "linear", __import__("polysym.config", fromlist=["x"]).DEFAULT_TOLERANCES,
-                       10 ** 6)
+        _realize_group(art, uncolored(art.graph), "linear", 10 ** 6)
 
 
 def test_artifacts_reuse_consistent(polytopes):
