@@ -1,0 +1,25 @@
+#!/bin/sh
+# Hold the installed `polysym` entry point to the committed reports: every
+# golden `analyze` and K_{4,4} `oracle` report byte for byte, and a passing
+# `validate` on every polytope fixture.  Run from the root of a checkout,
+# after `pip install .`:
+#
+#     sh scripts/check_entry_point.sh
+set -eu
+
+for g in tests/golden/analyze_*.json; do
+    name=${g#tests/golden/analyze_}; name=${name%.json}
+    polysym analyze "fixtures/$name.json" | cmp - "$g" \
+        || { echo "golden mismatch: $name"; exit 1; }
+done
+
+for flavor in linear orthogonal; do
+    polysym oracle fixtures/k44_embedding.json --embedding --candidates graph-auts --flavor "$flavor" \
+        | cmp - "tests/golden/oracle_k44_embedding_$flavor.json" \
+        || { echo "golden mismatch: k44_embedding $flavor"; exit 1; }
+done
+
+for f in fixtures/*.json; do
+    [ "$f" = fixtures/k44_embedding.json ] && continue
+    polysym validate "$f" > /dev/null || { echo "validate failed: $f"; exit 1; }
+done

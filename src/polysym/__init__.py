@@ -7,16 +7,12 @@ reconstructs each one as an explicit linear map on the ambient space.
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .geometry import (
-    DualFace,
     EdgeGraph,
     FacetSystem,
     Polytope,
-    dual_edge_face,
     edge_graph,
     load_polytope,
     make_polytope,
-    relative_volume,
-    volume_generalized_dual,
 )
 
 __all__ = [
@@ -25,11 +21,7 @@ __all__ = [
     "Polytope",
     "FacetSystem",
     "EdgeGraph",
-    "DualFace",
     "load_polytope",
     "make_polytope",
     "edge_graph",
-    "dual_edge_face",
-    "relative_volume",
-    "volume_generalized_dual",
 ]

@@ -25,7 +25,6 @@ from .errors import DomainMismatch, LimitExceeded, NotAGroup
 from .geometry import EdgeGraph
 
 Perm = tuple[int, ...]
-MAX_VERTICES = 64  # automorphism search refuses larger graphs
 
 
 def identity_perm(n: int) -> Perm:
@@ -206,8 +205,6 @@ def automorphisms(col: Coloring, limit: int = 10 ** 6) -> PermutationSet:
     the group order, checked before any member is built.
     """
     n = col.n
-    if n > MAX_VERTICES:
-        raise LimitExceeded(f"graph has {n} > {MAX_VERTICES} vertices")
     if not all(0 <= i < j < n for i, j in col.edge):
         raise DomainMismatch(f"edge keys must be pairs (i, j) with 0 <= i < j < {n}")
     neighbors = _neighbor_table(col)

@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import EdgeGraph, edge_graph, load_polytope
-from .izmestiev import izmestiev_matrix_fd, load_matrix_dump, verify_properties
+from .izmestiev import izmestiev_matrix, izmestiev_matrix_fd, load_matrix_dump, verify_properties
 from .oracle import SYM_LIMIT, brute_force_group, embedding_group
 from .reconstruct import (
     build_artifacts,
@@ -112,10 +112,10 @@ def cmd_analyze(args) -> int:
             "tolerances": poly.tol.as_dict(),
         }
         if args.coloring in ("izmestiev", "both"):
-            lin = linear_group(poly, artifacts=art, limit=args.limit)
+            lin = linear_group(art, limit=args.limit)
             report["groups"]["linear"] = _group_report(lin, art.graph)
         if args.coloring in ("product", "both"):
-            orth = orthogonal_group(poly, artifacts=art, limit=args.limit)
+            orth = orthogonal_group(art, limit=args.limit)
             report["groups"]["orthogonal"] = _group_report(orth, art.graph)
         reports.append(report)
         _chatter(args, f"{path}: analyzed in {time.perf_counter() - t0:.3f}s, "
@@ -126,22 +126,20 @@ def cmd_analyze(args) -> int:
 
 def cmd_validate(args) -> int:
     poly = _load(args, args.path)
-    art = build_artifacts(poly)
+    graph = edge_graph(poly)
+    mat, source = izmestiev_matrix(poly, graph), "geometric"  # its kernel check runs either way
     if args.matrix:
         try:
             dump = json.loads(Path(args.matrix).read_text())
-            mat = load_matrix_dump(dump, art.graph)
+            mat = load_matrix_dump(dump, graph)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad matrix dump: {exc}") from exc
         source = "dump"
-    else:
-        mat = art.matrix
-        source = "geometric"
     props = verify_properties(mat, poly)
     eig_ok, lam, residual = eigenspace_criterion(mat.entries, poly.phi, poly.tol)
     fd_doc: dict = {"step": poly.tol.fd_step}
     try:
-        fd = izmestiev_matrix_fd(poly, art.graph)
+        fd = izmestiev_matrix_fd(poly, graph)
         diff = float(np.max(np.abs(fd.entries - mat.entries)))
         fd_doc.update({"max_abs_diff": diff,  # made dimensionless: M(sP) = s^-d M(P)
                        "ok": diff * poly.scale ** poly.dim <= poly.tol.fd_check})
@@ -186,15 +184,16 @@ def cmd_oracle(args) -> int:
         if graph_auts and not graph.edges:
             sys.stderr.write("oracle: --candidates graph-auts needs an 'edges' key\n")
             return 64
-        cands = automorphisms(uncolored(graph), limit=args.limit).perms if graph_auts else None
-        group = embedding_group(coords, candidates=cands, flavor=args.flavor, tol=_tolerances(args))
         echo = {"path": args.path, "name": name, "n_vertices": graph.n, "embedding": True}
     else:
         poly = _load(args, args.path)
-        cands = (automorphisms(uncolored(edge_graph(poly)), limit=args.limit).perms
-                 if graph_auts else None)
-        group = brute_force_group(poly.phi, candidates=cands, flavor=args.flavor, tol=poly.tol)
+        graph = edge_graph(poly) if graph_auts else None
         echo = {**_input_echo(args, args.path, poly), "embedding": False}
+    cands = automorphisms(uncolored(graph), limit=args.limit).perms if graph_auts else None
+    if args.embedding:
+        group = embedding_group(coords, candidates=cands, flavor=args.flavor, tol=_tolerances(args))
+    else:
+        group = brute_force_group(poly.phi, candidates=cands, flavor=args.flavor, tol=poly.tol)
     _emit({
         "input": echo,
         "flavor": args.flavor,
@@ -215,8 +214,7 @@ def cmd_export_dot(args) -> int:
            "product": art.prod_coloring}.get(args.coloring)
     if col is None:
         flavor = args.coloring.split("-")[1]
-        grp = (linear_group if flavor == "linear" else orthogonal_group)(
-            poly, artifacts=art, limit=args.limit)
+        grp = (linear_group if flavor == "linear" else orthogonal_group)(art, limit=args.limit)
         col = orbit_coloring(art.graph, grp.perm_group)
     lines = [f"graph {poly.name or 'polytope'} {{", "  node [style=filled];"]
     for i in range(poly.n):

@@ -9,7 +9,6 @@ relative gap rule; only class equality ever feeds the automorphism search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -138,12 +137,12 @@ def metric_coloring(poly: Polytope, graph: EdgeGraph) -> Coloring:
     return quantize(vvals, evals, poly.tol)
 
 
-def izmestiev_coloring(mat: IzmestievMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Coloring:
+def izmestiev_coloring(poly: Polytope, mat: IzmestievMatrix) -> Coloring:
     """Diagonal entries color vertices, edge entries color edges."""
     m = mat.entries
     vvals = [float(m[i, i]) for i in range(mat.n)]
     evals = {(i, j): float(m[i, j]) for i, j in mat.graph.edges}
-    return quantize(vvals, evals, tol)
+    return quantize(vvals, evals, poly.tol)
 
 
 def _densify_pairs(pairs: list) -> list[int]:
@@ -168,27 +167,6 @@ def product_coloring(c1: Coloring, c2: Coloring) -> Coloring:
         vertex_reps=tuple(sorted(set(vpairs))),
         edge_reps=tuple(sorted(set(epairs))),
     )
-
-
-def complete_metric(poly: Polytope, variant: str) -> Coloring:
-    """Coloring of the complete graph K_n from a vertex Gram matrix.
-
-    variant "orthogonal" uses phi.T @ phi (plain inner products); variant
-    "linear" uses pinv(phi) @ phi, which is invariant under invertible
-    linear maps of the polytope.  Diagonal entries color the vertices,
-    off-diagonal entries color every vertex pair.
-    """
-    phi = poly.phi
-    if variant == "orthogonal":
-        gram = phi.T @ phi
-    elif variant == "linear":
-        gram = phi.T @ np.linalg.solve(phi @ phi.T, phi)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    n = poly.n
-    vvals = [float(gram[i, i]) for i in range(n)]
-    evals = {(i, j): float(gram[i, j]) for i, j in combinations(range(n), 2)}
-    return quantize(vvals, evals, poly.tol)
 
 
 def orbit_coloring(graph: EdgeGraph, group) -> Coloring:

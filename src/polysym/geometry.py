@@ -2,10 +2,10 @@
 
 Vertices are the single source of truth.  Validation finds the facets
 once, as the vertices of the polar dual, and the ``Polytope`` carries
-them.  One vertex enumeration (``_vertices``) serves validation, relative
-volumes and the shifted dual.  Every later face is read off the
-vertex-facet incidence, and volumes are summed bottom-up over that face
-lattice by the pyramid formula, each face once.
+them.  One vertex enumeration (``_vertices``) serves validation and the
+shifted dual.  Every later face is read off the vertex-facet incidence,
+and volumes are summed bottom-up over that face lattice by the pyramid
+formula, each face once.
 """
 
 from __future__ import annotations
@@ -118,17 +118,8 @@ class EdgeGraph:
         return len(seen) == self.n
 
 
-@dataclass(frozen=True, eq=False)
-class DualFace:
-    """Dual-polytope face attached to an edge: its vertices and relative volume."""
-
-    edge: tuple[int, int]
-    points: np.ndarray  # (k, d) dual vertices incident to both endpoints
-    relvol: float
-
-
 # ---------------------------------------------------------------------------
-# polar vertices: one enumeration for the facets, relative volumes and the shifted dual
+# polar vertices: one enumeration for the facets and the shifted dual
 
 SUBSET_BLOCK = 1 << 15  # d-subsets per batch of the vertex enumeration; bounds its memory
 
@@ -325,14 +316,6 @@ def dual_edge_volumes(poly: Polytope, edges) -> list[float]:
     return out
 
 
-def dual_edge_face(poly: Polytope, edge) -> DualFace:
-    """Dual face of an edge: the dual vertices shared by both endpoints, and its volume."""
-    i, j = sorted(edge)
-    inc = poly.facets.incidence
-    return DualFace(edge=(i, j), points=poly.facets.normals[inc[:, i] & inc[:, j]],
-                    relvol=dual_edge_volumes(poly, [(i, j)])[0])
-
-
 # ---------------------------------------------------------------------------
 # volumes, bottom-up over the face lattice
 
@@ -383,31 +366,6 @@ def _lattice_volume(points, normals, offsets, incidence):
     return vol
 
 
-def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Volume of conv(points) measured inside its own affine hull.
-
-    The set is mapped isometrically onto R^k (k = affine dimension) via an
-    orthonormal basis of the affine hull, centred at its centroid.  The
-    vertices of the polar there are the facets, and the volume is summed
-    over the face lattice they cut out.  A single point has relative
-    volume 1 by convention.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1)
-    if pts.shape[0] == 0:
-        raise ValueError("empty point set")
-    scale = float(np.max(np.abs(pts))) if pts.size else 1.0
-    eps = tol.geom(scale)
-    centroid, k, vt = _affine_basis(pts, eps)
-    flat = (pts - centroid) @ vt[:k].T  # (m, k), isometric image, centred
-    if k <= 1:
-        return 1.0 if k == 0 else float(np.ptp(flat))
-    polar, tight = _vertices(flat, np.ones(len(flat)), tol.geom_rel)
-    return _lattice_volume(flat, polar, np.ones(len(polar)), tight.T)(
-        np.ones(len(flat), dtype=bool), k)
-
-
 def _shifted_dual(poly: Polytope, c):
     """The vertices of {x : <x, v_i> <= c_i} as tight-constraint tags, and their lattice volume.
 
@@ -432,16 +390,6 @@ def _shifted_dual(poly: Polytope, c):
     return tight, _lattice_volume(points, poly.vertices, c, tight)
 
 
-def volume_generalized_dual(poly: Polytope, c) -> float:
-    """Volume of {x : <x, v_i> <= c_i}, the dual with facets shifted by c.
-
-    The volume is summed over the face lattice of the region's vertices,
-    found as in ``_shifted_dual``; the offsets must stay in its trust region.
-    """
-    tight, vol = _shifted_dual(poly, c)
-    return vol(np.ones(tight.shape[1], dtype=bool), poly.dim)
-
-
 def dual_facet_volumes(poly: Polytope, c) -> np.ndarray:
     """(n,) volumes of the facets F_i, on the planes <x, v_i> = c_i, of {x : <x, v_i> <= c_i}.
 
@@ -450,8 +398,8 @@ def dual_facet_volumes(poly: Polytope, c) -> np.ndarray:
     the faces shared between facets evaluated once.  A plane that meets
     the region in less than a facet contributes 0: its points, if any, all
     lie on some other plane too, whereas no other plane holds a facet.
-    Divided by |v_i| these are the partial derivatives of
-    ``volume_generalized_dual`` in c.
+    Divided by |v_i| these are the partial derivatives of the region's
+    volume in c.
     """
     tight, vol = _shifted_dual(poly, c)
     counts = tight.astype(float)

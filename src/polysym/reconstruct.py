@@ -126,7 +126,7 @@ class PipelineArtifacts:
 def build_artifacts(poly: Polytope) -> PipelineArtifacts:
     graph = edge_graph(poly)
     matrix = izmestiev_matrix(poly, graph)
-    izm = izmestiev_coloring(matrix, poly.tol)
+    izm = izmestiev_coloring(poly, matrix)
     met = metric_coloring(poly, graph)
     return PipelineArtifacts(
         poly=poly, graph=graph, matrix=matrix,
@@ -154,16 +154,12 @@ def _realize_group(art: PipelineArtifacts, coloring: Coloring, flavor: str,
     return MatrixGroup(perm_group=group, maps=maps, flavor=flavor, tol=tol)
 
 
-def linear_group(poly: Polytope, artifacts: PipelineArtifacts | None = None,
-                 limit: int = 10 ** 6) -> MatrixGroup:
+def linear_group(art: PipelineArtifacts, limit: int = 10 ** 6) -> MatrixGroup:
     """All invertible linear maps fixing the polytope, via the spectral coloring."""
-    art = artifacts or build_artifacts(poly)
     return _realize_group(art, art.izm_coloring, "linear", limit)
 
 
-def orthogonal_group(poly: Polytope, artifacts: PipelineArtifacts | None = None,
-                     limit: int = 10 ** 6) -> MatrixGroup:
+def orthogonal_group(art: PipelineArtifacts, limit: int = 10 ** 6) -> MatrixGroup:
     """All orthogonal maps fixing the polytope, via the product coloring."""
-    art = artifacts or build_artifacts(poly)
     return _realize_group(art, art.prod_coloring, "orthogonal", limit)
 

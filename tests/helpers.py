@@ -1,8 +1,10 @@
-"""Test-only helpers: checks and views that no pipeline stage needs.
+"""Test-only helpers: checks, views and routines that no pipeline stage needs.
 
-Each one is a definition-level restatement of something the package does
-in bulk (lifting, group membership, orbits, refinement), kept here so the
-tests can compare the two.
+Most are definition-level restatements of something the package does in
+bulk (lifting, group membership, orbits, refinement), kept here so the
+tests can compare the two.  The rest (complete-graph Gram colorings,
+relative and shifted-dual volumes, dual-edge faces) are independent
+cross-checks that no stage or CLI command calls.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from itertools import combinations, product
 
 import numpy as np
 
+from polysym import geometry
 from polysym.autgroup import PermutationSet, _neighbor_table, _refine, compose
-from polysym.colorings import Coloring, orbit_coloring
+from polysym.colorings import Coloring, orbit_coloring, quantize
+from polysym.config import DEFAULT_TOLERANCES, Tolerances
 from polysym.errors import DomainMismatch, ValidationError
 from polysym.geometry import EdgeGraph, Polytope, make_polytope
 from polysym.reconstruct import MatrixGroup, lift_and_check
@@ -70,6 +74,28 @@ def is_finer(c1: Coloring, c2: Coloring) -> bool:
         if emap.setdefault(a, c2.edge[e]) != c2.edge[e]:
             return False
     return True
+
+
+def complete_metric(poly: Polytope, variant: str) -> Coloring:
+    """Coloring of the complete graph K_n from a vertex Gram matrix.
+
+    variant "orthogonal" uses phi.T @ phi (plain inner products); variant
+    "linear" uses pinv(phi) @ phi, which is invariant under invertible
+    linear maps of the polytope.  Diagonal entries color the vertices,
+    off-diagonal entries color every vertex pair.  An independent
+    cross-check of the edge-graph colorings.
+    """
+    phi = poly.phi
+    if variant == "orthogonal":
+        gram = phi.T @ phi
+    elif variant == "linear":
+        gram = phi.T @ np.linalg.solve(phi @ phi.T, phi)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    n = poly.n
+    vvals = [float(gram[i, i]) for i in range(n)]
+    evals = {(i, j): float(gram[i, j]) for i, j in combinations(range(n), 2)}
+    return quantize(vvals, evals, poly.tol)
 
 
 def colored_adjacency(col: Coloring) -> np.ndarray:
@@ -168,3 +194,60 @@ def sphere_polytope(n: int, d: int, seed: int) -> Polytope:
 def lattice_faces(vol) -> dict:
     """The memo of a volume function returned by ``geometry._lattice_volume``: face -> volume."""
     return inspect.getclosurevars(vol).nonlocals["memo"]
+
+
+# ---------------------------------------------------------------------------
+# volumes that no pipeline stage needs, from the routines the stages share;
+# read off the module at call time, so a test's monkeypatch reaches them
+
+@dataclass(frozen=True, eq=False)
+class DualFace:
+    """Dual-polytope face attached to an edge: its vertices and relative volume."""
+
+    edge: tuple[int, int]
+    points: np.ndarray  # (k, d) dual vertices incident to both endpoints
+    relvol: float
+
+
+def dual_edge_face(poly: Polytope, edge) -> DualFace:
+    """Dual face of an edge: the dual vertices shared by both endpoints, and its volume."""
+    i, j = sorted(edge)
+    inc = poly.facets.incidence
+    return DualFace(edge=(i, j), points=poly.facets.normals[inc[:, i] & inc[:, j]],
+                    relvol=geometry.dual_edge_volumes(poly, [(i, j)])[0])
+
+
+def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+    """Volume of conv(points) measured inside its own affine hull.
+
+    The set is mapped isometrically onto R^k (k = affine dimension) via an
+    orthonormal basis of the affine hull, centred at its centroid.  The
+    vertices of the polar there are the facets, and the volume is summed
+    over the face lattice they cut out.  A single point has relative
+    volume 1 by convention.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts.reshape(1, -1)
+    if pts.shape[0] == 0:
+        raise ValueError("empty point set")
+    scale = float(np.max(np.abs(pts))) if pts.size else 1.0
+    eps = tol.geom(scale)
+    centroid, k, vt = geometry._affine_basis(pts, eps)
+    flat = (pts - centroid) @ vt[:k].T  # (m, k), isometric image, centred
+    if k <= 1:
+        return 1.0 if k == 0 else float(np.ptp(flat))
+    polar, tight = geometry._vertices(flat, np.ones(len(flat)), tol.geom_rel)
+    return geometry._lattice_volume(flat, polar, np.ones(len(polar)), tight.T)(
+        np.ones(len(flat), dtype=bool), k)
+
+
+def volume_generalized_dual(poly: Polytope, c) -> float:
+    """Volume of {x : <x, v_i> <= c_i}, the dual with facets shifted by c.
+
+    The volume is summed over the face lattice of the region's vertices,
+    found as in ``geometry._shifted_dual``; the offsets must stay in its
+    trust region.
+    """
+    tight, vol = geometry._shifted_dual(poly, c)
+    return vol(np.ones(tight.shape[1], dtype=bool), poly.dim)

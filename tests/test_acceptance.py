@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import random_invertible, random_orthogonal
-from helpers import adjacency, compare_groups
+from helpers import adjacency, compare_groups, complete_metric
 from polysym import make_polytope
 from polysym.autgroup import automorphisms, uncolored
-from polysym.colorings import complete_metric, orbit_coloring
+from polysym.colorings import orbit_coloring
 from polysym.errors import TheoremViolation
 from polysym.fixtures import FIXTURES, k44_coordinates, k44_graph
 from polysym.izmestiev import izmestiev_matrix_fd, verify_properties
@@ -58,8 +58,8 @@ def pipeline_groups(artifacts):
     for name in FIXTURE_NAMES:
         art = artifacts[name]
         out[name] = {
-            "linear": linear_group(art.poly, artifacts=art),
-            "orthogonal": orthogonal_group(art.poly, artifacts=art),
+            "linear": linear_group(art),
+            "orthogonal": orthogonal_group(art),
         }
     return out
 
@@ -191,7 +191,7 @@ def test_criterion_9_invariance_suite(artifacts, pipeline_groups):
                 moved_art = build_artifacts(moved)
                 assert (moved_art.izm_coloring.vertex_classes(),
                         moved_art.izm_coloring.edge_classes()) == base_partition, name
-                assert set(linear_group(moved, artifacts=moved_art).perm_group) == base_lin, name
+                assert set(linear_group(moved_art).perm_group) == base_lin, name
                 q = random_orthogonal(rng, d)
                 rotated = make_polytope(d, art.poly.vertices @ q.T)
-                assert set(orthogonal_group(rotated).perm_group) == base_orth, name
+                assert set(orthogonal_group(build_artifacts(rotated)).perm_group) == base_orth, name

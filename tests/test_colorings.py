@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_invertible
-from helpers import is_finer
-from polysym import EdgeGraph, edge_graph, make_polytope
+from helpers import complete_metric, is_finer
+from polysym import EdgeGraph, Tolerances, edge_graph, make_polytope
 from polysym.autgroup import PermutationSet, automorphisms, uncolored
 from polysym.colorings import (
     Coloring,
-    complete_metric,
     izmestiev_coloring,
     metric_coloring,
     orbit_coloring,
@@ -18,6 +17,7 @@ from polysym.colorings import (
 )
 from polysym.errors import DomainMismatch, NotAGroup
 from polysym.izmestiev import izmestiev_matrix
+from polysym.reconstruct import build_artifacts
 
 C4 = EdgeGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
 C4_EDGES = {e: 0.0 for e in C4.edges}
@@ -92,6 +92,13 @@ class TestIzmestievColoring:
         assert col.vertex_reps[0] == pytest.approx(0.5)
         assert col.edge_reps[0] == pytest.approx(-0.5)
 
+    def test_reads_the_polytope_ledger(self, polytopes):
+        # a coarse color_rel merges prism3's two edge classes into one, in
+        # the stage called alone just as in the pipeline
+        poly = make_polytope(3, polytopes["prism3"].vertices, tol=Tolerances(color_rel=10))
+        col = izmestiev_coloring(poly, izmestiev_matrix(poly, edge_graph(poly)))
+        assert col.num_edge_classes == build_artifacts(poly).izm_coloring.num_edge_classes == 1
+
     def test_partition_invariant_under_linear_maps(self, artifacts):
         rng = np.random.default_rng(5)
         for name in ("rectangle", "cube", "cyclic4_6"):
@@ -100,7 +107,7 @@ class TestIzmestievColoring:
             for _ in range(3):
                 t = random_invertible(rng, art.poly.dim)
                 moved = make_polytope(art.poly.dim, art.poly.vertices @ t.T)
-                col2 = izmestiev_coloring(izmestiev_matrix(moved, edge_graph(moved)))
+                col2 = izmestiev_coloring(moved, izmestiev_matrix(moved, edge_graph(moved)))
                 assert partition(col2) == base
 
 
@@ -199,7 +206,7 @@ class TestOrbitColoring:
         for name in ("rectangle", "stretched_hexagon", "octahedron"):
             art = artifacts[name]
             for builder in (linear_group, orthogonal_group):
-                group = builder(art.poly, artifacts=art)
+                group = builder(art)
                 col = orbit_coloring(art.graph, group.perm_group)
                 again = automorphisms(col)
                 assert set(again.perms) == set(group.perm_group)

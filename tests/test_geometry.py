@@ -6,17 +6,22 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from helpers import cross_polytope, hypercube, lattice_faces, sphere_polytope
+from helpers import (
+    cross_polytope,
+    dual_edge_face,
+    hypercube,
+    lattice_faces,
+    relative_volume,
+    sphere_polytope,
+    volume_generalized_dual,
+)
 from polysym import (
     DEFAULT_TOLERANCES,
     EdgeGraph,
-    dual_edge_face,
     edge_graph,
     geometry,
     load_polytope,
     make_polytope,
-    relative_volume,
-    volume_generalized_dual,
 )
 from polysym.errors import DimensionMismatch, ParseError, Unbounded, ValidationError
 from polysym.fixtures import FIXTURES, cube, hexagon, octahedron, square, triangle

@@ -169,8 +169,8 @@ def cross_polytope(d):
 def test_ladder_orders(name, vertices, order):
     poly = make_polytope(vertices.shape[1], vertices)
     art = build_artifacts(poly)
-    lin = linear_group(poly, artifacts=art)
-    orth = orthogonal_group(poly, artifacts=art)
+    lin = linear_group(art)
+    orth = orthogonal_group(art)
     assert lin.order == orth.order == order
     # independent check: filter the uncolored edge-graph automorphisms by definition
     cands = automorphisms(uncolored(art.graph)).perms

@@ -52,7 +52,7 @@ class TestBruteForce:
         art = artifacts["cyclic4_6"]
         group = brute_force_group(art.poly.phi, flavor="linear")
         assert group.order < math.factorial(6)
-        assert set(group.perm_group) == set(linear_group(art.poly, artifacts=art).perm_group)
+        assert set(group.perm_group) == set(linear_group(art).perm_group)
 
 
 class TestEmbedding:
@@ -71,7 +71,7 @@ class TestEmbedding:
     def test_square_as_embedding_matches_pipeline(self, artifacts):
         art = artifacts["square"]
         group = embedding_group(art.poly.vertices, flavor="linear")
-        assert set(group.perm_group) == set(linear_group(art.poly, artifacts=art).perm_group)
+        assert set(group.perm_group) == set(linear_group(art).perm_group)
 
     def test_low_rank_coordinates_restricted_to_span(self):
         # square drawn in the z = 0 plane of R^3
@@ -82,7 +82,7 @@ class TestEmbedding:
 class TestCompareGroups:
     def test_equal_groups(self, artifacts):
         art = artifacts["cube"]
-        a = linear_group(art.poly, artifacts=art)
+        a = linear_group(art)
         b = brute_force_group(art.poly.phi, flavor="linear")
         report = compare_groups(a, b)
         assert report.equal and report.order_a == report.order_b == 48
@@ -90,14 +90,14 @@ class TestCompareGroups:
 
     def test_subset_difference_listed(self, artifacts):
         art = artifacts["rectangle"]
-        lin = linear_group(art.poly, artifacts=art)
-        orth = orthogonal_group(art.poly, artifacts=art)
+        lin = linear_group(art)
+        orth = orthogonal_group(art)
         report = compare_groups(lin, orth)
         assert not report.equal
         assert len(report.only_in_a) == 4 and not report.only_in_b
 
     def test_self_comparison(self, artifacts):
         art = artifacts["square"]
-        group = linear_group(art.poly, artifacts=art)
+        group = linear_group(art)
         report = compare_groups(group, group)
         assert report.equal and report.max_matrix_diff == 0.0

@@ -119,35 +119,45 @@ class TestPipelineGroups:
     ])
     def test_orders(self, artifacts, name, lin, orth):
         art = artifacts[name]
-        assert linear_group(art.poly, artifacts=art).order == lin
-        assert orthogonal_group(art.poly, artifacts=art).order == orth
+        assert linear_group(art).order == lin
+        assert orthogonal_group(art).order == orth
+
+    def test_no_vertex_cap(self):
+        # the prism over a regular 33-gon: 66 vertices, |G| = 2 * 2 * 33 in both flavors
+        angles = 2.0 * np.pi * np.arange(33) / 33
+        ring = np.column_stack([np.cos(angles), np.sin(angles)])
+        poly = make_polytope(3, np.vstack([np.column_stack([ring, np.full(33, z)])
+                                           for z in (1.0, -1.0)]))
+        art = build_artifacts(poly)
+        assert poly.n == 66
+        assert linear_group(art).order == orthogonal_group(art).order == 132
 
     def test_rectangle_contains_non_orthogonal_rotation(self, artifacts):
         art = artifacts["rectangle"]
-        group = linear_group(art.poly, artifacts=art)
+        group = linear_group(art)
         t = member_maps(group)[(1, 2, 3, 0)]
         assert not is_orthogonal(t, 1e-8)
 
     def test_homomorphism(self, artifacts):
         for name in ("rectangle", "stretched_hexagon", "octahedron", "cyclic4_6"):
             art = artifacts[name]
-            assert verify_homomorphism(linear_group(art.poly, artifacts=art), 1e-8)
-            assert verify_homomorphism(orthogonal_group(art.poly, artifacts=art), 1e-8)
+            assert verify_homomorphism(linear_group(art), 1e-8)
+            assert verify_homomorphism(orthogonal_group(art), 1e-8)
 
     def test_orthogonal_subset_of_linear(self, artifacts):
         for art in artifacts.values():
-            lin = set(linear_group(art.poly, artifacts=art).perm_group)
-            orth = set(orthogonal_group(art.poly, artifacts=art).perm_group)
+            lin = set(linear_group(art).perm_group)
+            orth = set(orthogonal_group(art).perm_group)
             assert orth <= lin
 
     def test_identity_maps_to_identity(self, artifacts):
         art = artifacts["octahedron"]
-        group = linear_group(art.poly, artifacts=art)
+        group = linear_group(art)
         assert np.allclose(member_maps(group)[tuple(range(6))], np.eye(3), atol=1e-10)
 
     def test_composition_matches_permutations(self, artifacts):
         art = artifacts["stretched_hexagon"]
-        group = linear_group(art.poly, artifacts=art)
+        group = linear_group(art)
         perms, maps = group.perm_group.perms, member_maps(group)
         for p in perms[:6]:
             for q in perms[:6]:
@@ -157,28 +167,28 @@ class TestPipelineGroups:
         rng = np.random.default_rng(17)
         for name in ("rectangle", "octahedron"):
             art = artifacts[name]
-            base = set(linear_group(art.poly, artifacts=art).perm_group)
+            base = set(linear_group(art).perm_group)
             for _ in range(3):
                 t = random_invertible(rng, art.poly.dim)
                 moved = make_polytope(art.poly.dim, art.poly.vertices @ t.T)
-                assert set(linear_group(moved).perm_group) == base
+                assert set(linear_group(build_artifacts(moved)).perm_group) == base
 
     def test_orthogonal_invariance_under_rotations(self, artifacts):
         rng = np.random.default_rng(23)
         for name in ("rectangle", "prism3"):
             art = artifacts[name]
-            base = set(orthogonal_group(art.poly, artifacts=art).perm_group)
+            base = set(orthogonal_group(art).perm_group)
             for _ in range(3):
                 q = random_orthogonal(rng, art.poly.dim)
                 moved = make_polytope(art.poly.dim, art.poly.vertices @ q.T)
-                assert set(orthogonal_group(moved).perm_group) == base
+                assert set(orthogonal_group(build_artifacts(moved)).perm_group) == base
 
 
 def both_builds(art, flavor):
     """The pipeline group and the oracle group of one flavor."""
     cands = automorphisms(uncolored(art.graph)).perms
     pipeline = linear_group if flavor == "linear" else orthogonal_group
-    return (pipeline(art.poly, artifacts=art),
+    return (pipeline(art),
             brute_force_group(art.poly.phi, candidates=cands, flavor=flavor))
 
 
@@ -222,11 +232,12 @@ class TestOneLedger:
         base = polytopes["perturbed_hexagon"]
         poly = make_polytope(base.dim, base.vertices, tol=Tolerances(color_rel=1e6))
         with pytest.raises(TheoremViolation):
-            linear_group(poly)
+            linear_group(build_artifacts(poly))
 
     def test_pipeline_report_echoes_the_polytope_ledger(self, polytopes):
         poly = make_polytope(3, polytopes["cube"].vertices, tol=self.TOL)
-        for group in (linear_group(poly), orthogonal_group(poly)):
+        art = build_artifacts(poly)
+        for group in (linear_group(art), orthogonal_group(art)):
             assert group.to_json_dict()["tolerances"] == {"match": 1e-7, "orth": 1e-6}
 
     def test_oracle_report_echoes_its_ledger(self, polytopes):
@@ -247,7 +258,7 @@ def test_wrong_coloring_raises_theorem_violation(artifacts):
 def test_artifacts_reuse_consistent(polytopes):
     poly = polytopes["rectangle"]
     art = build_artifacts(poly)
-    assert set(linear_group(poly).perm_group) == set(linear_group(poly, artifacts=art).perm_group)
+    assert set(linear_group(build_artifacts(poly)).perm_group) == set(linear_group(art).perm_group)
 
 
 @pytest.mark.parametrize("dim,seed", [(2, 0), (2, 1), (3, 2), (3, 3), (4, 4)])
@@ -264,8 +275,8 @@ def test_random_polytopes_match_oracle(dim, seed):
     hull_pts = cloud[ConvexHull(cloud).vertices]
     poly = make_polytope(dim, hull_pts - hull_pts.mean(axis=0))
     art = build_artifacts(poly)
-    lin = linear_group(poly, artifacts=art)
-    orth = orthogonal_group(poly, artifacts=art)
+    lin = linear_group(art)
+    orth = orthogonal_group(art)
     cands = automorphisms(uncolored(art.graph)).perms
     assert set(lin.perm_group) == set(brute_force_group(
         poly.phi, candidates=cands, flavor="linear").perm_group)
