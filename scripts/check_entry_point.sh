@@ -1,6 +1,6 @@
 #!/bin/sh
 # Hold the installed `polysym` entry point to the committed reports: every
-# golden `analyze` and K_{4,4} `oracle` report byte for byte, and a passing
+# golden `analyze` and `oracle` report byte for byte, and a passing
 # `validate` on every polytope fixture.  Run from the root of a checkout,
 # after `pip install .`:
 #
@@ -17,6 +17,11 @@ for flavor in linear orthogonal; do
     polysym oracle fixtures/k44_embedding.json --embedding --candidates graph-auts --flavor "$flavor" \
         | cmp - "tests/golden/oracle_k44_embedding_$flavor.json" \
         || { echo "golden mismatch: k44_embedding $flavor"; exit 1; }
+    for name in cube stretched_hexagon; do
+        polysym oracle "fixtures/$name.json" --flavor "$flavor" \
+            | cmp - "tests/golden/oracle_${name}_$flavor.json" \
+            || { echo "golden mismatch: $name $flavor"; exit 1; }
+    done
 done
 
 for f in fixtures/*.json; do

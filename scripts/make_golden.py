@@ -31,6 +31,10 @@ def golden_cases() -> list[tuple[str, list[str]]]:
         cases.append((f"oracle_k44_embedding_{flavor}.json",
                       ["oracle", "fixtures/k44_embedding.json", "--embedding",
                        "--candidates", "graph-auts", "--flavor", flavor]))
+    for name in ("cube", "stretched_hexagon"):  # the default Sym(n) stream
+        for flavor in ("linear", "orthogonal"):
+            cases.append((f"oracle_{name}_{flavor}.json",
+                          ["oracle", f"fixtures/{name}.json", "--flavor", flavor]))
     return cases
 
 

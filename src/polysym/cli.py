@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .autgroup import automorphisms, uncolored
-from .colorings import Coloring, orbit_coloring
+from .colorings import Coloring, metric_coloring, orbit_coloring
 from .config import Tolerances
 from .errors import (
     LimitExceeded,
@@ -234,15 +234,15 @@ def cmd_experiment_metric(args) -> int:
     brute-force orthogonal group.  Records the outcome; asserts nothing.
     """
     poly = _load(args, args.path)
-    art = build_artifacts(poly)
-    col = art.met_coloring
+    graph = edge_graph(poly)
+    col = metric_coloring(poly, graph)
     if args.edge_only:
         col = Coloring(vertex=(0,) * poly.n, edge=dict(col.edge))
     elif args.vertex_only:
         col = Coloring(vertex=col.vertex, edge={e: 0 for e in col.edge})
     auts = automorphisms(col, limit=args.limit)
     cands = (None if poly.n <= SYM_LIMIT
-             else automorphisms(uncolored(art.graph), limit=args.limit).perms)
+             else automorphisms(uncolored(graph), limit=args.limit).perms)
     reference = brute_force_group(poly.phi, candidates=cands, flavor="orthogonal", tol=poly.tol)
     extra = [p for p in auts.perms if p not in reference.perm_group]
     _emit({

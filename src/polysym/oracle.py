@@ -1,15 +1,26 @@
 """Definition-level brute-force ground truth for symmetry groups.
 
-Independent of the coloring pipeline: candidates (all of Sym(V), or a
-supplied set such as the uncolored graph automorphisms) are filtered by
-directly testing whether the unique linear candidate map permutes the
-point set.  Also evaluates arbitrary point sets, such as graph
-embeddings, which need not be polytopes at all.
+Independent of the coloring pipeline: candidates (a supplied set, such as
+the uncolored graph automorphisms, or Sym(V)) are filtered by directly
+testing whether the unique linear candidate map permutes the point set,
+which need not be a polytope (graph embeddings).  Sym(V) is streamed in
+lexicographic order, less every prefix sigma(0..k-1), k > d, that fails
+
+    |sum_j z_j phi_sigma(j)| <= 2 m sum_j |z_j| |phi_sigma(j)| + cond(phi) |phi[:, :k] z|
+
+for a null direction z of phi[:, :k] (a right singular vector past the
+d-th), m = ``tol.match``, 2-norms.  Sound: a sigma the lift accepts has
+T = phi[:, sigma] pinv(phi), |T| <= |phi| |pinv(phi)| = cond(phi), and
+T phi_j = phi_sigma(j) + r_j, |r_j| <= m |phi_sigma(j)|, so for every z
+sum_j z_j phi_sigma(j) = T phi[:, :k] z - sum_j z_j r_j meets the bound
+with m for 2m.  The cond term pays for z being only nearly null, the
+second m for rounding in the lift and the sum (a few roundoffs times
+cond(phi), far below m after ``pseudo_inverse``'s ``tol.pinv`` check).
 """
 
 from __future__ import annotations
 
-from itertools import islice, permutations
+from itertools import chain, islice
 from math import factorial
 
 import numpy as np
@@ -26,9 +37,9 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
                       tol: Tolerances = DEFAULT_TOLERANCES) -> MatrixGroup:
     """Filter candidate permutations down to realized geometric symmetries.
 
-    With candidates=None the full symmetric group is streamed in
-    lexicographic order (n <= 9 only).  phi must have full row rank, so
-    for each sigma the candidate map is unique: sound and complete.
+    With candidates=None, Sym(n) (n <= 9) is streamed pruned, as the
+    module docstring says.  phi must have full row rank, so for each
+    sigma the candidate map is unique: sound and complete.
     NotAGroup if the realized permutations are not closed.
     """
     phi = np.asarray(phi, dtype=float)
@@ -37,7 +48,7 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
         if n > SYM_LIMIT:
             raise TooManyCandidates(
                 f"Sym({n}) has {factorial(n)} elements; supply candidates explicitly")
-        candidates = permutations(range(n))
+        candidates = _pruned_sym(phi, tol.match)
     pinv, accepted, it = pseudo_inverse(phi, tol), {}, iter(candidates)
     while block := list(islice(it, 4096)):  # lift in batches, in bounded memory
         maps, ok, _ = lift_and_check(phi, block, flavor, tol, pinv)
@@ -46,13 +57,31 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
     return MatrixGroup(group, np.array([accepted[p] for p in group.perms]), flavor, tol)
 
 
+def _pruned_sym(phi: np.ndarray, match: float):
+    """Sym(n) in lexicographic order, less the prefixes the module docstring's test drops."""
+    (d, n), norms, cond = phi.shape, np.linalg.norm(phi, axis=0), np.linalg.cond(phi)
+
+    def grow(prefixes):  # (m, k) surviving prefixes, extended depth-first, <= 4096 kids a block
+        k = prefixes.shape[1]
+        z, step = np.linalg.svd(phi[:, :k + 1])[2][d:].T, max(1, 4096 // (n - k))
+        slack = cond * np.linalg.norm(phi[:, :k + 1] @ z, axis=0)
+        for block in (prefixes[i:i + step] for i in range(0, len(prefixes), step)):
+            free = np.nonzero((block[:, :, None] != np.arange(n)).all(axis=1))[1]  # sorted per row
+            kids = np.hstack([np.repeat(block, n - k, axis=0), free[:, None]])
+            lhs = np.linalg.norm(phi[:, kids] @ z, axis=0)  # |sum_j z_j phi_sigma(j)| per kid, z
+            kids = kids[np.all(lhs <= 2 * match * (norms[kids] @ np.abs(z)) + slack, axis=1)]
+            yield from grow(kids) if k + 1 < n else [kids]
+
+    yield from chain.from_iterable(zip(*b.T.tolist()) for b in grow(np.empty((1, 0), dtype=int)))
+
+
 def embedding_group(coordinates, candidates=None, flavor: str = "linear",
                     tol: Tolerances = DEFAULT_TOLERANCES) -> MatrixGroup:
     """Same filter for any point set, one point per row; restricts to its span first."""
     phi = np.asarray(coordinates, dtype=float).T
     d = phi.shape[0]
     u, s, _ = np.linalg.svd(phi, full_matrices=False)
-    rank = int(np.sum(s > 1e-12 * max(s[0], 1.0)))
+    rank = int(np.sum(s > 1e-12 * s[0]))
     if rank == 0:
         raise RankDeficient("the points span no direction")
     if rank < d:

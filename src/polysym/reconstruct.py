@@ -54,7 +54,7 @@ def pseudo_inverse(phi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.
     phi = np.asarray(phi, dtype=float)
     d = phi.shape[0]
     gram = phi @ phi.T
-    if np.linalg.matrix_rank(gram, tol=1e-12 * max(1.0, float(np.abs(gram).max()))) < d:
+    if np.linalg.matrix_rank(gram, tol=1e-12 * float(np.abs(gram).max())) < d:
         raise RankDeficient("vertex matrix does not have full row rank")
     pinv = np.linalg.solve(gram, phi).T
     if np.max(np.abs(phi @ pinv - np.eye(d))) > tol.pinv:

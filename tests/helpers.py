@@ -180,6 +180,14 @@ def hypercube(d: int) -> Polytope:
     return make_polytope(d, np.array(list(product((1.0, -1.0), repeat=d))), name=f"cube{d}")
 
 
+def capped_prism() -> Polytope:
+    """Triangular prism with a pyramid on each square face: 9 vertices, D3h (order 12)."""
+    angles = 2 * np.pi * np.arange(3) / 3
+    prism = [[np.cos(a), np.sin(a), z] for z in (1.0, -1.0) for a in angles]
+    caps = [[1.2 * np.cos(a + np.pi / 3), 1.2 * np.sin(a + np.pi / 3), 0.0] for a in angles]
+    return make_polytope(3, np.array(prism + caps), name="capped_prism")
+
+
 def sphere_polytope(n: int, d: int, seed: int) -> Polytope:
     """n uniform points on the unit sphere in R^d, redrawn until they validate as a polytope."""
     rng = np.random.default_rng(seed)

@@ -269,6 +269,17 @@ def test_experiment_metric_runs():
     assert json.loads(proc.stdout)["variant"] == "edge-only"
 
 
+def test_experiment_metric_ignores_the_matrix(tmp_path):
+    # scaled by 1e-3, cyclic4_6's Izmestiev matrix fails its kernel check; the probe never reads it
+    doc = json.loads((FIXTURES / "cyclic4_6.json").read_text())
+    doc["vertices"] = [[1e-3 * x for x in v] for v in doc["vertices"]]
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("experiment-metric", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["orthogonal_order"] == 72
+
+
 def test_limit_exceeded_exit_4():
     proc = run_cli("analyze", "--limit", "5", str(FIXTURES / "cube.json"))
     assert proc.returncode == 4

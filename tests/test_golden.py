@@ -1,4 +1,5 @@
-"""Byte-exact guard on the CLI reports: analyze on every fixture, the K_{4,4} embedding oracle.
+"""Byte-exact guard on the CLI reports: analyze on every fixture, and the oracle on the K_{4,4}
+embedding (graph-auts candidates) and on two polytopes (the full Sym(n) stream).
 
 The expected bytes live in tests/golden/ and are regenerated by
 scripts/make_golden.py.

@@ -1,12 +1,16 @@
 import math
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
 
-from helpers import compare_groups
-from polysym.autgroup import automorphisms, uncolored
+from helpers import capped_prism, compare_groups
+from polysym import oracle
+from polysym.autgroup import PermutationSet, automorphisms, uncolored
+from polysym.config import Tolerances
 from polysym.errors import NotAGroup, TooManyCandidates
-from polysym.fixtures import k44_coordinates, k44_graph, simplex, square
+from polysym.fixtures import (FIXTURES, hexagon, k44_coordinates, k44_graph, octahedron, simplex,
+                              square)
 from polysym.oracle import brute_force_group, embedding_group
 from polysym.reconstruct import linear_group, orthogonal_group
 
@@ -53,6 +57,90 @@ class TestBruteForce:
         group = brute_force_group(art.poly.phi, flavor="linear")
         assert group.order < math.factorial(6)
         assert set(group.perm_group) == set(linear_group(art).perm_group)
+
+
+def accepted_set(monkeypatch, group_fn, points, **kwargs) -> set:
+    """The permutations the oracle accepts, recorded before its closure check (NotAGroup or not)."""
+    seen = []
+    monkeypatch.setattr(oracle, "PermutationSet",
+                        lambda perms: seen.append(set(perms)) or PermutationSet(perms))
+    try:
+        group_fn(points, **kwargs)
+    except NotAGroup:
+        pass
+    return seen.pop()
+
+
+MATCHES = (1e-8, 1e-4, 1e-2, 0.2)
+
+
+class TestPrunedSymStream:
+    """The pruned Sym(n) stream accepts exactly what the unpruned one does."""
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9, 1e-6, 1e-3, 1e-2])
+    @pytest.mark.parametrize("name", list(FIXTURES))
+    def test_same_accepted_set_as_unpruned(self, monkeypatch, polytopes, name, noise):
+        phi = polytopes[name].phi
+        assert phi.shape[1] <= 8
+        rng = np.random.default_rng(list(FIXTURES).index(name))
+        phi = phi + noise * np.abs(phi).max() * rng.standard_normal(phi.shape)
+        for match in MATCHES:
+            for flavor in ("linear", "orthogonal"):
+                tol = Tolerances(match=match)
+                pruned = accepted_set(monkeypatch, brute_force_group, phi, flavor=flavor, tol=tol)
+                full = accepted_set(monkeypatch, brute_force_group, phi, flavor=flavor, tol=tol,
+                                    candidates=permutations(range(phi.shape[1])))
+                assert pruned == full, (match, flavor)
+
+    @pytest.mark.parametrize("poly", [hexagon(), octahedron()], ids=["hexagon", "octahedron"])
+    def test_vertex_at_origin(self, monkeypatch, poly):
+        coords = np.vstack([poly.vertices, np.zeros(poly.dim)])
+        n = len(coords)
+        for match in MATCHES:
+            for flavor in ("linear", "orthogonal"):
+                tol = Tolerances(match=match)
+                pruned = accepted_set(monkeypatch, embedding_group, coords, flavor=flavor, tol=tol)
+                full = accepted_set(monkeypatch, embedding_group, coords, flavor=flavor, tol=tol,
+                                    candidates=permutations(range(n)))
+                assert pruned == full, (match, flavor)
+                assert all(p[n - 1] == n - 1 for p in pruned)
+
+    def test_unpruned_stream_is_lexicographic_sym(self):
+        # nothing prunes on a regular simplex: the stream is Sym(9) itself, block by block
+        stream = oracle._pruned_sym(simplex(8).phi, 1e-8)
+        assert list(islice(stream, 5000)) == list(islice(permutations(range(9)), 5000))
+
+    def test_capped_prism_lifts_under_one_percent(self, monkeypatch):
+        lifted = []
+        real = oracle.lift_and_check
+
+        def counting(phi, perms, *args):
+            lifted.append(len(perms))
+            return real(phi, perms, *args)
+
+        monkeypatch.setattr(oracle, "lift_and_check", counting)
+        phi = capped_prism().phi
+        for flavor in ("linear", "orthogonal"):
+            lifted.clear()
+            assert brute_force_group(phi, flavor=flavor).order == 12
+            assert sum(lifted) < 0.01 * math.factorial(9)
+
+
+SCALED_INPUTS = {name: (lambda f=f: f().vertices) for name, f in FIXTURES.items()}
+SCALED_INPUTS["k44_embedding"] = k44_coordinates
+
+
+class TestScaleFree:
+    """A uniformly scaled point set has the same permutation group, at any scale."""
+
+    @pytest.mark.parametrize("flavor", ["linear", "orthogonal"])
+    @pytest.mark.parametrize("k", range(-12, 13, 3))
+    @pytest.mark.parametrize("name", list(SCALED_INPUTS))
+    def test_scaled_group_unchanged(self, name, k, flavor):
+        coords = SCALED_INPUTS[name]()
+        assert len(coords) <= 8
+        expected = set(embedding_group(coords, flavor=flavor).perm_group)
+        assert set(embedding_group(coords * 10.0 ** k, flavor=flavor).perm_group) == expected
 
 
 class TestEmbedding:
