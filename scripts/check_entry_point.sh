@@ -1,7 +1,8 @@
 #!/bin/sh
 # Hold the installed `polysym` entry point to the committed reports: every
 # golden `analyze` and `oracle` report byte for byte, and a passing
-# `validate` on every polytope fixture.  Run from the root of a checkout,
+# `validate` on every polytope fixture, both on the computed matrix and on
+# the matrix dump `analyze` writes.  Run from the root of a checkout,
 # after `pip install .`:
 #
 #     sh scripts/check_entry_point.sh
@@ -24,7 +25,13 @@ for flavor in linear orthogonal; do
     done
 done
 
+dump=$(mktemp)
+trap 'rm -f "$dump"' EXIT
 for f in fixtures/*.json; do
     [ "$f" = fixtures/k44_embedding.json ] && continue
     polysym validate "$f" > /dev/null || { echo "validate failed: $f"; exit 1; }
+    polysym analyze "$f" \
+        | python -c 'import json, sys; json.dump(json.load(sys.stdin)["matrix_summary"]["dump"], sys.stdout)' \
+        > "$dump" || { echo "no matrix dump: $f"; exit 1; }
+    polysym validate "$f" --matrix "$dump" > /dev/null || { echo "dump validate failed: $f"; exit 1; }
 done

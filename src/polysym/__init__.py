@@ -10,7 +10,6 @@ from .geometry import (
     EdgeGraph,
     FacetSystem,
     Polytope,
-    edge_graph,
     load_polytope,
     make_polytope,
 )
@@ -23,5 +22,4 @@ __all__ = [
     "EdgeGraph",
     "load_polytope",
     "make_polytope",
-    "edge_graph",
 ]

@@ -29,8 +29,8 @@ from .errors import (
     TooManyCandidates,
     ValidationError,
 )
-from .geometry import EdgeGraph, edge_graph, load_polytope
-from .izmestiev import izmestiev_matrix, izmestiev_matrix_fd, load_matrix_dump, verify_properties
+from .geometry import EdgeGraph, load_polytope
+from .izmestiev import izmestiev_matrix, izmestiev_matrix_fd, verify_properties
 from .oracle import SYM_LIMIT, brute_force_group, embedding_group
 from .reconstruct import (
     build_artifacts,
@@ -96,12 +96,12 @@ def cmd_analyze(args) -> int:
         report = {
             "input": _input_echo(args, path, poly),
             "facet_count": poly.facets.m,
-            "edge_count": len(art.graph.edges),
+            "edge_count": len(poly.graph.edges),
             "matrix_summary": {
                 "spectrum": props["spectrum"],
                 "kernel_dim": props["kernel_dim"],
                 "property_report": props,
-                "dump": art.matrix.to_json_dict(),
+                "dump": {"n": poly.n, "entries": art.matrix.tolist()},
             },
             "colorings": {
                 "izmestiev": art.izm_coloring.to_json_dict(),
@@ -113,10 +113,10 @@ def cmd_analyze(args) -> int:
         }
         if args.coloring in ("izmestiev", "both"):
             lin = linear_group(art, limit=args.limit)
-            report["groups"]["linear"] = _group_report(lin, art.graph)
+            report["groups"]["linear"] = _group_report(lin, poly.graph)
         if args.coloring in ("product", "both"):
             orth = orthogonal_group(art, limit=args.limit)
-            report["groups"]["orthogonal"] = _group_report(orth, art.graph)
+            report["groups"]["orthogonal"] = _group_report(orth, poly.graph)
         reports.append(report)
         _chatter(args, f"{path}: analyzed in {time.perf_counter() - t0:.3f}s, "
                        f"orders { {k: v['order'] for k, v in report['groups'].items()} }")
@@ -124,23 +124,35 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def load_matrix_dump(doc: dict, n: int) -> np.ndarray:
+    """Rehydrate the (n, n) matrix from the dump {"n": int, "entries": [[...], ...]} analyze writes."""
+    if not isinstance(doc, dict):
+        raise ParseError("matrix dump root must be a JSON object")
+    entries = np.asarray(doc["entries"], dtype=float)
+    if entries.shape != (doc["n"], doc["n"]) or entries.shape[0] != n:
+        raise ValueError(f"matrix dump shape inconsistent with {n} vertices")
+    if not np.isfinite(entries).all():
+        raise ParseError("matrix dump entries must be finite")
+    return entries
+
+
 def cmd_validate(args) -> int:
     poly = _load(args, args.path)
-    graph = edge_graph(poly)
-    mat, source = izmestiev_matrix(poly, graph), "geometric"  # its kernel check runs either way
     if args.matrix:
         try:
             dump = json.loads(Path(args.matrix).read_text())
-            mat = load_matrix_dump(dump, graph)
+            mat = load_matrix_dump(dump, poly.n)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad matrix dump: {exc}") from exc
         source = "dump"
+    else:
+        mat, source = izmestiev_matrix(poly), "geometric"
     props = verify_properties(mat, poly)
-    eig_ok, lam, residual = eigenspace_criterion(mat.entries, poly.phi, poly.tol)
+    eig_ok, lam, residual = eigenspace_criterion(mat, poly.phi, poly.tol)
     fd_doc: dict = {"step": poly.tol.fd_step}
     try:
-        fd = izmestiev_matrix_fd(poly, graph)
-        diff = float(np.max(np.abs(fd.entries - mat.entries)))
+        fd = izmestiev_matrix_fd(poly)
+        diff = float(np.max(np.abs(fd - mat)))
         fd_doc.update({"max_abs_diff": diff,  # made dimensionless: M(sP) = s^-d M(P)
                        "ok": diff * poly.scale ** poly.dim <= poly.tol.fd_check})
     except PolysymError as exc:
@@ -187,7 +199,7 @@ def cmd_oracle(args) -> int:
         echo = {"path": args.path, "name": name, "n_vertices": graph.n, "embedding": True}
     else:
         poly = _load(args, args.path)
-        graph = edge_graph(poly) if graph_auts else None
+        graph = poly.graph
         echo = {**_input_echo(args, args.path, poly), "embedding": False}
     cands = automorphisms(uncolored(graph), limit=args.limit).perms if graph_auts else None
     if args.embedding:
@@ -215,7 +227,7 @@ def cmd_export_dot(args) -> int:
     if col is None:
         flavor = args.coloring.split("-")[1]
         grp = (linear_group if flavor == "linear" else orthogonal_group)(art, limit=args.limit)
-        col = orbit_coloring(art.graph, grp.perm_group)
+        col = orbit_coloring(poly.graph, grp.perm_group)
     lines = [f"graph {poly.name or 'polytope'} {{", "  node [style=filled];"]
     for i in range(poly.n):
         lines.append(f'  v{i} [fillcolor="{PALETTE[col.vertex[i] % len(PALETTE)]}"];')
@@ -234,15 +246,14 @@ def cmd_experiment_metric(args) -> int:
     brute-force orthogonal group.  Records the outcome; asserts nothing.
     """
     poly = _load(args, args.path)
-    graph = edge_graph(poly)
-    col = metric_coloring(poly, graph)
+    col = metric_coloring(poly)
     if args.edge_only:
         col = Coloring(vertex=(0,) * poly.n, edge=dict(col.edge))
     elif args.vertex_only:
         col = Coloring(vertex=col.vertex, edge={e: 0 for e in col.edge})
     auts = automorphisms(col, limit=args.limit)
     cands = (None if poly.n <= SYM_LIMIT
-             else automorphisms(uncolored(graph), limit=args.limit).perms)
+             else automorphisms(uncolored(poly.graph), limit=args.limit).perms)
     reference = brute_force_group(poly.phi, candidates=cands, flavor="orthogonal", tol=poly.tol)
     extra = [p for p in auts.perms if p not in reference.perm_group]
     _emit({

@@ -15,7 +15,6 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainMismatch, NotAGroup
 from .geometry import EdgeGraph, Polytope
-from .izmestiev import IzmestievMatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,19 +128,18 @@ def quantize(vertex_values, edge_values, tol: Tolerances = DEFAULT_TOLERANCES) -
     )
 
 
-def metric_coloring(poly: Polytope, graph: EdgeGraph) -> Coloring:
+def metric_coloring(poly: Polytope) -> Coloring:
     """Vertex color |v_i|^2, edge color <v_i, v_j>: an isometry invariant."""
     verts = poly.vertices
     vvals = [float(verts[i] @ verts[i]) for i in range(poly.n)]
-    evals = {(i, j): float(verts[i] @ verts[j]) for i, j in graph.edges}
+    evals = {(i, j): float(verts[i] @ verts[j]) for i, j in poly.graph.edges}
     return quantize(vvals, evals, poly.tol)
 
 
-def izmestiev_coloring(poly: Polytope, mat: IzmestievMatrix) -> Coloring:
-    """Diagonal entries color vertices, edge entries color edges."""
-    m = mat.entries
-    vvals = [float(m[i, i]) for i in range(mat.n)]
-    evals = {(i, j): float(m[i, j]) for i, j in mat.graph.edges}
+def izmestiev_coloring(poly: Polytope, m: np.ndarray) -> Coloring:
+    """Diagonal entries of the (n, n) matrix ``m`` color vertices, edge entries color edges."""
+    vvals = [float(m[i, i]) for i in range(poly.n)]
+    evals = {(i, j): float(m[i, j]) for i, j in poly.graph.edges}
     return quantize(vvals, evals, poly.tol)
 
 

@@ -17,10 +17,6 @@ class DegenerateGeometry(PolysymError):
     """Geometry is inconsistent with a valid full-dimensional polytope."""
 
 
-class DimensionMismatch(PolysymError):
-    """A derived face does not have the expected affine dimension."""
-
-
 class Unbounded(PolysymError):
     """Shifted-facet dual region left the trust region (no bounded vertex set)."""
 

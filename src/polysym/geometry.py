@@ -1,8 +1,9 @@
 """Polytope ingestion, facet enumeration, edge-graph and dual-face geometry.
 
 Vertices are the single source of truth.  Validation finds the facets
-once, as the vertices of the polar dual, and the ``Polytope`` carries
-them.  One vertex enumeration (``_vertices``) serves validation and the
+once, as the vertices of the polar dual, and the edge-graph is read off
+their vertex-facet incidence right after; the ``Polytope`` carries both.
+One vertex enumeration (``_vertices``) serves validation and the
 shifted dual.  Every later face is read off the vertex-facet incidence,
 and volumes are summed bottom-up over that face lattice by the pyramid
 formula, each face once.
@@ -18,13 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import (
-    DegenerateGeometry,
-    DimensionMismatch,
-    ParseError,
-    Unbounded,
-    ValidationError,
-)
+from .errors import DegenerateGeometry, ParseError, Unbounded, ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,12 +29,14 @@ class Polytope:
     ``vertices`` has shape (n, d); row i is vertex i.  Vertex order is
     contract-bearing: permutations and reconstructed linear maps refer to
     these indices.  ``facets`` are the ones validation found under ``tol``,
-    the polytope's one tolerance ledger: every later stage reads it here.
+    the polytope's one tolerance ledger, and ``graph`` is the edge-graph
+    their incidence fixes: every later stage reads all three here.
     """
 
     dim: int
     vertices: np.ndarray
     facets: FacetSystem
+    graph: EdgeGraph
     tol: Tolerances
     name: str | None = None
 
@@ -222,15 +219,20 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
 
 def make_polytope(dim, vertices, name=None, tol: Tolerances = DEFAULT_TOLERANCES,
                   recenter: bool = False) -> Polytope:
-    """Build and validate a Polytope from raw coordinates; it keeps ``tol`` as its ledger."""
+    """Build and validate a Polytope from raw coordinates; it keeps ``tol`` as its ledger.
+
+    The edge-graph is built once here, from the facets validation found,
+    and must be connected with minimum degree at least d.
+    """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != dim:
         raise ParseError(f"vertex array has shape {verts.shape}, expected (n, {dim})")
     if recenter:
         verts = verts - verts.mean(axis=0)
     facets = validate_vertices(dim, verts, tol)
+    graph = _edge_graph(facets.incidence, dim)
     verts.setflags(write=False)
-    return Polytope(dim=int(dim), vertices=verts, facets=facets, name=name, tol=tol)
+    return Polytope(dim=int(dim), vertices=verts, facets=facets, graph=graph, name=name, tol=tol)
 
 
 def load_polytope(source, tol: Tolerances = DEFAULT_TOLERANCES, recenter: bool = False) -> Polytope:
@@ -273,47 +275,38 @@ def load_polytope(source, tol: Tolerances = DEFAULT_TOLERANCES, recenter: bool =
 # ---------------------------------------------------------------------------
 # edge-graph, dual faces (from the facets validation found)
 
-def _is_edge(inc: np.ndarray, i: int, j: int) -> bool:
-    """{i, j} is an edge iff some facet holds both and those facets share no third vertex."""
-    both = inc[:, i] & inc[:, j]
-    return bool(both.any()) and int(inc[both].all(axis=0).sum()) == 2
-
-
-def edge_graph(poly: Polytope) -> EdgeGraph:
+def _edge_graph(incidence: np.ndarray, dim: int) -> EdgeGraph:
     """Edges are pairs whose smallest common face is the segment itself.
 
     {i, j} is an edge iff some facet contains both endpoints and the
     vertices incident to every such facet are exactly {i, j}.
     """
-    inc = poly.facets.incidence
-    edges = tuple((i, j) for i, j in combinations(range(poly.n), 2) if _is_edge(inc, i, j))
-    graph = EdgeGraph(poly.n, edges)
+    n = incidence.shape[1]
+    edges = []
+    for i, j in combinations(range(n), 2):
+        both = incidence[:, i] & incidence[:, j]
+        if both.any() and incidence[both].all(axis=0).sum() == 2:
+            edges.append((i, j))
+    graph = EdgeGraph(n, tuple(edges))
     if not graph.is_connected():
         raise DegenerateGeometry("edge-graph not connected")
-    mindeg = min(graph.degree(i) for i in range(poly.n))
-    if mindeg < poly.dim:
-        raise DegenerateGeometry(f"edge-graph min degree {mindeg} < d = {poly.dim}")
+    mindeg = min(graph.degree(i) for i in range(n))
+    if mindeg < dim:
+        raise DegenerateGeometry(f"edge-graph min degree {mindeg} < d = {dim}")
     return graph
 
 
-def dual_edge_volumes(poly: Polytope, edges) -> list[float]:
-    """Relative volumes of the dual faces of ``edges``, each dual face evaluated once.
+def dual_edge_volumes(poly: Polytope) -> list[float]:
+    """Relative volumes of the dual faces of the edges, in ``poly.graph.edges`` order.
 
-    The dual face of {i, j} is conv of the facet normals whose facets hold
-    both i and j, a face of the polar dual.  The dual's planes are the
-    vertices of P at offset 1, and its incidence is the facet incidence
-    transposed.  The dual face has dimension d - 2 exactly when {i, j} is
-    an edge; for any other pair it is empty or of dimension at most d - 3.
+    The dual face of an edge {i, j} is conv of the facet normals whose
+    facets hold both i and j, a (d - 2)-face of the polar dual.  The dual's
+    planes are the vertices of P at offset 1, and its incidence is the
+    facet incidence transposed; each dual face is evaluated once.
     """
     inc = poly.facets.incidence
     vol = _lattice_volume(poly.facets.normals, poly.vertices, np.ones(poly.n), inc.T)
-    out = []
-    for i, j in map(sorted, edges):
-        if not _is_edge(inc, i, j):
-            raise DimensionMismatch(
-                f"({i},{j}) is not an edge: its dual face has dimension below {poly.dim - 2}")
-        out.append(vol(inc[:, i] & inc[:, j], poly.dim - 2))
-    return out
+    return [vol(inc[:, i] & inc[:, j], poly.dim - 2) for i, j in poly.graph.edges]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ Two independent routes to the same matrix:
   oracle for the first route.  It shares the vertex enumeration
   (``geometry._vertices``, which also finds the facets at validation)
   and the face-lattice volume routine (``geometry._lattice_volume``),
-  and still never reads ``poly.facets``.
+  but reads neither ``poly.facets`` nor ``poly.graph``: its sparsity
+  pattern is an outcome, not an input.
+
+Both return the matrix as an (n, n) array indexed like the vertices.
 
 The sign convention is fixed by the matrix's defining properties (negative
 on edges, a single negative eigenvalue): it is minus the Hessian of
@@ -24,23 +27,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import KernelResidual, NumericalInstability, ParseError, SingularAngle
-from .geometry import EdgeGraph, Polytope, dual_edge_volumes, dual_facet_volumes
-
-
-@dataclass(frozen=True, eq=False)
-class IzmestievMatrix:
-    """Symmetric n x n matrix whose sparsity pattern is the edge-graph."""
-
-    entries: np.ndarray
-    graph: EdgeGraph
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "entries": self.entries.tolist()}
+from .errors import NumericalInstability, SingularAngle
+from .geometry import Polytope, dual_edge_volumes, dual_facet_volumes
 
 
 @dataclass(frozen=True)
@@ -76,20 +64,21 @@ class IzmestievPropertyReport:
         return {**asdict(self), "spectrum": list(self.spectrum), "passed": self.passed}
 
 
-def izmestiev_matrix(poly: Polytope, graph: EdgeGraph) -> IzmestievMatrix:
+def izmestiev_matrix(poly: Polytope) -> np.ndarray:
     """Geometric-formula route.
 
     For an edge ij the entry is -vol(f_ij) / sqrt(|v_i|^2 |v_j|^2 - <v_i,v_j>^2)
     with f_ij the dual face of the edge; the Gram root is |v_i||v_j| sin of
     the angle at the origin.  All dual-face volumes come from one pass over
     the dual's face lattice.  Diagonal entries are solved row-wise from the
-    kernel condition and the full residual is checked afterwards.
+    kernel condition; ``reconstruct.build_artifacts`` checks its full
+    residual, and ``verify_properties`` reports it.
     """
-    n, tol = poly.n, poly.tol
+    n, tol, graph = poly.n, poly.tol, poly.graph
     verts = poly.vertices
     entries = np.zeros((n, n))
     scale = poly.scale
-    for (i, j), relvol in zip(graph.edges, dual_edge_volumes(poly, graph.edges)):
+    for (i, j), relvol in zip(graph.edges, dual_edge_volumes(poly)):
         gram = float(verts[i] @ verts[i]) * float(verts[j] @ verts[j]) \
             - float(verts[i] @ verts[j]) ** 2
         if gram <= (tol.geom(scale) * scale) ** 2:
@@ -99,25 +88,20 @@ def izmestiev_matrix(poly: Polytope, graph: EdgeGraph) -> IzmestievMatrix:
         nbr = graph.neighbors(i)
         entries[i, i] = -sum(entries[i, j] * float(verts[j] @ verts[i]) for j in nbr) \
             / float(verts[i] @ verts[i])
-    residual = np.linalg.norm(entries @ poly.phi.T, axis=1)
-    worst = float(residual.max())
-    if worst > tol.kernel * max(1.0, scale):
-        raise KernelResidual(
-            f"kernel condition residual {worst:.3e} exceeds {tol.kernel:.1e}")
-    return IzmestievMatrix(entries=entries, graph=graph)
+    return entries
 
 
-def izmestiev_matrix_fd(poly: Polytope, graph: EdgeGraph) -> IzmestievMatrix:
+def izmestiev_matrix_fd(poly: Polytope) -> np.ndarray:
     """Finite-difference route: central differences of the dual volume's gradient.
 
     The gradient of vol({x : <x, v_i> <= c_i}) is g_i = vol_{d-1}(F_i) / |v_i|,
     with F_i the facet on plane i, so column i of the Hessian is
     (g(c + h e_i) - g(c - h e_i)) / 2h around the all-ones offset vector:
-    2n facet-volume evaluations per step.  ``graph`` labels the returned
-    matrix.  Raw Hessians are evaluated at steps h, h/2 and h/4
-    (h = ``tol.fd_step``), symmetrized as (H + H^T) / 2, and
-    Richardson-combined pairwise, which cancels the step-linear error a
-    merely C^2 volume produces at non-simple dual vertices.  The two
+    2n facet-volume evaluations per step.  Raw Hessians are evaluated at
+    steps h, h/2 and h/4 (h = ``tol.fd_step``), symmetrized as
+    (H + H^T) / 2, and Richardson-combined pairwise, which cancels the
+    step-linear error a merely C^2 volume produces at non-simple dual
+    vertices.  The two
     combined estimates must agree, and each raw Hessian must be symmetric,
     within ``tol.fd_check`` once made dimensionless (times scale^d, as
     M(sP) = s^-d M(P)); otherwise a combinatorial flip of the shifted dual
@@ -142,15 +126,13 @@ def izmestiev_matrix_fd(poly: Polytope, graph: EdgeGraph) -> IzmestievMatrix:
         raise NumericalInstability(
             f"step-halving drift {drift:.3e} / asymmetry {asym:.3e} exceeds "
             f"{limit:.1e}; shifted dual changed combinatorics inside the stencil")
-    return IzmestievMatrix(entries=combined[1], graph=graph)
+    return combined[1]
 
 
-def verify_properties(mat: IzmestievMatrix, poly: Polytope) -> IzmestievPropertyReport:
-    """Check the five defining properties and report witnesses."""
-    tol = poly.tol
-    m = mat.entries
-    n = mat.n
-    edges = mat.graph.edge_set
+def verify_properties(m: np.ndarray, poly: Polytope) -> IzmestievPropertyReport:
+    """Check the five defining properties of the (n, n) matrix ``m`` on ``poly.graph``."""
+    tol, n = poly.tol, poly.n
+    edges = poly.graph.edge_set
     symmetric_ok = bool(np.max(np.abs(m - m.T)) <= tol.kernel) if n else True
     sign_ok = all(m[i, j] < 0.0 and m[j, i] < 0.0 for i, j in edges)
     sparsity_tol = tol.kernel
@@ -180,15 +162,3 @@ def verify_properties(mat: IzmestievMatrix, poly: Polytope) -> IzmestievProperty
         eig_threshold=float(eps_eig),
         spectrum=tuple(float(v) for v in eigvals),
     )
-
-
-def load_matrix_dump(doc: dict, graph: EdgeGraph) -> IzmestievMatrix:
-    """Rehydrate a matrix dump {"n": int, "entries": [[...], ...]}."""
-    if not isinstance(doc, dict):
-        raise ParseError("matrix dump root must be a JSON object")
-    entries = np.asarray(doc["entries"], dtype=float)
-    if entries.shape != (doc["n"], doc["n"]) or entries.shape[0] != graph.n:
-        raise ValueError("matrix dump shape inconsistent with edge-graph")
-    if not np.isfinite(entries).all():
-        raise ParseError("matrix dump entries must be finite")
-    return IzmestievMatrix(entries=entries, graph=graph)

@@ -20,9 +20,9 @@ from .colorings import (
     product_coloring,
 )
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import RankDeficient, TheoremViolation
-from .geometry import EdgeGraph, Polytope, edge_graph
-from .izmestiev import IzmestievMatrix, izmestiev_matrix
+from .errors import KernelResidual, RankDeficient, TheoremViolation
+from .geometry import Polytope
+from .izmestiev import izmestiev_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,20 +116,24 @@ class PipelineArtifacts:
     """Everything the symmetry pipelines derive from one polytope."""
 
     poly: Polytope
-    graph: EdgeGraph
-    matrix: IzmestievMatrix
+    matrix: np.ndarray    # (n, n) Izmestiev matrix, kernel condition checked
     izm_coloring: Coloring
     met_coloring: Coloring
     prod_coloring: Coloring
 
 
 def build_artifacts(poly: Polytope) -> PipelineArtifacts:
-    graph = edge_graph(poly)
-    matrix = izmestiev_matrix(poly, graph)
+    """The Izmestiev matrix and the colorings; a matrix off its kernel condition raises."""
+    tol = poly.tol
+    matrix = izmestiev_matrix(poly)
+    worst = float(np.linalg.norm(matrix @ poly.phi.T, axis=1).max())
+    if worst > tol.kernel * max(1.0, poly.scale):
+        raise KernelResidual(
+            f"kernel condition residual {worst:.3e} exceeds {tol.kernel:.1e}")
     izm = izmestiev_coloring(poly, matrix)
-    met = metric_coloring(poly, graph)
+    met = metric_coloring(poly)
     return PipelineArtifacts(
-        poly=poly, graph=graph, matrix=matrix,
+        poly=poly, matrix=matrix,
         izm_coloring=izm, met_coloring=met,
         prod_coloring=product_coloring(izm, met),
     )

@@ -218,11 +218,16 @@ class DualFace:
 
 
 def dual_edge_face(poly: Polytope, edge) -> DualFace:
-    """Dual face of an edge: the dual vertices shared by both endpoints, and its volume."""
+    """Dual face of an edge: the dual vertices shared by both endpoints, and its volume.
+
+    The volume is the one ``geometry.dual_edge_volumes`` gives at the edge's
+    place in ``poly.graph.edges``; a pair that is not an edge raises KeyError.
+    """
     i, j = sorted(edge)
     inc = poly.facets.incidence
+    relvol = dict(zip(poly.graph.edges, geometry.dual_edge_volumes(poly)))[(i, j)]
     return DualFace(edge=(i, j), points=poly.facets.normals[inc[:, i] & inc[:, j]],
-                    relvol=geometry.dual_edge_volumes(poly, [(i, j)])[0])
+                    relvol=relvol)
 
 
 def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:

@@ -68,15 +68,15 @@ def test_criterion_1_closed_forms(artifacts):
     with criterion(1, "matrix closed forms, geometric and finite-difference"):
         expected = {
             "triangle": -(2.0 / math.sqrt(3.0)) * np.ones((3, 3)),
-            "square": -0.5 * adjacency(artifacts["square"].graph),
-            "cube": 0.5 * (np.eye(8) - adjacency(artifacts["cube"].graph)),
+            "square": -0.5 * adjacency(artifacts["square"].poly.graph),
+            "cube": 0.5 * (np.eye(8) - adjacency(artifacts["cube"].poly.graph)),
         }
         for name, closed in expected.items():
             art = artifacts[name]
-            geo = np.max(np.abs(art.matrix.entries - closed))
+            geo = np.max(np.abs(art.matrix - closed))
             assert geo <= GEOMETRIC_TOL, f"{name}: geometric path off by {geo:.2e}"
-            fd = izmestiev_matrix_fd(art.poly, art.graph)
-            fd_err = np.max(np.abs(fd.entries - closed))
+            fd = izmestiev_matrix_fd(art.poly)
+            fd_err = np.max(np.abs(fd - closed))
             assert fd_err <= FD_TOL, f"{name}: fd oracle off by {fd_err:.2e}"
 
 
@@ -118,7 +118,7 @@ def test_criterion_3_group_orders_vs_oracle(pipeline_groups, oracle_groups):
 def test_criterion_4_cyclic_polytope(artifacts, pipeline_groups, oracle_groups):
     with criterion(4, "cyclic 4-polytope: complete edge-graph, group below Sym(6)"):
         art = artifacts["cyclic4_6"]
-        assert len(art.graph.edges) == 15  # K6
+        assert len(art.poly.graph.edges) == 15  # K6
         pipe = pipeline_groups["cyclic4_6"]["linear"]
         oracle = oracle_groups["cyclic4_6"]["linear"]  # filters all 720
         assert set(pipe.perm_group) == set(oracle.perm_group)
@@ -158,7 +158,7 @@ def test_criterion_7_orbit_fixpoint(artifacts, pipeline_groups):
         for name in FIXTURE_NAMES:
             art = artifacts[name]
             group = pipeline_groups[name]["linear"]
-            recolored = orbit_coloring(art.graph, group.perm_group)
+            recolored = orbit_coloring(art.poly.graph, group.perm_group)
             again = automorphisms(recolored)
             assert set(again.perms) == set(group.perm_group), name
 

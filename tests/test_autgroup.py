@@ -112,7 +112,7 @@ class TestRefinement:
         for art in artifacts.values():
             stable = color_refinement(art.izm_coloring)
             group = automorphisms(art.izm_coloring)
-            vorbits, _ = orbits(group, art.graph)
+            vorbits, _ = orbits(group, art.poly.graph)
             for orbit in vorbits:
                 assert len({stable[i] for i in orbit}) == 1
 

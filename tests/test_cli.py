@@ -165,13 +165,43 @@ def test_validate_malformed_dump_exit_2(tmp_path, dump):
 
 
 def test_analyze_dump_feeds_validate(tmp_path):
-    proc = run_cli("analyze", str(FIXTURES / "octahedron.json"), check=True)
-    dump = json.loads(proc.stdout)["matrix_summary"]["dump"]
-    path = tmp_path / "dump.json"
-    path.write_text(json.dumps(dump))
-    proc = run_cli("validate", str(FIXTURES / "octahedron.json"),
-                   "--matrix", str(path), check=True)
-    assert json.loads(proc.stdout)["matrix_source"] == "dump"
+    # the dump analyze writes is the one validate --matrix reads, and checks alike
+    for name in ("octahedron", "square", "cube", "cyclic4_6"):
+        fixture = str(FIXTURES / f"{name}.json")
+        proc = run_cli("analyze", fixture, check=True)
+        dump = json.loads(proc.stdout)["matrix_summary"]["dump"]
+        path = tmp_path / f"{name}_dump.json"
+        path.write_text(json.dumps(dump))
+        from_dump = json.loads(run_cli("validate", fixture, "--matrix", str(path),
+                                       check=True).stdout)
+        plain = json.loads(run_cli("validate", fixture, check=True).stdout)
+        assert from_dump["matrix_source"] == "dump", name
+        assert plain["matrix_source"] == "geometric", name
+        assert from_dump["properties"] == plain["properties"], name
+
+
+@pytest.fixture
+def small_cyclic(tmp_path):
+    """cyclic4_6 scaled by 1e-3: its Izmestiev matrix fails the kernel check."""
+    doc = json.loads((FIXTURES / "cyclic4_6.json").read_text())
+    doc["vertices"] = [[1e-3 * x for x in v] for v in doc["vertices"]]
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_validate_reports_kernel_failure_exit_1(small_cyclic):
+    proc = run_cli("validate", str(small_cyclic))
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["properties"]["kernel_ok"] is False
+    assert report["passed"] is False
+
+
+def test_analyze_kernel_failure_exit_2(small_cyclic):
+    proc = run_cli("analyze", str(small_cyclic))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: kernel condition residual")
 
 
 def test_export_dot_square_metric_single_colors():
@@ -269,13 +299,9 @@ def test_experiment_metric_runs():
     assert json.loads(proc.stdout)["variant"] == "edge-only"
 
 
-def test_experiment_metric_ignores_the_matrix(tmp_path):
-    # scaled by 1e-3, cyclic4_6's Izmestiev matrix fails its kernel check; the probe never reads it
-    doc = json.loads((FIXTURES / "cyclic4_6.json").read_text())
-    doc["vertices"] = [[1e-3 * x for x in v] for v in doc["vertices"]]
-    path = tmp_path / "small.json"
-    path.write_text(json.dumps(doc))
-    proc = run_cli("experiment-metric", str(path))
+def test_experiment_metric_ignores_the_matrix(small_cyclic):
+    # the probe never reads the matrix, so its failed kernel check cannot stop it
+    proc = run_cli("experiment-metric", str(small_cyclic))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["orthogonal_order"] == 72
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_invertible
 from helpers import complete_metric, is_finer
-from polysym import EdgeGraph, Tolerances, edge_graph, make_polytope
+from polysym import EdgeGraph, Tolerances, make_polytope
 from polysym.autgroup import PermutationSet, automorphisms, uncolored
 from polysym.colorings import (
     Coloring,
@@ -62,7 +62,7 @@ class TestQuantize:
 
 class TestMetricColoring:
     def test_square(self, artifacts):
-        col = metric_coloring(artifacts["square"].poly, artifacts["square"].graph)
+        col = metric_coloring(artifacts["square"].poly)
         assert col.num_vertex_classes == 1 and col.num_edge_classes == 1
         assert col.vertex_reps == (2.0,) and col.edge_reps == (0.0,)
 
@@ -96,7 +96,7 @@ class TestIzmestievColoring:
         # a coarse color_rel merges prism3's two edge classes into one, in
         # the stage called alone just as in the pipeline
         poly = make_polytope(3, polytopes["prism3"].vertices, tol=Tolerances(color_rel=10))
-        col = izmestiev_coloring(poly, izmestiev_matrix(poly, edge_graph(poly)))
+        col = izmestiev_coloring(poly, izmestiev_matrix(poly))
         assert col.num_edge_classes == build_artifacts(poly).izm_coloring.num_edge_classes == 1
 
     def test_partition_invariant_under_linear_maps(self, artifacts):
@@ -107,7 +107,7 @@ class TestIzmestievColoring:
             for _ in range(3):
                 t = random_invertible(rng, art.poly.dim)
                 moved = make_polytope(art.poly.dim, art.poly.vertices @ t.T)
-                col2 = izmestiev_coloring(moved, izmestiev_matrix(moved, edge_graph(moved)))
+                col2 = izmestiev_coloring(moved, izmestiev_matrix(moved))
                 assert partition(col2) == base
 
 
@@ -126,7 +126,7 @@ class TestProductColoring:
     def test_constant_is_identity(self, artifacts):
         art = artifacts["rectangle"]
         col = art.met_coloring
-        const = Coloring(vertex=(0,) * 4, edge={e: 0 for e in art.graph.edges})
+        const = Coloring(vertex=(0,) * 4, edge={e: 0 for e in art.poly.graph.edges})
         assert partition(product_coloring(col, const)) == partition(col)
 
     def test_refines_both_factors(self, artifacts):
@@ -207,7 +207,7 @@ class TestOrbitColoring:
             art = artifacts[name]
             for builder in (linear_group, orthogonal_group):
                 group = builder(art)
-                col = orbit_coloring(art.graph, group.perm_group)
+                col = orbit_coloring(art.poly.graph, group.perm_group)
                 again = automorphisms(col)
                 assert set(again.perms) == set(group.perm_group)
 

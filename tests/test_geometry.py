@@ -18,12 +18,11 @@ from helpers import (
 from polysym import (
     DEFAULT_TOLERANCES,
     EdgeGraph,
-    edge_graph,
     geometry,
     load_polytope,
     make_polytope,
 )
-from polysym.errors import DimensionMismatch, ParseError, Unbounded, ValidationError
+from polysym.errors import ParseError, Unbounded, ValidationError
 from polysym.fixtures import FIXTURES, cube, hexagon, octahedron, square, triangle
 from polysym.izmestiev import izmestiev_matrix
 from polysym.reconstruct import build_artifacts
@@ -213,24 +212,24 @@ class TestFacets:
     def test_euler_formula_3d(self, polytopes, artifacts):
         for name in ("cube", "octahedron", "prism3", "simplex3"):
             art = artifacts[name]
-            v, e, f = art.poly.n, len(art.graph.edges), art.poly.facets.m
+            v, e, f = art.poly.n, len(art.poly.graph.edges), art.poly.facets.m
             assert v - e + f == 2
 
 
 class TestEdgeGraph:
     def test_cube_is_q3(self, artifacts):
-        graph = artifacts["cube"].graph
+        graph = artifacts["cube"].poly.graph
         assert len(graph.edges) == 12
         assert all(graph.degree(i) == 3 for i in range(8))
         # vertex order (x,y,z) lexicographic over {1,-1}: 0=(1,1,1), 1=(1,1,-1)
         assert (0, 1) in graph.edge_set and (0, 7) not in graph.edge_set
 
     def test_square_cycle_and_rejected_diagonal(self, artifacts):
-        graph = artifacts["square"].graph
+        graph = artifacts["square"].poly.graph
         assert graph.edge_set == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
     def test_cyclic_polytope_is_complete(self, artifacts):
-        graph = artifacts["cyclic4_6"].graph
+        graph = artifacts["cyclic4_6"].poly.graph
         assert len(graph.edges) == 15
 
     def test_adjacency_lists(self):
@@ -243,8 +242,8 @@ class TestEdgeGraph:
 
     def test_connected_min_degree(self, artifacts):
         for art in artifacts.values():
-            assert art.graph.is_connected()
-            assert min(art.graph.degree(i) for i in range(art.poly.n)) >= art.poly.dim
+            assert art.poly.graph.is_connected()
+            assert min(art.poly.graph.degree(i) for i in range(art.poly.n)) >= art.poly.dim
 
 
 class TestDualFaces:
@@ -264,22 +263,21 @@ class TestDualFaces:
 
     def test_octahedron_edge_duals_positive(self, artifacts):
         art = artifacts["octahedron"]
-        for e in art.graph.edges:
+        for e in art.poly.graph.edges:
             face = dual_edge_face(art.poly, e)
             assert face.relvol == pytest.approx(2.0, abs=1e-9)
 
     def test_non_edge_raises(self, artifacts):
         # the square's diagonal shares no facet; the cube's face diagonal shares one
         for name, pair in (("square", (0, 2)), ("cube", (0, 3))):
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(KeyError):
                 dual_edge_face(artifacts[name].poly, pair)
 
     @pytest.mark.parametrize("name", ["sphere12_6", "sphere16_5", "cross5", "cross6"])
     def test_edge_volumes_match_qhull(self, name):
         poly = LADDER[name]()
-        edges = edge_graph(poly).edges
         inc = poly.facets.incidence
-        for (i, j), relvol in zip(edges, geometry.dual_edge_volumes(poly, edges)):
+        for (i, j), relvol in zip(poly.graph.edges, geometry.dual_edge_volumes(poly)):
             pts = poly.facets.normals[inc[:, i] & inc[:, j]]
             centred = pts - pts.mean(axis=0)
             flat = centred @ np.linalg.svd(centred)[2][: poly.dim - 2].T
@@ -294,7 +292,7 @@ class TestFaceLattice:
         made = []
         lattice = geometry._lattice_volume
         monkeypatch.setattr(geometry, "_lattice_volume", lambda *a: made.append(lattice(*a)) or made[-1])
-        izmestiev_matrix(poly, edge_graph(poly))
+        izmestiev_matrix(poly)
         assert len(made) == 1
         return len(lattice_faces(made[0]))
 

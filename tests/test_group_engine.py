@@ -173,11 +173,11 @@ def test_ladder_orders(name, vertices, order):
     orth = orthogonal_group(art)
     assert lin.order == orth.order == order
     # independent check: filter the uncolored edge-graph automorphisms by definition
-    cands = automorphisms(uncolored(art.graph)).perms
+    cands = automorphisms(uncolored(art.poly.graph)).perms
     for group in (lin, orth):
         assert set(group.perm_group) == set(brute_force_group(
             poly.phi, candidates=cands, flavor=group.flavor).perm_group)
-        col = orbit_coloring(art.graph, group.perm_group)
+        col = orbit_coloring(art.poly.graph, group.perm_group)
         assert col.num_vertex_classes == 1 and col.num_edge_classes == 1
 
 
@@ -187,7 +187,7 @@ class TestLiftAndCheck:
         for name, art in artifacts.items():
             phi = art.poly.phi
             pinv = pseudo_inverse(phi)
-            cands = automorphisms(uncolored(art.graph)).perms
+            cands = automorphisms(uncolored(art.poly.graph)).perms
             for flavor in ("linear", "orthogonal"):
                 maps, ok, _ = lift_and_check(phi, cands, flavor)
                 for perm, t, accepted in zip(cands, maps, ok):

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -7,11 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import random_invertible
 from helpers import adjacency, hypercube, perm_matrix
-from polysym import DEFAULT_TOLERANCES, Tolerances, edge_graph, izmestiev, make_polytope
+from polysym import DEFAULT_TOLERANCES, Tolerances, izmestiev, make_polytope
 from polysym.errors import NumericalInstability
 from polysym.fixtures import FIXTURES, cube, rectangle, square, triangle
 from polysym.izmestiev import (
-    IzmestievMatrix,
     izmestiev_matrix,
     izmestiev_matrix_fd,
     verify_properties,
@@ -49,23 +49,23 @@ def closed_form(name, graph):
 @pytest.mark.parametrize("name", ["triangle", "square", "cube", "rectangle", "octahedron"])
 def test_geometric_formula_closed_forms(name, artifacts):
     art = artifacts[name]
-    expected = closed_form(name, art.graph)
-    assert np.max(np.abs(art.matrix.entries - expected)) <= GEO_TOL
+    expected = closed_form(name, art.poly.graph)
+    assert np.max(np.abs(art.matrix - expected)) <= GEO_TOL
 
 
 @pytest.mark.parametrize("name", ["triangle", "square", "cube"])
 def test_fd_oracle_matches_closed_forms(name, artifacts):
     art = artifacts[name]
-    fd = izmestiev_matrix_fd(art.poly, art.graph)
-    expected = closed_form(name, art.graph)
-    assert np.max(np.abs(fd.entries - expected)) <= 1e-5
+    fd = izmestiev_matrix_fd(art.poly)
+    expected = closed_form(name, art.poly.graph)
+    assert np.max(np.abs(fd - expected)) <= 1e-5
 
 
 def test_fd_agrees_with_geometric_on_all_fixtures(artifacts):
     # two independent derivations of the same object
     for name, art in artifacts.items():
-        fd = izmestiev_matrix_fd(art.poly, art.graph)
-        diff = np.max(np.abs(fd.entries - art.matrix.entries))
+        fd = izmestiev_matrix_fd(art.poly)
+        diff = np.max(np.abs(fd - art.matrix))
         assert diff <= FD_TOL, f"{name}: fd drift {diff:.2e}"
 
 
@@ -76,16 +76,23 @@ def test_fd_scale_free(artifacts, name, k):
     # meets the scaled geometric matrix of P at the unscaled check tolerance
     art, s = artifacts[name], 10.0 ** k
     poly = make_polytope(art.poly.dim, s * art.poly.vertices)
-    fd = izmestiev_matrix_fd(poly, art.graph)
-    diff = np.max(np.abs(fd.entries - s ** -poly.dim * art.matrix.entries))
+    fd = izmestiev_matrix_fd(poly)
+    diff = np.max(np.abs(fd - s ** -poly.dim * art.matrix))
     assert diff * poly.scale ** poly.dim <= DEFAULT_TOLERANCES.fd_check, f"{name}: {diff:.2e}"
+
+
+def test_fd_reads_neither_facets_nor_graph(polytopes):
+    # the oracle is independent of the geometric route: it runs on the vertices alone
+    for name, poly in polytopes.items():
+        bare = dataclasses.replace(poly, facets=None, graph=None)
+        assert np.array_equal(izmestiev_matrix_fd(bare), izmestiev_matrix_fd(poly)), name
 
 
 def test_fd_agrees_with_geometric_on_4_cube():
     art = build_artifacts(hypercube(4))
-    fd = izmestiev_matrix_fd(art.poly, art.graph)
+    fd = izmestiev_matrix_fd(art.poly)
     assert (art.poly.n, art.poly.dim) == (16, 4)
-    assert np.max(np.abs(fd.entries - art.matrix.entries)) <= FD_TOL
+    assert np.max(np.abs(fd - art.matrix)) <= FD_TOL
 
 
 def test_fd_step_halving_drift_raises(artifacts):
@@ -93,7 +100,7 @@ def test_fd_step_halving_drift_raises(artifacts):
     art = artifacts["simplex4"]
     poly = make_polytope(art.poly.dim, art.poly.vertices, tol=Tolerances(fd_check=1e-8))
     with pytest.raises(NumericalInstability, match="step-halving drift"):
-        izmestiev_matrix_fd(poly, art.graph)
+        izmestiev_matrix_fd(poly)
 
 
 def test_fd_asymmetry_raises(artifacts, monkeypatch):
@@ -109,16 +116,16 @@ def test_fd_asymmetry_raises(artifacts, monkeypatch):
 
     monkeypatch.setattr(izmestiev, "dual_facet_volumes", skewed)
     with pytest.raises(NumericalInstability, match="asymmetry 1.000e-03"):
-        izmestiev_matrix_fd(art.poly, art.graph)
+        izmestiev_matrix_fd(art.poly)
 
 
 def test_fd_recovers_edge_graph(artifacts):
     art = artifacts["cube"]
-    fd = izmestiev_matrix_fd(art.poly, art.graph)
+    fd = izmestiev_matrix_fd(art.poly)
     thresh = 10.0 * DEFAULT_TOLERANCES.fd_check
     support = {(i, j) for i, j in combinations(range(art.poly.n), 2)
-               if abs(fd.entries[i, j]) > thresh}
-    assert support == art.graph.edge_set
+               if abs(fd[i, j]) > thresh}
+    assert support == art.poly.graph.edge_set
 
 
 def test_properties_pass_on_all_fixtures(polytopes, artifacts):
@@ -130,17 +137,17 @@ def test_properties_pass_on_all_fixtures(polytopes, artifacts):
 
 def test_spectra(artifacts):
     # Q3 adjacency spectrum {3,1,1,1,-1,-1,-1,-3} maps to {-1,0,0,0,1,1,1,2}
-    spec = np.sort(np.linalg.eigvalsh(artifacts["cube"].matrix.entries))
+    spec = np.sort(np.linalg.eigvalsh(artifacts["cube"].matrix))
     assert np.allclose(spec, [-1, 0, 0, 0, 1, 1, 1, 2], atol=1e-9)
-    spec = np.sort(np.linalg.eigvalsh(artifacts["square"].matrix.entries))
+    spec = np.sort(np.linalg.eigvalsh(artifacts["square"].matrix))
     assert np.allclose(spec, [-1, 0, 0, 1], atol=1e-9)
 
 
 def test_corrupted_matrix_fails_report(artifacts):
     art = artifacts["square"]
-    bad = art.matrix.entries.copy()
+    bad = art.matrix.copy()
     bad[0, 1] = bad[1, 0] = 0.0
-    report = verify_properties(IzmestievMatrix(bad, art.graph), art.poly)
+    report = verify_properties(bad, art.poly)
     assert not report.sign_ok
     assert not report.kernel_ok
     assert not report.passed
@@ -151,7 +158,7 @@ def test_kernel_columns(artifacts):
         phi_t = art.poly.phi.T
         for col in range(art.poly.dim):
             v = phi_t[:, col]
-            assert np.linalg.norm(art.matrix.entries @ v) <= 1e-8 * max(1, np.linalg.norm(v))
+            assert np.linalg.norm(art.matrix @ v) <= 1e-8 * max(1, np.linalg.norm(v))
 
 
 def test_gl_covariance(artifacts):
@@ -162,9 +169,9 @@ def test_gl_covariance(artifacts):
         for _ in range(5):
             t = random_invertible(rng, art.poly.dim)
             moved = make_polytope(art.poly.dim, art.poly.vertices @ t.T)
-            m2 = izmestiev_matrix(moved, edge_graph(moved))
+            m2 = izmestiev_matrix(moved)
             scale = 1.0 / abs(np.linalg.det(t))
-            assert np.max(np.abs(m2.entries - scale * art.matrix.entries)) <= 1e-7 * max(
+            assert np.max(np.abs(m2 - scale * art.matrix)) <= 1e-7 * max(
                 1.0, scale)
 
 
@@ -173,8 +180,8 @@ def test_gl_covariance(artifacts):
 def test_permutation_equivariance(perm):
     # relabeling vertices conjugates the matrix by the permutation matrix
     base = rectangle()
-    m = izmestiev_matrix(base, edge_graph(base)).entries
+    m = izmestiev_matrix(base)
     relabeled = make_polytope(2, base.vertices[list(perm)])
-    m2 = izmestiev_matrix(relabeled, edge_graph(relabeled)).entries
+    m2 = izmestiev_matrix(relabeled)
     pi = perm_matrix(tuple(perm))
     assert np.max(np.abs(m2 - pi.T @ m @ pi)) <= 1e-10

@@ -48,7 +48,7 @@ class TestBruteForce:
         for name in ("square", "rectangle", "hexagon", "octahedron", "cyclic4_6"):
             art = artifacts[name]
             full = brute_force_group(art.poly.phi, flavor="linear")
-            cands = automorphisms(uncolored(art.graph)).perms
+            cands = automorphisms(uncolored(art.poly.graph)).perms
             pruned = brute_force_group(art.poly.phi, candidates=cands, flavor="linear")
             assert set(full.perm_group) == set(pruned.perm_group)
 
