@@ -2,8 +2,10 @@
 # Hold the installed `polysym` entry point to the committed reports: every
 # golden `analyze` and `oracle` report byte for byte, and a passing
 # `validate` on every polytope fixture, both on the computed matrix and on
-# the matrix dump `analyze` writes.  Run from the root of a checkout,
-# after `pip install .`:
+# the matrix dump `analyze` writes.  On every polytope fixture it also runs
+# the paths no golden covers, `export-dot` with both orbit colorings and
+# `experiment-metric`, each of which must exit 0.  Run from the root of a
+# checkout, after `pip install .`:
 #
 #     sh scripts/check_entry_point.sh
 set -eu
@@ -34,4 +36,9 @@ for f in fixtures/*.json; do
         | python -c 'import json, sys; json.dump(json.load(sys.stdin)["matrix_summary"]["dump"], sys.stdout)' \
         > "$dump" || { echo "no matrix dump: $f"; exit 1; }
     polysym validate "$f" --matrix "$dump" > /dev/null || { echo "dump validate failed: $f"; exit 1; }
+    for coloring in orbit-linear orbit-orthogonal; do
+        polysym export-dot "$f" --coloring "$coloring" > /dev/null \
+            || { echo "export-dot $coloring failed: $f"; exit 1; }
+    done
+    polysym experiment-metric "$f" > /dev/null || { echo "experiment-metric failed: $f"; exit 1; }
 done

@@ -7,7 +7,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from polysym.fixtures import FIXTURES, k44_coordinates, k44_graph  # noqa: E402
+from polysym.fixtures import FIXTURES, k44_coordinates, k44_edges  # noqa: E402
 
 
 def main() -> None:
@@ -22,7 +22,7 @@ def main() -> None:
         "name": "k44_embedding",
         "dimension": 4,
         "vertices": k44_coordinates().tolist(),
-        "edges": [list(e) for e in k44_graph().edges],
+        "edges": [list(e) for e in k44_edges()],
     }
     path = out_dir / "k44_embedding.json"
     path.write_text(json.dumps(emb, indent=2) + "\n")

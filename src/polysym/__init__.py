@@ -6,20 +6,12 @@ reconstructs each one as an explicit linear map on the ambient space.
 """
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .geometry import (
-    EdgeGraph,
-    FacetSystem,
-    Polytope,
-    load_polytope,
-    make_polytope,
-)
+from .geometry import Polytope, load_polytope, make_polytope
 
 __all__ = [
     "DEFAULT_TOLERANCES",
     "Tolerances",
     "Polytope",
-    "FacetSystem",
-    "EdgeGraph",
     "load_polytope",
     "make_polytope",
 ]

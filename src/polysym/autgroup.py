@@ -22,7 +22,6 @@ import numpy as np
 
 from .colorings import Coloring
 from .errors import DomainMismatch, LimitExceeded, NotAGroup
-from .geometry import EdgeGraph
 
 Perm = tuple[int, ...]
 
@@ -244,6 +243,9 @@ def automorphisms(col: Coloring, limit: int = 10 ** 6) -> PermutationSet:
     return group
 
 
-def uncolored(graph: EdgeGraph) -> Coloring:
-    """The graph with a single vertex color and a single edge color."""
-    return Coloring(vertex=(0,) * graph.n, edge={e: 0 for e in graph.edges})
+def uncolored(n: int, edges) -> Coloring:
+    """The graph on 0..n-1 with a single vertex color and a single edge color.
+
+    Each pair is sorted, so an edge may be given either way round.
+    """
+    return Coloring(vertex=(0,) * n, edge={tuple(sorted(e)): 0 for e in edges})

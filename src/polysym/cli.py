@@ -29,9 +29,9 @@ from .errors import (
     TooManyCandidates,
     ValidationError,
 )
-from .geometry import EdgeGraph, load_polytope
+from .geometry import load_polytope
 from .izmestiev import izmestiev_matrix, izmestiev_matrix_fd, verify_properties
-from .oracle import SYM_LIMIT, brute_force_group, embedding_group
+from .oracle import SYM_LIMIT, brute_force_group
 from .reconstruct import (
     build_artifacts,
     eigenspace_criterion,
@@ -81,9 +81,9 @@ def _input_echo(args, path, poly) -> dict:
     }
 
 
-def _group_report(group, graph) -> dict:
+def _group_report(group, poly) -> dict:
     return {**group.to_json_dict(),
-            "orbit_coloring": orbit_coloring(graph, group.perm_group).to_json_dict()}
+            "orbit_coloring": orbit_coloring(poly.n, poly.edges, group.perm_group).to_json_dict()}
 
 
 def cmd_analyze(args) -> int:
@@ -95,8 +95,8 @@ def cmd_analyze(args) -> int:
         props = verify_properties(art.matrix, poly).to_json_dict()
         report = {
             "input": _input_echo(args, path, poly),
-            "facet_count": poly.facets.m,
-            "edge_count": len(poly.graph.edges),
+            "facet_count": len(poly.normals),
+            "edge_count": len(poly.edges),
             "matrix_summary": {
                 "spectrum": props["spectrum"],
                 "kernel_dim": props["kernel_dim"],
@@ -113,10 +113,10 @@ def cmd_analyze(args) -> int:
         }
         if args.coloring in ("izmestiev", "both"):
             lin = linear_group(art, limit=args.limit)
-            report["groups"]["linear"] = _group_report(lin, poly.graph)
+            report["groups"]["linear"] = _group_report(lin, poly)
         if args.coloring in ("product", "both"):
             orth = orthogonal_group(art, limit=args.limit)
-            report["groups"]["orthogonal"] = _group_report(orth, poly.graph)
+            report["groups"]["orthogonal"] = _group_report(orth, poly)
         reports.append(report)
         _chatter(args, f"{path}: analyzed in {time.perf_counter() - t0:.3f}s, "
                        f"orders { {k: v['order'] for k, v in report['groups'].items()} }")
@@ -186,26 +186,23 @@ def _load_embedding(args):
             isinstance(e, list) and len(e) == 2 and e[0] != e[1]
             and all(type(x) is int and 0 <= x < n for x in e) for e in edges):
         raise ParseError(f"'edges' must be pairs of distinct vertex indices in 0..{n - 1}")
-    return EdgeGraph(n, tuple(map(tuple, edges))), coords, doc.get("name")
+    return uncolored(n, edges), coords, doc.get("name")
 
 
 def cmd_oracle(args) -> int:
     graph_auts = args.candidates == "graph-auts"
     if args.embedding:
         graph, coords, name = _load_embedding(args)
-        if graph_auts and not graph.edges:
+        if graph_auts and not graph.edge:
             sys.stderr.write("oracle: --candidates graph-auts needs an 'edges' key\n")
             return 64
         echo = {"path": args.path, "name": name, "n_vertices": graph.n, "embedding": True}
     else:
         poly = _load(args, args.path)
-        graph = poly.graph
+        graph, coords = uncolored(poly.n, poly.edges), poly.vertices
         echo = {**_input_echo(args, args.path, poly), "embedding": False}
-    cands = automorphisms(uncolored(graph), limit=args.limit).perms if graph_auts else None
-    if args.embedding:
-        group = embedding_group(coords, candidates=cands, flavor=args.flavor, tol=_tolerances(args))
-    else:
-        group = brute_force_group(poly.phi, candidates=cands, flavor=args.flavor, tol=poly.tol)
+    cands = automorphisms(graph, limit=args.limit).perms if graph_auts else None
+    group = brute_force_group(coords.T, candidates=cands, flavor=args.flavor, tol=_tolerances(args))
     _emit({
         "input": echo,
         "flavor": args.flavor,
@@ -227,7 +224,7 @@ def cmd_export_dot(args) -> int:
     if col is None:
         flavor = args.coloring.split("-")[1]
         grp = (linear_group if flavor == "linear" else orthogonal_group)(art, limit=args.limit)
-        col = orbit_coloring(poly.graph, grp.perm_group)
+        col = orbit_coloring(poly.n, poly.edges, grp.perm_group)
     lines = [f"graph {poly.name or 'polytope'} {{", "  node [style=filled];"]
     for i in range(poly.n):
         lines.append(f'  v{i} [fillcolor="{PALETTE[col.vertex[i] % len(PALETTE)]}"];')
@@ -253,7 +250,7 @@ def cmd_experiment_metric(args) -> int:
         col = Coloring(vertex=col.vertex, edge={e: 0 for e in col.edge})
     auts = automorphisms(col, limit=args.limit)
     cands = (None if poly.n <= SYM_LIMIT
-             else automorphisms(uncolored(poly.graph), limit=args.limit).perms)
+             else automorphisms(uncolored(poly.n, poly.edges), limit=args.limit).perms)
     reference = brute_force_group(poly.phi, candidates=cands, flavor="orthogonal", tol=poly.tol)
     extra = [p for p in auts.perms if p not in reference.perm_group]
     _emit({

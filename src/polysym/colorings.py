@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainMismatch, NotAGroup
-from .geometry import EdgeGraph, Polytope
+from .geometry import Polytope
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,14 +132,14 @@ def metric_coloring(poly: Polytope) -> Coloring:
     """Vertex color |v_i|^2, edge color <v_i, v_j>: an isometry invariant."""
     verts = poly.vertices
     vvals = [float(verts[i] @ verts[i]) for i in range(poly.n)]
-    evals = {(i, j): float(verts[i] @ verts[j]) for i, j in poly.graph.edges}
+    evals = {(i, j): float(verts[i] @ verts[j]) for i, j in poly.edges}
     return quantize(vvals, evals, poly.tol)
 
 
 def izmestiev_coloring(poly: Polytope, m: np.ndarray) -> Coloring:
     """Diagonal entries of the (n, n) matrix ``m`` color vertices, edge entries color edges."""
     vvals = [float(m[i, i]) for i in range(poly.n)]
-    evals = {(i, j): float(m[i, j]) for i, j in poly.graph.edges}
+    evals = {(i, j): float(m[i, j]) for i, j in poly.edges}
     return quantize(vvals, evals, poly.tol)
 
 
@@ -167,20 +167,20 @@ def product_coloring(c1: Coloring, c2: Coloring) -> Coloring:
     )
 
 
-def orbit_coloring(graph: EdgeGraph, group) -> Coloring:
-    """Colors are the orbits of a PermutationSet acting on V and E.
+def orbit_coloring(n: int, edges, group) -> Coloring:
+    """Colors are the orbits of a PermutationSet acting on 0..n-1 and on ``edges``.
 
-    The group's generators must preserve the edge set.
+    ``edges`` are sorted pairs; the group's generators must preserve them.
     """
-    if group.n != graph.n:
-        raise NotAGroup(f"not a permutation group on 0..{graph.n - 1}")
-    edge_set = graph.edge_set
+    if group.n != n:
+        raise NotAGroup(f"not a permutation group on 0..{n - 1}")
+    edge_set = set(edges)
     for p in group.generators:
         if any(tuple(sorted((p[i], p[j]))) not in edge_set for i, j in edge_set):
             raise NotAGroup(f"{p} does not preserve the edge set")
     edges = sorted(edge_set)
     return Coloring(
-        vertex=tuple(_orbit_ids(range(graph.n), lambda x, g: g[x], group.generators)),
+        vertex=tuple(_orbit_ids(range(n), lambda x, g: g[x], group.generators)),
         edge=dict(zip(edges, _orbit_ids(
             edges, lambda e, g: tuple(sorted((g[e[0]], g[e[1]]))), group.generators))))
 

@@ -35,7 +35,7 @@ class Tolerances:
 
     def geom(self, scale: float) -> float:
         """Absolute geometric tolerance for a polytope of the given scale."""
-        return self.geom_rel * max(scale, 1e-300)
+        return self.geom_rel * scale
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import EdgeGraph, Polytope, make_polytope
+from .geometry import Polytope, make_polytope
 
 
 def square() -> Polytope:
@@ -98,9 +98,9 @@ def k44_coordinates() -> np.ndarray:
     return np.array([e[0], e[1], -e[0], -e[1], e[2], e[3], -e[2], -e[3]])
 
 
-def k44_graph() -> EdgeGraph:
-    edges = tuple((i, j) for i in range(4) for j in range(4, 8))
-    return EdgeGraph(8, edges)
+def k44_edges() -> tuple[tuple[int, int], ...]:
+    """The edges of K_{4,4} on the eight points of ``k44_coordinates``."""
+    return tuple((i, j) for i in range(4) for j in range(4, 8))
 
 
 # Registry of the acceptance fixture polytopes, in report order.

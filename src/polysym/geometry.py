@@ -12,6 +12,7 @@ formula, each face once.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 from pathlib import Path
@@ -28,17 +29,24 @@ class Polytope:
 
     ``vertices`` has shape (n, d); row i is vertex i.  Vertex order is
     contract-bearing: permutations and reconstructed linear maps refer to
-    these indices.  ``facets`` are the ones validation found under ``tol``,
-    the polytope's one tolerance ledger, and ``graph`` is the edge-graph
-    their incidence fixes: every later stage reads all three here.
+    these indices.  Validation under ``tol``, the polytope's one tolerance
+    ledger, finds the facets: ``normals`` (m, d), with <u, x> <= 1 on P
+    (exactly the polar's vertices), and ``incidence`` (m, n), flagging
+    vertex j on facet i.  ``edges`` are the edge-graph their incidence
+    fixes, as sorted pairs in lexicographic order.  Every later stage
+    reads these fields here.
     """
 
-    dim: int
     vertices: np.ndarray
-    facets: FacetSystem
-    graph: EdgeGraph
+    normals: np.ndarray
+    incidence: np.ndarray
+    edges: tuple[tuple[int, int], ...]
     tol: Tolerances
     name: str | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.vertices.shape[1]
 
     @property
     def n(self) -> int:
@@ -58,61 +66,6 @@ class Polytope:
         if self.name is not None:
             doc["name"] = self.name
         return doc
-
-
-@dataclass(frozen=True, eq=False)
-class FacetSystem:
-    """Facet normals u with <u, x> <= 1 on P, plus facet-vertex incidence.
-
-    The normals are exactly the vertices of the polar dual.
-    """
-
-    normals: np.ndarray    # (m, d)
-    incidence: np.ndarray  # (m, n) boolean
-
-    @property
-    def m(self) -> int:
-        return self.normals.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeGraph:
-    """Simple graph on vertex indices 0..n-1 with sorted edge pairs and adjacency lists."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        edges = tuple(sorted(tuple(sorted(e)) for e in self.edges))
-        adj = [[] for _ in range(self.n)]
-        for i, j in edges:  # lexicographic edge order leaves every list sorted
-            adj[i].append(j)
-            adj[j].append(i)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
-
-    @property
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edges)
-
-    def neighbors(self, i: int) -> list[int]:
-        return list(self._adj[i])
-
-    def degree(self, i: int) -> int:
-        return len(self._adj[i])
-
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in self._adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.n
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +125,10 @@ def _vertices(normals: np.ndarray, offsets: np.ndarray, eps: float):
 def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
     """Raise ValidationError naming the first violated invariant; else return the facets.
 
-    The facets are the vertices of the polar of P - g, with g the vertex
-    centroid: each polar vertex's tight planes are one facet's vertices.
-    Each facet plane is then refit on its vertices.
+    The facets come as ``(normals, incidence)``, the ``Polytope`` fields of
+    those names.  They are the vertices of the polar of P - g, with g the
+    vertex centroid: each polar vertex's tight planes are one facet's
+    vertices.  Each facet plane is then refit on its vertices.
     """
     if dim < 2:
         raise ValidationError(f"dimension {dim} < 2: the edge-graph needs d >= 2")
@@ -214,25 +168,24 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
         normals = w[incidence[:, i]]
         if len(normals) < dim or np.linalg.matrix_rank(normals, tol=1e-10) < dim:
             raise ValidationError(f"non-extreme point: vertex {i}")
-    return FacetSystem(normals=w / b[:, None], incidence=incidence)
+    return w / b[:, None], incidence
 
 
 def make_polytope(dim, vertices, name=None, tol: Tolerances = DEFAULT_TOLERANCES,
                   recenter: bool = False) -> Polytope:
     """Build and validate a Polytope from raw coordinates; it keeps ``tol`` as its ledger.
 
-    The edge-graph is built once here, from the facets validation found,
-    and must be connected with minimum degree at least d.
+    The edges are found once here, from the facets validation found.
     """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != dim:
         raise ParseError(f"vertex array has shape {verts.shape}, expected (n, {dim})")
     if recenter:
         verts = verts - verts.mean(axis=0)
-    facets = validate_vertices(dim, verts, tol)
-    graph = _edge_graph(facets.incidence, dim)
+    normals, incidence = validate_vertices(dim, verts, tol)
+    edges = _edges(incidence, dim)
     verts.setflags(write=False)
-    return Polytope(dim=int(dim), vertices=verts, facets=facets, graph=graph, name=name, tol=tol)
+    return Polytope(verts, normals, incidence, edges, tol, name)
 
 
 def load_polytope(source, tol: Tolerances = DEFAULT_TOLERANCES, recenter: bool = False) -> Polytope:
@@ -275,38 +228,41 @@ def load_polytope(source, tol: Tolerances = DEFAULT_TOLERANCES, recenter: bool =
 # ---------------------------------------------------------------------------
 # edge-graph, dual faces (from the facets validation found)
 
-def _edge_graph(incidence: np.ndarray, dim: int) -> EdgeGraph:
+def _edges(incidence: np.ndarray, dim: int) -> tuple[tuple[int, int], ...]:
     """Edges are pairs whose smallest common face is the segment itself.
 
     {i, j} is an edge iff some facet contains both endpoints and the
-    vertices incident to every such facet are exactly {i, j}.
+    vertices incident to every such facet are exactly {i, j}.  The
+    edge-graph must be connected, with minimum degree at least d.
     """
     n = incidence.shape[1]
-    edges = []
-    for i, j in combinations(range(n), 2):
-        both = incidence[:, i] & incidence[:, j]
-        if both.any() and incidence[both].all(axis=0).sum() == 2:
-            edges.append((i, j))
-    graph = EdgeGraph(n, tuple(edges))
-    if not graph.is_connected():
+    edges = tuple((i, j) for i, j in combinations(range(n), 2)
+                  if (both := incidence[:, i] & incidence[:, j]).any()
+                  and incidence[both].all(axis=0).sum() == 2)
+    reached, frontier = set(), {0}
+    while frontier:  # breadth-first from vertex 0, one pass over the edges per layer
+        reached |= frontier
+        frontier = {v for e in edges if frontier.intersection(e) for v in e} - reached
+    if len(reached) < n:
         raise DegenerateGeometry("edge-graph not connected")
-    mindeg = min(graph.degree(i) for i in range(n))
+    degree = Counter(v for e in edges for v in e)
+    mindeg = min(degree[i] for i in range(n))
     if mindeg < dim:
         raise DegenerateGeometry(f"edge-graph min degree {mindeg} < d = {dim}")
-    return graph
+    return edges
 
 
 def dual_edge_volumes(poly: Polytope) -> list[float]:
-    """Relative volumes of the dual faces of the edges, in ``poly.graph.edges`` order.
+    """Relative volumes of the dual faces of the edges, in ``poly.edges`` order.
 
     The dual face of an edge {i, j} is conv of the facet normals whose
     facets hold both i and j, a (d - 2)-face of the polar dual.  The dual's
     planes are the vertices of P at offset 1, and its incidence is the
     facet incidence transposed; each dual face is evaluated once.
     """
-    inc = poly.facets.incidence
-    vol = _lattice_volume(poly.facets.normals, poly.vertices, np.ones(poly.n), inc.T)
-    return [vol(inc[:, i] & inc[:, j], poly.dim - 2) for i, j in poly.graph.edges]
+    inc = poly.incidence
+    vol = _lattice_volume(poly.normals, poly.vertices, np.ones(poly.n), inc.T)
+    return [vol(inc[:, i] & inc[:, j], poly.dim - 2) for i, j in poly.edges]
 
 
 # ---------------------------------------------------------------------------

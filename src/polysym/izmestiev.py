@@ -10,8 +10,8 @@ Two independent routes to the same matrix:
   oracle for the first route.  It shares the vertex enumeration
   (``geometry._vertices``, which also finds the facets at validation)
   and the face-lattice volume routine (``geometry._lattice_volume``),
-  but reads neither ``poly.facets`` nor ``poly.graph``: its sparsity
-  pattern is an outcome, not an input.
+  but reads none of ``poly.normals``, ``poly.incidence`` and
+  ``poly.edges``: its sparsity pattern is an outcome, not an input.
 
 Both return the matrix as an (n, n) array indexed like the vertices.
 
@@ -74,20 +74,18 @@ def izmestiev_matrix(poly: Polytope) -> np.ndarray:
     kernel condition; ``reconstruct.build_artifacts`` checks its full
     residual, and ``verify_properties`` reports it.
     """
-    n, tol, graph = poly.n, poly.tol, poly.graph
-    verts = poly.vertices
+    n, tol, verts = poly.n, poly.tol, poly.vertices
     entries = np.zeros((n, n))
     scale = poly.scale
-    for (i, j), relvol in zip(graph.edges, dual_edge_volumes(poly)):
+    for (i, j), relvol in zip(poly.edges, dual_edge_volumes(poly)):
         gram = float(verts[i] @ verts[i]) * float(verts[j] @ verts[j]) \
             - float(verts[i] @ verts[j]) ** 2
         if gram <= (tol.geom(scale) * scale) ** 2:
             raise SingularAngle(f"vertices {i} and {j} are collinear with the origin")
         entries[i, j] = entries[j, i] = -relvol / np.sqrt(gram)
-    for i in range(n):
-        nbr = graph.neighbors(i)
-        entries[i, i] = -sum(entries[i, j] * float(verts[j] @ verts[i]) for j in nbr) \
-            / float(verts[i] @ verts[i])
+    for i in range(n):  # row i holds only its edge entries so far: its neighbours, ascending
+        entries[i, i] = -sum(entries[i, j] * float(verts[j] @ verts[i])
+                             for j in np.flatnonzero(entries[i])) / float(verts[i] @ verts[i])
     return entries
 
 
@@ -129,10 +127,20 @@ def izmestiev_matrix_fd(poly: Polytope) -> np.ndarray:
     return combined[1]
 
 
+def _kernel_residual(m: np.ndarray, poly: Polytope) -> tuple[float, float]:
+    """max|M phi^T| and its bound ``tol.kernel`` max|M| scale.
+
+    Both sides scale like s^(1-d) under P -> sP, as M(sP) = s^-d M(P), so
+    the comparison is scale-free.
+    """
+    residual = float(np.max(np.abs(m @ poly.phi.T)))
+    return residual, poly.tol.kernel * float(np.max(np.abs(m))) * poly.scale
+
+
 def verify_properties(m: np.ndarray, poly: Polytope) -> IzmestievPropertyReport:
-    """Check the five defining properties of the (n, n) matrix ``m`` on ``poly.graph``."""
+    """Check the five defining properties of the (n, n) matrix ``m`` on ``poly.edges``."""
     tol, n = poly.tol, poly.n
-    edges = poly.graph.edge_set
+    edges = set(poly.edges)
     symmetric_ok = bool(np.max(np.abs(m - m.T)) <= tol.kernel) if n else True
     sign_ok = all(m[i, j] < 0.0 and m[j, i] < 0.0 for i, j in edges)
     sparsity_tol = tol.kernel
@@ -148,7 +156,7 @@ def verify_properties(m: np.ndarray, poly: Polytope) -> IzmestievPropertyReport:
         multiplicity = int(np.sum(np.abs(negative - negative.min()) <= eps_eig))
     else:
         multiplicity = 0
-    residual = float(np.max(np.abs(m @ poly.phi.T)))
+    residual, bound = _kernel_residual(m, poly)
     return IzmestievPropertyReport(
         symmetric_ok=symmetric_ok,
         sign_ok=bool(sign_ok),
@@ -156,7 +164,7 @@ def verify_properties(m: np.ndarray, poly: Polytope) -> IzmestievPropertyReport:
         negative_eigenvalues=int(len(negative)),
         negative_multiplicity=multiplicity,
         kernel_residual=residual,
-        kernel_ok=bool(residual <= tol.kernel * max(1.0, poly.scale)),
+        kernel_ok=residual <= bound,
         kernel_dim=kernel_dim,
         dim=poly.dim,
         eig_threshold=float(eps_eig),

@@ -37,12 +37,21 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
                       tol: Tolerances = DEFAULT_TOLERANCES) -> MatrixGroup:
     """Filter candidate permutations down to realized geometric symmetries.
 
-    With candidates=None, Sym(n) (n <= 9) is streamed pruned, as the
-    module docstring says.  phi must have full row rank, so for each
-    sigma the candidate map is unique: sound and complete.
-    NotAGroup if the realized permutations are not closed.
+    phi is (d, n), column j the point j, for any point set (a polytope
+    or a graph embedding).  It is first restricted to its row space (a
+    no-op on a polytope, whose phi has full row rank), so for each sigma
+    the candidate map is unique: sound and complete.  With
+    candidates=None, Sym(n) (n <= 9) is streamed pruned, as the module
+    docstring says.  NotAGroup if the realized permutations are not
+    closed.
     """
     phi = np.asarray(phi, dtype=float)
+    u, s, _ = np.linalg.svd(phi, full_matrices=False)
+    rank = int(np.sum(s > 1e-12 * s[0]))
+    if rank == 0:
+        raise RankDeficient("the points span no direction")
+    if rank < len(phi):
+        phi = u[:, :rank].T @ phi
     n = phi.shape[1]
     if candidates is None:
         if n > SYM_LIMIT:
@@ -73,18 +82,3 @@ def _pruned_sym(phi: np.ndarray, match: float):
             yield from grow(kids) if k + 1 < n else [kids]
 
     yield from chain.from_iterable(zip(*b.T.tolist()) for b in grow(np.empty((1, 0), dtype=int)))
-
-
-def embedding_group(coordinates, candidates=None, flavor: str = "linear",
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> MatrixGroup:
-    """Same filter for any point set, one point per row; restricts to its span first."""
-    phi = np.asarray(coordinates, dtype=float).T
-    d = phi.shape[0]
-    u, s, _ = np.linalg.svd(phi, full_matrices=False)
-    rank = int(np.sum(s > 1e-12 * s[0]))
-    if rank == 0:
-        raise RankDeficient("the points span no direction")
-    if rank < d:
-        phi = u[:, :rank].T @ phi
-    return brute_force_group(phi, candidates=candidates, flavor=flavor, tol=tol)
-

@@ -22,7 +22,7 @@ from .colorings import (
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import KernelResidual, RankDeficient, TheoremViolation
 from .geometry import Polytope
-from .izmestiev import izmestiev_matrix
+from .izmestiev import _kernel_residual, izmestiev_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,12 +124,10 @@ class PipelineArtifacts:
 
 def build_artifacts(poly: Polytope) -> PipelineArtifacts:
     """The Izmestiev matrix and the colorings; a matrix off its kernel condition raises."""
-    tol = poly.tol
     matrix = izmestiev_matrix(poly)
-    worst = float(np.linalg.norm(matrix @ poly.phi.T, axis=1).max())
-    if worst > tol.kernel * max(1.0, poly.scale):
-        raise KernelResidual(
-            f"kernel condition residual {worst:.3e} exceeds {tol.kernel:.1e}")
+    residual, bound = _kernel_residual(matrix, poly)
+    if residual > bound:
+        raise KernelResidual(f"kernel condition residual {residual:.3e} exceeds {bound:.1e}")
     izm = izmestiev_coloring(poly, matrix)
     met = metric_coloring(poly)
     return PipelineArtifacts(

@@ -20,20 +20,20 @@ from polysym.autgroup import PermutationSet, _neighbor_table, _refine, compose
 from polysym.colorings import Coloring, orbit_coloring, quantize
 from polysym.config import DEFAULT_TOLERANCES, Tolerances
 from polysym.errors import DomainMismatch, ValidationError
-from polysym.geometry import EdgeGraph, Polytope, make_polytope
+from polysym.geometry import Polytope, make_polytope
 from polysym.reconstruct import MatrixGroup, lift_and_check
 
 
 # ---------------------------------------------------------------------------
 # graphs and permutations
 
-def complete_graph(n: int) -> EdgeGraph:
-    return EdgeGraph(n, tuple(combinations(range(n), 2)))
+def complete_edges(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(combinations(range(n), 2))
 
 
-def adjacency(graph: EdgeGraph) -> np.ndarray:
-    a = np.zeros((graph.n, graph.n))
-    for i, j in graph.edges:
+def adjacency(n: int, edges) -> np.ndarray:
+    a = np.zeros((n, n))
+    for i, j in edges:
         a[i, j] = a[j, i] = 1.0
     return a
 
@@ -46,9 +46,9 @@ def perm_matrix(p) -> np.ndarray:
     return mat
 
 
-def orbits(group: PermutationSet, graph: EdgeGraph):
+def orbits(group: PermutationSet, edges):
     """Vertex orbits and edge orbits of a permutation group, by min element."""
-    col = orbit_coloring(graph, group)
+    col = orbit_coloring(group.n, edges, group)
     return (tuple(map(tuple, col.vertex_classes())),
             tuple(tuple(orbit) for orbit in col.edge_classes()))
 
@@ -221,12 +221,12 @@ def dual_edge_face(poly: Polytope, edge) -> DualFace:
     """Dual face of an edge: the dual vertices shared by both endpoints, and its volume.
 
     The volume is the one ``geometry.dual_edge_volumes`` gives at the edge's
-    place in ``poly.graph.edges``; a pair that is not an edge raises KeyError.
+    place in ``poly.edges``; a pair that is not an edge raises KeyError.
     """
     i, j = sorted(edge)
-    inc = poly.facets.incidence
-    relvol = dict(zip(poly.graph.edges, geometry.dual_edge_volumes(poly)))[(i, j)]
-    return DualFace(edge=(i, j), points=poly.facets.normals[inc[:, i] & inc[:, j]],
+    inc = poly.incidence
+    relvol = dict(zip(poly.edges, geometry.dual_edge_volumes(poly)))[(i, j)]
+    return DualFace(edge=(i, j), points=poly.normals[inc[:, i] & inc[:, j]],
                     relvol=relvol)
 
 

@@ -16,9 +16,9 @@ from polysym import make_polytope
 from polysym.autgroup import automorphisms, uncolored
 from polysym.colorings import orbit_coloring
 from polysym.errors import TheoremViolation
-from polysym.fixtures import FIXTURES, k44_coordinates, k44_graph
+from polysym.fixtures import FIXTURES, k44_coordinates, k44_edges
 from polysym.izmestiev import izmestiev_matrix_fd, verify_properties
-from polysym.oracle import brute_force_group, embedding_group
+from polysym.oracle import brute_force_group
 from polysym.reconstruct import build_artifacts, linear_group, orthogonal_group
 
 GEOMETRIC_TOL = 1e-8
@@ -68,8 +68,8 @@ def test_criterion_1_closed_forms(artifacts):
     with criterion(1, "matrix closed forms, geometric and finite-difference"):
         expected = {
             "triangle": -(2.0 / math.sqrt(3.0)) * np.ones((3, 3)),
-            "square": -0.5 * adjacency(artifacts["square"].poly.graph),
-            "cube": 0.5 * (np.eye(8) - adjacency(artifacts["cube"].poly.graph)),
+            "square": -0.5 * adjacency(4, artifacts["square"].poly.edges),
+            "cube": 0.5 * (np.eye(8) - adjacency(8, artifacts["cube"].poly.edges)),
         }
         for name, closed in expected.items():
             art = artifacts[name]
@@ -118,7 +118,7 @@ def test_criterion_3_group_orders_vs_oracle(pipeline_groups, oracle_groups):
 def test_criterion_4_cyclic_polytope(artifacts, pipeline_groups, oracle_groups):
     with criterion(4, "cyclic 4-polytope: complete edge-graph, group below Sym(6)"):
         art = artifacts["cyclic4_6"]
-        assert len(art.poly.graph.edges) == 15  # K6
+        assert len(art.poly.edges) == 15  # K6
         pipe = pipeline_groups["cyclic4_6"]["linear"]
         oracle = oracle_groups["cyclic4_6"]["linear"]  # filters all 720
         assert set(pipe.perm_group) == set(oracle.perm_group)
@@ -127,10 +127,10 @@ def test_criterion_4_cyclic_polytope(artifacts, pipeline_groups, oracle_groups):
 
 def test_criterion_5_k44_embedding():
     with criterion(5, "K_{4,4} embedding: graph group not realizable"):
-        graph_auts = automorphisms(uncolored(k44_graph()))
+        graph_auts = automorphisms(uncolored(8, k44_edges()))
         assert graph_auts.order == 1152
-        realized = embedding_group(k44_coordinates(), candidates=graph_auts.perms,
-                                   flavor="linear")
+        realized = brute_force_group(k44_coordinates().T, candidates=graph_auts.perms,
+                                     flavor="linear")
         assert realized.order < graph_auts.order
         assert (1, 0, 2, 3, 4, 5, 6, 7) not in set(realized.perm_group)
 
@@ -158,7 +158,7 @@ def test_criterion_7_orbit_fixpoint(artifacts, pipeline_groups):
         for name in FIXTURE_NAMES:
             art = artifacts[name]
             group = pipeline_groups[name]["linear"]
-            recolored = orbit_coloring(art.poly.graph, group.perm_group)
+            recolored = orbit_coloring(art.poly.n, art.poly.edges, group.perm_group)
             again = automorphisms(recolored)
             assert set(again.perms) == set(group.perm_group), name
 

@@ -3,8 +3,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from helpers import color_refinement, colored_adjacency, complete_graph, orbits, perm_matrix
-from polysym import EdgeGraph
+from helpers import color_refinement, colored_adjacency, complete_edges, orbits, perm_matrix
 from polysym.autgroup import (
     PermutationSet,
     automorphisms,
@@ -15,9 +14,9 @@ from polysym.autgroup import (
 )
 from polysym.colorings import Coloring
 from polysym.errors import DomainMismatch, LimitExceeded, NotAGroup
-from polysym.fixtures import k44_graph
+from polysym.fixtures import k44_edges
 
-C4 = EdgeGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+C4 = ((0, 1), (1, 2), (2, 3), (0, 3))
 
 
 def brute_force_auts(col):
@@ -89,11 +88,10 @@ class TestPermutationSet:
 
 class TestRefinement:
     def test_uncolored_cycle_single_class(self):
-        assert color_refinement(uncolored(C4)) == (0, 0, 0, 0)
+        assert color_refinement(uncolored(4, C4)) == (0, 0, 0, 0)
 
     def test_path_splits_by_degree(self):
-        path = EdgeGraph(3, ((0, 1), (1, 2)))
-        colors = color_refinement(uncolored(path))
+        colors = color_refinement(uncolored(3, ((0, 1), (1, 2))))
         assert colors[0] == colors[2] != colors[1]
 
     def test_rectangle_metric_stays_single_class(self, artifacts):
@@ -112,14 +110,14 @@ class TestRefinement:
         for art in artifacts.values():
             stable = color_refinement(art.izm_coloring)
             group = automorphisms(art.izm_coloring)
-            vorbits, _ = orbits(group, art.poly.graph)
+            vorbits, _ = orbits(group, art.poly.edges)
             for orbit in vorbits:
                 assert len({stable[i] for i in orbit}) == 1
 
 
 class TestAutomorphisms:
     def test_uncolored_c4_dihedral(self):
-        assert automorphisms(uncolored(C4)).order == 8
+        assert automorphisms(uncolored(4, C4)).order == 8
 
     def test_rectangle_metric_exactly_four(self, artifacts):
         art = artifacts["rectangle"]
@@ -127,10 +125,10 @@ class TestAutomorphisms:
         assert group.perms == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 
     def test_k44_order(self):
-        assert automorphisms(uncolored(k44_graph())).order == 2 * 24 * 24
+        assert automorphisms(uncolored(8, k44_edges())).order == 2 * 24 * 24
 
     def test_complete_graph(self):
-        assert automorphisms(uncolored(complete_graph(5))).order == 120
+        assert automorphisms(uncolored(5, complete_edges(5))).order == 120
 
     def test_matches_brute_force(self, artifacts):
         for name in ("square", "rectangle", "triangle", "hexagon",
@@ -153,12 +151,11 @@ class TestAutomorphisms:
 
     def test_limit_exceeded(self):
         with pytest.raises(LimitExceeded):
-            automorphisms(uncolored(C4), limit=3)
+            automorphisms(uncolored(4, C4), limit=3)
 
     def test_vertex_bound(self):
-        big = complete_graph(70)
         with pytest.raises(LimitExceeded):
-            automorphisms(uncolored(big))
+            automorphisms(uncolored(70, complete_edges(70)))
 
     @pytest.mark.parametrize("key", [(1, 0), (0, 5)])
     def test_edge_key_outside_domain(self, key):
@@ -167,9 +164,19 @@ class TestAutomorphisms:
             automorphisms(Coloring(vertex=(0, 0, 0), edge={key: 0}))
 
 
+class TestUncolored:
+    def test_sorts_reversed_pairs(self):
+        # an embedding may list an edge either way round
+        col = uncolored(4, ((1, 0), (1, 2), (3, 2), (3, 0)))
+        assert col.vertex == (0, 0, 0, 0)
+        assert sorted(col.edge) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        assert set(col.edge.values()) == {0}
+        assert automorphisms(col).perms == automorphisms(uncolored(4, C4)).perms
+
+
 class TestOrbits:
     def test_dihedral_transitive(self):
-        group = automorphisms(uncolored(C4))
+        group = automorphisms(uncolored(4, C4))
         vorbits, eorbits = orbits(group, C4)
         assert vorbits == ((0, 1, 2, 3),)
         assert len(eorbits) == 1

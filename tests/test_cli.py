@@ -182,7 +182,7 @@ def test_analyze_dump_feeds_validate(tmp_path):
 
 @pytest.fixture
 def small_cyclic(tmp_path):
-    """cyclic4_6 scaled by 1e-3: its Izmestiev matrix fails the kernel check."""
+    """cyclic4_6 scaled by 1e-3, where M's entries grow like 1e12."""
     doc = json.loads((FIXTURES / "cyclic4_6.json").read_text())
     doc["vertices"] = [[1e-3 * x for x in v] for v in doc["vertices"]]
     path = tmp_path / "small.json"
@@ -190,18 +190,32 @@ def small_cyclic(tmp_path):
     return path
 
 
-def test_validate_reports_kernel_failure_exit_1(small_cyclic):
-    proc = run_cli("validate", str(small_cyclic))
+# a kernel tolerance far below rounding: the matrix cannot meet its kernel condition
+KERNEL_FAILURE = (str(FIXTURES / "cyclic4_6.json"), "--eps-kern", "1e-20")
+
+
+def test_validate_reports_kernel_failure_exit_1():
+    proc = run_cli("validate", *KERNEL_FAILURE)
     assert proc.returncode == 1, proc.stderr
     report = json.loads(proc.stdout)
     assert report["properties"]["kernel_ok"] is False
     assert report["passed"] is False
 
 
-def test_analyze_kernel_failure_exit_2(small_cyclic):
-    proc = run_cli("analyze", str(small_cyclic))
+def test_analyze_kernel_failure_exit_2():
+    proc = run_cli("analyze", *KERNEL_FAILURE)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: kernel condition residual")
+
+
+def test_small_cyclic_kernel_check_is_scale_free(small_cyclic):
+    # the kernel residual is compared with max|M| scale, which scales like M phi^T
+    proc = run_cli("validate", str(small_cyclic))
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["properties"]["kernel_ok"] is True
+    report = json.loads(run_cli("analyze", str(small_cyclic), check=True).stdout)
+    assert report["groups"]["linear"]["order"] == 72
+    assert report["groups"]["orthogonal"]["order"] == 72
 
 
 def test_export_dot_square_metric_single_colors():
@@ -219,6 +233,18 @@ def test_export_dot_rectangle_product_two_edge_colors():
                    "--coloring", "product", check=True)
     edge_colors = {l.split('"')[1] for l in proc.stdout.splitlines() if " -- " in l}
     assert len(edge_colors) == 2
+
+
+def test_export_dot_hexagon_orbit_orthogonal_single_colors():
+    # the dihedral group of order 12 is transitive on the vertices and on the edges
+    proc = run_cli("export-dot", str(FIXTURES / "hexagon.json"),
+                   "--coloring", "orbit-orthogonal", check=True)
+    lines = proc.stdout.splitlines()
+    node_colors = {l.split('"')[1] for l in lines if "fillcolor" in l}
+    edge_colors = {l.split('"')[1] for l in lines if " -- " in l}
+    assert len(node_colors) == 1 and len(edge_colors) == 1
+    assert sum(1 for l in lines if "fillcolor" in l) == 6
+    assert sum(1 for l in lines if " -- " in l) == 6
 
 
 def test_export_dot_unknown_coloring_exit_64():
@@ -300,8 +326,15 @@ def test_experiment_metric_runs():
 
 
 def test_experiment_metric_ignores_the_matrix(small_cyclic):
-    # the probe never reads the matrix, so its failed kernel check cannot stop it
+    # the probe reads the vertices and the edges, never the matrix
     proc = run_cli("experiment-metric", str(small_cyclic))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["orthogonal_order"] == 72
+
+
+def test_experiment_metric_runs_past_a_kernel_failure():
+    # the probe never builds the matrix, so a failed kernel check cannot stop it
+    proc = run_cli("experiment-metric", *KERNEL_FAILURE)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["orthogonal_order"] == 72
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_invertible
 from helpers import complete_metric, is_finer
-from polysym import EdgeGraph, Tolerances, make_polytope
+from polysym import Tolerances, make_polytope
 from polysym.autgroup import PermutationSet, automorphisms, uncolored
 from polysym.colorings import (
     Coloring,
@@ -19,8 +19,8 @@ from polysym.errors import DomainMismatch, NotAGroup
 from polysym.izmestiev import izmestiev_matrix
 from polysym.reconstruct import build_artifacts
 
-C4 = EdgeGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
-C4_EDGES = {e: 0.0 for e in C4.edges}
+C4 = ((0, 1), (1, 2), (2, 3), (0, 3))
+C4_EDGES = {e: 0.0 for e in C4}
 
 
 def partition(coloring):
@@ -126,7 +126,7 @@ class TestProductColoring:
     def test_constant_is_identity(self, artifacts):
         art = artifacts["rectangle"]
         col = art.met_coloring
-        const = Coloring(vertex=(0,) * 4, edge={e: 0 for e in art.poly.graph.edges})
+        const = Coloring(vertex=(0,) * 4, edge={e: 0 for e in art.poly.edges})
         assert partition(product_coloring(col, const)) == partition(col)
 
     def test_refines_both_factors(self, artifacts):
@@ -177,29 +177,29 @@ class TestCompleteMetric:
 
 class TestOrbitColoring:
     def test_full_dihedral_is_transitive(self):
-        dihedral = automorphisms(uncolored(C4))
-        col = orbit_coloring(C4, dihedral)
+        dihedral = automorphisms(uncolored(4, C4))
+        col = orbit_coloring(4, C4, dihedral)
         assert col.num_vertex_classes == 1 and col.num_edge_classes == 1
 
     def test_klein_subgroup(self):
         # diagonal reflections only: vertex orbits {0,2} and {1,3}, edges all one orbit
         klein = [(0, 1, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1)]
-        col = orbit_coloring(C4, PermutationSet(klein))
+        col = orbit_coloring(4, C4, PermutationSet(klein))
         assert partition(col)[0] == [(0, 2), (1, 3)]
         assert col.num_edge_classes == 1
 
     def test_trivial_group(self):
-        col = orbit_coloring(C4, PermutationSet([(0, 1, 2, 3)]))
+        col = orbit_coloring(4, C4, PermutationSet([(0, 1, 2, 3)]))
         assert col.num_vertex_classes == 4 and col.num_edge_classes == 4
 
     def test_not_closed_rejected(self):
         with pytest.raises(NotAGroup):
-            orbit_coloring(C4, PermutationSet([(0, 1, 2, 3), (1, 2, 3, 0), (0, 3, 2, 1)]))
+            orbit_coloring(4, C4, PermutationSet([(0, 1, 2, 3), (1, 2, 3, 0), (0, 3, 2, 1)]))
 
     def test_non_automorphism_rejected(self):
         path_breaker = [(0, 1, 2, 3), (1, 0, 2, 3)]  # (01) breaks C4's edges
         with pytest.raises(NotAGroup):
-            orbit_coloring(C4, PermutationSet(path_breaker))
+            orbit_coloring(4, C4, PermutationSet(path_breaker))
 
     def test_fixpoint_of_pipeline_groups(self, artifacts):
         from polysym.reconstruct import linear_group, orthogonal_group
@@ -207,7 +207,7 @@ class TestOrbitColoring:
             art = artifacts[name]
             for builder in (linear_group, orthogonal_group):
                 group = builder(art)
-                col = orbit_coloring(art.poly.graph, group.perm_group)
+                col = orbit_coloring(art.poly.n, art.poly.edges, group.perm_group)
                 again = automorphisms(col)
                 assert set(again.perms) == set(group.perm_group)
 

@@ -4,9 +4,11 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull
 
 from helpers import (
+    adjacency,
     cross_polytope,
     dual_edge_face,
     hypercube,
@@ -17,12 +19,11 @@ from helpers import (
 )
 from polysym import (
     DEFAULT_TOLERANCES,
-    EdgeGraph,
     geometry,
     load_polytope,
     make_polytope,
 )
-from polysym.errors import ParseError, Unbounded, ValidationError
+from polysym.errors import DegenerateGeometry, ParseError, Unbounded, ValidationError
 from polysym.fixtures import FIXTURES, cube, hexagon, octahedron, square, triangle
 from polysym.izmestiev import izmestiev_matrix
 from polysym.reconstruct import build_artifacts
@@ -128,23 +129,21 @@ class TestLoading:
 
 class TestFacets:
     def test_square_normals(self):
-        facets = square().facets
-        got = {tuple(np.round(u, 9)) for u in facets.normals}
+        got = {tuple(np.round(u, 9)) for u in square().normals}
         assert got == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
     def test_cube_normals(self):
-        facets = cube().facets
-        got = {tuple(np.round(u, 9)) for u in facets.normals}
+        got = {tuple(np.round(u, 9)) for u in cube().normals}
         expected = {tuple(s * e) for s in (1, -1) for e in np.eye(3, dtype=int)}
         assert got == {tuple(float(x) for x in v) for v in expected}
 
     def test_triangle_normals_at_radius_two(self):
         # solve <u, v1> = <u, v2> = 1 by hand for the facet through v1, v2:
         # v1 = (-1/2, s), v2 = (-1/2, -s) gives u = (-2, 0); all at radius 2
-        facets = triangle().facets
-        radii = np.linalg.norm(facets.normals, axis=1)
+        normals = triangle().normals
+        radii = np.linalg.norm(normals, axis=1)
         assert np.allclose(radii, 2.0, atol=1e-9)
-        assert any(np.allclose(u, [-2, 0], atol=1e-9) for u in facets.normals)
+        assert any(np.allclose(u, [-2, 0], atol=1e-9) for u in normals)
 
     @pytest.mark.parametrize("name", [*FIXTURES, "cross6"])
     def test_hull_searched_once(self, name, monkeypatch):
@@ -157,7 +156,7 @@ class TestFacets:
         poly = {**FIXTURES, **LADDER}[name]()
         art = build_artifacts(poly)
         assert len(calls) == 1
-        assert art.poly.facets is poly.facets
+        assert art.poly.normals is poly.normals and art.poly.incidence is poly.incidence
 
     @pytest.mark.parametrize("name", [*FIXTURES, "cross6"])
     def test_blocked_subset_scan_gives_identical_facets(self, name, monkeypatch):
@@ -171,9 +170,9 @@ class TestFacets:
         whole_volumes = geometry.dual_facet_volumes(whole, c)
         monkeypatch.setattr(geometry, "SUBSET_BLOCK", 7)
         blocked = factory()
-        assert whole.facets.normals.shape == blocked.facets.normals.shape
-        assert whole.facets.normals.tobytes() == blocked.facets.normals.tobytes()
-        assert whole.facets.incidence.tobytes() == blocked.facets.incidence.tobytes()
+        assert whole.normals.shape == blocked.normals.shape
+        assert whole.normals.tobytes() == blocked.normals.tobytes()
+        assert whole.incidence.tobytes() == blocked.incidence.tobytes()
         assert whole_volumes.tobytes() == geometry.dual_facet_volumes(blocked, c).tobytes()
 
     @pytest.mark.parametrize("k", range(-6, 13))
@@ -183,7 +182,7 @@ class TestFacets:
         # so scaling by 10^k leaves every facet's vertex set alone
         poly = polytopes[name]
         scaled = make_polytope(poly.dim, 10.0 ** k * poly.vertices)
-        assert np.array_equal(scaled.facets.incidence, poly.facets.incidence)
+        assert np.array_equal(scaled.incidence, poly.incidence)
 
     @pytest.mark.parametrize("name", [*FIXTURES, *LADDER, "cube5"])
     def test_matches_qhull(self, name):
@@ -199,51 +198,72 @@ class TestFacets:
                 merged.append(facet)
             facet[1][simplex] = True
         want = {inc.tobytes(): eq[:-1] / -eq[-1] for eq, inc in merged}
-        got = dict(zip(map(np.ndarray.tobytes, poly.facets.incidence), poly.facets.normals))
-        assert poly.facets.m == len(merged) and got.keys() == want.keys()
+        got = dict(zip(map(np.ndarray.tobytes, poly.incidence), poly.normals))
+        assert len(poly.normals) == len(merged) and got.keys() == want.keys()
         for key, u in got.items():
             assert np.linalg.norm(u - want[key]) <= 1e-9 * np.linalg.norm(want[key])
 
     def test_every_vertex_on_at_least_d_facets(self, polytopes):
         for poly in polytopes.values():
-            inc = poly.facets.incidence
-            assert inc.sum(axis=0).min() >= poly.dim
+            assert poly.incidence.sum(axis=0).min() >= poly.dim
 
     def test_euler_formula_3d(self, polytopes, artifacts):
         for name in ("cube", "octahedron", "prism3", "simplex3"):
             art = artifacts[name]
-            v, e, f = art.poly.n, len(art.poly.graph.edges), art.poly.facets.m
+            v, e, f = art.poly.n, len(art.poly.edges), len(art.poly.normals)
             assert v - e + f == 2
+
+
+def facet_incidence(n: int, facets) -> np.ndarray:
+    """(m, n) incidence of hand-made facets, each given as its vertex list."""
+    inc = np.zeros((len(facets), n), dtype=bool)
+    for row, facet in zip(inc, facets):
+        row[list(facet)] = True
+    return inc
 
 
 class TestEdgeGraph:
     def test_cube_is_q3(self, artifacts):
-        graph = artifacts["cube"].poly.graph
-        assert len(graph.edges) == 12
-        assert all(graph.degree(i) == 3 for i in range(8))
+        edges = artifacts["cube"].poly.edges
+        assert len(edges) == 12
+        assert np.all(adjacency(8, edges).sum(axis=0) == 3)
         # vertex order (x,y,z) lexicographic over {1,-1}: 0=(1,1,1), 1=(1,1,-1)
-        assert (0, 1) in graph.edge_set and (0, 7) not in graph.edge_set
+        assert (0, 1) in edges and (0, 7) not in edges
 
     def test_square_cycle_and_rejected_diagonal(self, artifacts):
-        graph = artifacts["square"].poly.graph
-        assert graph.edge_set == {(0, 1), (1, 2), (2, 3), (0, 3)}
+        assert artifacts["square"].poly.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
 
     def test_cyclic_polytope_is_complete(self, artifacts):
-        graph = artifacts["cyclic4_6"].poly.graph
-        assert len(graph.edges) == 15
+        assert len(artifacts["cyclic4_6"].poly.edges) == 15
 
-    def test_adjacency_lists(self):
-        graph = EdgeGraph(4, ((2, 1), (0, 1), (3, 1)))
-        assert graph.edges == ((0, 1), (1, 2), (1, 3))
-        assert graph.neighbors(1) == [0, 2, 3] and graph.neighbors(3) == [1]
-        assert [graph.degree(i) for i in range(4)] == [1, 3, 1, 1]
-        assert graph.is_connected()
-        assert not EdgeGraph(4, ((0, 1), (2, 3))).is_connected()
+    def test_edges_sorted_pairs_in_lexicographic_order(self, polytopes):
+        for poly in polytopes.values():
+            assert all(i < j for i, j in poly.edges)
+            assert list(poly.edges) == sorted(set(poly.edges))
 
     def test_connected_min_degree(self, artifacts):
         for art in artifacts.values():
-            assert art.poly.graph.is_connected()
-            assert min(art.poly.graph.degree(i) for i in range(art.poly.n)) >= art.poly.dim
+            a = adjacency(art.poly.n, art.poly.edges)
+            assert connected_components(a, directed=False)[0] == 1
+            assert a.sum(axis=0).min() >= art.poly.dim
+
+    def test_disconnected_incidence_raises(self):
+        # two triangles in d = 2: every vertex has degree 2 = d, but no edge joins them
+        inc = facet_incidence(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        with pytest.raises(DegenerateGeometry, match="edge-graph not connected"):
+            geometry._edges(inc, 2)
+
+    def test_low_degree_incidence_raises(self):
+        # a 4-cycle in d = 3 is connected, but each vertex has 2 < 3 neighbours
+        inc = facet_incidence(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        with pytest.raises(DegenerateGeometry, match=r"min degree 2 < d = 3"):
+            geometry._edges(inc, 3)
+
+    def test_connectivity_checked_before_degree(self):
+        # two disjoint segments in d = 3 fail both checks; connectivity is named
+        inc = facet_incidence(4, [(0, 1), (2, 3)])
+        with pytest.raises(DegenerateGeometry, match="edge-graph not connected"):
+            geometry._edges(inc, 3)
 
 
 class TestDualFaces:
@@ -263,7 +283,7 @@ class TestDualFaces:
 
     def test_octahedron_edge_duals_positive(self, artifacts):
         art = artifacts["octahedron"]
-        for e in art.poly.graph.edges:
+        for e in art.poly.edges:
             face = dual_edge_face(art.poly, e)
             assert face.relvol == pytest.approx(2.0, abs=1e-9)
 
@@ -276,9 +296,9 @@ class TestDualFaces:
     @pytest.mark.parametrize("name", ["sphere12_6", "sphere16_5", "cross5", "cross6"])
     def test_edge_volumes_match_qhull(self, name):
         poly = LADDER[name]()
-        inc = poly.facets.incidence
-        for (i, j), relvol in zip(poly.graph.edges, geometry.dual_edge_volumes(poly)):
-            pts = poly.facets.normals[inc[:, i] & inc[:, j]]
+        inc = poly.incidence
+        for (i, j), relvol in zip(poly.edges, geometry.dual_edge_volumes(poly)):
+            pts = poly.normals[inc[:, i] & inc[:, j]]
             centred = pts - pts.mean(axis=0)
             flat = centred @ np.linalg.svd(centred)[2][: poly.dim - 2].T
             assert relvol == pytest.approx(ConvexHull(flat).volume, rel=1e-9), (i, j)
@@ -412,7 +432,7 @@ class TestGeneralizedDualVolume:
         # two derivations of the dual's vertex set must give the same volume
         for art in artifacts.values():
             via_h_rep = volume_generalized_dual(art.poly, np.ones(art.poly.n))
-            via_normals = relative_volume(art.poly.facets.normals)
+            via_normals = relative_volume(art.poly.normals)
             assert via_h_rep == pytest.approx(via_normals, rel=1e-9)
 
     @pytest.mark.parametrize("t", [0.95, 0.98, 1.0, 1.02, 1.05])

@@ -7,7 +7,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from helpers import check_realizes, complete_graph, is_orthogonal
+from helpers import check_realizes, complete_edges, is_orthogonal
 from polysym import make_polytope
 from polysym.autgroup import (
     PermutationSet,
@@ -138,13 +138,13 @@ class TestExactGroupTest:
 class TestSearchLimits:
     def test_order_known_before_members(self):
         # 16! members could never be listed; the order comes from the chain
-        group = automorphisms(uncolored(complete_graph(16)), limit=factorial(16))
+        group = automorphisms(uncolored(16, complete_edges(16)), limit=factorial(16))
         assert group.order == factorial(16)
         assert len(group.generators) < 16
 
     def test_limit_is_on_the_order(self):
         with pytest.raises(LimitExceeded):
-            automorphisms(uncolored(complete_graph(16)), limit=factorial(16) - 1)
+            automorphisms(uncolored(16, complete_edges(16)), limit=factorial(16) - 1)
 
 
 def cell24():
@@ -173,11 +173,11 @@ def test_ladder_orders(name, vertices, order):
     orth = orthogonal_group(art)
     assert lin.order == orth.order == order
     # independent check: filter the uncolored edge-graph automorphisms by definition
-    cands = automorphisms(uncolored(art.poly.graph)).perms
+    cands = automorphisms(uncolored(art.poly.n, art.poly.edges)).perms
     for group in (lin, orth):
         assert set(group.perm_group) == set(brute_force_group(
             poly.phi, candidates=cands, flavor=group.flavor).perm_group)
-        col = orbit_coloring(art.poly.graph, group.perm_group)
+        col = orbit_coloring(art.poly.n, art.poly.edges, group.perm_group)
         assert col.num_vertex_classes == 1 and col.num_edge_classes == 1
 
 
@@ -187,7 +187,7 @@ class TestLiftAndCheck:
         for name, art in artifacts.items():
             phi = art.poly.phi
             pinv = pseudo_inverse(phi)
-            cands = automorphisms(uncolored(art.poly.graph)).perms
+            cands = automorphisms(uncolored(art.poly.n, art.poly.edges)).perms
             for flavor in ("linear", "orthogonal"):
                 maps, ok, _ = lift_and_check(phi, cands, flavor)
                 for perm, t, accepted in zip(cands, maps, ok):

@@ -22,10 +22,10 @@ GEO_TOL = 1e-8
 FD_TOL = 1e-4
 
 
-def closed_form(name, graph):
+def closed_form(name, poly):
     """Hand-derived matrices: entry formula plus the kernel condition."""
-    a = adjacency(graph)
-    n = graph.n
+    n = poly.n
+    a = adjacency(n, poly.edges)
     if name == "triangle":
         # dual faces are points (vol 1), |v| = 1, sin 120 deg = sqrt(3)/2;
         # v1+v2+v3 = 0 forces the diagonal to the same value
@@ -49,7 +49,7 @@ def closed_form(name, graph):
 @pytest.mark.parametrize("name", ["triangle", "square", "cube", "rectangle", "octahedron"])
 def test_geometric_formula_closed_forms(name, artifacts):
     art = artifacts[name]
-    expected = closed_form(name, art.poly.graph)
+    expected = closed_form(name, art.poly)
     assert np.max(np.abs(art.matrix - expected)) <= GEO_TOL
 
 
@@ -57,7 +57,7 @@ def test_geometric_formula_closed_forms(name, artifacts):
 def test_fd_oracle_matches_closed_forms(name, artifacts):
     art = artifacts[name]
     fd = izmestiev_matrix_fd(art.poly)
-    expected = closed_form(name, art.poly.graph)
+    expected = closed_form(name, art.poly)
     assert np.max(np.abs(fd - expected)) <= 1e-5
 
 
@@ -82,9 +82,10 @@ def test_fd_scale_free(artifacts, name, k):
 
 
 def test_fd_reads_neither_facets_nor_graph(polytopes):
-    # the oracle is independent of the geometric route: it runs on the vertices alone
+    # the oracle is independent of the geometric route: it runs on the vertices alone,
+    # reading none of the facet normals, the incidence and the edges
     for name, poly in polytopes.items():
-        bare = dataclasses.replace(poly, facets=None, graph=None)
+        bare = dataclasses.replace(poly, normals=None, incidence=None, edges=None)
         assert np.array_equal(izmestiev_matrix_fd(bare), izmestiev_matrix_fd(poly)), name
 
 
@@ -125,7 +126,7 @@ def test_fd_recovers_edge_graph(artifacts):
     thresh = 10.0 * DEFAULT_TOLERANCES.fd_check
     support = {(i, j) for i, j in combinations(range(art.poly.n), 2)
                if abs(fd[i, j]) > thresh}
-    assert support == art.poly.graph.edge_set
+    assert support == set(art.poly.edges)
 
 
 def test_properties_pass_on_all_fixtures(polytopes, artifacts):

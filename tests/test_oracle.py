@@ -8,10 +8,10 @@ from helpers import capped_prism, compare_groups
 from polysym import oracle
 from polysym.autgroup import PermutationSet, automorphisms, uncolored
 from polysym.config import Tolerances
-from polysym.errors import NotAGroup, TooManyCandidates
-from polysym.fixtures import (FIXTURES, hexagon, k44_coordinates, k44_graph, octahedron, simplex,
+from polysym.errors import NotAGroup, RankDeficient, TooManyCandidates
+from polysym.fixtures import (FIXTURES, hexagon, k44_coordinates, k44_edges, octahedron, simplex,
                               square)
-from polysym.oracle import brute_force_group, embedding_group
+from polysym.oracle import brute_force_group
 from polysym.reconstruct import linear_group, orthogonal_group
 
 
@@ -48,7 +48,7 @@ class TestBruteForce:
         for name in ("square", "rectangle", "hexagon", "octahedron", "cyclic4_6"):
             art = artifacts[name]
             full = brute_force_group(art.poly.phi, flavor="linear")
-            cands = automorphisms(uncolored(art.poly.graph)).perms
+            cands = automorphisms(uncolored(art.poly.n, art.poly.edges)).perms
             pruned = brute_force_group(art.poly.phi, candidates=cands, flavor="linear")
             assert set(full.perm_group) == set(pruned.perm_group)
 
@@ -59,13 +59,13 @@ class TestBruteForce:
         assert set(group.perm_group) == set(linear_group(art).perm_group)
 
 
-def accepted_set(monkeypatch, group_fn, points, **kwargs) -> set:
+def accepted_set(monkeypatch, phi, **kwargs) -> set:
     """The permutations the oracle accepts, recorded before its closure check (NotAGroup or not)."""
     seen = []
     monkeypatch.setattr(oracle, "PermutationSet",
                         lambda perms: seen.append(set(perms)) or PermutationSet(perms))
     try:
-        group_fn(points, **kwargs)
+        brute_force_group(phi, **kwargs)
     except NotAGroup:
         pass
     return seen.pop()
@@ -87,8 +87,8 @@ class TestPrunedSymStream:
         for match in MATCHES:
             for flavor in ("linear", "orthogonal"):
                 tol = Tolerances(match=match)
-                pruned = accepted_set(monkeypatch, brute_force_group, phi, flavor=flavor, tol=tol)
-                full = accepted_set(monkeypatch, brute_force_group, phi, flavor=flavor, tol=tol,
+                pruned = accepted_set(monkeypatch, phi, flavor=flavor, tol=tol)
+                full = accepted_set(monkeypatch, phi, flavor=flavor, tol=tol,
                                     candidates=permutations(range(phi.shape[1])))
                 assert pruned == full, (match, flavor)
 
@@ -99,8 +99,8 @@ class TestPrunedSymStream:
         for match in MATCHES:
             for flavor in ("linear", "orthogonal"):
                 tol = Tolerances(match=match)
-                pruned = accepted_set(monkeypatch, embedding_group, coords, flavor=flavor, tol=tol)
-                full = accepted_set(monkeypatch, embedding_group, coords, flavor=flavor, tol=tol,
+                pruned = accepted_set(monkeypatch, coords.T, flavor=flavor, tol=tol)
+                full = accepted_set(monkeypatch, coords.T, flavor=flavor, tol=tol,
                                     candidates=permutations(range(n)))
                 assert pruned == full, (match, flavor)
                 assert all(p[n - 1] == n - 1 for p in pruned)
@@ -139,32 +139,36 @@ class TestScaleFree:
     def test_scaled_group_unchanged(self, name, k, flavor):
         coords = SCALED_INPUTS[name]()
         assert len(coords) <= 8
-        expected = set(embedding_group(coords, flavor=flavor).perm_group)
-        assert set(embedding_group(coords * 10.0 ** k, flavor=flavor).perm_group) == expected
+        expected = set(brute_force_group(coords.T, flavor=flavor).perm_group)
+        assert set(brute_force_group(coords.T * 10.0 ** k, flavor=flavor).perm_group) == expected
 
 
 class TestEmbedding:
     def test_k44_strictly_fewer_than_graph_auts(self):
-        cands = automorphisms(uncolored(k44_graph())).perms
-        group = embedding_group(k44_coordinates(), candidates=cands, flavor="linear")
+        cands = automorphisms(uncolored(8, k44_edges())).perms
+        group = brute_force_group(k44_coordinates().T, candidates=cands, flavor="linear")
         assert len(cands) == 1152
         assert 0 < group.order < 1152
 
     def test_k44_transposition_rejected(self):
-        cands = automorphisms(uncolored(k44_graph())).perms
-        group = embedding_group(k44_coordinates(), candidates=cands, flavor="linear")
+        cands = automorphisms(uncolored(8, k44_edges())).perms
+        group = brute_force_group(k44_coordinates().T, candidates=cands, flavor="linear")
         assert (1, 0, 2, 3, 4, 5, 6, 7) not in set(group.perm_group)
         assert tuple(range(8)) in set(group.perm_group)
 
     def test_square_as_embedding_matches_pipeline(self, artifacts):
         art = artifacts["square"]
-        group = embedding_group(art.poly.vertices, flavor="linear")
+        group = brute_force_group(art.poly.vertices.T, flavor="linear")
         assert set(group.perm_group) == set(linear_group(art).perm_group)
 
     def test_low_rank_coordinates_restricted_to_span(self):
         # square drawn in the z = 0 plane of R^3
         coords = np.hstack([square().vertices, np.zeros((4, 1))])
-        assert embedding_group(coords, flavor="orthogonal").order == 8
+        assert brute_force_group(coords.T, flavor="orthogonal").order == 8
+
+    def test_points_at_the_origin_only_raise(self):
+        with pytest.raises(RankDeficient, match="span no direction"):
+            brute_force_group(np.zeros((3, 4)))
 
 
 class TestCompareGroups:

@@ -186,7 +186,7 @@ class TestPipelineGroups:
 
 def both_builds(art, flavor):
     """The pipeline group and the oracle group of one flavor."""
-    cands = automorphisms(uncolored(art.poly.graph)).perms
+    cands = automorphisms(uncolored(art.poly.n, art.poly.edges)).perms
     pipeline = linear_group if flavor == "linear" else orthogonal_group
     return (pipeline(art),
             brute_force_group(art.poly.phi, candidates=cands, flavor=flavor))
@@ -252,7 +252,7 @@ def test_wrong_coloring_raises_theorem_violation(artifacts):
     from polysym.reconstruct import _realize_group
     art = artifacts["perturbed_hexagon"]
     with pytest.raises(TheoremViolation):
-        _realize_group(art, uncolored(art.poly.graph), "linear", 10 ** 6)
+        _realize_group(art, uncolored(art.poly.n, art.poly.edges), "linear", 10 ** 6)
 
 
 def test_artifacts_reuse_consistent(polytopes):
@@ -277,7 +277,7 @@ def test_random_polytopes_match_oracle(dim, seed):
     art = build_artifacts(poly)
     lin = linear_group(art)
     orth = orthogonal_group(art)
-    cands = automorphisms(uncolored(art.poly.graph)).perms
+    cands = automorphisms(uncolored(art.poly.n, art.poly.edges)).perms
     assert set(lin.perm_group) == set(brute_force_group(
         poly.phi, candidates=cands, flavor="linear").perm_group)
     assert set(orth.perm_group) == set(brute_force_group(
