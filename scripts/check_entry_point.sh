@@ -4,8 +4,10 @@
 # `validate` on every polytope fixture, both on the computed matrix and on
 # the matrix dump `analyze` writes.  On every polytope fixture it also runs
 # the paths no golden covers, `export-dot` with both orbit colorings and
-# `experiment-metric`, each of which must exit 0.  Run from the root of a
-# checkout, after `pip install .`:
+# `experiment-metric`, each of which must exit 0, and `analyze` on the
+# fixture scaled by 1e-6 and by 1e6, which must exit 0 with the golden
+# report's group orders.  Run from the root of a checkout, after
+# `pip install .`:
 #
 #     sh scripts/check_entry_point.sh
 set -eu
@@ -27,10 +29,24 @@ for flavor in linear orthogonal; do
     done
 done
 
+orders='import json, sys; print({k: g["order"] for k, g in json.load(sys.stdin)["groups"].items()})'
+scale='import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["vertices"] = [[float(sys.argv[2]) * x for x in v] for v in doc["vertices"]]
+json.dump(doc, sys.stdout)'
 dump=$(mktemp)
-trap 'rm -f "$dump"' EXIT
+scaled=$(mktemp)
+trap 'rm -f "$dump" "$scaled"' EXIT
 for f in fixtures/*.json; do
     [ "$f" = fixtures/k44_embedding.json ] && continue
+    name=${f#fixtures/}; name=${name%.json}
+    want=$(python -c "$orders" < "tests/golden/analyze_$name.json")
+    for s in 1e-6 1e6; do
+        python -c "$scale" "$f" "$s" > "$scaled"
+        report=$(polysym analyze "$scaled") || { echo "analyze failed: $f scaled by $s"; exit 1; }
+        [ "$(echo "$report" | python -c "$orders")" = "$want" ] \
+            || { echo "group orders changed: $f scaled by $s"; exit 1; }
+    done
     polysym validate "$f" > /dev/null || { echo "validate failed: $f"; exit 1; }
     polysym analyze "$f" \
         | python -c 'import json, sys; json.dump(json.load(sys.stdin)["matrix_summary"]["dump"], sys.stdout)' \

@@ -15,8 +15,11 @@ def main() -> None:
     out_dir.mkdir(exist_ok=True)
     for name, factory in FIXTURES.items():
         poly = factory()
+        doc = {"dimension": poly.dim, "vertices": poly.vertices.tolist()}
+        if poly.name is not None:
+            doc["name"] = poly.name
         path = out_dir / f"{name}.json"
-        path.write_text(json.dumps(poly.to_json_dict(), indent=2) + "\n")
+        path.write_text(json.dumps(doc, indent=2) + "\n")
         print(f"wrote {path}")
     emb = {
         "name": "k44_embedding",

@@ -2,7 +2,8 @@
 
 Machine-readable JSON goes to stdout and is byte-for-byte deterministic
 for fixed inputs and flags; human chatter (including wall-clock timing)
-goes to stderr and only with --verbose.
+goes to stderr and only with --verbose.  Every JSON document is laid out
+here, from the plain data the library returns.
 
 Exit codes: 0 ok, 1 failed validation property, 2 bad input document,
 3 reconstruction violation, 4 search limit exceeded, 64 usage error.
@@ -14,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,7 @@ from .geometry import load_polytope
 from .izmestiev import izmestiev_matrix, izmestiev_matrix_fd, verify_properties
 from .oracle import SYM_LIMIT, brute_force_group
 from .reconstruct import (
+    _orth_residuals,
     build_artifacts,
     eigenspace_criterion,
     linear_group,
@@ -81,9 +84,37 @@ def _input_echo(args, path, poly) -> dict:
     }
 
 
-def _group_report(group, poly) -> dict:
-    return {**group.to_json_dict(),
-            "orbit_coloring": orbit_coloring(poly.n, poly.edges, group.perm_group).to_json_dict()}
+def _coloring_doc(col: Coloring) -> dict:
+    doc = {
+        "vertex_classes": col.vertex_classes(),
+        "edge_classes": [[list(e) for e in cls] for cls in col.edge_classes()],
+    }
+    reps = {}
+    if col.vertex_reps:
+        reps["vertex"] = list(col.vertex_reps)
+    if col.edge_reps:
+        reps["edge"] = list(col.edge_reps)
+    if reps:
+        doc["representatives"] = reps
+        doc["min_class_gap"] = {"vertex": col.vertex_min_gap, "edge": col.edge_min_gap}
+    return doc
+
+
+def _group_doc(group, flavor: str, tol: Tolerances) -> dict:
+    """Every member's perm and map, flagged orthogonal when max|T^T T - I| <= tol.orth."""
+    orthogonal = _orth_residuals(group.maps) <= tol.orth
+    return {
+        "flavor": flavor,
+        "order": group.order,
+        "tolerances": {"match": tol.match, "orth": tol.orth},
+        "members": [{"perm": list(p), "matrix": t.tolist(), "orthogonal": bool(o)}
+                    for p, t, o in zip(group.perm_group.perms, group.maps, orthogonal)],
+    }
+
+
+def _group_report(group, flavor: str, poly) -> dict:
+    orbits = orbit_coloring(poly.n, poly.edges, group.perm_group)
+    return {**_group_doc(group, flavor, poly.tol), "orbit_coloring": _coloring_doc(orbits)}
 
 
 def cmd_analyze(args) -> int:
@@ -92,7 +123,7 @@ def cmd_analyze(args) -> int:
         t0 = time.perf_counter()
         poly = _load(args, path)
         art = build_artifacts(poly)
-        props = verify_properties(art.matrix, poly).to_json_dict()
+        props = verify_properties(art.matrix, poly)
         report = {
             "input": _input_echo(args, path, poly),
             "facet_count": len(poly.normals),
@@ -104,19 +135,19 @@ def cmd_analyze(args) -> int:
                 "dump": {"n": poly.n, "entries": art.matrix.tolist()},
             },
             "colorings": {
-                "izmestiev": art.izm_coloring.to_json_dict(),
-                "metric": art.met_coloring.to_json_dict(),
-                "product": art.prod_coloring.to_json_dict(),
+                "izmestiev": _coloring_doc(art.izm_coloring),
+                "metric": _coloring_doc(art.met_coloring),
+                "product": _coloring_doc(art.prod_coloring),
             },
             "groups": {},
-            "tolerances": poly.tol.as_dict(),
+            "tolerances": asdict(poly.tol),
         }
         if args.coloring in ("izmestiev", "both"):
             lin = linear_group(art, limit=args.limit)
-            report["groups"]["linear"] = _group_report(lin, poly)
+            report["groups"]["linear"] = _group_report(lin, "linear", poly)
         if args.coloring in ("product", "both"):
             orth = orthogonal_group(art, limit=args.limit)
-            report["groups"]["orthogonal"] = _group_report(orth, poly)
+            report["groups"]["orthogonal"] = _group_report(orth, "orthogonal", poly)
         reports.append(report)
         _chatter(args, f"{path}: analyzed in {time.perf_counter() - t0:.3f}s, "
                        f"orders { {k: v['order'] for k, v in report['groups'].items()} }")
@@ -157,15 +188,15 @@ def cmd_validate(args) -> int:
                        "ok": diff * poly.scale ** poly.dim <= poly.tol.fd_check})
     except PolysymError as exc:
         fd_doc.update({"ok": False, "error": str(exc)})
-    passed = bool(props.passed and eig_ok and fd_doc["ok"])
+    passed = bool(props["passed"] and eig_ok and fd_doc["ok"])
     _emit({
         "input": _input_echo(args, args.path, poly),
         "matrix_source": source,
-        "properties": props.to_json_dict(),
+        "properties": props,
         "eigenspace": {"ok": eig_ok, "eigenvalue": lam, "residual": residual},
         "fd_agreement": fd_doc,
         "passed": passed,
-        "tolerances": poly.tol.as_dict(),
+        "tolerances": asdict(poly.tol),
     })
     return 0 if passed else 1
 
@@ -202,13 +233,14 @@ def cmd_oracle(args) -> int:
         graph, coords = uncolored(poly.n, poly.edges), poly.vertices
         echo = {**_input_echo(args, args.path, poly), "embedding": False}
     cands = automorphisms(graph, limit=args.limit).perms if graph_auts else None
-    group = brute_force_group(coords.T, candidates=cands, flavor=args.flavor, tol=_tolerances(args))
+    tol = _tolerances(args)
+    group = brute_force_group(coords.T, candidates=cands, flavor=args.flavor, tol=tol)
     _emit({
         "input": echo,
         "flavor": args.flavor,
         "candidates": args.candidates,
-        "group": group.to_json_dict(),
-        "tolerances": group.tol.as_dict(),
+        "group": _group_doc(group, args.flavor, tol),
+        "tolerances": asdict(tol),
     })
     return 0
 
@@ -261,7 +293,7 @@ def cmd_experiment_metric(args) -> int:
         "orthogonal_order": reference.order,
         "matches_orthogonal_group": not extra and auts.order == reference.order,
         "extra_automorphisms": [list(p) for p in extra],
-        "tolerances": poly.tol.as_dict(),
+        "tolerances": asdict(poly.tol),
     })
     return 0
 

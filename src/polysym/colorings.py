@@ -60,25 +60,9 @@ class Coloring:
             out[self.edge[e]].append(e)
         return out
 
-    def to_json_dict(self) -> dict:
-        doc = {
-            "vertex_classes": self.vertex_classes(),
-            "edge_classes": [[list(e) for e in cls] for cls in self.edge_classes()],
-        }
-        reps = {}
-        if self.vertex_reps:
-            reps["vertex"] = list(self.vertex_reps)
-        if self.edge_reps:
-            reps["edge"] = list(self.edge_reps)
-        if reps:
-            doc["representatives"] = reps
-            doc["min_class_gap"] = {"vertex": self.vertex_min_gap,
-                                    "edge": self.edge_min_gap}
-        return doc
 
-
-def _gap_classes(values: np.ndarray, eps_rel: float):
-    """Assign dense class ids by splitting sorted values at large gaps.
+def _gap_classes(values: np.ndarray, eps: float):
+    """Assign dense class ids by splitting sorted values at gaps larger than ``eps``.
 
     Values closer than eps chain into one class; classes are numbered by
     ascending representative (the smallest member).  Also returns the
@@ -89,7 +73,6 @@ def _gap_classes(values: np.ndarray, eps_rel: float):
     k = len(values)
     if k == 0:
         return np.zeros(0, dtype=int), [], None
-    eps = eps_rel * max(1.0, float(np.max(np.abs(values))))
     order = np.argsort(values, kind="stable")
     ids = np.zeros(k, dtype=int)
     reps = [float(values[order[0]])]
@@ -111,13 +94,17 @@ def quantize(vertex_values, edge_values, tol: Tolerances = DEFAULT_TOLERANCES) -
 
     ``vertex_values`` is a sequence indexed by vertex; ``edge_values`` a
     mapping from sorted edge pairs to floats.  Vertices and edges are
-    quantized independently.
+    quantized separately under one absolute eps, ``tol.color_rel`` times
+    the largest |value| of both lists: a list of values that are all
+    round-off next to the other (a square's metric edge colors) is no
+    reference of its own.
     """
     vvals = np.asarray(list(vertex_values), dtype=float)
     edges = sorted(edge_values)
     evals = np.asarray([edge_values[e] for e in edges], dtype=float)
-    vids, vreps, vgap = _gap_classes(vvals, tol.color_rel)
-    eids, ereps, egap = _gap_classes(evals, tol.color_rel)
+    eps = tol.color_rel * float(np.max(np.abs(np.concatenate([vvals, evals])), initial=0.0))
+    vids, vreps, vgap = _gap_classes(vvals, eps)
+    eids, ereps, egap = _gap_classes(evals, eps)
     return Coloring(
         vertex=tuple(int(c) for c in vids),
         edge={e: int(c) for e, c in zip(edges, eids)},

@@ -6,7 +6,6 @@ echo the exact thresholds a result was computed under.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 
@@ -36,9 +35,6 @@ class Tolerances:
     def geom(self, scale: float) -> float:
         """Absolute geometric tolerance for a polytope of the given scale."""
         return self.geom_rel * scale
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -61,12 +61,6 @@ class Polytope:
     def scale(self) -> float:
         return float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
-    def to_json_dict(self) -> dict:
-        doc = {"dimension": self.dim, "vertices": self.vertices.tolist()}
-        if self.name is not None:
-            doc["name"] = self.name
-        return doc
-
 
 # ---------------------------------------------------------------------------
 # polar vertices: one enumeration for the facets and the shifted dual

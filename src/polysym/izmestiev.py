@@ -22,46 +22,12 @@ vol({x : <x, v_i> <= c_i}) at c = (1, ..., 1).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .errors import NumericalInstability, SingularAngle
 from .geometry import Polytope, dual_edge_volumes, dual_facet_volumes
-
-
-@dataclass(frozen=True)
-class IzmestievPropertyReport:
-    """Witnessed verdicts for the five defining matrix properties."""
-
-    symmetric_ok: bool
-    sign_ok: bool                 # (1) strictly negative on edges
-    sparsity_ok: bool             # (2) zero on non-edges
-    negative_eigenvalues: int     # (3) must be exactly one ...
-    negative_multiplicity: int    # ... of multiplicity one
-    kernel_residual: float        # (4) max |M @ phi.T|
-    kernel_ok: bool
-    kernel_dim: int               # (5) must equal d
-    dim: int
-    eig_threshold: float
-    spectrum: tuple
-
-    @property
-    def spectral_ok(self) -> bool:
-        return self.negative_eigenvalues == 1 and self.negative_multiplicity == 1
-
-    @property
-    def kernel_dim_ok(self) -> bool:
-        return self.kernel_dim == self.dim
-
-    @property
-    def passed(self) -> bool:
-        return (self.symmetric_ok and self.sign_ok and self.sparsity_ok
-                and self.spectral_ok and self.kernel_ok and self.kernel_dim_ok)
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "spectrum": list(self.spectrum), "passed": self.passed}
 
 
 def izmestiev_matrix(poly: Polytope) -> np.ndarray:
@@ -137,36 +103,40 @@ def _kernel_residual(m: np.ndarray, poly: Polytope) -> tuple[float, float]:
     return residual, poly.tol.kernel * float(np.max(np.abs(m))) * poly.scale
 
 
-def verify_properties(m: np.ndarray, poly: Polytope) -> IzmestievPropertyReport:
-    """Check the five defining properties of the (n, n) matrix ``m`` on ``poly.edges``."""
-    tol, n = poly.tol, poly.n
-    edges = set(poly.edges)
-    symmetric_ok = bool(np.max(np.abs(m - m.T)) <= tol.kernel) if n else True
+def verify_properties(m: np.ndarray, poly: Polytope) -> dict:
+    """Witnessed verdicts on the five defining properties of the (n, n) matrix ``m``.
+
+    On ``poly.edges``: (1) strictly negative on edges (``sign_ok``), (2)
+    zero on non-edges (``sparsity_ok``), (3) exactly one negative
+    eigenvalue, of multiplicity one, (4) the kernel condition M phi^T = 0
+    and (5) a kernel of dimension d; symmetry, sparsity and the kernel are
+    checked relative to max|M|.  ``passed`` holds when all of them do.
+    """
+    tol, n, edges = poly.tol, poly.n, set(poly.edges)
+    bound = tol.kernel * float(np.max(np.abs(m)))
+    symmetric_ok = bool(np.max(np.abs(m - m.T)) <= bound)
     sign_ok = all(m[i, j] < 0.0 and m[j, i] < 0.0 for i, j in edges)
-    sparsity_tol = tol.kernel
-    sparsity_ok = all(
-        abs(m[i, j]) <= sparsity_tol and abs(m[j, i]) <= sparsity_tol
-        for i, j in combinations(range(n), 2) if (i, j) not in edges)
+    sparsity_ok = all(abs(m[i, j]) <= bound and abs(m[j, i]) <= bound
+                      for i, j in combinations(range(n), 2) if (i, j) not in edges)
     eigvals = np.linalg.eigvalsh(m)
-    spectral_radius = float(np.max(np.abs(eigvals))) if n else 0.0
-    eps_eig = tol.eig_rel * max(spectral_radius, 1e-300)
+    eps_eig = tol.eig_rel * max(float(np.max(np.abs(eigvals))), 1e-300)
     negative = eigvals[eigvals < -eps_eig]
     kernel_dim = int(np.sum(np.abs(eigvals) <= eps_eig))
-    if len(negative):
-        multiplicity = int(np.sum(np.abs(negative - negative.min()) <= eps_eig))
-    else:
-        multiplicity = 0
-    residual, bound = _kernel_residual(m, poly)
-    return IzmestievPropertyReport(
-        symmetric_ok=symmetric_ok,
-        sign_ok=bool(sign_ok),
-        sparsity_ok=bool(sparsity_ok),
-        negative_eigenvalues=int(len(negative)),
-        negative_multiplicity=multiplicity,
-        kernel_residual=residual,
-        kernel_ok=residual <= bound,
-        kernel_dim=kernel_dim,
-        dim=poly.dim,
-        eig_threshold=float(eps_eig),
-        spectrum=tuple(float(v) for v in eigvals),
-    )
+    multiplicity = int(np.sum(np.abs(negative - negative.min()) <= eps_eig)) if len(negative) else 0
+    residual, kernel_bound = _kernel_residual(m, poly)
+    report = {
+        "symmetric_ok": symmetric_ok,
+        "sign_ok": sign_ok,
+        "sparsity_ok": sparsity_ok,
+        "negative_eigenvalues": int(len(negative)),
+        "negative_multiplicity": multiplicity,
+        "kernel_residual": residual,
+        "kernel_ok": residual <= kernel_bound,
+        "kernel_dim": kernel_dim,
+        "dim": poly.dim,
+        "eig_threshold": float(eps_eig),
+        "spectrum": [float(v) for v in eigvals],
+    }
+    report["passed"] = (symmetric_ok and sign_ok and sparsity_ok and len(negative) == 1
+                        and multiplicity == 1 and report["kernel_ok"] and kernel_dim == poly.dim)
+    return report

@@ -28,7 +28,7 @@ import numpy as np
 from .autgroup import PermutationSet
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import RankDeficient, TooManyCandidates
-from .reconstruct import MatrixGroup, lift_and_check, pseudo_inverse
+from .reconstruct import MatrixGroup, lift_and_check
 
 SYM_LIMIT = 9  # full symmetric-group streams allowed up to 9! candidates
 
@@ -58,12 +58,12 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
             raise TooManyCandidates(
                 f"Sym({n}) has {factorial(n)} elements; supply candidates explicitly")
         candidates = _pruned_sym(phi, tol.match)
-    pinv, accepted, it = pseudo_inverse(phi, tol), {}, iter(candidates)
+    accepted, it = {}, iter(candidates)
     while block := list(islice(it, 4096)):  # lift in batches, in bounded memory
-        maps, ok, _ = lift_and_check(phi, block, flavor, tol, pinv)
+        maps, ok, _ = lift_and_check(phi, block, flavor, tol)
         accepted.update((tuple(int(x) for x in block[i]), maps[i]) for i in np.flatnonzero(ok))
     group = PermutationSet(accepted)
-    return MatrixGroup(group, np.array([accepted[p] for p in group.perms]), flavor, tol)
+    return MatrixGroup(group, np.array([accepted[p] for p in group.perms]))
 
 
 def _pruned_sym(phi: np.ndarray, match: float):

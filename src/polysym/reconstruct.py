@@ -31,22 +31,10 @@ class MatrixGroup:
 
     perm_group: PermutationSet
     maps: np.ndarray      # (order, d, d): maps[k] realizes perm_group.perms[k]
-    flavor: str           # "linear" | "orthogonal"
-    tol: Tolerances       # the ledger the maps were checked under, echoed by the report
 
     @property
     def order(self) -> int:
         return self.perm_group.order
-
-    def to_json_dict(self) -> dict:
-        orthogonal = _orth_residuals(self.maps) <= self.tol.orth
-        return {
-            "flavor": self.flavor,
-            "order": self.order,
-            "tolerances": {"match": self.tol.match, "orth": self.tol.orth},
-            "members": [{"perm": list(p), "matrix": t.tolist(), "orthogonal": bool(o)}
-                        for p, t, o in zip(self.perm_group.perms, self.maps, orthogonal)],
-        }
 
 
 def pseudo_inverse(phi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -62,8 +50,7 @@ def pseudo_inverse(phi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.
     return pinv
 
 
-def lift_and_check(phi: np.ndarray, perms, flavor: str,
-                   tol: Tolerances = DEFAULT_TOLERANCES, pinv: np.ndarray | None = None):
+def lift_and_check(phi: np.ndarray, perms, flavor: str, tol: Tolerances = DEFAULT_TOLERANCES):
     """Lift permutations to their maps phi[:, perm] @ pinv(phi) in one batch, and check them.
 
     Returns (maps, ok, residuals): maps is (k, d, d); ok[i] says that map i
@@ -74,8 +61,7 @@ def lift_and_check(phi: np.ndarray, perms, flavor: str,
     """
     phi = np.asarray(phi, dtype=float)
     n = phi.shape[1]
-    if pinv is None:
-        pinv = pseudo_inverse(phi, tol)
+    pinv = pseudo_inverse(phi, tol)
     perms = np.asarray(perms, dtype=np.int64).reshape(-1, n)
     targets = phi.T[perms].transpose(0, 2, 1)            # (k, d, n): column j is vertex perm[j]
     maps = targets @ pinv
@@ -100,14 +86,14 @@ def eigenspace_criterion(a: np.ndarray, phi: np.ndarray, tol: Tolerances = DEFAU
 
     Fits a single scalar lambda to a @ phi.T = lambda * phi.T by least
     squares and reports (ok, lambda, residual); ok means the residual is
-    below ``tol.eig_rel`` relative to the scale of a @ phi.T.
+    at most ``tol.eig_rel`` times max|a| max|phi|, the scale of a @ phi.T.
     """
     a = np.asarray(a, dtype=float)
     b = a @ phi.T
     denom = float(np.sum(phi.T * phi.T))
     lam = float(np.sum(b * phi.T)) / denom
     residual = float(np.max(np.abs(b - lam * phi.T)))
-    ref = max(1.0, float(np.max(np.abs(a))) * float(np.max(np.abs(phi))))
+    ref = float(np.max(np.abs(a))) * float(np.max(np.abs(phi)))
     return residual <= tol.eig_rel * ref, lam, residual
 
 
@@ -153,7 +139,7 @@ def _realize_group(art: PipelineArtifacts, coloring: Coloring, flavor: str,
             diagnostic={"perm": sigma, "matrix": maps[i].tolist(), "polytope": art.poly.name,
                         "tolerance": tol.orth if not_orthogonal else tol.match,
                         "residuals": {k: float(v[i]) for k, v in residuals.items()}})
-    return MatrixGroup(perm_group=group, maps=maps, flavor=flavor, tol=tol)
+    return MatrixGroup(perm_group=group, maps=maps)
 
 
 def linear_group(art: PipelineArtifacts, limit: int = 10 ** 6) -> MatrixGroup:

@@ -85,12 +85,12 @@ def test_criterion_2_property_suite(artifacts):
         for name in FIXTURE_NAMES:
             art = artifacts[name]
             report = verify_properties(art.matrix, art.poly)
-            assert report.sign_ok, name
-            assert report.sparsity_ok, name
-            assert report.negative_eigenvalues == 1, name
-            assert report.negative_multiplicity == 1, name
-            assert report.kernel_residual <= KERNEL_TOL, name
-            assert report.kernel_dim == art.poly.dim, name
+            assert report["sign_ok"], name
+            assert report["sparsity_ok"], name
+            assert report["negative_eigenvalues"] == 1, name
+            assert report["negative_multiplicity"] == 1, name
+            assert report["kernel_residual"] <= KERNEL_TOL, name
+            assert report["kernel_dim"] == art.poly.dim, name
 
 
 def test_criterion_3_group_orders_vs_oracle(pipeline_groups, oracle_groups):

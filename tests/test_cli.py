@@ -164,6 +164,25 @@ def test_validate_malformed_dump_exit_2(tmp_path, dump):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+def test_sparsity_is_checked_relative_to_max_m(tmp_path):
+    # the cube scaled by 1e3 has max|M| about 1e-9: a non-edge entry of
+    # 1e-3 max|M| is far below a bare tol.kernel, yet no zero
+    doc = json.loads((FIXTURES / "cube.json").read_text())
+    doc["vertices"] = [[1e3 * x for x in v] for v in doc["vertices"]]
+    big = tmp_path / "big_cube.json"
+    big.write_text(json.dumps(doc))
+    dump = json.loads(run_cli("analyze", str(big), check=True).stdout)["matrix_summary"]["dump"]
+    entries = dump["entries"]
+    assert doc["vertices"][7] == [-x for x in doc["vertices"][0]]  # antipodal: a non-edge
+    entries[0][7] = entries[7][0] = 1e-3 * max(abs(x) for row in entries for x in row)
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(dump))
+    proc = run_cli("validate", str(big), "--matrix", str(path))
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)["properties"]
+    assert report["sparsity_ok"] is False and report["symmetric_ok"] is True
+
+
 def test_analyze_dump_feeds_validate(tmp_path):
     # the dump analyze writes is the one validate --matrix reads, and checks alike
     for name in ("octahedron", "square", "cube", "cyclic4_6"):

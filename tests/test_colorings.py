@@ -40,8 +40,9 @@ class TestQuantize:
 
     def test_gap_rule_chaining(self):
         # values closer than eps chain into one class; a gap beyond eps splits
+        # (edge values 1.0 make the reference max|value| 1, so eps = color_rel)
         eps = 1e-8
-        col = quantize([0.0, 0.5 * eps, 1.6 * eps, 0.0], C4_EDGES)
+        col = quantize([0.0, 0.5 * eps, 1.6 * eps, 0.0], {e: 1.0 for e in C4})
         assert col.vertex[0] == col.vertex[1] == col.vertex[3]
         assert col.vertex[2] != col.vertex[0]
 

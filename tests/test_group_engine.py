@@ -174,9 +174,9 @@ def test_ladder_orders(name, vertices, order):
     assert lin.order == orth.order == order
     # independent check: filter the uncolored edge-graph automorphisms by definition
     cands = automorphisms(uncolored(art.poly.n, art.poly.edges)).perms
-    for group in (lin, orth):
+    for flavor, group in (("linear", lin), ("orthogonal", orth)):
         assert set(group.perm_group) == set(brute_force_group(
-            poly.phi, candidates=cands, flavor=group.flavor).perm_group)
+            poly.phi, candidates=cands, flavor=flavor).perm_group)
         col = orbit_coloring(art.poly.n, art.poly.edges, group.perm_group)
         assert col.num_vertex_classes == 1 and col.num_edge_classes == 1
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,9 @@ from helpers import (
 )
 from polysym import DEFAULT_TOLERANCES, Tolerances, make_polytope
 from polysym.autgroup import automorphisms, compose, uncolored
+from polysym.cli import _group_doc, main
 from polysym.errors import RankDeficient, TheoremViolation
-from polysym.fixtures import k44_coordinates, rectangle, square, triangle
+from polysym.fixtures import FIXTURES, k44_coordinates, rectangle, square, triangle
 from polysym.oracle import brute_force_group
 from polysym.reconstruct import (
     build_artifacts,
@@ -21,6 +25,8 @@ from polysym.reconstruct import (
     orthogonal_group,
     pseudo_inverse,
 )
+
+FIXTURE_FILES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 class TestPseudoInverse:
@@ -108,6 +114,16 @@ class TestEigenspaceCriterion:
         assert strict[1:] == loose[1:]
         assert eigenspace_criterion(a, phi) == strict
 
+    def test_threshold_scales_with_the_matrix(self):
+        # the same nudged projector scaled by 1e-6: its misfit scales alike,
+        # so no absolute floor may pass it under the strict ledger
+        rng = np.random.default_rng(4)
+        phi = square().phi
+        a = rng.standard_normal((4, 4))
+        a = 1e-6 * (pseudo_inverse(phi) @ phi + 1e-6 * (a + a.T) / 2)
+        assert not eigenspace_criterion(a, phi, Tolerances(eig_rel=1e-8))[0]
+        assert eigenspace_criterion(a, phi, Tolerances(eig_rel=1e-4))[0]
+
 
 class TestPipelineGroups:
     @pytest.mark.parametrize("name,lin,orth", [
@@ -184,6 +200,18 @@ class TestPipelineGroups:
                 assert set(orthogonal_group(build_artifacts(moved)).perm_group) == base
 
 
+class TestScaleFree:
+    """A uniformly scaled polytope has the same permutation groups, at any scale."""
+
+    @pytest.mark.parametrize("k", range(-12, 13, 3))
+    @pytest.mark.parametrize("name", list(FIXTURES))
+    def test_scaled_groups_unchanged(self, artifacts, name, k):
+        art = artifacts[name]
+        scaled = build_artifacts(make_polytope(art.poly.dim, art.poly.vertices * 10.0 ** k))
+        for pipeline in (linear_group, orthogonal_group):
+            assert set(pipeline(scaled).perm_group) == set(pipeline(art).perm_group), pipeline
+
+
 def both_builds(art, flavor):
     """The pipeline group and the oracle group of one flavor."""
     cands = automorphisms(uncolored(art.poly.n, art.poly.edges)).perms
@@ -208,7 +236,7 @@ class TestMatrixGroup:
         tol = DEFAULT_TOLERANCES
         for name, art in artifacts.items():
             for group in both_builds(art, flavor):
-                members = group.to_json_dict()["members"]
+                members = _group_doc(group, flavor, tol)["members"]
                 assert [tuple(m["perm"]) for m in members] == list(group.perm_group.perms)
                 assert [m["orthogonal"] for m in members] == [
                     is_orthogonal(np.array(m["matrix"]), tol.orth) for m in members], name
@@ -217,14 +245,16 @@ class TestMatrixGroup:
         # 12 linear symmetries, of which only the 4 orthogonal ones are flagged
         art = artifacts["stretched_hexagon"]
         for group in both_builds(art, "linear"):
-            flags = [m["orthogonal"] for m in group.to_json_dict()["members"]]
+            members = _group_doc(group, "linear", DEFAULT_TOLERANCES)["members"]
+            flags = [m["orthogonal"] for m in members]
             assert (flags.count(True), flags.count(False)) == (4, 8)
 
 
 class TestOneLedger:
     """Every stage reads the ledger its polytope was validated under."""
 
-    TOL = Tolerances(match=1e-7, orth=1e-6)
+    FLAGS = ("--eps-match", "1e-7", "--eps-orth", "1e-6")
+    ECHO = {"match": 1e-7, "orth": 1e-6}
 
     def test_pipeline_quantizes_under_the_polytope_ledger(self, polytopes):
         # as `analyze --eps-color 1e6`: one color class keeps the generic
@@ -234,16 +264,17 @@ class TestOneLedger:
         with pytest.raises(TheoremViolation):
             linear_group(build_artifacts(poly))
 
-    def test_pipeline_report_echoes_the_polytope_ledger(self, polytopes):
-        poly = make_polytope(3, polytopes["cube"].vertices, tol=self.TOL)
-        art = build_artifacts(poly)
-        for group in (linear_group(art), orthogonal_group(art)):
-            assert group.to_json_dict()["tolerances"] == {"match": 1e-7, "orth": 1e-6}
+    def test_pipeline_report_echoes_the_polytope_ledger(self, capsys):
+        assert main(["analyze", str(FIXTURE_FILES / "cube.json"), *self.FLAGS]) == 0
+        groups = json.loads(capsys.readouterr().out)["groups"]
+        assert [g["tolerances"] for g in groups.values()] == [self.ECHO] * 2
 
-    def test_oracle_report_echoes_its_ledger(self, polytopes):
-        group = brute_force_group(polytopes["square"].phi, flavor="orthogonal", tol=self.TOL)
-        assert group.order == 8
-        assert group.to_json_dict()["tolerances"] == {"match": 1e-7, "orth": 1e-6}
+    def test_oracle_report_echoes_its_ledger(self, capsys):
+        argv = ["oracle", str(FIXTURE_FILES / "square.json"), "--flavor", "orthogonal"]
+        assert main([*argv, *self.FLAGS]) == 0
+        group = json.loads(capsys.readouterr().out)["group"]
+        assert group["order"] == 8
+        assert group["tolerances"] == self.ECHO
 
 
 def test_wrong_coloring_raises_theorem_violation(artifacts):
