@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""CLI wall time, peak memory and report hash of `polysym` on a ladder of polytopes.
+
+    python3 scripts/bench.py [--src DIR] > rows.json
+
+Builds the 4-cube, the 24-cell, the 5-cross-polytope, the 5-cube and the
+6-cross-polytope in code, each turned by a fixed-seed orthogonal map, and
+runs ``python -m polysym analyze`` on each, plus ``validate`` on the
+4-cube.  ``--src`` names the checkout whose ``src`` is run (default:
+this one), so a parent checkout can be measured with the same script.  Each run is one child process in a fresh temporary
+directory, given a relative input path so that the path the report echoes
+does not depend on the checkout.  A run is killed after TIMEOUT_S and
+recorded as "timeout".  BLAS and OpenMP are held to one thread.
+
+Per run it records the wall time, the child's peak RSS (from os.wait4),
+the stdout size and the stdout SHA-256: equal hashes from two checkouts
+show byte-identical reports.  Prints one JSON document: the environment,
+a SHA-256 of the sources run (as benchmark/run.py takes it) and the rows.
+"""
+
+import argparse
+import hashlib
+import itertools
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 120
+SEED = 16
+
+
+def cube(d: int) -> np.ndarray:
+    return np.array(list(itertools.product((1.0, -1.0), repeat=d)))
+
+
+def cross(d: int) -> np.ndarray:
+    return np.vstack([np.eye(d), -np.eye(d)])
+
+
+def cell24() -> np.ndarray:
+    """The 24 vectors with two entries +-1 and two entries 0."""
+    pts = []
+    for i, j in itertools.combinations(range(4), 2):
+        for si, sj in itertools.product((1.0, -1.0), repeat=2):
+            v = [0.0] * 4
+            v[i], v[j] = si, sj
+            pts.append(v)
+    return np.array(pts)
+
+
+INSTANCES = {"4-cube": lambda: cube(4), "24-cell": cell24, "5-cross-polytope": lambda: cross(5),
+             "5-cube": lambda: cube(5), "6-cross-polytope": lambda: cross(6)}
+RUNS = [("analyze", name) for name in INSTANCES] + [("validate", "4-cube")]
+
+
+def turned(vertices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The vertices under a random orthogonal map."""
+    q, r = np.linalg.qr(rng.standard_normal((vertices.shape[1],) * 2))
+    return vertices @ (q * np.sign(np.diag(r))).T
+
+
+def run(src: Path, argv: list, workdir: Path) -> dict:
+    """One child ``python -m polysym *argv`` in workdir; its wall time, peak RSS and stdout."""
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out_path = workdir / "stdout"
+    with open(out_path, "wb") as out:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "polysym", *argv], cwd=workdir,
+                                env=env, stdout=out, stderr=subprocess.DEVNULL)
+        timed_out = False
+        while True:
+            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+            if pid:
+                break
+            if time.perf_counter() > t0 + TIMEOUT_S:
+                proc.kill()
+                _, status, usage = os.wait4(proc.pid, 0)
+                timed_out = True
+                break
+            time.sleep(0.005)
+        wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    if timed_out:
+        return {"argv": argv, "exit": "timeout"}
+    digest = hashlib.sha256()
+    with open(out_path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return {"argv": argv, "exit": proc.returncode, "wall_s": round(wall, 3),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+            "stdout_bytes": out_path.stat().st_size, "stdout_sha256": digest.hexdigest()}
+
+
+def environment() -> dict:
+    cpuinfo = Path("/proc/cpuinfo")
+    lines = cpuinfo.read_text().splitlines() if cpuinfo.is_file() else []
+    model = next((line.split(":", 1)[1].strip() for line in lines
+                  if line.startswith("model name")), platform.processor())
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "machine": platform.machine(), "cpu": model, "nproc": len(os.sched_getaffinity(0)),
+            "blas_threads": 1, "timeout_s": TIMEOUT_S, "seed": SEED}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT, metavar="DIR",
+                        help="the checkout whose src/ to run (default: this one)")
+    args = parser.parse_args()
+    src = args.src.resolve() / "src"
+    if not (src / "polysym" / "cli.py").is_file():
+        parser.error(f"no polysym sources under {src}")
+    rng = np.random.default_rng(SEED)
+    docs = {}
+    for name, build in INSTANCES.items():
+        vertices = build()
+        docs[name] = {"dimension": vertices.shape[1], "name": name,
+                      "vertices": turned(vertices, rng).tolist()}
+    rows = []
+    for command, name in RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            workdir = Path(tmp)
+            (workdir / f"{name}.json").write_text(json.dumps(docs[name]))
+            rows.append({"instance": name, **run(src, [command, f"{name}.json"], workdir)})
+        print(f"{command} {name}: {rows[-1]}", file=sys.stderr)
+    digest = hashlib.sha256()
+    for path in sorted((src / "polysym").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    json.dump({"environment": environment(), "src_sha256": digest.hexdigest(), "rows": rows},
+              sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -6,8 +6,10 @@
 # the paths no golden covers, `export-dot` with both orbit colorings and
 # `experiment-metric`, each of which must exit 0, and `analyze` on the
 # fixture scaled by 1e-6 and by 1e6, which must exit 0 with the golden
-# report's group orders.  Run from the root of a checkout, after
-# `pip install .`:
+# report's group orders.  A 24-cell, built inline, is analyzed last: both
+# flavors must report order 1152, and its report, whose member listings are
+# written in several pieces, must equal the indent-2 re-dump of its parse.
+# Run from the root of a checkout, after `pip install .`:
 #
 #     sh scripts/check_entry_point.sh
 set -eu
@@ -36,7 +38,8 @@ doc["vertices"] = [[float(sys.argv[2]) * x for x in v] for v in doc["vertices"]]
 json.dump(doc, sys.stdout)'
 dump=$(mktemp)
 scaled=$(mktemp)
-trap 'rm -f "$dump" "$scaled"' EXIT
+cell=$(mktemp)
+trap 'rm -f "$dump" "$scaled" "$cell"' EXIT
 for f in fixtures/*.json; do
     [ "$f" = fixtures/k44_embedding.json ] && continue
     name=${f#fixtures/}; name=${name%.json}
@@ -58,3 +61,14 @@ for f in fixtures/*.json; do
     done
     polysym experiment-metric "$f" > /dev/null || { echo "experiment-metric failed: $f"; exit 1; }
 done
+
+python -c 'import itertools, json, sys
+verts = [[s if k == i else t if k == j else 0.0 for k in range(4)]
+         for i, j in itertools.combinations(range(4), 2)
+         for s, t in itertools.product((1.0, -1.0), repeat=2)]
+json.dump({"dimension": 4, "name": "24-cell", "vertices": verts}, sys.stdout)' > "$cell"
+polysym analyze "$cell" > "$dump" || { echo "analyze failed: 24-cell"; exit 1; }
+[ "$(python -c "$orders" < "$dump")" = "{'linear': 1152, 'orthogonal': 1152}" ] \
+    || { echo "group orders changed: 24-cell"; exit 1; }
+python -c 'import json, sys; sys.stdout.write(json.dumps(json.load(sys.stdin), sort_keys=True, indent=2) + "\n")' \
+    < "$dump" | cmp - "$dump" || { echo "24-cell report is not its own indent-2 re-dump"; exit 1; }

@@ -3,7 +3,8 @@
 Machine-readable JSON goes to stdout and is byte-for-byte deterministic
 for fixed inputs and flags; human chatter (including wall-clock timing)
 goes to stderr and only with --verbose.  Every JSON document is laid out
-here, from the plain data the library returns.
+here, from the plain data the library returns, and written once all work
+is done: its bytes are json.dumps(doc) with sorted keys and indent 2.
 
 Exit codes: 0 ok, 1 failed validation property, 2 bad input document,
 3 reconstruction violation, 4 search limit exceeded, 64 usage error.
@@ -13,10 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
+from itertools import chain, groupby
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +55,73 @@ PALETTE = (
 )
 
 
+MEMBER_CHUNK = 1024  # members per written string: bounds the memory a listing takes
+
+
+class _Members(NamedTuple):
+    """Members as arrays: perms[k] (sorted) is realized by maps[k] and flagged by orthogonal[k]."""
+
+    perms: tuple
+    maps: np.ndarray
+    orthogonal: np.ndarray
+
+    def pieces(self, level: int):
+        """The listing as json lays out [{"matrix": ..., "orthogonal": ..., "perm": ...}, ...]."""
+        k, d, n = len(self.perms), self.maps.shape[1], len(self.perms[0])
+        # one %-template for every member: d, n and the indent are fixed within a listing
+        slots = {"matrix": [["\0"] * d] * d, "orthogonal": "\0", "perm": ["\0"] * n}
+        template = "".join(_layout(slots, level + 1, [])).replace('"\\u0000"', "%s")
+        sep = ",\n" + "  " * (level + 1)
+        for lo in range(0, k, MEMBER_CHUNK):
+            block = self.maps[lo:lo + MEMBER_CHUNK]
+            rows = block.reshape(len(block), d * d).tolist()
+            if not np.isfinite(block).all():
+                rows = [["".join(_layout(x, 0, [])) for x in row] for row in rows]
+            flags = self.orthogonal[lo:lo + MEMBER_CHUNK].tolist()
+            yield (sep if lo else "[" + sep[1:]) + sep.join([
+                template % (*row, "true" if flag else "false", *perm)
+                for row, flag, perm in zip(rows, flags, self.perms[lo:lo + MEMBER_CHUNK])])
+        yield "\n" + "  " * level + "]"
+
+
+def _layout(o, level: int, out: list) -> list:
+    """Append json.dumps(o) with sorted keys and indent 2, o at indent level, to out; return out.
+
+    Types are tested in json's order.  A member listing goes in as the
+    generator of its strings, so it is laid out only while it is written.
+    """
+    if isinstance(o, _Members):
+        out.append(o.pieces(level))
+    elif isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None or isinstance(o, bool):
+        out.append("null" if o is None else "true" if o else "false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(float.__repr__(o) if math.isfinite(o) else
+                   "NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
+    elif not isinstance(o, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    elif not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+    else:
+        is_dict = isinstance(o, dict)
+        indent = "\n" + "  " * (level + 1)
+        sep = ("{" if is_dict else "[") + indent
+        for key, v in sorted(o.items()) if is_dict else enumerate(o):
+            out.append(sep + encode_basestring_ascii(key) + ": " if is_dict else sep)
+            _layout(v, level + 1, out)
+            sep = "," + indent
+        out.append("\n" + "  " * level + ("}" if is_dict else "]"))
+    return out
+
+
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    """Write json.dumps(doc) with sorted keys and indent 2, and a newline, to stdout in pieces."""
+    for is_text, run in groupby(_layout(doc, 0, []), key=lambda piece: isinstance(piece, str)):
+        sys.stdout.writelines(["".join(run)] if is_text else chain.from_iterable(run))
+    sys.stdout.write("\n")
 
 
 def _chatter(args, msg: str) -> None:
@@ -85,15 +155,8 @@ def _input_echo(args, path, poly) -> dict:
 
 
 def _coloring_doc(col: Coloring) -> dict:
-    doc = {
-        "vertex_classes": col.vertex_classes(),
-        "edge_classes": [[list(e) for e in cls] for cls in col.edge_classes()],
-    }
-    reps = {}
-    if col.vertex_reps:
-        reps["vertex"] = list(col.vertex_reps)
-    if col.edge_reps:
-        reps["edge"] = list(col.edge_reps)
+    doc = {"vertex_classes": col.vertex_classes(), "edge_classes": col.edge_classes()}
+    reps = {key: r for key, r in (("vertex", col.vertex_reps), ("edge", col.edge_reps)) if r}
     if reps:
         doc["representatives"] = reps
         doc["min_class_gap"] = {"vertex": col.vertex_min_gap, "edge": col.edge_min_gap}
@@ -102,19 +165,13 @@ def _coloring_doc(col: Coloring) -> dict:
 
 def _group_doc(group, flavor: str, tol: Tolerances) -> dict:
     """Every member's perm and map, flagged orthogonal when max|T^T T - I| <= tol.orth."""
-    orthogonal = _orth_residuals(group.maps) <= tol.orth
     return {
         "flavor": flavor,
         "order": group.order,
         "tolerances": {"match": tol.match, "orth": tol.orth},
-        "members": [{"perm": list(p), "matrix": t.tolist(), "orthogonal": bool(o)}
-                    for p, t, o in zip(group.perm_group.perms, group.maps, orthogonal)],
+        "members": _Members(group.perm_group.perms, group.maps,
+                            _orth_residuals(group.maps) <= tol.orth),
     }
-
-
-def _group_report(group, flavor: str, poly) -> dict:
-    orbits = orbit_coloring(poly.n, poly.edges, group.perm_group)
-    return {**_group_doc(group, flavor, poly.tol), "orbit_coloring": _coloring_doc(orbits)}
 
 
 def cmd_analyze(args) -> int:
@@ -142,12 +199,13 @@ def cmd_analyze(args) -> int:
             "groups": {},
             "tolerances": asdict(poly.tol),
         }
-        if args.coloring in ("izmestiev", "both"):
-            lin = linear_group(art, limit=args.limit)
-            report["groups"]["linear"] = _group_report(lin, "linear", poly)
-        if args.coloring in ("product", "both"):
-            orth = orthogonal_group(art, limit=args.limit)
-            report["groups"]["orthogonal"] = _group_report(orth, "orthogonal", poly)
+        for flavor, coloring, build in (("linear", "izmestiev", linear_group),
+                                        ("orthogonal", "product", orthogonal_group)):
+            if args.coloring in (coloring, "both"):
+                group = build(art, limit=args.limit)
+                orbits = orbit_coloring(poly.n, poly.edges, group.perm_group)
+                report["groups"][flavor] = {**_group_doc(group, flavor, poly.tol),
+                                            "orbit_coloring": _coloring_doc(orbits)}
         reports.append(report)
         _chatter(args, f"{path}: analyzed in {time.perf_counter() - t0:.3f}s, "
                        f"orders { {k: v['order'] for k, v in report['groups'].items()} }")
@@ -257,7 +315,9 @@ def cmd_export_dot(args) -> int:
         flavor = args.coloring.split("-")[1]
         grp = (linear_group if flavor == "linear" else orthogonal_group)(art, limit=args.limit)
         col = orbit_coloring(poly.n, poly.edges, grp.perm_group)
-    lines = [f"graph {poly.name or 'polytope'} {{", "  node [style=filled];"]
+    # a quoted DOT ID: a name may begin with a digit or hold "-", spaces or quotes
+    graph_id = (poly.name or "polytope").replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'graph "{graph_id}" {{', "  node [style=filled];"]
     for i in range(poly.n):
         lines.append(f'  v{i} [fillcolor="{PALETTE[col.vertex[i] % len(PALETTE)]}"];')
     for (i, j) in sorted(col.edge):
@@ -292,7 +352,7 @@ def cmd_experiment_metric(args) -> int:
         "metric_aut_order": auts.order,
         "orthogonal_order": reference.order,
         "matches_orthogonal_group": not extra and auts.order == reference.order,
-        "extra_automorphisms": [list(p) for p in extra],
+        "extra_automorphisms": extra,
         "tolerances": asdict(poly.tol),
     })
     return 0

@@ -9,7 +9,10 @@ cross-checks that no stage or CLI command calls.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
+import io
+import json
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -17,11 +20,28 @@ import numpy as np
 
 from polysym import geometry
 from polysym.autgroup import PermutationSet, _neighbor_table, _refine, compose
+from polysym.cli import _emit
 from polysym.colorings import Coloring, orbit_coloring, quantize
 from polysym.config import DEFAULT_TOLERANCES, Tolerances
 from polysym.errors import DomainMismatch, ValidationError
 from polysym.geometry import Polytope, make_polytope
 from polysym.reconstruct import MatrixGroup, lift_and_check
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+def written(doc) -> str:
+    """The bytes the CLI writes for a report document: the stdout of ``cli._emit(doc)``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(doc)
+    return out.getvalue()
+
+
+def read_back(doc):
+    """A report document as a reader of the CLI's stdout sees it."""
+    return json.loads(written(doc))
 
 
 # ---------------------------------------------------------------------------

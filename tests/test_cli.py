@@ -1,11 +1,19 @@
 """End-to-end CLI tests over the shipped fixture files."""
 
+import itertools
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import written
+from polysym import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -266,6 +274,22 @@ def test_export_dot_hexagon_orbit_orthogonal_single_colors():
     assert sum(1 for l in lines if " -- " in l) == 6
 
 
+@pytest.mark.parametrize("name, graph_id", [
+    ("24-cell", '"24-cell"'),
+    ("capped prism", '"capped prism"'),
+    ('a"b', r'"a\"b"'),
+    ("a\\b", r'"a\\b"'),
+])
+def test_export_dot_quotes_the_graph_id(tmp_path, name, graph_id):
+    # a DOT ID may not begin with a digit nor hold "-", spaces or quotes unless quoted
+    doc = json.loads((FIXTURES / "square.json").read_text())
+    doc["name"] = name
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("export-dot", str(path), check=True)
+    assert proc.stdout.splitlines()[0] == f"graph {graph_id} {{"
+
+
 def test_export_dot_unknown_coloring_exit_64():
     proc = run_cli("export-dot", str(FIXTURES / "square.json"), "--coloring", "rainbow")
     assert proc.returncode == 64
@@ -387,3 +411,87 @@ def test_fixture_files_match_registry():
         poly = factory()
         assert doc["dimension"] == poly.dim
         assert doc["vertices"] == poly.vertices.tolist(), name
+
+
+# ---------------------------------------------------------------------------
+# the report writer: json.dumps(doc, sort_keys=True, indent=2) byte for byte
+
+def plain(doc):
+    """doc with every member listing spelled out as the dicts json.dumps would be given."""
+    if isinstance(doc, cli._Members):
+        return [{"perm": list(p), "matrix": t.tolist(), "orthogonal": bool(flag)}
+                for p, t, flag in zip(doc.perms, doc.maps, doc.orthogonal)]
+    if isinstance(doc, dict):
+        return {k: plain(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [plain(v) for v in doc]
+    return doc
+
+
+FLOATS = (st.floats() | st.floats().map(np.float64)
+          | st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]))
+TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é☃\U0001d11e"])
+SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
+           | FLOATS | TEXT)
+
+
+@st.composite
+def member_listings(draw):
+    k, d, n = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    perms = draw(st.lists(st.permutations(range(n)).map(tuple), min_size=k, max_size=k))
+    entries = draw(st.lists(FLOATS, min_size=k * d * d, max_size=k * d * d))
+    flags = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    return cli._Members(tuple(sorted(perms)), np.array(entries, dtype=float).reshape(k, d, d),
+                        np.array(flags, dtype=bool))
+
+
+DOCS = st.recursive(
+    SCALARS | member_listings(),
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(TEXT, kids, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCS)
+def test_writer_matches_json_dumps(doc):
+    assert written(doc) == json.dumps(plain(doc), sort_keys=True, indent=2) + "\n"
+
+
+def test_writer_rejects_what_json_rejects():
+    for bad in (np.int64(1), {"x": np.bool_(True)}, [np.zeros(2)]):
+        with pytest.raises(TypeError):
+            json.dumps(bad)
+        with pytest.raises(TypeError):
+            written(bad)
+
+
+def test_24_cell_report_is_its_own_redump(tmp_path):
+    # 1152 members per group: each listing crosses a chunk boundary
+    verts = [[s if k == i else t if k == j else 0.0 for k in range(4)]
+             for i, j in itertools.combinations(range(4), 2)
+             for s, t in itertools.product((1.0, -1.0), repeat=2)]
+    path = tmp_path / "24-cell.json"
+    path.write_text(json.dumps({"dimension": 4, "name": "24-cell", "vertices": verts}))
+    proc = run_cli("analyze", str(path), check=True)
+    report = json.loads(proc.stdout)
+    groups = report["groups"].values()
+    assert [(g["order"], len(g["members"])) for g in groups] == [(1152, 1152)] * 2
+    assert proc.stdout == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_failed_run_writes_nothing(tmp_path):
+    # every report is laid out only after all work is done, so a run that fails
+    # on its last input prints no report for the inputs before it
+    shifted = tmp_path / "shifted.json"
+    hexagon = json.loads((FIXTURES / "hexagon.json").read_text())
+    hexagon["vertices"] = [[x + 5.0, y] for x, y in hexagon["vertices"]]
+    shifted.write_text(json.dumps(hexagon))
+    for argv, code in [
+            (("analyze", str(FIXTURES / "square.json"), str(shifted)), 2),
+            (("analyze", "--eps-color", "1e6", str(FIXTURES / "square.json"),
+              str(FIXTURES / "cyclic4_6.json")), 3),
+            (("analyze", "--limit", "7", str(FIXTURES / "triangle.json"),
+              str(FIXTURES / "cube.json")), 4)]:
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout) == (code, ""), proc.stderr

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from polysym import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("make_golden", ROOT / "scripts" / "make_golden.py")
 make_golden = importlib.util.module_from_spec(_spec)
@@ -21,3 +23,12 @@ _spec.loader.exec_module(make_golden)
 def test_report_bytes_match_golden(name, argv):
     expected = (make_golden.GOLDEN / name).read_text()
     assert make_golden.run(argv) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("name,argv", make_golden.golden_cases(),
+                         ids=[name for name, _ in make_golden.golden_cases()])
+def test_report_bytes_match_golden_at_any_chunk_size(monkeypatch, name, argv, chunk):
+    # a member listing is laid out MEMBER_CHUNK members at a time
+    monkeypatch.setattr(cli, "MEMBER_CHUNK", chunk)
+    assert make_golden.run(argv) == (make_golden.GOLDEN / name).read_text()

@@ -10,10 +10,11 @@ from helpers import (
     is_orthogonal,
     linear_map_from_perm,
     member_maps,
+    read_back,
     verify_homomorphism,
 )
 from polysym import DEFAULT_TOLERANCES, Tolerances, make_polytope
-from polysym.autgroup import automorphisms, compose, uncolored
+from polysym.autgroup import automorphisms, compose, invert, uncolored
 from polysym.cli import _group_doc, main
 from polysym.errors import RankDeficient, TheoremViolation
 from polysym.fixtures import FIXTURES, k44_coordinates, rectangle, square, triangle
@@ -212,6 +213,26 @@ class TestScaleFree:
             assert set(pipeline(scaled).perm_group) == set(pipeline(art).perm_group), pipeline
 
 
+class TestRelabelling:
+    """Relabelling the vertices by pi conjugates the group by pi and keeps every member's map."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", list(FIXTURES))
+    def test_group_is_conjugated(self, artifacts, name, seed):
+        art = artifacts[name]
+        old_of_new = tuple(np.random.default_rng(seed).permutation(art.poly.n).tolist())
+        pi = invert(old_of_new)     # pi[j]: the new label of old vertex j
+        moved = build_artifacts(make_polytope(art.poly.dim, art.poly.vertices[list(old_of_new)]))
+        for pipeline in (linear_group, orthogonal_group):
+            expected = {compose(pi, compose(p, old_of_new)): t
+                        for p, t in member_maps(pipeline(art)).items()}
+            got = member_maps(pipeline(moved))
+            assert set(got) == set(expected), pipeline
+            for p, t in got.items():
+                ref = expected[p]
+                assert np.max(np.abs(t - ref)) <= 1e-9 * np.max(np.abs(ref)), (pipeline, p)
+
+
 def both_builds(art, flavor):
     """The pipeline group and the oracle group of one flavor."""
     cands = automorphisms(uncolored(art.poly.n, art.poly.edges)).perms
@@ -236,7 +257,7 @@ class TestMatrixGroup:
         tol = DEFAULT_TOLERANCES
         for name, art in artifacts.items():
             for group in both_builds(art, flavor):
-                members = _group_doc(group, flavor, tol)["members"]
+                members = read_back(_group_doc(group, flavor, tol))["members"]
                 assert [tuple(m["perm"]) for m in members] == list(group.perm_group.perms)
                 assert [m["orthogonal"] for m in members] == [
                     is_orthogonal(np.array(m["matrix"]), tol.orth) for m in members], name
@@ -245,7 +266,7 @@ class TestMatrixGroup:
         # 12 linear symmetries, of which only the 4 orthogonal ones are flagged
         art = artifacts["stretched_hexagon"]
         for group in both_builds(art, "linear"):
-            members = _group_doc(group, "linear", DEFAULT_TOLERANCES)["members"]
+            members = read_back(_group_doc(group, "linear", DEFAULT_TOLERANCES))["members"]
             flags = [m["orthogonal"] for m in members]
             assert (flags.count(True), flags.count(False)) == (4, 8)
 
