@@ -9,6 +9,11 @@
 # report's group orders.  A 24-cell, built inline, is analyzed last: both
 # flavors must report order 1152, and its report, whose member listings are
 # written in several pieces, must equal the indent-2 re-dump of its parse.
+# The pipeline checks only a group's generators, so every listed member of
+# that report is re-checked here, with numpy alone: its matrix must send
+# each vertex j to vertex perm[j] within the echoed `match` of that
+# vertex's norm, and in the orthogonal flavor it must be orthogonal within
+# the echoed `orth`.
 # Run from the root of a checkout, after `pip install .`:
 #
 #     sh scripts/check_entry_point.sh
@@ -72,3 +77,15 @@ polysym analyze "$cell" > "$dump" || { echo "analyze failed: 24-cell"; exit 1; }
     || { echo "group orders changed: 24-cell"; exit 1; }
 python -c 'import json, sys; sys.stdout.write(json.dumps(json.load(sys.stdin), sort_keys=True, indent=2) + "\n")' \
     < "$dump" | cmp - "$dump" || { echo "24-cell report is not its own indent-2 re-dump"; exit 1; }
+python -c 'import json, sys
+import numpy as np
+verts = np.array(json.load(open(sys.argv[1]))["vertices"])
+for flavor, group in json.load(open(sys.argv[2]))["groups"].items():
+    tol, members = group["tolerances"], group["members"]
+    maps = np.array([m["matrix"] for m in members])
+    images = verts[np.array([m["perm"] for m in members])]
+    err = np.linalg.norm(verts @ maps.transpose(0, 2, 1) - images, axis=2)
+    ok = len(members) == group["order"] and (err <= tol["match"] * np.linalg.norm(images, axis=2)).all()
+    if flavor == "orthogonal":
+        ok &= (np.abs(maps.transpose(0, 2, 1) @ maps - np.eye(verts.shape[1])) <= tol["orth"]).all()
+    ok or sys.exit(f"24-cell {flavor} member fails its re-check")' "$cell" "$dump"

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
@@ -39,13 +40,7 @@ from .errors import (
 from .geometry import load_polytope
 from .izmestiev import izmestiev_matrix, izmestiev_matrix_fd, verify_properties
 from .oracle import SYM_LIMIT, brute_force_group
-from .reconstruct import (
-    _orth_residuals,
-    build_artifacts,
-    eigenspace_criterion,
-    linear_group,
-    orthogonal_group,
-)
+from .reconstruct import build_artifacts, eigenspace_criterion, linear_group, orthogonal_group
 
 PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
@@ -59,28 +54,28 @@ MEMBER_CHUNK = 1024  # members per written string: bounds the memory a listing t
 
 
 class _Members(NamedTuple):
-    """Members as arrays: perms[k] (sorted) is realized by maps[k] and flagged by orthogonal[k]."""
+    """A member listing: perms (sorted) and lift, which gives a chunk of them (maps, orthogonal)."""
 
     perms: tuple
-    maps: np.ndarray
-    orthogonal: np.ndarray
+    lift: Callable
 
     def pieces(self, level: int):
         """The listing as json lays out [{"matrix": ..., "orthogonal": ..., "perm": ...}, ...]."""
-        k, d, n = len(self.perms), self.maps.shape[1], len(self.perms[0])
-        # one %-template for every member: d, n and the indent are fixed within a listing
-        slots = {"matrix": [["\0"] * d] * d, "orthogonal": "\0", "perm": ["\0"] * n}
-        template = "".join(_layout(slots, level + 1, [])).replace('"\\u0000"', "%s")
         sep = ",\n" + "  " * (level + 1)
-        for lo in range(0, k, MEMBER_CHUNK):
-            block = self.maps[lo:lo + MEMBER_CHUNK]
-            rows = block.reshape(len(block), d * d).tolist()
+        for lo in range(0, len(self.perms), MEMBER_CHUNK):
+            perms = self.perms[lo:lo + MEMBER_CHUNK]
+            block, flags = self.lift(perms)
+            k, d = block.shape[:2]
+            if not lo:  # one %-template for every member: d, n and the indent are fixed
+                slots = {"matrix": [["\0"] * d] * d, "orthogonal": "\0",
+                         "perm": ["\0"] * len(perms[0])}
+                template = "".join(_layout(slots, level + 1, [])).replace('"\\u0000"', "%s")
+            rows = block.reshape(k, d * d).tolist()
             if not np.isfinite(block).all():
                 rows = [["".join(_layout(x, 0, [])) for x in row] for row in rows]
-            flags = self.orthogonal[lo:lo + MEMBER_CHUNK].tolist()
             yield (sep if lo else "[" + sep[1:]) + sep.join([
                 template % (*row, "true" if flag else "false", *perm)
-                for row, flag, perm in zip(rows, flags, self.perms[lo:lo + MEMBER_CHUNK])])
+                for row, flag, perm in zip(rows, flags.tolist(), perms)])
         yield "\n" + "  " * level + "]"
 
 
@@ -163,14 +158,13 @@ def _coloring_doc(col: Coloring) -> dict:
     return doc
 
 
-def _group_doc(group, flavor: str, tol: Tolerances) -> dict:
-    """Every member's perm and map, flagged orthogonal when max|T^T T - I| <= tol.orth."""
+def _group_doc(group, flavor: str) -> dict:
+    """Every member's perm and map, flagged orthogonal when max|T^T T - I| <= group.tol.orth."""
     return {
         "flavor": flavor,
         "order": group.order,
-        "tolerances": {"match": tol.match, "orth": tol.orth},
-        "members": _Members(group.perm_group.perms, group.maps,
-                            _orth_residuals(group.maps) <= tol.orth),
+        "tolerances": {"match": group.tol.match, "orth": group.tol.orth},
+        "members": _Members(group.perm_group.perms, group.lift),
     }
 
 
@@ -204,7 +198,7 @@ def cmd_analyze(args) -> int:
             if args.coloring in (coloring, "both"):
                 group = build(art, limit=args.limit)
                 orbits = orbit_coloring(poly.n, poly.edges, group.perm_group)
-                report["groups"][flavor] = {**_group_doc(group, flavor, poly.tol),
+                report["groups"][flavor] = {**_group_doc(group, flavor),
                                             "orbit_coloring": _coloring_doc(orbits)}
         reports.append(report)
         _chatter(args, f"{path}: analyzed in {time.perf_counter() - t0:.3f}s, "
@@ -275,7 +269,10 @@ def _load_embedding(args):
             isinstance(e, list) and len(e) == 2 and e[0] != e[1]
             and all(type(x) is int and 0 <= x < n for x in e) for e in edges):
         raise ParseError(f"'edges' must be pairs of distinct vertex indices in 0..{n - 1}")
-    return uncolored(n, edges), coords, doc.get("name")
+    name = doc.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ParseError("'name' must be a string")
+    return uncolored(n, edges), coords, name
 
 
 def cmd_oracle(args) -> int:
@@ -297,7 +294,7 @@ def cmd_oracle(args) -> int:
         "input": echo,
         "flavor": args.flavor,
         "candidates": args.candidates,
-        "group": _group_doc(group, args.flavor, tol),
+        "group": _group_doc(group, args.flavor),
         "tolerances": asdict(tol),
     })
     return 0

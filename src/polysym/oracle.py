@@ -28,7 +28,7 @@ import numpy as np
 from .autgroup import PermutationSet
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import RankDeficient, TooManyCandidates
-from .reconstruct import MatrixGroup, lift_and_check
+from .reconstruct import MatrixGroup, lift_and_check, pseudo_inverse
 
 SYM_LIMIT = 9  # full symmetric-group streams allowed up to 9! candidates
 
@@ -42,8 +42,9 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
     no-op on a polytope, whose phi has full row rank), so for each sigma
     the candidate map is unique: sound and complete.  With
     candidates=None, Sym(n) (n <= 9) is streamed pruned, as the module
-    docstring says.  NotAGroup if the realized permutations are not
-    closed.
+    docstring says.  Every candidate is checked, and the realized ones
+    are kept as a group that lifts its members through the restricted
+    phi.  NotAGroup if they are not closed.
     """
     phi = np.asarray(phi, dtype=float)
     u, s, _ = np.linalg.svd(phi, full_matrices=False)
@@ -58,12 +59,11 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
             raise TooManyCandidates(
                 f"Sym({n}) has {factorial(n)} elements; supply candidates explicitly")
         candidates = _pruned_sym(phi, tol.match)
-    accepted, it = {}, iter(candidates)
+    accepted, it = [], iter(candidates)
     while block := list(islice(it, 4096)):  # lift in batches, in bounded memory
-        maps, ok, _ = lift_and_check(phi, block, flavor, tol)
-        accepted.update((tuple(int(x) for x in block[i]), maps[i]) for i in np.flatnonzero(ok))
-    group = PermutationSet(accepted)
-    return MatrixGroup(group, np.array([accepted[p] for p in group.perms]))
+        ok = lift_and_check(phi, block, flavor, tol)[1]
+        accepted += [block[i] for i in np.flatnonzero(ok)]
+    return MatrixGroup(PermutationSet(accepted), phi, pseudo_inverse(phi, tol), tol)
 
 
 def _pruned_sym(phi: np.ndarray, match: float):

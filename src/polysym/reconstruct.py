@@ -3,7 +3,9 @@
 Each graph automorphism sigma lifts to the linear map phi @ Pi_sigma @
 pinv(phi); for the colorings built here that map provably permutes the
 vertex set, so acceptance failures are errors (TheoremViolation), never
-silent filtering.
+silent filtering.  Only a group's generators are lifted and checked: phi
+has full row rank, so the lift is unique and multiplicative, and maps that
+permute the vertices (or are orthogonal) are closed under products.
 """
 
 from __future__ import annotations
@@ -13,28 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autgroup import PermutationSet, automorphisms
-from .colorings import (
-    Coloring,
-    izmestiev_coloring,
-    metric_coloring,
-    product_coloring,
-)
+from .colorings import Coloring, izmestiev_coloring, metric_coloring, product_coloring
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import KernelResidual, RankDeficient, TheoremViolation
 from .geometry import Polytope
 from .izmestiev import _kernel_residual, izmestiev_matrix
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixGroup:
-    """A permutation group of the vertex set and the linear maps realizing its members."""
-
-    perm_group: PermutationSet
-    maps: np.ndarray      # (order, d, d): maps[k] realizes perm_group.perms[k]
-
-    @property
-    def order(self) -> int:
-        return self.perm_group.order
 
 
 def pseudo_inverse(phi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -57,14 +42,13 @@ def lift_and_check(phi: np.ndarray, perms, flavor: str, tol: Tolerances = DEFAUL
     sends every vertex j to vertex perm[j] within ``tol.match`` of that
     vertex's norm (and, for the orthogonal flavor, that max|T^T T - I| is
     at most ``tol.orth``); residuals["match"] (and ["orth"]) hold each
-    map's worst residual, relative like its tolerance.
+    map's worst residual, relative like its tolerance.  The pipelines
+    give it a group's generators, the oracle every candidate.
     """
     phi = np.asarray(phi, dtype=float)
-    n = phi.shape[1]
-    pinv = pseudo_inverse(phi, tol)
-    perms = np.asarray(perms, dtype=np.int64).reshape(-1, n)
+    perms = np.asarray(perms, dtype=np.int64).reshape(-1, phi.shape[1])
     targets = phi.T[perms].transpose(0, 2, 1)            # (k, d, n): column j is vertex perm[j]
-    maps = targets @ pinv
+    maps = targets @ pseudo_inverse(phi, tol)
     err = np.linalg.norm(maps @ phi - targets, axis=1)   # (k, n)
     norms = np.linalg.norm(phi, axis=0)[perms]
     ok = np.all(err <= tol.match * norms, axis=1)
@@ -79,6 +63,28 @@ def lift_and_check(phi: np.ndarray, perms, flavor: str, tol: Tolerances = DEFAUL
 def _orth_residuals(maps: np.ndarray) -> np.ndarray:
     """max|T^T T - I| of each map in a (k, d, d) stack."""
     return np.max(np.abs(maps.transpose(0, 2, 1) @ maps - np.eye(maps.shape[-1])), axis=(1, 2))
+
+
+@dataclass(frozen=True, eq=False)
+class MatrixGroup:
+    """A permutation group of phi's columns; its generators were lifted and checked under tol.
+
+    ``lift`` lifts any members by ``lift_and_check``'s expression, to the same bits in any batch.
+    """
+
+    perm_group: PermutationSet
+    phi: np.ndarray       # (d, n), full row rank: column j is point j
+    pinv: np.ndarray      # pseudo_inverse(phi, tol)
+    tol: Tolerances
+
+    @property
+    def order(self) -> int:
+        return self.perm_group.order
+
+    def lift(self, perms):
+        """(maps, orthogonal): perms' (k, d, d) maps, flagged where max|T^T T - I| <= tol.orth."""
+        maps = self.phi.T[np.asarray(perms)].transpose(0, 2, 1) @ self.pinv
+        return maps, _orth_residuals(maps) <= self.tol.orth
 
 
 def eigenspace_criterion(a: np.ndarray, phi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -116,30 +122,27 @@ def build_artifacts(poly: Polytope) -> PipelineArtifacts:
         raise KernelResidual(f"kernel condition residual {residual:.3e} exceeds {bound:.1e}")
     izm = izmestiev_coloring(poly, matrix)
     met = metric_coloring(poly)
-    return PipelineArtifacts(
-        poly=poly, matrix=matrix,
-        izm_coloring=izm, met_coloring=met,
-        prod_coloring=product_coloring(izm, met),
-    )
+    return PipelineArtifacts(poly=poly, matrix=matrix, izm_coloring=izm, met_coloring=met,
+                             prod_coloring=product_coloring(izm, met))
 
 
 def _realize_group(art: PipelineArtifacts, coloring: Coloring, flavor: str,
                    limit: int) -> MatrixGroup:
-    tol = art.poly.tol
+    phi, tol = art.poly.phi, art.poly.tol
     group = automorphisms(coloring, limit=limit)
-    maps, ok, residuals = lift_and_check(art.poly.phi, group.perms, flavor, tol)
+    maps, ok, residuals = lift_and_check(phi, group.generators, flavor, tol)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
-        sigma = group.perms[i]
+        sigma = group.generators[i]
         not_orthogonal = "orth" in residuals and residuals["match"][i] <= tol.match
         raise TheoremViolation(
             f"{flavor} reconstruction failed: " + (
                 f"map for {sigma} is not orthogonal" if not_orthogonal else
-                f"automorphism {sigma} is not realized by its reconstructed map"),
+                f"generator {sigma} is not realized by its reconstructed map"),
             diagnostic={"perm": sigma, "matrix": maps[i].tolist(), "polytope": art.poly.name,
                         "tolerance": tol.orth if not_orthogonal else tol.match,
                         "residuals": {k: float(v[i]) for k, v in residuals.items()}})
-    return MatrixGroup(perm_group=group, maps=maps)
+    return MatrixGroup(group, phi, pseudo_inverse(phi, tol), tol)
 
 
 def linear_group(art: PipelineArtifacts, limit: int = 10 ** 6) -> MatrixGroup:

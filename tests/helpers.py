@@ -151,8 +151,9 @@ def is_orthogonal(t: np.ndarray, eps: float) -> bool:
 
 
 def member_maps(group: MatrixGroup) -> dict:
-    """perm -> the map realizing it, for every member."""
-    return dict(zip(group.perm_group, group.maps))
+    """perm -> the map realizing it, for every member, lifted in one batch."""
+    perms = group.perm_group.perms
+    return dict(zip(perms, group.lift(perms)[0]))
 
 
 def verify_homomorphism(group: MatrixGroup, eps: float) -> bool:

@@ -358,6 +358,17 @@ def test_oracle_bad_embedding_exit_2(tmp_path, doc, candidates):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("name", [{"x": [1]}, ["square"], 7, True])
+def test_name_that_is_no_string_exits_2(tmp_path, capsys, name):
+    # an embedding's name is checked as a polytope's is, not echoed as given
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"dimension": 2, "vertices": SQUARE_COORDS, "name": name}))
+    for embedding in (["--embedding"], []):
+        assert cli.main(["oracle", str(path), *embedding]) == 2, embedding
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: 'name' must be a string\n"), embedding
+
+
 def test_experiment_metric_runs():
     proc = run_cli("experiment-metric", str(FIXTURES / "perturbed_hexagon.json"),
                    check=True)
@@ -420,7 +431,7 @@ def plain(doc):
     """doc with every member listing spelled out as the dicts json.dumps would be given."""
     if isinstance(doc, cli._Members):
         return [{"perm": list(p), "matrix": t.tolist(), "orthogonal": bool(flag)}
-                for p, t, flag in zip(doc.perms, doc.maps, doc.orthogonal)]
+                for p, t, flag in zip(doc.perms, *doc.lift(doc.perms))]
     if isinstance(doc, dict):
         return {k: plain(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -437,12 +448,21 @@ SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 
 
 @st.composite
 def member_listings(draw):
-    k, d, n = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    perms = draw(st.lists(st.permutations(range(n)).map(tuple), min_size=k, max_size=k))
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    perms = tuple(sorted(draw(st.lists(st.permutations(range(n)).map(tuple),
+                                       min_size=1, max_size=5, unique=True))))
+    k = len(perms)
     entries = draw(st.lists(FLOATS, min_size=k * d * d, max_size=k * d * d))
     flags = draw(st.lists(st.booleans(), min_size=k, max_size=k))
-    return cli._Members(tuple(sorted(perms)), np.array(entries, dtype=float).reshape(k, d, d),
-                        np.array(flags, dtype=bool))
+    maps = np.array(entries, dtype=float).reshape(k, d, d)
+    orthogonal = np.array(flags, dtype=bool)
+    row = {p: i for i, p in enumerate(perms)}
+
+    def lift(chunk):  # as MatrixGroup.lift: a chunk of members -> (maps, orthogonal)
+        rows = [row[p] for p in chunk]
+        return maps[rows], orthogonal[rows]
+
+    return cli._Members(perms, lift)
 
 
 DOCS = st.recursive(

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from conftest import random_invertible, random_orthogonal
 from helpers import (
     check_realizes,
+    cross_polytope,
     is_orthogonal,
     linear_map_from_perm,
     member_maps,
@@ -248,16 +250,31 @@ class TestMatrixGroup:
             phi = art.poly.phi
             for group in both_builds(art, flavor):
                 perms = group.perm_group.perms
-                assert group.maps.shape == (len(perms), art.poly.dim, art.poly.dim), name
+                maps, _ = group.lift(perms)
+                assert maps.shape == (len(perms), art.poly.dim, art.poly.dim), name
                 for k in range(len(perms)):
-                    assert check_realizes(group.maps[k], perms[k], phi, 1e-8), (name, perms[k])
+                    assert check_realizes(maps[k], perms[k], phi, 1e-8), (name, perms[k])
+
+    @pytest.mark.parametrize("flavor", ["linear", "orthogonal"])
+    def test_lift_does_not_depend_on_the_batch(self, artifacts, flavor):
+        # a listing lifts its members chunk by chunk: each map must be the
+        # bits the one batch of all members gives
+        for name, art in artifacts.items():
+            for group in both_builds(art, flavor):
+                perms = group.perm_group.perms
+                maps, flags = group.lift(perms)
+                for size in (1, 3):
+                    parts = [group.lift(perms[lo:lo + size]) for lo in range(0, len(perms), size)]
+                    assert np.array_equal(np.concatenate([m for m, _ in parts]), maps), name
+                    assert np.array_equal(np.concatenate([f for _, f in parts]), flags), name
 
     @pytest.mark.parametrize("flavor", ["linear", "orthogonal"])
     def test_report_flags_match_definition(self, artifacts, flavor):
         tol = DEFAULT_TOLERANCES
         for name, art in artifacts.items():
             for group in both_builds(art, flavor):
-                members = read_back(_group_doc(group, flavor, tol))["members"]
+                assert group.tol == tol, name
+                members = read_back(_group_doc(group, flavor))["members"]
                 assert [tuple(m["perm"]) for m in members] == list(group.perm_group.perms)
                 assert [m["orthogonal"] for m in members] == [
                     is_orthogonal(np.array(m["matrix"]), tol.orth) for m in members], name
@@ -266,7 +283,7 @@ class TestMatrixGroup:
         # 12 linear symmetries, of which only the 4 orthogonal ones are flagged
         art = artifacts["stretched_hexagon"]
         for group in both_builds(art, "linear"):
-            members = read_back(_group_doc(group, "linear", DEFAULT_TOLERANCES))["members"]
+            members = read_back(_group_doc(group, "linear"))["members"]
             flags = [m["orthogonal"] for m in members]
             assert (flags.count(True), flags.count(False)) == (4, 8)
 
@@ -303,8 +320,30 @@ def test_wrong_coloring_raises_theorem_violation(artifacts):
     # none of which (except the identity) is geometric
     from polysym.reconstruct import _realize_group
     art = artifacts["perturbed_hexagon"]
-    with pytest.raises(TheoremViolation):
-        _realize_group(art, uncolored(art.poly.n, art.poly.edges), "linear", 10 ** 6)
+    graph = uncolored(art.poly.n, art.poly.edges)
+    with pytest.raises(TheoremViolation, match="not realized") as exc:
+        _realize_group(art, graph, "linear", 10 ** 6)
+    assert exc.value.diagnostic["perm"] in automorphisms(graph).generators
+    # the stretched hexagon's 12 linear symmetries hold 8 that are not orthogonal
+    art = artifacts["stretched_hexagon"]
+    with pytest.raises(TheoremViolation, match="not orthogonal") as exc:
+        _realize_group(art, art.izm_coloring, "orthogonal", 10 ** 6)
+    assert exc.value.diagnostic["perm"] in automorphisms(art.izm_coloring).generators
+
+
+def test_pipelines_do_no_per_member_work():
+    # |G| = 46 080: only the generators are lifted and checked, and the
+    # sorted members are never listed
+    art = build_artifacts(cross_polytope(6))
+    tracemalloc.start()
+    try:
+        groups = [linear_group(art), orthogonal_group(art)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [g.order for g in groups] == [46080, 46080]
+    assert peak < 5 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+    assert [g.perm_group._perms for g in groups] == [None, None]
 
 
 def test_artifacts_reuse_consistent(polytopes):
