@@ -5,11 +5,12 @@
 
 Builds the 4-cube, the 24-cell, the 5-cross-polytope, the 5-cube and the
 6-cross-polytope in code, each turned by a fixed-seed orthogonal map, and
-runs ``python -m polysym analyze`` on each, plus ``validate`` on the
-4-cube.  ``--src`` names the checkout whose ``src`` is run (default:
-this one), so a parent checkout can be measured with the same script.  Each run is one child process in a fresh temporary
-directory, given a relative input path so that the path the report echoes
-does not depend on the checkout.  A run is killed after TIMEOUT_S and
+runs ``python -m polysym analyze`` on each, then on the 6-cross-polytope
+and the 5-cube in one run, plus ``validate`` on the 4-cube.  ``--src``
+names the checkout whose ``src`` is run (default: this one), so a parent
+checkout can be measured with the same script.  Each run is one child
+process in a fresh temporary directory, given relative input paths so
+that the paths the report echoes do not depend on the checkout.  A run is killed after TIMEOUT_S and
 recorded as "timeout".  BLAS and OpenMP are held to one thread.
 
 Per run it records the wall time, the child's peak RSS (from os.wait4),
@@ -58,7 +59,8 @@ def cell24() -> np.ndarray:
 
 INSTANCES = {"4-cube": lambda: cube(4), "24-cell": cell24, "5-cross-polytope": lambda: cross(5),
              "5-cube": lambda: cube(5), "6-cross-polytope": lambda: cross(6)}
-RUNS = [("analyze", name) for name in INSTANCES] + [("validate", "4-cube")]
+RUNS = ([("analyze", (name,)) for name in INSTANCES]
+        + [("analyze", ("6-cross-polytope", "5-cube")), ("validate", ("4-cube",))])
 
 
 def turned(vertices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -125,12 +127,14 @@ def main() -> None:
         docs[name] = {"dimension": vertices.shape[1], "name": name,
                       "vertices": turned(vertices, rng).tolist()}
     rows = []
-    for command, name in RUNS:
+    for command, names in RUNS:
         with tempfile.TemporaryDirectory() as tmp:
             workdir = Path(tmp)
-            (workdir / f"{name}.json").write_text(json.dumps(docs[name]))
-            rows.append({"instance": name, **run(src, [command, f"{name}.json"], workdir)})
-        print(f"{command} {name}: {rows[-1]}", file=sys.stderr)
+            for name in names:
+                (workdir / f"{name}.json").write_text(json.dumps(docs[name]))
+            argv = [command, *(f"{name}.json" for name in names)]
+            rows.append({"instance": " + ".join(names), **run(src, argv, workdir)})
+        print(f"{' '.join(argv)}: {rows[-1]}", file=sys.stderr)
     digest = hashlib.sha256()
     for path in sorted((src / "polysym").glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())

@@ -1,19 +1,20 @@
 #!/bin/sh
 # Hold the installed `polysym` entry point to the committed reports: every
-# golden `analyze` and `oracle` report byte for byte, and a passing
-# `validate` on every polytope fixture, both on the computed matrix and on
-# the matrix dump `analyze` writes.  On every polytope fixture it also runs
-# the paths no golden covers, `export-dot` with both orbit colorings and
-# `experiment-metric`, each of which must exit 0, and `analyze` on the
-# fixture scaled by 1e-6 and by 1e6, which must exit 0 with the golden
-# report's group orders.  A 24-cell, built inline, is analyzed last: both
-# flavors must report order 1152, and its report, whose member listings are
-# written in several pieces, must equal the indent-2 re-dump of its parse.
-# The pipeline checks only a group's generators, so every listed member of
-# that report is re-checked here, with numpy alone: its matrix must send
-# each vertex j to vertex perm[j] within the echoed `match` of that
-# vertex's norm, and in the orthogonal flavor it must be orthogonal within
-# the echoed `orth`.
+# golden `analyze` and `oracle` report byte for byte, `analyze` on the cube
+# and the octahedron in one run as the indent-2 list of those two goldens,
+# and a passing `validate` on every polytope fixture, both on the computed
+# matrix and on the matrix dump `analyze` writes.  On every polytope fixture
+# it also runs the paths no golden covers, `export-dot` with both orbit
+# colorings and `experiment-metric`, each of which must exit 0, and
+# `analyze` on the fixture scaled by 1e-6 and by 1e6, which must exit 0 with
+# the golden report's group orders.  A 24-cell, built inline, is analyzed
+# last: both flavors must report order 1152, and its report, whose member
+# listings are written in several pieces, must equal the indent-2 re-dump of
+# its parse.  The pipeline checks only a group's generators, so every listed
+# member of that report is re-checked here, with numpy alone: its matrix
+# must send each vertex j to vertex perm[j] within the echoed `match` of
+# that vertex's norm, and in the orthogonal flavor it must be orthogonal
+# within the echoed `orth`.
 # Run from the root of a checkout, after `pip install .`:
 #
 #     sh scripts/check_entry_point.sh
@@ -45,6 +46,12 @@ dump=$(mktemp)
 scaled=$(mktemp)
 cell=$(mktemp)
 trap 'rm -f "$dump" "$scaled" "$cell"' EXIT
+python -c 'import json, sys
+docs = [json.load(open(path)) for path in sys.argv[1:]]
+sys.stdout.write(json.dumps(docs, sort_keys=True, indent=2) + "\n")' \
+    tests/golden/analyze_cube.json tests/golden/analyze_octahedron.json > "$dump"
+polysym analyze fixtures/cube.json fixtures/octahedron.json | cmp - "$dump" \
+    || { echo "golden mismatch: cube and octahedron in one run"; exit 1; }
 for f in fixtures/*.json; do
     [ "$f" = fixtures/k44_embedding.json ] && continue
     name=${f#fixtures/}; name=${name%.json}

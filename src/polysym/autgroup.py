@@ -3,8 +3,8 @@
 Deterministic individualization-refinement search with automorphism
 pruning returns a generating set, not the elements.  A Schreier-Sims
 stabilizer chain then gives the order (the product of its basic orbit
-lengths) and a membership test; the sorted members are built only when
-first asked for.
+lengths) and a membership test; the sorted members are enumerated from
+the chain only when read, and never kept.
 
 Permutation conventions live here.  A permutation is an image tuple p with
 p[i] = sigma(i).  Its matrix Pi has a 1 in row sigma(j), column j, so that
@@ -21,7 +21,7 @@ from math import prod
 import numpy as np
 
 from .colorings import Coloring
-from .errors import DomainMismatch, LimitExceeded, NotAGroup
+from .errors import DomainMismatch, LimitExceeded
 
 Perm = tuple[int, ...]
 
@@ -40,40 +40,14 @@ def invert(p: Perm) -> Perm:
 
 
 class PermutationSet:
-    """A permutation group: generators plus a stabilizer chain.
+    """A permutation group on 0..n-1: generators plus a stabilizer chain.
 
-    ``PermutationSet(perms)`` is the group whose members are exactly the
-    set ``perms``.  A set S is a group iff |<S>| = |S|, so any set that is
-    not closed raises NotAGroup, at the cost of one sift per element.
-    ``PermutationSet.generated(n, gens)`` is the group generated by
-    ``gens``.  ``perms``, the sorted members, is built on first use.
+    ``PermutationSet(n, gens, base)`` is the group that ``gens``,
+    permutations of 0..n-1, generate; its chain fixes the points of
+    ``base`` first.  A set S of permutations is a group iff |<S>| = |S|.
     """
 
-    def __init__(self, perms):
-        perms = sorted({tuple(int(x) for x in p) for p in perms})
-        if not perms:
-            raise NotAGroup("empty permutation set")
-        n = len(perms[0])
-        if any(len(p) != n or sorted(p) != list(range(n)) for p in perms):
-            raise NotAGroup("element is not a permutation of 0..n-1")
-        self._start(n, ())
-        for p in perms:
-            self._add(p)
-        if self.order != len(perms):
-            raise NotAGroup(f"{len(perms)} permutations generate a group of order "
-                            f"{self.order}: the set is not a group")
-        self._perms = tuple(perms)
-
-    @classmethod
-    def generated(cls, n: int, gens, base=()) -> "PermutationSet":
-        """The group generated by ``gens`` on 0..n-1; its chain fixes ``base`` first."""
-        group = cls.__new__(cls)
-        group._start(n, base)
-        for g in gens:
-            group._add(tuple(int(x) for x in g))
-        return group
-
-    def _start(self, n: int, base) -> None:
+    def __init__(self, n: int, gens=(), base=()):
         self.n = n
         self.generators = []   # the given permutations that enlarged the group
         self._id = identity_perm(n)
@@ -82,7 +56,8 @@ class PermutationSet:
         self._base = list(base) + [x for x in range(n) if x not in base]
         self._strong = [[] for _ in range(n)]
         self._trans = [{b: (self._id, self._id)} for b in self._base]
-        self._perms = None
+        for g in gens:
+            self._add(tuple(int(x) for x in g))
 
     def _sift(self, g: Perm, level: int = 0) -> bool:
         """True iff g strips to the identity through the chain from ``level`` down."""
@@ -127,14 +102,12 @@ class PermutationSet:
 
     @property
     def perms(self) -> tuple:
-        """Every member, sorted; enumerated from the chain on first use."""
-        if self._perms is None:
-            members = np.arange(self.n)[None, :]
-            for trans in reversed(self._trans):
-                reps = np.array([u for u, _ in trans.values()])
-                members = reps[:, members].reshape(-1, self.n)
-            self._perms = tuple(sorted(map(tuple, members.tolist())))
-        return self._perms
+        """Every member, sorted: enumerated from the chain each time it is read."""
+        members = np.arange(self.n)[None, :]
+        for trans in reversed(self._trans):
+            reps = np.array([u for u, _ in trans.values()])
+            members = reps[:, members].reshape(-1, self.n)
+        return tuple(sorted(map(tuple, members.tolist())))
 
     def __iter__(self):
         return iter(self.perms)
@@ -232,7 +205,7 @@ def automorphisms(col: Coloring, limit: int = 10 ** 6) -> PermutationSet:
                     if sigma is not None:
                         yield sigma
 
-    group = PermutationSet.generated(n, (), base)
+    group = PermutationSet(n, (), base)
     for depth in reversed(range(len(base))):
         # the automorphisms found so far fix base[:depth], so the chain's
         # level-depth orbit, grown in place by _add, is the orbit to skip

@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from collections.abc import Callable
 from dataclasses import asdict
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
@@ -35,12 +34,12 @@ from .errors import (
     PolysymError,
     TheoremViolation,
     TooManyCandidates,
-    ValidationError,
 )
 from .geometry import load_polytope
 from .izmestiev import izmestiev_matrix, izmestiev_matrix_fd, verify_properties
 from .oracle import SYM_LIMIT, brute_force_group
-from .reconstruct import build_artifacts, eigenspace_criterion, linear_group, orthogonal_group
+from .reconstruct import (MatrixGroup, build_artifacts, eigenspace_criterion, linear_group,
+                          orthogonal_group)
 
 PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
@@ -54,17 +53,17 @@ MEMBER_CHUNK = 1024  # members per written string: bounds the memory a listing t
 
 
 class _Members(NamedTuple):
-    """A member listing: perms (sorted) and lift, which gives a chunk of them (maps, orthogonal)."""
+    """A group's member listing: its sorted members are enumerated only while it is written."""
 
-    perms: tuple
-    lift: Callable
+    group: MatrixGroup   # perm_group.perms, and lift(perms) -> (maps, orthogonal)
 
     def pieces(self, level: int):
         """The listing as json lays out [{"matrix": ..., "orthogonal": ..., "perm": ...}, ...]."""
         sep = ",\n" + "  " * (level + 1)
-        for lo in range(0, len(self.perms), MEMBER_CHUNK):
-            perms = self.perms[lo:lo + MEMBER_CHUNK]
-            block, flags = self.lift(perms)
+        members = self.group.perm_group.perms
+        for lo in range(0, len(members), MEMBER_CHUNK):
+            perms = members[lo:lo + MEMBER_CHUNK]
+            block, flags = self.group.lift(perms)
             k, d = block.shape[:2]
             if not lo:  # one %-template for every member: d, n and the indent are fixed
                 slots = {"matrix": [["\0"] * d] * d, "orthogonal": "\0",
@@ -164,7 +163,7 @@ def _group_doc(group, flavor: str) -> dict:
         "flavor": flavor,
         "order": group.order,
         "tolerances": {"match": group.tol.match, "orth": group.tol.orth},
-        "members": _Members(group.perm_group.perms, group.lift),
+        "members": _Members(group),
     }
 
 
@@ -305,9 +304,11 @@ DOT_COLORINGS = ("metric", "izmestiev", "product", "orbit-linear", "orbit-orthog
 
 def cmd_export_dot(args) -> int:
     poly = _load(args, args.path)
-    art = build_artifacts(poly)
-    col = {"metric": art.met_coloring, "izmestiev": art.izm_coloring,
-           "product": art.prod_coloring}.get(args.coloring)
+    if args.coloring == "metric":  # reads no matrix, so a kernel failure cannot stop it
+        col = metric_coloring(poly)
+    else:
+        art = build_artifacts(poly)
+        col = {"izmestiev": art.izm_coloring, "product": art.prod_coloring}.get(args.coloring)
     if col is None:
         flavor = args.coloring.split("-")[1]
         grp = (linear_group if flavor == "linear" else orthogonal_group)(art, limit=args.limit)
@@ -424,9 +425,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except TheoremViolation as exc:
         sys.stderr.write(f"reconstruction violation: {exc}\n")
         if exc.diagnostic:

@@ -1,7 +1,7 @@
 """Canonical polytopes and embeddings used by tests, scripts and the CLI.
 
 Coordinates here are the exact ones shipped in fixtures/*.json; the JSON
-files are regenerated by scripts/make_fixtures.py.
+files are rewritten by scripts/make_fixtures.py.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ import numpy as np
 
 from .autgroup import PermutationSet
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import RankDeficient, TooManyCandidates
+from .errors import NotAGroup, RankDeficient, TooManyCandidates
 from .reconstruct import MatrixGroup, lift_and_check, pseudo_inverse
 
 SYM_LIMIT = 9  # full symmetric-group streams allowed up to 9! candidates
@@ -44,7 +44,9 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
     candidates=None, Sym(n) (n <= 9) is streamed pruned, as the module
     docstring says.  Every candidate is checked, and the realized ones
     are kept as a group that lifts its members through the restricted
-    phi.  NotAGroup if they are not closed.
+    phi.  They are a group iff the group they generate has as many
+    members as they are distinct: NotAGroup if not, if none is realized
+    or if one is no permutation of 0..n-1.
     """
     phi = np.asarray(phi, dtype=float)
     u, s, _ = np.linalg.svd(phi, full_matrices=False)
@@ -62,8 +64,17 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
     accepted, it = [], iter(candidates)
     while block := list(islice(it, 4096)):  # lift in batches, in bounded memory
         ok = lift_and_check(phi, block, flavor, tol)[1]
-        accepted += [block[i] for i in np.flatnonzero(ok)]
-    return MatrixGroup(PermutationSet(accepted), phi, pseudo_inverse(phi, tol), tol)
+        accepted += [tuple(block[i]) for i in np.flatnonzero(ok)]
+    accepted = list(dict.fromkeys(accepted))  # distinct, in candidate order
+    if not accepted:
+        raise NotAGroup("no candidate is realized")
+    if any(sorted(p) != list(range(n)) for p in accepted):
+        raise NotAGroup("a realized candidate is not a permutation of 0..n-1")
+    group = PermutationSet(n, accepted)
+    if group.order != len(accepted):
+        raise NotAGroup(f"{len(accepted)} realized permutations generate a group of order "
+                        f"{group.order}: they are not a group")
+    return MatrixGroup(group, phi, pseudo_inverse(phi, tol), tol)
 
 
 def _pruned_sym(phi: np.ndarray, match: float):

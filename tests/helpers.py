@@ -23,8 +23,9 @@ from polysym.autgroup import PermutationSet, _neighbor_table, _refine, compose
 from polysym.cli import _emit
 from polysym.colorings import Coloring, orbit_coloring, quantize
 from polysym.config import DEFAULT_TOLERANCES, Tolerances
-from polysym.errors import DomainMismatch, ValidationError
+from polysym.errors import DomainMismatch, NotAGroup, ValidationError
 from polysym.geometry import Polytope, make_polytope
+from polysym.oracle import brute_force_group
 from polysym.reconstruct import MatrixGroup, lift_and_check
 
 
@@ -162,6 +163,18 @@ def verify_homomorphism(group: MatrixGroup, eps: float) -> bool:
     return all((r := compose(p, q)) in maps
                and np.max(np.abs(tp @ tq - maps[r])) <= eps
                for p, tp in maps.items() for q, tq in maps.items())
+
+
+def realized_but_not_a_group(phi: np.ndarray, candidates) -> bool:
+    """True iff every candidate is an orthogonal symmetry of phi's points, yet the
+    oracle's closure check rejects them: brute_force_group raises NotAGroup."""
+    if not lift_and_check(phi, candidates, "orthogonal")[1].all():
+        return False
+    try:
+        brute_force_group(phi, candidates=candidates, flavor="orthogonal")
+    except NotAGroup:
+        return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from helpers import color_refinement, colored_adjacency, complete_edges, orbits, perm_matrix
+from helpers import (color_refinement, colored_adjacency, complete_edges, orbits, perm_matrix,
+                     realized_but_not_a_group)
 from polysym.autgroup import (
     PermutationSet,
     automorphisms,
@@ -13,8 +14,8 @@ from polysym.autgroup import (
     uncolored,
 )
 from polysym.colorings import Coloring
-from polysym.errors import DomainMismatch, LimitExceeded, NotAGroup
-from polysym.fixtures import k44_edges
+from polysym.errors import DomainMismatch, LimitExceeded
+from polysym.fixtures import k44_edges, square
 
 C4 = ((0, 1), (1, 2), (2, 3), (0, 3))
 
@@ -67,23 +68,24 @@ class TestPermBasics:
 
 class TestPermutationSet:
     def test_rejects_non_group(self):
-        with pytest.raises(NotAGroup):
-            PermutationSet([(0, 1, 2, 3), (1, 2, 3, 0)])  # not closed
+        # the square's quarter and half turns, without the three-quarter turn: not closed
+        assert realized_but_not_a_group(square().phi, [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1)])
 
     def test_rejects_missing_identity(self):
-        with pytest.raises(NotAGroup):
-            PermutationSet([(1, 0, 3, 2)])
+        # the square's reflection in the y axis alone
+        assert realized_but_not_a_group(square().phi, [(1, 0, 3, 2)])
 
     def test_accepts_klein(self):
         klein = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
-        ps = PermutationSet(klein)
+        ps = PermutationSet(4, klein)
         assert ps.order == 4 and (1, 0, 3, 2) in ps
+        assert list(ps.perms) == klein
 
     def test_large_group_verification(self):
         # bytes-path too: n = 16 forces the non-packed verifier
         swap = tuple([1, 0] + list(range(2, 16)))
-        ps = PermutationSet([identity_perm(16), swap])
-        assert ps.order == 2
+        ps = PermutationSet(16, [identity_perm(16), swap])
+        assert ps.order == 2 and ps.perms == (identity_perm(16), swap)
 
 
 class TestRefinement:
@@ -182,12 +184,16 @@ class TestOrbits:
         assert len(eorbits) == 1
 
     def test_trivial_group_singletons(self):
-        vorbits, eorbits = orbits(PermutationSet([identity_perm(4)]), C4)
+        trivial = PermutationSet(4, [identity_perm(4)])
+        assert trivial.order == 1
+        vorbits, eorbits = orbits(trivial, C4)
         assert vorbits == ((0,), (1,), (2,), (3,))
         assert len(eorbits) == 4
 
     def test_klein_orbits(self):
         klein = [(0, 1, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1)]
-        vorbits, eorbits = orbits(PermutationSet(klein), C4)
+        group = PermutationSet(4, klein)
+        assert group.order == 4
+        vorbits, eorbits = orbits(group, C4)
         assert vorbits == ((0, 2), (1, 3))
         assert eorbits == (((0, 1), (0, 3), (1, 2), (2, 3)),)

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import written
 from polysym import cli
+from polysym.autgroup import PermutationSet
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -86,6 +88,34 @@ def test_analyze_multiple_files_in_order():
                    str(FIXTURES / "triangle.json"), check=True)
     reports = json.loads(proc.stdout)
     assert [r["input"]["name"] for r in reports] == ["square", "triangle"]
+
+
+def two_golden_reports() -> str:
+    """What analyze prints for the cube and then the octahedron, from the golden reports."""
+    docs = [json.loads((ROOT / "tests" / "golden" / f"analyze_{name}.json").read_text())
+            for name in ("cube", "octahedron")]
+    return json.dumps(docs, sort_keys=True, indent=2) + "\n"
+
+
+def test_analyze_two_inputs_bytes():
+    # run from the repository root, so each report echoes the path its golden holds
+    proc = run_cli("analyze", "fixtures/cube.json", "fixtures/octahedron.json", check=True)
+    assert proc.stdout == two_golden_reports()
+
+
+def test_no_member_is_listed_before_the_writer_starts(monkeypatch, capsys):
+    # members are enumerated only while a listing is written, so no input's
+    # members outlive its own report through the later inputs' work
+    reads, reads_before_emit = [], []
+    real_perms, real_emit = PermutationSet.perms, cli._emit
+    monkeypatch.setattr(PermutationSet, "perms",
+                        property(lambda group: reads.append(group) or real_perms.fget(group)))
+    monkeypatch.setattr(cli, "_emit", lambda doc: reads_before_emit.append(len(reads))
+                        or real_emit(doc))
+    monkeypatch.chdir(ROOT)
+    assert cli.main(["analyze", "fixtures/cube.json", "fixtures/octahedron.json"]) == 0
+    assert reads_before_emit == [0] and len(reads) == 4
+    assert capsys.readouterr().out == two_golden_reports()
 
 
 def test_analyze_coloring_restriction():
@@ -290,6 +320,14 @@ def test_export_dot_quotes_the_graph_id(tmp_path, name, graph_id):
     assert proc.stdout.splitlines()[0] == f"graph {graph_id} {{"
 
 
+def test_export_dot_metric_runs_past_a_kernel_failure():
+    # the metric coloring reads no matrix, so a failed kernel check cannot stop its drawing
+    proc = run_cli("export-dot", "--coloring", "metric", *KERNEL_FAILURE)
+    assert proc.returncode == 0, proc.stderr
+    plain = run_cli("export-dot", "--coloring", "metric", KERNEL_FAILURE[0], check=True)
+    assert proc.stdout == plain.stdout and proc.stdout.startswith('graph "')
+
+
 def test_export_dot_unknown_coloring_exit_64():
     proc = run_cli("export-dot", str(FIXTURES / "square.json"), "--coloring", "rainbow")
     assert proc.returncode == 64
@@ -430,8 +468,9 @@ def test_fixture_files_match_registry():
 def plain(doc):
     """doc with every member listing spelled out as the dicts json.dumps would be given."""
     if isinstance(doc, cli._Members):
+        perms = doc.group.perm_group.perms
         return [{"perm": list(p), "matrix": t.tolist(), "orthogonal": bool(flag)}
-                for p, t, flag in zip(doc.perms, *doc.lift(doc.perms))]
+                for p, t, flag in zip(perms, *doc.group.lift(perms))]
     if isinstance(doc, dict):
         return {k: plain(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -462,7 +501,8 @@ def member_listings(draw):
         rows = [row[p] for p in chunk]
         return maps[rows], orthogonal[rows]
 
-    return cli._Members(perms, lift)
+    # a stub group: the writer reads perm_group.perms and lift
+    return cli._Members(SimpleNamespace(perm_group=SimpleNamespace(perms=perms), lift=lift))
 
 
 DOCS = st.recursive(

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_invertible
-from helpers import complete_metric, is_finer
+from helpers import complete_metric, is_finer, realized_but_not_a_group
 from polysym import Tolerances, make_polytope
 from polysym.autgroup import PermutationSet, automorphisms, uncolored
 from polysym.colorings import (
@@ -185,22 +185,27 @@ class TestOrbitColoring:
     def test_klein_subgroup(self):
         # diagonal reflections only: vertex orbits {0,2} and {1,3}, edges all one orbit
         klein = [(0, 1, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1)]
-        col = orbit_coloring(4, C4, PermutationSet(klein))
+        group = PermutationSet(4, klein)
+        assert group.order == 4
+        col = orbit_coloring(4, C4, group)
         assert partition(col)[0] == [(0, 2), (1, 3)]
         assert col.num_edge_classes == 1
 
     def test_trivial_group(self):
-        col = orbit_coloring(4, C4, PermutationSet([(0, 1, 2, 3)]))
+        trivial = PermutationSet(4, [(0, 1, 2, 3)])
+        assert trivial.order == 1
+        col = orbit_coloring(4, C4, trivial)
         assert col.num_vertex_classes == 4 and col.num_edge_classes == 4
 
     def test_not_closed_rejected(self):
-        with pytest.raises(NotAGroup):
-            orbit_coloring(4, C4, PermutationSet([(0, 1, 2, 3), (1, 2, 3, 0), (0, 3, 2, 1)]))
+        from polysym.fixtures import square
+        # the square's quarter turn and a diagonal reflection, without the rest of D4
+        assert realized_but_not_a_group(square().phi, [(0, 1, 2, 3), (1, 2, 3, 0), (0, 3, 2, 1)])
 
     def test_non_automorphism_rejected(self):
         path_breaker = [(0, 1, 2, 3), (1, 0, 2, 3)]  # (01) breaks C4's edges
         with pytest.raises(NotAGroup):
-            orbit_coloring(4, C4, PermutationSet(path_breaker))
+            orbit_coloring(4, C4, PermutationSet(4, path_breaker))
 
     def test_fixpoint_of_pipeline_groups(self, artifacts):
         from polysym.reconstruct import linear_group, orthogonal_group

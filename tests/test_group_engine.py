@@ -7,7 +7,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from helpers import check_realizes, complete_edges, is_orthogonal
+from helpers import (check_realizes, complete_edges, hypercube, is_orthogonal,
+                     realized_but_not_a_group)
 from polysym import make_polytope
 from polysym.autgroup import (
     PermutationSet,
@@ -17,7 +18,7 @@ from polysym.autgroup import (
     uncolored,
 )
 from polysym.colorings import orbit_coloring
-from polysym.errors import LimitExceeded, NotAGroup
+from polysym.errors import LimitExceeded
 from polysym.oracle import brute_force_group
 from polysym.reconstruct import (
     build_artifacts,
@@ -79,7 +80,7 @@ class TestSchreierSims:
     def test_order_matches_sympy(self, name):
         combinatorics = pytest.importorskip("sympy.combinatorics")
         n, gens, known = GENERATOR_SETS[name]
-        group = PermutationSet.generated(n, gens)
+        group = PermutationSet(n, gens)
         reference = combinatorics.PermutationGroup(
             [combinatorics.Permutation(list(g)) for g in gens]).order()
         assert group.order == reference
@@ -89,13 +90,13 @@ class TestSchreierSims:
     @pytest.mark.parametrize("name", ["dihedral10", "psl27", "b5", "intransitive"])
     def test_members_match_closure(self, name):
         n, gens, _ = GENERATOR_SETS[name]
-        group = PermutationSet.generated(n, gens)
+        group = PermutationSet(n, gens)
         assert list(group.perms) == closure(n, gens)
         assert all(p in group for p in group.perms[::7])
 
     def test_membership_rejects_outsiders(self):
         n, gens, _ = GENERATOR_SETS["psl27"]
-        group = PermutationSet.generated(n, gens)
+        group = PermutationSet(n, gens)
         members = set(group.perms)
         outsiders = [p for p in itertools.permutations(range(n)) if p not in members]
         assert len(outsiders) == factorial(7) - 168
@@ -104,32 +105,38 @@ class TestSchreierSims:
 
     def test_base_seed_does_not_change_group(self):
         n, gens, _ = GENERATOR_SETS["b5"]
-        a = PermutationSet.generated(n, gens)
-        b = PermutationSet.generated(n, gens, base=(7, 3))
+        a = PermutationSet(n, gens)
+        b = PermutationSet(n, gens, base=(7, 3))
         assert a == b and a.perms == b.perms
 
 
 class TestExactGroupTest:
     def test_non_closed_set_rejected_at_n16(self):
+        # the 16 rotations of a regular 16-gon, each less one
+        angles = 2 * np.pi * np.arange(16) / 16
+        phi = make_polytope(2, np.column_stack([np.cos(angles), np.sin(angles)])).phi
         shift = from_cycles(16, tuple(range(16)))
         powers = [identity_perm(16)]
         for _ in range(15):
             powers.append(compose(shift, powers[-1]))
-        assert PermutationSet(powers).order == 16
+        assert brute_force_group(phi, candidates=powers, flavor="orthogonal").order == 16
         for drop in (1, 8, 15):
-            with pytest.raises(NotAGroup):
-                PermutationSet(powers[:drop] + powers[drop + 1:])
+            assert realized_but_not_a_group(phi, powers[:drop] + powers[drop + 1:])
 
     def test_missing_inverse_rejected_at_n16(self):
-        three = from_cycles(16, (0, 1, 2), (5, 9, 13))
-        with pytest.raises(NotAGroup):
-            PermutationSet([identity_perm(16), three])
-        assert PermutationSet([identity_perm(16), three, compose(three, three)]).order == 3
+        # the 4-cube's 120-degree turn x -> (x3, x1, x2, x4), without its inverse
+        cube = hypercube(4)
+        verts = [tuple(v) for v in cube.vertices.tolist()]
+        three = tuple(verts.index((v[2], v[0], v[1], v[3])) for v in verts)
+        assert realized_but_not_a_group(cube.phi, [identity_perm(16), three])
+        group = brute_force_group(cube.phi, candidates=[identity_perm(16), three,
+                                                        compose(three, three)], flavor="orthogonal")
+        assert group.order == 3
 
     def test_whole_group_from_elements(self):
         n, gens, _ = GENERATOR_SETS["b5"]
         members = closure(n, gens)
-        group = PermutationSet(members[::-1])
+        group = PermutationSet(n, members[::-1])
         assert group.order == 3840 and list(group.perms) == members
         # only a few members are kept as generators
         assert len(group.generators) <= 12

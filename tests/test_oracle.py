@@ -12,7 +12,7 @@ from polysym.errors import NotAGroup, RankDeficient, TooManyCandidates
 from polysym.fixtures import (FIXTURES, hexagon, k44_coordinates, k44_edges, octahedron, simplex,
                               square)
 from polysym.oracle import brute_force_group
-from polysym.reconstruct import linear_group, orthogonal_group
+from polysym.reconstruct import lift_and_check, linear_group, orthogonal_group
 
 
 class TestBruteForce:
@@ -42,6 +42,16 @@ class TestBruteForce:
         with pytest.raises(NotAGroup):
             brute_force_group(square().phi, candidates=[(0, 1, 2, 3), (1, 2, 3, 0)])
 
+    def test_no_realized_candidate_raises(self):
+        with pytest.raises(NotAGroup, match="no candidate"):
+            brute_force_group(square().phi, candidates=[(1, 2, 0, 3)])
+
+    def test_realized_non_permutation_raises(self):
+        # a singular map sends (1, 1) and (-1, 1) to (1, 1), and their negatives to (-1, -1)
+        assert lift_and_check(square().phi, [(0, 0, 2, 2)], "linear")[1].all()
+        with pytest.raises(NotAGroup, match="not a permutation"):
+            brute_force_group(square().phi, candidates=[(0, 1, 2, 3), (0, 0, 2, 2)])
+
     def test_pruned_candidates_equivalent(self, artifacts):
         # filtering Sym(V) and filtering the graph automorphisms agree:
         # geometric symmetries always induce graph automorphisms
@@ -63,7 +73,7 @@ def accepted_set(monkeypatch, phi, **kwargs) -> set:
     """The permutations the oracle accepts, recorded before its closure check (NotAGroup or not)."""
     seen = []
     monkeypatch.setattr(oracle, "PermutationSet",
-                        lambda perms: seen.append(set(perms)) or PermutationSet(perms))
+                        lambda n, perms: seen.append(set(perms)) or PermutationSet(n, perms))
     try:
         brute_force_group(phi, **kwargs)
     except NotAGroup:
