@@ -179,6 +179,8 @@ def automorphisms(col: Coloring, limit: int = 10 ** 6) -> PermutationSet:
     n = col.n
     if not all(0 <= i < j < n for i, j in col.edge):
         raise DomainMismatch(f"edge keys must be pairs (i, j) with 0 <= i < j < {n}")
+    if limit < 1:  # the identity alone exceeds it, whatever the search finds
+        raise LimitExceeded(f"group order exceeds limit {limit}")
     neighbors = _neighbor_table(col)
     path = [_refine(n, neighbors, col.vertex)]
     base = []

@@ -277,6 +277,9 @@ def _load_embedding(args):
 def cmd_oracle(args) -> int:
     graph_auts = args.candidates == "graph-auts"
     if args.embedding:
+        if args.recenter:
+            sys.stderr.write("oracle: --recenter applies to polytopes, not to --embedding\n")
+            return 64
         graph, coords, name = _load_embedding(args)
         if graph_auts and not graph.edge:
             sys.stderr.write("oracle: --candidates graph-auts needs an 'edges' key\n")
@@ -356,13 +359,12 @@ def cmd_experiment_metric(args) -> int:
     return 0
 
 
-def _add_common(sub) -> None:
+def _add_common(sub, limit: bool = True) -> None:
     sub.add_argument("--recenter", action="store_true",
                      help="translate vertices by minus their centroid before validating")
-    sub.add_argument("--verbose", action="store_true",
-                     help="human summary (and timing) on stderr")
-    sub.add_argument("--limit", type=int, default=10 ** 6,
-                     help="maximum group order; checked before any member is built")
+    if limit:
+        sub.add_argument("--limit", type=int, default=10 ** 6,
+                         help="maximum group order; checked before any member is built")
     for flag, field in EPS_FLAGS.items():
         sub.add_argument(f"--{flag}", type=float, default=None, dest=field,
                          help=f"override the {field} tolerance")
@@ -385,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="+")
     p.add_argument("--coloring", choices=["izmestiev", "product", "both"], default="both",
                    help="restrict which group pipeline runs")
+    p.add_argument("--verbose", action="store_true", help="human summary (and timing) on stderr")
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -392,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--matrix", default=None,
                    help="verify a JSON matrix dump instead of the computed matrix")
-    _add_common(p)
+    _add_common(p, limit=False)
     p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("oracle", help="brute-force group, no colorings involved")

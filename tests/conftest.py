@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polysym.fixtures import FIXTURES
+from helpers import FIXTURES
 from polysym.reconstruct import build_artifacts
 
 

@@ -4,7 +4,8 @@ Most are definition-level restatements of something the package does in
 bulk (lifting, group membership, orbits, refinement), kept here so the
 tests can compare the two.  The rest (complete-graph Gram colorings,
 relative and shifted-dual volumes, dual-edge faces) are independent
-cross-checks that no stage or CLI command calls.
+cross-checks that no stage or CLI command calls.  The fixtures are
+loaded here by name from fixtures/*.json, their only source.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import io
 import json
 from dataclasses import dataclass
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from polysym.cli import _emit
 from polysym.colorings import Coloring, orbit_coloring, quantize
 from polysym.config import DEFAULT_TOLERANCES, Tolerances
 from polysym.errors import DomainMismatch, NotAGroup, ValidationError
-from polysym.geometry import Polytope, make_polytope
+from polysym.geometry import Polytope, load_polytope, make_polytope
 from polysym.oracle import brute_force_group
 from polysym.reconstruct import MatrixGroup, lift_and_check
 
@@ -203,7 +205,45 @@ def compare_groups(a: MatrixGroup, b: MatrixGroup) -> ComparisonReport:
 
 
 # ---------------------------------------------------------------------------
+# the fixtures: fixtures/*.json are their only source
+
+FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def _fixture(name: str):
+    return lambda: load_polytope(FIXTURE_DIR / f"{name}.json")
+
+
+# the thirteen acceptance polytopes, in report order: name -> loader
+FIXTURES = {name: _fixture(name) for name in (
+    "triangle", "square", "rectangle", "hexagon", "stretched_hexagon", "perturbed_hexagon",
+    "simplex2", "simplex3", "simplex4", "cube", "octahedron", "prism3", "cyclic4_6")}
+
+
+def k44_embedding() -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """The cross-pattern embedding of K_{4,4} into R^4: its (8, 4) coordinates and its edges."""
+    doc = json.loads((FIXTURE_DIR / "k44_embedding.json").read_text())
+    return np.array(doc["vertices"], dtype=float), tuple(map(tuple, doc["edges"]))
+
+
+# ---------------------------------------------------------------------------
 # polytopes beyond the fixtures, and the face lattice
+
+def simplex(dim: int) -> Polytope:
+    """Regular simplex in R^dim with unit circumradius, centred at the origin.
+
+    Columns of the Helmert basis give d+1 equidistant unit-norm points
+    with pairwise inner product -1/d.
+    """
+    n = dim + 1
+    helmert = np.zeros((dim, n))
+    for k in range(1, n):
+        helmert[k - 1, :k] = 1.0
+        helmert[k - 1, k] = -k
+        helmert[k - 1] /= np.sqrt(k * (k + 1))
+    verts = (helmert * np.sqrt(n / dim)).T
+    return make_polytope(dim, verts, name=f"simplex{dim}")
+
 
 def cross_polytope(d: int) -> Polytope:
     e = np.eye(d)

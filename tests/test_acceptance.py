@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 from conftest import random_invertible, random_orthogonal
-from helpers import adjacency, compare_groups, complete_metric
+from helpers import FIXTURES, adjacency, compare_groups, complete_metric, k44_embedding
 from polysym import make_polytope
 from polysym.autgroup import automorphisms, uncolored
 from polysym.colorings import orbit_coloring
 from polysym.errors import TheoremViolation
-from polysym.fixtures import FIXTURES, k44_coordinates, k44_edges
 from polysym.izmestiev import izmestiev_matrix_fd, verify_properties
 from polysym.oracle import brute_force_group
 from polysym.reconstruct import build_artifacts, linear_group, orthogonal_group
@@ -127,9 +126,10 @@ def test_criterion_4_cyclic_polytope(artifacts, pipeline_groups, oracle_groups):
 
 def test_criterion_5_k44_embedding():
     with criterion(5, "K_{4,4} embedding: graph group not realizable"):
-        graph_auts = automorphisms(uncolored(8, k44_edges()))
+        coords, edges = k44_embedding()
+        graph_auts = automorphisms(uncolored(8, edges))
         assert graph_auts.order == 1152
-        realized = brute_force_group(k44_coordinates().T, candidates=graph_auts.perms,
+        realized = brute_force_group(coords.T, candidates=graph_auts.perms,
                                      flavor="linear")
         assert realized.order < graph_auts.order
         assert (1, 0, 2, 3, 4, 5, 6, 7) not in set(realized.perm_group)

@@ -3,8 +3,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from helpers import (color_refinement, colored_adjacency, complete_edges, orbits, perm_matrix,
-                     realized_but_not_a_group)
+from helpers import (FIXTURES, color_refinement, colored_adjacency, complete_edges, k44_embedding,
+                     orbits, perm_matrix, realized_but_not_a_group)
 from polysym.autgroup import (
     PermutationSet,
     automorphisms,
@@ -15,7 +15,6 @@ from polysym.autgroup import (
 )
 from polysym.colorings import Coloring
 from polysym.errors import DomainMismatch, LimitExceeded
-from polysym.fixtures import k44_edges, square
 
 C4 = ((0, 1), (1, 2), (2, 3), (0, 3))
 
@@ -69,11 +68,12 @@ class TestPermBasics:
 class TestPermutationSet:
     def test_rejects_non_group(self):
         # the square's quarter and half turns, without the three-quarter turn: not closed
-        assert realized_but_not_a_group(square().phi, [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1)])
+        assert realized_but_not_a_group(FIXTURES["square"]().phi,
+                                        [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1)])
 
     def test_rejects_missing_identity(self):
         # the square's reflection in the y axis alone
-        assert realized_but_not_a_group(square().phi, [(1, 0, 3, 2)])
+        assert realized_but_not_a_group(FIXTURES["square"]().phi, [(1, 0, 3, 2)])
 
     def test_accepts_klein(self):
         klein = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
@@ -127,7 +127,7 @@ class TestAutomorphisms:
         assert group.perms == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 
     def test_k44_order(self):
-        assert automorphisms(uncolored(8, k44_edges())).order == 2 * 24 * 24
+        assert automorphisms(uncolored(8, k44_embedding()[1])).order == 2 * 24 * 24
 
     def test_complete_graph(self):
         assert automorphisms(uncolored(5, complete_edges(5))).order == 120
@@ -154,6 +154,8 @@ class TestAutomorphisms:
     def test_limit_exceeded(self):
         with pytest.raises(LimitExceeded):
             automorphisms(uncolored(4, C4), limit=3)
+        with pytest.raises(LimitExceeded):  # the trivial group, under a limit below 1
+            automorphisms(Coloring(vertex=(0, 1, 2, 3), edge=dict.fromkeys(C4, 0)), limit=0)
 
     def test_vertex_bound(self):
         with pytest.raises(LimitExceeded):

@@ -339,6 +339,8 @@ def test_export_dot_unknown_coloring_exit_64():
     ("analyze", str(FIXTURES / "cube.json"), "--limit", "many"),
     ("validate", str(FIXTURES / "cube.json"), "--no-such-flag"),
     (),
+    ("validate", str(FIXTURES / "cube.json"), "--limit", "3"),  # validate builds no group
+    ("oracle", str(FIXTURES / "cube.json"), "--verbose"),  # only analyze chatters
 ])
 def test_usage_error_exit_64(argv):
     proc = run_cli(*argv)
@@ -396,6 +398,18 @@ def test_oracle_bad_embedding_exit_2(tmp_path, doc, candidates):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--candidates", "graph-auts"], "oracle: --candidates graph-auts needs an 'edges' key\n"),
+    (["--recenter"], "oracle: --recenter applies to polytopes, not to --embedding\n"),
+], ids=["graph-auts-without-edges", "recenter"])
+def test_oracle_embedding_usage_error_exit_64(tmp_path, capsys, flags, message):
+    # a rhombus shifted off the origin: --recenter would change its group, so it may not pass unread
+    path = tmp_path / "rhombus.json"
+    path.write_text(json.dumps({"vertices": [[3, 0], [1, 1], [-1, 0], [1, -1]]}))
+    assert cli.main(["oracle", str(path), "--embedding", *flags]) == 64
+    assert capsys.readouterr() == ("", message)
+
+
 @pytest.mark.parametrize("name", [{"x": [1]}, ["square"], 7, True])
 def test_name_that_is_no_string_exits_2(tmp_path, capsys, name):
     # an embedding's name is checked as a polytope's is, not echoed as given
@@ -434,6 +448,10 @@ def test_experiment_metric_runs_past_a_kernel_failure():
 def test_limit_exceeded_exit_4():
     proc = run_cli("analyze", "--limit", "5", str(FIXTURES / "cube.json"))
     assert proc.returncode == 4
+    # below 1 even the identity group exceeds the limit, the generic hexagon's too
+    for name, limit in (("triangle", "0"), ("perturbed_hexagon", "0"), ("perturbed_hexagon", "-3")):
+        proc = run_cli("analyze", "--limit", limit, str(FIXTURES / f"{name}.json"))
+        assert proc.returncode == 4, (name, limit)
 
 
 def test_reconstruction_violation_exit_3():
@@ -452,14 +470,10 @@ def test_tolerance_override_echoed(name):
     assert json.loads(proc.stdout)["tolerances"]["color_rel"] == 1e-6
 
 
-def test_fixture_files_match_registry():
-    # the shipped JSON files carry the exact acceptance coordinates
-    from polysym.fixtures import FIXTURES as REGISTRY
-    for name, factory in REGISTRY.items():
-        doc = json.loads((FIXTURES / f"{name}.json").read_text())
-        poly = factory()
-        assert doc["dimension"] == poly.dim
-        assert doc["vertices"] == poly.vertices.tolist(), name
+def test_registry_names_every_fixture_file():
+    # the suites parametrized over the registry then reach every shipped input
+    from helpers import FIXTURES as REGISTRY
+    assert {*REGISTRY, "k44_embedding"} == {path.stem for path in FIXTURES.glob("*.json")}
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_invertible
-from helpers import complete_metric, is_finer, realized_but_not_a_group
+from helpers import FIXTURES, complete_metric, is_finer, realized_but_not_a_group
 from polysym import Tolerances, make_polytope
 from polysym.autgroup import PermutationSet, automorphisms, uncolored
 from polysym.colorings import (
@@ -151,29 +151,25 @@ class TestProductColoring:
 
 class TestCompleteMetric:
     def test_square_orthogonal_variant(self):
-        from polysym.fixtures import square
-        col = complete_metric(square(), "orthogonal")
+        col = complete_metric(FIXTURES["square"](), "orthogonal")
         # Gram: diag 2, adjacent 0, opposite -2
         assert col.num_vertex_classes == 1
         assert col.num_edge_classes == 2
         assert col.edge_reps == (-2.0, 0.0)
 
     def test_square_linear_variant_same_partition(self):
-        from polysym.fixtures import square
-        orth = complete_metric(square(), "orthogonal")
-        lin = complete_metric(square(), "linear")
+        orth = complete_metric(FIXTURES["square"](), "orthogonal")
+        lin = complete_metric(FIXTURES["square"](), "linear")
         assert partition(lin) == partition(orth)
 
     def test_linear_variant_gl_invariant(self):
         # projector phi^+ phi is unchanged under phi -> T phi
-        from polysym.fixtures import rectangle, square
-        assert partition(complete_metric(rectangle(), "linear")) == \
-            partition(complete_metric(square(), "linear"))
+        assert partition(complete_metric(FIXTURES["rectangle"](), "linear")) == \
+            partition(complete_metric(FIXTURES["square"](), "linear"))
 
     def test_unknown_variant(self):
-        from polysym.fixtures import square
         with pytest.raises(ValueError):
-            complete_metric(square(), "affine")
+            complete_metric(FIXTURES["square"](), "affine")
 
 
 class TestOrbitColoring:
@@ -198,9 +194,9 @@ class TestOrbitColoring:
         assert col.num_vertex_classes == 4 and col.num_edge_classes == 4
 
     def test_not_closed_rejected(self):
-        from polysym.fixtures import square
         # the square's quarter turn and a diagonal reflection, without the rest of D4
-        assert realized_but_not_a_group(square().phi, [(0, 1, 2, 3), (1, 2, 3, 0), (0, 3, 2, 1)])
+        assert realized_but_not_a_group(FIXTURES["square"]().phi,
+                                        [(0, 1, 2, 3), (1, 2, 3, 0), (0, 3, 2, 1)])
 
     def test_non_automorphism_rejected(self):
         path_breaker = [(0, 1, 2, 3), (1, 0, 2, 3)]  # (01) breaks C4's edges

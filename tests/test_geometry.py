@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull
 
 from helpers import (
+    FIXTURES,
     adjacency,
     cross_polytope,
     dual_edge_face,
@@ -24,7 +25,6 @@ from polysym import (
     make_polytope,
 )
 from polysym.errors import DegenerateGeometry, ParseError, Unbounded, ValidationError
-from polysym.fixtures import FIXTURES, cube, hexagon, octahedron, square, triangle
 from polysym.izmestiev import izmestiev_matrix
 from polysym.reconstruct import build_artifacts
 
@@ -61,12 +61,12 @@ class TestLoading:
             load_polytope(doc)
 
     def test_translated_hexagon_origin_not_interior(self):
-        verts = hexagon().vertices + np.array([5.0, 0.0])
+        verts = FIXTURES["hexagon"]().vertices + np.array([5.0, 0.0])
         with pytest.raises(ValidationError, match="origin not interior"):
             make_polytope(2, verts)
 
     def test_recenter_fixes_translation(self):
-        verts = hexagon().vertices + np.array([5.0, 0.0])
+        verts = FIXTURES["hexagon"]().vertices + np.array([5.0, 0.0])
         poly = make_polytope(2, verts, recenter=True)
         assert np.allclose(poly.vertices.mean(axis=0), 0.0)
 
@@ -79,7 +79,7 @@ class TestLoading:
         # nine draws from the hexagon's six vertices always repeat one
         rng = np.random.default_rng(4)
         for _ in range(20):
-            verts = hexagon().vertices[rng.integers(0, 6, size=9)]
+            verts = FIXTURES["hexagon"]().vertices[rng.integers(0, 6, size=9)]
             i, j = next((i, j) for i, j in combinations(range(9), 2)
                         if np.array_equal(verts[i], verts[j]))
             with pytest.raises(ValidationError, match=f"duplicate vertices: {i} and {j}$"):
@@ -129,18 +129,18 @@ class TestLoading:
 
 class TestFacets:
     def test_square_normals(self):
-        got = {tuple(np.round(u, 9)) for u in square().normals}
+        got = {tuple(np.round(u, 9)) for u in FIXTURES["square"]().normals}
         assert got == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
     def test_cube_normals(self):
-        got = {tuple(np.round(u, 9)) for u in cube().normals}
+        got = {tuple(np.round(u, 9)) for u in FIXTURES["cube"]().normals}
         expected = {tuple(s * e) for s in (1, -1) for e in np.eye(3, dtype=int)}
         assert got == {tuple(float(x) for x in v) for v in expected}
 
     def test_triangle_normals_at_radius_two(self):
         # solve <u, v1> = <u, v2> = 1 by hand for the facet through v1, v2:
         # v1 = (-1/2, s), v2 = (-1/2, -s) gives u = (-2, 0); all at radius 2
-        normals = triangle().normals
+        normals = FIXTURES["triangle"]().normals
         radii = np.linalg.norm(normals, axis=1)
         assert np.allclose(radii, 2.0, atol=1e-9)
         assert any(np.allclose(u, [-2, 0], atol=1e-9) for u in normals)
@@ -418,14 +418,15 @@ def shifted_dual_vertices(poly, c):
 
 class TestGeneralizedDualVolume:
     def test_cube_dual_is_cross_polytope(self):
-        poly = cube()
+        poly = FIXTURES["cube"]()
         assert volume_generalized_dual(poly, np.ones(8)) == pytest.approx(4.0 / 3.0, rel=1e-10)
 
     def test_square_dual(self):
-        assert volume_generalized_dual(square(), np.ones(4)) == pytest.approx(2.0, rel=1e-10)
+        got = volume_generalized_dual(FIXTURES["square"](), np.ones(4))
+        assert got == pytest.approx(2.0, rel=1e-10)
 
     def test_triangle_dual(self):
-        got = volume_generalized_dual(triangle(), np.ones(3))
+        got = volume_generalized_dual(FIXTURES["triangle"](), np.ones(3))
         assert got == pytest.approx(3.0 * np.sqrt(3.0), rel=1e-10)
 
     def test_agrees_with_facet_normal_hull(self, artifacts):
@@ -437,7 +438,7 @@ class TestGeneralizedDualVolume:
 
     @pytest.mark.parametrize("t", [0.95, 0.98, 1.0, 1.02, 1.05])
     def test_uniform_scaling_homogeneity(self, t):
-        poly = octahedron()
+        poly = FIXTURES["octahedron"]()
         base = volume_generalized_dual(poly, np.ones(6))
         scaled = volume_generalized_dual(poly, t * np.ones(6))
         assert scaled == pytest.approx(t ** 3 * base, rel=1e-9)
@@ -451,7 +452,7 @@ class TestGeneralizedDualVolume:
 
     def test_trust_region_enforced(self):
         with pytest.raises(Unbounded):
-            volume_generalized_dual(square(), np.array([1.0, 1.0, 1.0, 0.5]))
+            volume_generalized_dual(FIXTURES["square"](), np.array([1.0, 1.0, 1.0, 0.5]))
 
 
 class TestDualFacetVolumes:
@@ -485,7 +486,7 @@ class TestDualFacetVolumes:
 
     def test_cube_dual_facets_are_triangles(self):
         # the dual of [-1, 1]^3 is the octahedron conv(+-e_i): 8 triangles of side sqrt 2
-        got = geometry.dual_facet_volumes(cube(), np.ones(8))
+        got = geometry.dual_facet_volumes(FIXTURES["cube"](), np.ones(8))
         assert got == pytest.approx(np.full(8, np.sqrt(3.0) / 2.0), rel=1e-12)
 
     # P plus one vertex w just beyond it: the dual plane <x, w> = c_w cuts a sliver off

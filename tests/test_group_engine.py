@@ -7,7 +7,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from helpers import (check_realizes, complete_edges, hypercube, is_orthogonal,
+from helpers import (check_realizes, complete_edges, cross_polytope, hypercube, is_orthogonal,
                      realized_but_not_a_group)
 from polysym import make_polytope
 from polysym.autgroup import (
@@ -164,14 +164,10 @@ def cell24():
     return np.array(sorted(pts))
 
 
-def cross_polytope(d):
-    return np.concatenate([np.eye(d), -np.eye(d)])
-
-
 @pytest.mark.parametrize("name,vertices,order", [
     ("24-cell", cell24(), 1152),
     ("24-cell-relabelled", cell24()[np.random.default_rng(5).permutation(24)], 1152),
-    ("5-cross-polytope", cross_polytope(5), 3840),
+    ("5-cross-polytope", cross_polytope(5).vertices, 3840),
 ])
 def test_ladder_orders(name, vertices, order):
     poly = make_polytope(vertices.shape[1], vertices)

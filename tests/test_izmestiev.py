@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_invertible
-from helpers import adjacency, hypercube, perm_matrix
+from helpers import FIXTURES, adjacency, hypercube, perm_matrix
 from polysym import DEFAULT_TOLERANCES, Tolerances, izmestiev, make_polytope
 from polysym.errors import NumericalInstability
-from polysym.fixtures import FIXTURES, cube, rectangle, square, triangle
 from polysym.izmestiev import (
     izmestiev_matrix,
     izmestiev_matrix_fd,
@@ -180,7 +179,7 @@ def test_gl_covariance(artifacts):
 @given(perm=st.permutations(list(range(4))))
 def test_permutation_equivariance(perm):
     # relabeling vertices conjugates the matrix by the permutation matrix
-    base = rectangle()
+    base = FIXTURES["rectangle"]()
     m = izmestiev_matrix(base)
     relabeled = make_polytope(2, base.vertices[list(perm)])
     m2 = izmestiev_matrix(relabeled)

@@ -4,13 +4,11 @@ from itertools import islice, permutations
 import numpy as np
 import pytest
 
-from helpers import capped_prism, compare_groups
+from helpers import FIXTURES, capped_prism, compare_groups, k44_embedding, simplex
 from polysym import oracle
 from polysym.autgroup import PermutationSet, automorphisms, uncolored
 from polysym.config import Tolerances
 from polysym.errors import NotAGroup, RankDeficient, TooManyCandidates
-from polysym.fixtures import (FIXTURES, hexagon, k44_coordinates, k44_edges, octahedron, simplex,
-                              square)
 from polysym.oracle import brute_force_group
 from polysym.reconstruct import lift_and_check, linear_group, orthogonal_group
 
@@ -40,17 +38,17 @@ class TestBruteForce:
     def test_realized_set_not_closed_raises(self):
         # both candidates are realized, but without its powers the quarter-turn is no group
         with pytest.raises(NotAGroup):
-            brute_force_group(square().phi, candidates=[(0, 1, 2, 3), (1, 2, 3, 0)])
+            brute_force_group(FIXTURES["square"]().phi, candidates=[(0, 1, 2, 3), (1, 2, 3, 0)])
 
     def test_no_realized_candidate_raises(self):
         with pytest.raises(NotAGroup, match="no candidate"):
-            brute_force_group(square().phi, candidates=[(1, 2, 0, 3)])
+            brute_force_group(FIXTURES["square"]().phi, candidates=[(1, 2, 0, 3)])
 
     def test_realized_non_permutation_raises(self):
         # a singular map sends (1, 1) and (-1, 1) to (1, 1), and their negatives to (-1, -1)
-        assert lift_and_check(square().phi, [(0, 0, 2, 2)], "linear")[1].all()
+        assert lift_and_check(FIXTURES["square"]().phi, [(0, 0, 2, 2)], "linear")[1].all()
         with pytest.raises(NotAGroup, match="not a permutation"):
-            brute_force_group(square().phi, candidates=[(0, 1, 2, 3), (0, 0, 2, 2)])
+            brute_force_group(FIXTURES["square"]().phi, candidates=[(0, 1, 2, 3), (0, 0, 2, 2)])
 
     def test_pruned_candidates_equivalent(self, artifacts):
         # filtering Sym(V) and filtering the graph automorphisms agree:
@@ -102,7 +100,8 @@ class TestPrunedSymStream:
                                     candidates=permutations(range(phi.shape[1])))
                 assert pruned == full, (match, flavor)
 
-    @pytest.mark.parametrize("poly", [hexagon(), octahedron()], ids=["hexagon", "octahedron"])
+    @pytest.mark.parametrize("poly", [FIXTURES["hexagon"](), FIXTURES["octahedron"]()],
+                             ids=["hexagon", "octahedron"])
     def test_vertex_at_origin(self, monkeypatch, poly):
         coords = np.vstack([poly.vertices, np.zeros(poly.dim)])
         n = len(coords)
@@ -137,7 +136,7 @@ class TestPrunedSymStream:
 
 
 SCALED_INPUTS = {name: (lambda f=f: f().vertices) for name, f in FIXTURES.items()}
-SCALED_INPUTS["k44_embedding"] = k44_coordinates
+SCALED_INPUTS["k44_embedding"] = lambda: k44_embedding()[0]
 
 
 class TestScaleFree:
@@ -155,14 +154,16 @@ class TestScaleFree:
 
 class TestEmbedding:
     def test_k44_strictly_fewer_than_graph_auts(self):
-        cands = automorphisms(uncolored(8, k44_edges())).perms
-        group = brute_force_group(k44_coordinates().T, candidates=cands, flavor="linear")
+        coords, edges = k44_embedding()
+        cands = automorphisms(uncolored(8, edges)).perms
+        group = brute_force_group(coords.T, candidates=cands, flavor="linear")
         assert len(cands) == 1152
         assert 0 < group.order < 1152
 
     def test_k44_transposition_rejected(self):
-        cands = automorphisms(uncolored(8, k44_edges())).perms
-        group = brute_force_group(k44_coordinates().T, candidates=cands, flavor="linear")
+        coords, edges = k44_embedding()
+        cands = automorphisms(uncolored(8, edges)).perms
+        group = brute_force_group(coords.T, candidates=cands, flavor="linear")
         assert (1, 0, 2, 3, 4, 5, 6, 7) not in set(group.perm_group)
         assert tuple(range(8)) in set(group.perm_group)
 
@@ -173,7 +174,7 @@ class TestEmbedding:
 
     def test_low_rank_coordinates_restricted_to_span(self):
         # square drawn in the z = 0 plane of R^3
-        coords = np.hstack([square().vertices, np.zeros((4, 1))])
+        coords = np.hstack([FIXTURES["square"]().vertices, np.zeros((4, 1))])
         assert brute_force_group(coords.T, flavor="orthogonal").order == 8
 
     def test_points_at_the_origin_only_raise(self):

@@ -1,15 +1,17 @@
 import json
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_invertible, random_orthogonal
 from helpers import (
+    FIXTURE_DIR,
+    FIXTURES,
     check_realizes,
     cross_polytope,
     is_orthogonal,
+    k44_embedding,
     linear_map_from_perm,
     member_maps,
     read_back,
@@ -19,7 +21,6 @@ from polysym import DEFAULT_TOLERANCES, Tolerances, make_polytope
 from polysym.autgroup import PermutationSet, automorphisms, compose, invert, uncolored
 from polysym.cli import _group_doc, main
 from polysym.errors import RankDeficient, TheoremViolation
-from polysym.fixtures import FIXTURES, k44_coordinates, rectangle, square, triangle
 from polysym.oracle import brute_force_group
 from polysym.reconstruct import (
     build_artifacts,
@@ -29,16 +30,14 @@ from polysym.reconstruct import (
     pseudo_inverse,
 )
 
-FIXTURE_FILES = Path(__file__).resolve().parents[1] / "fixtures"
-
 
 class TestPseudoInverse:
     def test_square_quarter_transpose(self):
-        phi = square().phi
+        phi = FIXTURES["square"]().phi
         assert np.allclose(pseudo_inverse(phi), phi.T / 4.0, atol=1e-12)
 
     def test_triangle_two_thirds_transpose(self):
-        phi = triangle().phi  # phi @ phi.T = (3/2) I for unit circumradius
+        phi = FIXTURES["triangle"]().phi  # phi @ phi.T = (3/2) I for unit circumradius
         assert np.allclose(pseudo_inverse(phi), (2.0 / 3.0) * phi.T, atol=1e-12)
 
     def test_right_inverse_identity(self, polytopes):
@@ -54,13 +53,13 @@ class TestPseudoInverse:
 
 class TestLinearMapFromPerm:
     def test_square_cycle_is_rotation(self):
-        t = linear_map_from_perm(square().phi, (1, 2, 3, 0))
+        t = linear_map_from_perm(FIXTURES["square"]().phi, (1, 2, 3, 0))
         assert np.allclose(t, [[0, -1], [1, 0]], atol=1e-12)
 
     def test_rectangle_cycle_is_sheared_rotation(self):
-        t = linear_map_from_perm(rectangle().phi, (1, 2, 3, 0))
+        t = linear_map_from_perm(FIXTURES["rectangle"]().phi, (1, 2, 3, 0))
         assert np.allclose(t, [[0, -2], [0.5, 0]], atol=1e-12)
-        assert check_realizes(t, (1, 2, 3, 0), rectangle().phi, 1e-8)
+        assert check_realizes(t, (1, 2, 3, 0), FIXTURES["rectangle"]().phi, 1e-8)
         assert not is_orthogonal(t, 1e-8)
 
     def test_identity_perm_gives_identity(self, polytopes):
@@ -71,7 +70,7 @@ class TestLinearMapFromPerm:
 
 class TestChecks:
     def test_k44_transposition_unrealizable(self):
-        phi = k44_coordinates().T
+        phi = k44_embedding()[0].T
         sigma = (1, 0, 2, 3, 4, 5, 6, 7)
         t = linear_map_from_perm(phi, sigma)
         assert not check_realizes(t, sigma, phi, 1e-8)
@@ -97,7 +96,7 @@ class TestEigenspaceCriterion:
 
     def test_random_symmetric_fails_with_residual(self):
         rng = np.random.default_rng(2)
-        poly = square()
+        poly = FIXTURES["square"]()
         a = rng.standard_normal((4, 4))
         a = (a + a.T) / 2
         ok, _, residual = eigenspace_criterion(a, poly.phi)
@@ -108,7 +107,7 @@ class TestEigenspaceCriterion:
         # a projector nudged by 1e-6: the fit misses by about 1e-6 relative,
         # so only the ledger's eig_rel decides the verdict
         rng = np.random.default_rng(4)
-        phi = square().phi
+        phi = FIXTURES["square"]().phi
         a = rng.standard_normal((4, 4))
         a = pseudo_inverse(phi) @ phi + 1e-6 * (a + a.T) / 2
         strict = eigenspace_criterion(a, phi, Tolerances(eig_rel=1e-8))
@@ -121,7 +120,7 @@ class TestEigenspaceCriterion:
         # the same nudged projector scaled by 1e-6: its misfit scales alike,
         # so no absolute floor may pass it under the strict ledger
         rng = np.random.default_rng(4)
-        phi = square().phi
+        phi = FIXTURES["square"]().phi
         a = rng.standard_normal((4, 4))
         a = 1e-6 * (pseudo_inverse(phi) @ phi + 1e-6 * (a + a.T) / 2)
         assert not eigenspace_criterion(a, phi, Tolerances(eig_rel=1e-8))[0]
@@ -303,12 +302,12 @@ class TestOneLedger:
             linear_group(build_artifacts(poly))
 
     def test_pipeline_report_echoes_the_polytope_ledger(self, capsys):
-        assert main(["analyze", str(FIXTURE_FILES / "cube.json"), *self.FLAGS]) == 0
+        assert main(["analyze", str(FIXTURE_DIR / "cube.json"), *self.FLAGS]) == 0
         groups = json.loads(capsys.readouterr().out)["groups"]
         assert [g["tolerances"] for g in groups.values()] == [self.ECHO] * 2
 
     def test_oracle_report_echoes_its_ledger(self, capsys):
-        argv = ["oracle", str(FIXTURE_FILES / "square.json"), "--flavor", "orthogonal"]
+        argv = ["oracle", str(FIXTURE_DIR / "square.json"), "--flavor", "orthogonal"]
         assert main([*argv, *self.FLAGS]) == 0
         group = json.loads(capsys.readouterr().out)["group"]
         assert group["order"] == 8
