@@ -6,8 +6,9 @@
 # matrix and on the matrix dump `analyze` writes.  On every polytope fixture
 # it also runs the paths no golden covers, `export-dot` with both orbit
 # colorings and `experiment-metric`, each of which must exit 0, and
-# `analyze` on the fixture scaled by 1e-6 and by 1e6, which must exit 0 with
-# the golden report's group orders.  A 24-cell, built inline, is analyzed
+# `analyze` on the fixture scaled by 1e-6 and by 1e6, and for d <= 3 also by
+# 1e-100 and by 1e100, which must exit 0 with the golden report's group
+# orders.  A 24-cell, built inline, is analyzed
 # last: both flavors must report order 1152, and its report, whose member
 # listings are written in several pieces, must equal the indent-2 re-dump of
 # its parse.  The pipeline checks only a group's generators, so every listed
@@ -38,6 +39,7 @@ for flavor in linear orthogonal; do
 done
 
 orders='import json, sys; print({k: g["order"] for k, g in json.load(sys.stdin)["groups"].items()})'
+dimension='import json, sys; print(json.load(sys.stdin)["dimension"])'
 scale='import json, sys
 doc = json.load(open(sys.argv[1]))
 doc["vertices"] = [[float(sys.argv[2]) * x for x in v] for v in doc["vertices"]]
@@ -56,7 +58,10 @@ for f in fixtures/*.json; do
     [ "$f" = fixtures/k44_embedding.json ] && continue
     name=${f#fixtures/}; name=${name%.json}
     want=$(python -c "$orders" < "tests/golden/analyze_$name.json")
-    for s in 1e-6 1e6; do
+    scales="1e-6 1e6"
+    # a 4-d matrix scales like s^-4 and leaves float range at 1e+-100
+    [ "$(python -c "$dimension" < "$f")" -le 3 ] && scales="$scales 1e-100 1e100"
+    for s in $scales; do
         python -c "$scale" "$f" "$s" > "$scaled"
         report=$(polysym analyze "$scaled") || { echo "analyze failed: $f scaled by $s"; exit 1; }
         [ "$(echo "$report" | python -c "$orders")" = "$want" ] \

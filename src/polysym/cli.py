@@ -21,7 +21,6 @@ from dataclasses import asdict
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,40 +51,39 @@ PALETTE = (
 MEMBER_CHUNK = 1024  # members per written string: bounds the memory a listing takes
 
 
-class _Members(NamedTuple):
-    """A group's member listing: its sorted members are enumerated only while it is written."""
+def _members(group: MatrixGroup, level: int):
+    """A group's listing as json lays out [{"matrix": ..., "orthogonal": ..., "perm": ...}, ...].
 
-    group: MatrixGroup   # perm_group.perms, and lift(perms) -> (maps, orthogonal)
-
-    def pieces(self, level: int):
-        """The listing as json lays out [{"matrix": ..., "orthogonal": ..., "perm": ...}, ...]."""
-        sep = ",\n" + "  " * (level + 1)
-        members = self.group.perm_group.perms
-        for lo in range(0, len(members), MEMBER_CHUNK):
-            perms = members[lo:lo + MEMBER_CHUNK]
-            block, flags = self.group.lift(perms)
-            k, d = block.shape[:2]
-            if not lo:  # one %-template for every member: d, n and the indent are fixed
-                slots = {"matrix": [["\0"] * d] * d, "orthogonal": "\0",
-                         "perm": ["\0"] * len(perms[0])}
-                template = "".join(_layout(slots, level + 1, [])).replace('"\\u0000"', "%s")
-            rows = block.reshape(k, d * d).tolist()
-            if not np.isfinite(block).all():
-                rows = [["".join(_layout(x, 0, [])) for x in row] for row in rows]
-            yield (sep if lo else "[" + sep[1:]) + sep.join([
-                template % (*row, "true" if flag else "false", *perm)
-                for row, flag, perm in zip(rows, flags.tolist(), perms)])
-        yield "\n" + "  " * level + "]"
+    Its sorted members are enumerated, and lifted, only while it is written.
+    """
+    sep = ",\n" + "  " * (level + 1)
+    members = group.perm_group.perms
+    for lo in range(0, len(members), MEMBER_CHUNK):
+        perms = members[lo:lo + MEMBER_CHUNK]
+        block, orth = group.lift(perms)
+        k, d = block.shape[:2]
+        if not lo:  # one %-template for every member: d, n and the indent are fixed
+            slots = {"matrix": [["\0"] * d] * d, "orthogonal": "\0",
+                     "perm": ["\0"] * len(perms[0])}
+            template = "".join(_layout(slots, level + 1, [])).replace('"\\u0000"', "%s")
+        rows = block.reshape(k, d * d).tolist()
+        if not np.isfinite(block).all():
+            rows = [["".join(_layout(x, 0, [])) for x in row] for row in rows]
+        yield (sep if lo else "[" + sep[1:]) + sep.join([
+            template % (*row, "true" if flag else "false", *perm)
+            for row, flag, perm in zip(rows, (orth <= group.tol.orth).tolist(), perms)])
+    yield "\n" + "  " * level + "]"
 
 
 def _layout(o, level: int, out: list) -> list:
     """Append json.dumps(o) with sorted keys and indent 2, o at indent level, to out; return out.
 
-    Types are tested in json's order.  A member listing goes in as the
-    generator of its strings, so it is laid out only while it is written.
+    Types are tested in json's order.  A MatrixGroup stands for its member
+    listing, which goes in as the generator of its strings, so it is laid
+    out only while it is written.
     """
-    if isinstance(o, _Members):
-        out.append(o.pieces(level))
+    if isinstance(o, MatrixGroup):
+        out.append(_members(o, level))
     elif isinstance(o, str):
         out.append(encode_basestring_ascii(o))
     elif o is None or isinstance(o, bool):
@@ -163,7 +161,7 @@ def _group_doc(group, flavor: str) -> dict:
         "flavor": flavor,
         "order": group.order,
         "tolerances": {"match": group.tol.match, "orth": group.tol.orth},
-        "members": _Members(group),
+        "members": group,
     }
 
 

@@ -142,7 +142,10 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
     if affine_rank(vertices, eps) < dim:
         raise ValidationError("not full-dimensional: vertices lie in a proper affine subspace")
     # g is interior, so the polar of P - g is bounded
-    polar, tight = _vertices(vertices - vertices.mean(axis=0), np.ones(n), tol.geom_rel)
+    with np.errstate(over="ignore"):  # a subset whose determinant overflows is skipped
+        polar, tight = _vertices(vertices - vertices.mean(axis=0), np.ones(n), tol.geom_rel)
+    if not len(polar):
+        raise DegenerateGeometry("no facet found: every d x d determinant leaves float range")
     # reversed columns: facets ordered by their sorted vertex index lists
     incidence = np.ascontiguousarray(tight[:, ::-1].T)
     planes = []

@@ -23,6 +23,7 @@ vol({x : <x, v_i> <= c_i}) at c = (1, ..., 1).
 from __future__ import annotations
 
 from itertools import combinations
+from math import log2
 
 import numpy as np
 
@@ -38,17 +39,21 @@ def izmestiev_matrix(poly: Polytope) -> np.ndarray:
     the angle at the origin.  All dual-face volumes come from one pass over
     the dual's face lattice.  Diagonal entries are solved row-wise from the
     kernel condition; ``reconstruct.build_artifacts`` checks its full
-    residual, and ``verify_properties`` reports it.
+    residual, and ``verify_properties`` reports it.  The Gram root and its
+    threshold are taken on the vertices times f, the power of two nearest
+    1 / scale, then the root is divided by f twice: exact, so its bits are
+    the unscaled formula's wherever |v|^4 stays in range (scale 1e+-77).
     """
     n, tol, verts = poly.n, poly.tol, poly.vertices
     entries = np.zeros((n, n))
-    scale = poly.scale
+    f = 2.0 ** -round(log2(poly.scale))
+    unit, scale = verts * f, poly.scale * f
     for (i, j), relvol in zip(poly.edges, dual_edge_volumes(poly)):
-        gram = float(verts[i] @ verts[i]) * float(verts[j] @ verts[j]) \
-            - float(verts[i] @ verts[j]) ** 2
+        gram = float(unit[i] @ unit[i]) * float(unit[j] @ unit[j]) \
+            - float(unit[i] @ unit[j]) ** 2
         if gram <= (tol.geom(scale) * scale) ** 2:
             raise SingularAngle(f"vertices {i} and {j} are collinear with the origin")
-        entries[i, j] = entries[j, i] = -relvol / np.sqrt(gram)
+        entries[i, j] = entries[j, i] = -relvol / (np.sqrt(gram) / f / f)
     for i in range(n):  # row i holds only its edge entries so far: its neighbours, ascending
         entries[i, i] = -sum(entries[i, j] * float(verts[j] @ verts[i])
                              for j in np.flatnonzero(entries[i])) / float(verts[i] @ verts[i])

@@ -28,7 +28,7 @@ import numpy as np
 from .autgroup import PermutationSet
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import NotAGroup, RankDeficient, TooManyCandidates
-from .reconstruct import MatrixGroup, lift_and_check, pseudo_inverse
+from .reconstruct import MatrixGroup, pseudo_inverse
 
 SYM_LIMIT = 9  # full symmetric-group streams allowed up to 9! candidates
 
@@ -61,9 +61,10 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
             raise TooManyCandidates(
                 f"Sym({n}) has {factorial(n)} elements; supply candidates explicitly")
         candidates = _pruned_sym(phi, tol.match)
+    frame = MatrixGroup(None, phi, pseudo_inverse(phi, tol), tol)
     accepted, it = [], iter(candidates)
     while block := list(islice(it, 4096)):  # lift in batches, in bounded memory
-        ok = lift_and_check(phi, block, flavor, tol)[1]
+        ok = frame.check(block, flavor)[1]
         accepted += [tuple(block[i]) for i in np.flatnonzero(ok)]
     accepted = list(dict.fromkeys(accepted))  # distinct, in candidate order
     if not accepted:
@@ -74,7 +75,7 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
     if group.order != len(accepted):
         raise NotAGroup(f"{len(accepted)} realized permutations generate a group of order "
                         f"{group.order}: they are not a group")
-    return MatrixGroup(group, phi, pseudo_inverse(phi, tol), tol)
+    return MatrixGroup(group, phi, frame.pinv, tol)
 
 
 def _pruned_sym(phi: np.ndarray, match: float):

@@ -35,44 +35,11 @@ def pseudo_inverse(phi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.
     return pinv
 
 
-def lift_and_check(phi: np.ndarray, perms, flavor: str, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Lift permutations to their maps phi[:, perm] @ pinv(phi) in one batch, and check them.
-
-    Returns (maps, ok, residuals): maps is (k, d, d); ok[i] says that map i
-    sends every vertex j to vertex perm[j] within ``tol.match`` of that
-    vertex's norm (and, for the orthogonal flavor, that max|T^T T - I| is
-    at most ``tol.orth``); residuals["match"] (and ["orth"]) hold each
-    map's worst residual, relative like its tolerance.  The pipelines
-    give it a group's generators, the oracle every candidate.
-    """
-    phi = np.asarray(phi, dtype=float)
-    perms = np.asarray(perms, dtype=np.int64).reshape(-1, phi.shape[1])
-    targets = phi.T[perms].transpose(0, 2, 1)            # (k, d, n): column j is vertex perm[j]
-    maps = targets @ pseudo_inverse(phi, tol)
-    err = np.linalg.norm(maps @ phi - targets, axis=1)   # (k, n)
-    norms = np.linalg.norm(phi, axis=0)[perms]
-    ok = np.all(err <= tol.match * norms, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):   # an embedding may put a vertex at 0
-        residuals = {"match": np.max(err / norms, axis=1)}
-    if flavor == "orthogonal":
-        residuals["orth"] = _orth_residuals(maps)
-        ok &= residuals["orth"] <= tol.orth
-    return maps, ok, residuals
-
-
-def _orth_residuals(maps: np.ndarray) -> np.ndarray:
-    """max|T^T T - I| of each map in a (k, d, d) stack."""
-    return np.max(np.abs(maps.transpose(0, 2, 1) @ maps - np.eye(maps.shape[-1])), axis=(1, 2))
-
-
 @dataclass(frozen=True, eq=False)
 class MatrixGroup:
-    """A permutation group of phi's columns; its generators were lifted and checked under tol.
+    """A permutation group of phi's columns and its frame; only ``lift`` makes maps of perms."""
 
-    ``lift`` lifts any members by ``lift_and_check``'s expression, to the same bits in any batch.
-    """
-
-    perm_group: PermutationSet
+    perm_group: PermutationSet | None   # None on a bare frame
     phi: np.ndarray       # (d, n), full row rank: column j is point j
     pinv: np.ndarray      # pseudo_inverse(phi, tol)
     tol: Tolerances
@@ -82,9 +49,30 @@ class MatrixGroup:
         return self.perm_group.order
 
     def lift(self, perms):
-        """(maps, orthogonal): perms' (k, d, d) maps, flagged where max|T^T T - I| <= tol.orth."""
+        """(maps, orth): perms' (k, d, d) maps phi[:, perm] @ pinv, and each max|T^T T - I|."""
         maps = self.phi.T[np.asarray(perms)].transpose(0, 2, 1) @ self.pinv
-        return maps, _orth_residuals(maps) <= self.tol.orth
+        return maps, np.abs(maps.transpose(0, 2, 1) @ maps - np.eye(len(self.phi))).max(axis=(1, 2))
+
+    def check(self, perms, flavor: str):
+        """(maps, ok, residuals) of perms lifted in one batch: generators, or oracle candidates.
+
+        ok[i] says that map i sends every vertex j to vertex perm[j] within
+        ``tol.match`` of that vertex's norm (and, for the orthogonal flavor,
+        that its orth residual is at most ``tol.orth``); residuals["match"]
+        (and ["orth"]) hold each map's worst residual, relative like its tolerance.
+        """
+        phi, tol = self.phi, self.tol
+        perms = np.asarray(perms, dtype=np.int64).reshape(-1, phi.shape[1])
+        maps, orth = self.lift(perms)
+        err = np.linalg.norm(maps @ phi - phi.T[perms].transpose(0, 2, 1), axis=1)  # (k, n)
+        norms = np.linalg.norm(phi, axis=0)[perms]
+        ok = np.all(err <= tol.match * norms, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):   # an embedding may put a vertex at 0
+            residuals = {"match": np.max(err / norms, axis=1)}
+        if flavor == "orthogonal":
+            residuals["orth"] = orth
+            ok &= orth <= tol.orth
+        return maps, ok, residuals
 
 
 def eigenspace_criterion(a: np.ndarray, phi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -129,11 +117,11 @@ def build_artifacts(poly: Polytope) -> PipelineArtifacts:
 def _realize_group(art: PipelineArtifacts, coloring: Coloring, flavor: str,
                    limit: int) -> MatrixGroup:
     phi, tol = art.poly.phi, art.poly.tol
-    group = automorphisms(coloring, limit=limit)
-    maps, ok, residuals = lift_and_check(phi, group.generators, flavor, tol)
+    group = MatrixGroup(automorphisms(coloring, limit=limit), phi, pseudo_inverse(phi, tol), tol)
+    maps, ok, residuals = group.check(group.perm_group.generators, flavor)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
-        sigma = group.generators[i]
+        sigma = group.perm_group.generators[i]
         not_orthogonal = "orth" in residuals and residuals["match"][i] <= tol.match
         raise TheoremViolation(
             f"{flavor} reconstruction failed: " + (
@@ -142,7 +130,7 @@ def _realize_group(art: PipelineArtifacts, coloring: Coloring, flavor: str,
             diagnostic={"perm": sigma, "matrix": maps[i].tolist(), "polytope": art.poly.name,
                         "tolerance": tol.orth if not_orthogonal else tol.match,
                         "residuals": {k: float(v[i]) for k, v in residuals.items()}})
-    return MatrixGroup(group, phi, pseudo_inverse(phi, tol), tol)
+    return group
 
 
 def linear_group(art: PipelineArtifacts, limit: int = 10 ** 6) -> MatrixGroup:

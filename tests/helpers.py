@@ -28,7 +28,7 @@ from polysym.config import DEFAULT_TOLERANCES, Tolerances
 from polysym.errors import DomainMismatch, NotAGroup, ValidationError
 from polysym.geometry import Polytope, load_polytope, make_polytope
 from polysym.oracle import brute_force_group
-from polysym.reconstruct import MatrixGroup, lift_and_check
+from polysym.reconstruct import MatrixGroup, pseudo_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +136,15 @@ def colored_adjacency(col: Coloring) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # lifted maps and matrix groups
 
+def frame(phi: np.ndarray) -> MatrixGroup:
+    """The bare frame that lifts permutations of phi's columns, under the default ledger."""
+    phi = np.asarray(phi, dtype=float)
+    return MatrixGroup(None, phi, pseudo_inverse(phi), DEFAULT_TOLERANCES)
+
+
 def linear_map_from_perm(phi: np.ndarray, perm) -> np.ndarray:
     """The candidate map sending vertex j to vertex perm[j] on the whole space."""
-    return lift_and_check(phi, [perm], "linear")[0][0]
+    return frame(phi).lift([perm])[0][0]
 
 
 def check_realizes(t: np.ndarray, perm, phi: np.ndarray, eps: float) -> bool:
@@ -170,7 +176,7 @@ def verify_homomorphism(group: MatrixGroup, eps: float) -> bool:
 def realized_but_not_a_group(phi: np.ndarray, candidates) -> bool:
     """True iff every candidate is an orthogonal symmetry of phi's points, yet the
     oracle's closure check rejects them: brute_force_group raises NotAGroup."""
-    if not lift_and_check(phi, candidates, "orthogonal")[1].all():
+    if not frame(phi).check(candidates, "orthogonal")[1].all():
         return False
     try:
         brute_force_group(phi, candidates=candidates, flavor="orthogonal")

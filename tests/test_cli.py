@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from helpers import written
 from polysym import cli
 from polysym.autgroup import PermutationSet
+from polysym.config import DEFAULT_TOLERANCES
+from polysym.reconstruct import MatrixGroup
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -56,6 +58,19 @@ def test_analyze_bad_input_exit_2(tmp_path):
     proc = run_cli("analyze", str(bad))
     assert proc.returncode == 2
     assert "origin not interior" in proc.stderr
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+def test_determinants_out_of_float_range_exit_2(tmp_path, scale):
+    # every 4 x 4 determinant of cyclic4_6 times 1e+-100 leaves float range, so
+    # the polar scan finds no facet: one named error line, not a traceback
+    doc = json.loads((FIXTURES / "cyclic4_6.json").read_text())
+    doc["vertices"] = [[scale * x for x in v] for v in doc["vertices"]]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("analyze", str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: no facet found") and proc.stderr.count("\n") == 1
 
 
 def test_analyze_dimension_one_exit_2(tmp_path):
@@ -481,10 +496,10 @@ def test_registry_names_every_fixture_file():
 
 def plain(doc):
     """doc with every member listing spelled out as the dicts json.dumps would be given."""
-    if isinstance(doc, cli._Members):
-        perms = doc.group.perm_group.perms
-        return [{"perm": list(p), "matrix": t.tolist(), "orthogonal": bool(flag)}
-                for p, t, flag in zip(perms, *doc.group.lift(perms))]
+    if isinstance(doc, MatrixGroup):
+        perms = doc.perm_group.perms
+        return [{"perm": list(p), "matrix": t.tolist(), "orthogonal": bool(r <= doc.tol.orth)}
+                for p, t, r in zip(perms, *doc.lift(perms))]
     if isinstance(doc, dict):
         return {k: plain(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -511,12 +526,12 @@ def member_listings(draw):
     orthogonal = np.array(flags, dtype=bool)
     row = {p: i for i, p in enumerate(perms)}
 
-    def lift(chunk):  # as MatrixGroup.lift: a chunk of members -> (maps, orthogonal)
-        rows = [row[p] for p in chunk]
-        return maps[rows], orthogonal[rows]
+    class Stub(MatrixGroup):  # the writer reads perm_group.perms, tol.orth and lift
+        def lift(self, chunk):  # as MatrixGroup.lift: a chunk of members -> (maps, orth)
+            rows = [row[p] for p in chunk]
+            return maps[rows], np.where(orthogonal[rows], 0.0, 1.0)
 
-    # a stub group: the writer reads perm_group.perms and lift
-    return cli._Members(SimpleNamespace(perm_group=SimpleNamespace(perms=perms), lift=lift))
+    return Stub(SimpleNamespace(perms=perms), None, None, DEFAULT_TOLERANCES)
 
 
 DOCS = st.recursive(

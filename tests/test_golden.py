@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from polysym import cli
+from polysym import cli, oracle, reconstruct
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("make_golden", ROOT / "scripts" / "make_golden.py")
@@ -32,3 +32,19 @@ def test_report_bytes_match_golden_at_any_chunk_size(monkeypatch, name, argv, ch
     # a member listing is laid out MEMBER_CHUNK members at a time
     monkeypatch.setattr(cli, "MEMBER_CHUNK", chunk)
     assert make_golden.run(argv) == (make_golden.GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("name,argv", make_golden.golden_cases(),
+                         ids=[name for name, _ in make_golden.golden_cases()])
+def test_one_pseudo_inverse_per_frame(monkeypatch, name, argv):
+    # analyze builds one frame per group, the oracle one for all its candidates
+    calls, real = [], reconstruct.pseudo_inverse
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reconstruct, "pseudo_inverse", counting)
+    monkeypatch.setattr(oracle, "pseudo_inverse", counting)
+    make_golden.run(argv)
+    assert len(calls) == (1 if argv[0] == "oracle" else 2)

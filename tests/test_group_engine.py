@@ -7,8 +7,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from helpers import (check_realizes, complete_edges, cross_polytope, hypercube, is_orthogonal,
-                     realized_but_not_a_group)
+from helpers import (check_realizes, complete_edges, cross_polytope, frame, hypercube,
+                     is_orthogonal, realized_but_not_a_group)
 from polysym import make_polytope
 from polysym.autgroup import (
     PermutationSet,
@@ -22,7 +22,6 @@ from polysym.errors import LimitExceeded
 from polysym.oracle import brute_force_group
 from polysym.reconstruct import (
     build_artifacts,
-    lift_and_check,
     linear_group,
     orthogonal_group,
     pseudo_inverse,
@@ -192,7 +191,7 @@ class TestLiftAndCheck:
             pinv = pseudo_inverse(phi)
             cands = automorphisms(uncolored(art.poly.n, art.poly.edges)).perms
             for flavor in ("linear", "orthogonal"):
-                maps, ok, _ = lift_and_check(phi, cands, flavor)
+                maps, ok, _ = frame(phi).check(cands, flavor)
                 for perm, t, accepted in zip(cands, maps, ok):
                     assert np.array_equal(t, phi[:, list(perm)] @ pinv), name
                     expected = check_realizes(t, perm, phi, 1e-8) and (
@@ -203,5 +202,5 @@ class TestLiftAndCheck:
         phi = np.array([[0.0, 1.0, 0.0, -1.0, 0.0], [0.0, 0.0, 1.0, 0.0, -1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, ok, _ = lift_and_check(phi, [(0, 2, 3, 4, 1), (1, 0, 2, 3, 4)], "orthogonal")
+            _, ok, _ = frame(phi).check([(0, 2, 3, 4, 1), (1, 0, 2, 3, 4)], "orthogonal")
         assert ok.tolist() == [True, False]

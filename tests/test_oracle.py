@@ -4,13 +4,13 @@ from itertools import islice, permutations
 import numpy as np
 import pytest
 
-from helpers import FIXTURES, capped_prism, compare_groups, k44_embedding, simplex
+from helpers import FIXTURES, capped_prism, compare_groups, frame, k44_embedding, simplex
 from polysym import oracle
 from polysym.autgroup import PermutationSet, automorphisms, uncolored
 from polysym.config import Tolerances
 from polysym.errors import NotAGroup, RankDeficient, TooManyCandidates
 from polysym.oracle import brute_force_group
-from polysym.reconstruct import lift_and_check, linear_group, orthogonal_group
+from polysym.reconstruct import MatrixGroup, linear_group, orthogonal_group
 
 
 class TestBruteForce:
@@ -46,7 +46,7 @@ class TestBruteForce:
 
     def test_realized_non_permutation_raises(self):
         # a singular map sends (1, 1) and (-1, 1) to (1, 1), and their negatives to (-1, -1)
-        assert lift_and_check(FIXTURES["square"]().phi, [(0, 0, 2, 2)], "linear")[1].all()
+        assert frame(FIXTURES["square"]().phi).check([(0, 0, 2, 2)], "linear")[1].all()
         with pytest.raises(NotAGroup, match="not a permutation"):
             brute_force_group(FIXTURES["square"]().phi, candidates=[(0, 1, 2, 3), (0, 0, 2, 2)])
 
@@ -121,13 +121,13 @@ class TestPrunedSymStream:
 
     def test_capped_prism_lifts_under_one_percent(self, monkeypatch):
         lifted = []
-        real = oracle.lift_and_check
+        real = MatrixGroup.check
 
-        def counting(phi, perms, *args):
+        def counting(group, perms, *args):
             lifted.append(len(perms))
-            return real(phi, perms, *args)
+            return real(group, perms, *args)
 
-        monkeypatch.setattr(oracle, "lift_and_check", counting)
+        monkeypatch.setattr(MatrixGroup, "check", counting)
         phi = capped_prism().phi
         for flavor in ("linear", "orthogonal"):
             lifted.clear()

@@ -202,11 +202,15 @@ class TestPipelineGroups:
                 assert set(orthogonal_group(build_artifacts(moved)).perm_group) == base
 
 
+# scale exponents k for 10^k; at 1e+-100 a 4-d matrix, M(sP) = s^-d M(P), leaves float range
+SCALES = [(name, k) for name in FIXTURES for k in range(-12, 13, 3)] + [
+    (name, k) for name in FIXTURES if name not in ("simplex4", "cyclic4_6") for k in (-100, 100)]
+
+
 class TestScaleFree:
     """A uniformly scaled polytope has the same permutation groups, at any scale."""
 
-    @pytest.mark.parametrize("k", range(-12, 13, 3))
-    @pytest.mark.parametrize("name", list(FIXTURES))
+    @pytest.mark.parametrize("name,k", SCALES)
     def test_scaled_groups_unchanged(self, artifacts, name, k):
         art = artifacts[name]
         scaled = build_artifacts(make_polytope(art.poly.dim, art.poly.vertices * 10.0 ** k))
@@ -261,11 +265,25 @@ class TestMatrixGroup:
         for name, art in artifacts.items():
             for group in both_builds(art, flavor):
                 perms = group.perm_group.perms
-                maps, flags = group.lift(perms)
+                maps, orth = group.lift(perms)
                 for size in (1, 3):
                     parts = [group.lift(perms[lo:lo + size]) for lo in range(0, len(perms), size)]
                     assert np.array_equal(np.concatenate([m for m, _ in parts]), maps), name
-                    assert np.array_equal(np.concatenate([f for _, f in parts]), flags), name
+                    assert np.array_equal(np.concatenate([r for _, r in parts]), orth), name
+
+    @pytest.mark.parametrize("flavor", ["linear", "orthogonal"])
+    def test_check_lifts_as_lift_does(self, artifacts, flavor):
+        # check's maps are lift's, to the bit, in any batch
+        for name, art in artifacts.items():
+            for group in both_builds(art, flavor):
+                perms = group.perm_group.perms
+                maps, ok, _ = group.check(perms, flavor)
+                assert ok.all(), name
+                assert np.array_equal(maps, group.lift(perms)[0]), name
+                for size in (1, 3):
+                    parts = [group.check(perms[lo:lo + size], flavor)[0]
+                             for lo in range(0, len(perms), size)]
+                    assert np.array_equal(np.concatenate(parts), maps), name
 
     @pytest.mark.parametrize("flavor", ["linear", "orthogonal"])
     def test_report_flags_match_definition(self, artifacts, flavor):
