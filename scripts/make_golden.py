@@ -5,20 +5,32 @@
 
 Each golden file is the stdout of one in-process ``polysym.cli.main`` call,
 run from the repository root with a relative input path (reports echo the
-path).  Golden files change only together with a CHANGES.md entry that
-explains why the reports changed.
+path).  ``analyze_sha256.json`` holds only the SHA-256 of each ``analyze``
+report on a wider set: every polytope fixture and the 4-cube, 24-cell,
+5-cross-polytope and 5-cube of scripts/bench.py, each as given, turned by
+a seeded orthogonal map and with its vertices relabelled by a seeded
+permutation.  Golden files change only together with a CHANGES.md entry
+that explains why the reports changed.
 """
 
 import contextlib
+import hashlib
 import io
+import json
 import os
 import sys
+import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
+SHA256_TABLE = GOLDEN / "analyze_sha256.json"
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "scripts"))
 
+from bench import INSTANCES, turned  # noqa: E402
 from polysym.cli import main  # noqa: E402
 
 
@@ -37,16 +49,46 @@ def golden_cases() -> list[tuple[str, list[str]]]:
     return cases
 
 
-def run(argv: list[str]) -> str:
-    """Stdout of ``polysym.cli.main(argv)`` run from the repository root."""
+def sha256_inputs() -> dict:
+    """Row name -> input document for every row of the SHA-256 table."""
+    docs = {p.stem: json.loads(p.read_text()) for p in sorted((ROOT / "fixtures").glob("*.json"))
+            if p.stem != "k44_embedding"}
+    # the ladder of scripts/bench.py but the 6-cross-polytope, whose report is 159 MB
+    docs.update({name: {"name": name, "vertices": build().tolist()}
+                 for name, build in INSTANCES.items() if name != "6-cross-polytope"})
+    rows = {}
+    for seed, (name, doc) in enumerate(docs.items()):
+        rng = np.random.default_rng(seed)
+        vertices = np.array(doc["vertices"], dtype=float)
+        rows[name] = doc = {**doc, "dimension": vertices.shape[1]}
+        rows[f"{name} turned"] = {**doc, "vertices": turned(vertices, rng).tolist()}
+        rows[f"{name} relabelled"] = {**doc,
+                                      "vertices": vertices[rng.permutation(len(vertices))].tolist()}
+    return rows
+
+
+def analyze_sha256() -> dict:
+    """Row name -> SHA-256 of ``analyze`` on that row's input, written as input.json."""
+    table = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        for name, doc in sha256_inputs().items():
+            path.write_text(json.dumps(doc))
+            report = run(["analyze", path.name], cwd=tmp)
+            table[name] = hashlib.sha256(report.encode()).hexdigest()
+    return table
+
+
+def run(argv: list[str], cwd=ROOT) -> str:
+    """Stdout of ``polysym.cli.main(argv)`` run from cwd, by default the repository root."""
     out = io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(ROOT)
+    prior = os.getcwd()
+    os.chdir(cwd)
     try:
         with contextlib.redirect_stdout(out):
             code = main(argv)
     finally:
-        os.chdir(cwd)
+        os.chdir(prior)
     if code != 0:
         raise RuntimeError(f"polysym {' '.join(argv)} exited with {code}")
     return out.getvalue()
@@ -57,6 +99,8 @@ def write_all() -> None:
     for name, argv in golden_cases():
         (GOLDEN / name).write_text(run(argv))
         print(f"wrote {GOLDEN / name}")
+    SHA256_TABLE.write_text(json.dumps(analyze_sha256(), indent=2) + "\n")
+    print(f"wrote {SHA256_TABLE}")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 Machine-readable JSON goes to stdout and is byte-for-byte deterministic
 for fixed inputs and flags; human chatter (including wall-clock timing)
 goes to stderr and only with --verbose.  Every JSON document is laid out
-here, from the plain data the library returns, and written once all work
-is done: its bytes are json.dumps(doc) with sorted keys and indent 2.
+here, from the plain data the library returns, by one json.dumps(doc) call
+with sorted keys and indent 2, once all work is done; each group's member
+listing is streamed into its text MEMBER_CHUNK members at a time.
 
 Exit codes: 0 ok, 1 failed validation property, 2 bad input document,
 3 reconstruction violation, 4 search limit exceeded, 64 usage error.
@@ -14,12 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import os
 import sys
 import time
 from dataclasses import asdict
-from itertools import chain, groupby
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -65,55 +64,38 @@ def _members(group: MatrixGroup, level: int):
         if not lo:  # one %-template for every member: d, n and the indent are fixed
             slots = {"matrix": [["\0"] * d] * d, "orthogonal": "\0",
                      "perm": ["\0"] * len(perms[0])}
-            template = "".join(_layout(slots, level + 1, [])).replace('"\\u0000"', "%s")
+            template = json.dumps(slots, sort_keys=True, indent=2).replace(
+                "\n", "\n" + "  " * (level + 1)).replace('"\\u0000"', "%s")
         rows = block.reshape(k, d * d).tolist()
         if not np.isfinite(block).all():
-            rows = [["".join(_layout(x, 0, [])) for x in row] for row in rows]
+            rows = [[json.dumps(x) for x in row] for row in rows]
         yield (sep if lo else "[" + sep[1:]) + sep.join([
             template % (*row, "true" if flag else "false", *perm)
             for row, flag, perm in zip(rows, (orth <= group.tol.orth).tolist(), perms)])
     yield "\n" + "  " * level + "]"
 
 
-def _layout(o, level: int, out: list) -> list:
-    """Append json.dumps(o) with sorted keys and indent 2, o at indent level, to out; return out.
-
-    Types are tested in json's order.  A MatrixGroup stands for its member
-    listing, which goes in as the generator of its strings, so it is laid
-    out only while it is written.
-    """
-    if isinstance(o, MatrixGroup):
-        out.append(_members(o, level))
-    elif isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
-    elif o is None or isinstance(o, bool):
-        out.append("null" if o is None else "true" if o else "false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(float.__repr__(o) if math.isfinite(o) else
-                   "NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
-    elif not isinstance(o, (list, tuple, dict)):
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-    elif not o:
-        out.append("{}" if isinstance(o, dict) else "[]")
-    else:
-        is_dict = isinstance(o, dict)
-        indent = "\n" + "  " * (level + 1)
-        sep = ("{" if is_dict else "[") + indent
-        for key, v in sorted(o.items()) if is_dict else enumerate(o):
-            out.append(sep + encode_basestring_ascii(key) + ": " if is_dict else sep)
-            _layout(v, level + 1, out)
-            sep = "," + indent
-        out.append("\n" + "  " * level + ("}" if is_dict else "]"))
-    return out
-
-
 def _emit(doc) -> None:
-    """Write json.dumps(doc) with sorted keys and indent 2, and a newline, to stdout in pieces."""
-    for is_text, run in groupby(_layout(doc, 0, []), key=lambda piece: isinstance(piece, str)):
-        sys.stdout.writelines(["".join(run)] if is_text else chain.from_iterable(run))
-    sys.stdout.write("\n")
+    """Write json.dumps(doc) with sorted keys and indent 2, and a newline, to stdout in pieces.
+
+    json.dumps writes each MatrixGroup in doc as a placeholder string that no
+    input can spell, and the group's member listing is streamed in its place.
+    """
+    mark, groups = "\0" + os.urandom(16).hex(), []
+
+    def hook(o):
+        if not isinstance(o, MatrixGroup):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        groups.append(o)
+        return mark
+
+    text, *pieces = json.dumps(doc, sort_keys=True, indent=2, default=hook).split(json.dumps(mark))
+    for group, piece in zip(groups, pieces):
+        sys.stdout.write(text)
+        line = text.rpartition("\n")[2]  # the placeholder's line: its indent is the group's level
+        sys.stdout.writelines(_members(group, (len(line) - len(line.lstrip(" "))) // 2))
+        text = piece
+    sys.stdout.write(text + "\n")
 
 
 def _chatter(args, msg: str) -> None:

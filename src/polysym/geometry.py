@@ -15,6 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
+from math import frexp, ldexp
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +60,16 @@ class Polytope:
 
     @property
     def scale(self) -> float:
-        return float(np.max(np.linalg.norm(self.vertices, axis=1)))
+        return float(np.max(_norms(self.vertices)))
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Norms along x's last axis, taken on x / f then times f, f a power of two <= max|x|.
+
+    No square leaves float range; where np.linalg.norm's squares stay in range, the bits are its.
+    """
+    f = ldexp(0.5, frexp(np.abs(x).max())[1])
+    return np.linalg.norm(x / f, axis=-1) * f
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +141,11 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
         raise ValidationError(f"not full-dimensional: {n} vertices in R^{dim} (need >= {dim + 1})")
     if not np.all(np.isfinite(vertices)):
         raise ValidationError("non-finite vertex coordinate")
-    scale = float(np.max(np.linalg.norm(vertices, axis=1)))
+    scale = float(np.max(_norms(vertices)))
     if scale == 0.0:
         raise ValidationError("all vertices at the origin")
     eps = tol.geom(scale)
-    close = np.linalg.norm(vertices[:, None] - vertices[None], axis=2) <= eps
+    close = _norms(vertices[:, None] - vertices[None]) <= eps
     dup = np.argwhere(np.triu(close, 1))  # row-major: the lexicographically first pair leads
     if len(dup):
         raise ValidationError(f"duplicate vertices: {dup[0][0]} and {dup[0][1]}")

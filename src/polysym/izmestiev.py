@@ -41,16 +41,17 @@ def izmestiev_matrix(poly: Polytope) -> np.ndarray:
     kernel condition; ``reconstruct.build_artifacts`` checks its full
     residual, and ``verify_properties`` reports it.  The Gram root and its
     threshold are taken on the vertices times f, the power of two nearest
-    1 / scale, then the root is divided by f twice: exact, so its bits are
-    the unscaled formula's wherever |v|^4 stays in range (scale 1e+-77).
+    1 / scale, then the root is divided by f twice.  Squares are products
+    (C ``pow`` may misround), so its bits are the unscaled formula's
+    wherever |v|^4 stays in range (scale 1e+-77).
     """
     n, tol, verts = poly.n, poly.tol, poly.vertices
     entries = np.zeros((n, n))
     f = 2.0 ** -round(log2(poly.scale))
     unit, scale = verts * f, poly.scale * f
     for (i, j), relvol in zip(poly.edges, dual_edge_volumes(poly)):
-        gram = float(unit[i] @ unit[i]) * float(unit[j] @ unit[j]) \
-            - float(unit[i] @ unit[j]) ** 2
+        c = float(unit[i] @ unit[j])
+        gram = float(unit[i] @ unit[i]) * float(unit[j] @ unit[j]) - c * c
         if gram <= (tol.geom(scale) * scale) ** 2:
             raise SingularAngle(f"vertices {i} and {j} are collinear with the origin")
         entries[i, j] = entries[j, i] = -relvol / (np.sqrt(gram) / f / f)

@@ -60,11 +60,16 @@ def test_analyze_bad_input_exit_2(tmp_path):
     assert "origin not interior" in proc.stderr
 
 
-@pytest.mark.parametrize("scale", [1e100, 1e-100])
-def test_determinants_out_of_float_range_exit_2(tmp_path, scale):
-    # every 4 x 4 determinant of cyclic4_6 times 1e+-100 leaves float range, so
-    # the polar scan finds no facet: one named error line, not a traceback
-    doc = json.loads((FIXTURES / "cyclic4_6.json").read_text())
+@pytest.mark.parametrize("name,scale", [
+    *(pytest.param("cyclic4_6", s, id=str(s)) for s in (1e100, 1e-100)),
+    *(pytest.param(p.stem, s, id=f"{p.stem}-{s}") for p in sorted(FIXTURES.glob("*.json"))
+      if p.stem != "k44_embedding" for s in (1e200, 1e-200))])
+def test_determinants_out_of_float_range_exit_2(tmp_path, name, scale):
+    # every 4 x 4 determinant of cyclic4_6 times 1e+-100, and every d x d one of
+    # each fixture times 1e+-200, leaves float range, so the polar scan finds no
+    # facet: one named error line, not a traceback; the scale and the duplicate
+    # test before the scan take no square out of range
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
     doc["vertices"] = [[scale * x for x in v] for v in doc["vertices"]]
     path = tmp_path / "far.json"
     path.write_text(json.dumps(doc))

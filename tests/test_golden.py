@@ -1,11 +1,13 @@
 """Byte-exact guard on the CLI reports: analyze on every fixture, and the oracle on the K_{4,4}
 embedding (graph-auts candidates) and on two polytopes (the full Sym(n) stream).
 
-The expected bytes live in tests/golden/ and are regenerated by
+The expected bytes, and the SHA-256 table of analyze reports on a wider
+set of inputs, live in tests/golden/ and are regenerated by
 scripts/make_golden.py.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,8 @@ def test_one_pseudo_inverse_per_frame(monkeypatch, name, argv):
     monkeypatch.setattr(oracle, "pseudo_inverse", counting)
     make_golden.run(argv)
     assert len(calls) == (1 if argv[0] == "oracle" else 2)
+
+
+def test_analyze_sha256_table():
+    # every polytope fixture and four ladder polytopes, each as given, turned and relabelled
+    assert make_golden.analyze_sha256() == json.loads(make_golden.SHA256_TABLE.read_text())
