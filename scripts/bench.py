@@ -6,17 +6,21 @@
 Builds the 4-cube, the 24-cell, the 5-cross-polytope, the 5-cube and the
 6-cross-polytope in code, each turned by a fixed-seed orthogonal map, and
 runs ``python -m polysym analyze`` on each, then on the 6-cross-polytope
-and the 5-cube in one run, plus ``validate`` on the 4-cube.  ``--src``
-names the checkout whose ``src`` is run (default: this one), so a parent
-checkout can be measured with the same script.  Each run is one child
-process in a fresh temporary directory, given relative input paths so
-that the paths the report echoes do not depend on the checkout.  A run is killed after TIMEOUT_S and
-recorded as "timeout".  BLAS and OpenMP are held to one thread.
+and the 5-cube in one run, plus ``validate`` on the 4-cube and on the
+24-cell.  ``--src`` names the checkout whose ``src`` is run (default: this
+one), so a parent checkout can be measured with the same script.  Each row
+is run REPEATS times, each run one child process in the row's fresh
+temporary directory, given relative input paths so that the paths the
+report echoes do not depend on the checkout.  A run is killed after
+TIMEOUT_S and its row recorded as "timeout".  BLAS and OpenMP are held to
+one thread.
 
-Per run it records the wall time, the child's peak RSS (from os.wait4),
-the stdout size and the stdout SHA-256: equal hashes from two checkouts
-show byte-identical reports.  Prints one JSON document: the environment,
-a SHA-256 of the sources run (as benchmark/run.py takes it) and the rows.
+Per row it records the median, minimum and maximum wall time, the largest
+peak RSS of the child (from os.wait4), the stdout size and the stdout
+SHA-256, which every run of the row must repeat (the script exits 1
+otherwise): equal hashes from two checkouts show byte-identical reports.
+Prints one JSON document: the environment, a SHA-256 of the sources run
+(as benchmark/run.py takes it) and the rows.
 """
 
 import argparse
@@ -25,6 +29,7 @@ import itertools
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -36,6 +41,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 120
 SEED = 16
+REPEATS = 5  # runs per row: one run of unchanged code swings by more than 40 % on a shared host
 
 
 def cube(d: int) -> np.ndarray:
@@ -60,7 +66,8 @@ def cell24() -> np.ndarray:
 INSTANCES = {"4-cube": lambda: cube(4), "24-cell": cell24, "5-cross-polytope": lambda: cross(5),
              "5-cube": lambda: cube(5), "6-cross-polytope": lambda: cross(6)}
 RUNS = ([("analyze", (name,)) for name in INSTANCES]
-        + [("analyze", ("6-cross-polytope", "5-cube")), ("validate", ("4-cube",))])
+        + [("analyze", ("6-cross-polytope", "5-cube")), ("validate", ("4-cube",)),
+           ("validate", ("24-cell",))])
 
 
 def turned(vertices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -102,6 +109,23 @@ def run(src: Path, argv: list, workdir: Path) -> dict:
             "stdout_bytes": out_path.stat().st_size, "stdout_sha256": digest.hexdigest()}
 
 
+def repeated(src: Path, argv: list, workdir: Path) -> dict:
+    """REPEATS runs of one row: the spread of their wall times, and the output they all give."""
+    runs = []
+    for _ in range(REPEATS):
+        runs.append(run(src, argv, workdir))
+        if runs[-1]["exit"] == "timeout":
+            return runs[-1]
+    outputs = {(r["exit"], r["stdout_bytes"], r["stdout_sha256"]) for r in runs}
+    if len(outputs) != 1:
+        sys.exit(f"{' '.join(argv)}: the {REPEATS} runs differ in exit code or stdout: {outputs}")
+    walls = [r["wall_s"] for r in runs]
+    return {"argv": argv, "exit": runs[0]["exit"], "runs": REPEATS,
+            "wall_s_median": round(statistics.median(walls), 3), "wall_s_min": min(walls),
+            "wall_s_max": max(walls), "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
+            "stdout_bytes": runs[0]["stdout_bytes"], "stdout_sha256": runs[0]["stdout_sha256"]}
+
+
 def environment() -> dict:
     cpuinfo = Path("/proc/cpuinfo")
     lines = cpuinfo.read_text().splitlines() if cpuinfo.is_file() else []
@@ -109,7 +133,7 @@ def environment() -> dict:
                   if line.startswith("model name")), platform.processor())
     return {"python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine(), "cpu": model, "nproc": len(os.sched_getaffinity(0)),
-            "blas_threads": 1, "timeout_s": TIMEOUT_S, "seed": SEED}
+            "blas_threads": 1, "timeout_s": TIMEOUT_S, "seed": SEED, "repeats": REPEATS}
 
 
 def main() -> None:
@@ -133,7 +157,7 @@ def main() -> None:
             for name in names:
                 (workdir / f"{name}.json").write_text(json.dumps(docs[name]))
             argv = [command, *(f"{name}.json" for name in names)]
-            rows.append({"instance": " + ".join(names), **run(src, argv, workdir)})
+            rows.append({"instance": " + ".join(names), **repeated(src, argv, workdir)})
         print(f"{' '.join(argv)}: {rows[-1]}", file=sys.stderr)
     digest = hashlib.sha256()
     for path in sorted((src / "polysym").glob("*.py")):

@@ -14,7 +14,7 @@ class ValidationError(PolysymError):
 
 
 class DegenerateGeometry(PolysymError):
-    """Geometry is inconsistent with a valid full-dimensional polytope."""
+    """Geometry is inconsistent with a valid full-dimensional polytope, or leaves float range."""
 
 
 class Unbounded(PolysymError):
@@ -62,4 +62,4 @@ class TheoremViolation(PolysymError):
 
 
 class NumericalInstability(PolysymError):
-    """A step-halving or symmetry check failed (combinatorial flip suspected)."""
+    """An FD check failed: step-halving drift, symmetry or a re-solved dual vertex's tight set."""

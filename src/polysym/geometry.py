@@ -2,11 +2,11 @@
 
 Vertices are the single source of truth.  Validation finds the facets
 once, as the vertices of the polar dual, and the edge-graph is read off
-their vertex-facet incidence right after; the ``Polytope`` carries both.
-One vertex enumeration (``_vertices``) serves validation and the
-shifted dual.  Every later face is read off the vertex-facet incidence,
-and volumes are summed bottom-up over that face lattice by the pyramid
-formula, each face once.
+their incidence; the ``Polytope`` carries both.  One vertex enumeration
+(``_vertices``) serves validation and the shifted dual, which is
+enumerated once per stencil ray and re-solved at the ray's other offsets.
+Volumes are summed bottom-up over the face lattice an incidence gives, by
+the pyramid formula, each face once; rays share the faces' shapes.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
-from math import frexp, ldexp
+from math import factorial, frexp, ldexp
 from pathlib import Path
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DegenerateGeometry, ParseError, Unbounded, ValidationError
+from .errors import DegenerateGeometry, NumericalInstability, ParseError, Unbounded, ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,14 +99,15 @@ def _vertices(normals: np.ndarray, offsets: np.ndarray, eps: float):
     Hadamard's bound (the product of its row lengths) is skipped.  A
     feasible solution is a vertex, known by its tight planes, and the first
     solve of each tight set wins.  ``eps`` bounds <a_i, x> - b_i, so it is
-    relative for offsets near 1.  Returns ``(points, tight)``: points of
-    shape (k, d), and ``tight`` of shape (m, k) with ``tight[i, p]``
-    flagging point p on plane i, its columns sorted (False before True).
+    relative for offsets near 1.  Returns ``(points, tight, subsets)``:
+    points of shape (k, d), ``tight`` of shape (m, k) with ``tight[i, p]``
+    flagging point p on plane i, its columns sorted (False before True),
+    and the (k, d) subsets the points were solved from.
     """
     n, d = normals.shape
     lengths = np.linalg.norm(normals, axis=1)
     subsets = combinations(range(n), d)
-    points, tags = [], []
+    points, tags, solved = [], [], []
     while block := list(islice(subsets, SUBSET_BLOCK)):
         block = np.array(block)
         mats = normals[block]                                     # (S, d, d)
@@ -118,9 +119,10 @@ def _vertices(normals: np.ndarray, offsets: np.ndarray, eps: float):
                                  return_index=True)
         points.append(sols[feas][first])
         tags.append(tight)
+        solved.append(block[ok][feas][first])
     # a tight set appears at most once per block, so its first column is its first solve
     tight, first = np.unique(np.hstack(tags), axis=1, return_index=True)
-    return np.vstack(points)[first], tight
+    return np.vstack(points)[first], tight, np.vstack(solved)[first]
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +155,7 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
         raise ValidationError("not full-dimensional: vertices lie in a proper affine subspace")
     # g is interior, so the polar of P - g is bounded
     with np.errstate(over="ignore"):  # a subset whose determinant overflows is skipped
-        polar, tight = _vertices(vertices - vertices.mean(axis=0), np.ones(n), tol.geom_rel)
+        polar, tight, _ = _vertices(vertices - vertices.mean(axis=0), np.ones(n), tol.geom_rel)
     if not len(polar):
         raise DegenerateGeometry("no facet found: every d x d determinant leaves float range")
     # reversed columns: facets ordered by their sorted vertex index lists
@@ -268,97 +270,114 @@ def dual_edge_volumes(poly: Polytope) -> list[float]:
     facet incidence transposed; each dual face is evaluated once.
     """
     inc = poly.incidence
-    vol = _lattice_volume(poly.normals, poly.vertices, np.ones(poly.n), inc.T)
-    return [vol(inc[:, i] & inc[:, j], poly.dim - 2) for i, j in poly.edges]
+    vol = _lattice_volume(poly.normals[None], poly.vertices, np.ones((1, poly.n)), inc.T)
+    return [vol(inc[:, i] & inc[:, j], poly.dim - 2)[0] for i, j in poly.edges]
 
 
 # ---------------------------------------------------------------------------
 # volumes, bottom-up over the face lattice
 
-def _lattice_volume(points, normals, offsets, incidence):
-    """Memoized relative volumes of the faces of a polytope, read off its incidence.
+def _lattice_volume(points, normals, offsets, incidence, shapes=None):
+    """Memoized relative volumes of the faces of S polytopes of one combinatorial type.
 
-    The polytope is conv(``points``) = {x : <normals[j], x> <= offsets[j]},
+    Polytope s is conv(``points[s]``) = {x : <normals[j], x> <= offsets[s, j]},
     and ``incidence[j, p]`` flags point p on plane j.  The returned
     ``vol(face, k)`` takes a face as a boolean mask over the points and its
-    dimension k.  A face's sub-faces are the inclusion-maximal non-empty
-    tight patterns of the planes not tight on the whole face, and
-    vol_k(Q) = (1/k) sum_R h_R vol_{k-1}(R) (Bueler, Enge & Fukuda 2000),
-    with h_R the distance from Q's vertex centroid c to R's plane inside
-    aff(Q): (b_j - <a_j, c>) over the length of a_j projected onto Q's
-    direction, the orthogonal complement of Q's tight normals.  Points,
-    segments and simplices are closed-form (Gram determinant).  Each face
-    is evaluated once per returned function, keyed by its point set.
+    dimension k, and returns its S volumes.  A face's sub-faces are the
+    inclusion-maximal non-empty tight patterns of the planes not tight on
+    the whole face, and vol_k(Q) = (1/k) sum_R h_R vol_{k-1}(R) (Bueler,
+    Enge & Fukuda 2000), with h_R the distance from Q's vertex centroid c to
+    R's plane inside aff(Q): (b_j - <a_j, c>) over the length of a_j
+    projected onto Q's direction, the complement of Q's tight normals.
+    Points, segments and simplices are closed-form (Gram determinant).  A
+    face's shape (its sub-faces' planes and those lengths) reads only its
+    incidence columns, so ``shapes`` keeps it, keyed by them, for all calls
+    on the same normals; its numbers are taken for all S point sets at once.
     """
-    d = points.shape[1]
-    memo: dict[bytes, float] = {}
+    shapes = {} if shapes is None else shapes
+    memo: dict[bytes, list[float]] = {}
 
-    def vol(face: np.ndarray, k: int) -> float:
+    def vol(face: np.ndarray, k: int) -> list[float]:
         key = face.tobytes()
         if key in memo:
             return memo[key]
-        pts = points[face]
+        pts = points[:, face]
         if k == 0:
-            v = 1.0
-        elif len(pts) == k + 1:
-            rays = pts[1:] - pts[0]
-            v = float(np.sqrt(np.linalg.det(rays @ rays.T)) / np.prod(np.arange(1, k + 1)))
+            v = [1.0] * len(points)
+        elif pts.shape[1] == k + 1:
+            rays = pts[:, 1:] - pts[:, :1]
+            v = (np.sqrt(np.linalg.det(rays @ rays.transpose(0, 2, 1))) / factorial(k)).tolist()
         else:
-            tight = incidence[:, face].all(axis=1)
-            pats = incidence[~tight] & face
-            size = pats.sum(axis=1)
-            counts = pats.astype(float)
-            inside = counts @ counts.T == size[:, None]  # [r, s]: pattern r within pattern s
-            # non-empty, inclusion-maximal, and the first plane with its pattern
-            sub = (size > 0) & ~np.any(inside & (size > size[:, None]), axis=1) \
-                & ~np.any(np.tril(inside & inside.T, -1), axis=1)
-            a, b, pats = normals[~tight][sub], offsets[~tight][sub], pats[sub]
-            span = np.linalg.svd(normals[tight])[2][: d - k]  # orthonormal rows: the tight normals' span
-            h = (b - a @ pts.mean(axis=0)) / np.linalg.norm(a - (a @ span.T) @ span, axis=1)
-            v = sum(float(hr) * vol(r, k - 1) for hr, r in zip(h, pats)) / k
+            cols = incidence[:, face]
+            if (columns := cols.tobytes()) not in shapes:
+                tight = cols.all(axis=1)
+                pats = cols[~tight]
+                size = pats.sum(axis=1)
+                counts = pats.astype(float)
+                inside = counts @ counts.T == size[:, None]  # [r, s]: pattern r within pattern s
+                # non-empty, inclusion-maximal, and the first plane with its pattern
+                sub = (size > 0) & ~np.any(inside & (size > size[:, None]), axis=1) \
+                    & ((inside & inside.T).argmax(axis=1) == np.arange(len(size)))
+                a = normals[planes := np.flatnonzero(~tight)[sub]]
+                span = np.linalg.svd(normals[tight])[2][: normals.shape[1] - k]  # rows: their span
+                shapes[columns] = planes, a.T, np.linalg.norm(a - (a @ span.T) @ span, axis=1)
+            planes, at, denom = shapes[columns]
+            h = (offsets[:, planes] - pts.mean(axis=1) @ at) / denom  # (S, sub-faces)
+            terms = [vol(r, k - 1) for r in incidence[planes] & face]
+            v = [sum(hr * t[s] for hr, t in zip(hs, terms)) / k for s, hs in enumerate(h.tolist())]
         memo[key] = v
         return v
 
     return vol
 
 
-def _shifted_dual(poly: Polytope, c):
-    """The vertices of {x : <x, v_i> <= c_i} as tight-constraint tags, and their lattice volume.
+def _shifted_dual(poly: Polytope, c, shapes=None):
+    """S regions {x : <x, v_i> <= c[s, i]} of one combinatorial type: their tags and volumes.
 
-    Vertex-enumerates the region with ``_vertices``.  Returns ``tight``,
-    one row per plane and one column per vertex, with ``tight[i, p]``
+    Region 0 is vertex-enumerated with ``_vertices``; the others' vertices
+    are re-solved from the d-subsets that found region 0's.  Each must be
+    feasible with exactly its recorded tight planes, so every edge that
+    leaves it ends at another one and the vertex set is complete; else
+    NumericalInstability is raised.  Returns ``tight``, with ``tight[i, p]``
     flagging vertex p on plane i, and the memoized ``vol(face, k)`` of the
-    face lattice those tags give (``_lattice_volume``).  The offsets must
-    stay in the trust region |c_i - 1| <= ``poly.tol.dual_trust`` so the
-    region stays bounded and combinatorially tame.
+    face lattice it gives (``_lattice_volume``, with ``shapes``).  The
+    offsets must stay in the trust region |c - 1| <= ``poly.tol.dual_trust``
+    so the regions stay bounded and combinatorially tame.
     """
     c = np.asarray(c, dtype=float)
     n, d, tol = poly.n, poly.dim, poly.tol
-    if c.shape != (n,):
-        raise ValueError(f"offset vector must have shape ({n},)")
+    if c.ndim != 2 or c.shape[1] != n:
+        raise ValueError(f"offsets must have shape (S, {n})")
     delta = tol.dual_trust
     if np.any(c < 1.0 - delta - 1e-15) or np.any(c > 1.0 + delta + 1e-15):
         raise Unbounded(f"offsets outside trust region [1-{delta}, 1+{delta}]")
-    points, tight = _vertices(poly.vertices, c, tol.geom_rel)
+    points, tight, subsets = _vertices(poly.vertices, c[0], tol.geom_rel)
     size = np.linalg.norm(points, axis=1).max(initial=0.0)  # the region's size, about 1/scale
     if len(points) <= d or affine_rank(points, tol.geom(size)) != d:
         raise Unbounded("dual vertex set is not full-dimensional")
-    return tight, _lattice_volume(points, poly.vertices, c, tight)
+    x = np.linalg.solve(poly.vertices[subsets], c[1:, subsets, None])[..., 0]  # (S - 1, k, d)
+    vals, b, eps = x @ poly.vertices.T, c[1:, None], tol.geom_rel
+    if (bad := np.any((vals > b + eps) | ((vals >= b - eps) != tight.T), axis=(1, 2))).any():
+        i = int(np.argmax(np.abs((row := c[1 + np.argmax(bad)]) - c[0])))
+        raise NumericalInstability("shifted dual changed combinatorics inside the stencil: "
+                                   f"plane {i} at step {row[i] - 1.0:+.3e}")
+    return tight, _lattice_volume(np.vstack([points[None], x]), poly.vertices, c, tight, shapes)
 
 
-def dual_facet_volumes(poly: Polytope, c) -> np.ndarray:
-    """(n,) volumes of the facets F_i, on the planes <x, v_i> = c_i, of {x : <x, v_i> <= c_i}.
+def dual_facet_volumes(poly: Polytope, c, shapes=None) -> np.ndarray:
+    """(S, n) volumes of the facets F_i, on the planes <x, v_i> = c_si, of {x : <x, v_i> <= c_si}.
 
-    ``F_i`` is the face of the region's lattice on plane i, so its volume
-    comes from the same memoized recursion as the region's volume, with
-    the faces shared between facets evaluated once.  A plane that meets
-    the region in less than a facet contributes 0: its points, if any, all
-    lie on some other plane too, whereas no other plane holds a facet.
-    Divided by |v_i| these are the partial derivatives of the region's
-    volume in c.
+    The S offset rows give regions of one type (``_shifted_dual``).  ``F_i``
+    is the face of the region's lattice on plane i, so its volume comes from
+    the same memoized recursion as the region's volume, with the faces
+    shared between facets evaluated once.  A plane that meets the region in
+    less than a facet contributes 0: its points, if any, all lie on some
+    other plane too, whereas no other plane holds a facet.  Divided by |v_i|
+    these are the partial derivatives of the region's volume in c.
     """
-    tight, vol = _shifted_dual(poly, c)
+    tight, vol = _shifted_dual(poly, c, shapes)
     counts = tight.astype(float)
     within = counts @ counts.T == tight.sum(axis=1)[:, None]  # [i, j]: plane i's points on plane j
     facet = within.sum(axis=1) == 1
-    return np.array([vol(face, poly.dim - 1) if ok else 0.0 for face, ok in zip(tight, facet)])
+    return np.array([vol(face, poly.dim - 1) if ok else [0.0] * len(c)
+                     for face, ok in zip(tight, facet)]).T

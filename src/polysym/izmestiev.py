@@ -5,12 +5,12 @@ Two independent routes to the same matrix:
 * ``izmestiev_matrix`` uses the closed geometric form, entry by entry:
   off-diagonal edge entries from dual-face volumes, the diagonal solved
   from the kernel condition M @ phi.T = 0.
-* ``izmestiev_matrix_fd`` numerically differentiates the dual volume's
-  gradient, the facet volumes of the shifted dual, and serves as the
-  oracle for the first route.  It shares the vertex enumeration
-  (``geometry._vertices``, which also finds the facets at validation)
-  and the face-lattice volume routine (``geometry._lattice_volume``),
-  but reads none of ``poly.normals``, ``poly.incidence`` and
+* ``izmestiev_matrix_fd`` differentiates the dual volume's gradient, the
+  shifted dual's facet volumes, as the oracle for the first route.  It
+  enumerates the shifted dual once per stencil ray (``geometry._vertices``,
+  which also finds the facets) and re-solves it at the ray's other steps,
+  sums the face lattices with shared face shapes (``_lattice_volume``),
+  and reads none of ``poly.normals``, ``poly.incidence`` and
   ``poly.edges``: its sparsity pattern is an outcome, not an input.
 
 Both return the matrix as an (n, n) array indexed like the vertices.
@@ -27,7 +27,7 @@ from math import log2
 
 import numpy as np
 
-from .errors import NumericalInstability, SingularAngle
+from .errors import DegenerateGeometry, NumericalInstability, SingularAngle
 from .geometry import Polytope, dual_edge_volumes, dual_facet_volumes
 
 
@@ -49,15 +49,18 @@ def izmestiev_matrix(poly: Polytope) -> np.ndarray:
     entries = np.zeros((n, n))
     f = 2.0 ** -round(log2(poly.scale))
     unit, scale = verts * f, poly.scale * f
-    for (i, j), relvol in zip(poly.edges, dual_edge_volumes(poly)):
-        c = float(unit[i] @ unit[j])
-        gram = float(unit[i] @ unit[i]) * float(unit[j] @ unit[j]) - c * c
-        if gram <= (tol.geom(scale) * scale) ** 2:
-            raise SingularAngle(f"vertices {i} and {j} are collinear with the origin")
-        entries[i, j] = entries[j, i] = -relvol / (np.sqrt(gram) / f / f)
-    for i in range(n):  # row i holds only its edge entries so far: its neighbours, ascending
-        entries[i, i] = -sum(entries[i, j] * float(verts[j] @ verts[i])
-                             for j in np.flatnonzero(entries[i])) / float(verts[i] @ verts[i])
+    with np.errstate(all="ignore"):  # M(sP) = s^-d M(P) may leave float range: named below
+        for (i, j), relvol in zip(poly.edges, dual_edge_volumes(poly)):
+            c = float(unit[i] @ unit[j])
+            gram = float(unit[i] @ unit[i]) * float(unit[j] @ unit[j]) - c * c
+            if gram <= (tol.geom(scale) * scale) ** 2:
+                raise SingularAngle(f"vertices {i} and {j} are collinear with the origin")
+            entries[i, j] = entries[j, i] = -relvol / (np.sqrt(gram) / f / f)
+        for i in range(n):  # row i holds only its edge entries so far: its neighbours, ascending
+            entries[i, i] = -sum(entries[i, j] * float(verts[j] @ verts[i])
+                                 for j in np.flatnonzero(entries[i])) / float(verts[i] @ verts[i])
+    if not np.isfinite(entries).all():
+        raise DegenerateGeometry(f"Izmestiev matrix leaves float range at scale {poly.scale:.3e}")
     return entries
 
 
@@ -66,37 +69,40 @@ def izmestiev_matrix_fd(poly: Polytope) -> np.ndarray:
 
     The gradient of vol({x : <x, v_i> <= c_i}) is g_i = vol_{d-1}(F_i) / |v_i|,
     with F_i the facet on plane i, so column i of the Hessian is
-    (g(c + h e_i) - g(c - h e_i)) / 2h around the all-ones offset vector:
-    2n facet-volume evaluations per step.  Raw Hessians are evaluated at
-    steps h, h/2 and h/4 (h = ``tol.fd_step``), symmetrized as
-    (H + H^T) / 2, and Richardson-combined pairwise, which cancels the
-    step-linear error a merely C^2 volume produces at non-simple dual
-    vertices.  The two
-    combined estimates must agree, and each raw Hessian must be symmetric,
-    within ``tol.fd_check`` once made dimensionless (times scale^d, as
-    M(sP) = s^-d M(P)); otherwise a combinatorial flip of the shifted dual
-    is suspected.
+    (g(c + h e_i) - g(c - h e_i)) / 2h around the all-ones offset vector.
+    Raw Hessians are evaluated at steps h, h/2 and h/4 (h = ``tol.fd_step``),
+    symmetrized as (H + H^T) / 2, and Richardson-combined pairwise, which
+    cancels the step-linear error a merely C^2 volume produces at non-simple
+    dual vertices.  The two combined estimates must agree, and each raw
+    Hessian must be symmetric, within ``tol.fd_check`` once made
+    dimensionless (times scale^d, as M(sP) = s^-d M(P)); otherwise a
+    combinatorial flip of the shifted dual is suspected.
     """
-    n, tol = poly.n, poly.tol
-    norms = np.linalg.norm(poly.vertices, axis=1)
-    grad = lambda c: dual_facet_volumes(poly, c) / norms
-    base = np.ones(n)
-
-    def hessian(hh: float) -> np.ndarray:
-        return np.column_stack([(grad(base + ei) - grad(base - ei)) / (2.0 * hh)
-                                for ei in hh * np.eye(n)])
-
-    raw = [hessian(tol.fd_step / 2 ** k) for k in range(3)]
+    raw = _raw_hessians(poly)
     asym = max(float(np.max(np.abs(m - m.T))) for m in raw)
     sym = [-(m + m.T) / 2.0 for m in raw]
     combined = [2.0 * sym[k + 1] - sym[k] for k in range(2)]
     drift = float(np.max(np.abs(combined[1] - combined[0])))
-    limit = tol.fd_check / poly.scale ** poly.dim
+    limit = poly.tol.fd_check / poly.scale ** poly.dim
     if max(drift, asym) > limit:
         raise NumericalInstability(
             f"step-halving drift {drift:.3e} / asymmetry {asym:.3e} exceeds "
             f"{limit:.1e}; shifted dual changed combinatorics inside the stencil")
     return combined[1]
+
+
+def _raw_hessians(poly: Polytope) -> np.ndarray:
+    """(3, n, n): raw Hessians at steps h, h/2 and h/4, one stencil ray c = 1 +- t e_i at a time.
+
+    ``dual_facet_volumes`` enumerates a ray's shifted dual once, at h/4, and
+    re-solves it at h/2 and h: 2n enumerations in all.  Every ray shares one
+    memo of face shapes, which read only the planes, the vertices.
+    """
+    steps, shapes = poly.tol.fd_step / np.array([4.0, 2.0, 1.0]), {}
+    norms = np.linalg.norm(poly.vertices, axis=1)
+    grad = lambda c: dual_facet_volumes(poly, c, shapes) / norms
+    return np.stack([(grad(1.0 + np.outer(steps, ei)) - grad(1.0 - np.outer(steps, ei)))
+                     / (2.0 * steps[:, None]) for ei in np.eye(poly.n)], axis=2)[::-1]
 
 
 def _kernel_residual(m: np.ndarray, poly: Polytope) -> tuple[float, float]:

@@ -330,9 +330,9 @@ def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     flat = (pts - centroid) @ vt[:k].T  # (m, k), isometric image, centred
     if k <= 1:
         return 1.0 if k == 0 else float(np.ptp(flat))
-    polar, tight = geometry._vertices(flat, np.ones(len(flat)), tol.geom_rel)
-    return geometry._lattice_volume(flat, polar, np.ones(len(polar)), tight.T)(
-        np.ones(len(flat), dtype=bool), k)
+    polar, tight, _ = geometry._vertices(flat, np.ones(len(flat)), tol.geom_rel)
+    return geometry._lattice_volume(flat[None], polar, np.ones((1, len(polar))), tight.T)(
+        np.ones(len(flat), dtype=bool), k)[0]
 
 
 def volume_generalized_dual(poly: Polytope, c) -> float:
@@ -342,5 +342,20 @@ def volume_generalized_dual(poly: Polytope, c) -> float:
     found as in ``geometry._shifted_dual``; the offsets must stay in its
     trust region.
     """
-    tight, vol = geometry._shifted_dual(poly, c)
-    return vol(np.ones(tight.shape[1], dtype=bool), poly.dim)
+    tight, vol = geometry._shifted_dual(poly, np.asarray(c, dtype=float)[None])
+    return vol(np.ones(tight.shape[1], dtype=bool), poly.dim)[0]
+
+
+def fd_raw_hessians(poly: Polytope) -> list[np.ndarray]:
+    """The FD oracle's raw Hessians at steps h, h/2 and h/4, one shifted dual per stencil point.
+
+    A reference for ``izmestiev._raw_hessians``: each of the 6n offset
+    vectors gets its own vertex enumeration and face lattice, with no
+    re-solve and no shared face shapes.
+    """
+    norms = np.linalg.norm(poly.vertices, axis=1)
+    grad = lambda c: geometry.dual_facet_volumes(poly, c[None])[0] / norms
+    base = np.ones(poly.n)
+    return [np.column_stack([(grad(base + ei) - grad(base - ei)) / (2.0 * hh)
+                             for ei in hh * np.eye(poly.n)])
+            for hh in (poly.tol.fd_step / 2 ** k for k in range(3))]

@@ -78,6 +78,21 @@ def test_determinants_out_of_float_range_exit_2(tmp_path, name, scale):
     assert proc.stderr.startswith("error: no facet found") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+@pytest.mark.parametrize("name,scale", [("square", 1e-160), ("cube", 1e-105), ("cyclic4_6", 1e-80)])
+def test_matrix_out_of_float_range_exit_2(tmp_path, command, name, scale):
+    # the facets are found, but M(sP) = s^-d M(P) overflows: one named error
+    # line, not a traceback from the eigenvalue solver
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    doc["vertices"] = [[scale * x for x in v] for v in doc["vertices"]]
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(command, str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: Izmestiev matrix leaves float range")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_analyze_dimension_one_exit_2(tmp_path):
     segment = tmp_path / "segment.json"
     segment.write_text(json.dumps({"dimension": 1, "vertices": [[1], [-2]]}))

@@ -24,7 +24,8 @@ from polysym import (
     load_polytope,
     make_polytope,
 )
-from polysym.errors import DegenerateGeometry, ParseError, Unbounded, ValidationError
+from polysym.errors import (DegenerateGeometry, NumericalInstability, ParseError, Unbounded,
+                            ValidationError)
 from polysym.izmestiev import izmestiev_matrix
 from polysym.reconstruct import build_artifacts
 
@@ -37,6 +38,12 @@ LADDER = {
     "sphere16_5": lambda: sphere_polytope(16, 5, seed=0),
     "sphere12_6": lambda: sphere_polytope(12, 6, seed=0),
 }
+
+
+def facet_volumes(poly, c):
+    """``geometry.dual_facet_volumes`` at one offset vector."""
+    return geometry.dual_facet_volumes(poly, np.asarray(c, dtype=float)[None])[0]
+
 
 SQUARE_DOC = {"name": "square", "dimension": 2,
               "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}
@@ -167,13 +174,13 @@ class TestFacets:
         factory = {**FIXTURES, **LADDER}[name]
         whole = factory()
         c = 1.0 + 0.03 * np.sin(np.arange(whole.n) + 1.0)  # inside the trust region
-        whole_volumes = geometry.dual_facet_volumes(whole, c)
+        whole_volumes = facet_volumes(whole, c)
         monkeypatch.setattr(geometry, "SUBSET_BLOCK", 7)
         blocked = factory()
         assert whole.normals.shape == blocked.normals.shape
         assert whole.normals.tobytes() == blocked.normals.tobytes()
         assert whole.incidence.tobytes() == blocked.incidence.tobytes()
-        assert whole_volumes.tobytes() == geometry.dual_facet_volumes(blocked, c).tobytes()
+        assert whole_volumes.tobytes() == facet_volumes(blocked, c).tobytes()
 
     @pytest.mark.parametrize("k", range(-6, 13))
     @pytest.mark.parametrize("name", FIXTURES)
@@ -462,7 +469,7 @@ class TestDualFacetVolumes:
         d = poly.dim
         for c in random_offsets(poly.n, 3):
             pts = shifted_dual_vertices(poly, c)
-            got = geometry.dual_facet_volumes(poly, c)
+            got = facet_volumes(poly, c)
             for i, v in enumerate(poly.vertices):
                 on = pts[np.abs(pts @ v - c[i]) <= 1e-9]
                 # orthonormal frame of the plane <x, v> = c_i: the complement of v
@@ -478,7 +485,7 @@ class TestDualFacetVolumes:
         h = 1e-4
         norms = np.linalg.norm(poly.vertices, axis=1)
         for c in random_offsets(poly.n, 2, margin=h):
-            grad = geometry.dual_facet_volumes(poly, c) / norms
+            grad = facet_volumes(poly, c) / norms
             for i, step in enumerate(h * np.eye(poly.n)):
                 diff = (volume_generalized_dual(poly, c + step)
                         - volume_generalized_dual(poly, c - step)) / (2.0 * h)
@@ -486,7 +493,7 @@ class TestDualFacetVolumes:
 
     def test_cube_dual_facets_are_triangles(self):
         # the dual of [-1, 1]^3 is the octahedron conv(+-e_i): 8 triangles of side sqrt 2
-        got = geometry.dual_facet_volumes(FIXTURES["cube"](), np.ones(8))
+        got = facet_volumes(FIXTURES["cube"](), np.ones(8))
         assert got == pytest.approx(np.full(8, np.sqrt(3.0) / 2.0), rel=1e-12)
 
     # P plus one vertex w just beyond it: the dual plane <x, w> = c_w cuts a sliver off
@@ -505,6 +512,37 @@ class TestDualFacetVolumes:
         poly = make_polytope(len(verts[0]), verts)
         c = np.ones(poly.n)
         c[-1] = offset
-        got = geometry.dual_facet_volumes(poly, c)
+        got = facet_volumes(poly, c)
         assert got[-1] == pytest.approx(want, abs=1e-12)
         assert np.all(got[:-1] > 0.5)
+
+    def test_offset_rows_share_one_combinatorial_type(self):
+        # row 0 is enumerated and row 1 re-solved: between them only the last plane
+        # moves, and the volumes match an enumeration of each row on its own
+        poly = FIXTURES["prism3"]()
+        c = np.ones((2, poly.n))
+        c[:, -1] = [1.01, 1.03]
+        got = geometry.dual_facet_volumes(poly, c)
+        assert got.shape == (2, poly.n)
+        for row, want in zip(got, c):
+            assert row == pytest.approx(facet_volumes(poly, want), rel=1e-12)
+
+    def test_resolve_check_names_a_vertex_that_gains_a_plane(self):
+        # the plane of w = (1.01, 0) misses the dual diamond at 1.02 and touches its
+        # corner (1, 0) at 1.01: every re-solved vertex stays feasible, but the
+        # corner gains a tight plane
+        poly = make_polytope(2, self.PENTAGON)
+        c = np.ones((2, poly.n))
+        c[:, -1] = [1.02, 1.01]
+        with pytest.raises(NumericalInstability, match=r"plane 4 at step \+1\.000e-02"):
+            geometry.dual_facet_volumes(poly, c)
+
+    def test_resolve_check_names_a_vertex_left_infeasible(self):
+        # every vertex of the cube's dual octahedron lies on four planes and is
+        # solved from the first three; pulling in the last plane leaves the
+        # re-solved vertices on it where they were, outside that plane
+        poly = FIXTURES["cube"]()
+        c = np.ones((2, poly.n))
+        c[1, -1] = 0.99
+        with pytest.raises(NumericalInstability, match=r"plane 7 at step -1\.000e-02"):
+            geometry.dual_facet_volumes(poly, c)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_invertible
-from helpers import FIXTURES, adjacency, hypercube, perm_matrix
-from polysym import DEFAULT_TOLERANCES, Tolerances, izmestiev, make_polytope
+from helpers import (FIXTURES, adjacency, cross_polytope, fd_raw_hessians, hypercube,
+                     perm_matrix, sphere_polytope)
+from polysym import DEFAULT_TOLERANCES, Tolerances, geometry, izmestiev, make_polytope
 from polysym.errors import NumericalInstability
 from polysym.izmestiev import (
     izmestiev_matrix,
@@ -109,14 +110,43 @@ def test_fd_asymmetry_raises(artifacts, monkeypatch):
     art = artifacts["cube"]
     exact = izmestiev.dual_facet_volumes
 
-    def skewed(poly, c):
-        g = exact(poly, c)
-        g[0] += 1e-3 * (c[1] - 1.0) * np.linalg.norm(poly.vertices[0])
+    def skewed(poly, c, shapes):
+        g = exact(poly, c, shapes)
+        g[:, 0] += 1e-3 * (c[:, 1] - 1.0) * np.linalg.norm(poly.vertices[0])
         return g
 
     monkeypatch.setattr(izmestiev, "dual_facet_volumes", skewed)
     with pytest.raises(NumericalInstability, match="asymmetry 1.000e-03"):
         izmestiev_matrix_fd(art.poly)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fd_enumerates_each_ray_once(polytopes, name, monkeypatch):
+    # one vertex enumeration per stencil ray c = 1 +- t e_i, at t = h/4; the
+    # offsets at h/2 and h re-solve its vertices
+    calls = []
+    search = geometry._vertices
+    monkeypatch.setattr(geometry, "_vertices", lambda *a, **k: calls.append(1) or search(*a, **k))
+    izmestiev_matrix_fd(polytopes[name])
+    assert len(calls) == 2 * polytopes[name].n
+
+
+def test_fd_resolve_check_raises():
+    # at h = 0.05 a plane's shift changes the dual's combinatorics between h/4
+    # and h: the re-solved vertices fail their tight sets before any drift is taken
+    poly = sphere_polytope(8, 3, seed=1)
+    wide = make_polytope(3, poly.vertices, tol=Tolerances(fd_step=0.05))
+    with pytest.raises(NumericalInstability, match=r"inside the stencil: plane \d+ at step"):
+        izmestiev_matrix_fd(wide)
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, "cube4", "cross4"])
+def test_raw_hessians_match_per_point_enumeration(name):
+    # one enumeration and shared face shapes per ray give the raw Hessians
+    # that a fresh shifted dual at every stencil point gives
+    poly = {**FIXTURES, "cube4": lambda: hypercube(4), "cross4": lambda: cross_polytope(4)}[name]()
+    for got, want in zip(izmestiev._raw_hessians(poly), fd_raw_hessians(poly), strict=True):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_fd_recovers_edge_graph(artifacts):
