@@ -9,8 +9,11 @@ path).  ``analyze_sha256.json`` holds only the SHA-256 of each ``analyze``
 report on a wider set: every polytope fixture and the 4-cube, 24-cell,
 5-cross-polytope and 5-cube of scripts/bench.py, each as given, turned by
 a seeded orthogonal map and with its vertices relabelled by a seeded
-permutation.  Golden files change only together with a CHANGES.md entry
-that explains why the reports changed.
+permutation.  ``validate_sha256.json`` holds the SHA-256 of each
+``validate`` report on every polytope fixture, once with the computed
+matrix and once with ``--matrix`` given the dump the fixture's own
+``analyze`` report writes.  Golden files change only together with a
+CHANGES.md entry that explains why the reports changed.
 """
 
 import contextlib
@@ -27,6 +30,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 SHA256_TABLE = GOLDEN / "analyze_sha256.json"
+VALIDATE_TABLE = GOLDEN / "validate_sha256.json"
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "scripts"))
 
@@ -79,6 +83,27 @@ def analyze_sha256() -> dict:
     return table
 
 
+def validate_sha256() -> dict:
+    """Row name -> SHA-256 of ``validate`` on each polytope fixture, written as input.json.
+
+    Row "<fixture> dump" validates the matrix dump of the fixture's own
+    ``analyze`` report, given as dump.json.
+    """
+    table = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for fixture in sorted((ROOT / "fixtures").glob("*.json")):
+            if fixture.stem == "k44_embedding":
+                continue
+            (Path(tmp) / "input.json").write_text(fixture.read_text())
+            dump = json.loads(run(["analyze", "input.json"], cwd=tmp))["matrix_summary"]["dump"]
+            (Path(tmp) / "dump.json").write_text(json.dumps(dump))
+            for name, extra in ((fixture.stem, []),
+                                (f"{fixture.stem} dump", ["--matrix", "dump.json"])):
+                report = run(["validate", "input.json", *extra], cwd=tmp)
+                table[name] = hashlib.sha256(report.encode()).hexdigest()
+    return table
+
+
 def run(argv: list[str], cwd=ROOT) -> str:
     """Stdout of ``polysym.cli.main(argv)`` run from cwd, by default the repository root."""
     out = io.StringIO()
@@ -101,6 +126,8 @@ def write_all() -> None:
         print(f"wrote {GOLDEN / name}")
     SHA256_TABLE.write_text(json.dumps(analyze_sha256(), indent=2) + "\n")
     print(f"wrote {SHA256_TABLE}")
+    VALIDATE_TABLE.write_text(json.dumps(validate_sha256(), indent=2) + "\n")
+    print(f"wrote {VALIDATE_TABLE}")
 
 
 if __name__ == "__main__":

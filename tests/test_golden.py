@@ -1,9 +1,9 @@
 """Byte-exact guard on the CLI reports: analyze on every fixture, and the oracle on the K_{4,4}
 embedding (graph-auts candidates) and on two polytopes (the full Sym(n) stream).
 
-The expected bytes, and the SHA-256 table of analyze reports on a wider
-set of inputs, live in tests/golden/ and are regenerated by
-scripts/make_golden.py.
+The expected bytes, the SHA-256 table of analyze reports on a wider set
+of inputs and that of validate reports on every polytope fixture live in
+tests/golden/ and are regenerated by scripts/make_golden.py.
 """
 
 import importlib.util
@@ -55,3 +55,8 @@ def test_one_pseudo_inverse_per_frame(monkeypatch, name, argv):
 def test_analyze_sha256_table():
     # every polytope fixture and four ladder polytopes, each as given, turned and relabelled
     assert make_golden.analyze_sha256() == json.loads(make_golden.SHA256_TABLE.read_text())
+
+
+def test_validate_sha256_table():
+    # every polytope fixture, with its computed matrix and with its own analyze report's dump
+    assert make_golden.validate_sha256() == json.loads(make_golden.VALIDATE_TABLE.read_text())
