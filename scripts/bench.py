@@ -20,7 +20,8 @@ peak RSS of the child (from os.wait4), the stdout size and the stdout
 SHA-256, which every run of the row must repeat (the script exits 1
 otherwise): equal hashes from two checkouts show byte-identical reports.
 Prints one JSON document: the environment, a SHA-256 of the sources run
-(as benchmark/run.py takes it) and the rows.
+(as benchmark/run.py takes it), their line count (``src_lines``, as
+``wc -l src/polysym/*.py`` totals it) and the rows.
 """
 
 import argparse
@@ -159,11 +160,13 @@ def main() -> None:
             argv = [command, *(f"{name}.json" for name in names)]
             rows.append({"instance": " + ".join(names), **repeated(src, argv, workdir)})
         print(f"{' '.join(argv)}: {rows[-1]}", file=sys.stderr)
-    digest = hashlib.sha256()
+    digest, lines = hashlib.sha256(), 0
     for path in sorted((src / "polysym").glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    json.dump({"environment": environment(), "src_sha256": digest.hexdigest(), "rows": rows},
-              sys.stdout, indent=2)
+        source = path.read_bytes()
+        digest.update(path.name.encode() + b"\0" + source)
+        lines += source.count(b"\n")
+    json.dump({"environment": environment(), "src_sha256": digest.hexdigest(),
+               "src_lines": lines, "rows": rows}, sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 

@@ -19,7 +19,6 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .errors import (
     TheoremViolation,
     TooManyCandidates,
 )
-from .geometry import load_polytope
+from .geometry import load_polytope, read_document
 from .izmestiev import izmestiev_matrix, izmestiev_matrix_fd, verify_properties
 from .oracle import SYM_LIMIT, brute_force_group
 from .reconstruct import (MatrixGroup, build_artifacts, eigenspace_criterion, linear_group,
@@ -188,8 +187,6 @@ def cmd_analyze(args) -> int:
 
 def load_matrix_dump(doc: dict, n: int) -> np.ndarray:
     """Rehydrate the (n, n) matrix from the dump {"n": int, "entries": [[...], ...]} analyze writes."""
-    if not isinstance(doc, dict):
-        raise ParseError("matrix dump root must be a JSON object")
     entries = np.asarray(doc["entries"], dtype=float)
     if entries.shape != (doc["n"], doc["n"]) or entries.shape[0] != n:
         raise ValueError(f"matrix dump shape inconsistent with {n} vertices")
@@ -202,9 +199,8 @@ def cmd_validate(args) -> int:
     poly = _load(args, args.path)
     if args.matrix:
         try:
-            dump = json.loads(Path(args.matrix).read_text())
-            mat = load_matrix_dump(dump, poly.n)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+            mat = load_matrix_dump(read_document(args.matrix), poly.n)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad matrix dump: {exc}") from exc
         source = "dump"
     else:
@@ -233,10 +229,7 @@ def cmd_validate(args) -> int:
 
 
 def _load_embedding(args):
-    try:
-        doc = json.loads(Path(args.path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read embedding: {exc}") from exc
+    doc = read_document(args.path)
     try:
         coords = np.asarray(doc["vertices"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
@@ -248,10 +241,7 @@ def _load_embedding(args):
             isinstance(e, list) and len(e) == 2 and e[0] != e[1]
             and all(type(x) is int and 0 <= x < n for x in e) for e in edges):
         raise ParseError(f"'edges' must be pairs of distinct vertex indices in 0..{n - 1}")
-    name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ParseError("'name' must be a string")
-    return uncolored(n, edges), coords, name
+    return uncolored(n, edges), coords, doc.get("name")
 
 
 def cmd_oracle(args) -> int:

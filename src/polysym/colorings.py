@@ -130,27 +130,19 @@ def izmestiev_coloring(poly: Polytope, m: np.ndarray) -> Coloring:
     return quantize(vvals, evals, poly.tol)
 
 
-def _densify_pairs(pairs: list) -> list[int]:
-    mapping = {}
-    for p in sorted(set(pairs)):
-        mapping[p] = len(mapping)
-    return [mapping[p] for p in pairs]
-
-
 def product_coloring(c1: Coloring, c2: Coloring) -> Coloring:
     """Componentwise pair of two colorings on the same graph; refines both."""
     if c1.n != c2.n or set(c1.edge) != set(c2.edge):
         raise DomainMismatch("product of colorings on different graphs")
-    vpairs = list(zip(c1.vertex, c2.vertex))
     edges = sorted(c1.edge)
-    epairs = [(c1.edge[e], c2.edge[e]) for e in edges]
-    vids = _densify_pairs(vpairs)
-    eids = _densify_pairs(epairs)
-    return Coloring(
-        vertex=tuple(vids),
-        edge=dict(zip(edges, eids)),
-        vertex_reps=tuple(sorted(set(vpairs))),
-        edge_reps=tuple(sorted(set(epairs))),
+    epairs = np.array([(c1.edge[e], c2.edge[e]) for e in edges]).reshape(-1, 2)
+    vreps, vids = np.unique(np.column_stack([c1.vertex, c2.vertex]), axis=0, return_inverse=True)
+    ereps, eids = np.unique(epairs, axis=0, return_inverse=True)
+    return Coloring(  # raveled: numpy 2.0.0 gives the inverse an extra axis when axis is given
+        vertex=tuple(vids.ravel().tolist()),
+        edge=dict(zip(edges, eids.ravel().tolist())),
+        vertex_reps=tuple(map(tuple, vreps.tolist())),
+        edge_reps=tuple(map(tuple, ereps.tolist())),
     )
 
 

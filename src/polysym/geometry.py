@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import factorial, frexp, ldexp
 from pathlib import Path
 
@@ -87,10 +87,6 @@ def _affine_basis(points: np.ndarray, eps: float):
     return centroid, rank, vt
 
 
-def affine_rank(points: np.ndarray, eps: float) -> int:
-    return _affine_basis(points, eps)[1]
-
-
 def _vertices(normals: np.ndarray, offsets: np.ndarray, eps: float):
     """Vertices of {x : normals @ x <= offsets}, each once, with the planes tight at each.
 
@@ -108,8 +104,8 @@ def _vertices(normals: np.ndarray, offsets: np.ndarray, eps: float):
     lengths = np.linalg.norm(normals, axis=1)
     subsets = combinations(range(n), d)
     points, tags, solved = [], [], []
-    while block := list(islice(subsets, SUBSET_BLOCK)):
-        block = np.array(block)
+    while len(block := np.fromiter(chain.from_iterable(islice(subsets, SUBSET_BLOCK)),
+                                   np.intp).reshape(-1, d)):
         mats = normals[block]                                     # (S, d, d)
         ok = np.abs(np.linalg.det(mats)) > 1e-12 * np.prod(lengths[block], axis=1)
         sols = np.linalg.solve(mats[ok], offsets[block[ok]][..., None])[..., 0]  # (S', d)
@@ -151,7 +147,7 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
     dup = np.argwhere(np.triu(close, 1))  # row-major: the lexicographically first pair leads
     if len(dup):
         raise ValidationError(f"duplicate vertices: {dup[0][0]} and {dup[0][1]}")
-    if affine_rank(vertices, eps) < dim:
+    if _affine_basis(vertices, eps)[1] < dim:
         raise ValidationError("not full-dimensional: vertices lie in a proper affine subspace")
     # g is interior, so the polar of P - g is bounded
     with np.errstate(over="ignore"):  # a subset whose determinant overflows is skipped
@@ -197,24 +193,35 @@ def make_polytope(dim, vertices, name=None, tol: Tolerances = DEFAULT_TOLERANCES
     return Polytope(verts, normals, incidence, edges, tol, name)
 
 
-def load_polytope(source, tol: Tolerances = DEFAULT_TOLERANCES, recenter: bool = False) -> Polytope:
-    """Load a polytope from a JSON file path or a parsed dict.
+def read_document(source) -> dict:
+    """The JSON object in a file, or a parsed dict, after the checks every input document shares.
 
-    Schema: {"name": str?, "dimension": int, "vertices": [[float,...],...]}.
+    Else ParseError: an unreadable file, invalid JSON, a root that is no object, a non-string name.
     """
     if isinstance(source, dict):
         doc = source
     else:
         try:
-            text = Path(source).read_text()
+            data = Path(source).read_bytes()
         except OSError as exc:
             raise ParseError(f"cannot read {source}: {exc}") from exc
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
+            doc = json.loads(data)
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are no UTF-8/16/32 text
+            raise ParseError(f"invalid JSON in {source}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("document root must be a JSON object")
+    if not isinstance(doc.get("name"), (str, type(None))):
+        raise ParseError("'name' must be a string")
+    return doc
+
+
+def load_polytope(source, tol: Tolerances = DEFAULT_TOLERANCES, recenter: bool = False) -> Polytope:
+    """Load a polytope from a JSON file path or a parsed dict.
+
+    Schema: {"name": str?, "dimension": int, "vertices": [[float,...],...]}.
+    """
+    doc = read_document(source)
     if "dimension" not in doc or "vertices" not in doc:
         raise ParseError("document needs 'dimension' and 'vertices' keys")
     dim = doc["dimension"]
@@ -228,10 +235,7 @@ def load_polytope(source, tol: Tolerances = DEFAULT_TOLERANCES, recenter: bool =
         arr = np.asarray(verts, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"non-numeric vertex coordinate: {exc}") from exc
-    name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ParseError("'name' must be a string")
-    return make_polytope(dim, arr, name=name, tol=tol, recenter=recenter)
+    return make_polytope(dim, arr, name=doc.get("name"), tol=tol, recenter=recenter)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +357,7 @@ def _shifted_dual(poly: Polytope, c, shapes=None):
         raise Unbounded(f"offsets outside trust region [1-{delta}, 1+{delta}]")
     points, tight, subsets = _vertices(poly.vertices, c[0], tol.geom_rel)
     size = np.linalg.norm(points, axis=1).max(initial=0.0)  # the region's size, about 1/scale
-    if len(points) <= d or affine_rank(points, tol.geom(size)) != d:
+    if len(points) <= d or _affine_basis(points, tol.geom(size))[1] != d:
         raise Unbounded("dual vertex set is not full-dimensional")
     x = np.linalg.solve(poly.vertices[subsets], c[1:, subsets, None])[..., 0]  # (S - 1, k, d)
     vals, b, eps = x @ poly.vertices.T, c[1:, None], tol.geom_rel

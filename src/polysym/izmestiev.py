@@ -75,8 +75,8 @@ def izmestiev_matrix_fd(poly: Polytope) -> np.ndarray:
     cancels the step-linear error a merely C^2 volume produces at non-simple
     dual vertices.  The two combined estimates must agree, and each raw
     Hessian must be symmetric, within ``tol.fd_check`` once made
-    dimensionless (times scale^d, as M(sP) = s^-d M(P)); otherwise a
-    combinatorial flip of the shifted dual is suspected.
+    dimensionless (times scale^d, as M(sP) = s^-d M(P)).  A change of the
+    shifted dual's combinatorics on a ray raises its own error first.
     """
     raw = _raw_hessians(poly)
     asym = max(float(np.max(np.abs(m - m.T))) for m in raw)
@@ -86,8 +86,7 @@ def izmestiev_matrix_fd(poly: Polytope) -> np.ndarray:
     limit = poly.tol.fd_check / poly.scale ** poly.dim
     if max(drift, asym) > limit:
         raise NumericalInstability(
-            f"step-halving drift {drift:.3e} / asymmetry {asym:.3e} exceeds "
-            f"{limit:.1e}; shifted dual changed combinatorics inside the stencil")
+            f"step-halving drift {drift:.3e} / asymmetry {asym:.3e} exceeds {limit:.1e}")
     return combined[1]
 
 

@@ -456,6 +456,39 @@ def test_name_that_is_no_string_exits_2(tmp_path, capsys, name):
         assert (out, err) == ("", "error: 'name' must be a string\n"), embedding
 
 
+# every input document, by the argv that reads it: a polytope, an embedding and a matrix dump
+DOCUMENT_READERS = {
+    "polytope": lambda path: ["analyze", path],
+    "embedding": lambda path: ["oracle", path, "--embedding"],
+    "matrix-dump": lambda path: ["validate", str(FIXTURES / "square.json"), "--matrix", path],
+}
+
+
+@pytest.mark.parametrize("kind", DOCUMENT_READERS)
+def test_document_that_is_no_object_exits_2(tmp_path, capsys, kind):
+    # one reader checks the root of every input document, with one message
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps([SQUARE_COORDS]))
+    assert cli.main(DOCUMENT_READERS[kind](str(path))) == 2
+    assert capsys.readouterr() == ("", "error: document root must be a JSON object\n")
+
+
+@pytest.mark.parametrize("kind", DOCUMENT_READERS)
+@pytest.mark.parametrize("text, message", [(None, "cannot read {path}: "),
+                                           (b"not json {", "invalid JSON in {path}: "),
+                                           (b"\xff\xfe\x00", "invalid JSON in {path}: ")],
+                         ids=["missing", "invalid-json", "no-unicode"])
+def test_unreadable_document_exits_2(tmp_path, capsys, kind, text, message):
+    # the message names the file, as validate --matrix reads two
+    path = tmp_path / "doc.json"
+    if text is not None:
+        path.write_bytes(text)
+    assert cli.main(DOCUMENT_READERS[kind](str(path))) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: " + message.format(path=path)), err
+    assert err.count("\n") == 1
+
+
 def test_experiment_metric_runs():
     proc = run_cli("experiment-metric", str(FIXTURES / "perturbed_hexagon.json"),
                    check=True)

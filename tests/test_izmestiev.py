@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from itertools import combinations
 
 import numpy as np
@@ -118,6 +119,23 @@ def test_fd_asymmetry_raises(artifacts, monkeypatch):
     monkeypatch.setattr(izmestiev, "dual_facet_volumes", skewed)
     with pytest.raises(NumericalInstability, match="asymmetry 1.000e-03"):
         izmestiev_matrix_fd(art.poly)
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalInstability,
+                   reason="asymmetry 1.05e-4 x scale^-d against the 1e-4 bound; "
+                          "every stencil ray passes the re-solve check")
+def test_fd_agrees_on_generic_6d_sphere_polytope():
+    poly = sphere_polytope(12, 6, seed=0)
+    fd = izmestiev_matrix_fd(poly)
+    assert np.max(np.abs(fd - izmestiev_matrix(poly))) * poly.scale ** 6 <= poly.tol.fd_check
+
+
+def test_fd_drift_message_names_only_what_it_measured():
+    # the shifted dual keeps its combinatorics on every ray (the re-solve check
+    # passes), so the message may not blame a change of them
+    with pytest.raises(NumericalInstability) as info:
+        izmestiev_matrix_fd(sphere_polytope(12, 6, seed=0))
+    assert re.fullmatch(r"step-halving drift \S+ / asymmetry \S+ exceeds \S+", str(info.value))
 
 
 @pytest.mark.parametrize("name", FIXTURES)
