@@ -187,6 +187,8 @@ def cmd_analyze(args) -> int:
 
 def load_matrix_dump(doc: dict, n: int) -> np.ndarray:
     """Rehydrate the (n, n) matrix from the dump {"n": int, "entries": [[...], ...]} analyze writes."""
+    if "n" not in doc or "entries" not in doc:
+        raise ParseError("matrix dump needs 'n' and 'entries' keys")
     entries = np.asarray(doc["entries"], dtype=float)
     if entries.shape != (doc["n"], doc["n"]) or entries.shape[0] != n:
         raise ValueError(f"matrix dump shape inconsistent with {n} vertices")
@@ -200,7 +202,7 @@ def cmd_validate(args) -> int:
     if args.matrix:
         try:
             mat = load_matrix_dump(read_document(args.matrix), poly.n)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"bad matrix dump: {exc}") from exc
         source = "dump"
     else:
@@ -230,9 +232,11 @@ def cmd_validate(args) -> int:
 
 def _load_embedding(args):
     doc = read_document(args.path)
+    if "vertices" not in doc:
+        raise ParseError("embedding document needs a 'vertices' key")
     try:
         coords = np.asarray(doc["vertices"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"bad embedding document: {exc!r}") from exc
     if coords.ndim != 2 or coords.size == 0 or not np.isfinite(coords).all():
         raise ParseError("'vertices' must be a non-empty list of equal-length finite number lists")

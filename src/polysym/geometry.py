@@ -5,8 +5,9 @@ once, as the vertices of the polar dual, and the edge-graph is read off
 their incidence; the ``Polytope`` carries both.  One vertex enumeration
 (``_vertices``) serves validation and the shifted dual, which is
 enumerated once per stencil ray and re-solved at the ray's other offsets.
-Volumes are summed bottom-up over the face lattice an incidence gives, by
-the pyramid formula, each face once; rays share the faces' shapes.
+Volumes are summed over the face lattice an incidence gives, by the
+pyramid formula, in one kernel that walks it a level at a time: all faces
+of a dimension at once, each face once.
 """
 
 from __future__ import annotations
@@ -271,84 +272,103 @@ def dual_edge_volumes(poly: Polytope) -> list[float]:
     The dual face of an edge {i, j} is conv of the facet normals whose
     facets hold both i and j, a (d - 2)-face of the polar dual.  The dual's
     planes are the vertices of P at offset 1, and its incidence is the
-    facet incidence transposed; each dual face is evaluated once.
+    facet incidence transposed; all dual faces go to one kernel call.
     """
-    inc = poly.incidence
-    vol = _lattice_volume(poly.normals[None], poly.vertices, np.ones((1, poly.n)), inc.T)
-    return [vol(inc[:, i] & inc[:, j], poly.dim - 2)[0] for i, j in poly.edges]
+    inc, (i, j) = poly.incidence, np.array(poly.edges).T
+    return _face_volumes(poly.normals[None], poly.vertices, np.ones((1, poly.n)), inc.T,
+                         (inc[:, i] & inc[:, j]).T, poly.dim - 2)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
-# volumes, bottom-up over the face lattice
+# volumes, level by level down the face lattice
 
-def _lattice_volume(points, normals, offsets, incidence, shapes=None):
-    """Memoized relative volumes of the faces of S polytopes of one combinatorial type.
+def _face_volumes(points, normals, offsets, incidence, faces, k) -> np.ndarray:
+    """(S, F) relative volumes of F k-faces of S polytopes of one combinatorial type.
 
     Polytope s is conv(``points[s]``) = {x : <normals[j], x> <= offsets[s, j]},
-    and ``incidence[j, p]`` flags point p on plane j.  The returned
-    ``vol(face, k)`` takes a face as a boolean mask over the points and its
-    dimension k, and returns its S volumes.  A face's sub-faces are the
-    inclusion-maximal non-empty tight patterns of the planes not tight on
-    the whole face, and vol_k(Q) = (1/k) sum_R h_R vol_{k-1}(R) (Bueler,
-    Enge & Fukuda 2000), with h_R the distance from Q's vertex centroid c to
-    R's plane inside aff(Q): (b_j - <a_j, c>) over the length of a_j
-    projected onto Q's direction, the complement of Q's tight normals.
-    Points, segments and simplices are closed-form (Gram determinant).  A
-    face's shape (its sub-faces' planes and those lengths) reads only its
-    incidence columns, so ``shapes`` keeps it, keyed by them, for all calls
-    on the same normals; its numbers are taken for all S point sets at once.
+    ``incidence[j, p]`` flags point p on plane j, and row f of ``faces``
+    flags the points of face f.  Points and simplices are closed-form (Gram
+    determinant).  Any other face Q has as sub-faces the inclusion-maximal
+    non-empty patterns of the planes not tight on Q, each from the first
+    plane with it, and vol_k(Q) = (1/k) sum_R h_R vol_{k-1}(R) in ascending
+    plane order (Bueler, Enge & Fukuda 2000), with h_R the distance from
+    Q's vertex centroid c to R's plane inside aff(Q): (b_j - <a_j, c>) over
+    the length of a_j projected onto Q's direction, the complement of the
+    span of Q's tight normals.  The faces of a level are taken at once, and
+    their distinct sub-faces make one call on level k - 1.  Dot products
+    are elementwise products and sums, centroids ordered sums, so a face's
+    volume has the same bits whatever else is in its batch.
     """
-    shapes = {} if shapes is None else shapes
-    memo: dict[bytes, list[float]] = {}
-
-    def vol(face: np.ndarray, k: int) -> list[float]:
-        key = face.tobytes()
-        if key in memo:
-            return memo[key]
-        pts = points[:, face]
-        if k == 0:
-            v = [1.0] * len(points)
-        elif pts.shape[1] == k + 1:
-            rays = pts[:, 1:] - pts[:, :1]
-            v = (np.sqrt(np.linalg.det(rays @ rays.transpose(0, 2, 1))) / factorial(k)).tolist()
-        else:
-            cols = incidence[:, face]
-            if (columns := cols.tobytes()) not in shapes:
-                tight = cols.all(axis=1)
-                pats = cols[~tight]
-                size = pats.sum(axis=1)
-                counts = pats.astype(float)
-                inside = counts @ counts.T == size[:, None]  # [r, s]: pattern r within pattern s
-                # non-empty, inclusion-maximal, and the first plane with its pattern
-                sub = (size > 0) & ~np.any(inside & (size > size[:, None]), axis=1) \
-                    & ((inside & inside.T).argmax(axis=1) == np.arange(len(size)))
-                a = normals[planes := np.flatnonzero(~tight)[sub]]
-                span = np.linalg.svd(normals[tight])[2][: normals.shape[1] - k]  # rows: their span
-                shapes[columns] = planes, a.T, np.linalg.norm(a - (a @ span.T) @ span, axis=1)
-            planes, at, denom = shapes[columns]
-            h = (offsets[:, planes] - pts.mean(axis=1) @ at) / denom  # (S, sub-faces)
-            terms = [vol(r, k - 1) for r in incidence[planes] & face]
-            v = [sum(hr * t[s] for hr, t in zip(hs, terms)) / k for s, hs in enumerate(h.tolist())]
-        memo[key] = v
-        return v
-
+    n_sets, n_points, d = points.shape
+    size = faces.sum(axis=1)
+    vol = np.ones((n_sets, len(faces)))
+    if k == 0:
+        return vol
+    simplex = size == k + 1
+    pts = points[:, np.nonzero(faces[simplex])[1].reshape(-1, k + 1)]  # (S, F', k + 1, d)
+    rays = pts[:, :, 1:] - pts[:, :, :1]
+    vol[:, simplex] = np.sqrt(np.linalg.det(rays @ rays.swapaxes(2, 3))) / factorial(k)
+    if simplex.all():
+        return vol
+    face, size = faces[~simplex], size[~simplex]
+    rank = lambda f: np.arange(len(f)) - np.searchsorted(f, f)  # place of each f among equals
+    # each face's points, padded with index P: a point off every plane, at the origin
+    f, p = np.nonzero(face)
+    local = np.full((len(face), size.max()), n_points)
+    local[f, rank(f)] = p
+    cols = np.vstack([incidence.T, np.zeros(len(normals), bool)])[local]  # (G, Q, m)
+    count = cols.sum(axis=1)
+    tight = count == size[:, None]
+    # sub-faces: the maximal patterns, first plane first, among planes meeting the face
+    f, j = np.nonzero((count > 0) & ~tight)
+    slot = rank(f)
+    pats = np.zeros((len(face), slot.max() + 1, local.shape[1]))
+    pats[f, slot] = cols[f, :, j]
+    sizes = np.zeros(pats.shape[:2])
+    sizes[f, slot] = count[f, j]
+    inside = pats @ pats.swapaxes(1, 2) == sizes[:, :, None]  # [g, r, s]: pattern r within s
+    sub = ~np.any(inside & (sizes[:, None, :] > sizes[:, :, None]), axis=2) \
+        & ((inside & inside.swapaxes(1, 2)).argmax(axis=2) == np.arange(pats.shape[1]))
+    keep = sub[f, slot]
+    f, j = f[keep], j[keep]
+    # denominators: Q's direction from an SVD of its tight normals, stacked by their count
+    span, ntight = np.zeros((len(face), d - k, d)), tight.sum(axis=1)
+    for t in set(ntight.tolist()):
+        rows = np.flatnonzero(ntight == t)
+        planes = np.nonzero(tight[rows])[1].reshape(len(rows), t)
+        span[rows] = np.linalg.svd(normals[planes])[2][:, :d - k]
+    a, span = normals[j], span[f]
+    denom = np.linalg.norm(a - ((a[:, None] * span).sum(axis=2)[..., None] * span).sum(axis=1),
+                           axis=1)
+    # the distinct sub-faces, one call on the level below
+    masks = (incidence[j] & face[f]).view(np.dtype((np.void, n_points)))
+    children, which = np.unique(masks[:, 0], return_inverse=True)
+    below = _face_volumes(points, normals, offsets, incidence,
+                          children.view(bool).reshape(-1, n_points), k - 1)
+    centroid = np.concatenate([points, np.zeros((n_sets, 1, d))], axis=1)[:, local].sum(axis=2) \
+        / size[:, None]
+    h = (offsets[:, j] - (centroid[:, f] * a).sum(axis=2)) / denom  # (S, pairs)
+    # each pyramid sum in ascending plane order
+    terms = np.zeros((n_sets, len(face), np.bincount(f).max()))
+    terms[:, f, rank(f)] = h * below[:, which]
+    vol[:, ~simplex] = np.cumsum(terms, axis=2)[:, :, -1] / k
     return vol
 
 
-def _shifted_dual(poly: Polytope, c, shapes=None):
-    """S regions {x : <x, v_i> <= c[s, i]} of one combinatorial type: their tags and volumes.
+def _shifted_dual(poly: Polytope, c):
+    """S regions {x : <x, v_i> <= c[s, i]} of one combinatorial type: their vertices and tags.
 
     Region 0 is vertex-enumerated with ``_vertices``; the others' vertices
     are re-solved from the d-subsets that found region 0's.  Each must be
     feasible with exactly its recorded tight planes, so every edge that
     leaves it ends at another one and the vertex set is complete; else
-    NumericalInstability is raised.  Returns ``tight``, with ``tight[i, p]``
-    flagging vertex p on plane i, and the memoized ``vol(face, k)`` of the
-    face lattice it gives (``_lattice_volume``, with ``shapes``).  The
-    offsets must stay in the trust region |c - 1| <= ``poly.tol.dual_trust``
-    so the regions stay bounded and combinatorially tame.
+    NumericalInstability is raised.  Returns the (S, k, d) vertices, row p
+    of each region's vertex p, and ``tight``, with ``tight[i, p]`` flagging
+    vertex p on plane i: the arguments ``_face_volumes`` takes with the
+    planes ``poly.vertices`` at offsets c.  The offsets must stay in the
+    trust region |c - 1| <= ``poly.tol.dual_trust`` so the regions stay
+    bounded and combinatorially tame.
     """
-    c = np.asarray(c, dtype=float)
     n, d, tol = poly.n, poly.dim, poly.tol
     if c.ndim != 2 or c.shape[1] != n:
         raise ValueError(f"offsets must have shape (S, {n})")
@@ -365,23 +385,25 @@ def _shifted_dual(poly: Polytope, c, shapes=None):
         i = int(np.argmax(np.abs((row := c[1 + np.argmax(bad)]) - c[0])))
         raise NumericalInstability("shifted dual changed combinatorics inside the stencil: "
                                    f"plane {i} at step {row[i] - 1.0:+.3e}")
-    return tight, _lattice_volume(np.vstack([points[None], x]), poly.vertices, c, tight, shapes)
+    return np.vstack([points[None], x]), tight
 
 
-def dual_facet_volumes(poly: Polytope, c, shapes=None) -> np.ndarray:
+def dual_facet_volumes(poly: Polytope, c) -> np.ndarray:
     """(S, n) volumes of the facets F_i, on the planes <x, v_i> = c_si, of {x : <x, v_i> <= c_si}.
 
     The S offset rows give regions of one type (``_shifted_dual``).  ``F_i``
-    is the face of the region's lattice on plane i, so its volume comes from
-    the same memoized recursion as the region's volume, with the faces
-    shared between facets evaluated once.  A plane that meets the region in
-    less than a facet contributes 0: its points, if any, all lie on some
-    other plane too, whereas no other plane holds a facet.  Divided by |v_i|
-    these are the partial derivatives of the region's volume in c.
+    is the face of the region's lattice on plane i, and all facets go to
+    one kernel call, so the faces they share are evaluated once.  A plane
+    that meets the region in less than a facet contributes 0: its points,
+    if any, all lie on some other plane too, whereas no other plane holds a
+    facet.  Divided by |v_i| these are the partial derivatives of the
+    region's volume in c.
     """
-    tight, vol = _shifted_dual(poly, c, shapes)
+    c = np.asarray(c, dtype=float)
+    points, tight = _shifted_dual(poly, c)
     counts = tight.astype(float)
     within = counts @ counts.T == tight.sum(axis=1)[:, None]  # [i, j]: plane i's points on plane j
     facet = within.sum(axis=1) == 1
-    return np.array([vol(face, poly.dim - 1) if ok else [0.0] * len(c)
-                     for face, ok in zip(tight, facet)]).T
+    vol = np.zeros((len(c), poly.n))
+    vol[:, facet] = _face_volumes(points, poly.vertices, c, tight, tight[facet], poly.dim - 1)
+    return vol

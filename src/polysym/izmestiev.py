@@ -9,9 +9,10 @@ Two independent routes to the same matrix:
   shifted dual's facet volumes, as the oracle for the first route.  It
   enumerates the shifted dual once per stencil ray (``geometry._vertices``,
   which also finds the facets) and re-solves it at the ray's other steps,
-  sums the face lattices with shared face shapes (``_lattice_volume``),
-  and reads none of ``poly.normals``, ``poly.incidence`` and
-  ``poly.edges``: its sparsity pattern is an outcome, not an input.
+  sums the ray's three face lattices level by level in one kernel call
+  (``geometry._face_volumes``), and reads none of ``poly.normals``,
+  ``poly.incidence`` and ``poly.edges``: its sparsity pattern is an
+  outcome, not an input.
 
 Both return the matrix as an (n, n) array indexed like the vertices.
 
@@ -94,12 +95,12 @@ def _raw_hessians(poly: Polytope) -> np.ndarray:
     """(3, n, n): raw Hessians at steps h, h/2 and h/4, one stencil ray c = 1 +- t e_i at a time.
 
     ``dual_facet_volumes`` enumerates a ray's shifted dual once, at h/4, and
-    re-solves it at h/2 and h: 2n enumerations in all.  Every ray shares one
-    memo of face shapes, which read only the planes, the vertices.
+    re-solves it at h/2 and h: 2n enumerations in all, and one volume
+    kernel call per ray for its three offsets.
     """
-    steps, shapes = poly.tol.fd_step / np.array([4.0, 2.0, 1.0]), {}
+    steps = poly.tol.fd_step / np.array([4.0, 2.0, 1.0])
     norms = np.linalg.norm(poly.vertices, axis=1)
-    grad = lambda c: dual_facet_volumes(poly, c, shapes) / norms
+    grad = lambda c: dual_facet_volumes(poly, c) / norms
     return np.stack([(grad(1.0 + np.outer(steps, ei)) - grad(1.0 - np.outer(steps, ei)))
                      / (2.0 * steps[:, None]) for ei in np.eye(poly.n)], axis=2)[::-1]
 

@@ -11,7 +11,6 @@ loaded here by name from fixtures/*.json, their only source.
 from __future__ import annotations
 
 import contextlib
-import inspect
 import io
 import json
 from dataclasses import dataclass
@@ -279,9 +278,12 @@ def sphere_polytope(n: int, d: int, seed: int) -> Polytope:
             continue
 
 
-def lattice_faces(vol) -> dict:
-    """The memo of a volume function returned by ``geometry._lattice_volume``: face -> volume."""
-    return inspect.getclosurevars(vol).nonlocals["memo"]
+def lattice_faces(calls) -> list:
+    """The faces ``geometry._face_volumes`` evaluated, from the argument tuples of its calls.
+
+    One ``(k, mask bytes)`` pair per row of a call's ``faces``, call by call.
+    """
+    return [(k, face.tobytes()) for *_, faces, k in calls for face in faces]
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +333,8 @@ def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     if k <= 1:
         return 1.0 if k == 0 else float(np.ptp(flat))
     polar, tight, _ = geometry._vertices(flat, np.ones(len(flat)), tol.geom_rel)
-    return geometry._lattice_volume(flat[None], polar, np.ones((1, len(polar))), tight.T)(
-        np.ones(len(flat), dtype=bool), k)[0]
+    return float(geometry._face_volumes(flat[None], polar, np.ones((1, len(polar))), tight.T,
+                                        np.ones((1, len(flat)), dtype=bool), k)[0, 0])
 
 
 def volume_generalized_dual(poly: Polytope, c) -> float:
@@ -342,16 +344,18 @@ def volume_generalized_dual(poly: Polytope, c) -> float:
     found as in ``geometry._shifted_dual``; the offsets must stay in its
     trust region.
     """
-    tight, vol = geometry._shifted_dual(poly, np.asarray(c, dtype=float)[None])
-    return vol(np.ones(tight.shape[1], dtype=bool), poly.dim)[0]
+    c = np.asarray(c, dtype=float)[None]
+    points, tight = geometry._shifted_dual(poly, c)
+    return float(geometry._face_volumes(points, poly.vertices, c, tight,
+                                        np.ones((1, tight.shape[1]), dtype=bool), poly.dim)[0, 0])
 
 
 def fd_raw_hessians(poly: Polytope) -> list[np.ndarray]:
     """The FD oracle's raw Hessians at steps h, h/2 and h/4, one shifted dual per stencil point.
 
     A reference for ``izmestiev._raw_hessians``: each of the 6n offset
-    vectors gets its own vertex enumeration and face lattice, with no
-    re-solve and no shared face shapes.
+    vectors gets its own vertex enumeration and volume kernel call, with
+    no re-solve.
     """
     norms = np.linalg.norm(poly.vertices, axis=1)
     grad = lambda c: geometry.dual_facet_volumes(poly, c[None])[0] / norms

@@ -489,6 +489,31 @@ def test_unreadable_document_exits_2(tmp_path, capsys, kind, text, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind, doc, message", [
+    ("polytope", {"vertices": SQUARE_COORDS}, "document needs 'dimension' and 'vertices' keys"),
+    ("embedding", {"edges": [[0, 1]]}, "embedding document needs a 'vertices' key"),
+    ("matrix-dump", {"entries": [[0]]}, "matrix dump needs 'n' and 'entries' keys"),
+])
+def test_document_without_its_keys_exits_2(tmp_path, capsys, kind, doc, message):
+    # the message names the keys the document needs, not a bare KeyError
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(DOCUMENT_READERS[kind](str(path))) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_commands_never_import_numpy_ma():
+    # np.unique on a 1-D array without a return_* flag imports numpy.ma, which
+    # costs 15-30 ms in a fresh interpreter
+    script = ("import sys\n"
+              "from polysym.cli import main\n"
+              "for argv in (['analyze', 'fixtures/cyclic4_6.json'], ['validate', 'fixtures/cube.json']):\n"
+              "    assert main(argv) == 0, argv\n"
+              "sys.stderr.write(str('numpy.ma' in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT)
+    assert (proc.returncode, proc.stderr) == (0, "False")
+
+
 def test_experiment_metric_runs():
     proc = run_cli("experiment-metric", str(FIXTURES / "perturbed_hexagon.json"),
                    check=True)

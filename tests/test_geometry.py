@@ -310,18 +310,31 @@ class TestDualFaces:
             flat = centred @ np.linalg.svd(centred)[2][: poly.dim - 2].T
             assert relvol == pytest.approx(ConvexHull(flat).volume, rel=1e-9), (i, j)
 
+    @pytest.mark.parametrize("name", ["sphere12_6", "sphere16_5", "cross5", "cross6", "cyclic4_6"])
+    def test_edge_volumes_do_not_depend_on_the_batch(self, name):
+        # each dual face alone gets the bits it gets among all the edges' dual faces
+        poly = {**LADDER, "cyclic4_6": FIXTURES["cyclic4_6"]}[name]()
+        inc = poly.incidence
+        for (i, j), relvol in zip(poly.edges, geometry.dual_edge_volumes(poly)):
+            alone = geometry._face_volumes(poly.normals[None], poly.vertices, np.ones((1, poly.n)),
+                                           inc.T, (inc[:, i] & inc[:, j])[None], poly.dim - 2)
+            assert alone[0, 0] == relvol, (i, j)
+
 
 class TestFaceLattice:
-    """One memo per matrix, and each face of the dual above an edge evaluated once."""
+    """One kernel call per lattice level, and each face of the dual above an edge evaluated once."""
 
     @staticmethod
     def faces_evaluated(poly, monkeypatch) -> int:
-        made = []
-        lattice = geometry._lattice_volume
-        monkeypatch.setattr(geometry, "_lattice_volume", lambda *a: made.append(lattice(*a)) or made[-1])
+        calls = []
+        kernel = geometry._face_volumes
+        monkeypatch.setattr(geometry, "_face_volumes", lambda *a: calls.append(a) or kernel(*a))
         izmestiev_matrix(poly)
-        assert len(made) == 1
-        return len(lattice_faces(made[0]))
+        # the edges' dual faces, then their distinct sub-faces, one level down per call
+        assert [k for *_, k in calls] == list(range(poly.dim - 2, poly.dim - 2 - len(calls), -1))
+        faces = lattice_faces(calls)
+        assert len(set(faces)) == len(faces)
+        return len(faces)
 
     @pytest.mark.parametrize("d", [4, 6])
     def test_cross_polytope(self, d, monkeypatch):

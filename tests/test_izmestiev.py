@@ -111,8 +111,8 @@ def test_fd_asymmetry_raises(artifacts, monkeypatch):
     art = artifacts["cube"]
     exact = izmestiev.dual_facet_volumes
 
-    def skewed(poly, c, shapes):
-        g = exact(poly, c, shapes)
+    def skewed(poly, c):
+        g = exact(poly, c)
         g[:, 0] += 1e-3 * (c[:, 1] - 1.0) * np.linalg.norm(poly.vertices[0])
         return g
 
@@ -160,7 +160,7 @@ def test_fd_resolve_check_raises():
 
 @pytest.mark.parametrize("name", [*FIXTURES, "cube4", "cross4"])
 def test_raw_hessians_match_per_point_enumeration(name):
-    # one enumeration and shared face shapes per ray give the raw Hessians
+    # one enumeration and one volume kernel call per ray give the raw Hessians
     # that a fresh shifted dual at every stencil point gives
     poly = {**FIXTURES, "cube4": lambda: hypercube(4), "cross4": lambda: cross_polytope(4)}[name]()
     for got, want in zip(izmestiev._raw_hessians(poly), fd_raw_hessians(poly), strict=True):
