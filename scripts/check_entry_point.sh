@@ -8,7 +8,9 @@
 # colorings and `experiment-metric`, each of which must exit 0, and
 # `analyze` on the fixture scaled by 1e-6 and by 1e6, and for d <= 3 also by
 # 1e-100 and by 1e100, which must exit 0 with the golden report's group
-# orders.  A 24-cell, built inline, is analyzed
+# orders.  `oracle --embedding --candidates graph-auts` on k44_embedding
+# scaled by 1e-300 and by 1e300 must exit 0 with order 128, as unscaled.
+# A 24-cell, built inline, is analyzed
 # last: both flavors must report order 1152, and its report, whose member
 # listings are written in several pieces, must equal the indent-2 re-dump of
 # its parse.  The pipeline checks only a group's generators, so every listed
@@ -40,6 +42,7 @@ for flavor in linear orthogonal; do
 done
 
 orders='import json, sys; print({k: g["order"] for k, g in json.load(sys.stdin)["groups"].items()})'
+oracle_order='import json, sys; print(json.load(sys.stdin)["group"]["order"])'
 dimension='import json, sys; print(json.load(sys.stdin)["dimension"])'
 scale='import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -49,6 +52,13 @@ dump=$(mktemp)
 scaled=$(mktemp)
 cell=$(mktemp)
 trap 'rm -f "$dump" "$scaled" "$cell"' EXIT
+for s in 1e-300 1e300; do
+    python -c "$scale" fixtures/k44_embedding.json "$s" > "$scaled"
+    report=$(polysym oracle "$scaled" --embedding --candidates graph-auts) \
+        || { echo "oracle failed: k44_embedding scaled by $s"; exit 1; }
+    [ "$(echo "$report" | python -c "$oracle_order")" = 128 ] \
+        || { echo "oracle order changed: k44_embedding scaled by $s"; exit 1; }
+done
 python -c 'import json, sys
 docs = [json.load(open(path)) for path in sys.argv[1:]]
 sys.stdout.write(json.dumps(docs, sort_keys=True, indent=2) + "\n")' \

@@ -70,23 +70,13 @@ def _gap_classes(values: np.ndarray, eps: float):
     false merges or splits.
     """
     values = np.asarray(values, dtype=float)
-    k = len(values)
-    if k == 0:
-        return np.zeros(0, dtype=int), [], None
     order = np.argsort(values, kind="stable")
-    ids = np.zeros(k, dtype=int)
-    reps = [float(values[order[0]])]
-    current = 0
-    min_gap = None
-    for prev, cur in zip(order[:-1], order[1:]):
-        if values[cur] - values[prev] > eps:
-            current += 1
-            reps.append(float(values[cur]))
-            gap = float(values[cur] - values[prev])
-            min_gap = gap if min_gap is None else min(min_gap, gap)
-        ids[cur] = current
-    ids[order[0]] = 0
-    return ids, reps, min_gap
+    gaps = np.diff(values[order])
+    starts = np.concatenate([[True], gaps > eps])[:len(values)]  # sorted positions opening a class
+    ids = np.empty(len(values), dtype=int)
+    ids[order] = np.cumsum(starts) - 1
+    jumps = gaps[starts[1:]]
+    return ids, values[order][starts].tolist(), float(jumps.min()) if len(jumps) else None
 
 
 def quantize(vertex_values, edge_values, tol: Tolerances = DEFAULT_TOLERANCES) -> Coloring:
@@ -150,33 +140,28 @@ def orbit_coloring(n: int, edges, group) -> Coloring:
     """Colors are the orbits of a PermutationSet acting on 0..n-1 and on ``edges``.
 
     ``edges`` are sorted pairs; the group's generators must preserve them.
+    An edge's image under a generator is looked up once among the keys i * n + j.
     """
     if group.n != n:
         raise NotAGroup(f"not a permutation group on 0..{n - 1}")
-    edge_set = set(edges)
-    for p in group.generators:
-        if any(tuple(sorted((p[i], p[j]))) not in edge_set for i, j in edge_set):
-            raise NotAGroup(f"{p} does not preserve the edge set")
-    edges = sorted(edge_set)
-    return Coloring(
-        vertex=tuple(_orbit_ids(range(n), lambda x, g: g[x], group.generators)),
-        edge=dict(zip(edges, _orbit_ids(
-            edges, lambda e, g: tuple(sorted((g[e[0]], g[e[1]]))), group.generators))))
+    edges = sorted(set(edges))
+    pairs = np.array(edges, dtype=int).reshape(-1, 2)
+    gens = np.array(group.generators, dtype=int).reshape(-1, n)
+    keys, images = pairs @ (n, 1), np.sort(gens[:, pairs], axis=2) @ (n, 1)
+    table = np.searchsorted(keys, images)  # (generators, edges): the index of each image
+    missed = (np.take(keys, table, mode="clip") != images).any(axis=1)
+    if missed.any():
+        raise NotAGroup(f"{group.generators[missed.argmax()]} does not preserve the edge set")
+    return Coloring(vertex=tuple(_orbit_ids(gens)), edge=dict(zip(edges, _orbit_ids(table))))
 
 
-def _orbit_ids(items, act, gens) -> list[int]:
-    """Orbit index of each item under <gens> by union-find, orbits numbered by first item."""
-    parent = {x: x for x in items}
+def _orbit_ids(table: np.ndarray) -> list[int]:
+    """Orbit index of each column of a (generators, items) image table, numbered by first item.
 
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for g in gens:
-        for x in items:
-            a, b = find(x), find(act(x, g))
-            if a != b:
-                parent[a] = b
-    roots = {}
-    return [roots.setdefault(find(x), len(roots)) for x in items]
+    Each pass lowers every label to the least label among the item's images,
+    then to its label's label, until each orbit carries its least item.
+    """
+    label = np.arange(table.shape[1])
+    while not np.array_equal(label, low := np.vstack([label, label[table]]).min(0)):
+        label = low[low]
+    return np.unique(label, return_inverse=True)[1].tolist()

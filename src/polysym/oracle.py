@@ -21,7 +21,7 @@ cond(phi), far below m after ``pseudo_inverse``'s ``tol.pinv`` check).
 from __future__ import annotations
 
 from itertools import chain, islice
-from math import factorial
+from math import factorial, frexp, ldexp
 
 import numpy as np
 
@@ -38,17 +38,20 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
     """Filter candidate permutations down to realized geometric symmetries.
 
     phi is (d, n), column j the point j, for any point set (a polytope
-    or a graph embedding).  It is first restricted to its row space (a
-    no-op on a polytope, whose phi has full row rank), so for each sigma
-    the candidate map is unique: sound and complete.  With
-    candidates=None, Sym(n) (n <= 9) is streamed pruned, as the module
-    docstring says.  Every candidate is checked, and the realized ones
-    are kept as a group that lifts its members through the restricted
-    phi.  They are a group iff the group they generate has as many
-    members as they are distinct: NotAGroup if not, if none is realized
+    or a graph embedding).  It is first scaled, exactly, by the power of
+    two that brings max|phi| into [1/2, 1), so no Gram matrix leaves
+    float range, then restricted to its row space (a no-op on a
+    polytope, whose phi has full row rank), so for each sigma the
+    candidate map is unique: sound and complete.  With candidates=None,
+    Sym(n) (n <= 9) is streamed pruned, as the module docstring says.
+    Every candidate is checked, and the realized ones are kept as a
+    group that lifts its members through that phi.  They are a group
+    iff the group they generate has as many members as they are
+    distinct: NotAGroup if not, if none is realized
     or if one is no permutation of 0..n-1.
     """
     phi = np.asarray(phi, dtype=float)
+    phi = phi * ldexp(1, -frexp(np.abs(phi).max())[1])
     u, s, _ = np.linalg.svd(phi, full_matrices=False)
     rank = int(np.sum(s > 1e-12 * s[0]))
     if rank == 0:

@@ -259,6 +259,13 @@ def hypercube(d: int) -> Polytope:
     return make_polytope(d, np.array(list(product((1.0, -1.0), repeat=d))), name=f"cube{d}")
 
 
+def cell24() -> np.ndarray:
+    """The 24-cell's (24, 4) vertices, the permutations of (+-1, +-1, 0, 0), in sorted order."""
+    return np.array(sorted({tuple(s if k == i else t if k == j else 0.0 for k in range(4))
+                            for i, j in combinations(range(4), 2)
+                            for s, t in product((1.0, -1.0), repeat=2)}))
+
+
 def capped_prism() -> Polytope:
     """Triangular prism with a pyramid on each square face: 9 vertices, D3h (order 12)."""
     angles = 2 * np.pi * np.arange(3) / 3

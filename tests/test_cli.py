@@ -406,6 +406,21 @@ def test_oracle_embedding_k44():
     assert (1, 0, 2, 3, 4, 5, 6, 7) not in perms
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_oracle_embedding_k44_scaled(tmp_path, scale):
+    doc = json.loads((FIXTURES / "k44_embedding.json").read_text())
+    doc["vertices"] = [[scale * x for x in v] for v in doc["vertices"]]
+    path = tmp_path / "k44_scaled.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("oracle", str(path), "--embedding", "--candidates", "graph-auts", check=True)
+    golden = ROOT / "tests" / "golden" / "oracle_k44_embedding_linear.json"
+    golden = json.loads(golden.read_text())
+    report = json.loads(proc.stdout)
+    assert proc.stderr == "" and report["group"]["order"] == 128
+    assert ([m["perm"] for m in report["group"]["members"]]
+            == [m["perm"] for m in golden["group"]["members"]])
+
+
 SQUARE_COORDS = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_invertible
-from helpers import FIXTURES, complete_metric, is_finer, realized_but_not_a_group
+from helpers import FIXTURES, cell24, complete_metric, is_finer, realized_but_not_a_group
 from polysym import Tolerances, make_polytope
 from polysym.autgroup import PermutationSet, automorphisms, uncolored
 from polysym.colorings import (
@@ -17,7 +17,7 @@ from polysym.colorings import (
 )
 from polysym.errors import DomainMismatch, NotAGroup
 from polysym.izmestiev import izmestiev_matrix
-from polysym.reconstruct import build_artifacts
+from polysym.reconstruct import build_artifacts, linear_group, orthogonal_group
 
 C4 = ((0, 1), (1, 2), (2, 3), (0, 3))
 C4_EDGES = {e: 0.0 for e in C4}
@@ -50,6 +50,12 @@ class TestQuantize:
         col = quantize([5.0, -1.0, 3.0, -1.0], C4_EDGES)
         assert col.vertex == (2, 0, 1, 0)
         assert col.vertex_reps == (-1.0, 3.0, 5.0)
+
+    def test_reps_and_smallest_gap(self):
+        col = quantize([0.0, 3.0, 1.0, 1.0], {})
+        assert col.vertex == (0, 2, 1, 1) and col.vertex_reps == (0.0, 1.0, 3.0)
+        assert col.vertex_min_gap == 1.0
+        assert col.edge == {} and col.edge_reps == () and col.edge_min_gap is None
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12))
@@ -204,7 +210,6 @@ class TestOrbitColoring:
             orbit_coloring(4, C4, PermutationSet(4, path_breaker))
 
     def test_fixpoint_of_pipeline_groups(self, artifacts):
-        from polysym.reconstruct import linear_group, orthogonal_group
         for name in ("rectangle", "stretched_hexagon", "octahedron"):
             art = artifacts[name]
             for builder in (linear_group, orthogonal_group):
@@ -212,6 +217,45 @@ class TestOrbitColoring:
                 col = orbit_coloring(art.poly.n, art.poly.edges, group.perm_group)
                 again = automorphisms(col)
                 assert set(again.perms) == set(group.perm_group)
+
+
+def orbits_by_definition(n, edges, group):
+    """Orbits read off every member p: {p[x]} for vertex x, {sorted((p[i], p[j]))} for edge (i, j).
+
+    Each orbit is sorted, and the orbits are listed by first item.
+    """
+    perms = group.perms
+    vertex = {tuple(sorted({p[x] for p in perms})) for x in range(n)}
+    edge = {tuple(sorted({tuple(sorted((p[i], p[j]))) for p in perms})) for i, j in edges}
+    return sorted(vertex), sorted(edge)
+
+
+class TestOrbitColoringDefinition:
+    """orbit_coloring's classes are the orbits of every member, numbered by first item."""
+
+    @staticmethod
+    def assert_orbits(poly, group):
+        col = orbit_coloring(poly.n, poly.edges, group)
+        assert partition(col) == orbits_by_definition(poly.n, poly.edges, group)
+
+    def test_pipeline_groups_of_every_fixture(self, artifacts):
+        for art in artifacts.values():
+            for builder in (linear_group, orthogonal_group):
+                self.assert_orbits(art.poly, builder(art).perm_group)
+
+    def test_pipeline_groups_of_the_24_cell(self):
+        art = build_artifacts(make_polytope(4, cell24()))
+        for builder in (linear_group, orthogonal_group):
+            group = builder(art).perm_group
+            assert group.order == 1152
+            self.assert_orbits(art.poly, group)
+
+    def test_long_cycle_under_one_rotation(self):
+        # label 0 reaches the far side of the cycle only over several labelling passes
+        n = 50
+        edges = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
+        col = orbit_coloring(n, edges, PermutationSet(n, [tuple((i + 1) % n for i in range(n))]))
+        assert col.num_vertex_classes == 1 and col.num_edge_classes == 1
 
 
 class TestFiner:

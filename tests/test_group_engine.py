@@ -7,7 +7,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from helpers import (check_realizes, complete_edges, cross_polytope, frame, hypercube,
+from helpers import (cell24, check_realizes, complete_edges, cross_polytope, frame, hypercube,
                      is_orthogonal, realized_but_not_a_group)
 from polysym import make_polytope
 from polysym.autgroup import (
@@ -151,16 +151,6 @@ class TestSearchLimits:
     def test_limit_is_on_the_order(self):
         with pytest.raises(LimitExceeded):
             automorphisms(uncolored(16, complete_edges(16)), limit=factorial(16) - 1)
-
-
-def cell24():
-    pts = set()
-    for i, j in itertools.combinations(range(4), 2):
-        for si, sj in itertools.product((1.0, -1.0), repeat=2):
-            v = [0.0] * 4
-            v[i], v[j] = si, sj
-            pts.add(tuple(v))
-    return np.array(sorted(pts))
 
 
 @pytest.mark.parametrize("name,vertices,order", [

@@ -177,6 +177,18 @@ class TestEmbedding:
         coords = np.hstack([FIXTURES["square"]().vertices, np.zeros((4, 1))])
         assert brute_force_group(coords.T, flavor="orthogonal").order == 8
 
+    @pytest.mark.parametrize("graph_auts", [False, True])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+    @pytest.mark.parametrize("points", ["k44", "square"])
+    def test_group_at_extreme_scales(self, points, scale, graph_auts):
+        # unscaled, phi @ phi.T under- or overflows here and the rank test fails
+        coords, edges = (k44_embedding() if points == "k44"
+                         else (FIXTURES["square"]().vertices, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+        cands = automorphisms(uncolored(len(coords), edges)).perms if graph_auts else None
+        unscaled = brute_force_group(coords.T, candidates=cands)
+        group = brute_force_group(coords.T * scale, candidates=cands)
+        assert group.order == unscaled.order and set(group.perm_group) == set(unscaled.perm_group)
+
     def test_points_at_the_origin_only_raise(self):
         with pytest.raises(RankDeficient, match="span no direction"):
             brute_force_group(np.zeros((3, 4)))
