@@ -18,6 +18,10 @@
 # must send each vertex j to vertex perm[j] within the echoed `match` of
 # that vertex's norm, and in the orthogonal flavor it must be orthogonal
 # within the echoed `orth`.
+# A regular 9-simplex, also built inline, checks the one bound on what is
+# listed: its group, Sym(10), has 3 628 800 members, past MAX_MEMBERS = 10^6,
+# so `analyze` must exit 4 with no report and one `limit exceeded:` line.
+# There is no option to move that bound: `analyze --limit 5` must exit 64.
 # Run from the root of a checkout, after `pip install .`:
 #
 #     sh scripts/check_entry_point.sh
@@ -51,7 +55,8 @@ json.dump(doc, sys.stdout)'
 dump=$(mktemp)
 scaled=$(mktemp)
 cell=$(mktemp)
-trap 'rm -f "$dump" "$scaled" "$cell"' EXIT
+err=$(mktemp)
+trap 'rm -f "$dump" "$scaled" "$cell" "$err"' EXIT
 for s in 1e-300 1e300; do
     python -c "$scale" fixtures/k44_embedding.json "$s" > "$scaled"
     report=$(polysym oracle "$scaled" --embedding --candidates graph-auts) \
@@ -112,3 +117,16 @@ for flavor, group in json.load(open(sys.argv[2]))["groups"].items():
     if flavor == "orthogonal":
         ok &= (np.abs(maps.transpose(0, 2, 1) @ maps - np.eye(verts.shape[1])) <= tol["orth"]).all()
     ok or sys.exit(f"24-cell {flavor} member fails its re-check")' "$cell" "$dump"
+
+# vertex j's coordinate k - 1 is column j of the Helmert basis' row k
+python -c 'import json, sys
+verts = [[(1.0 if j < k else -k if j == k else 0.0) / (k * (k + 1)) ** 0.5 for k in range(1, 10)]
+         for j in range(10)]
+json.dump({"dimension": 9, "name": "9-simplex", "vertices": verts}, sys.stdout)' > "$cell"
+status=0
+polysym analyze "$cell" > "$dump" 2> "$err" || status=$?
+[ "$status" = 4 ] && [ ! -s "$dump" ] && [ "$(wc -l < "$err")" -eq 1 ] && grep -q '^limit exceeded: ' "$err" \
+    || { echo "9-simplex: analyze must exit 4 with one 'limit exceeded:' line and no report"; exit 1; }
+status=0
+polysym analyze --limit 5 fixtures/cube.json > /dev/null 2>&1 || status=$?
+[ "$status" = 64 ] || { echo "analyze --limit must be a usage error (exit 64), not $status"; exit 1; }

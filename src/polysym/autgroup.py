@@ -25,6 +25,8 @@ from .errors import DomainMismatch, LimitExceeded
 
 Perm = tuple[int, ...]
 
+MAX_MEMBERS = 10 ** 6  # bounds a listing, or a Sym(n) candidate stream; never the search
+
 
 def identity_perm(n: int) -> Perm:
     return tuple(range(n))
@@ -103,6 +105,8 @@ class PermutationSet:
     @property
     def perms(self) -> tuple:
         """Every member, sorted: enumerated from the chain each time it is read."""
+        if self.order > MAX_MEMBERS:
+            raise LimitExceeded(f"group order {self.order} exceeds {MAX_MEMBERS} members to list")
         members = np.arange(self.n)[None, :]
         for trans in reversed(self._trans):
             reps = np.array([u for u, _ in trans.values()])
@@ -164,7 +168,7 @@ def _preserves(col: Coloring, sigma: Perm) -> bool:
                     for (i, j), c in col.edge.items()))
 
 
-def automorphisms(col: Coloring, limit: int = 10 ** 6) -> PermutationSet:
+def automorphisms(col: Coloring) -> PermutationSet:
     """The group of color-preserving automorphisms, found as generators.
 
     A first path of individualizations (lowest vertex of the smallest
@@ -173,14 +177,11 @@ def automorphisms(col: Coloring, limit: int = 10 ** 6) -> PermutationSet:
     v_i under the automorphisms found so far is searched for one
     automorphism sending v_i to w (automorphism pruning).  Certificates
     cut branches, every leaf is checked by ``_preserves``, and targets go
-    in ascending order, so the group is deterministic.  ``limit`` caps
-    the group order, checked before any member is built.
+    in ascending order, so the group is deterministic.
     """
     n = col.n
     if not all(0 <= i < j < n for i, j in col.edge):
         raise DomainMismatch(f"edge keys must be pairs (i, j) with 0 <= i < j < {n}")
-    if limit < 1:  # the identity alone exceeds it, whatever the search finds
-        raise LimitExceeded(f"group order exceeds limit {limit}")
     neighbors = _neighbor_table(col)
     path = [_refine(n, neighbors, col.vertex)]
     base = []
@@ -213,8 +214,6 @@ def automorphisms(col: Coloring, limit: int = 10 ** 6) -> PermutationSet:
         # level-depth orbit, grown in place by _add, is the orbit to skip
         for sigma in search(depth, path[depth], skip=group._trans[depth]):
             group._add(sigma)
-            if group.order > limit:
-                raise LimitExceeded(f"group order exceeds limit {limit}")
     return group
 
 

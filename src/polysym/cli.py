@@ -8,7 +8,7 @@ with sorted keys and indent 2, once all work is done; each group's member
 listing is streamed into its text MEMBER_CHUNK members at a time.
 
 Exit codes: 0 ok, 1 failed validation property, 2 bad input document,
-3 reconstruction violation, 4 search limit exceeded, 64 usage error.
+3 reconstruction violation, 4 a listing past MAX_MEMBERS, 64 usage error.
 """
 
 from __future__ import annotations
@@ -22,19 +22,13 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .autgroup import automorphisms, uncolored
+from .autgroup import MAX_MEMBERS, automorphisms, uncolored
 from .colorings import Coloring, metric_coloring, orbit_coloring
 from .config import Tolerances
-from .errors import (
-    LimitExceeded,
-    ParseError,
-    PolysymError,
-    TheoremViolation,
-    TooManyCandidates,
-)
-from .geometry import load_polytope, read_document
+from .errors import LimitExceeded, ParseError, PolysymError, TheoremViolation
+from .geometry import load_polytope, read_document, read_numbers
 from .izmestiev import izmestiev_matrix, izmestiev_matrix_fd, verify_properties
-from .oracle import SYM_LIMIT, brute_force_group
+from .oracle import brute_force_group
 from .reconstruct import (MatrixGroup, build_artifacts, eigenspace_criterion, linear_group,
                           orthogonal_group)
 
@@ -138,6 +132,8 @@ def _coloring_doc(col: Coloring) -> dict:
 
 def _group_doc(group, flavor: str) -> dict:
     """Every member's perm and map, flagged orthogonal when max|T^T T - I| <= group.tol.orth."""
+    if group.order > MAX_MEMBERS:  # raised now, not once _emit has begun writing
+        raise LimitExceeded(f"group order {group.order} exceeds {MAX_MEMBERS} members to list")
     return {
         "flavor": flavor,
         "order": group.order,
@@ -171,13 +167,11 @@ def cmd_analyze(args) -> int:
             "groups": {},
             "tolerances": asdict(poly.tol),
         }
-        for flavor, coloring, build in (("linear", "izmestiev", linear_group),
-                                        ("orthogonal", "product", orthogonal_group)):
-            if args.coloring in (coloring, "both"):
-                group = build(art, limit=args.limit)
-                orbits = orbit_coloring(poly.n, poly.edges, group.perm_group)
-                report["groups"][flavor] = {**_group_doc(group, flavor),
-                                            "orbit_coloring": _coloring_doc(orbits)}
+        for flavor, build in (("linear", linear_group), ("orthogonal", orthogonal_group)):
+            group = build(art)
+            orbits = orbit_coloring(poly.n, poly.edges, group.perm_group)
+            report["groups"][flavor] = {**_group_doc(group, flavor),
+                                        "orbit_coloring": _coloring_doc(orbits)}
         reports.append(report)
         _chatter(args, f"{path}: analyzed in {time.perf_counter() - t0:.3f}s, "
                        f"orders { {k: v['order'] for k, v in report['groups'].items()} }")
@@ -189,9 +183,9 @@ def load_matrix_dump(doc: dict, n: int) -> np.ndarray:
     """Rehydrate the (n, n) matrix from the dump {"n": int, "entries": [[...], ...]} analyze writes."""
     if "n" not in doc or "entries" not in doc:
         raise ParseError("matrix dump needs 'n' and 'entries' keys")
-    entries = np.asarray(doc["entries"], dtype=float)
+    entries = read_numbers(doc["entries"], "bad matrix dump")
     if entries.shape != (doc["n"], doc["n"]) or entries.shape[0] != n:
-        raise ValueError(f"matrix dump shape inconsistent with {n} vertices")
+        raise ParseError(f"bad matrix dump: shape inconsistent with {n} vertices")
     if not np.isfinite(entries).all():
         raise ParseError("matrix dump entries must be finite")
     return entries
@@ -200,11 +194,7 @@ def load_matrix_dump(doc: dict, n: int) -> np.ndarray:
 def cmd_validate(args) -> int:
     poly = _load(args, args.path)
     if args.matrix:
-        try:
-            mat = load_matrix_dump(read_document(args.matrix), poly.n)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad matrix dump: {exc}") from exc
-        source = "dump"
+        mat, source = load_matrix_dump(read_document(args.matrix), poly.n), "dump"
     else:
         mat, source = izmestiev_matrix(poly), "geometric"
     props = verify_properties(mat, poly)
@@ -234,10 +224,7 @@ def _load_embedding(args):
     doc = read_document(args.path)
     if "vertices" not in doc:
         raise ParseError("embedding document needs a 'vertices' key")
-    try:
-        coords = np.asarray(doc["vertices"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad embedding document: {exc!r}") from exc
+    coords = read_numbers(doc["vertices"], "bad embedding document")
     if coords.ndim != 2 or coords.size == 0 or not np.isfinite(coords).all():
         raise ParseError("'vertices' must be a non-empty list of equal-length finite number lists")
     n, edges = len(coords), doc.get("edges", [])
@@ -263,7 +250,7 @@ def cmd_oracle(args) -> int:
         poly = _load(args, args.path)
         graph, coords = uncolored(poly.n, poly.edges), poly.vertices
         echo = {**_input_echo(args, args.path, poly), "embedding": False}
-    cands = automorphisms(graph, limit=args.limit).perms if graph_auts else None
+    cands = automorphisms(graph).perms if graph_auts else None
     tol = _tolerances(args)
     group = brute_force_group(coords.T, candidates=cands, flavor=args.flavor, tol=tol)
     _emit({
@@ -288,7 +275,7 @@ def cmd_export_dot(args) -> int:
         col = {"izmestiev": art.izm_coloring, "product": art.prod_coloring}.get(args.coloring)
     if col is None:
         flavor = args.coloring.split("-")[1]
-        grp = (linear_group if flavor == "linear" else orthogonal_group)(art, limit=args.limit)
+        grp = (linear_group if flavor == "linear" else orthogonal_group)(art)
         col = orbit_coloring(poly.n, poly.edges, grp.perm_group)
     # a quoted DOT ID: a name may begin with a digit or hold "-", spaces or quotes
     graph_id = (poly.name or "polytope").replace("\\", "\\\\").replace('"', '\\"')
@@ -308,6 +295,8 @@ def cmd_experiment_metric(args) -> int:
 
     Compares the metric-colored edge-graph's automorphisms against the
     brute-force orthogonal group.  Records the outcome; asserts nothing.
+    Their members are the brute force's only candidates: an orthogonal symmetry
+    keeps norms, inner products and edges, so it preserves every variant's coloring.
     """
     poly = _load(args, args.path)
     col = metric_coloring(poly)
@@ -315,11 +304,10 @@ def cmd_experiment_metric(args) -> int:
         col = Coloring(vertex=(0,) * poly.n, edge=dict(col.edge))
     elif args.vertex_only:
         col = Coloring(vertex=col.vertex, edge={e: 0 for e in col.edge})
-    auts = automorphisms(col, limit=args.limit)
-    cands = (None if poly.n <= SYM_LIMIT
-             else automorphisms(uncolored(poly.n, poly.edges), limit=args.limit).perms)
-    reference = brute_force_group(poly.phi, candidates=cands, flavor="orthogonal", tol=poly.tol)
-    extra = [p for p in auts.perms if p not in reference.perm_group]
+    auts = automorphisms(col)
+    members = auts.perms
+    reference = brute_force_group(poly.phi, candidates=members, flavor="orthogonal", tol=poly.tol)
+    extra = [p for p in members if p not in reference.perm_group]
     _emit({
         "input": _input_echo(args, args.path, poly),
         "variant": ("edge-only" if args.edge_only
@@ -331,17 +319,6 @@ def cmd_experiment_metric(args) -> int:
         "tolerances": asdict(poly.tol),
     })
     return 0
-
-
-def _add_common(sub, limit: bool = True) -> None:
-    sub.add_argument("--recenter", action="store_true",
-                     help="translate vertices by minus their centroid before validating")
-    if limit:
-        sub.add_argument("--limit", type=int, default=10 ** 6,
-                         help="maximum group order; checked before any member is built")
-    for flag, field in EPS_FLAGS.items():
-        sub.add_argument(f"--{flag}", type=float, default=None, dest=field,
-                         help=f"override the {field} tolerance")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -356,44 +333,45 @@ def build_parser() -> argparse.ArgumentParser:
         prog="polysym",
         description="Symmetry groups of convex polytopes from vertex coordinates.")
     subs = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the options every subcommand takes
+    common.add_argument("--recenter", action="store_true",
+                        help="translate vertices by minus their centroid before validating")
+    for flag, field in EPS_FLAGS.items():
+        common.add_argument(f"--{flag}", type=float, default=None, dest=field,
+                            help=f"override the {field} tolerance")
 
-    p = subs.add_parser("analyze", help="full pipeline: groups, colorings, matrix report")
+    p = subs.add_parser("analyze", parents=[common],
+                        help="full pipeline: groups, colorings, matrix report")
     p.add_argument("paths", nargs="+")
-    p.add_argument("--coloring", choices=["izmestiev", "product", "both"], default="both",
-                   help="restrict which group pipeline runs")
     p.add_argument("--verbose", action="store_true", help="human summary (and timing) on stderr")
-    _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = subs.add_parser("validate", help="matrix property suite for one polytope")
+    p = subs.add_parser("validate", parents=[common],
+                        help="matrix property suite for one polytope")
     p.add_argument("path")
     p.add_argument("--matrix", default=None,
                    help="verify a JSON matrix dump instead of the computed matrix")
-    _add_common(p, limit=False)
     p.set_defaults(func=cmd_validate)
 
-    p = subs.add_parser("oracle", help="brute-force group, no colorings involved")
+    p = subs.add_parser("oracle", parents=[common], help="brute-force group, no colorings involved")
     p.add_argument("path")
     p.add_argument("--flavor", choices=["linear", "orthogonal"], default="linear")
     p.add_argument("--candidates", choices=["sym", "graph-auts"], default="sym")
     p.add_argument("--embedding", action="store_true",
                    help="treat input as a graph embedding; skip polytope validation")
-    _add_common(p)
     p.set_defaults(func=cmd_oracle)
 
-    p = subs.add_parser("export-dot", help="DOT drawing of a colored edge-graph")
+    p = subs.add_parser("export-dot", parents=[common], help="DOT drawing of a colored edge-graph")
     p.add_argument("path")
     p.add_argument("--coloring", choices=DOT_COLORINGS, default="izmestiev")
-    _add_common(p)
     p.set_defaults(func=cmd_export_dot)
 
-    p = subs.add_parser("experiment-metric",
+    p = subs.add_parser("experiment-metric", parents=[common],
                         help="compare metric-coloring automorphisms with the orthogonal group")
     p.add_argument("path")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--edge-only", action="store_true")
     group.add_argument("--vertex-only", action="store_true")
-    _add_common(p)
     p.set_defaults(func=cmd_experiment_metric)
     return parser
 
@@ -407,7 +385,7 @@ def main(argv=None) -> int:
         if exc.diagnostic:
             sys.stderr.write(json.dumps(exc.diagnostic, sort_keys=True) + "\n")
         return 3
-    except (LimitExceeded, TooManyCandidates) as exc:
+    except LimitExceeded as exc:
         sys.stderr.write(f"limit exceeded: {exc}\n")
         return 4
     except PolysymError as exc:

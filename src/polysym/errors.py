@@ -38,11 +38,7 @@ class NotAGroup(PolysymError):
 
 
 class LimitExceeded(PolysymError):
-    """Automorphism search exceeded the configured size bound."""
-
-
-class TooManyCandidates(PolysymError):
-    """Brute-force candidate stream would be too large to enumerate."""
+    """A member listing, or a Sym(n) candidate stream, would pass autgroup.MAX_MEMBERS."""
 
 
 class RankDeficient(PolysymError):

@@ -217,6 +217,20 @@ def read_document(source) -> dict:
     return doc
 
 
+def read_numbers(value, what: str) -> np.ndarray:
+    """Nested lists of numbers as a float array, else ParseError "{what}: ..."."""
+    def has_bool(x):  # a JSON true or false: a Python bool, which is an int
+        return isinstance(x, bool) or isinstance(x, list) and any(map(has_bool, x))
+
+    try:
+        arr = np.asarray(value, dtype=float)  # first: it refuses nesting past numpy's 64 dims
+        if has_bool(value):
+            raise ValueError("a boolean is not a number")
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+    return arr
+
+
 def load_polytope(source, tol: Tolerances = DEFAULT_TOLERANCES, recenter: bool = False) -> Polytope:
     """Load a polytope from a JSON file path or a parsed dict.
 
@@ -226,16 +240,13 @@ def load_polytope(source, tol: Tolerances = DEFAULT_TOLERANCES, recenter: bool =
     if "dimension" not in doc or "vertices" not in doc:
         raise ParseError("document needs 'dimension' and 'vertices' keys")
     dim = doc["dimension"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # a JSON true is a bool, which is an int
         raise ParseError("'dimension' must be a positive integer")
     verts = doc["vertices"]
     if not isinstance(verts, list) or not verts or not all(
             isinstance(v, list) and len(v) == dim for v in verts):
         raise ParseError(f"'vertices' must be a non-empty list of length-{dim} lists")
-    try:
-        arr = np.asarray(verts, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"non-numeric vertex coordinate: {exc}") from exc
+    arr = read_numbers(verts, "non-numeric vertex coordinate")
     return make_polytope(dim, arr, name=doc.get("name"), tol=tol, recenter=recenter)
 
 

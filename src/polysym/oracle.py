@@ -25,12 +25,10 @@ from math import factorial, frexp, ldexp
 
 import numpy as np
 
-from .autgroup import PermutationSet
+from .autgroup import MAX_MEMBERS, PermutationSet
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import NotAGroup, RankDeficient, TooManyCandidates
+from .errors import LimitExceeded, NotAGroup, RankDeficient
 from .reconstruct import MatrixGroup, pseudo_inverse
-
-SYM_LIMIT = 9  # full symmetric-group streams allowed up to 9! candidates
 
 
 def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
@@ -43,7 +41,8 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
     float range, then restricted to its row space (a no-op on a
     polytope, whose phi has full row rank), so for each sigma the
     candidate map is unique: sound and complete.  With candidates=None,
-    Sym(n) (n <= 9) is streamed pruned, as the module docstring says.
+    Sym(n) is streamed pruned, as the module docstring says, if n! is at
+    most MAX_MEMBERS (n <= 9), else LimitExceeded.
     Every candidate is checked, and the realized ones are kept as a
     group that lifts its members through that phi.  They are a group
     iff the group they generate has as many members as they are
@@ -60,8 +59,8 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
         phi = u[:, :rank].T @ phi
     n = phi.shape[1]
     if candidates is None:
-        if n > SYM_LIMIT:
-            raise TooManyCandidates(
+        if factorial(n) > MAX_MEMBERS:
+            raise LimitExceeded(
                 f"Sym({n}) has {factorial(n)} elements; supply candidates explicitly")
         candidates = _pruned_sym(phi, tol.match)
     frame = MatrixGroup(None, phi, pseudo_inverse(phi, tol), tol)

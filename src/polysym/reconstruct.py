@@ -114,10 +114,9 @@ def build_artifacts(poly: Polytope) -> PipelineArtifacts:
                              prod_coloring=product_coloring(izm, met))
 
 
-def _realize_group(art: PipelineArtifacts, coloring: Coloring, flavor: str,
-                   limit: int) -> MatrixGroup:
+def _realize_group(art: PipelineArtifacts, coloring: Coloring, flavor: str) -> MatrixGroup:
     phi, tol = art.poly.phi, art.poly.tol
-    group = MatrixGroup(automorphisms(coloring, limit=limit), phi, pseudo_inverse(phi, tol), tol)
+    group = MatrixGroup(automorphisms(coloring), phi, pseudo_inverse(phi, tol), tol)
     maps, ok, residuals = group.check(group.perm_group.generators, flavor)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
@@ -133,12 +132,12 @@ def _realize_group(art: PipelineArtifacts, coloring: Coloring, flavor: str,
     return group
 
 
-def linear_group(art: PipelineArtifacts, limit: int = 10 ** 6) -> MatrixGroup:
+def linear_group(art: PipelineArtifacts) -> MatrixGroup:
     """All invertible linear maps fixing the polytope, via the spectral coloring."""
-    return _realize_group(art, art.izm_coloring, "linear", limit)
+    return _realize_group(art, art.izm_coloring, "linear")
 
 
-def orthogonal_group(art: PipelineArtifacts, limit: int = 10 ** 6) -> MatrixGroup:
+def orthogonal_group(art: PipelineArtifacts) -> MatrixGroup:
     """All orthogonal maps fixing the polytope, via the product coloring."""
-    return _realize_group(art, art.prod_coloring, "orthogonal", limit)
+    return _realize_group(art, art.prod_coloring, "orthogonal")
 

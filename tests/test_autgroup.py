@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (FIXTURES, color_refinement, colored_adjacency, complete_edges, k44_embedding,
                      orbits, perm_matrix, realized_but_not_a_group)
+from polysym import autgroup
 from polysym.autgroup import (
     PermutationSet,
     automorphisms,
@@ -151,15 +152,22 @@ class TestAutomorphisms:
         col = art.izm_coloring
         assert automorphisms(col).perms == automorphisms(col).perms
 
-    def test_limit_exceeded(self):
+    def test_limit_exceeded(self, monkeypatch):
+        # the bound is on the listing: the search finds the whole group first
+        group = automorphisms(uncolored(4, C4))
+        monkeypatch.setattr(autgroup, "MAX_MEMBERS", 7)
+        assert group.order == 8
         with pytest.raises(LimitExceeded):
-            automorphisms(uncolored(4, C4), limit=3)
-        with pytest.raises(LimitExceeded):  # the trivial group, under a limit below 1
-            automorphisms(Coloring(vertex=(0, 1, 2, 3), edge=dict.fromkeys(C4, 0)), limit=0)
+            group.perms
+        monkeypatch.setattr(autgroup, "MAX_MEMBERS", 8)
+        assert len(group.perms) == 8
 
     def test_vertex_bound(self):
+        # K10's 10! = 3 628 800 automorphisms are found, but never listed
+        group = automorphisms(uncolored(10, complete_edges(10)))
+        assert group.order == 3628800
         with pytest.raises(LimitExceeded):
-            automorphisms(uncolored(70, complete_edges(70)))
+            group.perms
 
     @pytest.mark.parametrize("key", [(1, 0), (0, 5)])
     def test_edge_key_outside_domain(self, key):

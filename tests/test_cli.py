@@ -13,10 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import written
+from helpers import cell24, cross_polytope, simplex, written
 from polysym import cli
-from polysym.autgroup import PermutationSet
+from polysym.autgroup import PermutationSet, automorphisms, uncolored
+from polysym.colorings import Coloring, metric_coloring
 from polysym.config import DEFAULT_TOLERANCES
+from polysym.geometry import load_polytope, make_polytope
+from polysym.oracle import brute_force_group
 from polysym.reconstruct import MatrixGroup
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -153,13 +156,6 @@ def test_no_member_is_listed_before_the_writer_starts(monkeypatch, capsys):
     assert capsys.readouterr().out == two_golden_reports()
 
 
-def test_analyze_coloring_restriction():
-    proc = run_cli("analyze", "--coloring", "izmestiev",
-                   str(FIXTURES / "rectangle.json"), check=True)
-    report = json.loads(proc.stdout)
-    assert set(report["groups"]) == {"linear"}
-
-
 def test_analyze_report_roundtrips():
     proc = run_cli("analyze", str(FIXTURES / "octahedron.json"), check=True)
     report = json.loads(proc.stdout)
@@ -228,6 +224,8 @@ def test_validate_good_dump_passes(tmp_path):
     # json.dumps writes these as the non-standard tokens NaN and Infinity
     {"n": 4, "entries": [[float("nan")] + SQUARE_DUMP[0][1:]] + SQUARE_DUMP[1:]},
     {"n": 4, "entries": [[float("inf")] + SQUARE_DUMP[0][1:]] + SQUARE_DUMP[1:]},
+    # a JSON true is no number, though Python's bool is an int
+    {"n": 4, "entries": [[True] + SQUARE_DUMP[0][1:]] + SQUARE_DUMP[1:]},
 ])
 def test_validate_malformed_dump_exit_2(tmp_path, dump):
     path = tmp_path / "dump.json"
@@ -270,6 +268,14 @@ def test_analyze_dump_feeds_validate(tmp_path):
         assert from_dump["matrix_source"] == "dump", name
         assert plain["matrix_source"] == "geometric", name
         assert from_dump["properties"] == plain["properties"], name
+
+
+@pytest.fixture
+def simplex9(tmp_path):
+    """The regular 9-simplex: its group, Sym(10), has 3 628 800 members, past MAX_MEMBERS."""
+    path = tmp_path / "simplex9.json"
+    path.write_text(json.dumps({"dimension": 9, "vertices": simplex(9).vertices.tolist()}))
+    return path
 
 
 @pytest.fixture
@@ -374,7 +380,7 @@ def test_export_dot_unknown_coloring_exit_64():
     ("analyze", str(FIXTURES / "cube.json"), "--limit", "many"),
     ("validate", str(FIXTURES / "cube.json"), "--no-such-flag"),
     (),
-    ("validate", str(FIXTURES / "cube.json"), "--limit", "3"),  # validate builds no group
+    ("validate", str(FIXTURES / "cube.json"), "--limit", "3"),  # no subcommand takes --limit
     ("oracle", str(FIXTURES / "cube.json"), "--verbose"),  # only analyze chatters
 ])
 def test_usage_error_exit_64(argv):
@@ -439,6 +445,9 @@ SQUARE_COORDS = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
     ([SQUARE_COORDS], "sym"),
     ({"vertices": [[1, float("nan")], [0, 1], [-1, 0]]}, "sym"),
     ({"vertices": [[0, 0], [0, 0]]}, "sym"),
+    # the square with its 1s written as JSON true: no number, though Python's bool is an int
+    ({"vertices": [[True, True], [-1, True], [-1, -1], [True, -1]],
+      "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}, "graph-auts"),
 ])
 def test_oracle_bad_embedding_exit_2(tmp_path, doc, candidates):
     path = tmp_path / "embedding.json"
@@ -553,13 +562,54 @@ def test_experiment_metric_runs_past_a_kernel_failure():
     assert json.loads(proc.stdout)["orthogonal_order"] == 72
 
 
-def test_limit_exceeded_exit_4():
-    proc = run_cli("analyze", "--limit", "5", str(FIXTURES / "cube.json"))
-    assert proc.returncode == 4
-    # below 1 even the identity group exceeds the limit, the generic hexagon's too
-    for name, limit in (("triangle", "0"), ("perturbed_hexagon", "0"), ("perturbed_hexagon", "-3")):
-        proc = run_cli("analyze", "--limit", limit, str(FIXTURES / f"{name}.json"))
-        assert proc.returncode == 4, (name, limit)
+def test_limit_exceeded_exit_4(simplex9):
+    proc = run_cli("analyze", str(simplex9))
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("limit exceeded: ") and proc.stderr.count("\n") == 1
+
+
+def test_export_dot_orbit_coloring_past_the_bound(simplex9):
+    # an orbit coloring reads only the group's generators, so no member is listed
+    proc = run_cli("export-dot", str(simplex9), "--coloring", "orbit-linear", check=True)
+    node_colors = {l.split('"')[1] for l in proc.stdout.splitlines() if "fillcolor" in l}
+    assert len(node_colors) == 1
+
+
+def _metric_variant(poly, variant: str) -> Coloring:
+    col = metric_coloring(poly)
+    if variant == "edge-only":
+        return Coloring(vertex=(0,) * poly.n, edge=dict(col.edge))
+    if variant == "vertex-only":
+        return Coloring(vertex=col.vertex, edge={e: 0 for e in col.edge})
+    return col
+
+
+@pytest.mark.parametrize("name", [
+    *(p.stem for p in sorted(FIXTURES.glob("*.json")) if p.stem != "k44_embedding"),
+    "24-cell", "5-cross-polytope"])
+def test_experiment_metric_reference_is_the_brute_force_group(tmp_path, capsys, name):
+    # the reference searches only the metric group's members; before, it searched
+    # Sym(n) for n <= 9 and the uncolored graph's automorphisms past that
+    if name == "24-cell":
+        poly = make_polytope(4, cell24(), name=name)
+    elif name == "5-cross-polytope":
+        poly = cross_polytope(5)
+    else:
+        poly = load_polytope(FIXTURES / f"{name}.json")
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"dimension": poly.dim, "vertices": poly.vertices.tolist()}))
+    cands = None if poly.n <= 9 else automorphisms(uncolored(poly.n, poly.edges)).perms
+    whole = brute_force_group(poly.phi, candidates=cands, flavor="orthogonal", tol=poly.tol)
+    for variant in ("full", "edge-only", "vertex-only"):
+        flags = [] if variant == "full" else [f"--{variant}"]
+        assert cli.main(["experiment-metric", str(path), *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        extra = [list(p) for p in automorphisms(_metric_variant(poly, variant))
+                 if p not in whole.perm_group]
+        assert report["orthogonal_order"] == whole.order, variant
+        assert report["extra_automorphisms"] == extra, variant
+        if variant == "full":
+            assert extra == [], variant
 
 
 def test_reconstruction_violation_exit_3():
@@ -662,7 +712,7 @@ def test_24_cell_report_is_its_own_redump(tmp_path):
     assert proc.stdout == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def test_failed_run_writes_nothing(tmp_path):
+def test_failed_run_writes_nothing(tmp_path, simplex9):
     # every report is laid out only after all work is done, so a run that fails
     # on its last input prints no report for the inputs before it
     shifted = tmp_path / "shifted.json"
@@ -673,7 +723,6 @@ def test_failed_run_writes_nothing(tmp_path):
             (("analyze", str(FIXTURES / "square.json"), str(shifted)), 2),
             (("analyze", "--eps-color", "1e6", str(FIXTURES / "square.json"),
               str(FIXTURES / "cyclic4_6.json")), 3),
-            (("analyze", "--limit", "7", str(FIXTURES / "triangle.json"),
-              str(FIXTURES / "cube.json")), 4)]:
+            (("analyze", str(FIXTURES / "triangle.json"), str(simplex9)), 4)]:
         proc = run_cli(*argv)
         assert (proc.returncode, proc.stdout) == (code, ""), proc.stderr

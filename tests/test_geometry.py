@@ -114,9 +114,21 @@ class TestLoading:
         {"dimension": 2, "vertices": "nope"},
         {"dimension": -1, "vertices": [[1]]},
         {"dimension": 2, "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]], "name": 7},
+        # nested past numpy's 64 dimensions: a ParseError, not a RecursionError
+        {"dimension": 2,
+         "vertices": [[json.loads("[" * 900 + "1" + "]" * 900), 0], [0, 1], [-1, -1]]},
     ])
     def test_parse_errors(self, doc):
         with pytest.raises(ParseError):
+            load_polytope(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"dimension": True, "vertices": [[1], [-1]]},
+        {"dimension": 2, "vertices": [[True, False], [False, True], [-1, -1]]},
+    ])
+    def test_booleans_are_no_numbers(self, doc):
+        # a JSON true or false reads as a Python bool, which is an int
+        with pytest.raises(ParseError, match="'dimension' must be|non-numeric vertex"):
             load_polytope(doc)
 
     def test_malformed_file(self, tmp_path):

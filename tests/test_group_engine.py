@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (cell24, check_realizes, complete_edges, cross_polytope, frame, hypercube,
                      is_orthogonal, realized_but_not_a_group)
-from polysym import make_polytope
+from polysym import autgroup, make_polytope
 from polysym.autgroup import (
     PermutationSet,
     automorphisms,
@@ -144,13 +144,15 @@ class TestExactGroupTest:
 class TestSearchLimits:
     def test_order_known_before_members(self):
         # 16! members could never be listed; the order comes from the chain
-        group = automorphisms(uncolored(16, complete_edges(16)), limit=factorial(16))
+        group = automorphisms(uncolored(16, complete_edges(16)))
         assert group.order == factorial(16)
         assert len(group.generators) < 16
 
-    def test_limit_is_on_the_order(self):
-        with pytest.raises(LimitExceeded):
-            automorphisms(uncolored(16, complete_edges(16)), limit=factorial(16) - 1)
+    def test_limit_is_on_the_order(self, monkeypatch):
+        group = automorphisms(uncolored(16, complete_edges(16)))
+        monkeypatch.setattr(autgroup, "MAX_MEMBERS", factorial(16) - 1)
+        with pytest.raises(LimitExceeded):  # raised from the order, before any member is built
+            group.perms
 
 
 @pytest.mark.parametrize("name,vertices,order", [

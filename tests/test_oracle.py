@@ -8,7 +8,7 @@ from helpers import FIXTURES, capped_prism, compare_groups, frame, k44_embedding
 from polysym import oracle
 from polysym.autgroup import PermutationSet, automorphisms, uncolored
 from polysym.config import Tolerances
-from polysym.errors import NotAGroup, RankDeficient, TooManyCandidates
+from polysym.errors import LimitExceeded, NotAGroup, RankDeficient
 from polysym.oracle import brute_force_group
 from polysym.reconstruct import MatrixGroup, linear_group, orthogonal_group
 
@@ -32,7 +32,7 @@ class TestBruteForce:
 
     def test_sym_stream_guard(self):
         phi = np.eye(2) @ np.random.default_rng(0).standard_normal((2, 10))
-        with pytest.raises(TooManyCandidates):
+        with pytest.raises(LimitExceeded):
             brute_force_group(phi)
 
     def test_realized_set_not_closed_raises(self):

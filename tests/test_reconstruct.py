@@ -339,12 +339,12 @@ def test_wrong_coloring_raises_theorem_violation(artifacts):
     art = artifacts["perturbed_hexagon"]
     graph = uncolored(art.poly.n, art.poly.edges)
     with pytest.raises(TheoremViolation, match="not realized") as exc:
-        _realize_group(art, graph, "linear", 10 ** 6)
+        _realize_group(art, graph, "linear")
     assert exc.value.diagnostic["perm"] in automorphisms(graph).generators
     # the stretched hexagon's 12 linear symmetries hold 8 that are not orthogonal
     art = artifacts["stretched_hexagon"]
     with pytest.raises(TheoremViolation, match="not orthogonal") as exc:
-        _realize_group(art, art.izm_coloring, "orthogonal", 10 ** 6)
+        _realize_group(art, art.izm_coloring, "orthogonal")
     assert exc.value.diagnostic["perm"] in automorphisms(art.izm_coloring).generators
 
 
