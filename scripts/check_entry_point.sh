@@ -22,6 +22,10 @@
 # listed: its group, Sym(10), has 3 628 800 members, past MAX_MEMBERS = 10^6,
 # so `analyze` must exit 4 with no report and one `limit exceeded:` line.
 # There is no option to move that bound: `analyze --limit 5` must exit 64.
+# One rule reads every input number: a triangle with one coordinate written
+# as a JSON string must exit 2 with no report and one `error:` line, and a
+# tolerance flag must be a positive finite number: `analyze --eps-color -1`
+# on the cube must exit 64.
 # Run from the root of a checkout, after `pip install .`:
 #
 #     sh scripts/check_entry_point.sh
@@ -130,3 +134,13 @@ polysym analyze "$cell" > "$dump" 2> "$err" || status=$?
 status=0
 polysym analyze --limit 5 fixtures/cube.json > /dev/null 2>&1 || status=$?
 [ "$status" = 64 ] || { echo "analyze --limit must be a usage error (exit 64), not $status"; exit 1; }
+
+python -c 'import json, sys
+json.dump({"dimension": 2, "vertices": [["1", 0], [0, 1], [-1, -1]]}, sys.stdout)' > "$cell"
+status=0
+polysym analyze "$cell" > "$dump" 2> "$err" || status=$?
+[ "$status" = 2 ] && [ ! -s "$dump" ] && [ "$(wc -l < "$err")" -eq 1 ] && grep -q '^error: ' "$err" \
+    || { echo "string coordinate: analyze must exit 2 with one 'error:' line and no report"; exit 1; }
+status=0
+polysym analyze --eps-color -1 fixtures/cube.json > /dev/null 2>&1 || status=$?
+[ "$status" = 64 ] || { echo "analyze --eps-color -1 must be a usage error (exit 64), not $status"; exit 1; }

@@ -102,6 +102,13 @@ EPS_FLAGS = {"eps-geom": "geom_rel", "eps-color": "color_rel", "eps-kern": "kern
              "fd-step": "fd_step"}
 
 
+def positive_finite(text: str) -> float:
+    """A tolerance flag's type: argparse makes its ValueError a usage error (exit 64)."""
+    if not 0 < (value := float(text)) < float("inf"):  # false for NaN too
+        raise ValueError(text)
+    return value
+
+
 def _tolerances(args):
     overrides = {f: getattr(args, f) for f in EPS_FLAGS.values() if getattr(args, f) is not None}
     return Tolerances(**overrides)
@@ -184,10 +191,8 @@ def load_matrix_dump(doc: dict, n: int) -> np.ndarray:
     if "n" not in doc or "entries" not in doc:
         raise ParseError("matrix dump needs 'n' and 'entries' keys")
     entries = read_numbers(doc["entries"], "bad matrix dump")
-    if entries.shape != (doc["n"], doc["n"]) or entries.shape[0] != n:
-        raise ParseError(f"bad matrix dump: shape inconsistent with {n} vertices")
-    if not np.isfinite(entries).all():
-        raise ParseError("matrix dump entries must be finite")
+    if type(doc["n"]) is not int or doc["n"] != n or entries.shape != (n, n):
+        raise ParseError(f"bad matrix dump: 'n' must be the integer {n}, 'entries' {n} x {n}")
     return entries
 
 
@@ -225,8 +230,6 @@ def _load_embedding(args):
     if "vertices" not in doc:
         raise ParseError("embedding document needs a 'vertices' key")
     coords = read_numbers(doc["vertices"], "bad embedding document")
-    if coords.ndim != 2 or coords.size == 0 or not np.isfinite(coords).all():
-        raise ParseError("'vertices' must be a non-empty list of equal-length finite number lists")
     n, edges = len(coords), doc.get("edges", [])
     if not isinstance(edges, list) or not all(
             isinstance(e, list) and len(e) == 2 and e[0] != e[1]
@@ -337,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--recenter", action="store_true",
                         help="translate vertices by minus their centroid before validating")
     for flag, field in EPS_FLAGS.items():
-        common.add_argument(f"--{flag}", type=float, default=None, dest=field,
+        common.add_argument(f"--{flag}", type=positive_finite, default=None, dest=field,
                             help=f"override the {field} tolerance")
 
     p = subs.add_parser("analyze", parents=[common],

@@ -218,16 +218,18 @@ def read_document(source) -> dict:
 
 
 def read_numbers(value, what: str) -> np.ndarray:
-    """Nested lists of numbers as a float array, else ParseError "{what}: ..."."""
-    def has_bool(x):  # a JSON true or false: a Python bool, which is an int
-        return isinstance(x, bool) or isinstance(x, list) and any(map(has_bool, x))
+    """A non-empty list of equal-length lists of finite JSON numbers as a 2-d float array.
 
+    The one rule for an input number: a bool (an int in Python), a str (numpy parses "1"), NaN,
+    Infinity, an int past float range or any other shape raises ParseError "{what}: ...".
+    """
     try:
-        arr = np.asarray(value, dtype=float)  # first: it refuses nesting past numpy's 64 dims
-        if has_bool(value):
-            raise ValueError("a boolean is not a number")
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(value, dtype=float)  # first: deep nesting raises, 2-d bounds the walk
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what}: {exc}") from exc
+    if not (arr.ndim == 2 and arr.size and np.isfinite(arr).all() and all(
+            type(row) is list and all(type(x) in (int, float) for x in row) for row in value)):
+        raise ParseError(f"{what}: not a non-empty list of equal-length lists of finite numbers")
     return arr
 
 
@@ -242,11 +244,7 @@ def load_polytope(source, tol: Tolerances = DEFAULT_TOLERANCES, recenter: bool =
     dim = doc["dimension"]
     if type(dim) is not int or dim < 1:  # a JSON true is a bool, which is an int
         raise ParseError("'dimension' must be a positive integer")
-    verts = doc["vertices"]
-    if not isinstance(verts, list) or not verts or not all(
-            isinstance(v, list) and len(v) == dim for v in verts):
-        raise ParseError(f"'vertices' must be a non-empty list of length-{dim} lists")
-    arr = read_numbers(verts, "non-numeric vertex coordinate")
+    arr = read_numbers(doc["vertices"], "non-numeric vertex coordinate")
     return make_polytope(dim, arr, name=doc.get("name"), tol=tol, recenter=recenter)
 
 

@@ -23,14 +23,13 @@ from .izmestiev import _kernel_residual, izmestiev_matrix
 
 
 def pseudo_inverse(phi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Right pseudo-inverse phi.T @ (phi @ phi.T)^-1 with phi @ pinv = I."""
+    """Right pseudo-inverse phi.T @ (phi @ phi.T)^-1 with phi @ pinv = I, else RankDeficient."""
     phi = np.asarray(phi, dtype=float)
-    d = phi.shape[0]
-    gram = phi @ phi.T
-    if np.linalg.matrix_rank(gram, tol=1e-12 * float(np.abs(gram).max())) < d:
-        raise RankDeficient("vertex matrix does not have full row rank")
-    pinv = np.linalg.solve(gram, phi).T
-    if np.max(np.abs(phi @ pinv - np.eye(d))) > tol.pinv:
+    try:
+        pinv = np.linalg.solve(phi @ phi.T, phi).T
+    except np.linalg.LinAlgError as exc:  # exactly singular; the residual takes a near-singular one
+        raise RankDeficient("vertex matrix does not have full row rank") from exc
+    if not np.max(np.abs(phi @ pinv - np.eye(len(phi)))) <= tol.pinv:  # NaN fails too
         raise RankDeficient("pseudo-inverse residual exceeds tolerance")
     return pinv
 

@@ -226,6 +226,8 @@ def test_validate_good_dump_passes(tmp_path):
     {"n": 4, "entries": [[float("inf")] + SQUARE_DUMP[0][1:]] + SQUARE_DUMP[1:]},
     # a JSON true is no number, though Python's bool is an int
     {"n": 4, "entries": [[True] + SQUARE_DUMP[0][1:]] + SQUARE_DUMP[1:]},
+    # 'n' is an integer field like every other: 4.0 is no vertex count
+    {"n": 4.0, "entries": SQUARE_DUMP},
 ])
 def test_validate_malformed_dump_exit_2(tmp_path, dump):
     path = tmp_path / "dump.json"
@@ -524,6 +526,52 @@ def test_document_without_its_keys_exits_2(tmp_path, capsys, kind, doc, message)
     path.write_text(json.dumps(doc))
     assert cli.main(DOCUMENT_READERS[kind](str(path))) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# per reader: the prefix of its ParseError, a valid number array, the document that holds it
+NUMBER_ARRAYS = {
+    "polytope": ("non-numeric vertex coordinate", SQUARE_COORDS,
+                 lambda rows: {"dimension": 2, "vertices": rows}),
+    "embedding": ("bad embedding document", SQUARE_COORDS,
+                  lambda rows: {"vertices": rows, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}),
+    "matrix-dump": ("bad matrix dump", SQUARE_DUMP, lambda rows: {"n": 4, "entries": rows}),
+}
+
+
+def _first_leaf(value):
+    return lambda rows: [[value, *rows[0][1:]], *rows[1:]]
+
+
+@pytest.mark.parametrize("kind", DOCUMENT_READERS)
+@pytest.mark.parametrize("bad", [
+    _first_leaf("1"),                 # numpy would parse the string as 1.0
+    _first_leaf(True),                # a Python bool is an int
+    _first_leaf(10 ** 400),           # past float range: OverflowError, not a ParseError
+    _first_leaf(float("nan")),        # json.dumps writes NaN and Infinity literals
+    _first_leaf(float("inf")),
+    lambda rows: [],
+    lambda rows: rows[0],
+    lambda rows: [rows[0][:-1], *rows[1:]],
+], ids=["string", "true", "past-float-range", "nan", "infinity", "empty", "flat", "ragged"])
+def test_one_rule_for_an_input_number(tmp_path, capsys, kind, bad):
+    # read_numbers decides for every reader: exit 2, one line naming the array, no report
+    prefix, rows, document = NUMBER_ARRAYS[kind]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document(bad(rows))))
+    assert cli.main(DOCUMENT_READERS[kind](str(path))) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {prefix}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("flag", [f"--{flag}" for flag in cli.EPS_FLAGS])
+def test_tolerance_flag_must_be_positive_finite(capsys, flag, value):
+    # argparse's usage error, as for a value that is no number at all
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", f"{flag}={value}", str(FIXTURES / "cube.json")])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 64 and out == ""
+    assert f"argument {flag}: invalid positive_finite value: '{value}'" in err
 
 
 def test_commands_never_import_numpy_ma():

@@ -50,6 +50,15 @@ class TestPseudoInverse:
         with pytest.raises(RankDeficient):
             pseudo_inverse(phi)
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_repeated_row_rejected(self, d):
+        # no rank test precedes the solve: an exactly singular Gram matrix fails
+        # in solve, a nearly singular one in the residual, both as RankDeficient
+        phi = np.random.default_rng(d).standard_normal((d, 3 * d))
+        phi[-1] = phi[0]
+        with pytest.raises(RankDeficient):
+            pseudo_inverse(phi)
+
 
 class TestLinearMapFromPerm:
     def test_square_cycle_is_rotation(self):
