@@ -19,9 +19,11 @@ Per row it records the median, minimum and maximum wall time, the largest
 peak RSS of the child (from os.wait4), the stdout size and the stdout
 SHA-256, which every run of the row must repeat (the script exits 1
 otherwise): equal hashes from two checkouts show byte-identical reports.
-Prints one JSON document: the environment, a SHA-256 of the sources run
-(as benchmark/run.py takes it), their line count (``src_lines``, as
-``wc -l src/polysym/*.py`` totals it) and the rows.
+Prints one JSON document: the environment, with the BLAS numpy runs on
+(name, version and OpenBLAS build configuration: report hashes depend on
+it), a SHA-256 of the sources run (as benchmark/run.py takes it), their
+line count (``src_lines``, as ``wc -l src/polysym/*.py`` totals it) and
+the rows.
 """
 
 import argparse
@@ -132,7 +134,9 @@ def environment() -> dict:
     lines = cpuinfo.read_text().splitlines() if cpuinfo.is_file() else []
     model = next((line.split(":", 1)[1].strip() for line in lines
                   if line.startswith("model name")), platform.processor())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]  # holds paths: pick keys
     return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
             "machine": platform.machine(), "cpu": model, "nproc": len(os.sched_getaffinity(0)),
             "blas_threads": 1, "timeout_s": TIMEOUT_S, "seed": SEED, "repeats": REPEATS}
 

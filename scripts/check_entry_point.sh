@@ -10,6 +10,11 @@
 # 1e-100 and by 1e100, which must exit 0 with the golden report's group
 # orders.  `oracle --embedding --candidates graph-auts` on k44_embedding
 # scaled by 1e-300 and by 1e300 must exit 0 with order 128, as unscaled.
+# The scale limits: every stage computes at unit scale, so `validate` on the
+# cube and on simplex3 scaled by 1e80 and by 1e-80 must exit 0 with
+# `"passed": true`, while `analyze` on the cube scaled by 1e200, whose
+# matrix M(sP) = s^-3 M(P) underflows, must exit 2 with no report and one
+# `error: Izmestiev matrix leaves float range` line.
 # A 24-cell, built inline, is analyzed
 # last: both flavors must report order 1152, and its report, whose member
 # listings are written in several pieces, must equal the indent-2 re-dump of
@@ -68,6 +73,21 @@ for s in 1e-300 1e300; do
     [ "$(echo "$report" | python -c "$oracle_order")" = 128 ] \
         || { echo "oracle order changed: k44_embedding scaled by $s"; exit 1; }
 done
+passed='import json, sys; print(json.load(sys.stdin)["passed"])'
+for name in cube simplex3; do
+    for s in 1e80 1e-80; do
+        python -c "$scale" "fixtures/$name.json" "$s" > "$scaled"
+        report=$(polysym validate "$scaled") || { echo "validate failed: $name scaled by $s"; exit 1; }
+        [ "$(echo "$report" | python -c "$passed")" = True ] \
+            || { echo "validate did not pass: $name scaled by $s"; exit 1; }
+    done
+done
+python -c "$scale" fixtures/cube.json 1e200 > "$scaled"
+status=0
+polysym analyze "$scaled" > "$dump" 2> "$err" || status=$?
+[ "$status" = 2 ] && [ ! -s "$dump" ] && [ "$(wc -l < "$err")" -eq 1 ] \
+    && grep -q '^error: Izmestiev matrix leaves float range' "$err" \
+    || { echo "cube scaled by 1e200: analyze must exit 2 with one float-range line and no report"; exit 1; }
 python -c 'import json, sys
 docs = [json.load(open(path)) for path in sys.argv[1:]]
 sys.stdout.write(json.dumps(docs, sort_keys=True, indent=2) + "\n")' \

@@ -24,7 +24,7 @@ import numpy as np
 
 from .autgroup import MAX_MEMBERS, automorphisms, uncolored
 from .colorings import Coloring, metric_coloring, orbit_coloring
-from .config import Tolerances
+from .config import Tolerances, positive_finite
 from .errors import LimitExceeded, ParseError, PolysymError, TheoremViolation
 from .geometry import load_polytope, read_document, read_numbers
 from .izmestiev import izmestiev_matrix, izmestiev_matrix_fd, verify_properties
@@ -91,22 +91,10 @@ def _emit(doc) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _chatter(args, msg: str) -> None:
-    if args.verbose:
-        sys.stderr.write(msg + "\n")
-
-
 # tolerance override flags and the Tolerances field each one sets
 EPS_FLAGS = {"eps-geom": "geom_rel", "eps-color": "color_rel", "eps-kern": "kernel",
              "eps-eig": "eig_rel", "eps-match": "match", "eps-orth": "orth",
              "fd-step": "fd_step"}
-
-
-def positive_finite(text: str) -> float:
-    """A tolerance flag's type: argparse makes its ValueError a usage error (exit 64)."""
-    if not 0 < (value := float(text)) < float("inf"):  # false for NaN too
-        raise ValueError(text)
-    return value
 
 
 def _tolerances(args):
@@ -180,8 +168,9 @@ def cmd_analyze(args) -> int:
             report["groups"][flavor] = {**_group_doc(group, flavor),
                                         "orbit_coloring": _coloring_doc(orbits)}
         reports.append(report)
-        _chatter(args, f"{path}: analyzed in {time.perf_counter() - t0:.3f}s, "
-                       f"orders { {k: v['order'] for k, v in report['groups'].items()} }")
+        if args.verbose:
+            sys.stderr.write(f"{path}: analyzed in {time.perf_counter() - t0:.3f}s, orders "
+                             f"{ {k: v['order'] for k, v in report['groups'].items()} }\n")
     _emit(reports[0] if len(reports) == 1 else reports)
     return 0
 
@@ -339,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)  # the options every subcommand takes
     common.add_argument("--recenter", action="store_true",
                         help="translate vertices by minus their centroid before validating")
-    for flag, field in EPS_FLAGS.items():
+    for flag, field in EPS_FLAGS.items():  # positive_finite's ValueError is a usage error (64)
         common.add_argument(f"--{flag}", type=positive_finite, default=None, dest=field,
                             help=f"override the {field} tolerance")
 

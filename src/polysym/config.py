@@ -6,7 +6,14 @@ echo the exact thresholds a result was computed under.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+
+def positive_finite(value, name: str = "value") -> float:
+    """The one rule for a tolerance, a field or a flag's text: a positive finite number."""
+    if not 0 < (number := float(value)) < float("inf"):  # false for NaN too
+        raise ValueError(f"{name} must be a positive finite number, not {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -31,6 +38,10 @@ class Tolerances:
     fd_check: float = 1e-4
     # componentwise trust region [1-delta, 1+delta] for shifted facet offsets
     dual_trust: float = 0.05
+
+    def __post_init__(self):
+        for field in fields(self):
+            positive_finite(getattr(self, field.name), field.name)
 
     def geom(self, scale: float) -> float:
         """Absolute geometric tolerance for a polytope of the given scale."""

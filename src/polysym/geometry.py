@@ -1,13 +1,12 @@
 """Polytope ingestion, facet enumeration, edge-graph and dual-face geometry.
 
-Vertices are the single source of truth.  Validation finds the facets
-once, as the vertices of the polar dual, and the edge-graph is read off
-their incidence; the ``Polytope`` carries both.  One vertex enumeration
-(``_vertices``) serves validation and the shifted dual, which is
-enumerated once per stencil ray and re-solved at the ray's other offsets.
-Volumes are summed over the face lattice an incidence gives, by the
-pyramid formula, in one kernel that walks it a level at a time: all faces
-of a dimension at once, each face once.
+Vertices are the single source of truth; every stage that solves or measures
+runs on them at unit scale.  Validation finds the facets once, as the polar
+dual's vertices, and the edge-graph is read off their incidence; the
+``Polytope`` carries both.  One vertex enumeration (``_vertices``) serves
+validation and the shifted dual, enumerated once per stencil ray and
+re-solved at the ray's other offsets.  Volumes are summed over the face
+lattice an incidence gives, by the pyramid formula, a level at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
-from math import factorial, frexp, ldexp
+from math import factorial, frexp
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +30,17 @@ class Polytope:
 
     ``vertices`` has shape (n, d); row i is vertex i.  Vertex order is
     contract-bearing: permutations and reconstructed linear maps refer to
-    these indices.  Validation under ``tol``, the polytope's one tolerance
-    ledger, finds the facets: ``normals`` (m, d), with <u, x> <= 1 on P
-    (exactly the polar's vertices), and ``incidence`` (m, n), flagging
-    vertex j on facet i.  ``edges`` are the edge-graph their incidence
-    fixes, as sorted pairs in lexicographic order.  Every later stage
-    reads these fields here.
+    these indices; ``unit`` is them times 2^-``exponent`` (``unit_exponent``).
+    Validation under ``tol``, the polytope's one tolerance ledger, finds the
+    facets: ``normals`` (m, d), with <u, x> <= 1 on P (exactly the polar's
+    vertices), and ``incidence`` (m, n), flagging vertex j on facet i.
+    ``edges`` are the edge-graph their incidence fixes, as sorted pairs in
+    lexicographic order.  Every later stage reads these fields here.
     """
 
     vertices: np.ndarray
+    unit: np.ndarray
+    exponent: int
     normals: np.ndarray
     incidence: np.ndarray
     edges: tuple[tuple[int, int], ...]
@@ -60,17 +61,17 @@ class Polytope:
         return self.vertices.T
 
     @property
+    def unit_scale(self) -> float:
+        return float(np.linalg.norm(self.unit, axis=1).max())
+
+    @property
     def scale(self) -> float:
-        return float(np.max(_norms(self.vertices)))
+        return float(np.ldexp(self.unit_scale, self.exponent))
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Norms along x's last axis, taken on x / f then times f, f a power of two <= max|x|.
-
-    No square leaves float range; where np.linalg.norm's squares stay in range, the bits are its.
-    """
-    f = ldexp(0.5, frexp(np.abs(x).max())[1])
-    return np.linalg.norm(x / f, axis=-1) * f
+def unit_exponent(x: np.ndarray) -> int:
+    """The k for which max|x| / 2^k lies in [1, 2): scaling by 2^-k is exact and takes no square."""
+    return frexp(np.abs(x).max(initial=0.0))[1] - 1
 
 
 # ---------------------------------------------------------------------------
@@ -140,21 +141,18 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
         raise ValidationError(f"not full-dimensional: {n} vertices in R^{dim} (need >= {dim + 1})")
     if not np.all(np.isfinite(vertices)):
         raise ValidationError("non-finite vertex coordinate")
-    scale = float(np.max(_norms(vertices)))
+    scale = float(np.linalg.norm(vertices, axis=1).max())
     if scale == 0.0:
         raise ValidationError("all vertices at the origin")
     eps = tol.geom(scale)
-    close = _norms(vertices[:, None] - vertices[None]) <= eps
+    close = np.linalg.norm(vertices[:, None] - vertices[None], axis=2) <= eps
     dup = np.argwhere(np.triu(close, 1))  # row-major: the lexicographically first pair leads
     if len(dup):
         raise ValidationError(f"duplicate vertices: {dup[0][0]} and {dup[0][1]}")
     if _affine_basis(vertices, eps)[1] < dim:
         raise ValidationError("not full-dimensional: vertices lie in a proper affine subspace")
     # g is interior, so the polar of P - g is bounded
-    with np.errstate(over="ignore"):  # a subset whose determinant overflows is skipped
-        polar, tight, _ = _vertices(vertices - vertices.mean(axis=0), np.ones(n), tol.geom_rel)
-    if not len(polar):
-        raise DegenerateGeometry("no facet found: every d x d determinant leaves float range")
+    polar, tight, _ = _vertices(vertices - vertices.mean(axis=0), np.ones(n), tol.geom_rel)
     # reversed columns: facets ordered by their sorted vertex index lists
     incidence = np.ascontiguousarray(tight[:, ::-1].T)
     planes = []
@@ -181,17 +179,20 @@ def make_polytope(dim, vertices, name=None, tol: Tolerances = DEFAULT_TOLERANCES
                   recenter: bool = False) -> Polytope:
     """Build and validate a Polytope from raw coordinates; it keeps ``tol`` as its ledger.
 
-    The edges are found once here, from the facets validation found.
+    It is validated at unit scale; the edges are found once, from its facets.
     """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != dim:
         raise ParseError(f"vertex array has shape {verts.shape}, expected (n, {dim})")
     if recenter:
         verts = verts - verts.mean(axis=0)
-    normals, incidence = validate_vertices(dim, verts, tol)
+    k = unit_exponent(verts)
+    unit = np.ldexp(verts, -k)
+    normals, incidence = validate_vertices(dim, unit, tol)
     edges = _edges(incidence, dim)
-    verts.setflags(write=False)
-    return Polytope(verts, normals, incidence, edges, tol, name)
+    for arr in (verts, unit):
+        arr.setflags(write=False)
+    return Polytope(verts, unit, k, np.ldexp(normals, -k), incidence, edges, tol, name)
 
 
 def read_document(source) -> dict:
@@ -276,16 +277,17 @@ def _edges(incidence: np.ndarray, dim: int) -> tuple[tuple[int, int], ...]:
 
 
 def dual_edge_volumes(poly: Polytope) -> list[float]:
-    """Relative volumes of the dual faces of the edges, in ``poly.edges`` order.
+    """Relative volumes of the dual faces of the edges of ``poly.unit``, in ``poly.edges`` order.
 
     The dual face of an edge {i, j} is conv of the facet normals whose
     facets hold both i and j, a (d - 2)-face of the polar dual.  The dual's
-    planes are the vertices of P at offset 1, and its incidence is the
-    facet incidence transposed; all dual faces go to one kernel call.
+    planes are the vertices at offset 1, and its incidence is the facet
+    incidence transposed; all dual faces go to one kernel call.
     """
     inc, (i, j) = poly.incidence, np.array(poly.edges).T
-    return _face_volumes(poly.normals[None], poly.vertices, np.ones((1, poly.n)), inc.T,
-                         (inc[:, i] & inc[:, j]).T, poly.dim - 2)[0].tolist()
+    return _face_volumes(np.ldexp(poly.normals, poly.exponent)[None], poly.unit,
+                         np.ones((1, poly.n)), inc.T, (inc[:, i] & inc[:, j]).T,
+                         poly.dim - 2)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +376,7 @@ def _shifted_dual(poly: Polytope, c):
     NumericalInstability is raised.  Returns the (S, k, d) vertices, row p
     of each region's vertex p, and ``tight``, with ``tight[i, p]`` flagging
     vertex p on plane i: the arguments ``_face_volumes`` takes with the
-    planes ``poly.vertices`` at offsets c.  The offsets must stay in the
+    planes ``poly.unit`` at offsets c.  The offsets must stay in the
     trust region |c - 1| <= ``poly.tol.dual_trust`` so the regions stay
     bounded and combinatorially tame.
     """
@@ -384,12 +386,12 @@ def _shifted_dual(poly: Polytope, c):
     delta = tol.dual_trust
     if np.any(c < 1.0 - delta - 1e-15) or np.any(c > 1.0 + delta + 1e-15):
         raise Unbounded(f"offsets outside trust region [1-{delta}, 1+{delta}]")
-    points, tight, subsets = _vertices(poly.vertices, c[0], tol.geom_rel)
-    size = np.linalg.norm(points, axis=1).max(initial=0.0)  # the region's size, about 1/scale
+    points, tight, subsets = _vertices(poly.unit, c[0], tol.geom_rel)
+    size = np.linalg.norm(points, axis=1).max(initial=0.0)  # the region's size, about 1
     if len(points) <= d or _affine_basis(points, tol.geom(size))[1] != d:
         raise Unbounded("dual vertex set is not full-dimensional")
-    x = np.linalg.solve(poly.vertices[subsets], c[1:, subsets, None])[..., 0]  # (S - 1, k, d)
-    vals, b, eps = x @ poly.vertices.T, c[1:, None], tol.geom_rel
+    x = np.linalg.solve(poly.unit[subsets], c[1:, subsets, None])[..., 0]  # (S - 1, k, d)
+    vals, b, eps = x @ poly.unit.T, c[1:, None], tol.geom_rel
     if (bad := np.any((vals > b + eps) | ((vals >= b - eps) != tight.T), axis=(1, 2))).any():
         i = int(np.argmax(np.abs((row := c[1 + np.argmax(bad)]) - c[0])))
         raise NumericalInstability("shifted dual changed combinatorics inside the stencil: "
@@ -400,13 +402,13 @@ def _shifted_dual(poly: Polytope, c):
 def dual_facet_volumes(poly: Polytope, c) -> np.ndarray:
     """(S, n) volumes of the facets F_i, on the planes <x, v_i> = c_si, of {x : <x, v_i> <= c_si}.
 
-    The S offset rows give regions of one type (``_shifted_dual``).  ``F_i``
-    is the face of the region's lattice on plane i, and all facets go to
-    one kernel call, so the faces they share are evaluated once.  A plane
-    that meets the region in less than a facet contributes 0: its points,
-    if any, all lie on some other plane too, whereas no other plane holds a
-    facet.  Divided by |v_i| these are the partial derivatives of the
-    region's volume in c.
+    The v_i are the rows of ``poly.unit``, and the S offset rows give regions
+    of one type (``_shifted_dual``).  ``F_i`` is the face of the region's
+    lattice on plane i, and all facets go to one kernel call, so the faces
+    they share are evaluated once.  A plane that meets the region in less
+    than a facet contributes 0: its points, if any, all lie on some other
+    plane too, whereas no other plane holds a facet.  Divided by |v_i| these
+    are the partial derivatives of the region's volume in c.
     """
     c = np.asarray(c, dtype=float)
     points, tight = _shifted_dual(poly, c)
@@ -414,5 +416,5 @@ def dual_facet_volumes(poly: Polytope, c) -> np.ndarray:
     within = counts @ counts.T == tight.sum(axis=1)[:, None]  # [i, j]: plane i's points on plane j
     facet = within.sum(axis=1) == 1
     vol = np.zeros((len(c), poly.n))
-    vol[:, facet] = _face_volumes(points, poly.vertices, c, tight, tight[facet], poly.dim - 1)
+    vol[:, facet] = _face_volumes(points, poly.unit, c, tight, tight[facet], poly.dim - 1)
     return vol

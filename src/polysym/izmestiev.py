@@ -14,7 +14,7 @@ Two independent routes to the same matrix:
   ``poly.incidence`` and ``poly.edges``: its sparsity pattern is an
   outcome, not an input.
 
-Both return the matrix as an (n, n) array indexed like the vertices.
+Both compute on ``poly.unit`` and return the matrix in input units.
 
 The sign convention is fixed by the matrix's defining properties (negative
 on edges, a single negative eigenvalue): it is minus the Hessian of
@@ -24,12 +24,11 @@ vol({x : <x, v_i> <= c_i}) at c = (1, ..., 1).
 from __future__ import annotations
 
 from itertools import combinations
-from math import log2
 
 import numpy as np
 
 from .errors import DegenerateGeometry, NumericalInstability, SingularAngle
-from .geometry import Polytope, dual_edge_volumes, dual_facet_volumes
+from .geometry import Polytope, dual_edge_volumes, dual_facet_volumes, unit_exponent
 
 
 def izmestiev_matrix(poly: Polytope) -> np.ndarray:
@@ -40,29 +39,28 @@ def izmestiev_matrix(poly: Polytope) -> np.ndarray:
     the angle at the origin.  All dual-face volumes come from one pass over
     the dual's face lattice.  Diagonal entries are solved row-wise from the
     kernel condition; ``reconstruct.build_artifacts`` checks its full
-    residual, and ``verify_properties`` reports it.  The Gram root and its
-    threshold are taken on the vertices times f, the power of two nearest
-    1 / scale, then the root is divided by f twice.  Squares are products
-    (C ``pow`` may misround), so its bits are the unscaled formula's
-    wherever |v|^4 stays in range (scale 1e+-77).
+    residual, and ``verify_properties`` reports it.
     """
-    n, tol, verts = poly.n, poly.tol, poly.vertices
+    n, tol, verts, scale = poly.n, poly.tol, poly.unit, poly.unit_scale
     entries = np.zeros((n, n))
-    f = 2.0 ** -round(log2(poly.scale))
-    unit, scale = verts * f, poly.scale * f
-    with np.errstate(all="ignore"):  # M(sP) = s^-d M(P) may leave float range: named below
-        for (i, j), relvol in zip(poly.edges, dual_edge_volumes(poly)):
-            c = float(unit[i] @ unit[j])
-            gram = float(unit[i] @ unit[i]) * float(unit[j] @ unit[j]) - c * c
-            if gram <= (tol.geom(scale) * scale) ** 2:
-                raise SingularAngle(f"vertices {i} and {j} are collinear with the origin")
-            entries[i, j] = entries[j, i] = -relvol / (np.sqrt(gram) / f / f)
-        for i in range(n):  # row i holds only its edge entries so far: its neighbours, ascending
-            entries[i, i] = -sum(entries[i, j] * float(verts[j] @ verts[i])
-                                 for j in np.flatnonzero(entries[i])) / float(verts[i] @ verts[i])
-    if not np.isfinite(entries).all():
+    for (i, j), relvol in zip(poly.edges, dual_edge_volumes(poly)):
+        c = float(verts[i] @ verts[j])
+        gram = float(verts[i] @ verts[i]) * float(verts[j] @ verts[j]) - c * c
+        if gram <= (tol.geom(scale) * scale) ** 2:
+            raise SingularAngle(f"vertices {i} and {j} are collinear with the origin")
+        entries[i, j] = entries[j, i] = -relvol / np.sqrt(gram)
+    for i in range(n):  # row i holds only its edge entries so far: its neighbours, ascending
+        entries[i, i] = -sum(entries[i, j] * float(verts[j] @ verts[i])
+                             for j in np.flatnonzero(entries[i])) / float(verts[i] @ verts[i])
+    return _input_units(entries, poly)
+
+
+def _input_units(m: np.ndarray, poly: Polytope) -> np.ndarray:
+    """M(P) = 2^(-kd) m from m = M(P / 2^k), k = poly.exponent; DegenerateGeometry if inexact."""
+    e = -poly.exponent * poly.dim  # an overflow shows in m's exponent, as np.ldexp warns on one
+    if unit_exponent(m) + e > 1023 or not np.array_equal(np.ldexp(out := np.ldexp(m, e), -e), m):
         raise DegenerateGeometry(f"Izmestiev matrix leaves float range at scale {poly.scale:.3e}")
-    return entries
+    return out
 
 
 def izmestiev_matrix_fd(poly: Polytope) -> np.ndarray:
@@ -84,11 +82,11 @@ def izmestiev_matrix_fd(poly: Polytope) -> np.ndarray:
     sym = [-(m + m.T) / 2.0 for m in raw]
     combined = [2.0 * sym[k + 1] - sym[k] for k in range(2)]
     drift = float(np.max(np.abs(combined[1] - combined[0])))
-    limit = poly.tol.fd_check / poly.scale ** poly.dim
+    limit = poly.tol.fd_check / poly.unit_scale ** poly.dim
     if max(drift, asym) > limit:
         raise NumericalInstability(
             f"step-halving drift {drift:.3e} / asymmetry {asym:.3e} exceeds {limit:.1e}")
-    return combined[1]
+    return _input_units(combined[1], poly)
 
 
 def _raw_hessians(poly: Polytope) -> np.ndarray:
@@ -99,7 +97,7 @@ def _raw_hessians(poly: Polytope) -> np.ndarray:
     kernel call per ray for its three offsets.
     """
     steps = poly.tol.fd_step / np.array([4.0, 2.0, 1.0])
-    norms = np.linalg.norm(poly.vertices, axis=1)
+    norms = np.linalg.norm(poly.unit, axis=1)
     grad = lambda c: dual_facet_volumes(poly, c) / norms
     return np.stack([(grad(1.0 + np.outer(steps, ei)) - grad(1.0 - np.outer(steps, ei)))
                      / (2.0 * steps[:, None]) for ei in np.eye(poly.n)], axis=2)[::-1]

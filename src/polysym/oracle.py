@@ -21,13 +21,14 @@ cond(phi), far below m after ``pseudo_inverse``'s ``tol.pinv`` check).
 from __future__ import annotations
 
 from itertools import chain, islice
-from math import factorial, frexp, ldexp
+from math import factorial
 
 import numpy as np
 
 from .autgroup import MAX_MEMBERS, PermutationSet
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import LimitExceeded, NotAGroup, RankDeficient
+from .geometry import unit_exponent
 from .reconstruct import MatrixGroup, pseudo_inverse
 
 
@@ -37,9 +38,9 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
 
     phi is (d, n), column j the point j, for any point set (a polytope
     or a graph embedding).  It is first scaled, exactly, by the power of
-    two that brings max|phi| into [1/2, 1), so no Gram matrix leaves
-    float range, then restricted to its row space (a no-op on a
-    polytope, whose phi has full row rank), so for each sigma the
+    two that brings max|phi| into [1, 2) (``unit_exponent``), so no Gram
+    matrix leaves float range, then restricted to its row space (a no-op on
+    a polytope, whose phi has full row rank), so for each sigma the
     candidate map is unique: sound and complete.  With candidates=None,
     Sym(n) is streamed pruned, as the module docstring says, if n! is at
     most MAX_MEMBERS (n <= 9), else LimitExceeded.
@@ -49,8 +50,7 @@ def brute_force_group(phi: np.ndarray, candidates=None, flavor: str = "linear",
     distinct: NotAGroup if not, if none is realized
     or if one is no permutation of 0..n-1.
     """
-    phi = np.asarray(phi, dtype=float)
-    phi = phi * ldexp(1, -frexp(np.abs(phi).max())[1])
+    phi = np.ldexp(phi, -unit_exponent(phi))
     u, s, _ = np.linalg.svd(phi, full_matrices=False)
     rank = int(np.sum(s > 1e-12 * s[0]))
     if rank == 0:

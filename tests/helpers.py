@@ -348,13 +348,16 @@ def volume_generalized_dual(poly: Polytope, c) -> float:
     """Volume of {x : <x, v_i> <= c_i}, the dual with facets shifted by c.
 
     The volume is summed over the face lattice of the region's vertices,
-    found as in ``geometry._shifted_dual``; the offsets must stay in its
-    trust region.
+    found as in ``geometry._shifted_dual`` for the unit-scale vertices
+    ``poly.unit``, and brought back to input units, where it is 2^(-kd)
+    times the unit-scale one, k = ``poly.exponent``; the offsets must stay
+    in the trust region.
     """
     c = np.asarray(c, dtype=float)[None]
     points, tight = geometry._shifted_dual(poly, c)
-    return float(geometry._face_volumes(points, poly.vertices, c, tight,
-                                        np.ones((1, tight.shape[1]), dtype=bool), poly.dim)[0, 0])
+    vol = geometry._face_volumes(points, poly.unit, c, tight,
+                                 np.ones((1, tight.shape[1]), dtype=bool), poly.dim)[0, 0]
+    return float(np.ldexp(vol, -poly.exponent * poly.dim))
 
 
 def fd_raw_hessians(poly: Polytope) -> list[np.ndarray]:
@@ -362,9 +365,10 @@ def fd_raw_hessians(poly: Polytope) -> list[np.ndarray]:
 
     A reference for ``izmestiev._raw_hessians``: each of the 6n offset
     vectors gets its own vertex enumeration and volume kernel call, with
-    no re-solve.
+    no re-solve.  Like it, it differentiates the dual volume of the
+    unit-scale vertices ``poly.unit``.
     """
-    norms = np.linalg.norm(poly.vertices, axis=1)
+    norms = np.linalg.norm(poly.unit, axis=1)
     grad = lambda c: geometry.dual_facet_volumes(poly, c[None])[0] / norms
     base = np.ones(poly.n)
     return [np.column_stack([(grad(base + ei) - grad(base - ei)) / (2.0 * hh)

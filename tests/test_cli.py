@@ -63,37 +63,38 @@ def test_analyze_bad_input_exit_2(tmp_path):
     assert "origin not interior" in proc.stderr
 
 
-@pytest.mark.parametrize("name,scale", [
-    *(pytest.param("cyclic4_6", s, id=str(s)) for s in (1e100, 1e-100)),
-    *(pytest.param(p.stem, s, id=f"{p.stem}-{s}") for p in sorted(FIXTURES.glob("*.json"))
-      if p.stem != "k44_embedding" for s in (1e200, 1e-200))])
-def test_determinants_out_of_float_range_exit_2(tmp_path, name, scale):
-    # every 4 x 4 determinant of cyclic4_6 times 1e+-100, and every d x d one of
-    # each fixture times 1e+-200, leaves float range, so the polar scan finds no
-    # facet: one named error line, not a traceback; the scale and the duplicate
-    # test before the scan take no square out of range
+# the facets are found, but M(sP) = s^-d M(P) leaves float range: it overflows for
+# s < 1 and underflows (to subnormals or zero) for s > 1, at 1e+-200 for every
+# fixture and at 1e+-100 for 4-d cyclic4_6 (about 1e-+400)
+@pytest.mark.parametrize("name,scale,command", [
+    *((name, scale, command) for name, scale in (("square", 1e-160), ("cube", 1e-105),
+                                                 ("cyclic4_6", 1e-80))
+      for command in ("analyze", "validate")),
+    *(("cyclic4_6", scale, "analyze") for scale in (1e100, 1e-100)),
+    *((p.stem, scale, "analyze") for p in sorted(FIXTURES.glob("*.json"))
+      if p.stem != "k44_embedding" for scale in (1e200, 1e-200))])
+def test_matrix_out_of_float_range_exit_2(tmp_path, command, name, scale):
+    # one named error line, not a traceback from the eigenvalue solver, nor zeros passed on
     doc = json.loads((FIXTURES / f"{name}.json").read_text())
     doc["vertices"] = [[scale * x for x in v] for v in doc["vertices"]]
     path = tmp_path / "far.json"
-    path.write_text(json.dumps(doc))
-    proc = run_cli("analyze", str(path))
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: no facet found") and proc.stderr.count("\n") == 1
-
-
-@pytest.mark.parametrize("command", ["analyze", "validate"])
-@pytest.mark.parametrize("name,scale", [("square", 1e-160), ("cube", 1e-105), ("cyclic4_6", 1e-80)])
-def test_matrix_out_of_float_range_exit_2(tmp_path, command, name, scale):
-    # the facets are found, but M(sP) = s^-d M(P) overflows: one named error
-    # line, not a traceback from the eigenvalue solver
-    doc = json.loads((FIXTURES / f"{name}.json").read_text())
-    doc["vertices"] = [[scale * x for x in v] for v in doc["vertices"]]
-    path = tmp_path / "small.json"
     path.write_text(json.dumps(doc))
     proc = run_cli(command, str(path))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: Izmestiev matrix leaves float range")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["cube", "simplex3"])
+@pytest.mark.parametrize("scale", [1e80, 1e-80, 1e100, 1e-100])
+def test_validate_passes_far_from_unit_scale(tmp_path, capsys, name, scale):
+    # both matrices are computed at unit scale, and M(sP) = s^-d M(P) is still a float here
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    doc["vertices"] = [[scale * x for x in v] for v in doc["vertices"]]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_analyze_dimension_one_exit_2(tmp_path):

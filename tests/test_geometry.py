@@ -316,8 +316,9 @@ class TestDualFaces:
     def test_edge_volumes_match_qhull(self, name):
         poly = LADDER[name]()
         inc = poly.incidence
+        # the volumes are those of the unit-scale polytope's dual faces
         for (i, j), relvol in zip(poly.edges, geometry.dual_edge_volumes(poly)):
-            pts = poly.normals[inc[:, i] & inc[:, j]]
+            pts = np.ldexp(poly.normals, poly.exponent)[inc[:, i] & inc[:, j]]
             centred = pts - pts.mean(axis=0)
             flat = centred @ np.linalg.svd(centred)[2][: poly.dim - 2].T
             assert relvol == pytest.approx(ConvexHull(flat).volume, rel=1e-9), (i, j)
@@ -328,8 +329,9 @@ class TestDualFaces:
         poly = {**LADDER, "cyclic4_6": FIXTURES["cyclic4_6"]}[name]()
         inc = poly.incidence
         for (i, j), relvol in zip(poly.edges, geometry.dual_edge_volumes(poly)):
-            alone = geometry._face_volumes(poly.normals[None], poly.vertices, np.ones((1, poly.n)),
-                                           inc.T, (inc[:, i] & inc[:, j])[None], poly.dim - 2)
+            alone = geometry._face_volumes(np.ldexp(poly.normals, poly.exponent)[None], poly.unit,
+                                           np.ones((1, poly.n)), inc.T, (inc[:, i] & inc[:, j])[None],
+                                           poly.dim - 2)
             assert alone[0, 0] == relvol, (i, j)
 
 

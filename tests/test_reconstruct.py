@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -15,6 +16,7 @@ from helpers import (
     linear_map_from_perm,
     member_maps,
     read_back,
+    sphere_polytope,
     verify_homomorphism,
 )
 from polysym import DEFAULT_TOLERANCES, Tolerances, make_polytope
@@ -211,7 +213,17 @@ class TestPipelineGroups:
                 assert set(orthogonal_group(build_artifacts(moved)).perm_group) == base
 
 
-# scale exponents k for 10^k; at 1e+-100 a 4-d matrix, M(sP) = s^-d M(P), leaves float range
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), 0.0])
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Tolerances)])
+def test_tolerances_must_be_positive_finite(field, value):
+    # color_rel = -1 would split every class (the cube's order 48 falls to 1), and
+    # kernel = nan would switch the kernel residual guard off
+    with pytest.raises(ValueError, match=f"^{field} must be a positive finite number"):
+        Tolerances(**{field: value})
+
+
+# scale exponents k for 10^k; the 4-d fixtures stay out at 1e+-100, since their matrix,
+# M(sP) = s^-d M(P), is about 1e-+400 there: past float range, by underflow or overflow
 SCALES = [(name, k) for name in FIXTURES for k in range(-12, 13, 3)] + [
     (name, k) for name in FIXTURES if name not in ("simplex4", "cyclic4_6") for k in (-100, 100)]
 
@@ -225,6 +237,28 @@ class TestScaleFree:
         scaled = build_artifacts(make_polytope(art.poly.dim, art.poly.vertices * 10.0 ** k))
         for pipeline in (linear_group, orthogonal_group):
             assert set(pipeline(scaled).perm_group) == set(pipeline(art).perm_group), pipeline
+
+    @pytest.mark.parametrize("name", list(FIXTURES))
+    @pytest.mark.parametrize("j", [-200, -100, -1, 1, 100, 200])
+    def test_power_of_two_scaling_is_exact(self, artifacts, name, j):
+        # every stage sees the same unit-scale bits, so the matrix is exactly 2^(-jd) times
+        # the unscaled one, and each member's map is the unscaled one, bit for bit
+        art = artifacts[name]
+        scaled = build_artifacts(make_polytope(art.poly.dim, np.ldexp(art.poly.vertices, j)))
+        assert np.array_equal(scaled.matrix, np.ldexp(art.matrix, -j * art.poly.dim))
+        for pipeline in (linear_group, orthogonal_group):
+            want, got = member_maps(pipeline(art)), member_maps(pipeline(scaled))
+            assert sorted(got) == sorted(want), pipeline
+            assert all(np.array_equal(got[p], want[p]) for p in want), pipeline
+
+    @pytest.mark.parametrize("k", [-40, 40])
+    def test_generic_6d_groups_unchanged(self, k):
+        # at 1e+-40 its dual faces' Gram determinants, taken in input units, leave float range
+        poly = sphere_polytope(12, 6, seed=1)
+        base = build_artifacts(poly)
+        scaled = build_artifacts(make_polytope(6, poly.vertices * 10.0 ** k))
+        for pipeline in (linear_group, orthogonal_group):
+            assert set(pipeline(scaled).perm_group) == set(pipeline(base).perm_group), pipeline
 
 
 class TestRelabelling:
