@@ -12,8 +12,12 @@ a seeded orthogonal map and with its vertices relabelled by a seeded
 permutation.  ``validate_sha256.json`` holds the SHA-256 of each
 ``validate`` report on every polytope fixture, once with the computed
 matrix and once with ``--matrix`` given the dump the fixture's own
-``analyze`` report writes.  Golden files change only together with a
-CHANGES.md entry that explains why the reports changed.
+``analyze`` report writes.  ``fd_sha256.json`` holds the SHA-256 of the
+bytes of the finite-difference Izmestiev matrix (``izmestiev_matrix_fd``)
+on every polytope fixture and on the 4-cube, the 4- and 5-cross-polytopes
+and the 24-cell, as given.  Like the other hash tables it depends on the
+BLAS numpy runs on.  Golden files change only together with a CHANGES.md
+entry that explains why the reports changed.
 """
 
 import contextlib
@@ -31,11 +35,14 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 SHA256_TABLE = GOLDEN / "analyze_sha256.json"
 VALIDATE_TABLE = GOLDEN / "validate_sha256.json"
+FD_TABLE = GOLDEN / "fd_sha256.json"
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "scripts"))
 
-from bench import INSTANCES, turned  # noqa: E402
+from bench import INSTANCES, cell24, cross, turned  # noqa: E402
 from polysym.cli import main  # noqa: E402
+from polysym.geometry import load_polytope, make_polytope  # noqa: E402
+from polysym.izmestiev import izmestiev_matrix_fd  # noqa: E402
 
 
 def golden_cases() -> list[tuple[str, list[str]]]:
@@ -104,6 +111,17 @@ def validate_sha256() -> dict:
     return table
 
 
+def fd_sha256() -> dict:
+    """Row name -> SHA-256 of ``izmestiev_matrix_fd(poly).tobytes()``, the oracle's exact bits."""
+    polys = {p.stem: load_polytope(p) for p in sorted((ROOT / "fixtures").glob("*.json"))
+             if p.stem != "k44_embedding"}
+    for name, vertices in (("4-cube", INSTANCES["4-cube"]()), ("4-cross-polytope", cross(4)),
+                           ("5-cross-polytope", cross(5)), ("24-cell", cell24())):
+        polys[name] = make_polytope(vertices.shape[1], vertices, name=name)
+    return {name: hashlib.sha256(izmestiev_matrix_fd(poly).tobytes()).hexdigest()
+            for name, poly in polys.items()}
+
+
 def run(argv: list[str], cwd=ROOT) -> str:
     """Stdout of ``polysym.cli.main(argv)`` run from cwd, by default the repository root."""
     out = io.StringIO()
@@ -128,6 +146,8 @@ def write_all() -> None:
     print(f"wrote {SHA256_TABLE}")
     VALIDATE_TABLE.write_text(json.dumps(validate_sha256(), indent=2) + "\n")
     print(f"wrote {VALIDATE_TABLE}")
+    FD_TABLE.write_text(json.dumps(fd_sha256(), indent=2) + "\n")
+    print(f"wrote {FD_TABLE}")
 
 
 if __name__ == "__main__":

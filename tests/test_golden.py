@@ -2,8 +2,9 @@
 embedding (graph-auts candidates) and on two polytopes (the full Sym(n) stream).
 
 The expected bytes, the SHA-256 table of analyze reports on a wider set
-of inputs and that of validate reports on every polytope fixture live in
-tests/golden/ and are regenerated by scripts/make_golden.py.
+of inputs, that of validate reports on every polytope fixture and that of
+the finite-difference matrix's bits live in tests/golden/ and are
+regenerated by scripts/make_golden.py.
 """
 
 import importlib.util
@@ -60,3 +61,8 @@ def test_analyze_sha256_table():
 def test_validate_sha256_table():
     # every polytope fixture, with its computed matrix and with its own analyze report's dump
     assert make_golden.validate_sha256() == json.loads(make_golden.VALIDATE_TABLE.read_text())
+
+
+def test_fd_sha256_table():
+    # the finite-difference oracle's exact bits on every polytope fixture and four ladder polytopes
+    assert make_golden.fd_sha256() == json.loads(make_golden.FD_TABLE.read_text())
