@@ -6,14 +6,15 @@
 Builds the 4-cube, the 24-cell, the 5-cross-polytope, the 5-cube and the
 6-cross-polytope in code, each turned by a fixed-seed orthogonal map, and
 runs ``python -m polysym analyze`` on each, then on the 6-cross-polytope
-and the 5-cube in one run, plus ``validate`` on the 4-cube and on the
-24-cell.  ``--src`` names the checkout whose ``src`` is run (default: this
-one), so a parent checkout can be measured with the same script.  Each row
-is run REPEATS times, each run one child process in the row's fresh
-temporary directory, given relative input paths so that the paths the
-report echoes do not depend on the checkout.  A run is killed after
-TIMEOUT_S and its row recorded as "timeout".  BLAS and OpenMP are held to
-one thread.
+and the 5-cube in one run, plus ``validate`` on the 4-cube, on the 24-cell
+and on the 6-cross-polytope, which is simplicial, so that its
+finite-difference oracle makes one volume-kernel call.  ``--src`` names the
+checkout whose ``src`` is run (default: this one), so a parent checkout can
+be measured with the same script.  Each row is run REPEATS times, each run
+one child process in the row's fresh temporary directory, given relative
+input paths so that the paths the report echoes do not depend on the
+checkout.  A run is killed after TIMEOUT_S and its row recorded as
+"timeout".  BLAS and OpenMP are held to one thread.
 
 Per row it records the median, minimum and maximum wall time, the largest
 peak RSS of the child (from os.wait4), the stdout size and the stdout
@@ -70,7 +71,7 @@ INSTANCES = {"4-cube": lambda: cube(4), "24-cell": cell24, "5-cross-polytope": l
              "5-cube": lambda: cube(5), "6-cross-polytope": lambda: cross(6)}
 RUNS = ([("analyze", (name,)) for name in INSTANCES]
         + [("analyze", ("6-cross-polytope", "5-cube")), ("validate", ("4-cube",)),
-           ("validate", ("24-cell",))])
+           ("validate", ("24-cell",)), ("validate", ("6-cross-polytope",))])
 
 
 def turned(vertices: np.ndarray, rng: np.random.Generator) -> np.ndarray:

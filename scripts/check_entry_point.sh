@@ -14,7 +14,10 @@
 # cube and on simplex3 scaled by 1e80 and by 1e-80 must exit 0 with
 # `"passed": true`, while `analyze` on the cube scaled by 1e200, whose
 # matrix M(sP) = s^-3 M(P) underflows, must exit 2 with no report and one
-# `error: Izmestiev matrix leaves float range` line.
+# `error: Izmestiev matrix leaves float range` line.  The metric coloring
+# is classed at unit scale too: `experiment-metric` on the rectangle scaled
+# by 1e200 must exit 0 with `metric_aut_order` 4, as unscaled, and print
+# nothing on stderr.
 # A 24-cell, built inline, is analyzed
 # last: both flavors must report order 1152, and its report, whose member
 # listings are written in several pieces, must equal the indent-2 re-dump of
@@ -88,6 +91,12 @@ polysym analyze "$scaled" > "$dump" 2> "$err" || status=$?
 [ "$status" = 2 ] && [ ! -s "$dump" ] && [ "$(wc -l < "$err")" -eq 1 ] \
     && grep -q '^error: Izmestiev matrix leaves float range' "$err" \
     || { echo "cube scaled by 1e200: analyze must exit 2 with one float-range line and no report"; exit 1; }
+python -c "$scale" fixtures/rectangle.json 1e200 > "$scaled"
+status=0
+polysym experiment-metric "$scaled" > "$dump" 2> "$err" || status=$?
+[ "$status" = 0 ] && [ ! -s "$err" ] \
+    && [ "$(python -c 'import json, sys; print(json.load(sys.stdin)["metric_aut_order"])' < "$dump")" = 4 ] \
+    || { echo "rectangle scaled by 1e200: experiment-metric must give order 4 with empty stderr"; exit 1; }
 python -c 'import json, sys
 docs = [json.load(open(path)) for path in sys.argv[1:]]
 sys.stdout.write(json.dumps(docs, sort_keys=True, indent=2) + "\n")' \

@@ -8,7 +8,7 @@ relative gap rule; only class equality ever feeds the automorphism search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,11 +106,17 @@ def quantize(vertex_values, edge_values, tol: Tolerances = DEFAULT_TOLERANCES) -
 
 
 def metric_coloring(poly: Polytope) -> Coloring:
-    """Vertex color |v_i|^2, edge color <v_i, v_j>: an isometry invariant."""
-    verts = poly.vertices
-    vvals = [float(verts[i] @ verts[i]) for i in range(poly.n)]
-    evals = {(i, j): float(verts[i] @ verts[j]) for i, j in poly.edges}
-    return quantize(vvals, evals, poly.tol)
+    """Vertex color |v_i|^2, edge color <v_i, v_j>: an isometry invariant, classed at unit scale.
+
+    The values and gaps it reports are those of ``poly.unit`` times 2^2k, k = ``poly.exponent``.
+    """
+    verts, back = poly.unit, lambda x: x if x is None else np.ldexp(x, 2 * poly.exponent).tolist()
+    col = quantize([float(v @ v) for v in verts],
+                   {(i, j): float(verts[i] @ verts[j]) for i, j in poly.edges}, poly.tol)
+    with np.errstate(over="ignore"):  # inf past float range, where the classes still hold
+        return replace(col, vertex_reps=tuple(back(col.vertex_reps)),
+                       edge_reps=tuple(back(col.edge_reps)),
+                       vertex_min_gap=back(col.vertex_min_gap), edge_min_gap=back(col.edge_min_gap))
 
 
 def izmestiev_coloring(poly: Polytope, m: np.ndarray) -> Coloring:

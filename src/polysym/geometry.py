@@ -4,9 +4,9 @@ Vertices are the single source of truth; every stage that solves or measures
 runs on them at unit scale.  Validation finds the facets once, as the polar
 dual's vertices, and the edge-graph is read off their incidence; the
 ``Polytope`` carries both.  One vertex enumeration (``_vertices``) serves
-validation and the shifted dual, enumerated once per stencil ray and
-re-solved at the ray's other offsets.  Volumes are summed over the face
-lattice an incidence gives, by the pyramid formula, a level at a time.
+validation, with one offset row, and the shifted duals of all stencil rays
+in one pass.  Volumes are summed over the face lattice an incidence gives,
+by the pyramid formula, a level at a time.
 """
 
 from __future__ import annotations
@@ -89,38 +89,40 @@ def _affine_basis(points: np.ndarray, eps: float):
     return centroid, rank, vt
 
 
-def _vertices(normals: np.ndarray, offsets: np.ndarray, eps: float):
-    """Vertices of {x : normals @ x <= offsets}, each once, with the planes tight at each.
+def _vertices(normals: np.ndarray, offsets: np.ndarray, eps: float) -> list:
+    """Vertices of {x : normals @ x <= offsets[r]} for each row r, each once, with the tight planes.
 
     Every d-subset of the planes is solved, in lexicographic blocks of
-    ``SUBSET_BLOCK``; a subset whose determinant is at most 1e-12 of
-    Hadamard's bound (the product of its row lengths) is skipped.  A
-    feasible solution is a vertex, known by its tight planes, and the first
-    solve of each tight set wins.  ``eps`` bounds <a_i, x> - b_i, so it is
-    relative for offsets near 1.  Returns ``(points, tight, subsets)``:
+    ``SUBSET_BLOCK`` (row, subset) pairs; a subset whose determinant is at
+    most 1e-12 of Hadamard's bound (the product of its row lengths) is
+    skipped for every row, and each row's solve is its own.  A feasible
+    solution is a vertex, known by its tight planes, and the first solve of
+    each tight set wins.  ``eps`` bounds <a_i, x> - b_i, so it is relative
+    for offsets near 1.  Returns one ``(points, tight, subsets)`` per row:
     points of shape (k, d), ``tight`` of shape (m, k) with ``tight[i, p]``
     flagging point p on plane i, its columns sorted (False before True),
     and the (k, d) subsets the points were solved from.
     """
-    n, d = normals.shape
+    m, d = normals.shape
     lengths = np.linalg.norm(normals, axis=1)
-    subsets = combinations(range(n), d)
-    points, tags, solved = [], [], []
-    while len(block := np.fromiter(chain.from_iterable(islice(subsets, SUBSET_BLOCK)),
+    subsets, found, per = combinations(range(m), d), [], max(1, SUBSET_BLOCK // len(offsets))
+    while len(block := np.fromiter(chain.from_iterable(islice(subsets, per)),
                                    np.intp).reshape(-1, d)):
         mats = normals[block]                                     # (S, d, d)
         ok = np.abs(np.linalg.det(mats)) > 1e-12 * np.prod(lengths[block], axis=1)
-        sols = np.linalg.solve(mats[ok], offsets[block[ok]][..., None])[..., 0]  # (S', d)
-        vals = normals @ sols.T                                   # (n, S')
-        feas = np.all(vals <= offsets[:, None] + eps, axis=0)
-        tight, first = np.unique(vals[:, feas] >= offsets[:, None] - eps, axis=1,
-                                 return_index=True)
-        points.append(sols[feas][first])
-        tags.append(tight)
-        solved.append(block[ok][feas][first])
-    # a tight set appears at most once per block, so its first column is its first solve
-    tight, first = np.unique(np.hstack(tags), axis=1, return_index=True)
-    return np.vstack(points)[first], tight, np.vstack(solved)[first]
+        sols = np.linalg.solve(mats[ok], offsets[:, block[ok], None])[..., 0]  # (R, S', d)
+        vals = sols @ normals.T                                   # (R, S', m)
+        row, s = np.nonzero(np.all(vals <= offsets[:, None] + eps, axis=2))
+        tight = vals[row, s] >= offsets[row] - eps
+        # a vertex's key: its row, big-endian so that rows sort first, then its tight planes
+        key = np.hstack([row.astype(">u4")[:, None].view(np.uint8), tight.view(np.uint8)])
+        key, first = np.unique(key.view(np.dtype((np.void, 4 + m)))[:, 0], return_index=True)
+        found.append((key, *(a[first] for a in (row, sols[row, s], tight, block[ok][s]))))
+    # a tight set appears at most once per block and row, so its first entry is its first solve
+    key, row, *arrays = map(np.concatenate, zip(*found))
+    first = np.unique(key, return_index=True)[1]
+    cut = np.searchsorted(row[first], np.arange(1, len(offsets)))
+    return [(p, t.T, q) for p, t, q in zip(*(np.split(a[first], cut) for a in arrays))]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +154,7 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
     if _affine_basis(vertices, eps)[1] < dim:
         raise ValidationError("not full-dimensional: vertices lie in a proper affine subspace")
     # g is interior, so the polar of P - g is bounded
-    polar, tight, _ = _vertices(vertices - vertices.mean(axis=0), np.ones(n), tol.geom_rel)
+    polar, tight, _ = _vertices(vertices - vertices.mean(axis=0), np.ones((1, n)), tol.geom_rel)[0]
     # reversed columns: facets ordered by their sorted vertex index lists
     incidence = np.ascontiguousarray(tight[:, ::-1].T)
     planes = []
@@ -366,55 +368,67 @@ def _face_volumes(points, normals, offsets, incidence, faces, k) -> np.ndarray:
     return vol
 
 
-def _shifted_dual(poly: Polytope, c):
-    """S regions {x : <x, v_i> <= c[s, i]} of one combinatorial type: their vertices and tags.
+def _shifted_dual(poly: Polytope, c) -> list:
+    """R rays of S regions {x : <x, v_i> <= c[r, s, i]}, each ray's of one type: vertices and tags.
 
-    Region 0 is vertex-enumerated with ``_vertices``; the others' vertices
-    are re-solved from the d-subsets that found region 0's.  Each must be
-    feasible with exactly its recorded tight planes, so every edge that
-    leaves it ends at another one and the vertex set is complete; else
-    NumericalInstability is raised.  Returns the (S, k, d) vertices, row p
-    of each region's vertex p, and ``tight``, with ``tight[i, p]`` flagging
-    vertex p on plane i: the arguments ``_face_volumes`` takes with the
-    planes ``poly.unit`` at offsets c.  The offsets must stay in the
-    trust region |c - 1| <= ``poly.tol.dual_trust`` so the regions stay
-    bounded and combinatorially tame.
+    One ``_vertices`` pass enumerates every ray's region 0, and one batched
+    solve re-solves the other regions from the d-subsets of their ray's:
+    each must be feasible with exactly its tight planes, so the vertex set
+    is complete.  Returns one ``(points, tight)`` per ray, the (S, k, d)
+    vertices and ``tight[i, p]``, vertex p on plane i, as ``_face_volumes``
+    takes them.  The first failing ray raises its first failure: leaving
+    the trust region |c - 1| <= ``poly.tol.dual_trust``, where regions stay
+    bounded and tame, or a region 0 not full-dimensional (both Unbounded),
+    or a re-solve (NumericalInstability).
     """
     n, d, tol = poly.n, poly.dim, poly.tol
-    if c.ndim != 2 or c.shape[1] != n:
-        raise ValueError(f"offsets must have shape (S, {n})")
-    delta = tol.dual_trust
-    if np.any(c < 1.0 - delta - 1e-15) or np.any(c > 1.0 + delta + 1e-15):
-        raise Unbounded(f"offsets outside trust region [1-{delta}, 1+{delta}]")
-    points, tight, subsets = _vertices(poly.unit, c[0], tol.geom_rel)
-    size = np.linalg.norm(points, axis=1).max(initial=0.0)  # the region's size, about 1
-    if len(points) <= d or _affine_basis(points, tol.geom(size))[1] != d:
-        raise Unbounded("dual vertex set is not full-dimensional")
-    x = np.linalg.solve(poly.unit[subsets], c[1:, subsets, None])[..., 0]  # (S - 1, k, d)
-    vals, b, eps = x @ poly.unit.T, c[1:, None], tol.geom_rel
-    if (bad := np.any((vals > b + eps) | ((vals >= b - eps) != tight.T), axis=(1, 2))).any():
-        i = int(np.argmax(np.abs((row := c[1 + np.argmax(bad)]) - c[0])))
+    if c.ndim != 3 or c.shape[2] != n:
+        raise ValueError(f"offsets must have shape (R, S, {n})")
+    delta, eps = tol.dual_trust, tol.geom_rel
+    outside = np.any((c < 1.0 - delta - 1e-15) | (c > 1.0 + delta + 1e-15), axis=(1, 2))
+    rays = _vertices(poly.unit, c[:, 0], eps)
+    flat = [len(p) <= d or _affine_basis(p, tol.geom(np.linalg.norm(p, axis=1).max()))[1] != d
+            for p, _, _ in rays]  # a region's size is about 1
+    sizes = [len(p) for p, _, _ in rays]
+    tight, subsets = np.hstack([t for _, t, _ in rays]), np.vstack([q for *_, q in rays])
+    b = c[ray := np.repeat(np.arange(len(c)), sizes), 1:]        # (K, S - 1, n)
+    x = np.linalg.solve(poly.unit[subsets][:, None],
+                        np.take_along_axis(b, subsets[:, None], axis=2)[..., None])[..., 0]
+    vals, bad = x @ poly.unit.T, np.zeros((len(c), c.shape[1] - 1), bool)
+    np.logical_or.at(bad, ray, np.any((vals > b + eps) | ((vals >= b - eps) != tight.T[:, None]),
+                                      axis=2))
+    for r in np.flatnonzero(outside | flat | bad.any(axis=1))[:1]:
+        if outside[r]:
+            raise Unbounded(f"offsets outside trust region [1-{delta}, 1+{delta}]")
+        if flat[r]:
+            raise Unbounded("dual vertex set is not full-dimensional")
+        i = int(np.argmax(np.abs((row := c[r, 1 + np.argmax(bad[r])]) - c[r, 0])))
         raise NumericalInstability("shifted dual changed combinatorics inside the stencil: "
                                    f"plane {i} at step {row[i] - 1.0:+.3e}")
-    return np.vstack([points[None], x]), tight
+    return [(np.concatenate([points[None], x.swapaxes(0, 1)]), tight)
+            for (points, tight, _), x in zip(rays, np.split(x, np.cumsum(sizes)[:-1]))]
 
 
 def dual_facet_volumes(poly: Polytope, c) -> np.ndarray:
-    """(S, n) volumes of the facets F_i, on the planes <x, v_i> = c_si, of {x : <x, v_i> <= c_si}.
+    """(R, S, n) volumes of the facets F_i, on the planes <x, v_i> = c_rsi, of the shifted duals.
 
-    The v_i are the rows of ``poly.unit``, and the S offset rows give regions
-    of one type (``_shifted_dual``).  ``F_i`` is the face of the region's
-    lattice on plane i, and all facets go to one kernel call, so the faces
-    they share are evaluated once.  A plane that meets the region in less
-    than a facet contributes 0: its points, if any, all lie on some other
-    plane too, whereas no other plane holds a facet.  Divided by |v_i| these
-    are the partial derivatives of the region's volume in c.
+    Shifted dual (r, s) is {x : <x, v_i> <= c_rsi}, the v_i the rows of
+    ``poly.unit``; a ray's S regions are of one type (``_shifted_dual``), and
+    ``F_i`` is the face of a region's lattice on plane i.  The rays of one
+    type, one ``tight``, make one kernel call, stacked on its S axis; a
+    face's bits do not depend on its batch.  A plane that meets the region
+    in less than a facet contributes 0: its points, if any, all lie on some
+    other plane too, whereas no other plane holds a facet.  Divided by
+    |v_i| these are the partial derivatives of the region's volume in c.
     """
     c = np.asarray(c, dtype=float)
-    points, tight = _shifted_dual(poly, c)
-    counts = tight.astype(float)
-    within = counts @ counts.T == tight.sum(axis=1)[:, None]  # [i, j]: plane i's points on plane j
-    facet = within.sum(axis=1) == 1
-    vol = np.zeros((len(c), poly.n))
-    vol[:, facet] = _face_volumes(points, poly.unit, c, tight, tight[facet], poly.dim - 1)
+    rays, types, vol = _shifted_dual(poly, c), {}, np.zeros(c.shape)
+    for r, (_, tight) in enumerate(rays):
+        types.setdefault(tight.tobytes(), []).append(r)
+    for group in types.values():
+        counts = (tight := rays[group[0]][1]).astype(float)  # [i, j] below: plane i's points on j
+        facet = (counts @ counts.T == tight.sum(axis=1)[:, None]).sum(axis=1) == 1
+        vol[np.ix_(group, range(c.shape[1]), facet)] = _face_volumes(
+            np.concatenate([rays[r][0] for r in group]), poly.unit, c[group].reshape(-1, poly.n),
+            tight, tight[facet], poly.dim - 1).reshape(len(group), c.shape[1], -1)
     return vol

@@ -7,12 +7,12 @@ Two independent routes to the same matrix:
   from the kernel condition M @ phi.T = 0.
 * ``izmestiev_matrix_fd`` differentiates the dual volume's gradient, the
   shifted dual's facet volumes, as the oracle for the first route.  It
-  enumerates the shifted dual once per stencil ray (``geometry._vertices``,
-  which also finds the facets) and re-solves it at the ray's other steps,
-  sums the ray's three face lattices level by level in one kernel call
+  enumerates the shifted duals of all 2n stencil rays in one pass
+  (``geometry._vertices``, which also finds the facets), re-solves them at
+  the rays' other steps in one batched solve, sums their face lattices
+  level by level in one kernel call per combinatorial type
   (``geometry._face_volumes``), and reads none of ``poly.normals``,
-  ``poly.incidence`` and ``poly.edges``: its sparsity pattern is an
-  outcome, not an input.
+  ``poly.incidence`` and ``poly.edges``: its sparsity pattern is an outcome.
 
 Both compute on ``poly.unit`` and return the matrix in input units.
 
@@ -90,17 +90,17 @@ def izmestiev_matrix_fd(poly: Polytope) -> np.ndarray:
 
 
 def _raw_hessians(poly: Polytope) -> np.ndarray:
-    """(3, n, n): raw Hessians at steps h, h/2 and h/4, one stencil ray c = 1 +- t e_i at a time.
+    """(3, n, n): raw Hessians at steps h, h/2 and h/4, all 2n stencil rays c = 1 +- t e_i at once.
 
-    ``dual_facet_volumes`` enumerates a ray's shifted dual once, at h/4, and
-    re-solves it at h/2 and h: 2n enumerations in all, and one volume
-    kernel call per ray for its three offsets.
+    One ``dual_facet_volumes`` call enumerates every ray's shifted dual at
+    h/4 in one pass, re-solves them at h/2 and h, and makes one volume
+    kernel call per combinatorial type: one in all when P is simplicial.
     """
-    steps = poly.tol.fd_step / np.array([4.0, 2.0, 1.0])
-    norms = np.linalg.norm(poly.unit, axis=1)
-    grad = lambda c: dual_facet_volumes(poly, c) / norms
-    return np.stack([(grad(1.0 + np.outer(steps, ei)) - grad(1.0 - np.outer(steps, ei)))
-                     / (2.0 * steps[:, None]) for ei in np.eye(poly.n)], axis=2)[::-1]
+    n, steps = poly.n, poly.tol.fd_step / np.array([4.0, 2.0, 1.0])
+    rays = 1.0 + np.array([1.0, -1.0])[:, None, None] * steps[:, None] * np.eye(n)[:, None, None]
+    grad = (dual_facet_volumes(poly, rays.reshape(2 * n, 3, n))
+            / np.linalg.norm(poly.unit, axis=1)).reshape(n, 2, 3, n)
+    return ((grad[:, 0] - grad[:, 1]) / (2.0 * steps[:, None])).transpose(1, 2, 0)[::-1]
 
 
 def _kernel_residual(m: np.ndarray, poly: Polytope) -> tuple[float, float]:

@@ -339,7 +339,7 @@ def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     flat = (pts - centroid) @ vt[:k].T  # (m, k), isometric image, centred
     if k <= 1:
         return 1.0 if k == 0 else float(np.ptp(flat))
-    polar, tight, _ = geometry._vertices(flat, np.ones(len(flat)), tol.geom_rel)
+    [(polar, tight, _)] = geometry._vertices(flat, np.ones((1, len(flat))), tol.geom_rel)
     return float(geometry._face_volumes(flat[None], polar, np.ones((1, len(polar))), tight.T,
                                         np.ones((1, len(flat)), dtype=bool), k)[0, 0])
 
@@ -354,7 +354,7 @@ def volume_generalized_dual(poly: Polytope, c) -> float:
     in the trust region.
     """
     c = np.asarray(c, dtype=float)[None]
-    points, tight = geometry._shifted_dual(poly, c)
+    [(points, tight)] = geometry._shifted_dual(poly, c[None])
     vol = geometry._face_volumes(points, poly.unit, c, tight,
                                  np.ones((1, tight.shape[1]), dtype=bool), poly.dim)[0, 0]
     return float(np.ldexp(vol, -poly.exponent * poly.dim))
@@ -369,7 +369,7 @@ def fd_raw_hessians(poly: Polytope) -> list[np.ndarray]:
     unit-scale vertices ``poly.unit``.
     """
     norms = np.linalg.norm(poly.unit, axis=1)
-    grad = lambda c: geometry.dual_facet_volumes(poly, c[None])[0] / norms
+    grad = lambda c: geometry.dual_facet_volumes(poly, c[None, None])[0, 0] / norms
     base = np.ones(poly.n)
     return [np.column_stack([(grad(base + ei) - grad(base - ei)) / (2.0 * hh)
                              for ei in hh * np.eye(poly.n)])

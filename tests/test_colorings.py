@@ -82,6 +82,28 @@ class TestMetricColoring:
         col = artifacts["hexagon"].met_coloring
         assert col.num_vertex_classes == 1 and col.num_edge_classes == 1
 
+    @pytest.mark.parametrize("s", [1e-200, 1e200])
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_classes_do_not_depend_on_scale(self, polytopes, name, s):
+        # the classes are taken at unit scale, where no Gram value leaves float
+        # range (at 1e200 the rectangle's overflowed into one vertex class, with warnings)
+        poly = polytopes[name]
+        col = metric_coloring(make_polytope(poly.dim, s * poly.vertices))
+        base = metric_coloring(poly)
+        assert (col.vertex, col.edge) == (base.vertex, base.edge)
+
+    @pytest.mark.parametrize("j", [-100, -1, 1, 100])
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_values_in_input_units(self, polytopes, name, j):
+        # the values and gaps come back in input units, exactly: a 2^j scaling is exact
+        poly = polytopes[name]
+        col = metric_coloring(make_polytope(poly.dim, np.ldexp(poly.vertices, j)))
+        base = metric_coloring(poly)
+        for got, want in ((col.vertex_reps, base.vertex_reps), (col.edge_reps, base.edge_reps),
+                          ((col.vertex_min_gap, col.edge_min_gap),
+                           (base.vertex_min_gap, base.edge_min_gap))):
+            assert got == tuple(None if x is None else float(np.ldexp(x, 2 * j)) for x in want)
+
 
 class TestIzmestievColoring:
     def test_rectangle_coarser_than_metric(self, artifacts):

@@ -1,6 +1,6 @@
 import json
 import math
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -41,8 +41,8 @@ LADDER = {
 
 
 def facet_volumes(poly, c):
-    """``geometry.dual_facet_volumes`` at one offset vector."""
-    return geometry.dual_facet_volumes(poly, np.asarray(c, dtype=float)[None])[0]
+    """``geometry.dual_facet_volumes`` at one offset vector: one ray of one region."""
+    return geometry.dual_facet_volumes(poly, np.asarray(c, dtype=float)[None, None])[0, 0]
 
 
 SQUARE_DOC = {"name": "square", "dimension": 2,
@@ -549,9 +549,9 @@ class TestDualFacetVolumes:
         poly = FIXTURES["prism3"]()
         c = np.ones((2, poly.n))
         c[:, -1] = [1.01, 1.03]
-        got = geometry.dual_facet_volumes(poly, c)
-        assert got.shape == (2, poly.n)
-        for row, want in zip(got, c):
+        got = geometry.dual_facet_volumes(poly, c[None])
+        assert got.shape == (1, 2, poly.n)
+        for row, want in zip(got[0], c):
             assert row == pytest.approx(facet_volumes(poly, want), rel=1e-12)
 
     def test_resolve_check_names_a_vertex_that_gains_a_plane(self):
@@ -562,7 +562,7 @@ class TestDualFacetVolumes:
         c = np.ones((2, poly.n))
         c[:, -1] = [1.02, 1.01]
         with pytest.raises(NumericalInstability, match=r"plane 4 at step \+1\.000e-02"):
-            geometry.dual_facet_volumes(poly, c)
+            geometry.dual_facet_volumes(poly, c[None])
 
     def test_resolve_check_names_a_vertex_left_infeasible(self):
         # every vertex of the cube's dual octahedron lies on four planes and is
@@ -572,4 +572,24 @@ class TestDualFacetVolumes:
         c = np.ones((2, poly.n))
         c[1, -1] = 0.99
         with pytest.raises(NumericalInstability, match=r"plane 7 at step -1\.000e-02"):
-            geometry.dual_facet_volumes(poly, c)
+            geometry.dual_facet_volumes(poly, c[None])
+
+    def test_first_failing_ray_raises_its_first_failure(self):
+        # rays are checked in order, each for the trust region before its re-solve:
+        # in any order, a batch raises what its first failing ray raises alone
+        poly = make_polytope(2, self.PENTAGON)
+        good, resolve = np.ones((2, 2, poly.n))
+        resolve[:, -1] = [1.02, 1.01]  # a corner gains a tight plane, as above
+        both = resolve.copy()
+        both[:, 0] = 1.2               # and the ray leaves the trust region
+
+        def error(c):
+            with pytest.raises((Unbounded, NumericalInstability)) as info:
+                geometry.dual_facet_volumes(poly, c)
+            return type(info.value), str(info.value)
+
+        rays = {"good": good, "resolve": resolve, "both": both}
+        assert error(both[None])[0] is Unbounded
+        for order in permutations(rays):
+            first = next(name for name in order if name != "good")
+            assert error(np.stack([rays[name] for name in order])) == error(rays[first][None])

@@ -112,8 +112,8 @@ def test_fd_asymmetry_raises(artifacts, monkeypatch):
     exact = izmestiev.dual_facet_volumes
 
     def skewed(poly, c):
-        g = exact(poly, c)
-        g[:, 0] += 1e-3 * (c[:, 1] - 1.0) * np.linalg.norm(poly.vertices[0])
+        g = exact(poly, c)  # (rays, steps, n)
+        g[..., 0] += 1e-3 * (c[..., 1] - 1.0) * np.linalg.norm(poly.vertices[0])
         return g
 
     monkeypatch.setattr(izmestiev, "dual_facet_volumes", skewed)
@@ -140,13 +140,33 @@ def test_fd_drift_message_names_only_what_it_measured():
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fd_enumerates_each_ray_once(polytopes, name, monkeypatch):
-    # one vertex enumeration per stencil ray c = 1 +- t e_i, at t = h/4; the
-    # offsets at h/2 and h re-solve its vertices
+    # one vertex enumeration pass for all 2n stencil rays c = 1 +- t e_i, one
+    # offset row each, at t = h/4; the offsets at h/2 and h re-solve its vertices
     calls = []
     search = geometry._vertices
-    monkeypatch.setattr(geometry, "_vertices", lambda *a, **k: calls.append(1) or search(*a, **k))
+    monkeypatch.setattr(geometry, "_vertices",
+                        lambda *a, **k: calls.append(np.shape(a[1])) or search(*a, **k))
     izmestiev_matrix_fd(polytopes[name])
-    assert len(calls) == 2 * polytopes[name].n
+    assert calls == [(2 * polytopes[name].n, polytopes[name].n)]
+
+
+# rays of the stencil whose shifted duals differ in type: the cube's dual, the
+# octahedron, is not simple, and each ray's shift splits its vertices its own way
+RAY_TYPES = {"cube": 16, "prism3": 6}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fd_one_kernel_call_per_ray_type(polytopes, name, monkeypatch):
+    # the top-level volume kernel calls, on the facets at level d - 1: one per
+    # distinct combinatorial type of the rays, so one in all when P is simplicial
+    poly = polytopes[name]
+    calls = []
+    kernel = geometry._face_volumes
+    monkeypatch.setattr(geometry, "_face_volumes", lambda *a: calls.append(a[-1]) or kernel(*a))
+    izmestiev_matrix_fd(poly)
+    simplicial = bool(np.all(poly.incidence.sum(axis=1) == poly.dim))
+    assert simplicial == (name not in RAY_TYPES)
+    assert calls.count(poly.dim - 1) == RAY_TYPES.get(name, 1)
 
 
 def test_fd_resolve_check_raises():
