@@ -105,6 +105,18 @@ def test_analyze_dimension_one_exit_2(tmp_path):
     assert "dimension 1 < 2" in proc.stderr
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"dimension": 3, "vertices": [[1, 0], [0, 1], [-1, -1]]},
+     "error: vertex array has shape (3, 2), expected (n, 3)\n"),
+    ({"dimension": 2, "vertices": [[0, 0], [0, 0], [0, 0]]}, "error: all vertices at the origin\n"),
+])
+def test_analyze_invalid_vertex_array_exit_2(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(path)]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def test_analyze_recenter_accepts_translated(tmp_path):
     shifted = tmp_path / "shifted.json"
     hexagon = json.loads((FIXTURES / "hexagon.json").read_text())

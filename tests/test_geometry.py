@@ -107,6 +107,31 @@ class TestLoading:
         with pytest.raises(ValidationError, match="full-dimensional"):
             make_polytope(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate(self, bad):
+        with pytest.raises(ValidationError, match="^non-finite vertex coordinate$"):
+            make_polytope(2, [[1, 0], [0, 1], [-1, bad]])
+
+    # vertex 2, (0, delta, 0), nears the segment from vertex 0 to vertex 1 as delta shrinks:
+    # each of validation's checks in turn is the first to reject the tetrahedron
+    @pytest.mark.parametrize("delta,error,message", [
+        (1e-6, None, None),
+        (1e-8, ValidationError, "non-extreme point: vertex 0"),
+        (5e-9, ValidationError, "non-extreme point: vertex 0"),
+        (2e-9, DegenerateGeometry, "facet vertices do not span a supporting hyperplane"),
+        (1e-9, ValidationError, "not full-dimensional: vertices lie in a proper affine subspace"),
+        (1e-12, ValidationError, "not full-dimensional: vertices lie in a proper affine subspace"),
+    ])
+    def test_thin_tetrahedron(self, delta, error, message):
+        verts = [[-1, 0, 0], [1, 0, 0], [0, delta, 0], [0, 1, 1]]
+        if error is None:
+            poly = make_polytope(3, verts, recenter=True)
+            assert (len(poly.incidence), len(poly.edges)) == (4, 6)
+            return
+        with pytest.raises(error) as exc:
+            make_polytope(3, verts, recenter=True)
+        assert type(exc.value) is error and str(exc.value) == message
+
     @pytest.mark.parametrize("doc", [
         {"vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]},
         {"dimension": 2},
