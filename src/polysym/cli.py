@@ -146,7 +146,7 @@ def cmd_analyze(args) -> int:
         props = verify_properties(art.matrix, poly)
         report = {
             "input": _input_echo(args, path, poly),
-            "facet_count": len(poly.normals),
+            "facet_count": len(poly.incidence),
             "edge_count": len(poly.edges),
             "matrix_summary": {
                 "spectrum": props["spectrum"],
@@ -192,7 +192,8 @@ def cmd_validate(args) -> int:
     else:
         mat, source = izmestiev_matrix(poly), "geometric"
     props = verify_properties(mat, poly)
-    eig_ok, lam, residual = eigenspace_criterion(mat, poly.phi, poly.tol)
+    # fit at unit scale: lambda and the verdict are scale-free, the residual scales like phi
+    eig_ok, lam, residual = eigenspace_criterion(mat, poly.unit.T, poly.tol)
     fd_doc: dict = {"step": poly.tol.fd_step}
     try:
         fd = izmestiev_matrix_fd(poly)
@@ -206,7 +207,8 @@ def cmd_validate(args) -> int:
         "input": _input_echo(args, args.path, poly),
         "matrix_source": source,
         "properties": props,
-        "eigenspace": {"ok": eig_ok, "eigenvalue": lam, "residual": residual},
+        "eigenspace": {"ok": eig_ok, "eigenvalue": lam,
+                       "residual": float(np.ldexp(residual, poly.exponent))},
         "fd_agreement": fd_doc,
         "passed": passed,
         "tolerances": asdict(poly.tol),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, islice
 from math import factorial, frexp
 from pathlib import Path
@@ -31,17 +32,19 @@ class Polytope:
     ``vertices`` has shape (n, d); row i is vertex i.  Vertex order is
     contract-bearing: permutations and reconstructed linear maps refer to
     these indices; ``unit`` is them times 2^-``exponent`` (``unit_exponent``).
-    Validation under ``tol``, the polytope's one tolerance ledger, finds the
-    facets: ``normals`` (m, d), with <u, x> <= 1 on P (exactly the polar's
-    vertices), and ``incidence`` (m, n), flagging vertex j on facet i.
-    ``edges`` are the edge-graph their incidence fixes, as sorted pairs in
-    lexicographic order.  Every later stage reads these fields here.
+    Validation of ``unit`` under ``tol``, the polytope's one tolerance
+    ledger, finds the facets: ``unit_normals`` (m, d), with <u, x> <= 1 on
+    ``unit`` (exactly the polar's vertices), and ``incidence`` (m, n),
+    flagging vertex j on facet i.  ``edges`` are the edge-graph their
+    incidence fixes, as sorted pairs in lexicographic order.  Every later
+    stage reads these fields here; ``normals``, in input units, is made
+    only when read.
     """
 
     vertices: np.ndarray
     unit: np.ndarray
     exponent: int
-    normals: np.ndarray
+    unit_normals: np.ndarray
     incidence: np.ndarray
     edges: tuple[tuple[int, int], ...]
     tol: Tolerances
@@ -59,6 +62,11 @@ class Polytope:
     def phi(self) -> np.ndarray:
         """Vertex matrix of shape (d, n): column j is vertex j."""
         return self.vertices.T
+
+    @cached_property
+    def normals(self) -> np.ndarray:
+        """The facet normals in input units, <u, x> <= 1 on P: ``unit_normals`` / 2^exponent."""
+        return np.ldexp(self.unit_normals, -self.exponent)
 
     @property
     def unit_scale(self) -> float:
@@ -194,7 +202,7 @@ def make_polytope(dim, vertices, name=None, tol: Tolerances = DEFAULT_TOLERANCES
     edges = _edges(incidence, dim)
     for arr in (verts, unit):
         arr.setflags(write=False)
-    return Polytope(verts, unit, k, np.ldexp(normals, -k), incidence, edges, tol, name)
+    return Polytope(verts, unit, k, normals, incidence, edges, tol, name)
 
 
 def read_document(source) -> dict:
@@ -287,7 +295,7 @@ def dual_edge_volumes(poly: Polytope) -> list[float]:
     incidence transposed; all dual faces go to one kernel call.
     """
     inc, (i, j) = poly.incidence, np.array(poly.edges).T
-    return _face_volumes(np.ldexp(poly.normals, poly.exponent)[None], poly.unit,
+    return _face_volumes(poly.unit_normals[None], poly.unit,
                          np.ones((1, poly.n)), inc.T, (inc[:, i] & inc[:, j]).T,
                          poly.dim - 2)[0].tolist()
 

@@ -129,7 +129,7 @@ def verify_properties(m: np.ndarray, poly: Polytope) -> dict:
     sparsity_ok = all(abs(m[i, j]) <= bound and abs(m[j, i]) <= bound
                       for i, j in combinations(range(n), 2) if (i, j) not in edges)
     eigvals = np.linalg.eigvalsh(m)
-    eps_eig = tol.eig_rel * max(float(np.max(np.abs(eigvals))), 1e-300)
+    eps_eig = tol.eig_rel * float(np.max(np.abs(eigvals)))
     negative = eigvals[eigvals < -eps_eig]
     kernel_dim = int(np.sum(np.abs(eigvals) <= eps_eig))
     multiplicity = int(np.sum(np.abs(negative - negative.min()) <= eps_eig)) if len(negative) else 0

@@ -114,7 +114,8 @@ def build_artifacts(poly: Polytope) -> PipelineArtifacts:
 
 
 def _realize_group(art: PipelineArtifacts, coloring: Coloring, flavor: str) -> MatrixGroup:
-    phi, tol = art.poly.phi, art.poly.tol
+    # framed at unit scale: a map phi[:, perm] @ pinv is the same bits under 2^k scaling
+    phi, tol = art.poly.unit.T, art.poly.tol
     group = MatrixGroup(automorphisms(coloring), phi, pseudo_inverse(phi, tol), tol)
     maps, ok, residuals = group.check(group.perm_group.generators, flavor)
     if not ok.all():

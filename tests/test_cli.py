@@ -97,6 +97,50 @@ def test_validate_passes_far_from_unit_scale(tmp_path, capsys, name, scale):
     assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
+def scaled_fixture(tmp_path, name, scale) -> str:
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    doc["vertices"] = [[scale * x for x in v] for v in doc["vertices"]]
+    path = tmp_path / f"{name}_scaled.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lift_and_eigenspace_fit_at_unit_scale(tmp_path, capsys):
+    # phi @ phi.T overflows in input units at 2^511, while M(sP) = s^-2 M(P) is still a float
+    path = scaled_fixture(tmp_path, "square", 2.0 ** 511)
+    assert cli.main(["analyze", path]) == 0
+    out, err = capsys.readouterr()
+    assert {k: g["order"] for k, g in json.loads(out)["groups"].items()} == \
+        {"linear": 8, "orthogonal": 8} and err == ""
+    assert cli.main(["validate", path]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["passed"] is True and err == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,code", [
+    (["oracle"], 0), (["export-dot", "--coloring", "metric"], 0), (["experiment-metric"], 0),
+    (["analyze"], 2), (["validate"], 2)])
+def test_subnormal_input_reads_no_input_unit_normals(tmp_path, capsys, argv, code):
+    # the normals of a square at 1e-310 leave float range in input units; no command needs them
+    assert cli.main([*argv, scaled_fixture(tmp_path, "square", 1e-310)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.startswith("error: Izmestiev matrix leaves float range")
+        assert err.count("\n") == 1
+    else:
+        assert out and err == ""
+
+
+@pytest.mark.parametrize("scale", [1e101, 1e102])
+def test_eig_threshold_relative_at_every_scale(tmp_path, capsys, scale):
+    # no absolute floor: the threshold is eig_rel times the spectral radius
+    cli.main(["validate", scaled_fixture(tmp_path, "cube", scale)])
+    props = json.loads(capsys.readouterr().out)["properties"]
+    assert props["eig_threshold"] == 1e-8 * max(abs(v) for v in props["spectrum"])
+
+
 def test_analyze_dimension_one_exit_2(tmp_path):
     segment = tmp_path / "segment.json"
     segment.write_text(json.dumps({"dimension": 1, "vertices": [[1], [-2]]}))

@@ -86,7 +86,7 @@ def test_fd_reads_neither_facets_nor_graph(polytopes):
     # the oracle is independent of the geometric route: it runs on the vertices alone,
     # reading none of the facet normals, the incidence and the edges
     for name, poly in polytopes.items():
-        bare = dataclasses.replace(poly, normals=None, incidence=None, edges=None)
+        bare = dataclasses.replace(poly, unit_normals=None, incidence=None, edges=None)
         assert np.array_equal(izmestiev_matrix_fd(bare), izmestiev_matrix_fd(poly)), name
 
 
