@@ -88,13 +88,10 @@ def unit_exponent(x: np.ndarray) -> int:
 SUBSET_BLOCK = 1 << 15  # d-subsets per batch of the vertex enumeration; bounds its memory
 
 
-def _affine_basis(points: np.ndarray, eps: float):
-    """Centred SVD of a point set: (centroid, singular values, V^T rows)."""
-    centroid = points.mean(axis=0)
-    _, s, vt = np.linalg.svd(points - centroid, full_matrices=True)
-    smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > max(eps, 1e-13 * smax)))
-    return centroid, rank, vt
+def _affine_rank(points: np.ndarray, eps: float) -> np.ndarray:
+    """Affine ranks of a (..., k, d) stack: centred singular values above max(eps, 1e-13 smax)."""
+    s = np.linalg.svd(points - points.mean(axis=-2, keepdims=True), compute_uv=False)
+    return np.sum(s > np.maximum(eps, 1e-13 * s[..., :1]), axis=-1)
 
 
 def _vertices(normals: np.ndarray, offsets: np.ndarray, eps: float) -> list:
@@ -139,10 +136,11 @@ def _vertices(normals: np.ndarray, offsets: np.ndarray, eps: float) -> list:
 def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
     """Raise ValidationError naming the first violated invariant; else return the facets.
 
-    The facets come as ``(normals, incidence)``, the ``Polytope`` fields of
-    those names.  They are the vertices of the polar of P - g, with g the
-    vertex centroid: each polar vertex's tight planes are one facet's
-    vertices.  Each facet plane is then refit on its vertices.
+    The facets come as ``(normals, incidence)``, the ``Polytope``'s
+    ``unit_normals`` and ``incidence``: each vertex x of the polar of P - g,
+    g the vertex centroid, is the facet <x, v> <= 1 + <x, g>, with normal
+    x / (1 + <x, g>) and its tight planes as vertices.  Each check is one
+    stacked pass: over the facets of each size, and over all vertices.
     """
     if dim < 2:
         raise ValidationError(f"dimension {dim} < 2: the edge-graph needs d >= 2")
@@ -159,30 +157,27 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
     dup = np.argwhere(np.triu(close, 1))  # row-major: the lexicographically first pair leads
     if len(dup):
         raise ValidationError(f"duplicate vertices: {dup[0][0]} and {dup[0][1]}")
-    if _affine_basis(vertices, eps)[1] < dim:
+    if _affine_rank(vertices, eps) < dim:
         raise ValidationError("not full-dimensional: vertices lie in a proper affine subspace")
     # g is interior, so the polar of P - g is bounded
-    polar, tight, _ = _vertices(vertices - vertices.mean(axis=0), np.ones((1, n)), tol.geom_rel)[0]
-    # reversed columns: facets ordered by their sorted vertex index lists
-    incidence = np.ascontiguousarray(tight[:, ::-1].T)
-    planes = []
-    for x, inc in zip(polar[::-1], incidence):
-        centroid, rank, vt = _affine_basis(vertices[inc], eps)
-        w = -vt[-1] if vt[-1] @ x < 0 else vt[-1]  # outward, as the polar vertex points
-        b = float(w @ centroid)
-        if rank != dim - 1 or np.any(vertices @ w > b + eps):
+    g = vertices.mean(axis=0)
+    polar, tight, _ = _vertices(vertices - g, np.ones((1, n)), tol.geom_rel)[0]
+    # reversed: facets ordered by their sorted vertex index lists
+    x, incidence = polar[::-1], np.ascontiguousarray(tight[:, ::-1].T)
+    size = incidence.sum(axis=1)  # each facet's vertices span a hyperplane: a stack per size k
+    for k in set(size.tolist()):
+        facets = vertices[np.nonzero(incidence[size == k])[1].reshape(-1, k)]  # (F, k, d)
+        if np.any(_affine_rank(facets, eps) != dim - 1):
             raise DegenerateGeometry("facet vertices do not span a supporting hyperplane")
-        planes.append((w, b))
-    w, b = map(np.array, zip(*planes))
     # origin strictly interior: every facet plane at positive distance from 0
-    if b.min() <= eps:
+    b, length = 1.0 + x @ g, np.linalg.norm(x, axis=1)
+    if np.min(b / length) <= eps:
         raise ValidationError("origin not interior")
-    # every listed point must be extreme: its incident facet normals span R^d
-    for i in range(n):
-        normals = w[incidence[:, i]]
-        if len(normals) < dim or np.linalg.matrix_rank(normals, tol=1e-10) < dim:
-            raise ValidationError(f"non-extreme point: vertex {i}")
-    return w / b[:, None], incidence
+    # every listed point must be extreme: its incident unit normals (the others zeroed) span R^d
+    rank = np.linalg.matrix_rank(incidence.T[:, :, None] * (x / length[:, None]), tol=1e-10)
+    if np.any(rank < dim):
+        raise ValidationError(f"non-extreme point: vertex {np.argmax(rank < dim)}")
+    return x / b[:, None], incidence
 
 
 def make_polytope(dim, vertices, name=None, tol: Tolerances = DEFAULT_TOLERANCES,
@@ -395,7 +390,7 @@ def _shifted_dual(poly: Polytope, c) -> list:
     delta, eps = tol.dual_trust, tol.geom_rel
     outside = np.any((c < 1.0 - delta - 1e-15) | (c > 1.0 + delta + 1e-15), axis=(1, 2))
     rays = _vertices(poly.unit, c[:, 0], eps)
-    flat = [len(p) <= d or _affine_basis(p, tol.geom(np.linalg.norm(p, axis=1).max()))[1] != d
+    flat = [len(p) <= d or _affine_rank(p, tol.geom(np.linalg.norm(p, axis=1).max())) != d
             for p, _, _ in rays]  # a region's size is about 1
     sizes = [len(p) for p, _, _ in rays]
     tight, subsets = np.hstack([t for _, t, _ in rays]), np.vstack([q for *_, q in rays])

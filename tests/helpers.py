@@ -335,8 +335,8 @@ def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
         raise ValueError("empty point set")
     scale = float(np.max(np.abs(pts))) if pts.size else 1.0
     eps = tol.geom(scale)
-    centroid, k, vt = geometry._affine_basis(pts, eps)
-    flat = (pts - centroid) @ vt[:k].T  # (m, k), isometric image, centred
+    centred, k = pts - pts.mean(axis=0), int(geometry._affine_rank(pts, eps))
+    flat = centred @ np.linalg.svd(centred)[2][:k].T  # (m, k), isometric image, centred
     if k <= 1:
         return 1.0 if k == 0 else float(np.ptp(flat))
     [(polar, tight, _)] = geometry._vertices(flat, np.ones((1, len(flat))), tol.geom_rel)
