@@ -17,7 +17,11 @@
 # `error: Izmestiev matrix leaves float range` line.  The metric coloring
 # is classed at unit scale too: `experiment-metric` on the rectangle scaled
 # by 1e200 must exit 0 with `metric_aut_order` 4, as unscaled, and print
-# nothing on stderr.
+# nothing on stderr.  So are the lift and the facet normals: `analyze` on
+# the square scaled by 2^511, where phi @ phi.T overflows in input units,
+# must exit 0 with orders {8, 8} and print nothing on stderr, and `oracle`
+# on the square scaled by 1e-310, whose normals leave float range in input
+# units, must exit 0 and print nothing on stderr.
 # A 24-cell, built inline, is analyzed
 # last: both flavors must report order 1152, and its report, whose member
 # listings are written in several pieces, must equal the indent-2 re-dump of
@@ -97,6 +101,17 @@ polysym experiment-metric "$scaled" > "$dump" 2> "$err" || status=$?
 [ "$status" = 0 ] && [ ! -s "$err" ] \
     && [ "$(python -c 'import json, sys; print(json.load(sys.stdin)["metric_aut_order"])' < "$dump")" = 4 ] \
     || { echo "rectangle scaled by 1e200: experiment-metric must give order 4 with empty stderr"; exit 1; }
+python -c "$scale" fixtures/square.json "$(python -c 'print(2.0 ** 511)')" > "$scaled"
+status=0
+polysym analyze "$scaled" > "$dump" 2> "$err" || status=$?
+[ "$status" = 0 ] && [ ! -s "$err" ] \
+    && [ "$(python -c "$orders" < "$dump")" = "{'linear': 8, 'orthogonal': 8}" ] \
+    || { echo "square scaled by 2^511: analyze must give orders 8 and 8 with empty stderr"; exit 1; }
+python -c "$scale" fixtures/square.json 1e-310 > "$scaled"
+status=0
+polysym oracle "$scaled" > "$dump" 2> "$err" || status=$?
+[ "$status" = 0 ] && [ ! -s "$err" ] \
+    || { echo "square scaled by 1e-310: oracle must exit 0 with empty stderr"; exit 1; }
 python -c 'import json, sys
 docs = [json.load(open(path)) for path in sys.argv[1:]]
 sys.stdout.write(json.dumps(docs, sort_keys=True, indent=2) + "\n")' \

@@ -34,11 +34,10 @@ class Polytope:
     these indices; ``unit`` is them times 2^-``exponent`` (``unit_exponent``).
     Validation of ``unit`` under ``tol``, the polytope's one tolerance
     ledger, finds the facets: ``unit_normals`` (m, d), with <u, x> <= 1 on
-    ``unit`` (exactly the polar's vertices), and ``incidence`` (m, n),
-    flagging vertex j on facet i.  ``edges`` are the edge-graph their
-    incidence fixes, as sorted pairs in lexicographic order.  Every later
-    stage reads these fields here; ``normals``, in input units, is made
-    only when read.
+    ``unit`` (the polar's vertices), and ``incidence`` (m, n), flagging
+    vertex j on facet i.  ``edges`` are the edge-graph their incidence
+    fixes, as sorted pairs in lexicographic order.  Every later stage reads
+    these fields here.
     """
 
     vertices: np.ndarray

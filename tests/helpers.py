@@ -319,6 +319,37 @@ def dual_edge_face(poly: Polytope, edge) -> DualFace:
                     relvol=relvol)
 
 
+def loop_validation_error(unit: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
+    """The message of validation's first failing rank check on unit-scale vertices, or None.
+
+    The reference for ``geometry.validate_vertices``'s stacked passes: the
+    affine rank of all vertices, then of each facet's vertices, then the
+    origin's distance to each facet plane, then the rank of each vertex's
+    incident unit normals, one point set at a time, each at validation's
+    threshold.
+    """
+    n, d = unit.shape
+    eps = tol.geom(np.linalg.norm(unit, axis=1).max())
+
+    def affine_rank(pts):
+        s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+        return np.sum(s > max(eps, 1e-13 * s[0]))
+
+    if affine_rank(unit) < d:
+        return "not full-dimensional: vertices lie in a proper affine subspace"
+    g = unit.mean(axis=0)
+    [(x, tight, _)] = geometry._vertices(unit - g, np.ones((1, n)), tol.geom_rel)
+    if any(affine_rank(unit[on]) != d - 1 for on in tight.T):
+        return "facet vertices do not span a supporting hyperplane"
+    if any((1.0 + p @ g) / np.linalg.norm(p) <= eps for p in x):
+        return "origin not interior"
+    w = x / np.linalg.norm(x, axis=1)[:, None]
+    for i in range(n):
+        if tight[i].sum() < d or np.linalg.matrix_rank(w[tight[i]], tol=1e-10) < d:
+            return f"non-extreme point: vertex {i}"
+    return None
+
+
 def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Volume of conv(points) measured inside its own affine hull.
 

@@ -14,6 +14,7 @@ from helpers import (
     dual_edge_face,
     hypercube,
     lattice_faces,
+    loop_validation_error,
     relative_volume,
     sphere_polytope,
     volume_generalized_dual,
@@ -131,6 +132,23 @@ class TestLoading:
         with pytest.raises(error) as exc:
             make_polytope(3, verts, recenter=True)
         assert type(exc.value) is error and str(exc.value) == message
+
+    # the thinning tetrahedron through every check's threshold, and the cube with vertex 0
+    # pushed out by 1 + t, near where its three facets at vertex 0 split
+    @pytest.mark.parametrize("verts", [
+        *([[-1, 0, 0], [1, 0, 0], [0, delta, 0], [0, 1, 1]]
+          for delta in np.geomspace(1e-10, 1e-6, 41)),
+        *(np.vstack([(1 + t) * np.ones(3), list(product((1, -1), repeat=3))[1:]])
+          for t in (5e-10, 1e-9, 2e-9, 4e-9)),
+    ])
+    def test_stacked_checks_match_the_loop_reference(self, verts):
+        verts = np.asarray(verts, dtype=float) - np.mean(verts, axis=0)
+        try:
+            make_polytope(3, verts)
+            got = None
+        except (ValidationError, DegenerateGeometry) as exc:
+            got = str(exc)
+        assert got == loop_validation_error(np.ldexp(verts, -geometry.unit_exponent(verts)))
 
     @pytest.mark.parametrize("doc", [
         {"vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]},
