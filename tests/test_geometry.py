@@ -150,6 +150,19 @@ class TestLoading:
             got = str(exc)
         assert got == loop_validation_error(np.ldexp(verts, -geometry.unit_exponent(verts)))
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 20: each square at vertex 0 is listed whole and again "
+                              "as its two triangles, 12 facets and 15 edges")
+    def test_pushed_cube_is_a_face_lattice(self):
+        # a 3-polytope has V - E + F = 2; a lattice that is none must be a named exit 2
+        verts = np.array(list(product((1, -1), repeat=3)), dtype=float)
+        verts[0] *= 1 + 1e-9
+        try:
+            poly = make_polytope(3, verts)
+        except (ValidationError, DegenerateGeometry):
+            return
+        assert poly.n - len(poly.edges) + len(poly.incidence) == 2
+
     @pytest.mark.parametrize("doc", [
         {"vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]},
         {"dimension": 2},
