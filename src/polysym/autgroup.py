@@ -120,10 +120,6 @@ class PermutationSet:
         p = tuple(int(x) for x in p)
         return sorted(p) == list(self._id) and self._sift(p)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PermutationSet) and self.n == other.n
-                and self.order == other.order and all(g in self for g in other.generators))
-
 
 def _neighbor_table(col: Coloring):
     nbr = [[] for _ in range(col.n)]

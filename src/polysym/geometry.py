@@ -161,6 +161,8 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
     # g is interior, so the polar of P - g is bounded
     g = vertices.mean(axis=0)
     polar, tight, _ = _vertices(vertices - g, np.ones((1, n)), tol.geom_rel)[0]
+    if not len(polar):
+        raise ValidationError("no facet: every d-subset of the polar's planes is near-singular")
     # reversed: facets ordered by their sorted vertex index lists
     x, incidence = polar[::-1], np.ascontiguousarray(tight[:, ::-1].T)
     size = incidence.sum(axis=1)  # each facet's vertices span a hyperplane: a stack per size k

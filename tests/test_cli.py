@@ -161,6 +161,28 @@ def test_analyze_invalid_vertex_array_exit_2(tmp_path, capsys, doc, message):
     assert capsys.readouterr() == ("", message)
 
 
+def stretched_fixture(tmp_path, name, kappa) -> str:
+    """The fixture mapped by Q diag(geomspace(1, kappa, d)), Q orthogonal from seed 7."""
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    verts = np.array(doc["vertices"], dtype=float)
+    d = verts.shape[1]
+    q, r = np.linalg.qr(np.random.default_rng(7).standard_normal((d, d)))
+    doc["vertices"] = (verts @ (q * np.sign(np.diag(r)) * np.geomspace(1, kappa, d)).T).tolist()
+    path = tmp_path / f"{name}_stretched.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("name,kappa", [
+    ("simplex4", 1e8), ("cube", 1e9), ("prism3", 1e9), ("simplex3", 1e9)])
+def test_empty_polar_scan_exit_2(tmp_path, capsys, name, kappa):
+    # every d-subset of the polar's planes fails the determinant test: no facet, no traceback
+    assert cli.main(["analyze", stretched_fixture(tmp_path, name, kappa)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "near-singular" in err
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 2: the Izmestiev classes chain into one, and generator "
                           "(0, 1, 4, 5, 2, 3) lifts with residual 1.1e-8 against match 1e-8")

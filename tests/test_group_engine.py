@@ -106,7 +106,7 @@ class TestSchreierSims:
         n, gens, _ = GENERATOR_SETS["b5"]
         a = PermutationSet(n, gens)
         b = PermutationSet(n, gens, base=(7, 3))
-        assert a == b and a.perms == b.perms
+        assert a.perms == b.perms  # equal member listings: same n, order and members
 
 
 class TestExactGroupTest:
