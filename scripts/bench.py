@@ -3,18 +3,19 @@
 
     python3 scripts/bench.py [--src DIR] > rows.json
 
-Builds the 4-cube, the 24-cell, the 5-cross-polytope, the 5-cube and the
-6-cross-polytope in code, each turned by a fixed-seed orthogonal map, and
-runs ``python -m polysym analyze`` on each, then on the 6-cross-polytope
-and the 5-cube in one run, plus ``validate`` on the 4-cube, on the 24-cell
-and on the 6-cross-polytope, which is simplicial, so that its
-finite-difference oracle makes one volume-kernel call.  ``--src`` names the
-checkout whose ``src`` is run (default: this one), so a parent checkout can
-be measured with the same script.  Each row is run REPEATS times, each run
-one child process in the row's fresh temporary directory, given relative
-input paths so that the paths the report echoes do not depend on the
-checkout.  A run is killed after TIMEOUT_S and its row recorded as
-"timeout".  BLAS and OpenMP are held to one thread.
+Builds the 4-cube, the 24-cell, the 5-cross-polytope, the 5-cube, the
+6-cross-polytope and the Gosset polytope 2_21 in code, each turned by a
+fixed-seed orthogonal map, and runs ``python -m polysym analyze`` on each,
+then on the 6-cross-polytope and the 5-cube in one run, plus ``validate``
+on the 4-cube, on the 24-cell and on the 6-cross-polytope, which is
+simplicial, so that its finite-difference oracle makes one volume-kernel
+call.  ``--src`` names the checkout whose ``src`` is run (default: this
+one), so a parent checkout can be measured with the same script.  Each row
+is run REPEATS times, each run one child process in the row's fresh
+temporary directory, given relative input paths so that the paths the
+report echoes do not depend on the checkout.  A run is killed after
+TIMEOUT_S and its row recorded as "timeout".  BLAS and OpenMP are held to
+one thread.
 
 Per row it records the median, minimum and maximum wall time, the largest
 peak RSS of the child (from os.wait4), the stdout size and the stdout
@@ -67,8 +68,24 @@ def cell24() -> np.ndarray:
     return np.array(pts)
 
 
+def gosset_2_21() -> np.ndarray:
+    """The 27 E8 roots r with <r, a> = <r, b> = 1 for the roots a = e1 + e2 and b = e1 + e3.
+
+    They are centred and given coordinates in an orthonormal basis of the
+    complement of span(a, b), so the (27, 6) vertices span R^6; the
+    symmetry group is W(E6), of order 51 840 in both flavors.
+    """
+    roots = [v for v in itertools.product((-1.0, 0.0, 1.0), repeat=8) if sum(map(abs, v)) == 2]
+    roots += [v for v in itertools.product((-0.5, 0.5), repeat=8) if v.count(-0.5) % 2 == 0]
+    roots, a, b = np.array(roots), np.eye(8)[0] + np.eye(8)[1], np.eye(8)[0] + np.eye(8)[2]
+    vertices = roots[(roots @ a == 1) & (roots @ b == 1)]
+    complement = np.linalg.svd(np.array([a, b]))[2][2:]  # rows orthonormal, orthogonal to a, b
+    return (vertices - vertices.mean(axis=0)) @ complement.T
+
+
 INSTANCES = {"4-cube": lambda: cube(4), "24-cell": cell24, "5-cross-polytope": lambda: cross(5),
-             "5-cube": lambda: cube(5), "6-cross-polytope": lambda: cross(6)}
+             "5-cube": lambda: cube(5), "6-cross-polytope": lambda: cross(6),
+             "2_21": gosset_2_21}
 RUNS = ([("analyze", (name,)) for name in INSTANCES]
         + [("analyze", ("6-cross-polytope", "5-cube")), ("validate", ("4-cube",)),
            ("validate", ("24-cell",)), ("validate", ("6-cross-polytope",))])

@@ -4,8 +4,8 @@ Machine-readable JSON goes to stdout and is byte-for-byte deterministic
 for fixed inputs and flags; human chatter (including wall-clock timing)
 goes to stderr and only with --verbose.  Every JSON document is laid out
 here, from the plain data the library returns, by one json.dumps(doc) call
-with sorted keys and indent 2, once all work is done; each group's member
-listing is streamed into its text MEMBER_CHUNK members at a time.
+with sorted keys and indent 2, once all work is done; each member listing is
+streamed in MEMBER_CHUNK members at a time, and laid out once if held twice.
 
 Exit codes: 0 ok, 1 failed validation property, 2 bad input document,
 3 reconstruction violation, 4 a listing past MAX_MEMBERS, 64 usage error.
@@ -14,9 +14,12 @@ Exit codes: 0 ok, 1 failed validation property, 2 bad input document,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import asdict
 
@@ -74,7 +77,7 @@ def _emit(doc) -> None:
     json.dumps writes each MatrixGroup in doc as a placeholder string that no
     input can spell, and the group's member listing is streamed in its place.
     """
-    mark, groups = "\0" + os.urandom(16).hex(), []
+    mark, groups, spools = "\0" + os.urandom(16).hex(), [], {}
 
     def hook(o):
         if not isinstance(o, MatrixGroup):
@@ -82,13 +85,28 @@ def _emit(doc) -> None:
         groups.append(o)
         return mark
 
-    text, *pieces = json.dumps(doc, sort_keys=True, indent=2, default=hook).split(json.dumps(mark))
-    for group, piece in zip(groups, pieces):
+    *texts, tail = json.dumps(doc, sort_keys=True, indent=2, default=hook).split(json.dumps(mark))
+    lines = [text.rpartition("\n")[2] for text in texts]  # a placeholder's indent is its level
+    listings = [(g, (len(s) - len(s.lstrip(" "))) // 2) for g, s in zip(groups, lines)]
+    for i, (text, listing) in enumerate(zip(texts, listings)):
         sys.stdout.write(text)
-        line = text.rpartition("\n")[2]  # the placeholder's line: its indent is the group's level
-        sys.stdout.writelines(_members(group, (len(line) - len(line.lstrip(" "))) // 2))
-        text = piece
-    sys.stdout.write(text + "\n")
+        if listing in spools:  # written before: copied, not formatted again
+            with spools.pop(listing) as spool:
+                spool.seek(0)
+                shutil.copyfileobj(spool, sys.stdout)
+            continue
+        if listing in listings[i + 1:]:  # held again: its first writing goes to a spool too
+            with contextlib.suppress(OSError):  # no temporary file: formatted again there
+                spools[listing] = tempfile.TemporaryFile("w+", buffering=1)  # flushed per chunk
+        for chunk in _members(*listing):
+            sys.stdout.write(chunk)
+            if listing in spools:
+                try:
+                    spools[listing].write(chunk)
+                except OSError:  # a full disk: formatted again there
+                    with contextlib.suppress(OSError):  # the close flushes again; it still closes
+                        spools.pop(listing).close()
+    sys.stdout.write(tail + "\n")
 
 
 # tolerance override flags and the Tolerances field each one sets
@@ -162,11 +180,11 @@ def cmd_analyze(args) -> int:
             "groups": {},
             "tolerances": asdict(poly.tol),
         }
-        for flavor, build in (("linear", linear_group), ("orthogonal", orthogonal_group)):
-            group = build(art)
-            orbits = orbit_coloring(poly.n, poly.edges, group.perm_group)
-            report["groups"][flavor] = {**_group_doc(group, flavor),
-                                        "orbit_coloring": _coloring_doc(orbits)}
+        lin = linear_group(art)
+        for flavor, group in (("linear", lin), ("orthogonal", orthogonal_group(art, lin))):
+            if flavor == "linear" or group is not lin:  # one orbit coloring per distinct group
+                orbits = _coloring_doc(orbit_coloring(poly.n, poly.edges, group.perm_group))
+            report["groups"][flavor] = {**_group_doc(group, flavor), "orbit_coloring": orbits}
         reports.append(report)
         if args.verbose:
             sys.stderr.write(f"{path}: analyzed in {time.perf_counter() - t0:.3f}s, orders "

@@ -6,6 +6,7 @@ vertex set, so acceptance failures are errors (TheoremViolation), never
 silent filtering.  Only a group's generators are lifted and checked: phi
 has full row rank, so the lift is unique and multiplicative, and maps that
 permute the vertices (or are orthogonal) are closed under products.
+The product colors refine the Izmestiev ones: Aut_O is the part of Aut_GL keeping them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autgroup import PermutationSet, automorphisms
+from .autgroup import PermutationSet, _preserves, automorphisms
 from .colorings import Coloring, izmestiev_coloring, metric_coloring, product_coloring
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import KernelResidual, RankDeficient, TheoremViolation
@@ -113,10 +114,13 @@ def build_artifacts(poly: Polytope) -> PipelineArtifacts:
                              prod_coloring=product_coloring(izm, met))
 
 
-def _realize_group(art: PipelineArtifacts, coloring: Coloring, flavor: str) -> MatrixGroup:
+def _realize_group(art: PipelineArtifacts, coloring: Coloring, flavor: str,
+                   frame: MatrixGroup | None = None) -> MatrixGroup:
     # framed at unit scale: a map phi[:, perm] @ pinv is the same bits under 2^k scaling
     phi, tol = art.poly.unit.T, art.poly.tol
-    group = MatrixGroup(automorphisms(coloring), phi, pseudo_inverse(phi, tol), tol)
+    frame = frame or MatrixGroup(None, phi, pseudo_inverse(phi, tol), tol)
+    keeps = frame.perm_group and all(_preserves(coloring, g) for g in frame.perm_group.generators)
+    group = frame if keeps else MatrixGroup(automorphisms(coloring), phi, frame.pinv, tol)
     maps, ok, residuals = group.check(group.perm_group.generators, flavor)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
@@ -137,7 +141,10 @@ def linear_group(art: PipelineArtifacts) -> MatrixGroup:
     return _realize_group(art, art.izm_coloring, "linear")
 
 
-def orthogonal_group(art: PipelineArtifacts) -> MatrixGroup:
-    """All orthogonal maps fixing the polytope, via the product coloring."""
-    return _realize_group(art, art.prod_coloring, "orthogonal")
+def orthogonal_group(art: PipelineArtifacts, linear: MatrixGroup | None = None) -> MatrixGroup:
+    """All orthogonal maps fixing the polytope, via the product coloring.
+
+    Given ``linear_group(art)``, it is that very group when its generators keep those colors.
+    """
+    return _realize_group(art, art.prod_coloring, "orthogonal", linear)
 

@@ -1,10 +1,16 @@
 """End-to-end CLI tests over the shipped fixture files."""
 
+import contextlib
+import errno
+import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -237,7 +243,8 @@ def test_analyze_two_inputs_bytes():
 
 def test_no_member_is_listed_before_the_writer_starts(monkeypatch, capsys):
     # members are enumerated only while a listing is written, so no input's
-    # members outlive its own report through the later inputs' work
+    # members outlive its own report through the later inputs' work; each
+    # polytope's orthogonal group is its linear one, listed once and copied
     reads, reads_before_emit = [], []
     real_perms, real_emit = PermutationSet.perms, cli._emit
     monkeypatch.setattr(PermutationSet, "perms",
@@ -246,8 +253,83 @@ def test_no_member_is_listed_before_the_writer_starts(monkeypatch, capsys):
                         or real_emit(doc))
     monkeypatch.chdir(ROOT)
     assert cli.main(["analyze", "fixtures/cube.json", "fixtures/octahedron.json"]) == 0
-    assert reads_before_emit == [0] and len(reads) == 4
+    assert reads_before_emit == [0] and len(reads) == 2
     assert capsys.readouterr().out == two_golden_reports()
+
+
+def test_only_a_listing_held_twice_is_spooled(monkeypatch, capsys):
+    # the cube's orthogonal group is its linear one, listed once and copied
+    # from one temporary file; the rectangle's two groups differ, so it opens none
+    opened, real = [], tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        lambda *args, **kwargs: opened.append(args) or real(*args, **kwargs))
+    monkeypatch.chdir(ROOT)
+    for name, files in (("cube", 1), ("rectangle", 0)):
+        opened.clear()
+        assert cli.main(["analyze", f"fixtures/{name}.json"]) == 0
+        golden = ROOT / "tests" / "golden" / f"analyze_{name}.json"
+        assert capsys.readouterr().out == golden.read_text()
+        assert len(opened) == files
+
+
+class FullDisk(io.FileIO):
+    """A file on a disk with room for ``room`` bytes."""
+
+    def __init__(self, path, room):
+        super().__init__(path, "w+")
+        self.room = room
+
+    def write(self, data):
+        if self.tell() + len(data) > self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(data)
+
+
+@pytest.mark.parametrize("room", [None, 0, 2000])
+def test_no_room_for_the_spool_changes_no_byte(monkeypatch, capsys, tmp_path, room):
+    # no temporary file (None), or one whose disk fills at once or within
+    # the listing: the listing is formatted again in its second place
+    spools = []
+
+    def temporary_file(mode, buffering):  # as _emit opens one
+        if room is None:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        raw = FullDisk(tmp_path / f"spool{len(spools)}", room)
+        spools.append(raw)
+        return io.TextIOWrapper(io.BufferedRandom(raw), line_buffering=buffering == 1)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    monkeypatch.setattr(cli, "MEMBER_CHUNK", 3)  # many chunks, so the disk fills within one
+    monkeypatch.chdir(ROOT)
+    assert cli.main(["analyze", "fixtures/cube.json", "fixtures/octahedron.json"]) == 0
+    assert capsys.readouterr().out == two_golden_reports()
+    assert len(spools) == (0 if room is None else 2) and all(raw.closed for raw in spools)
+
+
+def test_spooling_holds_no_listing(monkeypatch, tmp_path):
+    # the 5-cross-polytope's listing is about 3.7 MB: written twice, it costs
+    # _emit's peak at most one chunk's text more than written once
+    docs, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", docs.append)
+    path = tmp_path / "cross5.json"
+    path.write_text(json.dumps({"dimension": 5, "vertices": cross_polytope(5).vertices.tolist()}))
+    assert cli.main(["analyze", str(path)]) == 0
+    twice = docs[0]
+    group = twice["groups"]["linear"]["members"]
+    assert twice["groups"]["orthogonal"]["members"] is group and group.order == 3840
+    once = {**twice, "groups": {"linear": twice["groups"]["linear"]}}
+
+    def peak(doc):
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                emit(doc)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    chunk = max(map(len, cli._members(group, 3)))  # "members" sits at level 3 of a report
+    assert peak(twice) - peak(once) <= chunk, (peak(twice), peak(once), chunk)
 
 
 def test_analyze_report_roundtrips():
@@ -857,6 +939,14 @@ DOCS = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(DOCS)
 def test_writer_matches_json_dumps(doc):
+    assert written(doc) == json.dumps(plain(doc), sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(DOCS)
+def test_writer_matches_json_dumps_with_each_listing_held_again(doc):
+    # each listing again at its own level, so copied, and at a deeper one, so formatted again
+    doc = [doc, {"again": [doc]}, doc]
     assert written(doc) == json.dumps(plain(doc), sort_keys=True, indent=2) + "\n"
 
 

@@ -40,7 +40,8 @@ def test_report_bytes_match_golden_at_any_chunk_size(monkeypatch, name, argv, ch
 @pytest.mark.parametrize("name,argv", make_golden.golden_cases(),
                          ids=[name for name, _ in make_golden.golden_cases()])
 def test_one_pseudo_inverse_per_frame(monkeypatch, name, argv):
-    # analyze builds one frame per group, the oracle one for all its candidates
+    # analyze builds one frame per polytope, shared by its two groups, and the
+    # oracle one for all its candidates
     calls, real = [], reconstruct.pseudo_inverse
 
     def counting(*args, **kwargs):
@@ -50,7 +51,7 @@ def test_one_pseudo_inverse_per_frame(monkeypatch, name, argv):
     monkeypatch.setattr(reconstruct, "pseudo_inverse", counting)
     monkeypatch.setattr(oracle, "pseudo_inverse", counting)
     make_golden.run(argv)
-    assert len(calls) == (1 if argv[0] == "oracle" else 2)
+    assert len(calls) == 1
 
 
 def test_analyze_sha256_table():

@@ -9,8 +9,10 @@ from conftest import random_invertible, random_orthogonal
 from helpers import (
     FIXTURE_DIR,
     FIXTURES,
+    cell24,
     check_realizes,
     cross_polytope,
+    hypercube,
     is_orthogonal,
     k44_embedding,
     linear_map_from_perm,
@@ -160,6 +162,22 @@ class TestPipelineGroups:
         art = build_artifacts(poly)
         assert poly.n == 66
         assert linear_group(art).order == orthogonal_group(art).order == 132
+
+    @pytest.mark.parametrize("name", [*FIXTURES, "cube4", "24-cell", "cross5"])
+    def test_orthogonal_group_from_the_linear_one(self, artifacts, name):
+        # Aut_O is the part of Aut_GL that keeps the product colors: given the
+        # linear group, it is that very object when the two orders agree, and
+        # else a search whose maps lift through the linear frame
+        art = artifacts.get(name) or build_artifacts({
+            "cube4": lambda: hypercube(4), "cross5": lambda: cross_polytope(5),
+            "24-cell": lambda: make_polytope(4, cell24(), name="24-cell")}[name]())
+        lin, searched = linear_group(art), orthogonal_group(art)
+        shared = orthogonal_group(art, lin)
+        assert set(shared.perm_group) == set(searched.perm_group)
+        assert (shared is lin) == (searched.order == lin.order)
+        assert (shared is lin) == (name not in ("rectangle", "stretched_hexagon"))
+        if shared is not lin:
+            assert shared.order == 4 and shared.pinv is lin.pinv
 
     def test_rectangle_contains_non_orthogonal_rotation(self, artifacts):
         art = artifacts["rectangle"]
@@ -389,6 +407,11 @@ def test_wrong_coloring_raises_theorem_violation(artifacts):
     with pytest.raises(TheoremViolation, match="not orthogonal") as exc:
         _realize_group(art, art.izm_coloring, "orthogonal")
     assert exc.value.diagnostic["perm"] in automorphisms(art.izm_coloring).generators
+    # the linear group taken as it is, its generators keeping those colors, is checked alike
+    lin = linear_group(art)
+    with pytest.raises(TheoremViolation, match="not orthogonal") as exc:
+        _realize_group(art, art.izm_coloring, "orthogonal", lin)
+    assert exc.value.diagnostic["perm"] in lin.perm_group.generators
 
 
 def test_pipelines_do_no_per_member_work(monkeypatch):
