@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """CLI wall time, peak memory and report hash of `polysym` on a ladder of polytopes.
 
-    python3 scripts/bench.py [--src DIR] > rows.json
+    python3 scripts/bench.py [--src DIR] [--skip "COMMAND INSTANCE"] > rows.json
 
 Builds the 4-cube, the 24-cell, the 5-cross-polytope, the 5-cube, the
-6-cross-polytope and the Gosset polytope 2_21 in code, each turned by a
-fixed-seed orthogonal map, and runs ``python -m polysym analyze`` on each,
-then on the 6-cross-polytope and the 5-cube in one run, plus ``validate``
-on the 4-cube, on the 24-cell and on the 6-cross-polytope, which is
-simplicial, so that its finite-difference oracle makes one volume-kernel
-call.  ``--src`` names the checkout whose ``src`` is run (default: this
-one), so a parent checkout can be measured with the same script.  Each row
+6-cross-polytope, the Gosset polytope 2_21 and the 600-cell in code, each
+turned by a fixed-seed orthogonal map, and runs ``python -m polysym
+analyze`` on each, then on the 6-cross-polytope and the 5-cube in one run,
+plus ``validate`` on the 4-cube, on the 24-cell, on the 6-cross-polytope,
+which is simplicial, so that its finite-difference oracle makes one
+volume-kernel call, on 2_21 and on the 600-cell.  ``--src`` names the
+checkout whose ``src`` is run (default: this one), so a parent checkout
+can be measured with the same script; ``--skip "COMMAND INSTANCE"`` (for
+example ``--skip "validate 600-cell"``) records that row as "not run",
+for a checkout on which it would take hours.  Each row
 is run REPEATS times, each run one child process in the row's fresh
 temporary directory, given relative input paths so that the paths the
 report echoes do not depend on the checkout.  A run is killed after
@@ -83,12 +86,31 @@ def gosset_2_21() -> np.ndarray:
     return (vertices - vertices.mean(axis=0)) @ complement.T
 
 
+def cell600() -> np.ndarray:
+    """The 600-cell's 120 vertices on the unit sphere: 8 + 16 + 96.
+
+    The permutations of (+-1, 0, 0, 0), the 16 points (+-1/2)^4, and the
+    even permutations of (+-phi, +-1, +-1/phi, 0) / 2, phi the golden
+    ratio.  Its symmetry group is H4, of order 14 400 in both flavors.
+    """
+    phi = (1 + 5 ** 0.5) / 2
+    points = [v for v in itertools.product((-1.0, 0.0, 1.0), repeat=4) if sum(map(abs, v)) == 1]
+    points += list(itertools.product((-0.5, 0.5), repeat=4))
+    even = [p for p in itertools.permutations(range(4))
+            if sum(p[i] > p[j] for i, j in itertools.combinations(range(4), 2)) % 2 == 0]
+    for s, t, u in itertools.product((-1.0, 1.0), repeat=3):
+        base = (s * phi / 2, t / 2, u / (2 * phi), 0.0)
+        points += [tuple(base[k] for k in p) for p in even]
+    return np.array(points)
+
+
 INSTANCES = {"4-cube": lambda: cube(4), "24-cell": cell24, "5-cross-polytope": lambda: cross(5),
              "5-cube": lambda: cube(5), "6-cross-polytope": lambda: cross(6),
-             "2_21": gosset_2_21}
+             "2_21": gosset_2_21, "600-cell": cell600}
 RUNS = ([("analyze", (name,)) for name in INSTANCES]
         + [("analyze", ("6-cross-polytope", "5-cube")), ("validate", ("4-cube",)),
-           ("validate", ("24-cell",)), ("validate", ("6-cross-polytope",))])
+           ("validate", ("24-cell",)), ("validate", ("6-cross-polytope",)),
+           ("validate", ("2_21",)), ("validate", ("600-cell",))])
 
 
 def turned(vertices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -163,6 +185,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT, metavar="DIR",
                         help="the checkout whose src/ to run (default: this one)")
+    parser.add_argument("--skip", action="append", default=[], metavar="'COMMAND INSTANCE'",
+                        help="record this row as not run, e.g. 'validate 600-cell'; repeatable")
     args = parser.parse_args()
     src = args.src.resolve() / "src"
     if not (src / "polysym" / "cli.py").is_file():
@@ -175,11 +199,14 @@ def main() -> None:
                       "vertices": turned(vertices, rng).tolist()}
     rows = []
     for command, names in RUNS:
+        argv = [command, *(f"{name}.json" for name in names)]
+        if f"{command} {' + '.join(names)}" in args.skip:
+            rows.append({"instance": " + ".join(names), "argv": argv, "exit": "not run"})
+            continue
         with tempfile.TemporaryDirectory() as tmp:
             workdir = Path(tmp)
             for name in names:
                 (workdir / f"{name}.json").write_text(json.dumps(docs[name]))
-            argv = [command, *(f"{name}.json" for name in names)]
             rows.append({"instance": " + ".join(names), **repeated(src, argv, workdir)})
         print(f"{' '.join(argv)}: {rows[-1]}", file=sys.stderr)
     digest, lines = hashlib.sha256(), 0

@@ -3,19 +3,21 @@
 Vertices are the single source of truth; every stage that solves or measures
 runs on them at unit scale.  Validation finds the facets once, as the polar
 dual's vertices, and the edge-graph is read off their incidence; the
-``Polytope`` carries both.  One vertex enumeration (``_vertices``) serves
-validation, with one offset row, and the shifted duals of all stencil rays
-in one pass.  Volumes are summed over the face lattice an incidence gives,
-by the pyramid formula, a level at a time.
+``Polytope`` carries both.  One vertex enumeration (``_vertices``), a walk
+over the vertex-edge graph that solves d-subsets only next to the
+vertices it finds, serves validation, with one offset row, and the
+shifted duals of all stencil rays at once.  Volumes are summed over the
+face lattice an incidence gives, by the pyramid formula, a level at a
+time.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, combinations, islice
+from functools import cache, cached_property
+from itertools import combinations
 from math import factorial, frexp
 from pathlib import Path
 
@@ -84,7 +86,8 @@ def unit_exponent(x: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # polar vertices: one enumeration for the facets and the shifted dual
 
-SUBSET_BLOCK = 1 << 15  # d-subsets per batch of the vertex enumeration; bounds its memory
+WALKS = 8  # start walks on the first offset row, per dimension
+BLOCK = 1 << 15  # rows of a batch: candidates times d, or local subsets; bounds memory
 
 
 def _affine_rank(points: np.ndarray, eps: float) -> np.ndarray:
@@ -96,37 +99,251 @@ def _affine_rank(points: np.ndarray, eps: float) -> np.ndarray:
 def _vertices(normals: np.ndarray, offsets: np.ndarray, eps: float) -> list:
     """Vertices of {x : normals @ x <= offsets[r]} for each row r, each once, with the tight planes.
 
-    Every d-subset of the planes is solved, in lexicographic blocks of
-    ``SUBSET_BLOCK`` (row, subset) pairs; a subset whose determinant is at
-    most 1e-12 of Hadamard's bound (the product of its row lengths) is
-    skipped for every row, and each row's solve is its own.  A feasible
-    solution is a vertex, known by its tight planes, and the first solve of
-    each tight set wins.  ``eps`` bounds <a_i, x> - b_i, so it is relative
-    for offsets near 1.  Returns one ``(points, tight, subsets)`` per row:
-    points of shape (k, d), ``tight`` of shape (m, k) with ``tight[i, p]``
-    flagging point p on plane i, its columns sorted (False before True),
-    and the (k, d) subsets the points were solved from.
+    A breadth-first walk over each row's vertex-edge graph, one layer of
+    every row at a time in batches of at most BLOCK / d candidates, visits
+    the vertices and their edges only (Avis & Fukuda 1992).  Each step
+    solves (row, d-subset) candidates (``_solve``); a feasible solve is a
+    vertex, known by its row and its tight planes.  The walk starts from
+    ``_start``'s subsets, and the new vertices' ``_pivots`` give the next
+    layer.  ``eps`` bounds <a_i, x> - b_i, so it is relative for offsets
+    near 1.  At the end each vertex is re-solved from the lexicographically
+    first d-subset of its tight planes that solves back to them
+    (``_first_solves``), so it keeps the bits that solving every d-subset
+    in lexicographic order, first solve winning, gives it.
+    Returns one ``(points, tight, subsets)`` per row: points of shape (k, d),
+    ``tight`` of shape (m, k) with ``tight[i, p]`` flagging point p on
+    plane i, its columns sorted (False before True), and the (k, d)
+    subsets the points were solved from.
     """
     m, d = normals.shape
-    lengths = np.linalg.norm(normals, axis=1)
-    subsets, found, per = combinations(range(m), d), [], max(1, SUBSET_BLOCK // len(offsets))
-    while len(block := np.fromiter(chain.from_iterable(islice(subsets, per)),
-                                   np.intp).reshape(-1, d)):
-        mats = normals[block]                                     # (S, d, d)
-        ok = np.abs(np.linalg.det(mats)) > 1e-12 * np.prod(lengths[block], axis=1)
-        sols = np.linalg.solve(mats[ok], offsets[:, block[ok], None])[..., 0]  # (R, S', d)
-        vals = sols @ normals.T                                   # (R, S', m)
-        row, s = np.nonzero(np.all(vals <= offsets[:, None] + eps, axis=2))
-        tight = vals[row, s] >= offsets[row] - eps
-        # a vertex's key: its row, big-endian so that rows sort first, then its tight planes
-        key = np.hstack([row.astype(">u4")[:, None].view(np.uint8), tight.view(np.uint8)])
-        key, first = np.unique(key.view(np.dtype((np.void, 4 + m)))[:, 0], return_index=True)
-        found.append((key, *(a[first] for a in (row, sols[row, s], tight, block[ok][s]))))
-    # a tight set appears at most once per block and row, so its first entry is its first solve
-    key, row, *arrays = map(np.concatenate, zip(*found))
-    first = np.unique(key, return_index=True)[1]
-    cut = np.searchsorted(row[first], np.arange(1, len(offsets)))
-    return [(p, t.T, q) for p, t, q in zip(*(np.split(a[first], cut) for a in arrays))]
+    lengths, seen, tried, keys = np.linalg.norm(normals, axis=1), set(), set(), []
+    found = [(np.zeros(0, np.intp), np.zeros((0, d)), np.zeros((0, m), bool),
+              np.zeros((0, d), np.intp))]
+    queue, per = deque([_start(normals, offsets, eps)]), max(1, BLOCK // d)
+    while queue:
+        row, subsets = queue.popleft()
+        if len(row) > per:  # a layer goes in batches of ``per`` candidates
+            queue.appendleft((row[per:], subsets[per:]))
+            row, subsets = row[:per], subsets[:per]
+        if not (fresh := _unseen(row, subsets.view(np.uint8), tried)):  # each solved once
+            continue
+        row, subsets = row[fresh], subsets[fresh]
+        hit, x, tight = _solve(normals, lengths, offsets, row, subsets, eps)
+        if not (new := _unseen(row[hit], np.packbits(tight, axis=1), seen, keys)):
+            continue
+        row, x, tight, subsets = row[hit[new]], x[new], tight[new], subsets[hit[new]]
+        found.append((row, x, tight, subsets))
+        queue.append(_pivots(normals, lengths, offsets, row, x, tight, subsets, eps))
+    row, x, tight, subsets = map(np.concatenate, zip(*found))
+    arrays = (*_first_solves(normals, lengths, offsets, row, x, tight, subsets, eps), tight)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    points, subsets, tight = (a[order] for a in arrays)
+    cut = np.searchsorted(row[order], np.arange(len(offsets) + 1)).tolist()
+    return [(points[lo:hi], tight[lo:hi].T, subsets[lo:hi]) for lo, hi in zip(cut, cut[1:])]
+
+
+def _unseen(row, bits, seen, keys=None) -> list:
+    """Indices of the rows of ``bits`` (uint8) whose key, with their row, is not in ``seen`` yet.
+
+    Each new key is added to ``seen``, and to ``keys`` if given, in order; of
+    equal keys the first counts.  A key is the row, big-endian, then the bits,
+    so keys sort by row first.
+    """
+    key = np.concatenate([row.astype(">u4")[:, None].view(np.uint8), bits], axis=1)
+    new = []
+    for i, k in enumerate(key.view(np.dtype((np.void, key.shape[1])))[:, 0].tolist()):
+        if k not in seen:
+            seen.add(k)
+            new.append(i)
+            if keys is not None:
+                keys.append(k)
+    return new
+
+
+def _solve(normals, lengths, offsets, row, subsets, eps):
+    """Which (row, sorted d-subset) candidates solve to a vertex; their points and tight planes.
+
+    A subset whose determinant is at most 1e-12 of Hadamard's bound (the
+    product of its row lengths) is skipped.  Any other is solved at its
+    row's offsets; the solution is a vertex when it is feasible within
+    ``eps``, and a plane is tight on it within ``eps`` of its offset.
+    """
+    mats = normals[subsets]
+    ok = np.flatnonzero(np.abs(np.linalg.det(mats)) > 1e-12 * np.prod(lengths[subsets], axis=1))
+    row, subsets = row[ok], subsets[ok]
+    x = np.linalg.solve(mats[ok], offsets[row[:, None], subsets, None])[..., 0]
+    vals, b = x @ normals.T, offsets[row]
+    feasible = np.all(vals <= b + eps, axis=1)
+    return ok[feasible], x[feasible], vals[feasible] >= b[feasible] - eps
+
+
+def _start(normals: np.ndarray, offsets: np.ndarray, eps: float):
+    """(row, d-subset) candidates where ray walks from the origin stop: vertices of their rows.
+
+    The origin is interior (offsets > 0).  A walk takes d ratio tests: it
+    moves along its direction, projected off the planes met so far, to the
+    first plane it meets among those not yet tight within ``eps``.  A tight
+    plane that was not met holds the face reached, so its normal lies in
+    the span of theirs, and the d planes met are independent.  Each row
+    takes one walk; row 0 takes WALKS * d, along fixed generic directions,
+    and their subsets are every row's candidates too: the rows of one call
+    (a stencil's) are near one another, and many starts shorten the walk.
+    The walks' own subsets are vertices of their rows; a seed in another
+    row may not be, and ``_solve`` drops it then.
+    """
+    d, rows = normals.shape[1], len(offsets)
+    generic = _generic(d)
+    row = np.concatenate([np.arange(rows), np.zeros(len(generic) - 1, np.intp)])
+    steps = np.concatenate([np.broadcast_to(generic[0], (rows, d, d)), generic[1:]])
+    walks, b = np.arange(len(row)), offsets[row]
+    x, proj, met = np.zeros((len(row), d)), np.eye(d), []  # proj: off the met planes' normals
+    for k in range(d):
+        u = np.einsum("nij,nj->ni", np.broadcast_to(proj, (len(row), d, d)), steps[:, k])
+        rise, slack = u @ normals.T, b - x @ normals.T
+        t = np.divide(slack, rise, where=(rise > 0) & (slack > eps),
+                      out=np.full(rise.shape, np.inf))
+        met.append(hit := t.argmin(axis=1))
+        if k + 1 < d:
+            x = x + t[walks, hit, None] * u
+            q = proj @ normals[hit, :, None]
+            proj = proj - q @ q.swapaxes(1, 2) / (q.swapaxes(1, 2) @ q)
+    subsets = np.sort(np.column_stack(met), axis=1)
+    seeds = np.concatenate([subsets[:1], subsets[rows:]])  # row 0's
+    return (np.concatenate([np.arange(rows), np.repeat(np.arange(rows), len(seeds))]),
+            np.concatenate([subsets[:rows], np.tile(seeds, (rows, 1))]))
+
+
+@cache
+def _generic(d: int) -> np.ndarray:
+    """Fixed generic directions of the start walks in R^d, [walk, step].
+
+    The sines of 1, 4, 9, 16, ...: a fixed sequence with no linear
+    recurrence, in no special position to a polytope's planes, made
+    without loading ``numpy.random``.  The walks' ends depend on them, the
+    enumeration's output does not.
+    """
+    generic = np.sin(np.arange(1.0, WALKS * d ** 3 + 1) ** 2).reshape(WALKS * d, d, d)
+    generic.setflags(write=False)
+    return generic
+
+
+@cache
+def _combinations(k: int, size: int) -> np.ndarray:
+    """The size-subsets of range(k) in lexicographic order, as rows."""
+    combos = np.array(list(combinations(range(k), size)), np.intp).reshape(-1, size)
+    combos.setflags(write=False)
+    return combos
+
+
+def _local(planes: np.ndarray, size: int):
+    """Every size-subset of each row of ``planes``, in lexicographic batches of about BLOCK.
+
+    Yields (row of ``planes``, subset) arrays; within a batch each row's subsets stay in order.
+    """
+    combos = _combinations(planes.shape[1], size)
+    per = max(1, BLOCK // len(planes))
+    for lo in range(0, len(combos), per):
+        part = combos[lo:lo + per]
+        yield np.repeat(np.arange(len(planes)), len(part)), planes[:, part].reshape(-1, size)
+
+
+def _first_solves(normals, lengths, offsets, row, x, tight, subsets, eps):
+    """Each vertex's point and subset from the lexicographically first d-subset of its tight planes
+    that solves back to them.
+
+    A vertex on exactly d planes has one such subset, the one it was found
+    from, and so has a vertex found from its first d planes.  Any other is
+    re-solved from a local scan of its planes.
+    """
+    d = normals.shape[1]
+    size = tight.sum(axis=1)
+    for k in set(size[size > d].tolist()):
+        at = np.flatnonzero(size == k)
+        planes = np.nonzero(tight[at])[1].reshape(-1, k)
+        done = np.all(subsets[at] == planes[:, :d], axis=1)  # found from the first subset
+        for v, cand in _local(planes, d):
+            if done.all():
+                break
+            v, cand = v[~done[v]], cand[~done[v]]
+            hit, xs, ts = _solve(normals, lengths, offsets, row[at[v]], cand, eps)
+            back = np.all(ts == tight[at[v[hit]]], axis=1)
+            w, first = np.unique(v[hit[back]], return_index=True)
+            x[at[w]], subsets[at[w]] = xs[back][first], cand[hit[back][first]]
+            done[w] = True
+    return x, subsets
+
+
+def _pivots(normals, lengths, offsets, row, x, tight, subsets, eps):
+    """The (row, d-subset) candidates one pivot from the vertices reaches: the walk's next layer.
+
+    An edge of a vertex keeps d - 1 of its tight planes, and a ratio test
+    along it over the planes not tight on the vertex finds the first one
+    it meets, which joins the d - 1.  On a vertex on exactly d planes the
+    edge directions are the columns of the negated inverse, one batched
+    inverse for all.  On a vertex on more, each (d - 1)-subset of its planes
+    spans a line, and each direction along it on which no tight plane rises
+    by more than ``eps`` per unit length is taken.
+    """
+    d = normals.shape[1]
+    slack, size = offsets[row] - x @ normals.T, tight.sum(axis=1)
+    simple, cands = size == d, []
+    if simple.any():
+        # rise[v, i, j]: the rate plane i rises at along the edge leaving plane subsets[v, j]
+        rise = -(normals @ np.linalg.inv(normals[subsets[simple]]))
+        t = np.divide(slack[simple, :, None], rise, where=(rise > 0) & ~tight[simple, :, None],
+                      out=np.full(rise.shape, np.inf))
+        hit, ok = t.argmin(axis=1), np.isfinite(t.min(axis=1)).ravel()
+        bases = np.where(np.eye(d, dtype=bool), hit[:, :, None], subsets[simple, None])
+        cands.append((np.repeat(row[simple], d)[ok], bases.reshape(-1, d)[ok]))
+    if not simple.all():
+        cands.append(_nonsimple_pivots(normals, lengths, row, slack, tight, ~simple, eps))
+    row, bases = map(np.concatenate, zip(*cands))
+    return row, np.sort(bases, axis=1)
+
+
+def _nonsimple_pivots(normals, lengths, row, slack, tight, which, eps):
+    """``_pivots`` of the vertices ``which`` flags, each on more than d planes.
+
+    The line a (d - 1)-subset spans has the direction of its generalized
+    cross product, whose j-th entry is (-1)^j times the minor without
+    column j; its length over the product of the row lengths is the
+    subset's conditioning, as in the determinant test.  An edge of a vertex
+    is known by the tight planes that hold it (rise at most ``eps`` either
+    way); many (d - 1)-subsets span it, and the best-conditioned one is
+    kept.
+    """
+    m, d = normals.shape
+    vertex = np.flatnonzero(which)
+    size = tight[vertex].sum(axis=1)
+    minor = _combinations(d, d - 1)[::-1]  # row j: every column but j
+    moves = []  # (vertex, direction, kept planes, planes holding it, conditioning)
+    for k in set(size.tolist()):
+        at = vertex[size == k]
+        planes = np.nonzero(tight[at])[1].reshape(-1, k)
+        for v, kept in _local(planes, d - 1):
+            e = np.linalg.det(normals[kept][:, :, minor].swapaxes(1, 2)) * (-1.0) ** np.arange(d)
+            length = np.linalg.norm(e, axis=1)
+            e = np.divide(e, length[:, None], where=length[:, None] > 0, out=np.zeros(e.shape))
+            pairs, on = np.arange(len(v))[:, None], planes[v]
+            up = (e @ normals.T)[pairs, on] / lengths[on]
+            hold = np.zeros((len(v), m), bool)
+            hold[pairs, on] = np.abs(up) <= eps
+            conditioning = length / np.prod(lengths[kept], axis=1)
+            # each line both ways: an edge where no tight plane rises
+            edge = np.flatnonzero(np.concatenate([np.all(up <= eps, axis=1),
+                                                  np.all(-up <= eps, axis=1)]))
+            one = edge % len(v)
+            moves.append((at[v[one]], np.where((edge < len(v))[:, None], e[one], -e[one]),
+                          kept[one], hold[one], conditioning[one]))
+    v, e, kept, hold, conditioning = map(np.concatenate, zip(*moves))
+    key = np.hstack([v.astype(">u4")[:, None].view(np.uint8), np.packbits(hold, axis=1)])
+    edge = np.unique(key.view(np.dtype((np.void, key.shape[1])))[:, 0], return_inverse=True)[1]
+    order = np.lexsort((-conditioning, edge))
+    best = order[np.unique(edge[order], return_index=True)[1]]
+    v, rise, kept = v[best], e[best] @ normals.T, kept[best]
+    t = np.divide(slack[v], rise, where=(rise > 0) & ~tight[v], out=np.full(rise.shape, np.inf))
+    ok = np.isfinite(t.min(axis=1))
+    return row[v[ok]], np.column_stack([kept[ok], t.argmin(axis=1)[ok]])
 
 
 # ---------------------------------------------------------------------------
@@ -262,24 +479,28 @@ def _edges(incidence: np.ndarray, dim: int) -> tuple[tuple[int, int], ...]:
     """Edges are pairs whose smallest common face is the segment itself.
 
     {i, j} is an edge iff some facet contains both endpoints and the
-    vertices incident to every such facet are exactly {i, j}.  The
-    edge-graph must be connected, with minimum degree at least d.
+    vertices incident to every such facet are exactly {i, j}: of the pairs
+    that share a facet, in lexicographic order, one count product against
+    the incidence gives each pair's common vertices.  The edge-graph must
+    be connected, with minimum degree at least d.
     """
-    n = incidence.shape[1]
-    edges = tuple((i, j) for i, j in combinations(range(n), 2)
-                  if (both := incidence[:, i] & incidence[:, j]).any()
-                  and incidence[both].all(axis=0).sum() == 2)
-    reached, frontier = set(), {0}
-    while frontier:  # breadth-first from vertex 0, one pass over the edges per layer
-        reached |= frontier
-        frontier = {v for e in edges if frontier.intersection(e) for v in e} - reached
-    if len(reached) < n:
+    inc = incidence.astype(float)
+    shared = inc.T @ inc                                      # [i, j]: facets holding both
+    i, j = np.nonzero(np.triu(shared, 1))                     # row-major: lexicographic pairs
+    common = (inc[:, i] * inc[:, j]).T @ inc == shared[i, j][:, None]  # [p, v]: v on them all
+    edge = common.sum(axis=1) == 2
+    i, j = i[edge], j[edge]
+    adjacent = np.zeros(shared.shape, bool)
+    adjacent[i, j] = adjacent[j, i] = True
+    reached = frontier = np.arange(len(adjacent)) == 0
+    while frontier.any():  # breadth-first from vertex 0, one array pass per layer
+        frontier = adjacent[frontier].any(axis=0) & ~reached
+        reached = reached | frontier
+    if not reached.all():
         raise DegenerateGeometry("edge-graph not connected")
-    degree = Counter(v for e in edges for v in e)
-    mindeg = min(degree[i] for i in range(n))
-    if mindeg < dim:
+    if (mindeg := int(adjacent.sum(axis=0).min())) < dim:
         raise DegenerateGeometry(f"edge-graph min degree {mindeg} < d = {dim}")
-    return edges
+    return tuple(zip(i.tolist(), j.tolist()))
 
 
 def dual_edge_volumes(poly: Polytope) -> list[float]:
@@ -375,7 +596,7 @@ def _face_volumes(points, normals, offsets, incidence, faces, k) -> np.ndarray:
 def _shifted_dual(poly: Polytope, c) -> list:
     """R rays of S regions {x : <x, v_i> <= c[r, s, i]}, each ray's of one type: vertices and tags.
 
-    One ``_vertices`` pass enumerates every ray's region 0, and one batched
+    One ``_vertices`` walk enumerates every ray's region 0, and one batched
     solve re-solves the other regions from the d-subsets of their ray's:
     each must be feasible with exactly its tight planes, so the vertex set
     is complete.  Returns one ``(points, tight)`` per ray, the (S, k, d)

@@ -14,7 +14,7 @@ import contextlib
 import io
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, islice, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +266,22 @@ def cell24() -> np.ndarray:
                             for s, t in product((1.0, -1.0), repeat=2)}))
 
 
+def cell600() -> np.ndarray:
+    """The 600-cell's (120, 4) vertices on the unit sphere: 8 + 16 + 96.
+
+    The permutations of (+-1, 0, 0, 0), the points (+-1/2)^4, and the even
+    permutations of (+-phi, +-1, +-1/phi, 0) / 2, phi the golden ratio.
+    """
+    phi = (1 + 5 ** 0.5) / 2
+    even = [p for p in permutations(range(4))
+            if sum(p[i] > p[j] for i, j in combinations(range(4), 2)) % 2 == 0]
+    points = [v for v in product((-1.0, 0.0, 1.0), repeat=4) if sum(map(abs, v)) == 1]
+    points += list(product((-0.5, 0.5), repeat=4))
+    points += [tuple((s * phi / 2, t / 2, u / (2 * phi), 0.0)[k] for k in p)
+               for s, t, u in product((-1.0, 1.0), repeat=3) for p in even]
+    return np.array(points)
+
+
 def capped_prism() -> Polytope:
     """Triangular prism with a pyramid on each square face: 9 vertices, D3h (order 12)."""
     angles = 2 * np.pi * np.arange(3) / 3
@@ -317,6 +333,38 @@ def dual_edge_face(poly: Polytope, edge) -> DualFace:
     relvol = dict(zip(poly.edges, geometry.dual_edge_volumes(poly)))[(i, j)]
     return DualFace(edge=(i, j), points=poly.normals[inc[:, i] & inc[:, j]],
                     relvol=relvol)
+
+
+def scan_vertices(normals: np.ndarray, offsets: np.ndarray, eps: float, block: int = 1 << 15):
+    """The reference for ``geometry._vertices``: every d-subset of the planes solved, for each row.
+
+    The subsets go in lexicographic blocks of ``block`` (row, subset) pairs;
+    a subset whose determinant is at most 1e-12 of Hadamard's bound (the
+    product of its row lengths) is skipped for every row, and each row's
+    solve is its own.  A feasible solution is a vertex, known by its tight
+    planes, and the first solve of each tight set wins.  Returns what
+    ``geometry._vertices`` returns: one ``(points, tight, subsets)`` per row.
+    """
+    m, d = normals.shape
+    lengths = np.linalg.norm(normals, axis=1)
+    subsets, found, per = combinations(range(m), d), [], max(1, block // len(offsets))
+    while len(chunk := np.fromiter(chain.from_iterable(islice(subsets, per)),
+                                   np.intp).reshape(-1, d)):
+        mats = normals[chunk]                                     # (S, d, d)
+        ok = np.abs(np.linalg.det(mats)) > 1e-12 * np.prod(lengths[chunk], axis=1)
+        sols = np.linalg.solve(mats[ok], offsets[:, chunk[ok], None])[..., 0]  # (R, S', d)
+        vals = sols @ normals.T                                   # (R, S', m)
+        row, s = np.nonzero(np.all(vals <= offsets[:, None] + eps, axis=2))
+        tight = vals[row, s] >= offsets[row] - eps
+        # a vertex's key: its row, big-endian so that rows sort first, then its tight planes
+        key = np.hstack([row.astype(">u4")[:, None].view(np.uint8), tight.view(np.uint8)])
+        key, first = np.unique(key.view(np.dtype((np.void, 4 + m)))[:, 0], return_index=True)
+        found.append((key, *(a[first] for a in (row, sols[row, s], tight, chunk[ok][s]))))
+    # a tight set appears at most once per block and row, so its first entry is its first solve
+    key, row, *arrays = map(np.concatenate, zip(*found))
+    first = np.unique(key, return_index=True)[1]
+    cut = np.searchsorted(row[first], np.arange(1, len(offsets)))
+    return [(p, t.T, q) for p, t, q in zip(*(np.split(a[first], cut) for a in arrays))]
 
 
 def loop_validation_error(unit: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):

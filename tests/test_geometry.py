@@ -10,12 +10,15 @@ from scipy.spatial import ConvexHull
 from helpers import (
     FIXTURES,
     adjacency,
+    cell24,
+    cell600,
     cross_polytope,
     dual_edge_face,
     hypercube,
     lattice_faces,
     loop_validation_error,
     relative_volume,
+    scan_vertices,
     sphere_polytope,
     volume_generalized_dual,
 )
@@ -39,6 +42,9 @@ LADDER = {
     "sphere16_5": lambda: sphere_polytope(16, 5, seed=0),
     "sphere12_6": lambda: sphere_polytope(12, 6, seed=0),
 }
+# seeded generic polytopes of the sizes the benchmark analyzes; simple polars
+GENERIC = {f"sphere{n}_{d}_seed{seed}": (lambda n=n, d=d, seed=seed: sphere_polytope(n, d, seed))
+           for n, d in ((20, 4), (16, 5), (12, 6)) for seed in (1, 2)}
 
 
 def facet_volumes(poly, c):
@@ -150,11 +156,11 @@ class TestLoading:
             got = str(exc)
         assert got == loop_validation_error(np.ldexp(verts, -geometry.unit_exponent(verts)))
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 20: each square at vertex 0 is listed whole and again "
-                              "as its two triangles, 12 facets and 15 edges")
     def test_pushed_cube_is_a_face_lattice(self):
-        # a 3-polytope has V - E + F = 2; a lattice that is none must be a named exit 2
+        # a 3-polytope has V - E + F = 2; a lattice that is none must be a named exit 2.
+        # Solving every d-subset of the polar's planes listed each square at vertex 0
+        # whole and again as its two triangles (12 facets); the walk along the polar's
+        # edges reaches the triangles only: 9 facets and 15 edges
         verts = np.array(list(product((1, -1), repeat=3)), dtype=float)
         verts[0] *= 1 + 1e-9
         try:
@@ -233,22 +239,36 @@ class TestFacets:
         assert len(calls) == 1
         assert art.poly.normals is poly.normals and art.poly.incidence is poly.incidence
 
-    @pytest.mark.parametrize("name", [*FIXTURES, "cross6"])
+    @pytest.mark.parametrize("name", [*FIXTURES, *LADDER, *GENERIC, "cube5", "cell24"])
     def test_blocked_subset_scan_gives_identical_facets(self, name, monkeypatch):
-        # every input here fits one default block; blocks of 7 split most scans
-        # (the 6-cross-polytope's 924 subsets into 132), and first-wins
-        # deduplication must still keep the same vertices, bit for bit: the
-        # polar's (the facets) and the shifted dual's
-        factory = {**FIXTURES, **LADDER}[name]
-        whole = factory()
-        c = 1.0 + 0.03 * np.sin(np.arange(whole.n) + 1.0)  # inside the trust region
-        whole_volumes = facet_volumes(whole, c)
-        monkeypatch.setattr(geometry, "SUBSET_BLOCK", 7)
-        blocked = factory()
-        assert whole.normals.shape == blocked.normals.shape
-        assert whole.normals.tobytes() == blocked.normals.tobytes()
-        assert whole.incidence.tobytes() == blocked.incidence.tobytes()
-        assert whole_volumes.tobytes() == facet_volumes(blocked, c).tobytes()
+        # the walk along the polar's edges gives, bit for bit, the points, tight planes
+        # and subsets that solving every d-subset in lexicographic order, first solve
+        # winning, gives (the reference scan): for validation's polar and for stencil
+        # rows 1 +- h e_i like the FD oracle's, with the local scans of non-simple
+        # vertices in the default blocks and in blocks of 7
+        poly = {**FIXTURES, **LADDER, **GENERIC, "cube5": lambda: hypercube(5),
+                "cell24": lambda: make_polytope(4, cell24())}[name]()
+        eps, n = poly.tol.geom_rel, poly.n
+        stencil = 1.0 + np.concatenate([np.eye(n), -np.eye(n)])[:16] * poly.tol.fd_step / 4
+        for normals, offsets in ((poly.unit - poly.unit.mean(axis=0), np.ones((1, n))),
+                                 (poly.unit, stencil)):
+            want = scan_vertices(normals, offsets, eps)
+            for block in (geometry.BLOCK, 7):
+                monkeypatch.setattr(geometry, "BLOCK", block)
+                got = geometry._vertices(normals, offsets, eps)
+                assert len(got) == len(want) == len(offsets)
+                for rows in zip(got, want):
+                    for a, b in zip(*rows):
+                        assert a.dtype == b.dtype and a.shape == b.shape
+                        assert a.tobytes() == b.tobytes()
+                monkeypatch.undo()
+
+    def test_600_cell_validates(self):
+        # the scan of all C(120, 4) subsets took seconds; the walk visits its 600 vertices
+        poly = make_polytope(4, cell600())
+        assert poly.incidence.shape == (600, 120) and np.all(poly.incidence.sum(axis=1) == 4)
+        assert len(poly.edges) == 720
+        assert np.all(adjacency(poly.n, poly.edges).sum(axis=0) == 12)
 
     @pytest.mark.parametrize("k", range(-6, 13))
     @pytest.mark.parametrize("name", FIXTURES)
