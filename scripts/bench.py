@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CLI wall time, peak memory and report hash of `polysym` on a ladder of polytopes.
 
-    python3 scripts/bench.py [--src DIR] [--skip "COMMAND INSTANCE"] > rows.json
+    python3 scripts/bench.py [--src DIR] > rows.json
 
 Builds the 4-cube, the 24-cell, the 5-cross-polytope, the 5-cube, the
 6-cross-polytope, the Gosset polytope 2_21 and the 600-cell in code, each
@@ -11,12 +11,10 @@ plus ``validate`` on the 4-cube, on the 24-cell, on the 6-cross-polytope,
 which is simplicial, so that its finite-difference oracle makes one
 volume-kernel call, on 2_21 and on the 600-cell.  ``--src`` names the
 checkout whose ``src`` is run (default: this one), so a parent checkout
-can be measured with the same script; ``--skip "COMMAND INSTANCE"`` (for
-example ``--skip "validate 600-cell"``) records that row as "not run",
-for a checkout on which it would take hours.  Each row
-is run REPEATS times, each run one child process in the row's fresh
-temporary directory, given relative input paths so that the paths the
-report echoes do not depend on the checkout.  A run is killed after
+can be measured with the same script.  Each row is run REPEATS times, each
+run one child process in the row's fresh temporary directory, given
+relative input paths so that the paths the report echoes do not depend on
+the checkout.  A run is killed after
 TIMEOUT_S and its row recorded as "timeout".  BLAS and OpenMP are held to
 one thread.
 
@@ -185,8 +183,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT, metavar="DIR",
                         help="the checkout whose src/ to run (default: this one)")
-    parser.add_argument("--skip", action="append", default=[], metavar="'COMMAND INSTANCE'",
-                        help="record this row as not run, e.g. 'validate 600-cell'; repeatable")
     args = parser.parse_args()
     src = args.src.resolve() / "src"
     if not (src / "polysym" / "cli.py").is_file():
@@ -199,14 +195,11 @@ def main() -> None:
                       "vertices": turned(vertices, rng).tolist()}
     rows = []
     for command, names in RUNS:
-        argv = [command, *(f"{name}.json" for name in names)]
-        if f"{command} {' + '.join(names)}" in args.skip:
-            rows.append({"instance": " + ".join(names), "argv": argv, "exit": "not run"})
-            continue
         with tempfile.TemporaryDirectory() as tmp:
             workdir = Path(tmp)
             for name in names:
                 (workdir / f"{name}.json").write_text(json.dumps(docs[name]))
+            argv = [command, *(f"{name}.json" for name in names)]
             rows.append({"instance": " + ".join(names), **repeated(src, argv, workdir)})
         print(f"{' '.join(argv)}: {rows[-1]}", file=sys.stderr)
     digest, lines = hashlib.sha256(), 0

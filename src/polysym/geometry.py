@@ -87,7 +87,7 @@ def unit_exponent(x: np.ndarray) -> int:
 # polar vertices: one enumeration for the facets and the shifted dual
 
 WALKS = 8  # start walks on the first offset row, per dimension
-BLOCK = 1 << 15  # rows of a batch: candidates times d, or local subsets; bounds memory
+BLOCK = 1 << 15  # candidates times d a batch, or a local scan's floats over m; bounds memory
 
 
 def _affine_rank(points: np.ndarray, eps: float) -> np.ndarray:
@@ -96,7 +96,7 @@ def _affine_rank(points: np.ndarray, eps: float) -> np.ndarray:
     return np.sum(s > np.maximum(eps, 1e-13 * s[..., :1]), axis=-1)
 
 
-def _vertices(normals: np.ndarray, offsets: np.ndarray, eps: float) -> list:
+def _vertices(normals: np.ndarray, offsets: np.ndarray, eps: float) -> tuple[list, np.ndarray]:
     """Vertices of {x : normals @ x <= offsets[r]} for each row r, each once, with the tight planes.
 
     A breadth-first walk over each row's vertex-edge graph, one layer of
@@ -104,42 +104,52 @@ def _vertices(normals: np.ndarray, offsets: np.ndarray, eps: float) -> list:
     the vertices and their edges only (Avis & Fukuda 1992).  Each step
     solves (row, d-subset) candidates (``_solve``); a feasible solve is a
     vertex, known by its row and its tight planes.  The walk starts from
-    ``_start``'s subsets, and the new vertices' ``_pivots`` give the next
-    layer.  ``eps`` bounds <a_i, x> - b_i, so it is relative for offsets
-    near 1.  At the end each vertex is re-solved from the lexicographically
-    first d-subset of its tight planes that solves back to them
-    (``_first_solves``), so it keeps the bits that solving every d-subset
-    in lexicographic order, first solve winning, gives it.
+    ``_start``'s seeds, which need not be vertices, and the new vertices'
+    ``_pivots`` give the next layer, each pivot one edge.  ``eps`` bounds
+    <a_i, x> - b_i, so it is relative for offsets near 1.  At the end each
+    vertex is re-solved from the lexicographically first d-subset of its
+    tight planes that solves back to them (``_first_solves``), so it keeps
+    the bits that solving every d-subset in lexicographic order, first
+    solve winning, gives it.
     Returns one ``(points, tight, subsets)`` per row: points of shape (k, d),
     ``tight`` of shape (m, k) with ``tight[i, p]`` flagging point p on
     plane i, its columns sorted (False before True), and the (k, d)
-    subsets the points were solved from.
+    subsets the points were solved from; and ``lost``, flagging the rows
+    whose walk lost an edge: a pivot that solves to no vertex, an edge that
+    meets no plane, or a vertex with fewer than d edges.  Such a row's
+    vertices may be a part only, and the caller names the failure.
     """
     m, d = normals.shape
     lengths, seen, tried, keys = np.linalg.norm(normals, axis=1), set(), set(), []
     found = [(np.zeros(0, np.intp), np.zeros((0, d)), np.zeros((0, m), bool),
               np.zeros((0, d), np.intp))]
-    queue, per = deque([_start(normals, offsets, eps)]), max(1, BLOCK // d)
+    queue, per = deque([(*_start(normals, offsets, eps), False)]), max(1, BLOCK // d)
+    lost = np.zeros(len(offsets), bool)
     while queue:
-        row, subsets = queue.popleft()
+        row, subsets, pivot = queue.popleft()
         if len(row) > per:  # a layer goes in batches of ``per`` candidates
-            queue.appendleft((row[per:], subsets[per:]))
+            queue.appendleft((row[per:], subsets[per:], pivot))
             row, subsets = row[:per], subsets[:per]
-        if not (fresh := _unseen(row, subsets.view(np.uint8), tried)):  # each solved once
-            continue
-        row, subsets = row[fresh], subsets[fresh]
+        if pivot:  # each pivot solved once; a seed may not be a vertex, so it is not kept
+            if not (fresh := _unseen(row, subsets.view(np.uint8), tried)):
+                continue
+            row, subsets = row[fresh], subsets[fresh]
         hit, x, tight = _solve(normals, lengths, offsets, row, subsets, eps)
+        if pivot:  # an edge that leads to no vertex
+            lost[np.delete(row, hit)] = True
         if not (new := _unseen(row[hit], np.packbits(tight, axis=1), seen, keys)):
             continue
         row, x, tight, subsets = row[hit[new]], x[new], tight[new], subsets[hit[new]]
         found.append((row, x, tight, subsets))
-        queue.append(_pivots(normals, lengths, offsets, row, x, tight, subsets, eps))
+        row, subsets, gone = _pivots(normals, lengths, offsets, row, x, tight, subsets, eps)
+        lost[gone] = True
+        queue.append((row, subsets, True))
     row, x, tight, subsets = map(np.concatenate, zip(*found))
     arrays = (*_first_solves(normals, lengths, offsets, row, x, tight, subsets, eps), tight)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     points, subsets, tight = (a[order] for a in arrays)
     cut = np.searchsorted(row[order], np.arange(len(offsets) + 1)).tolist()
-    return [(points[lo:hi], tight[lo:hi].T, subsets[lo:hi]) for lo, hi in zip(cut, cut[1:])]
+    return [(points[lo:hi], tight[lo:hi].T, subsets[lo:hi]) for lo, hi in zip(cut, cut[1:])], lost
 
 
 def _unseen(row, bits, seen, keys=None) -> list:
@@ -189,7 +199,7 @@ def _start(normals: np.ndarray, offsets: np.ndarray, eps: float):
     and their subsets are every row's candidates too: the rows of one call
     (a stencil's) are near one another, and many starts shorten the walk.
     The walks' own subsets are vertices of their rows; a seed in another
-    row may not be, and ``_solve`` drops it then.
+    row may not be, and ``_solve`` drops it then: a seed is no edge.
     """
     d, rows = normals.shape[1], len(offsets)
     generic = _generic(d)
@@ -219,8 +229,10 @@ def _generic(d: int) -> np.ndarray:
 
     The sines of 1, 4, 9, 16, ...: a fixed sequence with no linear
     recurrence, in no special position to a polytope's planes, made
-    without loading ``numpy.random``.  The walks' ends depend on them, the
-    enumeration's output does not.
+    without loading ``numpy.random``.  The walks' ends depend on them; the
+    enumeration's output does not, but on a region with distinct vertices
+    within ``eps`` of one another, whose edges are not all edges within
+    ``eps``, a start may reach one that the walk does not.
     """
     generic = np.sin(np.arange(1.0, WALKS * d ** 3 + 1) ** 2).reshape(WALKS * d, d, d)
     generic.setflags(write=False)
@@ -235,13 +247,13 @@ def _combinations(k: int, size: int) -> np.ndarray:
     return combos
 
 
-def _local(planes: np.ndarray, size: int):
-    """Every size-subset of each row of ``planes``, in lexicographic batches of about BLOCK.
+def _local(planes: np.ndarray, size: int, rows: int):
+    """Every size-subset of each row of ``planes``, in lexicographic batches of about ``rows``.
 
     Yields (row of ``planes``, subset) arrays; within a batch each row's subsets stay in order.
     """
     combos = _combinations(planes.shape[1], size)
-    per = max(1, BLOCK // len(planes))
+    per = max(1, rows // len(planes))
     for lo in range(0, len(combos), per):
         part = combos[lo:lo + per]
         yield np.repeat(np.arange(len(planes)), len(part)), planes[:, part].reshape(-1, size)
@@ -253,15 +265,17 @@ def _first_solves(normals, lengths, offsets, row, x, tight, subsets, eps):
 
     A vertex on exactly d planes has one such subset, the one it was found
     from, and so has a vertex found from its first d planes.  Any other is
-    re-solved from a local scan of its planes.
+    re-solved from a local scan of its planes, in batches whose
+    temporaries, (d, d) and m floats a row, hold about BLOCK * m floats,
+    as the (row, m) values of one block of a scan of every subset did.
     """
-    d = normals.shape[1]
+    m, d = normals.shape
     size = tight.sum(axis=1)
     for k in set(size[size > d].tolist()):
         at = np.flatnonzero(size == k)
         planes = np.nonzero(tight[at])[1].reshape(-1, k)
         done = np.all(subsets[at] == planes[:, :d], axis=1)  # found from the first subset
-        for v, cand in _local(planes, d):
+        for v, cand in _local(planes, d, BLOCK * m // (m + d * d)):
             if done.all():
                 break
             v, cand = v[~done[v]], cand[~done[v]]
@@ -294,11 +308,12 @@ def _pivots(normals, lengths, offsets, row, x, tight, subsets, eps):
                       out=np.full(rise.shape, np.inf))
         hit, ok = t.argmin(axis=1), np.isfinite(t.min(axis=1)).ravel()
         bases = np.where(np.eye(d, dtype=bool), hit[:, :, None], subsets[simple, None])
-        cands.append((np.repeat(row[simple], d)[ok], bases.reshape(-1, d)[ok]))
+        edges = np.repeat(row[simple], d)
+        cands.append((edges[ok], bases.reshape(-1, d)[ok], edges[~ok]))
     if not simple.all():
         cands.append(_nonsimple_pivots(normals, lengths, row, slack, tight, ~simple, eps))
-    row, bases = map(np.concatenate, zip(*cands))
-    return row, np.sort(bases, axis=1)
+    row, bases, lost = map(np.concatenate, zip(*cands))
+    return row, np.sort(bases, axis=1), lost
 
 
 def _nonsimple_pivots(normals, lengths, row, slack, tight, which, eps):
@@ -310,7 +325,9 @@ def _nonsimple_pivots(normals, lengths, row, slack, tight, which, eps):
     subset's conditioning, as in the determinant test.  An edge of a vertex
     is known by the tight planes that hold it (rise at most ``eps`` either
     way); many (d - 1)-subsets span it, and the best-conditioned one is
-    kept.
+    kept.  A line of no rank (conditioning at most 1e-12) is no edge.  The
+    subsets go in batches whose temporaries, d (d - 1)^2 minor entries and m
+    floats a row, hold about BLOCK * m floats, as in ``_first_solves``.
     """
     m, d = normals.shape
     vertex = np.flatnonzero(which)
@@ -320,18 +337,19 @@ def _nonsimple_pivots(normals, lengths, row, slack, tight, which, eps):
     for k in set(size.tolist()):
         at = vertex[size == k]
         planes = np.nonzero(tight[at])[1].reshape(-1, k)
-        for v, kept in _local(planes, d - 1):
+        for v, kept in _local(planes, d - 1, BLOCK * m // (m + d * (d - 1) ** 2)):
             e = np.linalg.det(normals[kept][:, :, minor].swapaxes(1, 2)) * (-1.0) ** np.arange(d)
             length = np.linalg.norm(e, axis=1)
-            e = np.divide(e, length[:, None], where=length[:, None] > 0, out=np.zeros(e.shape))
+            conditioning = length / np.prod(lengths[kept], axis=1)
+            line = conditioning > 1e-12  # the subset spans a line, by the determinant test's bound
+            e = np.divide(e, length[:, None], where=line[:, None], out=np.zeros(e.shape))
             pairs, on = np.arange(len(v))[:, None], planes[v]
             up = (e @ normals.T)[pairs, on] / lengths[on]
             hold = np.zeros((len(v), m), bool)
             hold[pairs, on] = np.abs(up) <= eps
-            conditioning = length / np.prod(lengths[kept], axis=1)
             # each line both ways: an edge where no tight plane rises
-            edge = np.flatnonzero(np.concatenate([np.all(up <= eps, axis=1),
-                                                  np.all(-up <= eps, axis=1)]))
+            edge = np.flatnonzero(np.concatenate([line & np.all(up <= eps, axis=1),
+                                                  line & np.all(-up <= eps, axis=1)]))
             one = edge % len(v)
             moves.append((at[v[one]], np.where((edge < len(v))[:, None], e[one], -e[one]),
                           kept[one], hold[one], conditioning[one]))
@@ -341,9 +359,11 @@ def _nonsimple_pivots(normals, lengths, row, slack, tight, which, eps):
     order = np.lexsort((-conditioning, edge))
     best = order[np.unique(edge[order], return_index=True)[1]]
     v, rise, kept = v[best], e[best] @ normals.T, kept[best]
+    few = vertex[np.bincount(v, minlength=len(which))[vertex] < d]
     t = np.divide(slack[v], rise, where=(rise > 0) & ~tight[v], out=np.full(rise.shape, np.inf))
     ok = np.isfinite(t.min(axis=1))
-    return row[v[ok]], np.column_stack([kept[ok], t.argmin(axis=1)[ok]])
+    return (row[v[ok]], np.column_stack([kept[ok], t.argmin(axis=1)[ok]]),
+            np.concatenate([row[few], row[v[~ok]]]))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +397,7 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
         raise ValidationError("not full-dimensional: vertices lie in a proper affine subspace")
     # g is interior, so the polar of P - g is bounded
     g = vertices.mean(axis=0)
-    polar, tight, _ = _vertices(vertices - g, np.ones((1, n)), tol.geom_rel)[0]
+    [(polar, tight, _)], lost = _vertices(vertices - g, np.ones((1, n)), tol.geom_rel)
     if not len(polar):
         raise ValidationError("no facet: every d-subset of the polar's planes is near-singular")
     # reversed: facets ordered by their sorted vertex index lists
@@ -395,6 +415,8 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
     rank = np.linalg.matrix_rank(incidence.T[:, :, None] * (x / length[:, None]), tol=1e-10)
     if np.any(rank < dim):
         raise ValidationError(f"non-extreme point: vertex {np.argmax(rank < dim)}")
+    if lost[0]:  # the facets found may be a part only
+        raise DegenerateGeometry("facet walk lost an edge: the polar is degenerate within tolerance")
     return x / b[:, None], incidence
 
 
@@ -611,7 +633,7 @@ def _shifted_dual(poly: Polytope, c) -> list:
         raise ValueError(f"offsets must have shape (R, S, {n})")
     delta, eps = tol.dual_trust, tol.geom_rel
     outside = np.any((c < 1.0 - delta - 1e-15) | (c > 1.0 + delta + 1e-15), axis=(1, 2))
-    rays = _vertices(poly.unit, c[:, 0], eps)
+    rays, lost = _vertices(poly.unit, c[:, 0], eps)
     flat = [len(p) <= d or _affine_rank(p, tol.geom(np.linalg.norm(p, axis=1).max())) != d
             for p, _, _ in rays]  # a region's size is about 1
     sizes = [len(p) for p, _, _ in rays]
@@ -622,11 +644,13 @@ def _shifted_dual(poly: Polytope, c) -> list:
     vals, bad = x @ poly.unit.T, np.zeros((len(c), c.shape[1] - 1), bool)
     np.logical_or.at(bad, ray, np.any((vals > b + eps) | ((vals >= b - eps) != tight.T[:, None]),
                                       axis=2))
-    for r in np.flatnonzero(outside | flat | bad.any(axis=1))[:1]:
+    for r in np.flatnonzero(outside | flat | lost | bad.any(axis=1))[:1]:
         if outside[r]:
             raise Unbounded(f"offsets outside trust region [1-{delta}, 1+{delta}]")
         if flat[r]:
             raise Unbounded("dual vertex set is not full-dimensional")
+        if lost[r]:
+            raise NumericalInstability("shifted dual's vertex walk lost an edge")
         i = int(np.argmax(np.abs((row := c[r, 1 + np.argmax(bad[r])]) - c[r, 0])))
         raise NumericalInstability("shifted dual changed combinatorics inside the stencil: "
                                    f"plane {i} at step {row[i] - 1.0:+.3e}")

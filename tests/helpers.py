@@ -14,7 +14,7 @@ import contextlib
 import io
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, permutations, product
+from itertools import chain, combinations, islice, product
 from pathlib import Path
 
 import numpy as np
@@ -266,22 +266,6 @@ def cell24() -> np.ndarray:
                             for s, t in product((1.0, -1.0), repeat=2)}))
 
 
-def cell600() -> np.ndarray:
-    """The 600-cell's (120, 4) vertices on the unit sphere: 8 + 16 + 96.
-
-    The permutations of (+-1, 0, 0, 0), the points (+-1/2)^4, and the even
-    permutations of (+-phi, +-1, +-1/phi, 0) / 2, phi the golden ratio.
-    """
-    phi = (1 + 5 ** 0.5) / 2
-    even = [p for p in permutations(range(4))
-            if sum(p[i] > p[j] for i, j in combinations(range(4), 2)) % 2 == 0]
-    points = [v for v in product((-1.0, 0.0, 1.0), repeat=4) if sum(map(abs, v)) == 1]
-    points += list(product((-0.5, 0.5), repeat=4))
-    points += [tuple((s * phi / 2, t / 2, u / (2 * phi), 0.0)[k] for k in p)
-               for s, t, u in product((-1.0, 1.0), repeat=3) for p in even]
-    return np.array(points)
-
-
 def capped_prism() -> Polytope:
     """Triangular prism with a pyramid on each square face: 9 vertices, D3h (order 12)."""
     angles = 2 * np.pi * np.arange(3) / 3
@@ -386,7 +370,7 @@ def loop_validation_error(unit: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
     if affine_rank(unit) < d:
         return "not full-dimensional: vertices lie in a proper affine subspace"
     g = unit.mean(axis=0)
-    [(x, tight, _)] = geometry._vertices(unit - g, np.ones((1, n)), tol.geom_rel)
+    [(x, tight, _)], lost = geometry._vertices(unit - g, np.ones((1, n)), tol.geom_rel)
     if any(affine_rank(unit[on]) != d - 1 for on in tight.T):
         return "facet vertices do not span a supporting hyperplane"
     if any((1.0 + p @ g) / np.linalg.norm(p) <= eps for p in x):
@@ -395,6 +379,8 @@ def loop_validation_error(unit: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
     for i in range(n):
         if tight[i].sum() < d or np.linalg.matrix_rank(w[tight[i]], tol=1e-10) < d:
             return f"non-extreme point: vertex {i}"
+    if lost[0]:
+        return "facet walk lost an edge: the polar is degenerate within tolerance"
     return None
 
 
@@ -418,7 +404,8 @@ def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     flat = centred @ np.linalg.svd(centred)[2][:k].T  # (m, k), isometric image, centred
     if k <= 1:
         return 1.0 if k == 0 else float(np.ptp(flat))
-    [(polar, tight, _)] = geometry._vertices(flat, np.ones((1, len(flat))), tol.geom_rel)
+    [(polar, tight, _)], lost = geometry._vertices(flat, np.ones((1, len(flat))), tol.geom_rel)
+    assert not lost.any()
     return float(geometry._face_volumes(flat[None], polar, np.ones((1, len(polar))), tight.T,
                                         np.ones((1, len(flat)), dtype=bool), k)[0, 0])
 

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import math
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from helpers import (
     FIXTURES,
     adjacency,
     cell24,
-    cell600,
     cross_polytope,
     dual_edge_face,
     hypercube,
@@ -32,6 +33,12 @@ from polysym.errors import (DegenerateGeometry, NumericalInstability, ParseError
                             ValidationError)
 from polysym.izmestiev import izmestiev_matrix
 from polysym.reconstruct import build_artifacts
+
+# the ladder of scripts/bench.py, whose builders give the larger polytopes
+_spec = importlib.util.spec_from_file_location(
+    "bench", Path(__file__).resolve().parents[1] / "scripts" / "bench.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
 
 # polytopes beyond the fixtures, up to d = 6, built on demand
 LADDER = {
@@ -255,7 +262,8 @@ class TestFacets:
             want = scan_vertices(normals, offsets, eps)
             for block in (geometry.BLOCK, 7):
                 monkeypatch.setattr(geometry, "BLOCK", block)
-                got = geometry._vertices(normals, offsets, eps)
+                got, lost = geometry._vertices(normals, offsets, eps)
+                assert not lost.any()
                 assert len(got) == len(want) == len(offsets)
                 for rows in zip(got, want):
                     for a, b in zip(*rows):
@@ -263,9 +271,60 @@ class TestFacets:
                         assert a.tobytes() == b.tobytes()
                 monkeypatch.undo()
 
+    @pytest.mark.parametrize("name", ["cube", "octahedron", "cyclic4_6", "cube4", "cell24",
+                                      *(f"pushed{t:g}" for t in (5e-10, 1e-9, 2e-9, 4e-9))])
+    def test_walk_does_not_depend_on_its_start(self, name, monkeypatch):
+        # the walk starts where ray walks along fixed directions stop; one to four other
+        # random directions a dimension give every row the same output, bit for bit, and the
+        # same lost edges.  The cube pushed out at vertex 0 by 1 + t is degenerate within
+        # eps at its split squares: its polar is checked, its stencil rows are not (at
+        # t = 1e-9 a start can reach a square whole that no edge of the walk reaches)
+        if name.startswith("pushed"):
+            verts = np.array(list(product((1, -1), repeat=3)), dtype=float)
+            verts[0] *= 1 + float(name[6:])
+            poly = make_polytope(3, verts)
+        else:
+            poly = {**FIXTURES, "cube4": lambda: hypercube(4),
+                    "cell24": lambda: make_polytope(4, cell24())}[name]()
+        eps, n, d = poly.tol.geom_rel, poly.n, poly.dim
+        stencil = 1.0 + np.concatenate([np.eye(n), -np.eye(n)])[:16] * poly.tol.fd_step / 4
+        cases = [(poly.unit - poly.unit.mean(axis=0), np.ones((1, n)))]
+        if not name.startswith("pushed"):
+            cases.append((poly.unit, stencil))
+
+        def walk(normals, offsets):
+            rows, lost = geometry._vertices(normals, offsets, eps)
+            return [a.tobytes() for row in rows for a in row], lost.tobytes()
+
+        for normals, offsets in cases:
+            want = walk(normals, offsets)
+            for seed in range(4):
+                starts = np.random.default_rng(seed).standard_normal(((seed + 1) * d, d, d))
+                monkeypatch.setattr(geometry, "_generic", lambda d: starts)
+                assert walk(normals, offsets) == want
+                monkeypatch.undo()
+
+    def test_lost_edge_is_named(self, monkeypatch):
+        # a pivot that solves to no vertex loses an edge, so the vertices found may be a part
+        # only: validation names it once its other checks pass, and so does the shifted dual
+        poly = FIXTURES["octahedron"]()  # the polar, a cube, is simple: no local re-solves
+        solve, calls = geometry._solve, []
+
+        def lossy(*args):  # the walk's first batch is its seeds; a later one its pivots
+            hit, x, tight = solve(*args)
+            calls.append(1)
+            return (hit, x, tight) if len(calls) == 1 else (hit[1:], x[1:], tight[1:])
+
+        monkeypatch.setattr(geometry, "_solve", lossy)
+        with pytest.raises(DegenerateGeometry, match="^facet walk lost an edge"):
+            make_polytope(3, poly.vertices)
+        calls.clear()
+        with pytest.raises(NumericalInstability, match="^shifted dual's vertex walk lost"):
+            geometry._shifted_dual(poly, np.ones((1, 2, poly.n)))
+
     def test_600_cell_validates(self):
         # the scan of all C(120, 4) subsets took seconds; the walk visits its 600 vertices
-        poly = make_polytope(4, cell600())
+        poly = make_polytope(4, bench.INSTANCES["600-cell"]())
         assert poly.incidence.shape == (600, 120) and np.all(poly.incidence.sum(axis=1) == 4)
         assert len(poly.edges) == 720
         assert np.all(adjacency(poly.n, poly.edges).sum(axis=0) == 12)
