@@ -160,13 +160,10 @@ def _unseen(row, bits, seen, keys=None) -> list:
     so keys sort by row first.
     """
     key = np.concatenate([row.astype(">u4")[:, None].view(np.uint8), bits], axis=1)
-    new = []
-    for i, k in enumerate(key.view(np.dtype((np.void, key.shape[1])))[:, 0].tolist()):
-        if k not in seen:
-            seen.add(k)
-            new.append(i)
-            if keys is not None:
-                keys.append(k)
+    key = key.view(np.dtype((np.void, key.shape[1])))[:, 0].tolist()
+    new = [i for i, k in enumerate(key) if k not in seen and not seen.add(k)]
+    if keys is not None:
+        keys.extend(key[i] for i in new)
     return new
 
 
@@ -208,7 +205,7 @@ def _start(normals: np.ndarray, offsets: np.ndarray, eps: float):
     walks, b = np.arange(len(row)), offsets[row]
     x, proj, met = np.zeros((len(row), d)), np.eye(d), []  # proj: off the met planes' normals
     for k in range(d):
-        u = np.einsum("nij,nj->ni", np.broadcast_to(proj, (len(row), d, d)), steps[:, k])
+        u = (proj @ steps[:, k, :, None])[..., 0]
         rise, slack = u @ normals.T, b - x @ normals.T
         t = np.divide(slack, rise, where=(rise > 0) & (slack > eps),
                       out=np.full(rise.shape, np.inf))
@@ -218,7 +215,8 @@ def _start(normals: np.ndarray, offsets: np.ndarray, eps: float):
             q = proj @ normals[hit, :, None]
             proj = proj - q @ q.swapaxes(1, 2) / (q.swapaxes(1, 2) @ q)
     subsets = np.sort(np.column_stack(met), axis=1)
-    seeds = np.concatenate([subsets[:1], subsets[rows:]])  # row 0's
+    seeds = np.concatenate([subsets[:1], subsets[rows:]])  # row 0's, each once
+    seeds = seeds[_unseen(np.zeros(len(seeds), np.intp), seeds.view(np.uint8), set())]
     return (np.concatenate([np.arange(rows), np.repeat(np.arange(rows), len(seeds))]),
             np.concatenate([subsets[:rows], np.tile(seeds, (rows, 1))]))
 
@@ -354,10 +352,8 @@ def _nonsimple_pivots(normals, lengths, row, slack, tight, which, eps):
             moves.append((at[v[one]], np.where((edge < len(v))[:, None], e[one], -e[one]),
                           kept[one], hold[one], conditioning[one]))
     v, e, kept, hold, conditioning = map(np.concatenate, zip(*moves))
-    key = np.hstack([v.astype(">u4")[:, None].view(np.uint8), np.packbits(hold, axis=1)])
-    edge = np.unique(key.view(np.dtype((np.void, key.shape[1])))[:, 0], return_inverse=True)[1]
-    order = np.lexsort((-conditioning, edge))
-    best = order[np.unique(edge[order], return_index=True)[1]]
+    order = np.argsort(-conditioning, kind="stable")  # each edge's best-conditioned subset first
+    best = order[_unseen(v[order], np.packbits(hold[order], axis=1), set())]
     v, rise, kept = v[best], e[best] @ normals.T, kept[best]
     few = vertex[np.bincount(v, minlength=len(which))[vertex] < d]
     t = np.divide(slack[v], rise, where=(rise > 0) & ~tight[v], out=np.full(rise.shape, np.inf))
@@ -634,9 +630,13 @@ def _shifted_dual(poly: Polytope, c) -> list:
     delta, eps = tol.dual_trust, tol.geom_rel
     outside = np.any((c < 1.0 - delta - 1e-15) | (c > 1.0 + delta + 1e-15), axis=(1, 2))
     rays, lost = _vertices(poly.unit, c[:, 0], eps)
-    flat = [len(p) <= d or _affine_rank(p, tol.geom(np.linalg.norm(p, axis=1).max())) != d
-            for p, _, _ in rays]  # a region's size is about 1
-    sizes = [len(p) for p, _, _ in rays]
+    sizes = np.array([len(p) for p, _, _ in rays])
+    flat = sizes <= d
+    for k in set(sizes[~flat].tolist()):  # one stacked rank per size; a region's size is about 1
+        at = np.flatnonzero(sizes == k)
+        points = np.stack([rays[r][0] for r in at])
+        scale = np.linalg.norm(points, axis=2).max(axis=1, keepdims=True)
+        flat[at] = _affine_rank(points, tol.geom(scale)) != d
     tight, subsets = np.hstack([t for _, t, _ in rays]), np.vstack([q for *_, q in rays])
     b = c[ray := np.repeat(np.arange(len(c)), sizes), 1:]        # (K, S - 1, n)
     x = np.linalg.solve(poly.unit[subsets][:, None],
