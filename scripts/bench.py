@@ -8,8 +8,8 @@ Builds the 4-cube, the 24-cell, the 5-cross-polytope, the 5-cube, the
 turned by a fixed-seed orthogonal map, and runs ``python -m polysym
 analyze`` on each, then on the 6-cross-polytope and the 5-cube in one run,
 plus ``validate`` on the 4-cube, on the 24-cell, on the 6-cross-polytope,
-which is simplicial, so that its finite-difference oracle makes one
-volume-kernel call, on 2_21 and on the 600-cell.  ``--src`` names the
+which is simplicial, so that no stencil ray of its finite-difference
+oracle splits a vertex, on 2_21 and on the 600-cell.  ``--src`` names the
 checkout whose ``src`` is run (default: this one), so a parent checkout
 can be measured with the same script.  Each row is run REPEATS times, each
 run one child process in the row's fresh temporary directory, given

@@ -5,10 +5,10 @@ runs on them at unit scale.  Validation finds the facets once, as the polar
 dual's vertices, and the edge-graph is read off their incidence; the
 ``Polytope`` carries both.  One vertex enumeration (``_vertices``), a walk
 over the vertex-edge graph that solves d-subsets only next to the
-vertices it finds, serves validation, with one offset row, and the
-shifted duals of all stencil rays at once.  Volumes are summed over the
+vertices it finds, serves validation and the shifted duals, which read
+every stencil ray off one walk at c = 1.  Volumes are summed over the
 face lattice an incidence gives, by the pyramid formula, a level at a
-time.
+time, all faces of a level in one pass.
 """
 
 from __future__ import annotations
@@ -96,117 +96,91 @@ def _affine_rank(points: np.ndarray, eps: float) -> np.ndarray:
     return np.sum(s > np.maximum(eps, 1e-13 * s[..., :1]), axis=-1)
 
 
-def _vertices(normals: np.ndarray, offsets: np.ndarray, eps: float) -> tuple[list, np.ndarray]:
-    """Vertices of {x : normals @ x <= offsets[r]} for each row r, each once, with the tight planes.
+def _vertices(normals: np.ndarray, offsets: np.ndarray, eps: float) -> tuple[tuple, bool]:
+    """Vertices of {x : normals @ x <= offsets}, each once, with the tight planes.
 
-    A breadth-first walk over each row's vertex-edge graph, one layer of
-    every row at a time in batches of at most BLOCK / d candidates, visits
-    the vertices and their edges only (Avis & Fukuda 1992).  Each step
-    solves (row, d-subset) candidates (``_solve``); a feasible solve is a
-    vertex, known by its row and its tight planes.  The walk starts from
-    ``_start``'s seeds, which need not be vertices, and the new vertices'
-    ``_pivots`` give the next layer, each pivot one edge.  ``eps`` bounds
-    <a_i, x> - b_i, so it is relative for offsets near 1.  At the end each
-    vertex is re-solved from the lexicographically first d-subset of its
-    tight planes that solves back to them (``_first_solves``), so it keeps
-    the bits that solving every d-subset in lexicographic order, first
-    solve winning, gives it.
-    Returns one ``(points, tight, subsets)`` per row: points of shape (k, d),
-    ``tight`` of shape (m, k) with ``tight[i, p]`` flagging point p on
-    plane i, its columns sorted (False before True), and the (k, d)
-    subsets the points were solved from; and ``lost``, flagging the rows
-    whose walk lost an edge: a pivot that solves to no vertex, an edge that
-    meets no plane, or a vertex with fewer than d edges.  Such a row's
+    A breadth-first walk over the vertex-edge graph, a layer at a time in
+    batches of at most BLOCK / d d-subsets (``_solve``), visits the vertices
+    and their edges only (Avis & Fukuda 1992): it starts from ``_start``'s
+    seeds, and the new vertices' ``_pivots`` give the next layer, a pivot an
+    edge.  ``eps`` bounds <a_i, x> - b_i, relative for offsets near 1.  Each
+    vertex is then re-solved from the first d-subset of its tight planes
+    that solves back to them (``_first_solves``), the bits that solving
+    every d-subset in lexicographic order, first solve winning, gives it.
+    Returns ``(points, tight, subsets)``, (k, d) points, ``tight[i, p]``
+    flagging point p on plane i, its columns sorted (False before True), and
+    the (k, d) subsets solved; and ``lost``, true when a pivot solves to no
+    vertex, an edge meets no plane or a vertex has fewer than d edges: the
     vertices may be a part only, and the caller names the failure.
     """
     m, d = normals.shape
-    lengths, seen, tried, keys = np.linalg.norm(normals, axis=1), set(), set(), []
-    found = [(np.zeros(0, np.intp), np.zeros((0, d)), np.zeros((0, m), bool),
-              np.zeros((0, d), np.intp))]
-    queue, per = deque([(*_start(normals, offsets, eps), False)]), max(1, BLOCK // d)
-    lost = np.zeros(len(offsets), bool)
+    lengths, seen, tried = np.linalg.norm(normals, axis=1), set(), set()
+    found = [(np.zeros((0, d)), np.zeros((0, m), bool), np.zeros((0, d), np.intp))]
+    queue, per, lost = deque([(_start(normals, offsets, eps), False)]), max(1, BLOCK // d), False
     while queue:
-        row, subsets, pivot = queue.popleft()
-        if len(row) > per:  # a layer goes in batches of ``per`` candidates
-            queue.appendleft((row[per:], subsets[per:], pivot))
-            row, subsets = row[:per], subsets[:per]
+        subsets, pivot = queue.popleft()
+        if len(subsets) > per:  # a layer goes in batches of ``per`` candidates
+            queue.appendleft((subsets[per:], pivot))
+            subsets = subsets[:per]
         if pivot:  # each pivot solved once; a seed may not be a vertex, so it is not kept
-            if not (fresh := _unseen(row, subsets.view(np.uint8), tried)):
+            if not (fresh := _unseen(subsets.view(np.uint8), tried)):
                 continue
-            row, subsets = row[fresh], subsets[fresh]
-        hit, x, tight = _solve(normals, lengths, offsets, row, subsets, eps)
-        if pivot:  # an edge that leads to no vertex
-            lost[np.delete(row, hit)] = True
-        if not (new := _unseen(row[hit], np.packbits(tight, axis=1), seen, keys)):
+            subsets = subsets[fresh]
+        hit, x, tight = _solve(normals, lengths, offsets, subsets, eps)
+        lost |= pivot and len(hit) < len(subsets)  # an edge that leads to no vertex
+        if not (new := _unseen(np.packbits(tight, axis=1), seen)):
             continue
-        row, x, tight, subsets = row[hit[new]], x[new], tight[new], subsets[hit[new]]
-        found.append((row, x, tight, subsets))
-        row, subsets, gone = _pivots(normals, lengths, offsets, row, x, tight, subsets, eps)
-        lost[gone] = True
-        queue.append((row, subsets, True))
-    row, x, tight, subsets = map(np.concatenate, zip(*found))
-    arrays = (*_first_solves(normals, lengths, offsets, row, x, tight, subsets, eps), tight)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    points, subsets, tight = (a[order] for a in arrays)
-    cut = np.searchsorted(row[order], np.arange(len(offsets) + 1)).tolist()
-    return [(points[lo:hi], tight[lo:hi].T, subsets[lo:hi]) for lo, hi in zip(cut, cut[1:])], lost
+        x, tight, subsets = x[new], tight[new], subsets[hit[new]]
+        found.append((x, tight, subsets))
+        subsets, gone = _pivots(normals, lengths, offsets, x, tight, subsets, eps)
+        lost |= gone
+        queue.append((subsets, True))
+    x, tight, subsets = map(np.concatenate, zip(*found))
+    x, subsets = _first_solves(normals, lengths, offsets, x, tight, subsets, eps)
+    order = np.lexsort(np.packbits(tight, axis=1).T[::-1])  # by tight planes, as bytes
+    return (x[order], tight[order].T, subsets[order]), lost
 
 
-def _unseen(row, bits, seen, keys=None) -> list:
-    """Indices of the rows of ``bits`` (uint8) whose key, with their row, is not in ``seen`` yet.
-
-    Each new key is added to ``seen``, and to ``keys`` if given, in order; of
-    equal keys the first counts.  A key is the row, big-endian, then the bits,
-    so keys sort by row first.
-    """
-    key = np.concatenate([row.astype(">u4")[:, None].view(np.uint8), bits], axis=1)
-    key = key.view(np.dtype((np.void, key.shape[1])))[:, 0].tolist()
-    new = [i for i, k in enumerate(key) if k not in seen and not seen.add(k)]
-    if keys is not None:
-        keys.extend(key[i] for i in new)
-    return new
+def _unseen(bits, seen) -> list:
+    """Indices of rows of ``bits`` (uint8) new to ``seen``, which they join; of equals the first."""
+    key = np.ascontiguousarray(bits).view(np.dtype((np.void, bits.shape[1])))[:, 0].tolist()
+    return [i for i, k in enumerate(key) if k not in seen and not seen.add(k)]
 
 
-def _solve(normals, lengths, offsets, row, subsets, eps):
-    """Which (row, sorted d-subset) candidates solve to a vertex; their points and tight planes.
+def _solve(normals, lengths, offsets, subsets, eps):
+    """Which sorted d-subsets solve to a vertex; their points and tight planes.
 
     A subset whose determinant is at most 1e-12 of Hadamard's bound (the
-    product of its row lengths) is skipped.  Any other is solved at its
-    row's offsets; the solution is a vertex when it is feasible within
-    ``eps``, and a plane is tight on it within ``eps`` of its offset.
+    product of its row lengths) is skipped.  Any other is solved at the
+    offsets (a row, or one a subset); the solution is a vertex when it is
+    feasible within ``eps``, and a plane is tight on it within ``eps``.
     """
     mats = normals[subsets]
     ok = np.flatnonzero(np.abs(np.linalg.det(mats)) > 1e-12 * np.prod(lengths[subsets], axis=1))
-    row, subsets = row[ok], subsets[ok]
-    x = np.linalg.solve(mats[ok], offsets[row[:, None], subsets, None])[..., 0]
-    vals, b = x @ normals.T, offsets[row]
+    b = np.broadcast_to(offsets, (len(subsets), len(normals)))[ok]
+    x = np.linalg.solve(mats[ok], np.take_along_axis(b, subsets[ok], axis=1)[..., None])[..., 0]
+    vals = x @ normals.T
     feasible = np.all(vals <= b + eps, axis=1)
     return ok[feasible], x[feasible], vals[feasible] >= b[feasible] - eps
 
 
 def _start(normals: np.ndarray, offsets: np.ndarray, eps: float):
-    """(row, d-subset) candidates where ray walks from the origin stop: vertices of their rows.
+    """The d-subsets where ray walks from the origin stop, each once: vertices of the region.
 
     The origin is interior (offsets > 0).  A walk takes d ratio tests: it
     moves along its direction, projected off the planes met so far, to the
     first plane it meets among those not yet tight within ``eps``.  A tight
     plane that was not met holds the face reached, so its normal lies in
-    the span of theirs, and the d planes met are independent.  Each row
-    takes one walk; row 0 takes WALKS * d, along fixed generic directions,
-    and their subsets are every row's candidates too: the rows of one call
-    (a stencil's) are near one another, and many starts shorten the walk.
-    The walks' own subsets are vertices of their rows; a seed in another
-    row may not be, and ``_solve`` drops it then: a seed is no edge.
+    the span of theirs, and the d planes met are independent.  WALKS * d
+    walks go along fixed generic directions; many starts shorten the walk.
     """
-    d, rows = normals.shape[1], len(offsets)
+    d = normals.shape[1]
     generic = _generic(d)
-    row = np.concatenate([np.arange(rows), np.zeros(len(generic) - 1, np.intp)])
-    steps = np.concatenate([np.broadcast_to(generic[0], (rows, d, d)), generic[1:]])
-    walks, b = np.arange(len(row)), offsets[row]
-    x, proj, met = np.zeros((len(row), d)), np.eye(d), []  # proj: off the met planes' normals
+    x, proj, met = np.zeros((len(generic), d)), np.eye(d), []  # proj: off the met planes' normals
+    walks = np.arange(len(x))
     for k in range(d):
-        u = (proj @ steps[:, k, :, None])[..., 0]
-        rise, slack = u @ normals.T, b - x @ normals.T
+        u = (proj @ generic[:, k, :, None])[..., 0]
+        rise, slack = u @ normals.T, offsets - x @ normals.T
         t = np.divide(slack, rise, where=(rise > 0) & (slack > eps),
                       out=np.full(rise.shape, np.inf))
         met.append(hit := t.argmin(axis=1))
@@ -215,10 +189,7 @@ def _start(normals: np.ndarray, offsets: np.ndarray, eps: float):
             q = proj @ normals[hit, :, None]
             proj = proj - q @ q.swapaxes(1, 2) / (q.swapaxes(1, 2) @ q)
     subsets = np.sort(np.column_stack(met), axis=1)
-    seeds = np.concatenate([subsets[:1], subsets[rows:]])  # row 0's, each once
-    seeds = seeds[_unseen(np.zeros(len(seeds), np.intp), seeds.view(np.uint8), set())]
-    return (np.concatenate([np.arange(rows), np.repeat(np.arange(rows), len(seeds))]),
-            np.concatenate([subsets[:rows], np.tile(seeds, (rows, 1))]))
+    return subsets[_unseen(subsets.view(np.uint8), set())]
 
 
 @cache
@@ -245,19 +216,22 @@ def _combinations(k: int, size: int) -> np.ndarray:
     return combos
 
 
-def _local(planes: np.ndarray, size: int, rows: int):
-    """Every size-subset of each row of ``planes``, in lexicographic batches of about ``rows``.
+def _local(tight: np.ndarray, size: int, rows: int):
+    """Every size-subset of the planes each row of ``tight`` flags, in lexicographic batches.
 
-    Yields (row of ``planes``, subset) arrays; within a batch each row's subsets stay in order.
+    Yields (row, subset) arrays, about ``rows`` a batch, the rows of one
+    count of planes at a time; within a batch each row's subsets stay in order.
     """
-    combos = _combinations(planes.shape[1], size)
-    per = max(1, rows // len(planes))
-    for lo in range(0, len(combos), per):
-        part = combos[lo:lo + per]
-        yield np.repeat(np.arange(len(planes)), len(part)), planes[:, part].reshape(-1, size)
+    count = tight.sum(axis=1)
+    for k in set(count.tolist()):
+        at = np.flatnonzero(count == k)
+        planes, combos = np.nonzero(tight[at])[1].reshape(len(at), k), _combinations(k, size)
+        for lo in range(0, len(combos), per := max(1, rows // len(at))):
+            part = combos[lo:lo + per]
+            yield np.repeat(at, len(part)), planes[:, part].reshape(-1, size)
 
 
-def _first_solves(normals, lengths, offsets, row, x, tight, subsets, eps):
+def _first_solves(normals, lengths, offsets, x, tight, subsets, eps):
     """Each vertex's point and subset from the lexicographically first d-subset of its tight planes
     that solves back to them.
 
@@ -268,25 +242,20 @@ def _first_solves(normals, lengths, offsets, row, x, tight, subsets, eps):
     as the (row, m) values of one block of a scan of every subset did.
     """
     m, d = normals.shape
-    size = tight.sum(axis=1)
-    for k in set(size[size > d].tolist()):
-        at = np.flatnonzero(size == k)
-        planes = np.nonzero(tight[at])[1].reshape(-1, k)
-        done = np.all(subsets[at] == planes[:, :d], axis=1)  # found from the first subset
-        for v, cand in _local(planes, d, BLOCK * m // (m + d * d)):
-            if done.all():
-                break
-            v, cand = v[~done[v]], cand[~done[v]]
-            hit, xs, ts = _solve(normals, lengths, offsets, row[at[v]], cand, eps)
-            back = np.all(ts == tight[at[v[hit]]], axis=1)
-            w, first = np.unique(v[hit[back]], return_index=True)
-            x[at[w]], subsets[at[w]] = xs[back][first], cand[hit[back][first]]
-            done[w] = True
+    todo = np.any(subsets != np.argsort(~tight, axis=1, kind="stable")[:, :d], axis=1)  # not first
+    for v, cand in _local(tight & todo[:, None], d, BLOCK * m // (m + d * d)):
+        if not todo.any():
+            break
+        v, cand = v[todo[v]], cand[todo[v]]
+        hit, xs, ts = _solve(normals, lengths, offsets, cand, eps)
+        back = np.all(ts == tight[v[hit]], axis=1)
+        w, first = np.unique(v[hit[back]], return_index=True)
+        x[w], subsets[w], todo[w] = xs[back][first], cand[hit[back][first]], False
     return x, subsets
 
 
-def _pivots(normals, lengths, offsets, row, x, tight, subsets, eps):
-    """The (row, d-subset) candidates one pivot from the vertices reaches: the walk's next layer.
+def _pivots(normals, lengths, offsets, x, tight, subsets, eps):
+    """The d-subsets one pivot from the vertices reaches, the walk's next layer, and a lost edge.
 
     An edge of a vertex keeps d - 1 of its tight planes, and a ratio test
     along it over the planes not tight on the vertex finds the first one
@@ -297,7 +266,7 @@ def _pivots(normals, lengths, offsets, row, x, tight, subsets, eps):
     by more than ``eps`` per unit length is taken.
     """
     d = normals.shape[1]
-    slack, size = offsets[row] - x @ normals.T, tight.sum(axis=1)
+    slack, size = offsets - x @ normals.T, tight.sum(axis=1)
     simple, cands = size == d, []
     if simple.any():
         # rise[v, i, j]: the rate plane i rises at along the edge leaving plane subsets[v, j]
@@ -306,15 +275,14 @@ def _pivots(normals, lengths, offsets, row, x, tight, subsets, eps):
                       out=np.full(rise.shape, np.inf))
         hit, ok = t.argmin(axis=1), np.isfinite(t.min(axis=1)).ravel()
         bases = np.where(np.eye(d, dtype=bool), hit[:, :, None], subsets[simple, None])
-        edges = np.repeat(row[simple], d)
-        cands.append((edges[ok], bases.reshape(-1, d)[ok], edges[~ok]))
+        cands.append((bases.reshape(-1, d)[ok], not ok.all()))
     if not simple.all():
-        cands.append(_nonsimple_pivots(normals, lengths, row, slack, tight, ~simple, eps))
-    row, bases, lost = map(np.concatenate, zip(*cands))
-    return row, np.sort(bases, axis=1), lost
+        cands.append(_nonsimple_pivots(normals, lengths, slack, tight, ~simple, eps))
+    bases, lost = zip(*cands)
+    return np.sort(np.concatenate(bases), axis=1), any(lost)
 
 
-def _nonsimple_pivots(normals, lengths, row, slack, tight, which, eps):
+def _nonsimple_pivots(normals, lengths, slack, tight, which, eps):
     """``_pivots`` of the vertices ``which`` flags, each on more than d planes.
 
     The line a (d - 1)-subset spans has the direction of its generalized
@@ -328,38 +296,31 @@ def _nonsimple_pivots(normals, lengths, row, slack, tight, which, eps):
     floats a row, hold about BLOCK * m floats, as in ``_first_solves``.
     """
     m, d = normals.shape
-    vertex = np.flatnonzero(which)
-    size = tight[vertex].sum(axis=1)
     minor = _combinations(d, d - 1)[::-1]  # row j: every column but j
     moves = []  # (vertex, direction, kept planes, planes holding it, conditioning)
-    for k in set(size.tolist()):
-        at = vertex[size == k]
-        planes = np.nonzero(tight[at])[1].reshape(-1, k)
-        for v, kept in _local(planes, d - 1, BLOCK * m // (m + d * (d - 1) ** 2)):
-            e = np.linalg.det(normals[kept][:, :, minor].swapaxes(1, 2)) * (-1.0) ** np.arange(d)
-            length = np.linalg.norm(e, axis=1)
-            conditioning = length / np.prod(lengths[kept], axis=1)
-            line = conditioning > 1e-12  # the subset spans a line, by the determinant test's bound
-            e = np.divide(e, length[:, None], where=line[:, None], out=np.zeros(e.shape))
-            pairs, on = np.arange(len(v))[:, None], planes[v]
-            up = (e @ normals.T)[pairs, on] / lengths[on]
-            hold = np.zeros((len(v), m), bool)
-            hold[pairs, on] = np.abs(up) <= eps
-            # each line both ways: an edge where no tight plane rises
-            edge = np.flatnonzero(np.concatenate([line & np.all(up <= eps, axis=1),
-                                                  line & np.all(-up <= eps, axis=1)]))
-            one = edge % len(v)
-            moves.append((at[v[one]], np.where((edge < len(v))[:, None], e[one], -e[one]),
-                          kept[one], hold[one], conditioning[one]))
+    for v, kept in _local(tight & which[:, None], d - 1, BLOCK * m // (m + d * (d - 1) ** 2)):
+        e = np.linalg.det(normals[kept][:, :, minor].swapaxes(1, 2)) * (-1.0) ** np.arange(d)
+        length = np.linalg.norm(e, axis=1)
+        conditioning = length / np.prod(lengths[kept], axis=1)
+        line = conditioning > 1e-12  # the subset spans a line, by the determinant test's bound
+        e = np.divide(e, length[:, None], where=line[:, None], out=np.zeros(e.shape))
+        up = np.where(tight[v], (e @ normals.T) / lengths, 0.0)  # each tight plane's rise
+        hold = tight[v] & (np.abs(up) <= eps)
+        # each line both ways: an edge where no tight plane rises
+        edge = np.flatnonzero(np.concatenate([line & np.all(up <= eps, axis=1),
+                                              line & np.all(-up <= eps, axis=1)]))
+        one = edge % len(v)
+        moves.append((v[one], np.where((edge < len(v))[:, None], e[one], -e[one]), kept[one],
+                      hold[one], conditioning[one]))
     v, e, kept, hold, conditioning = map(np.concatenate, zip(*moves))
     order = np.argsort(-conditioning, kind="stable")  # each edge's best-conditioned subset first
-    best = order[_unseen(v[order], np.packbits(hold[order], axis=1), set())]
+    key = np.hstack([v[order, None].astype(">u4").view(np.uint8), np.packbits(hold[order], axis=1)])
+    best = order[_unseen(key, set())]  # an edge is its vertex and the planes holding it
     v, rise, kept = v[best], e[best] @ normals.T, kept[best]
-    few = vertex[np.bincount(v, minlength=len(which))[vertex] < d]
+    few = np.any(np.bincount(v, minlength=len(which))[which] < d)
     t = np.divide(slack[v], rise, where=(rise > 0) & ~tight[v], out=np.full(rise.shape, np.inf))
     ok = np.isfinite(t.min(axis=1))
-    return (row[v[ok]], np.column_stack([kept[ok], t.argmin(axis=1)[ok]]),
-            np.concatenate([row[few], row[v[~ok]]]))
+    return np.column_stack([kept[ok], t.argmin(axis=1)[ok]]), bool(few or not ok.all())
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +354,7 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
         raise ValidationError("not full-dimensional: vertices lie in a proper affine subspace")
     # g is interior, so the polar of P - g is bounded
     g = vertices.mean(axis=0)
-    [(polar, tight, _)], lost = _vertices(vertices - g, np.ones((1, n)), tol.geom_rel)
+    (polar, tight, _), lost = _vertices(vertices - g, np.ones(n), tol.geom_rel)
     if not len(polar):
         raise ValidationError("no facet: every d-subset of the polar's planes is near-singular")
     # reversed: facets ordered by their sorted vertex index lists
@@ -411,7 +372,7 @@ def validate_vertices(dim: int, vertices: np.ndarray, tol: Tolerances = DEFAULT_
     rank = np.linalg.matrix_rank(incidence.T[:, :, None] * (x / length[:, None]), tol=1e-10)
     if np.any(rank < dim):
         raise ValidationError(f"non-extreme point: vertex {np.argmax(rank < dim)}")
-    if lost[0]:  # the facets found may be a part only
+    if lost:  # the facets found may be a part only
         raise DegenerateGeometry("facet walk lost an edge: the polar is degenerate within tolerance")
     return x / b[:, None], incidence
 
@@ -530,55 +491,90 @@ def dual_edge_volumes(poly: Polytope) -> list[float]:
     incidence transposed; all dual faces go to one kernel call.
     """
     inc, (i, j) = poly.incidence, np.array(poly.edges).T
-    return _face_volumes(poly.unit_normals[None], poly.unit,
-                         np.ones((1, poly.n)), inc.T, (inc[:, i] & inc[:, j]).T,
-                         poly.dim - 2)[0].tolist()
+    faces = _lists(*np.nonzero((inc[:, i] & inc[:, j]).T), len(inc))
+    return _face_volumes(poly.unit_normals[None], poly.unit, np.ones((1, 1, poly.n)),
+                         np.zeros(len(i), np.intp), inc.T, faces, poly.dim - 2)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
 # volumes, level by level down the face lattice
 
-def _face_volumes(points, normals, offsets, incidence, faces, k) -> np.ndarray:
-    """(S, F) relative volumes of F k-faces of S polytopes of one combinatorial type.
+def _rank(f: np.ndarray) -> np.ndarray:
+    """The place of each entry of the sorted ``f`` among its equals."""
+    return np.arange(len(f)) - np.searchsorted(f, f)
 
-    Polytope s is conv(``points[s]``) = {x : <normals[j], x> <= offsets[s, j]},
-    ``incidence[j, p]`` flags point p on plane j, and row f of ``faces``
-    flags the points of face f.  Points and simplices are closed-form (Gram
-    determinant).  Any other face Q has as sub-faces the inclusion-maximal
-    non-empty patterns of the planes not tight on Q, each from the first
-    plane with it, and vol_k(Q) = (1/k) sum_R h_R vol_{k-1}(R) in ascending
-    plane order (Bueler, Enge & Fukuda 2000), with h_R the distance from
-    Q's vertex centroid c to R's plane inside aff(Q): (b_j - <a_j, c>) over
-    the length of a_j projected onto Q's direction, the complement of the
-    span of Q's tight normals.  The faces of a level are taken at once, and
-    their distinct sub-faces make one call on level k - 1.  Dot products
-    are elementwise products and sums, centroids ordered sums, so a face's
+
+def _lists(f: np.ndarray, p: np.ndarray, fill: int) -> np.ndarray:
+    """Index lists from (face, point) pairs sorted by face: row f its points, then ``fill``."""
+    rank = _rank(f)
+    lists = np.full((f[-1] + 1, rank.max() + 1), fill)
+    lists[f, rank] = p
+    return lists
+
+
+def _face_volumes(points, normals, offsets, types, incidence, faces, k) -> np.ndarray:
+    """(S, F) relative volumes of F k-faces, each of one of T polytopes, in each of S sets.
+
+    ``incidence[j, p]`` flags point p, ``points[s, p]`` in set s, on plane
+    j.  Row f of ``faces`` lists face f's points, ascending, padded with P;
+    it lies in polytope t = ``types[f]``, {x : <normals[j], x> <=
+    offsets[s, t, j]}.  Points and simplices are closed-form (Gram
+    determinant); any other face Q is a sum of ``_pyramids``, vol_k(Q) =
+    (1/k) sum_R h_R vol_{k-1}(R) in ascending plane order (Bueler, Enge &
+    Fukuda 2000).  A level's faces of every type go at once, and their
+    distinct sub-faces make one call on level k - 1.  Dot products are
+    elementwise products and sums, centroids ordered sums, so a face's
     volume has the same bits whatever else is in its batch.
     """
     n_sets, n_points, d = points.shape
-    size = faces.sum(axis=1)
-    vol = np.ones((n_sets, len(faces)))
-    if k == 0:
-        return vol
-    simplex = size == k + 1
-    pts = points[:, np.nonzero(faces[simplex])[1].reshape(-1, k + 1)]  # (S, F', k + 1, d)
+    size, vol = np.sum(faces < n_points, axis=1), np.ones((n_sets, len(faces)))
+    if not (simplex := size == k + 1).all():
+        local, size, types = faces[~simplex], size[~simplex], types[~simplex]
+        per = max(1, BLOCK // local.shape[1])  # faces a block: BLOCK * m (face, point, plane) flags
+        f, j, h, child = map(np.concatenate, zip(*(  # child[pair, q]: point q on the pair's plane
+            _pyramids(points, normals, offsets, types, incidence, local, size, k, lo, lo + per)
+            for lo in range(0, len(local), per))))
+        # the distinct sub-faces, as index lists, one call on the level below
+        pair, q = np.nonzero(child)
+        child = _lists(pair, local[f[pair], q], n_points)
+        _, first, which = np.unique(child.view(np.dtype((np.void, child[0].nbytes)))[:, 0],
+                                    return_index=True, return_inverse=True)
+        child, pair, q = child[first], None, None  # free before the level below
+        below = _face_volumes(points, normals, offsets, types[f[first]], incidence, child, k - 1)
+        # each pyramid sum in ascending plane order
+        terms = np.zeros((n_sets, len(local), np.bincount(f).max()))
+        terms[:, f, _rank(f)] = h.T * below[:, which]
+        vol[:, ~simplex] = np.cumsum(terms, axis=2)[:, :, -1] / k
+    pts = points[:, faces[simplex, :k + 1]]  # (S, F', k + 1, d)
     rays = pts[:, :, 1:] - pts[:, :, :1]
     vol[:, simplex] = np.sqrt(np.linalg.det(rays @ rays.swapaxes(2, 3))) / factorial(k)
-    if simplex.all():
-        return vol
-    face, size = faces[~simplex], size[~simplex]
-    rank = lambda f: np.arange(len(f)) - np.searchsorted(f, f)  # place of each f among equals
-    # each face's points, padded with index P: a point off every plane, at the origin
-    f, p = np.nonzero(face)
-    local = np.full((len(face), size.max()), n_points)
-    local[f, rank(f)] = p
-    cols = np.vstack([incidence.T, np.zeros(len(normals), bool)])[local]  # (G, Q, m)
+    return vol
+
+
+def _pyramids(points, normals, offsets, types, incidence, local, size, k, lo, hi):
+    """The pyramids over the k-faces ``local[lo:hi]``: (face, plane) pairs, heights, members.
+
+    A face Q's sub-faces are the inclusion-maximal non-empty patterns of
+    the planes not tight on Q, each from the first plane with it.  A pair's
+    (S,) heights h are the distances from Q's vertex centroid c to the plane
+    inside aff(Q): (b_j - <a_j, c>) over the length of a_j projected onto
+    Q's direction, the complement of the span of Q's tight normals.  Faces
+    whose points lie on the same planes, in order, share their pairs and
+    denominators.  P pads ``local``: a point on no plane, at the origin.
+    """
+    d, n_points = normals.shape[1], points.shape[1]
+    local, size, types, pad = local[lo:hi], size[lo:hi], types[lo:hi], local[lo:hi] == n_points
+    cols = incidence.T[np.where(pad, 0, local)] & ~pad[..., None]  # (G, Q, m)
+    key = np.packbits(cols, axis=2).reshape(len(local), -1)
+    _, rep, inv = np.unique(key.view(np.dtype((np.void, key.shape[1])))[:, 0],
+                            return_index=True, return_inverse=True)
+    cols = cols[rep]
     count = cols.sum(axis=1)
-    tight = count == size[:, None]
+    tight = count == size[rep, None]
     # sub-faces: the maximal patterns, first plane first, among planes meeting the face
     f, j = np.nonzero((count > 0) & ~tight)
-    slot = rank(f)
-    pats = np.zeros((len(face), slot.max() + 1, local.shape[1]))
+    slot = _rank(f)
+    pats = np.zeros((len(rep), slot.max() + 1, local.shape[1]))
     pats[f, slot] = cols[f, :, j]
     sizes = np.zeros(pats.shape[:2])
     sizes[f, slot] = count[f, j]
@@ -588,7 +584,7 @@ def _face_volumes(points, normals, offsets, incidence, faces, k) -> np.ndarray:
     keep = sub[f, slot]
     f, j = f[keep], j[keep]
     # denominators: Q's direction from an SVD of its tight normals, stacked by their count
-    span, ntight = np.zeros((len(face), d - k, d)), tight.sum(axis=1)
+    span, ntight = np.zeros((len(rep), d - k, d)), tight.sum(axis=1)
     for t in set(ntight.tolist()):
         rows = np.flatnonzero(ntight == t)
         planes = np.nonzero(tight[rows])[1].reshape(len(rows), t)
@@ -596,54 +592,75 @@ def _face_volumes(points, normals, offsets, incidence, faces, k) -> np.ndarray:
     a, span = normals[j], span[f]
     denom = np.linalg.norm(a - ((a[:, None] * span).sum(axis=2)[..., None] * span).sum(axis=1),
                            axis=1)
-    # the distinct sub-faces, one call on the level below
-    masks = (incidence[j] & face[f]).view(np.dtype((np.void, n_points)))
-    children, which = np.unique(masks[:, 0], return_inverse=True)
-    below = _face_volumes(points, normals, offsets, incidence,
-                          children.view(bool).reshape(-1, n_points), k - 1)
-    centroid = np.concatenate([points, np.zeros((n_sets, 1, d))], axis=1)[:, local].sum(axis=2) \
+    # each face takes its pattern's pairs
+    member, first = cols[f, :, j], np.searchsorted(f, np.arange(len(rep) + 1))
+    f = np.repeat(np.arange(len(local)), np.diff(first)[inv])
+    pair = first[inv[f]] + _rank(f)
+    centroid = np.where(pad[..., None], 0.0, points[:, np.where(pad, 0, local)]).sum(axis=2) \
         / size[:, None]
-    h = (offsets[:, j] - (centroid[:, f] * a).sum(axis=2)) / denom  # (S, pairs)
-    # each pyramid sum in ascending plane order
-    terms = np.zeros((n_sets, len(face), np.bincount(f).max()))
-    terms[:, f, rank(f)] = h * below[:, which]
-    vol[:, ~simplex] = np.cumsum(terms, axis=2)[:, :, -1] / k
-    return vol
+    h = (offsets[:, types[f], j[pair]] - (centroid[:, f] * a[pair]).sum(axis=2)) / denom[pair]
+    return f + lo, j[pair], h.T, member[pair]
 
 
-def _shifted_dual(poly: Polytope, c) -> list:
-    """R rays of S regions {x : <x, v_i> <= c[r, s, i]}, each ray's of one type: vertices and tags.
+def _shifted_dual(poly: Polytope, c) -> tuple:
+    """The vertices of R rays of S regions {x : <x, v_i> <= c[r, s, i]}, each ray's of one type.
 
-    One ``_vertices`` walk enumerates every ray's region 0, and one batched
-    solve re-solves the other regions from the d-subsets of their ray's:
-    each must be feasible with exactly its tight planes, so the vertex set
-    is complete.  Returns one ``(points, tight)`` per ray, the (S, k, d)
-    vertices and ``tight[i, p]``, vertex p on plane i, as ``_face_volumes``
-    takes them.  The first failing ray raises its first failure: leaving
-    the trust region |c - 1| <= ``poly.tol.dual_trust``, where regions stay
-    bounded and tame, or a region 0 not full-dimensional (both Unbounded),
-    or a re-solve (NumericalInstability).
+    One ``_vertices`` walk enumerates the region at c = 1, and each ray's
+    region 0 is read off it: a vertex keeps its subset, unless it lies on
+    more than d planes and the ray moves one; then every d-subset of its
+    planes is solved at the ray's offsets, each tight set from its first.
+    One solve re-solves every vertex at every step of its ray, in blocks of
+    BLOCK / S, and each must be feasible with exactly its tight planes, so
+    the vertex set is complete.  A ray whose region 0 fails, or where a
+    split vertex's piece gains a plane (vertices at c = 1 within its step of
+    one another), is walked alone.  Returns the (S, K, d) vertices, ray by
+    ray as ``_vertices`` orders them, their (n, K) tight planes, (K, d)
+    subsets and (K,) rays.  The first failing ray raises its first failure:
+    leaving the trust region |c - 1| <= ``poly.tol.dual_trust`` or a flat
+    region 0 (both Unbounded), or a lost edge or a re-solve
+    (NumericalInstability).
     """
     n, d, tol = poly.n, poly.dim, poly.tol
     if c.ndim != 3 or c.shape[2] != n:
         raise ValueError(f"offsets must have shape (R, S, {n})")
-    delta, eps = tol.dual_trust, tol.geom_rel
+    delta, eps, lengths = tol.dual_trust, tol.geom_rel, np.linalg.norm(poly.unit, axis=1)
     outside = np.any((c < 1.0 - delta - 1e-15) | (c > 1.0 + delta + 1e-15), axis=(1, 2))
-    rays, lost = _vertices(poly.unit, c[:, 0], eps)
-    sizes = np.array([len(p) for p, _, _ in rays])
-    flat = sizes <= d
+    (_, tight, subsets), lost = _vertices(poly.unit, np.ones(n), eps)
+    tight, walk = tight.T, np.full(len(c), lost)  # after a lost edge every ray is walked alone
+    split = ((c[:, 0] != 1.0) @ tight.T) & (tight.sum(axis=1) > d)  # [r, v]: v splits on ray r
+    (ray, kept), (row, v) = np.nonzero(~split), np.nonzero(split)
+    parts = [(ray, subsets[kept], tight[kept])]
+    for i, cand in _local(tight[v], d, BLOCK * n // (n + d * d)):
+        hit, _, on = _solve(poly.unit, lengths, c[row[i], 0], cand, eps)
+        walk[row[i[hit][np.any(on & ~tight[v[i[hit]]], axis=1)]]] = True  # a piece gained a plane
+        parts.append((row[i[hit]], cand[hit], on))
+    lost, per = np.zeros(len(c), bool), max(1, BLOCK // c.shape[1])
+    for again in (False, True):  # each (ray, tight set) once, kept vertices first, in order
+        ray, subsets, tight = map(np.concatenate, zip(*parts))
+        key = np.hstack([ray[:, None].astype(">u4").view(np.uint8), np.packbits(tight, axis=1)])
+        first = np.unique(key.view(np.dtype((np.void, key.shape[1])))[:, 0], return_index=True)[1]
+        ray, subsets, tight = ray[first], subsets[first], tight[first]
+        x, bad = np.empty((len(ray), c.shape[1], d)), np.zeros(c.shape[:2], bool)
+        for lo in range(0, len(ray), per):  # (vertex, step, n) temporaries of BLOCK * n floats
+            b, q = c[ray[lo:lo + per]], subsets[lo:lo + per]
+            x[lo:lo + per] = np.linalg.solve(poly.unit[q][:, None], np.take_along_axis(
+                b, q[:, None], axis=2)[..., None])[..., 0]
+            vals = x[lo:lo + per] @ poly.unit.T
+            np.logical_or.at(bad, ray[lo:lo + per], np.any(
+                (vals > b + eps) | ((vals >= b - eps) != tight[lo:lo + per, None]), axis=2))
+        if again or not (walk := walk | bad[:, 0]).any():
+            break
+        parts = [(ray[~walk[ray]], subsets[~walk[ray]], tight[~walk[ray]])]
+        for r in np.flatnonzero(walk):
+            (_, on, q), lost[r] = _vertices(poly.unit, c[r, 0], eps)
+            parts.append((np.full(len(q), r), q, on.T))
+    sizes = np.bincount(ray, minlength=len(c))
+    flat, start = sizes <= d, np.cumsum(sizes) - sizes
     for k in set(sizes[~flat].tolist()):  # one stacked rank per size; a region's size is about 1
         at = np.flatnonzero(sizes == k)
-        points = np.stack([rays[r][0] for r in at])
+        points = x[start[at, None] + np.arange(k), 0]
         scale = np.linalg.norm(points, axis=2).max(axis=1, keepdims=True)
         flat[at] = _affine_rank(points, tol.geom(scale)) != d
-    tight, subsets = np.hstack([t for _, t, _ in rays]), np.vstack([q for *_, q in rays])
-    b = c[ray := np.repeat(np.arange(len(c)), sizes), 1:]        # (K, S - 1, n)
-    x = np.linalg.solve(poly.unit[subsets][:, None],
-                        np.take_along_axis(b, subsets[:, None], axis=2)[..., None])[..., 0]
-    vals, bad = x @ poly.unit.T, np.zeros((len(c), c.shape[1] - 1), bool)
-    np.logical_or.at(bad, ray, np.any((vals > b + eps) | ((vals >= b - eps) != tight.T[:, None]),
-                                      axis=2))
     for r in np.flatnonzero(outside | flat | lost | bad.any(axis=1))[:1]:
         if outside[r]:
             raise Unbounded(f"offsets outside trust region [1-{delta}, 1+{delta}]")
@@ -651,33 +668,30 @@ def _shifted_dual(poly: Polytope, c) -> list:
             raise Unbounded("dual vertex set is not full-dimensional")
         if lost[r]:
             raise NumericalInstability("shifted dual's vertex walk lost an edge")
-        i = int(np.argmax(np.abs((row := c[r, 1 + np.argmax(bad[r])]) - c[r, 0])))
+        i = int(np.argmax(np.abs((row := c[r, np.argmax(bad[r])]) - c[r, 0])))
         raise NumericalInstability("shifted dual changed combinatorics inside the stencil: "
                                    f"plane {i} at step {row[i] - 1.0:+.3e}")
-    return [(np.concatenate([points[None], x.swapaxes(0, 1)]), tight)
-            for (points, tight, _), x in zip(rays, np.split(x, np.cumsum(sizes)[:-1]))]
+    return x.swapaxes(0, 1), tight.T, subsets, ray
 
 
 def dual_facet_volumes(poly: Polytope, c) -> np.ndarray:
     """(R, S, n) volumes of the facets F_i, on the planes <x, v_i> = c_rsi, of the shifted duals.
 
     Shifted dual (r, s) is {x : <x, v_i> <= c_rsi}, the v_i the rows of
-    ``poly.unit``; a ray's S regions are of one type (``_shifted_dual``), and
-    ``F_i`` is the face of a region's lattice on plane i.  The rays of one
-    type, one ``tight``, make one kernel call, stacked on its S axis; a
-    face's bits do not depend on its batch.  A plane that meets the region
-    in less than a facet contributes 0: its points, if any, all lie on some
-    other plane too, whereas no other plane holds a facet.  Divided by
-    |v_i| these are the partial derivatives of the region's volume in c.
+    ``poly.unit`` (``_shifted_dual``), and ``F_i`` its face on plane i; the
+    facets of every ray, of any type, make one kernel call.  A plane that
+    meets the region in less than a facet contributes 0: its points, if any,
+    all lie on some other plane too, whereas no other plane holds a facet.
+    Divided by |v_i| these are the partial derivatives of its volume in c.
     """
     c = np.asarray(c, dtype=float)
-    rays, types, vol = _shifted_dual(poly, c), {}, np.zeros(c.shape)
-    for r, (_, tight) in enumerate(rays):
-        types.setdefault(tight.tobytes(), []).append(r)
-    for group in types.values():
-        counts = (tight := rays[group[0]][1]).astype(float)  # [i, j] below: plane i's points on j
-        facet = (counts @ counts.T == tight.sum(axis=1)[:, None]).sum(axis=1) == 1
-        vol[np.ix_(group, range(c.shape[1]), facet)] = _face_volumes(
-            np.concatenate([rays[r][0] for r in group]), poly.unit, c[group].reshape(-1, poly.n),
-            tight, tight[facet], poly.dim - 1).reshape(len(group), c.shape[1], -1)
+    points, tight, _, ray = _shifted_dual(poly, c)
+    p, i = np.nonzero(tight.T)  # (point, plane) pairs, by point, so by ray
+    key, face = np.unique(ray[p] * poly.n + i, return_inverse=True)  # each (ray, plane) met
+    faces = _lists(np.sort(face), p[np.argsort(face, kind="stable")], len(ray))
+    facet = np.all(np.vstack([tight.T, np.ones(poly.n, bool)])[faces], axis=1).sum(axis=1) == 1
+    r, i = np.divmod(key[facet], poly.n)
+    vol = np.zeros(c.shape)
+    vol[r, :, i] = _face_volumes(points, poly.unit, c.swapaxes(0, 1), r, tight, faces[facet],
+                                 poly.dim - 1).T
     return vol

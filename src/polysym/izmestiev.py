@@ -7,13 +7,13 @@ Two independent routes to the same matrix:
   from the kernel condition M @ phi.T = 0.
 * ``izmestiev_matrix_fd`` differentiates the dual volume's gradient, the
   shifted dual's facet volumes, as the oracle for the first route.  It
-  enumerates the shifted duals of all 2n stencil rays in one walk over
-  their vertex-edge graphs (``geometry._vertices``, which also finds the
-  facets), re-solves them at the rays' other steps in one batched solve,
-  sums their face lattices level by level in one kernel call per
-  combinatorial type (``geometry._face_volumes``), and reads none of
-  ``poly.normals``, ``poly.incidence`` and ``poly.edges``: its sparsity
-  pattern is an outcome.
+  reads the shifted duals of all 2n stencil rays off one walk over the
+  vertex-edge graph of the dual at c = 1 (``geometry._vertices``, which
+  also finds the facets), re-solves them at every step in one batched
+  solve, sums all their face lattices level by level in one kernel call
+  (``geometry._face_volumes``), and reads none of ``poly.normals``,
+  ``poly.incidence`` and ``poly.edges``: its sparsity pattern is an
+  outcome.
 
 Both compute on ``poly.unit`` and return the matrix in input units.
 
@@ -93,9 +93,9 @@ def izmestiev_matrix_fd(poly: Polytope) -> np.ndarray:
 def _raw_hessians(poly: Polytope) -> np.ndarray:
     """(3, n, n): raw Hessians at steps h, h/2 and h/4, all 2n stencil rays c = 1 +- t e_i at once.
 
-    One ``dual_facet_volumes`` call enumerates every ray's shifted dual at
-    h/4 in one walk, re-solves them at h/2 and h, and makes one volume
-    kernel call per combinatorial type: one in all when P is simplicial.
+    One ``dual_facet_volumes`` call reads every ray's shifted dual at h/4
+    off one walk at c = 1, re-solves them at h/4, h/2 and h, and sums the
+    facets of all rays, of whatever type, in one volume kernel call.
     """
     n, steps = poly.n, poly.tol.fd_step / np.array([4.0, 2.0, 1.0])
     rays = 1.0 + np.array([1.0, -1.0])[:, None, None] * steps[:, None] * np.eye(n)[:, None, None]

@@ -266,6 +266,13 @@ def cell24() -> np.ndarray:
                             for s, t in product((1.0, -1.0), repeat=2)}))
 
 
+def pushed_cube(t: float) -> np.ndarray:
+    """The cube's vertices with vertex 0 pushed out by 1 + t: its squares at vertex 0 split."""
+    verts = np.array(list(product((1, -1), repeat=3)), dtype=float)
+    verts[0] *= 1 + t
+    return verts
+
+
 def capped_prism() -> Polytope:
     """Triangular prism with a pyramid on each square face: 9 vertices, D3h (order 12)."""
     angles = 2 * np.pi * np.arange(3) / 3
@@ -288,7 +295,7 @@ def sphere_polytope(n: int, d: int, seed: int) -> Polytope:
 def lattice_faces(calls) -> list:
     """The faces ``geometry._face_volumes`` evaluated, from the argument tuples of its calls.
 
-    One ``(k, mask bytes)`` pair per row of a call's ``faces``, call by call.
+    One ``(k, index list bytes)`` pair per row of a call's ``faces``, call by call.
     """
     return [(k, face.tobytes()) for *_, faces, k in calls for face in faces]
 
@@ -326,8 +333,9 @@ def scan_vertices(normals: np.ndarray, offsets: np.ndarray, eps: float, block: i
     a subset whose determinant is at most 1e-12 of Hadamard's bound (the
     product of its row lengths) is skipped for every row, and each row's
     solve is its own.  A feasible solution is a vertex, known by its tight
-    planes, and the first solve of each tight set wins.  Returns what
-    ``geometry._vertices`` returns: one ``(points, tight, subsets)`` per row.
+    planes, and the first solve of each tight set wins.  Returns, for each
+    row, the ``(points, tight, subsets)`` that ``geometry._vertices`` gives
+    for it, and ``geometry._shifted_dual`` for a ray's first region.
     """
     m, d = normals.shape
     lengths = np.linalg.norm(normals, axis=1)
@@ -370,7 +378,7 @@ def loop_validation_error(unit: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
     if affine_rank(unit) < d:
         return "not full-dimensional: vertices lie in a proper affine subspace"
     g = unit.mean(axis=0)
-    [(x, tight, _)], lost = geometry._vertices(unit - g, np.ones((1, n)), tol.geom_rel)
+    (x, tight, _), lost = geometry._vertices(unit - g, np.ones(n), tol.geom_rel)
     if any(affine_rank(unit[on]) != d - 1 for on in tight.T):
         return "facet vertices do not span a supporting hyperplane"
     if any((1.0 + p @ g) / np.linalg.norm(p) <= eps for p in x):
@@ -379,7 +387,7 @@ def loop_validation_error(unit: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
     for i in range(n):
         if tight[i].sum() < d or np.linalg.matrix_rank(w[tight[i]], tol=1e-10) < d:
             return f"non-extreme point: vertex {i}"
-    if lost[0]:
+    if lost:
         return "facet walk lost an edge: the polar is degenerate within tolerance"
     return None
 
@@ -404,10 +412,11 @@ def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     flat = centred @ np.linalg.svd(centred)[2][:k].T  # (m, k), isometric image, centred
     if k <= 1:
         return 1.0 if k == 0 else float(np.ptp(flat))
-    [(polar, tight, _)], lost = geometry._vertices(flat, np.ones((1, len(flat))), tol.geom_rel)
-    assert not lost.any()
-    return float(geometry._face_volumes(flat[None], polar, np.ones((1, len(polar))), tight.T,
-                                        np.ones((1, len(flat)), dtype=bool), k)[0, 0])
+    (polar, tight, _), lost = geometry._vertices(flat, np.ones(len(flat)), tol.geom_rel)
+    assert not lost
+    return float(geometry._face_volumes(flat[None], polar, np.ones((1, 1, len(polar))),
+                                        np.zeros(1, int), tight.T, np.arange(len(flat))[None],
+                                        k)[0, 0])
 
 
 def volume_generalized_dual(poly: Polytope, c) -> float:
@@ -419,10 +428,10 @@ def volume_generalized_dual(poly: Polytope, c) -> float:
     times the unit-scale one, k = ``poly.exponent``; the offsets must stay
     in the trust region.
     """
-    c = np.asarray(c, dtype=float)[None]
-    [(points, tight)] = geometry._shifted_dual(poly, c[None])
-    vol = geometry._face_volumes(points, poly.unit, c, tight,
-                                 np.ones((1, tight.shape[1]), dtype=bool), poly.dim)[0, 0]
+    c = np.asarray(c, dtype=float)[None, None]
+    points, tight, _, _ = geometry._shifted_dual(poly, c)
+    vol = geometry._face_volumes(points, poly.unit, c, np.zeros(1, int), tight,
+                                 np.arange(tight.shape[1])[None], poly.dim)[0, 0]
     return float(np.ldexp(vol, -poly.exponent * poly.dim))
 
 
@@ -430,9 +439,10 @@ def fd_raw_hessians(poly: Polytope) -> list[np.ndarray]:
     """The FD oracle's raw Hessians at steps h, h/2 and h/4, one shifted dual per stencil point.
 
     A reference for ``izmestiev._raw_hessians``: each of the 6n offset
-    vectors gets its own vertex enumeration and volume kernel call, with
-    no re-solve.  Like it, it differentiates the dual volume of the
-    unit-scale vertices ``poly.unit``.
+    vectors is a ray of its own, read off the region at c = 1 or walked,
+    with its own volume kernel call, and no step is re-solved from another.
+    Like it, it differentiates the dual volume of the unit-scale vertices
+    ``poly.unit``.
     """
     norms = np.linalg.norm(poly.unit, axis=1)
     grad = lambda c: geometry.dual_facet_volumes(poly, c[None, None])[0, 0] / norms

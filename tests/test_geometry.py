@@ -18,6 +18,7 @@ from helpers import (
     hypercube,
     lattice_faces,
     loop_validation_error,
+    pushed_cube,
     relative_volume,
     scan_vertices,
     sphere_polytope,
@@ -52,6 +53,9 @@ LADDER = {
 # seeded generic polytopes of the sizes the benchmark analyzes; simple polars
 GENERIC = {f"sphere{n}_{d}_seed{seed}": (lambda n=n, d=d, seed=seed: sphere_polytope(n, d, seed))
            for n, d in ((20, 4), (16, 5), (12, 6)) for seed in (1, 2)}
+# every polytope beyond the fixtures that the enumeration tests take
+BEYOND = {**FIXTURES, **LADDER, **GENERIC, "cube5": lambda: hypercube(5),
+          "cell24": lambda: make_polytope(4, cell24())}
 
 
 def facet_volumes(poly, c):
@@ -168,10 +172,8 @@ class TestLoading:
         # Solving every d-subset of the polar's planes listed each square at vertex 0
         # whole and again as its two triangles (12 facets); the walk along the polar's
         # edges reaches the triangles only: 9 facets and 15 edges
-        verts = np.array(list(product((1, -1), repeat=3)), dtype=float)
-        verts[0] *= 1 + 1e-9
         try:
-            poly = make_polytope(3, verts)
+            poly = make_polytope(3, pushed_cube(1e-9))
         except (ValidationError, DegenerateGeometry):
             return
         assert poly.n - len(poly.edges) + len(poly.incidence) == 2
@@ -250,58 +252,72 @@ class TestFacets:
     def test_blocked_subset_scan_gives_identical_facets(self, name, monkeypatch):
         # the walk along the polar's edges gives, bit for bit, the points, tight planes
         # and subsets that solving every d-subset in lexicographic order, first solve
-        # winning, gives (the reference scan): for validation's polar and for stencil
-        # rows 1 +- h e_i like the FD oracle's, with the local scans of non-simple
+        # winning, gives (the reference scan), with the local scans of non-simple
         # vertices in the default blocks and in blocks of 7
-        poly = {**FIXTURES, **LADDER, **GENERIC, "cube5": lambda: hypercube(5),
-                "cell24": lambda: make_polytope(4, cell24())}[name]()
+        poly = BEYOND[name]()
         eps, n = poly.tol.geom_rel, poly.n
-        stencil = 1.0 + np.concatenate([np.eye(n), -np.eye(n)])[:16] * poly.tol.fd_step / 4
-        for normals, offsets in ((poly.unit - poly.unit.mean(axis=0), np.ones((1, n))),
-                                 (poly.unit, stencil)):
-            want = scan_vertices(normals, offsets, eps)
-            for block in (geometry.BLOCK, 7):
-                monkeypatch.setattr(geometry, "BLOCK", block)
-                got, lost = geometry._vertices(normals, offsets, eps)
-                assert not lost.any()
-                assert len(got) == len(want) == len(offsets)
-                for rows in zip(got, want):
-                    for a, b in zip(*rows):
-                        assert a.dtype == b.dtype and a.shape == b.shape
-                        assert a.tobytes() == b.tobytes()
-                monkeypatch.undo()
+        normals = poly.unit - poly.unit.mean(axis=0)
+        [want] = scan_vertices(normals, np.ones((1, n)), eps)
+        for block in (geometry.BLOCK, 7):
+            monkeypatch.setattr(geometry, "BLOCK", block)
+            got, lost = geometry._vertices(normals, np.ones(n), eps)
+            assert not lost
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", [*FIXTURES, *LADDER, *GENERIC, "cube5", "cell24"])
+    def test_stencil_rays_match_the_reference_scan(self, name, monkeypatch):
+        # each stencil ray's region at h/4, read off the one walk at c = 1 (its vertices
+        # re-solved, a non-simple one on the moved plane split by a local scan), has the
+        # points, tight planes and subsets, bit for bit, that the reference scan gives
+        # that ray's offsets alone; in the default blocks and in blocks of 7
+        poly = BEYOND[name]()
+        eps, n = poly.tol.geom_rel, poly.n
+        steps = poly.tol.fd_step / np.array([4.0, 2.0, 1.0])
+        c = (1.0 + np.concatenate([np.eye(n), -np.eye(n)])[:16, None] * steps[:, None])
+        want = scan_vertices(poly.unit, c[:, 0], eps)
+        for block in (geometry.BLOCK, 7):
+            monkeypatch.setattr(geometry, "BLOCK", block)
+            points, tight, subsets, ray = geometry._shifted_dual(poly, c)
+            assert np.array_equal(ray, np.sort(ray))
+            cut = np.searchsorted(ray, np.arange(1, len(c)))
+            got = zip(np.split(points[0], cut), np.split(tight, cut, axis=1),
+                      np.split(subsets, cut))
+            for rows in zip(got, want, strict=True):
+                for a, b in zip(*rows, strict=True):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("name", ["cube", "octahedron", "cyclic4_6", "cube4", "cell24",
                                       *(f"pushed{t:g}" for t in (5e-10, 1e-9, 2e-9, 4e-9))])
     def test_walk_does_not_depend_on_its_start(self, name, monkeypatch):
         # the walk starts where ray walks along fixed directions stop; one to four other
-        # random directions a dimension give every row the same output, bit for bit, and the
-        # same lost edges.  The cube pushed out at vertex 0 by 1 + t is degenerate within
-        # eps at its split squares: its polar is checked, its stencil rows are not (at
-        # t = 1e-9 a start can reach a square whole that no edge of the walk reaches)
+        # random directions a dimension give the same output, bit for bit, and the same
+        # lost edge, on validation's polar and on the FD oracle's region at c = 1.  The
+        # cube pushed out at vertex 0 by 1 + t is degenerate within eps at its split
+        # squares: its polar is checked, its region at c = 1 is not
         if name.startswith("pushed"):
-            verts = np.array(list(product((1, -1), repeat=3)), dtype=float)
-            verts[0] *= 1 + float(name[6:])
-            poly = make_polytope(3, verts)
+            poly = make_polytope(3, pushed_cube(float(name[6:])))
         else:
-            poly = {**FIXTURES, "cube4": lambda: hypercube(4),
-                    "cell24": lambda: make_polytope(4, cell24())}[name]()
+            poly = BEYOND[name]()
         eps, n, d = poly.tol.geom_rel, poly.n, poly.dim
-        stencil = 1.0 + np.concatenate([np.eye(n), -np.eye(n)])[:16] * poly.tol.fd_step / 4
-        cases = [(poly.unit - poly.unit.mean(axis=0), np.ones((1, n)))]
+        cases = [poly.unit - poly.unit.mean(axis=0)]
         if not name.startswith("pushed"):
-            cases.append((poly.unit, stencil))
+            cases.append(poly.unit)
 
-        def walk(normals, offsets):
-            rows, lost = geometry._vertices(normals, offsets, eps)
-            return [a.tobytes() for row in rows for a in row], lost.tobytes()
+        def walk(normals):
+            row, lost = geometry._vertices(normals, np.ones(n), eps)
+            return [a.tobytes() for a in row], lost
 
-        for normals, offsets in cases:
-            want = walk(normals, offsets)
+        for normals in cases:
+            want = walk(normals)
             for seed in range(4):
                 starts = np.random.default_rng(seed).standard_normal(((seed + 1) * d, d, d))
                 monkeypatch.setattr(geometry, "_generic", lambda d: starts)
-                assert walk(normals, offsets) == want
+                assert walk(normals) == want
                 monkeypatch.undo()
 
     def test_lost_edge_is_named(self, monkeypatch):
@@ -465,7 +481,8 @@ class TestDualFaces:
         inc = poly.incidence
         for (i, j), relvol in zip(poly.edges, geometry.dual_edge_volumes(poly)):
             alone = geometry._face_volumes(np.ldexp(poly.normals, poly.exponent)[None], poly.unit,
-                                           np.ones((1, poly.n)), inc.T, (inc[:, i] & inc[:, j])[None],
+                                           np.ones((1, 1, poly.n)), np.zeros(1, int), inc.T,
+                                           np.flatnonzero(inc[:, i] & inc[:, j])[None],
                                            poly.dim - 2)
             assert alone[0, 0] == relvol, (i, j)
 

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import re
 from itertools import combinations
 
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import random_invertible
 from helpers import (FIXTURES, adjacency, cross_polytope, fd_raw_hessians, hypercube,
-                     perm_matrix, sphere_polytope)
-from polysym import DEFAULT_TOLERANCES, Tolerances, geometry, izmestiev, make_polytope
+                     perm_matrix, pushed_cube, sphere_polytope)
+from polysym import DEFAULT_TOLERANCES, Tolerances, cli, geometry, izmestiev, make_polytope
 from polysym.errors import NumericalInstability
 from polysym.izmestiev import (
     izmestiev_matrix,
@@ -140,33 +142,27 @@ def test_fd_drift_message_names_only_what_it_measured():
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fd_enumerates_each_ray_once(polytopes, name, monkeypatch):
-    # one vertex enumeration pass for all 2n stencil rays c = 1 +- t e_i, one
-    # offset row each, at t = h/4; the offsets at h/2 and h re-solve its vertices
+    # one vertex enumeration for all 2n stencil rays c = 1 +- t e_i: the region at
+    # c = 1, one offset row, off which every ray's region at t = h/4 is read; the
+    # offsets at h/2 and h re-solve its vertices
     calls = []
     search = geometry._vertices
     monkeypatch.setattr(geometry, "_vertices",
                         lambda *a, **k: calls.append(np.shape(a[1])) or search(*a, **k))
     izmestiev_matrix_fd(polytopes[name])
-    assert calls == [(2 * polytopes[name].n, polytopes[name].n)]
-
-
-# rays of the stencil whose shifted duals differ in type: the cube's dual, the
-# octahedron, is not simple, and each ray's shift splits its vertices its own way
-RAY_TYPES = {"cube": 16, "prism3": 6}
+    assert calls == [(polytopes[name].n,)]
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fd_one_kernel_call_per_ray_type(polytopes, name, monkeypatch):
-    # the top-level volume kernel calls, on the facets at level d - 1: one per
-    # distinct combinatorial type of the rays, so one in all when P is simplicial
+    # the facets of every ray, of whatever combinatorial type, go to one top-level
+    # volume kernel call at level d - 1, simplicial or not
     poly = polytopes[name]
     calls = []
     kernel = geometry._face_volumes
     monkeypatch.setattr(geometry, "_face_volumes", lambda *a: calls.append(a[-1]) or kernel(*a))
     izmestiev_matrix_fd(poly)
-    simplicial = bool(np.all(poly.incidence.sum(axis=1) == poly.dim))
-    assert simplicial == (name not in RAY_TYPES)
-    assert calls.count(poly.dim - 1) == RAY_TYPES.get(name, 1)
+    assert calls[0] == poly.dim - 1 and calls.count(poly.dim - 1) == 1
 
 
 def test_fd_resolve_check_raises():
@@ -176,6 +172,56 @@ def test_fd_resolve_check_raises():
     wide = make_polytope(3, poly.vertices, tol=Tolerances(fd_step=0.05))
     with pytest.raises(NumericalInstability, match=r"inside the stencil: plane \d+ at step"):
         izmestiev_matrix_fd(wide)
+
+
+def test_fd_resolve_check_raises_alike_in_blocks(monkeypatch):
+    # the re-solve check goes in blocks of BLOCK / 3 vertices; at BLOCK = 7, two
+    # vertices a block, it raises the same text, and a passing oracle keeps its bits
+    poly = sphere_polytope(8, 3, seed=1)
+    wide = make_polytope(3, poly.vertices, tol=Tolerances(fd_step=0.05))
+    with pytest.raises(NumericalInstability) as whole:
+        izmestiev_matrix_fd(wide)
+    want = izmestiev_matrix_fd(poly)
+    monkeypatch.setattr(geometry, "BLOCK", 7)
+    with pytest.raises(NumericalInstability) as blocked:
+        izmestiev_matrix_fd(wide)
+    assert str(blocked.value) == str(whole.value)
+    assert izmestiev_matrix_fd(poly).tobytes() == want.tobytes()
+
+
+# SHA-256 of the FD matrix's bits on the cube pushed out at vertex 0 by 1 + p, as every stencil
+# ray enumerated on its own gives them
+PUSHED_FD = {
+    1e-12: "ce49d25b63283ea447b6dcd4a7414fb91df3398314b58f4ba7a4aa62aed80697",
+    1e-10: "4714acd121f86ac5138816e30b246515ebb282ffa12416711368faef9df58ac3",
+    5e-10: "39ac2d1bf74b6ae9fde489624f2a7a54ecfead3cf9579d34732d60891a504aa7",
+    2e-9: "1660acfe7b5505d53a85ce126fd7effe6c0a54cf49c373a225cc1f04269ad21f",
+    4e-9: "7550f6938eea9857d25f476df89f3184c7b2e86e5997881d1af890f393e0660d",
+    1e-8: "7fe2e96ffadd8ef866e59a2ca2e0e3287803247edfd62d157f1cf7732455b426",
+}
+
+
+@pytest.mark.parametrize("p", PUSHED_FD)
+def test_fd_keeps_its_bits_on_the_pushed_cube(p):
+    # the split squares at vertex 0 are flat within eps below about 1e-9, and every ray is
+    # read off the region at c = 1; above, vertices at c = 1 lie within a stencil step of
+    # one another, and the rays whose region 0 fails its re-solve are walked alone: a
+    # region read off c = 1 with no such walk is not full-dimensional there
+    poly = make_polytope(3, pushed_cube(p))
+    assert hashlib.sha256(izmestiev_matrix_fd(poly).tobytes()).hexdigest() == PUSHED_FD[p]
+
+
+def test_validate_passes_or_names_its_error_on_the_pushed_cube(tmp_path, capsys):
+    # at p = 1e-9 the walk's output depends on where it starts (its polar's squares are
+    # degenerate within eps); validate must pass, or exit 2 with a named error
+    path = tmp_path / "pushed.json"
+    path.write_text(json.dumps({"dimension": 3, "vertices": pushed_cube(1e-9).tolist()}))
+    code = cli.main(["validate", str(path)])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out)["passed"] is True
+    else:
+        assert code == 2 and re.fullmatch(r"error: \S.*\n", err), (code, err)
 
 
 @pytest.mark.parametrize("name", [*FIXTURES, "cube4", "cross4"])
