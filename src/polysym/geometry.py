@@ -487,13 +487,13 @@ def dual_edge_volumes(poly: Polytope) -> list[float]:
 
     The dual face of an edge {i, j} is conv of the facet normals whose
     facets hold both i and j, a (d - 2)-face of the polar dual.  The dual's
-    planes are the vertices at offset 1, and its incidence is the facet
-    incidence transposed; all dual faces go to one kernel call.
+    planes are the vertices at offset 1, and facet i is its point on the
+    planes of its vertices; all dual faces go to one kernel call.
     """
     inc, (i, j) = poly.incidence, np.array(poly.edges).T
     faces = _lists(*np.nonzero((inc[:, i] & inc[:, j]).T), len(inc))
     return _face_volumes(poly.unit_normals[None], poly.unit, np.ones((1, 1, poly.n)),
-                         np.zeros(len(i), np.intp), inc.T, faces, poly.dim - 2)[0].tolist()
+                         np.zeros(len(i), np.intp), inc, faces, poly.dim - 2)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +515,7 @@ def _lists(f: np.ndarray, p: np.ndarray, fill: int) -> np.ndarray:
 def _face_volumes(points, normals, offsets, types, incidence, faces, k) -> np.ndarray:
     """(S, F) relative volumes of F k-faces, each of one of T polytopes, in each of S sets.
 
-    ``incidence[j, p]`` flags point p, ``points[s, p]`` in set s, on plane
+    ``incidence[p, j]`` flags point p, ``points[s, p]`` in set s, on plane
     j.  Row f of ``faces`` lists face f's points, ascending, padded with P;
     it lies in polytope t = ``types[f]``, {x : <normals[j], x> <=
     offsets[s, t, j]}.  Points and simplices are closed-form (Gram
@@ -564,10 +564,12 @@ def _pyramids(points, normals, offsets, types, incidence, local, size, k, lo, hi
     """
     d, n_points = normals.shape[1], points.shape[1]
     local, size, types, pad = local[lo:hi], size[lo:hi], types[lo:hi], local[lo:hi] == n_points
-    cols = incidence.T[np.where(pad, 0, local)] & ~pad[..., None]  # (G, Q, m)
-    key = np.packbits(cols, axis=2).reshape(len(local), -1)
-    _, rep, inv = np.unique(key.view(np.dtype((np.void, key.shape[1])))[:, 0],
-                            return_index=True, return_inverse=True)
+    cols = incidence[at := np.where(pad, 0, local)] & ~pad[..., None]  # (G, Q, m)
+    rep = inv = np.arange(len(local))  # one polytope's faces never share their points' planes
+    if types.min() < types.max():
+        key = np.packbits(cols, axis=2).reshape(len(local), -1)
+        _, rep, inv = np.unique(key.view(np.dtype((np.void, key.shape[1])))[:, 0],
+                                return_index=True, return_inverse=True)
     cols = cols[rep]
     count = cols.sum(axis=1)
     tight = count == size[rep, None]
@@ -596,8 +598,7 @@ def _pyramids(points, normals, offsets, types, incidence, local, size, k, lo, hi
     member, first = cols[f, :, j], np.searchsorted(f, np.arange(len(rep) + 1))
     f = np.repeat(np.arange(len(local)), np.diff(first)[inv])
     pair = first[inv[f]] + _rank(f)
-    centroid = np.where(pad[..., None], 0.0, points[:, np.where(pad, 0, local)]).sum(axis=2) \
-        / size[:, None]
+    centroid = np.where(pad[..., None], 0.0, points[:, at]).sum(axis=2) / size[:, None]
     h = (offsets[:, types[f], j[pair]] - (centroid[:, f] * a[pair]).sum(axis=2)) / denom[pair]
     return f + lo, j[pair], h.T, member[pair]
 
@@ -614,7 +615,7 @@ def _shifted_dual(poly: Polytope, c) -> tuple:
     the vertex set is complete.  A ray whose region 0 fails, or where a
     split vertex's piece gains a plane (vertices at c = 1 within its step of
     one another), is walked alone.  Returns the (S, K, d) vertices, ray by
-    ray as ``_vertices`` orders them, their (n, K) tight planes, (K, d)
+    ray as ``_vertices`` orders them, their (K, n) tight planes, (K, d)
     subsets and (K,) rays.  The first failing ray raises its first failure:
     leaving the trust region |c - 1| <= ``poly.tol.dual_trust`` or a flat
     region 0 (both Unbounded), or a lost edge or a re-solve
@@ -671,7 +672,7 @@ def _shifted_dual(poly: Polytope, c) -> tuple:
         i = int(np.argmax(np.abs((row := c[r, np.argmax(bad[r])]) - c[r, 0])))
         raise NumericalInstability("shifted dual changed combinatorics inside the stencil: "
                                    f"plane {i} at step {row[i] - 1.0:+.3e}")
-    return x.swapaxes(0, 1), tight.T, subsets, ray
+    return x.swapaxes(0, 1), tight, subsets, ray
 
 
 def dual_facet_volumes(poly: Polytope, c) -> np.ndarray:
@@ -686,10 +687,10 @@ def dual_facet_volumes(poly: Polytope, c) -> np.ndarray:
     """
     c = np.asarray(c, dtype=float)
     points, tight, _, ray = _shifted_dual(poly, c)
-    p, i = np.nonzero(tight.T)  # (point, plane) pairs, by point, so by ray
+    p, i = np.nonzero(tight)  # (point, plane) pairs, by point, so by ray
     key, face = np.unique(ray[p] * poly.n + i, return_inverse=True)  # each (ray, plane) met
     faces = _lists(np.sort(face), p[np.argsort(face, kind="stable")], len(ray))
-    facet = np.all(np.vstack([tight.T, np.ones(poly.n, bool)])[faces], axis=1).sum(axis=1) == 1
+    facet = np.all(np.vstack([tight, np.ones(poly.n, bool)])[faces], axis=1).sum(axis=1) == 1
     r, i = np.divmod(key[facet], poly.n)
     vol = np.zeros(c.shape)
     vol[r, :, i] = _face_volumes(points, poly.unit, c.swapaxes(0, 1), r, tight, faces[facet],

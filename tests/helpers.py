@@ -415,7 +415,7 @@ def relative_volume(points, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     (polar, tight, _), lost = geometry._vertices(flat, np.ones(len(flat)), tol.geom_rel)
     assert not lost
     return float(geometry._face_volumes(flat[None], polar, np.ones((1, 1, len(polar))),
-                                        np.zeros(1, int), tight.T, np.arange(len(flat))[None],
+                                        np.zeros(1, int), tight, np.arange(len(flat))[None],
                                         k)[0, 0])
 
 
@@ -431,7 +431,7 @@ def volume_generalized_dual(poly: Polytope, c) -> float:
     c = np.asarray(c, dtype=float)[None, None]
     points, tight, _, _ = geometry._shifted_dual(poly, c)
     vol = geometry._face_volumes(points, poly.unit, c, np.zeros(1, int), tight,
-                                 np.arange(tight.shape[1])[None], poly.dim)[0, 0]
+                                 np.arange(len(tight))[None], poly.dim)[0, 0]
     return float(np.ldexp(vol, -poly.exponent * poly.dim))
 
 

@@ -283,7 +283,7 @@ class TestFacets:
             points, tight, subsets, ray = geometry._shifted_dual(poly, c)
             assert np.array_equal(ray, np.sort(ray))
             cut = np.searchsorted(ray, np.arange(1, len(c)))
-            got = zip(np.split(points[0], cut), np.split(tight, cut, axis=1),
+            got = zip(np.split(points[0], cut), (t.T for t in np.split(tight, cut)),
                       np.split(subsets, cut))
             for rows in zip(got, want, strict=True):
                 for a, b in zip(*rows, strict=True):
@@ -481,7 +481,7 @@ class TestDualFaces:
         inc = poly.incidence
         for (i, j), relvol in zip(poly.edges, geometry.dual_edge_volumes(poly)):
             alone = geometry._face_volumes(np.ldexp(poly.normals, poly.exponent)[None], poly.unit,
-                                           np.ones((1, 1, poly.n)), np.zeros(1, int), inc.T,
+                                           np.ones((1, 1, poly.n)), np.zeros(1, int), inc,
                                            np.flatnonzero(inc[:, i] & inc[:, j])[None],
                                            poly.dim - 2)
             assert alone[0, 0] == relvol, (i, j)
