@@ -86,8 +86,8 @@ def unit_exponent(x: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # polar vertices: one enumeration for the facets and the shifted dual
 
-WALKS = 8  # start walks on the first offset row, per dimension
-BLOCK = 1 << 15  # candidates times d a batch, or a local scan's floats over m; bounds memory
+WALKS = 8  # start walks per dimension
+BLOCK = 1 << 15  # bounds memory: a walk batch's candidates times d, any other batch's floats over m
 
 
 def _affine_rank(points: np.ndarray, eps: float) -> np.ndarray:
