@@ -232,14 +232,13 @@ def _local(tight: np.ndarray, size: int, rows: int):
 
 
 def _first_solves(normals, lengths, offsets, x, tight, subsets, eps):
-    """Each vertex's point and subset from the lexicographically first d-subset of its tight planes
-    that solves back to them.
+    """Each vertex's point and subset from the first d-subset of its tight planes that solves back.
 
-    A vertex on exactly d planes has one such subset, the one it was found
-    from, and so has a vertex found from its first d planes.  Any other is
-    re-solved from a local scan of its planes, in batches whose
-    temporaries, (d, d) and m floats a row, hold about BLOCK * m floats,
-    as the (row, m) values of one block of a scan of every subset did.
+    The subsets go in lexicographic order, solved at ``offsets`` (a row, or
+    one a vertex).  A vertex found from its first d planes keeps them, as
+    does one on exactly d planes; any other is re-solved from a local scan
+    of its planes, in batches whose temporaries, (d, d) and m floats a row,
+    hold about BLOCK * m floats.
     """
     m, d = normals.shape
     todo = np.any(subsets != np.argsort(~tight, axis=1, kind="stable")[:, :d], axis=1)  # not first
@@ -247,7 +246,7 @@ def _first_solves(normals, lengths, offsets, x, tight, subsets, eps):
         if not todo.any():
             break
         v, cand = v[todo[v]], cand[todo[v]]
-        hit, xs, ts = _solve(normals, lengths, offsets, cand, eps)
+        hit, xs, ts = _solve(normals, lengths, np.broadcast_to(offsets, tight.shape)[v], cand, eps)
         back = np.all(ts == tight[v[hit]], axis=1)
         w, first = np.unique(v[hit[back]], return_index=True)
         x[w], subsets[w], todo[w] = xs[back][first], cand[hit[back][first]], False
@@ -608,33 +607,39 @@ def _shifted_dual(poly: Polytope, c) -> tuple:
 
     One ``_vertices`` walk enumerates the region at c = 1, and each ray's
     region 0 is read off it: a vertex keeps its subset, unless it lies on
-    more than d planes and the ray moves one; then every d-subset of its
-    planes is solved at the ray's offsets, each tight set from its first.
-    One solve re-solves every vertex at every step of its ray, in blocks of
-    BLOCK / S, and each must be feasible with exactly its tight planes, so
-    the vertex set is complete.  A ray whose region 0 fails, or where a
-    split vertex's piece gains a plane (vertices at c = 1 within its step of
-    one another), is walked alone.  Returns the (S, K, d) vertices, ray by
-    ray as ``_vertices`` orders them, their (K, n) tight planes, (K, d)
-    subsets and (K,) rays.  The first failing ray raises its first failure:
-    leaving the trust region |c - 1| <= ``poly.tol.dual_trust`` or a flat
-    region 0 (both Unbounded), or a lost edge or a re-solve
-    (NumericalInstability).
+    more than d planes and the ray moves one.  Then its subsets that hold a
+    moved plane give its new pieces, each tight set from its first; the
+    rest solve to it, and where it stays it takes the first that solves
+    back.  One solve re-solves every vertex at every step of its ray, in
+    blocks of BLOCK / S; each must be feasible with exactly its tight
+    planes, so the set is complete.  A ray whose region 0 fails, or where a
+    piece gains a plane (vertices at c = 1 within its step of one another),
+    is walked alone.  Returns the (S, K, d) vertices, ray by ray as
+    ``_vertices`` orders them, their (K, n) tight planes, (K, d) subsets
+    and (K,) rays.  The first failing ray raises its first failure: leaving
+    the trust region |c - 1| <= ``poly.tol.dual_trust`` or a flat region 0
+    (both Unbounded), or a lost edge or a re-solve (NumericalInstability).
     """
     n, d, tol = poly.n, poly.dim, poly.tol
     if c.ndim != 3 or c.shape[2] != n:
         raise ValueError(f"offsets must have shape (R, S, {n})")
     delta, eps, lengths = tol.dual_trust, tol.geom_rel, np.linalg.norm(poly.unit, axis=1)
     outside = np.any((c < 1.0 - delta - 1e-15) | (c > 1.0 + delta + 1e-15), axis=(1, 2))
-    (_, tight, subsets), lost = _vertices(poly.unit, np.ones(n), eps)
-    tight, walk = tight.T, np.full(len(c), lost)  # after a lost edge every ray is walked alone
-    split = ((c[:, 0] != 1.0) @ tight.T) & (tight.sum(axis=1) > d)  # [r, v]: v splits on ray r
+    (x, tight, subsets), lost = _vertices(poly.unit, np.ones(n), eps)
+    tight, walk, moved = tight.T, np.full(len(c), lost), c[:, 0] != 1.0  # lost: all walked alone
+    split = (moved @ tight.T) & (tight.sum(axis=1) > d)  # [r, v]: v splits on ray r
     (ray, kept), (row, v) = np.nonzero(~split), np.nonzero(split)
     parts = [(ray, subsets[kept], tight[kept])]
     for i, cand in _local(tight[v], d, BLOCK * n // (n + d * d)):
+        i, cand = i[new := moved[row[i, None], cand].any(axis=1)], cand[new]  # on a moved plane
         hit, _, on = _solve(poly.unit, lengths, c[row[i], 0], cand, eps)
         walk[row[i[hit][np.any(on & ~tight[v[i[hit]]], axis=1)]]] = True  # a piece gained a plane
         parts.append((row[i[hit]], cand[hit], on))
+    still = tight[v] & ~moved[row]
+    stays = np.all(x[v] @ poly.unit.T <= c[row, 0] + eps, axis=1) & (still.sum(axis=1) >= d)
+    row, v, still = row[stays], v[stays], still[stays]
+    parts.append((row, _first_solves(poly.unit, lengths, c[row, 0], x[v], still, subsets[v],
+                                     eps)[1], still))
     lost, per = np.zeros(len(c), bool), max(1, BLOCK // c.shape[1])
     for again in (False, True):  # each (ray, tight set) once, kept vertices first, in order
         ray, subsets, tight = map(np.concatenate, zip(*parts))
