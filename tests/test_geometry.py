@@ -296,28 +296,31 @@ class TestFacets:
     def test_walk_does_not_depend_on_its_start(self, name, monkeypatch):
         # the walk starts where ray walks along fixed directions stop; one to four other
         # random directions a dimension give the same output, bit for bit, and the same
-        # lost edge, on validation's polar and on the FD oracle's region at c = 1.  The
-        # cube pushed out at vertex 0 by 1 + t is degenerate within eps at its split
-        # squares: its polar is checked, its region at c = 1 is not
+        # lost edge, on validation's polar, on the FD oracle's region at c = 1 and on 16
+        # stencil rays 1 +- (h/4) e_i read off it.  The cube pushed out at vertex 0 by
+        # 1 + t is degenerate within eps at its split squares: its polar is checked, its
+        # region at c = 1 and its rays are not
         if name.startswith("pushed"):
             poly = make_polytope(3, pushed_cube(float(name[6:])))
         else:
             poly = BEYOND[name]()
         eps, n, d = poly.tol.geom_rel, poly.n, poly.dim
-        cases = [poly.unit - poly.unit.mean(axis=0)]
-        if not name.startswith("pushed"):
-            cases.append(poly.unit)
+        stencil = 1.0 + np.concatenate([np.eye(n), -np.eye(n)])[:16, None] * poly.tol.fd_step / 4
 
         def walk(normals):
             row, lost = geometry._vertices(normals, np.ones(n), eps)
             return [a.tobytes() for a in row], lost
 
-        for normals in cases:
-            want = walk(normals)
+        cases = [lambda: walk(poly.unit - poly.unit.mean(axis=0))]
+        if not name.startswith("pushed"):
+            cases += [lambda: walk(poly.unit),
+                      lambda: [a.tobytes() for a in geometry._shifted_dual(poly, stencil)]]
+        for case in cases:
+            want = case()
             for seed in range(4):
                 starts = np.random.default_rng(seed).standard_normal(((seed + 1) * d, d, d))
                 monkeypatch.setattr(geometry, "_generic", lambda d: starts)
-                assert walk(normals) == want
+                assert case() == want
                 monkeypatch.undo()
 
     def test_lost_edge_is_named(self, monkeypatch):
