@@ -8,7 +8,7 @@ over the vertex-edge graph that solves d-subsets only next to the
 vertices it finds, serves validation and the shifted duals, which read
 every stencil ray off one walk at c = 1.  Volumes are summed over the
 face lattice an incidence gives, by the pyramid formula, a level at a
-time, all faces of a level in one pass.
+time, in groups of whole polytopes.
 """
 
 from __future__ import annotations
@@ -242,14 +242,14 @@ def _first_solves(normals, lengths, offsets, x, tight, subsets, eps):
     """
     m, d = normals.shape
     todo = np.any(subsets != np.argsort(~tight, axis=1, kind="stable")[:, :d], axis=1)  # not first
-    for v, cand in _local(tight & todo[:, None], d, BLOCK * m // (m + d * d)):
+    for v, q in _local(tight & todo[:, None], d, BLOCK * m // (m + d * d)):
         if not todo.any():
             break
-        v, cand = v[todo[v]], cand[todo[v]]
-        hit, xs, ts = _solve(normals, lengths, np.broadcast_to(offsets, tight.shape)[v], cand, eps)
+        v, q = v[todo[v]], q[todo[v]]
+        hit, xs, ts = _solve(normals, lengths, offsets[v] if offsets.ndim > 1 else offsets, q, eps)
         back = np.all(ts == tight[v[hit]], axis=1)
         w, first = np.unique(v[hit[back]], return_index=True)
-        x[w], subsets[w], todo[w] = xs[back][first], cand[hit[back][first]], False
+        x[w], subsets[w], todo[w] = xs[back][first], q[hit[back][first]], False
     return x, subsets
 
 
@@ -520,38 +520,40 @@ def _face_volumes(points, normals, offsets, types, incidence, faces, k) -> np.nd
     offsets[s, t, j]}.  Points and simplices are closed-form (Gram
     determinant); any other face Q is a sum of ``_pyramids``, vol_k(Q) =
     (1/k) sum_R h_R vol_{k-1}(R) in ascending plane order (Bueler, Enge &
-    Fukuda 2000).  A level's faces of every type go at once, and their
-    distinct sub-faces make one call on level k - 1.  Dot products are
-    elementwise products and sums, centroids ordered sums, so a face's
-    volume has the same bits whatever else is in its batch.
+    Fukuda 2000).  Faces go down the levels in groups of whole polytopes,
+    of about BLOCK list entries unless one polytope has more, so memory
+    does not grow with T; a group's distinct sub-faces make one call on
+    level k - 1.  Dot products are elementwise products and sums, centroids
+    ordered sums, so a face's volume has the same bits in any batch.
     """
     n_sets, n_points, d = points.shape
     size, vol = np.sum(faces < n_points, axis=1), np.ones((n_sets, len(faces)))
-    if not (simplex := size == k + 1).all():
-        local, size, types = faces[~simplex], size[~simplex], types[~simplex]
-        per = max(1, BLOCK // local.shape[1])  # faces a block: BLOCK * m (face, point, plane) flags
-        f, j, h, child = map(np.concatenate, zip(*(  # child[pair, q]: point q on the pair's plane
-            _pyramids(points, normals, offsets, types, incidence, local, size, k, lo, lo + per)
-            for lo in range(0, len(local), per))))
+    simplex, per = size == k + 1, max(1, BLOCK // faces.shape[1])  # per: BLOCK * m flags a block
+    rows = np.lexsort((types, simplex))[:np.sum(~simplex)]  # by polytope, simplices last
+    group = np.searchsorted(types[rows], types[rows]) // per  # where its polytope's first face is
+    for at in (rows[group == g] for g in set(group.tolist())):  # no sub-face is in two groups
+        f, j, h, child = _pyramids(points, normals, offsets, types[at], incidence, faces[at],
+                                   size[at], k)  # child[pair, q]: point q on the pair's plane
         # the distinct sub-faces, as index lists, one call on the level below
         pair, q = np.nonzero(child)
-        child = _lists(pair, local[f[pair], q], n_points)
+        child = _lists(pair, faces[at[f[pair]], q], n_points)
         _, first, which = np.unique(child.view(np.dtype((np.void, child[0].nbytes)))[:, 0],
                                     return_index=True, return_inverse=True)
         child, pair, q = child[first], None, None  # free before the level below
-        below = _face_volumes(points, normals, offsets, types[f[first]], incidence, child, k - 1)
+        below = _face_volumes(points, normals, offsets, types[at[f[first]]], incidence, child,
+                              k - 1)
         # each pyramid sum in ascending plane order
-        terms = np.zeros((n_sets, len(local), np.bincount(f).max()))
+        terms = np.zeros((n_sets, len(at), np.bincount(f).max()))
         terms[:, f, _rank(f)] = h.T * below[:, which]
-        vol[:, ~simplex] = np.cumsum(terms, axis=2)[:, :, -1] / k
+        vol[:, at] = np.cumsum(terms, axis=2)[:, :, -1] / k
     pts = points[:, faces[simplex, :k + 1]]  # (S, F', k + 1, d)
     rays = pts[:, :, 1:] - pts[:, :, :1]
     vol[:, simplex] = np.sqrt(np.linalg.det(rays @ rays.swapaxes(2, 3))) / factorial(k)
     return vol
 
 
-def _pyramids(points, normals, offsets, types, incidence, local, size, k, lo, hi):
-    """The pyramids over the k-faces ``local[lo:hi]``: (face, plane) pairs, heights, members.
+def _pyramids(points, normals, offsets, types, incidence, local, size, k):
+    """The pyramids over the k-faces ``local``: (face, plane) pairs, heights, members.
 
     A face Q's sub-faces are the inclusion-maximal non-empty patterns of
     the planes not tight on Q, each from the first plane with it.  A pair's
@@ -561,21 +563,20 @@ def _pyramids(points, normals, offsets, types, incidence, local, size, k, lo, hi
     whose points lie on the same planes, in order, share their pairs and
     denominators.  P pads ``local``: a point on no plane, at the origin.
     """
-    d, n_points = normals.shape[1], points.shape[1]
-    local, size, types, pad = local[lo:hi], size[lo:hi], types[lo:hi], local[lo:hi] == n_points
-    cols = incidence[at := np.where(pad, 0, local)] & ~pad[..., None]  # (G, Q, m)
-    rep = inv = np.arange(len(local))  # one polytope's faces never share their points' planes
-    if types.min() < types.max():
+    d, pad = normals.shape[1], local == points.shape[1]
+    centroid = np.where(pad[..., None], 0.0, points[:, at := np.where(pad, 0, local)]).sum(axis=2)
+    centroid, cols = centroid / size[:, None], incidence[at] & ~pad[..., None]  # cols: (G, Q, m)
+    if share := types.min() < types.max():  # one polytope's faces never share their points' planes
         key = np.packbits(cols, axis=2).reshape(len(local), -1)
         _, rep, inv = np.unique(key.view(np.dtype((np.void, key.shape[1])))[:, 0],
                                 return_index=True, return_inverse=True)
-    cols = cols[rep]
+        cols, size = cols[rep], size[rep]
     count = cols.sum(axis=1)
-    tight = count == size[rep, None]
+    tight = count == size[:, None]
     # sub-faces: the maximal patterns, first plane first, among planes meeting the face
     f, j = np.nonzero((count > 0) & ~tight)
     slot = _rank(f)
-    pats = np.zeros((len(rep), slot.max() + 1, local.shape[1]))
+    pats = np.zeros((len(cols), slot.max() + 1, local.shape[1]))
     pats[f, slot] = cols[f, :, j]
     sizes = np.zeros(pats.shape[:2])
     sizes[f, slot] = count[f, j]
@@ -585,7 +586,7 @@ def _pyramids(points, normals, offsets, types, incidence, local, size, k, lo, hi
     keep = sub[f, slot]
     f, j = f[keep], j[keep]
     # denominators: Q's direction from an SVD of its tight normals, stacked by their count
-    span, ntight = np.zeros((len(rep), d - k, d)), tight.sum(axis=1)
+    span, ntight = np.zeros((len(cols), d - k, d)), tight.sum(axis=1)
     for t in set(ntight.tolist()):
         rows = np.flatnonzero(ntight == t)
         planes = np.nonzero(tight[rows])[1].reshape(len(rows), t)
@@ -593,13 +594,13 @@ def _pyramids(points, normals, offsets, types, incidence, local, size, k, lo, hi
     a, span = normals[j], span[f]
     denom = np.linalg.norm(a - ((a[:, None] * span).sum(axis=2)[..., None] * span).sum(axis=1),
                            axis=1)
-    # each face takes its pattern's pairs
-    member, first = cols[f, :, j], np.searchsorted(f, np.arange(len(rep) + 1))
-    f = np.repeat(np.arange(len(local)), np.diff(first)[inv])
-    pair = first[inv[f]] + _rank(f)
-    centroid = np.where(pad[..., None], 0.0, points[:, at]).sum(axis=2) / size[:, None]
+    member, pair = cols[f, :, j], slice(None)
+    if share:  # each face takes its pattern's pairs
+        first = np.searchsorted(f, np.arange(len(cols) + 1))
+        f = np.repeat(np.arange(len(local)), np.diff(first)[inv])
+        pair = first[inv[f]] + _rank(f)
     h = (offsets[:, types[f], j[pair]] - (centroid[:, f] * a[pair]).sum(axis=2)) / denom[pair]
-    return f + lo, j[pair], h.T, member[pair]
+    return f, j[pair], h.T, member[pair]
 
 
 def _shifted_dual(poly: Polytope, c) -> tuple:
@@ -696,8 +697,7 @@ def dual_facet_volumes(poly: Polytope, c) -> np.ndarray:
     key, face = np.unique(ray[p] * poly.n + i, return_inverse=True)  # each (ray, plane) met
     faces = _lists(np.sort(face), p[np.argsort(face, kind="stable")], len(ray))
     facet = np.all(np.vstack([tight, np.ones(poly.n, bool)])[faces], axis=1).sum(axis=1) == 1
-    r, i = np.divmod(key[facet], poly.n)
-    vol = np.zeros(c.shape)
+    (r, i), vol = np.divmod(key[facet], poly.n), np.zeros(c.shape)
     vol[r, :, i] = _face_volumes(points, poly.unit, c.swapaxes(0, 1), r, tight, faces[facet],
                                  poly.dim - 1).T
     return vol
