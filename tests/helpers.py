@@ -439,13 +439,28 @@ def fd_raw_hessians(poly: Polytope) -> list[np.ndarray]:
     """The FD oracle's raw Hessians at steps h, h/2 and h/4, one shifted dual per stencil point.
 
     A reference for ``izmestiev._raw_hessians``: each of the 6n offset
-    vectors is a ray of its own, read off the region at c = 1 or walked,
-    with its own volume kernel call, and no step is re-solved from another.
-    Like it, it differentiates the dual volume of the unit-scale vertices
-    ``poly.unit``.
+    vectors gets its own walk (``geometry._vertices`` at those offsets, not
+    read off the region at c = 1) and its own volume kernel call, and no
+    step is re-solved from another.  A plane is a facet when no other plane
+    holds all its points.  Like the oracle, it differentiates the dual
+    volume of the unit-scale vertices ``poly.unit``.
     """
     norms = np.linalg.norm(poly.unit, axis=1)
-    grad = lambda c: geometry.dual_facet_volumes(poly, c[None, None])[0, 0] / norms
+
+    def grad(c):
+        (points, tight, _), lost = geometry._vertices(poly.unit, c, poly.tol.geom_rel)
+        assert not lost
+        on = [np.flatnonzero(row) for row in tight]  # each plane's points
+        facet = [i for i, p in enumerate(on) if len(p) and np.all(tight[:, p], axis=1).sum() == 1]
+        faces = np.full((len(facet), max(len(on[i]) for i in facet)), len(points))
+        for row, i in enumerate(facet):
+            faces[row, :len(on[i])] = on[i]
+        vol = np.zeros(poly.n)
+        vol[facet] = geometry._face_volumes(points[None], poly.unit, c[None, None],
+                                            np.zeros(len(facet), np.intp), tight.T, faces,
+                                            poly.dim - 1)[0]
+        return vol / norms
+
     base = np.ones(poly.n)
     return [np.column_stack([(grad(base + ei) - grad(base - ei)) / (2.0 * hh)
                              for ei in hh * np.eye(poly.n)])

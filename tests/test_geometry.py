@@ -272,11 +272,13 @@ class TestFacets:
         # each stencil ray's region at h/4, read off the one walk at c = 1 (its vertices
         # re-solved, a non-simple one on the moved plane split by a local scan), has the
         # points, tight planes and subsets, bit for bit, that the reference scan gives
-        # that ray's offsets alone; in the default blocks and in blocks of 7
+        # that ray's offsets alone; in the default blocks and in blocks of 7.  The rays
+        # 1 + t e_i for i < 16 and 1 - t e_i for i < 8: a minus ray cuts off the
+        # vertices it splits
         poly = BEYOND[name]()
         eps, n = poly.tol.geom_rel, poly.n
         steps = poly.tol.fd_step / np.array([4.0, 2.0, 1.0])
-        c = (1.0 + np.concatenate([np.eye(n), -np.eye(n)])[:16, None] * steps[:, None])
+        c = (1.0 + np.concatenate([np.eye(n)[:16], -np.eye(n)[:8]])[:, None] * steps[:, None])
         want = scan_vertices(poly.unit, c[:, 0], eps)
         for block in (geometry.BLOCK, 7):
             monkeypatch.setattr(geometry, "BLOCK", block)

@@ -226,8 +226,8 @@ def test_validate_passes_or_names_its_error_on_the_pushed_cube(tmp_path, capsys)
 
 @pytest.mark.parametrize("name", [*FIXTURES, "cube4", "cross4"])
 def test_raw_hessians_match_per_point_enumeration(name):
-    # one enumeration and one volume kernel call per ray give the raw Hessians
-    # that a fresh shifted dual at every stencil point gives
+    # the one walk at c = 1 and the one volume kernel call give the raw Hessians
+    # that a fresh walk and kernel call at every stencil point give
     poly = {**FIXTURES, "cube4": lambda: hypercube(4), "cross4": lambda: cross_polytope(4)}[name]()
     for got, want in zip(izmestiev._raw_hessians(poly), fd_raw_hessians(poly), strict=True):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
